@@ -21,6 +21,7 @@
 
 use crate::host_exec::{self, HostBlocking};
 use crate::{vq_kernel, AccessProfile, KernelOutput, Result};
+use std::sync::{Mutex, PoisonError};
 use vqllm_core::plan_cache::PlanRequest;
 use vqllm_core::{ComputeOp, KernelPlan, KernelPlanner, OptLevel, ProfileSummary};
 use vqllm_gpu::GpuSpec;
@@ -473,12 +474,23 @@ impl Backend for PerfModelBackend {
 ///
 /// The [`KernelOutput`] returned alongside real results still carries the
 /// *modelled* GPU counters for the plan (so perf-model and CPU runs stay
-/// comparable in reports); wall-clock measurement is the bench harness's
-/// job (`host_speedup`).
-#[derive(Debug, Clone, Copy)]
+/// comparable in reports). They are a plan-time fact: the model runs once
+/// per distinct plan and every later `run_*` returns a copy, so a decode
+/// step executes kernels and nothing else. Wall-clock measurement is the
+/// bench harness's job (`host_speedup`).
+#[derive(Debug)]
 pub struct CpuBackend {
     threads: usize,
+    /// Modelled outputs resolved so far, oldest first.
+    modelled: Mutex<Vec<(KernelPlan, VqConfig, GpuSpec, KernelOutput)>>,
 }
+
+/// Distinct `(plan, tensor config, gpu)` triples the backend remembers the
+/// modelled output of. A context serves through two canonical plans and a
+/// profile-driven replan retires the one it replaces, so the working set
+/// is a few entries per registered context; past the cap the oldest entry
+/// is dropped and would simply be modelled again.
+const MODELLED_CAP: usize = 64;
 
 impl Default for CpuBackend {
     fn default() -> Self {
@@ -489,7 +501,7 @@ impl Default for CpuBackend {
 impl CpuBackend {
     /// Single-threaded backend (deterministic, bench-friendly).
     pub fn new() -> Self {
-        CpuBackend { threads: 1 }
+        CpuBackend::with_threads(1)
     }
 
     /// Backend with an explicit worker-partition count for the parallel
@@ -501,7 +513,10 @@ impl CpuBackend {
         if threads > 1 {
             host_exec::pool::WorkerPool::shared();
         }
-        CpuBackend { threads }
+        CpuBackend {
+            threads,
+            modelled: Mutex::new(Vec::new()),
+        }
     }
 
     /// Backend sized to the machine's available parallelism.
@@ -523,15 +538,32 @@ impl CpuBackend {
         HostBlocking::for_plan(plan).with_threads(self.threads)
     }
 
-    /// Modelled counters for the executed plan under the algorithm's
-    /// default access distribution. Deliberately *not* profiled from the
-    /// tensor: a per-call `AccessHistogram::profile` would re-decode every
-    /// packed index (O(rows × groups)) on the serving hot path, rivalling
-    /// the fused kernel itself; real execution is the product here and the
-    /// counters are a constant-per-plan report.
+    /// Modelled counters for the executed plan under the default access
+    /// distribution of the tensor's VQ config — exactly
+    /// `vq_kernel::estimate(gpu, plan, &AccessProfile::default_for(q.config()))`,
+    /// a pure function of its key, so it is evaluated on the first call
+    /// for that key and copied out afterwards. (Deliberately *not*
+    /// profiled from the tensor: real execution is the product here and
+    /// the counters are a constant-per-plan report.)
     fn output_for(&self, gpu: &GpuSpec, plan: &KernelPlan, q: &QuantizedTensor) -> KernelOutput {
-        let profile = AccessProfile::default_for(q.config());
-        vq_kernel::estimate(gpu, plan, &profile)
+        let vq = q.config();
+        // Entries are only ever pushed or removed whole, so a guard
+        // recovered from a panicking estimate still holds valid data. The
+        // lock is held across the estimate: one evaluation per key, and a
+        // key is cold once.
+        let mut modelled = self.modelled.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((.., out)) = modelled
+            .iter()
+            .find(|(p, v, g, _)| p == plan && v == vq && g == gpu)
+        {
+            return out.clone();
+        }
+        let out = vq_kernel::estimate(gpu, plan, &AccessProfile::default_for(vq));
+        if modelled.len() == MODELLED_CAP {
+            modelled.remove(0);
+        }
+        modelled.push((plan.clone(), *vq, gpu.clone(), out.clone()));
+        out
     }
 }
 
@@ -633,8 +665,9 @@ impl Backend for CpuBackend {
                 what: "empty query batch",
             });
         }
-        // One shared K-decode for the whole ragged batch; per-query softmax
-        // prefixes and an exactly-zero tail in the value pass.
+        // One shared K-decode for the whole ragged batch, stopped at the
+        // longest attended prefix; per-query softmax prefixes with exact
+        // zeros between a query's prefix and that bound.
         let out = host_exec::attention_decode_ragged(qs, lens, kq, vq, &self.blocking(plan))?;
         Ok((out, self.output_for(gpu, plan, kq)))
     }
@@ -698,6 +731,52 @@ mod tests {
         assert!(metrics::allclose(&cpu, &model, 1e-4, 1e-4));
         let oracle = linalg::gemv(&wq.dequantize().unwrap().transposed(), &x).unwrap();
         assert!(metrics::allclose(&cpu, &oracle, 1e-4, 1e-4));
+    }
+
+    #[test]
+    fn modelled_output_is_resolved_once_per_plan_and_equals_a_fresh_estimate() {
+        let vq = VqAlgorithm::Gptvq2.config();
+        let w = synth::correlated_channels(64, 64, 4, 0.9, 3);
+        let wq = VqQuantizer::new(vq).quantize(&w, 1).unwrap();
+        let a = synth::gaussian(8, 64, 1.0, 5);
+        let x: Vec<f32> = (0..64).map(|i| (i as f32 * 0.17).cos()).collect();
+        let gemm = ComputeOp::Gemm { m: 8, n: 64, k: 64 };
+        let gemv = ComputeOp::Gemv {
+            n: 64,
+            k: 64,
+            batch: 1,
+        };
+        let (gemm_plan, gemv_plan) = (plan_for(&vq, &gemm), plan_for(&vq, &gemv));
+        let gpu = GpuSpec::rtx4090();
+        let fresh = |plan: &KernelPlan| {
+            PerfModelBackend.estimate(&gpu, plan, &AccessProfile::default_for(&vq))
+        };
+        let (fresh_gemm, fresh_gemv) = (fresh(&gemm_plan), fresh(&gemv_plan));
+        assert_ne!(fresh_gemm, fresh_gemv, "two plans, two outputs");
+
+        let backend = CpuBackend::new();
+        let before = vq_kernel::estimates_on_this_thread();
+        for call in 1..=100 {
+            let (_, out) = backend.run_gemm(&gpu, &gemm_plan, &a, &wq).unwrap();
+            if call == 1 || call == 100 {
+                assert_eq!(out, fresh_gemm, "call {call}");
+            }
+            // A second plan interleaved on the same backend keeps its own.
+            let (_, out) = backend.run_gemv(&gpu, &gemv_plan, &x, &wq).unwrap();
+            assert_eq!(out, fresh_gemv, "call {call}");
+        }
+        assert_eq!(
+            vq_kernel::estimates_on_this_thread() - before,
+            2,
+            "200 run_* calls over two plans model each plan once"
+        );
+        // Another device is another key, not a stale copy.
+        let a40 = GpuSpec::a40();
+        let (_, out) = backend.run_gemm(&a40, &gemm_plan, &a, &wq).unwrap();
+        assert_eq!(
+            out,
+            PerfModelBackend.estimate(&a40, &gemm_plan, &AccessProfile::default_for(&vq))
+        );
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //!   heads over quantized K/V: the K-side score pass *is* the LUT GeMV
 //!   (batched for multi-query), the V-side weighted sum *is* the
 //!   aggregation GeMV (the batch variant rides the panel-blocked GeMM).
+//! * [`attention_decode_ragged`] / [`attention_decode_ragged_tailed`] —
+//!   the serving shapes (per-query prefixes, plus private live-KV
+//!   extensions): the same two passes, **bounded to the longest attended
+//!   prefix** — packed K/V rows no query attends are never streamed.
 //!
 //! Blocking ([`HostBlocking`]) reuses the [`KernelPlan`]'s shared-memory
 //! budget decisions: the bytes the planner would stage into an SM's shared
@@ -302,14 +306,32 @@ pub fn gemv_lut_batch(
     xs: &Tensor2D,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
+    gemv_lut_batch_rows(wq, xs, wq.shape().0, blocking)
+}
+
+/// Rows `[0, row_end)` of [`gemv_lut_batch`] (`row_end × batch`). Output
+/// rows are independent of one another and codebook bands keep the
+/// boundaries of the full tensor, so every row computed is bitwise the
+/// row the full-range call computes.
+fn gemv_lut_batch_rows(
+    wq: &QuantizedTensor,
+    xs: &Tensor2D,
+    row_end: usize,
+    blocking: &HostBlocking,
+) -> Result<Tensor2D> {
     let (rows, cols) = wq.shape();
     if xs.cols() != cols {
         return Err(KernelError::ShapeMismatch {
             what: "batch activation cols must equal quantized cols",
         });
     }
+    if row_end > rows {
+        return Err(KernelError::ShapeMismatch {
+            what: "row bound must not exceed quantized rows",
+        });
+    }
     let batch = xs.rows();
-    let mut y = Tensor2D::zeros(rows, batch);
+    let mut y = Tensor2D::zeros(row_end, batch);
     if batch == 0 {
         return Ok(y);
     }
@@ -321,8 +343,8 @@ pub fn gemv_lut_batch(
     let band = band_height(vq.scope, rows);
 
     let mut band_start = 0;
-    while band_start < rows {
-        let band_len = band.min(rows - band_start);
+    while band_start < row_end {
+        let band_len = band.min(row_end - band_start);
         let band_out = &mut y.as_mut_slice()[band_start * batch..(band_start + band_len) * batch];
         for r in 0..vq.residuals {
             let stream = wq.index_stream(r);
@@ -541,10 +563,29 @@ use simd::{GEMM_MR, GEMM_NR};
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `a.cols() != wq.rows`.
 pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Tensor2D> {
-    failpoint("host.gemm_fused")?;
     if a.cols() != wq.shape().0 {
         return Err(KernelError::ShapeMismatch {
             what: "A.cols must equal quantized weight rows",
+        });
+    }
+    gemm_fused_rows(a, wq, blocking)
+}
+
+/// [`gemm_fused`] over weight rows `[0, a.cols())` only: `C = A ×
+/// dequant(Wq)[..a.cols()]`. Band and K-panel boundaries stay those of
+/// the full weight and the micro-kernel is one sequential accumulator
+/// chain per output, so the result is bitwise what [`gemm_fused`] returns
+/// for `A` zero-padded to the full depth (finite weights: the dropped
+/// terms are exact zeros).
+fn gemm_fused_rows(
+    a: &Tensor2D,
+    wq: &QuantizedTensor,
+    blocking: &HostBlocking,
+) -> Result<Tensor2D> {
+    failpoint("host.gemm_fused")?;
+    if a.cols() > wq.shape().0 {
+        return Err(KernelError::ShapeMismatch {
+            what: "A.cols must not exceed quantized weight rows",
         });
     }
     let n = wq.shape().1;
@@ -588,8 +629,9 @@ pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -
     Ok(c)
 }
 
-/// One worker's share of [`gemm_fused`]: groups `[gs, ge)` of the weight,
-/// accumulated into `cs` (`m × (ge-gs)·vs`, row-major).
+/// One worker's share of [`gemm_fused_rows`]: groups `[gs, ge)` of the
+/// weight over its rows `[0, a.cols())`, accumulated into `cs`
+/// (`m × (ge-gs)·vs`, row-major).
 fn gemm_strip(
     a: &Tensor2D,
     wq: &QuantizedTensor,
@@ -599,6 +641,7 @@ fn gemm_strip(
     cs: &mut [f32],
 ) {
     let (k, _) = wq.shape();
+    let k_end = a.cols();
     let m = a.rows();
     let vq = *wq.config();
     let vs = vq.vector_size;
@@ -621,8 +664,8 @@ fn gemm_strip(
     let mut codes = vec![0u32; sw];
 
     let mut band_start = 0;
-    while band_start < k {
-        let band_len = band.min(k - band_start);
+    while band_start < k_end {
+        let band_len = band.min(k_end - band_start);
         // Books are row-invariant within a band: resolve the (residual,
         // group) → codebook mapping once per band instead of per code.
         let band_books: Vec<Vec<&vqllm_vq::Codebook>> = (0..vq.residuals)
@@ -766,7 +809,7 @@ pub fn attention_decode_batch(
     vq: &QuantizedTensor,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
-    attention_batch_inner(qs, None, kq, vq, blocking)
+    attention_inner(qs, &vec![kq.shape().0; qs.rows()], &[], kq, vq, blocking)
 }
 
 /// Ragged batched fused attention decode: like [`attention_decode_batch`],
@@ -774,14 +817,16 @@ pub fn attention_decode_batch(
 /// shared K/V — the continuous-batching shape, where co-scheduled tenants
 /// sit at different positions in the cache.
 ///
-/// The K-decode is still shared across the whole batch (the score pass
-/// computes all `seq` rows once); raggedness is applied afterwards: each
-/// query's softmax runs over its own prefix and the tail weights are
-/// exactly zero, so the value-pass GeMM contributes nothing beyond
-/// `lens[b]`. A query with `lens[b] == seq` goes through *identical*
-/// arithmetic to [`attention_decode_batch`], and every lane's result is
-/// bitwise independent of the other lanes in the batch — the serving
-/// scheduler's parity contract.
+/// The K-decode is still shared across the whole batch, and both passes
+/// stop at the longest attended prefix: the LUT score pass and the value
+/// GeMM stream rows `[0, max(lens))` of the packed K/V codes and nothing
+/// past them. Each query's softmax runs over its own prefix and its
+/// weights beyond it (up to the batch's bound) are exactly zero, so the
+/// value pass contributes nothing there. A query with `lens[b] == seq`
+/// goes through *identical* arithmetic to [`attention_decode_batch`], and
+/// every lane's result is bitwise independent of the other lanes in the
+/// batch — and therefore of the bound they set — the serving scheduler's
+/// parity contract.
 ///
 /// # Errors
 ///
@@ -796,51 +841,7 @@ pub fn attention_decode_ragged(
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
     failpoint("host.attention_ragged")?;
-    if lens.len() != qs.rows() {
-        return Err(KernelError::ShapeMismatch {
-            what: "one softmax length per query row",
-        });
-    }
-    let seq = kq.shape().0;
-    if lens.iter().any(|&l| l == 0 || l > seq) {
-        return Err(KernelError::InvalidInput {
-            what: "softmax lengths must be in 1..=seq",
-        });
-    }
-    attention_batch_inner(qs, Some(lens), kq, vq, blocking)
-}
-
-/// Shared body of [`attention_decode_batch`] / [`attention_decode_ragged`]
-/// (`lens: None` means every query attends the full cache).
-fn attention_batch_inner(
-    qs: &Tensor2D,
-    lens: Option<&[usize]>,
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-        return Err(KernelError::ShapeMismatch {
-            what: "qs/K/V shapes disagree",
-        });
-    }
-    let seq = kq.shape().0;
-    // `rows × batch` scores, transposed to query-major for the softmax and
-    // the GeMM value pass.
-    let mut scores = gemv_lut_batch(kq, qs, blocking)?.transposed();
-    let scale = 1.0 / (qs.cols() as f32).sqrt();
-    for b in 0..scores.rows() {
-        let len = lens.map_or(seq, |l| l[b]);
-        let srow = scores.row_mut(b);
-        for s in srow[..len].iter_mut() {
-            *s *= scale;
-        }
-        linalg::softmax_inplace(&mut srow[..len]);
-        // Beyond the query's prefix the weights are exactly zero, so the
-        // value pass adds nothing there (0·v contributions are exact).
-        srow[len..].fill(0.0);
-    }
-    gemm_fused(&scores, vq, blocking)
+    attention_inner(qs, lens, &[], kq, vq, blocking)
 }
 
 /// A per-group residual left unquantized because the packed codes alone
@@ -976,10 +977,10 @@ fn ext_row_score(
 /// panel-blocked [`gemm_fused`], the extension's value pass is
 /// per-query [`Codebook::axpy`] expansion plus dense tail accumulation.
 ///
-/// With every extension empty the arithmetic is **identical** to
-/// [`attention_decode_ragged`]: same score source, same scale and
-/// softmax, same value GeMM — so turning the live-KV path on without
-/// appending anything is bitwise invisible.
+/// Both context passes stop at `max(lens)`, as in
+/// [`attention_decode_ragged`], and with every extension empty the two
+/// are one body run on the same inputs — so turning the live-KV path on
+/// without appending anything is bitwise invisible.
 ///
 /// [`Codebook::axpy`]: vqllm_vq::Codebook::axpy
 ///
@@ -997,9 +998,35 @@ pub fn attention_decode_ragged_tailed(
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
     failpoint("host.attention_ragged")?;
-    if lens.len() != qs.rows() || exts.len() != qs.rows() {
+    if exts.len() != qs.rows() {
         return Err(KernelError::ShapeMismatch {
-            what: "one prefix length and one extension per query row",
+            what: "one extension per query row",
+        });
+    }
+    if matches!(kq.config().scope, CodebookScope::PerTile { .. }) {
+        return Err(KernelError::InvalidInput {
+            what: "per-tile codebook scopes are row-dependent; live-KV extensions \
+                   require a row-invariant scope (PerTensor or PerChannelGroup)",
+        });
+    }
+    attention_inner(qs, lens, exts, kq, vq, blocking)
+}
+
+/// The one body of [`attention_decode_batch`] / [`attention_decode_ragged`]
+/// / [`attention_decode_ragged_tailed`]: query `b` attends `lens[b]` rows
+/// of the shared context, then `exts[b]` (`exts` empty: no query has an
+/// extension).
+fn attention_inner(
+    qs: &Tensor2D,
+    lens: &[usize],
+    exts: &[RaggedExt<'_>],
+    kq: &QuantizedTensor,
+    vq: &QuantizedTensor,
+    blocking: &HostBlocking,
+) -> Result<Tensor2D> {
+    if lens.len() != qs.rows() {
+        return Err(KernelError::ShapeMismatch {
+            what: "one softmax length per query row",
         });
     }
     if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
@@ -1013,36 +1040,34 @@ pub fn attention_decode_ragged_tailed(
             what: "softmax lengths must be in 1..=seq",
         });
     }
-    let cfg = kq.config();
-    if matches!(cfg.scope, CodebookScope::PerTile { .. }) {
-        return Err(KernelError::InvalidInput {
-            what: "per-tile codebook scopes are row-dependent; live-KV extensions \
-                   require a row-invariant scope (PerTensor or PerChannelGroup)",
-        });
-    }
     for ext in exts {
         ext.validate(kq)?;
     }
-    let d = qs.cols();
-    let vs = cfg.vector_size;
+    let batch = qs.rows();
+    let vs = kq.config().vector_size;
     let groups = kq.col_groups();
     let k_books = kq.codebooks();
     let v_books = vq.codebooks();
+    let no_ext = RaggedExt::default();
 
-    // Shared context score pass: one batched LUT GeMV, exactly as the
-    // extension-free kernel computes it.
-    let mut scores = gemv_lut_batch(kq, qs, blocking)?.transposed();
-    let scale = 1.0 / (d as f32).sqrt();
-    // Per-query softmax weights over the extension (folded + tail),
-    // saved for the value pass.
-    let mut ext_weights: Vec<Vec<f32>> = Vec::with_capacity(exts.len());
-    for b in 0..scores.rows() {
-        let ext = &exts[b];
-        let len = lens[b];
+    // Shared context score pass: one batched LUT GeMV over the rows some
+    // query attends, token-major (`bound × batch`).
+    let bound = lens.iter().copied().max().unwrap_or(0);
+    let ctx_scores = gemv_lut_batch_rows(kq, qs, bound, blocking)?;
+    let ctx_scores = ctx_scores.as_slice();
+    let scale = 1.0 / (qs.cols() as f32).sqrt();
+    // Query-major softmax weights over the context (exactly zero between
+    // a query's prefix and the bound, so the value pass adds nothing
+    // there) and, per query, over its extension (folded + tail).
+    let mut weights = Tensor2D::zeros(batch, bound);
+    let mut ext_weights: Vec<Vec<f32>> = Vec::with_capacity(batch);
+    let mut srow: Vec<f32> = Vec::new();
+    for (b, &len) in lens.iter().enumerate() {
+        let ext = exts.get(b).unwrap_or(&no_ext);
         let q = qs.row(b);
         // Concatenated score row: [context prefix | folded ext | f32 tail].
-        let mut srow = Vec::with_capacity(len + ext.len());
-        srow.extend_from_slice(&scores.row(b)[..len]);
+        srow.clear();
+        srow.extend(ctx_scores.iter().skip(b).step_by(batch).take(len));
         for row in 0..ext.rows {
             srow.push(ext_row_score(q, k_books, ext.k_codes, row, groups, vs));
         }
@@ -1059,12 +1084,10 @@ pub fn attention_decode_ragged_tailed(
         linalg::softmax_inplace(&mut srow);
         // The context's weights ride the shared GeMM value pass; the
         // extension's weights are applied per query below.
-        let ctx_row = scores.row_mut(b);
-        ctx_row[..len].copy_from_slice(&srow[..len]);
-        ctx_row[len..].fill(0.0);
-        ext_weights.push(srow.split_off(len));
+        weights.row_mut(b)[..len].copy_from_slice(&srow[..len]);
+        ext_weights.push(srow[len..].to_vec());
     }
-    let mut out = gemm_fused(&scores, vq, blocking)?;
+    let mut out = gemm_fused_rows(&weights, vq, blocking)?;
     for (b, ext) in exts.iter().enumerate() {
         let weights = &ext_weights[b];
         let orow = out.row_mut(b);

@@ -182,8 +182,8 @@ pub fn model_codebook_access(
     let mut gmem_lines = 0usize;
 
     for _ in 0..samples.max(1) {
-        let mut smem_addrs: Vec<Option<usize>> = vec![None; WARP_SIZE];
-        let mut gmem_addrs: Vec<Option<usize>> = vec![None; WARP_SIZE];
+        let mut smem_addrs = [None; WARP_SIZE];
+        let mut gmem_addrs = [None; WARP_SIZE];
         for lane in 0..WARP_SIZE {
             let rank = profile.sample(rng.next_f64());
             match placement.level_of(rank) {

@@ -42,9 +42,23 @@ const CODEBOOK_L2_HIT: f64 = 0.5;
 /// is cached).
 const DEQUANT_ISSUE_CYCLES: f64 = 6.0;
 
+thread_local! {
+    static ESTIMATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`estimate`] evaluations made on the calling thread so far. Thread-local
+/// so concurrently running tests cannot perturb one another's count: the
+/// "a decode step never runs the model" tests read it around an
+/// engine stepped on their own thread.
+#[doc(hidden)]
+pub fn estimates_on_this_thread() -> u64 {
+    ESTIMATES.with(std::cell::Cell::get)
+}
+
 /// Estimates the latency and counters of `plan` on `gpu` using `profile`
 /// as the codebook access distribution.
 pub fn estimate(gpu: &GpuSpec, plan: &KernelPlan, profile: &AccessProfile) -> KernelOutput {
+    ESTIMATES.with(|n| n.set(n.get() + 1));
     let counters = assemble_counters(gpu, plan, profile);
     let launch = plan.launch_config();
     let mut latency = TimingModel::new(gpu.clone()).latency(&launch, &counters);

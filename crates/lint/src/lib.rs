@@ -186,8 +186,15 @@ pub const LOCK_HIERARCHY: &[LockClass] = &[
         rank: 20,
         name: "PlanCache.gate",
     },
-    // Failpoint registry and tenant metrics are single-lock files; listed
-    // so any future second lock in them must declare a rank.
+    // Failpoint registry, tenant metrics and the CPU backend's modelled-
+    // output memo are single-lock files; listed so any future second lock
+    // in them must declare a rank.
+    LockClass {
+        file: "crates/kernels/src/backend.rs",
+        recv: "modelled",
+        rank: 10,
+        name: "CpuBackend.modelled",
+    },
     LockClass {
         file: "crates/core/src/failpoint.rs",
         recv: "sites",

@@ -873,8 +873,8 @@ impl MultiServer {
         // later groups' `idxs` stay valid), while the other groups' decode
         // proceeds untouched. A mid-decode KV append failure quarantines
         // only the one request it belongs to.
-        let backend = Arc::clone(self.pipeline.backend());
-        let gpu = self.pipeline.gpu().clone();
+        let backend = self.pipeline.backend();
+        let gpu = self.pipeline.gpu();
         let mut kv_quant_us = 0.0;
         let mut quarantine: Vec<(RequestId, RejectReason)> = Vec::new();
         for (ctx_id, idxs) in &groups {
@@ -927,7 +927,7 @@ impl MultiServer {
                         .collect();
                     backend
                         .run_attention_ragged_tailed(
-                            &gpu,
+                            gpu,
                             &attn_plan,
                             &qs,
                             &lens,
@@ -938,10 +938,10 @@ impl MultiServer {
                         .0
                 } else {
                     backend
-                        .run_attention_ragged(&gpu, &attn_plan, &qs, &lens, ctx.kq(), ctx.vq())?
+                        .run_attention_ragged(gpu, &attn_plan, &qs, &lens, ctx.kq(), ctx.vq())?
                         .0
                 };
-                let ys = backend.run_gemm(&gpu, &linear_plan, &attn, ctx.wq())?.0;
+                let ys = backend.run_gemm(gpu, &linear_plan, &attn, ctx.wq())?.0;
                 let budget = self.config.kv_budget_bytes;
 
                 // Per-request bookkeeping: grow the tenant's cache

@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vq_llm::kernels::host_exec::{self, HostBlocking};
-use vq_llm::tensor::{linalg, metrics, synth};
+use vq_llm::kernels::host_exec::{self, HostBlocking, OutlierResidual, RaggedExt};
+use vq_llm::tensor::{linalg, metrics, synth, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
-use vq_llm::vq::VqQuantizer;
+use vq_llm::vq::{QuantizedTensor, VqQuantizer};
 use vq_llm::{Backend, BackendKind, ComputeOp, CpuBackend, GpuSpec, KernelPlan, Session, VqConfig};
 
 /// The randomized configuration space: residuals × scopes × lattice.
@@ -34,7 +34,7 @@ fn dims(rows_i: usize, cols_i: usize) -> (usize, usize) {
     ([32, 48, 64][rows_i % 3], [16, 32][cols_i % 2])
 }
 
-fn quantize(cfg: VqConfig, rows: usize, cols: usize, seed: u64) -> vq_llm::vq::QuantizedTensor {
+fn quantize(cfg: VqConfig, rows: usize, cols: usize, seed: u64) -> QuantizedTensor {
     let w = synth::correlated_channels(rows, cols, cfg.vector_size, 0.9, seed);
     VqQuantizer::new(cfg).quantize(&w, seed).expect("quantize")
 }
@@ -298,6 +298,290 @@ proptest! {
         )
         .unwrap();
         prop_assert!(metrics::allclose(&out, &oracle, 1e-4, 1e-4), "{cfg} {seq}x{head_dim}");
+    }
+}
+
+// --- prefix-bounded ragged attention: bitwise parity ---
+
+/// Scope × residual-round grid of the bounded-kernel parity tests
+/// (`case % 3` picks the scope, `case / 3` the rounds).
+fn bounded_config(case: usize) -> VqConfig {
+    let scope = match case % 3 {
+        0 => CodebookScope::PerTensor,
+        1 => CodebookScope::PerChannelGroup { channels: 4 },
+        _ => CodebookScope::PerTile { rows: 16, cols: 16 },
+    };
+    VqConfig::new(4, 16, 1 + (case / 3) % 2, scope).unwrap()
+}
+
+/// Tiny slabs (8- and 10..20-row K panels, one-group LUT blocks — every
+/// blocking loop takes several trips) and the default, at 1 and 3 threads.
+fn bounded_blocking(i: usize) -> HostBlocking {
+    HostBlocking {
+        slab_bytes: [1, 160, 32 << 10][i % 3],
+        threads: [1, 3][(i / 3) % 2],
+    }
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Owned storage behind one query's [`RaggedExt`].
+#[derive(Default)]
+struct ExtData {
+    rows: usize,
+    k_codes: Vec<Vec<u32>>,
+    v_codes: Vec<Vec<u32>>,
+    k_outliers: Vec<OutlierResidual>,
+    v_outliers: Vec<OutlierResidual>,
+    k_tail: Vec<Vec<f32>>,
+    v_tail: Vec<Vec<f32>>,
+}
+
+impl ExtData {
+    /// 0..=3 folded rows of random codes, an outlier residual on about a
+    /// quarter of their groups, 0..=2 f32 tail rows.
+    fn random(cfg: &VqConfig, head_dim: usize, rng: &mut u64) -> ExtData {
+        let groups = head_dim / cfg.vector_size;
+        let rows = (splitmix(rng) % 4) as usize;
+        let f32s = |n: usize, rng: &mut u64| -> Vec<f32> {
+            (0..n)
+                .map(|_| (splitmix(rng) % 2001) as f32 / 1000.0 - 1.0)
+                .collect()
+        };
+        let codes = |rng: &mut u64| -> Vec<Vec<u32>> {
+            (0..cfg.residuals)
+                .map(|_| {
+                    (0..rows * groups)
+                        .map(|_| (splitmix(rng) % cfg.num_entries as u64) as u32)
+                        .collect()
+                })
+                .collect()
+        };
+        let (k_codes, v_codes) = (codes(rng), codes(rng));
+        let outliers = |rng: &mut u64| -> Vec<OutlierResidual> {
+            let mut out = Vec::new();
+            for i in 0..rows * groups {
+                if splitmix(rng).is_multiple_of(4) {
+                    out.push(OutlierResidual {
+                        row: i / groups,
+                        group: i % groups,
+                        values: f32s(cfg.vector_size, rng),
+                    });
+                }
+            }
+            out
+        };
+        let (k_outliers, v_outliers) = (outliers(rng), outliers(rng));
+        let tail = (splitmix(rng) % 3) as usize;
+        ExtData {
+            rows,
+            k_codes,
+            v_codes,
+            k_outliers,
+            v_outliers,
+            k_tail: (0..tail).map(|_| f32s(head_dim, rng)).collect(),
+            v_tail: (0..tail).map(|_| f32s(head_dim, rng)).collect(),
+        }
+    }
+
+    fn ext(&self) -> RaggedExt<'_> {
+        RaggedExt {
+            rows: self.rows,
+            k_codes: &self.k_codes,
+            v_codes: &self.v_codes,
+            k_outliers: &self.k_outliers,
+            v_outliers: &self.v_outliers,
+            k_tail: &self.k_tail,
+            v_tail: &self.v_tail,
+        }
+    }
+}
+
+/// Ragged (tailed) attention as it was composed before the kernels were
+/// bounded, rebuilt from the public full-range pieces: `gemv_lut_batch`
+/// scores **every** context row, the matrix is transposed, each query's
+/// row is scaled and softmaxed over its prefix (+ extension) with exact
+/// zeros behind it, and `gemm_fused` multiplies **every** V row.
+/// Non-lattice books only; with all-default `exts` this is the plain
+/// ragged composition.
+fn full_range_attention(
+    qs: &Tensor2D,
+    lens: &[usize],
+    exts: &[RaggedExt<'_>],
+    kq: &QuantizedTensor,
+    vq: &QuantizedTensor,
+    blocking: &HostBlocking,
+) -> Tensor2D {
+    let vs = kq.config().vector_size;
+    let groups = kq.col_groups();
+    let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&e, &x)| e * x).sum::<f32>();
+    let mut scores = host_exec::gemv_lut_batch(kq, qs, blocking)
+        .unwrap()
+        .transposed();
+    let scale = 1.0 / (qs.cols() as f32).sqrt();
+    let mut ext_weights = Vec::new();
+    for (b, (ext, &len)) in exts.iter().zip(lens).enumerate() {
+        let q = qs.row(b);
+        let mut srow = scores.row(b)[..len].to_vec();
+        for row in 0..ext.rows {
+            let mut acc = 0.0f32;
+            for (r, stream) in ext.k_codes.iter().enumerate() {
+                for g in 0..groups {
+                    let books = kq.codebooks();
+                    let book = books.book(r, books.scope_index(0, g * vs));
+                    let entry = book.stored_entry(stream[row * groups + g] as usize);
+                    acc += dot(entry, &q[g * vs..(g + 1) * vs]);
+                }
+            }
+            srow.push(acc);
+        }
+        for o in ext.k_outliers {
+            srow[len + o.row] += dot(&o.values, &q[o.group * vs..(o.group + 1) * vs]);
+        }
+        for t in ext.k_tail {
+            srow.push(dot(t, q));
+        }
+        for s in srow.iter_mut() {
+            *s *= scale;
+        }
+        linalg::softmax_inplace(&mut srow);
+        let ctx = scores.row_mut(b);
+        ctx[..len].copy_from_slice(&srow[..len]);
+        ctx[len..].fill(0.0);
+        ext_weights.push(srow.split_off(len));
+    }
+    let mut out = host_exec::gemm_fused(&scores, vq, blocking).unwrap();
+    for (b, ext) in exts.iter().enumerate() {
+        let weights = &ext_weights[b];
+        let orow = out.row_mut(b);
+        for (row, &w) in weights.iter().take(ext.rows).enumerate() {
+            for (r, stream) in ext.v_codes.iter().enumerate() {
+                for g in 0..groups {
+                    let books = vq.codebooks();
+                    let book = books.book(r, books.scope_index(0, g * vs));
+                    book.axpy(stream[row * groups + g], w, &mut orow[g * vs..(g + 1) * vs]);
+                }
+            }
+        }
+        for o in ext.v_outliers {
+            for (j, &v) in o.values.iter().enumerate() {
+                orow[o.group * vs + j] += weights[o.row] * v;
+            }
+        }
+        for (t, vrow) in ext.v_tail.iter().enumerate() {
+            for (o, &v) in orow.iter_mut().zip(vrow) {
+                *o += weights[ext.rows + t] * v;
+            }
+        }
+    }
+    out
+}
+
+/// The shared fixture of the two parity properties: quantized K/V,
+/// queries, and random prefix lengths — *not* forced to reach `seq`, so
+/// the bound the kernels stop at is usually inside the cache.
+fn bounded_case(
+    cfg: VqConfig,
+    rows_i: usize,
+    cols_i: usize,
+    batch: usize,
+    seed: u64,
+) -> (QuantizedTensor, QuantizedTensor, Tensor2D, Vec<usize>, u64) {
+    let (seq, head_dim) = dims(rows_i, cols_i);
+    let kq = quantize(cfg, seq, head_dim, seed);
+    let vq = quantize(cfg, seq, head_dim, seed ^ 0x1212);
+    let qs = Tensor2D::from_fn(batch, head_dim, |b, d| {
+        ((b * 29 + d) as f32 * 0.31 + seed as f32).sin()
+    });
+    let mut rng = seed ^ 0xb0bd;
+    let lens = (0..batch)
+        .map(|_| 1 + (splitmix(&mut rng) % seq as u64) as usize)
+        .collect();
+    (kq, vq, qs, lens, rng)
+}
+
+proptest! {
+    /// Bounded `attention_decode_ragged` is, bit for bit, (a) the
+    /// full-range composition it replaced and (b) every lane decoded
+    /// alone — so neither the bound nor the batch-mates that set it can
+    /// be seen in a lane's bytes.
+    #[test]
+    fn bounded_ragged_attention_is_bitwise_full_range_and_solo(
+        case in 0usize..6,
+        rows_i in 0usize..3,
+        cols_i in 0usize..2,
+        batch in 1usize..=8,
+        blocking_i in 0usize..6,
+        seed in 0u64..500,
+    ) {
+        let cfg = bounded_config(case);
+        let (kq, vq, qs, lens, _) = bounded_case(cfg, rows_i, cols_i, batch, seed);
+        let blocking = bounded_blocking(blocking_i);
+        let out = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
+        let none = vec![RaggedExt::default(); batch];
+        let full = full_range_attention(&qs, &lens, &none, &kq, &vq, &blocking);
+        prop_assert_eq!(
+            out.as_slice(), full.as_slice(),
+            "{} lens {:?} {:?}: bounded != full-range composition", cfg, lens, blocking
+        );
+        for (b, &len) in lens.iter().enumerate() {
+            let solo_q = Tensor2D::from_vec(1, qs.cols(), qs.row(b).to_vec()).unwrap();
+            let solo =
+                host_exec::attention_decode_ragged(&solo_q, &[len], &kq, &vq, &blocking).unwrap();
+            prop_assert_eq!(out.row(b), solo.row(0), "{} lane {} len {}", cfg, b, len);
+        }
+    }
+
+    /// The same for `attention_decode_ragged_tailed` with random non-empty
+    /// extensions (row-invariant scopes: per-tile books cannot take
+    /// extensions); and with every extension empty it stays the plain
+    /// ragged kernel.
+    #[test]
+    fn bounded_tailed_attention_is_bitwise_full_range_and_solo(
+        scope_i in 0usize..2,
+        residuals_i in 0usize..2,
+        rows_i in 0usize..3,
+        cols_i in 0usize..2,
+        batch in 1usize..=8,
+        blocking_i in 0usize..6,
+        seed in 0u64..500,
+    ) {
+        let cfg = bounded_config(scope_i + 3 * residuals_i);
+        let (kq, vq, qs, lens, mut rng) = bounded_case(cfg, rows_i, cols_i, batch, seed);
+        let blocking = bounded_blocking(blocking_i);
+        let data: Vec<ExtData> = (0..batch)
+            .map(|_| ExtData::random(&cfg, qs.cols(), &mut rng))
+            .collect();
+        let exts: Vec<RaggedExt<'_>> = data.iter().map(ExtData::ext).collect();
+        let out =
+            host_exec::attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, &blocking)
+                .unwrap();
+        let full = full_range_attention(&qs, &lens, &exts, &kq, &vq, &blocking);
+        prop_assert_eq!(
+            out.as_slice(), full.as_slice(),
+            "{} lens {:?} {:?}: bounded != full-range composition", cfg, lens, blocking
+        );
+        for (b, &len) in lens.iter().enumerate() {
+            let solo_q = Tensor2D::from_vec(1, qs.cols(), qs.row(b).to_vec()).unwrap();
+            let solo = host_exec::attention_decode_ragged_tailed(
+                &solo_q, &[len], &exts[b..=b], &kq, &vq, &blocking,
+            )
+            .unwrap();
+            prop_assert_eq!(out.row(b), solo.row(0), "{} lane {} len {}", cfg, b, len);
+        }
+        let none = vec![RaggedExt::default(); batch];
+        prop_assert_eq!(
+            host_exec::attention_decode_ragged_tailed(&qs, &lens, &none, &kq, &vq, &blocking)
+                .unwrap(),
+            host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap(),
+            "empty extensions must stay bitwise invisible"
+        );
     }
 }
 

@@ -926,6 +926,77 @@ fn profile_shift_replan_does_not_change_emitted_bytes() {
     }
 }
 
+/// The GPU performance model is a plan-time cost: an engine's first step
+/// resolves the modelled output of the plans it executes, and no later
+/// step runs the model again — across two contexts, with live KV off and
+/// on. (`estimates_on_this_thread` is thread-local and the engine steps on
+/// this thread, so other tests cannot perturb the count.) With profile
+/// feedback on, the only steps that may model are the ones that replan —
+/// planning, not execution: the four-rung ladder, then the new plan's
+/// first use.
+#[test]
+fn decode_steps_after_the_first_never_run_the_perf_model() {
+    use vq_llm::kernels::vq_kernel::estimates_on_this_thread as estimates;
+    let (_, ctx_a, ctx_b) = harness();
+    let quantized = KvQuantMode::Quantized {
+        tail_window: 2,
+        outlier_keep_milli: 1000,
+    };
+    for (mode, profile) in [
+        (KvQuantMode::Off, ProfileConfig::disabled()),
+        (quantized, ProfileConfig::disabled()),
+        (KvQuantMode::Off, ProfileConfig::default()),
+    ] {
+        // A fresh backend: nothing is resolved before the first step.
+        let mut engine = Engine::builder()
+            .backend(std::sync::Arc::new(vq_llm::CpuBackend::with_threads(2)))
+            .weight_algo(VqAlgorithm::Gptvq2)
+            .kv_algo(VqAlgorithm::Cq4)
+            .serve_config(ServeConfig::new(4, 16).with_kv_quant(mode))
+            .profile_config(profile)
+            .build()
+            .expect("valid engine");
+        let ha = engine.register_context(ctx_a.clone()).expect("register A");
+        let hb = engine.register_context(ctx_b.clone()).expect("register B");
+        // Alternating contexts, so the first batch already holds both.
+        let tickets: Vec<_> = (0..8u64)
+            .map(|i| {
+                let len = 40 + 13 * i as usize;
+                if i % 2 == 0 {
+                    engine.submit(ha, DecodeRequest::new(i, query(i), len, 110))
+                } else {
+                    engine.submit(hb, DecodeRequest::new(i, query_b(i), len, 110))
+                }
+            })
+            .collect();
+
+        let before = estimates();
+        let first = engine.step().expect("first step");
+        assert_eq!((first.batch, first.groups), (4, 2));
+        let after_first = estimates();
+        assert!(
+            (1..=4).contains(&(after_first - before)),
+            "the first step models its (at most four) plans, once each: {}",
+            after_first - before
+        );
+        let reports = engine.run_until_drained().expect("drained");
+        assert!(reports.len() >= 200, "{} further steps", reports.len());
+        let replans = [ha, hb]
+            .iter()
+            .map(|h| engine.context_stats(*h).expect("registered").replans)
+            .sum::<u64>();
+        assert!(
+            estimates() - after_first <= 5 * replans,
+            "{mode:?}: {} further steps ran the model {} times ({replans} replans)",
+            reports.len(),
+            estimates() - after_first
+        );
+        for t in &tickets {
+            assert_eq!(engine.take_output(t).expect("finished").steps.len(), 110);
+        }
+    }
+}
+
 /// The warm-up dedupe satellite: sibling servers over one shared plan
 /// cache plan nothing new — the second construction is pure cache hits,
 /// and the canonical plans are pointer-equal across siblings.
