@@ -74,13 +74,14 @@ fn bench_host(c: &mut Criterion) {
 
 /// Packed-index decode throughput: per-element `get()` (one word load +
 /// shift/mask each, bit arithmetic recomputed per call) vs the bulk
-/// `unpack_block()` fast path the kernels use — at a byte-aligned width
-/// and at the unaligned AQLM-12 class width.
+/// `unpack_block()` fast path the kernels use — at the two whole-byte
+/// widths, which it decodes as a widening copy, and at the unaligned
+/// AQLM-12 class width, which takes the word-load path.
 fn bench_unpack(c: &mut Criterion) {
     use vq_llm::vq::PackedIndices;
     let n = 64 * 1024;
     let mut g = c.benchmark_group("unpack");
-    for bits in [8u8, 12] {
+    for bits in [8u8, 12, 16] {
         let max = (1u32 << bits) - 1;
         let idx: Vec<u32> = (0..n as u32)
             .map(|i| i.wrapping_mul(2654435761) & max)

@@ -13,8 +13,10 @@
 //!   ([`simd::lut_row_sum`]).
 //! * [`gemv_lut_batch`] — the same LUT kernel over a **batch** of
 //!   activations (the serving-layer multi-token decode shape): one shared
-//!   code decode per weight row feeds batch-interleaved LUT slabs, so the
-//!   inner loop is one contiguous B-wide vector add per packed code.
+//!   code decode per weight row feeds batch-interleaved LUT slabs, so a
+//!   packed code costs one B-wide load and one add into sums that a small
+//!   row block keeps in registers across the whole group block
+//!   ([`simd::lut_batch_accumulate`]).
 //! * [`gemv_xw`] — `y = xᵀ · dequant(Wq)` (the [`Backend`] GeMV contract,
 //!   where sub-vectors run along the *output* axis): the dual trick —
 //!   scatter-aggregate `wsum[code] += x[row]` into a cache-resident slab,
@@ -40,8 +42,9 @@
 //! [`pool::WorkerPool`] — workers are spawned once per process and fed
 //! through a channel, so a parallel kernel call costs two queue pushes,
 //! not N thread spawns. Inner loops dispatch through [`simd`]: AVX2 + FMA
-//! intrinsics when the CPU has them, 8-wide unrolled scalar lanes
-//! otherwise.
+//! when the CPU has them, 8-wide unrolled scalar lanes otherwise — per
+//! primitive for the dense ones, once per kernel call for the batched LUT
+//! pass, whose per-code work is too small to carry a dispatch.
 //!
 //! [`Backend`]: crate::backend::Backend
 //! [`PackedIndices::unpack_block`]: vqllm_vq::PackedIndices::unpack_block
@@ -106,13 +109,21 @@ impl HostBlocking {
         (self.slab_bytes / (slot_width * 4).max(1)).clamp(1, groups.max(1))
     }
 
-    /// Rows per decoded K-panel. Panels are sized to the next level of the
-    /// hierarchy above the LUT slab (8× the slab budget, the typical
-    /// L2:L1 ratio): the micro-kernel re-streams the panel `m / MR` times,
-    /// so the panel wants L2 residency, while deep panels amortize the
-    /// accumulator-tile setup. At least 8 rows, capped at `rows`.
+    /// The same blocking one level of the hierarchy above the slab: 8× its
+    /// budget, the typical L2:L1 ratio.
+    fn outer(&self) -> HostBlocking {
+        HostBlocking {
+            slab_bytes: self.slab_bytes * 8,
+            ..*self
+        }
+    }
+
+    /// Rows per decoded K-panel. Panels are sized to the outer budget: the
+    /// micro-kernel re-streams the panel `m / MR` times, so the panel
+    /// wants L2 residency, while deep panels amortize the accumulator-tile
+    /// setup. At least 8 rows, capped at `rows`.
     fn panel_rows(&self, row_floats: usize, rows: usize) -> usize {
-        (self.slab_bytes * 8 / (row_floats * 4).max(1)).clamp(8.min(rows.max(1)), rows.max(1))
+        (self.outer().slab_bytes / (row_floats * 4).max(1)).clamp(8.min(rows.max(1)), rows.max(1))
     }
 }
 
@@ -126,15 +137,19 @@ fn signed_dot(entry: &[f32], xs: &[f32], signs: u32) -> f32 {
     acc
 }
 
-/// Height of a row band within which every column group's codebook scope
-/// is row-invariant (whole tensor except for per-tile books).
-fn band_height(scope: CodebookScope, rows: usize) -> usize {
-    match scope {
-        CodebookScope::PerTile {
-            rows: tile_rows, ..
-        } => tile_rows.clamp(1, rows),
-        _ => rows,
-    }
+/// The `(residual round, group)` → codebook table of the band that `row`
+/// lies in ([`CodebookSet::band_rows`](vqllm_vq::CodebookSet::band_rows)),
+/// for groups `[gs, ge)`: kernels resolve the mapping once per band
+/// instead of per code.
+fn band_books(
+    books: &vqllm_vq::CodebookSet,
+    row: usize,
+    gs: usize,
+    ge: usize,
+) -> Vec<Vec<&vqllm_vq::Codebook>> {
+    (0..books.config().residuals)
+        .map(|r| books.row_books(r, row, gs..ge))
+        .collect()
 }
 
 /// Evaluates the failpoint at a kernel entry (`vqllm_core::failpoint`):
@@ -210,7 +225,7 @@ pub fn gemv_lut(wq: &QuantizedTensor, x: &[f32], blocking: &HostBlocking) -> Res
     let groups = wq.col_groups();
     let stored = vq.stored_entries();
     let books = wq.codebooks();
-    let band = band_height(vq.scope, rows);
+    let band = books.band_rows();
     let mut y = vec![0.0f32; rows];
 
     let mut band_start = 0;
@@ -293,10 +308,11 @@ pub fn gemv_lut(wq: &QuantizedTensor, x: &[f32], blocking: &HostBlocking) -> Res
 /// This is the serving-layer multi-token decode shape: the packed-code
 /// decode — the per-row cost [`gemv_lut`] pays once per activation — is
 /// shared across the whole batch, and the LUT slab is **batch-interleaved**
-/// (`lut[(g·stored + code)·B..][..B]`) so the inner loop per packed code is
-/// a single contiguous B-wide vector add ([`simd::add_assign`]) instead of
-/// B scattered gathers. Lattice books fall back to the fused sign-aware
-/// path per batch lane.
+/// (`lut[(g·stored + code)·B..][..B]`; a batch wider than
+/// [`simd::LANES`] is taken a lane block at a time) so a packed code costs
+/// a single contiguous B-wide load and add
+/// ([`simd::lut_batch_accumulate`]) instead of B scattered gathers.
+/// Lattice books fall back to the fused sign-aware path per batch lane.
 ///
 /// # Errors
 ///
@@ -340,7 +356,7 @@ fn gemv_lut_batch_rows(
     let groups = wq.col_groups();
     let stored = vq.stored_entries();
     let books = wq.codebooks();
-    let band = band_height(vq.scope, rows);
+    let band = books.band_rows();
 
     let mut band_start = 0;
     while band_start < row_end {
@@ -373,49 +389,50 @@ fn gemv_lut_batch_rows(
                     },
                 )?;
             } else {
-                // Batch-interleaved LUT: B contiguous partial dots per
-                // (group, code) slot, built from the interleaved codebook
-                // layout with one broadcast-FMA per (code, element).
-                let mut lut = vec![0.0f32; groups * stored * batch];
-                let mut xt = vec![0.0f32; vs * batch];
-                for g in 0..groups {
-                    let inter = books
-                        .book(r, books.scope_index(band_start, g * vs))
-                        .entries_interleaved();
-                    for j in 0..vs {
-                        for b in 0..batch {
-                            xt[j * batch + b] = xs.row(b)[g * vs + j];
-                        }
-                    }
-                    let gslab = &mut lut[g * stored * batch..(g + 1) * stored * batch];
-                    for (c, dst) in gslab.chunks_mut(batch).enumerate() {
-                        for j in 0..vs {
-                            simd::axpy(dst, inter[j * stored + c], &xt[j * batch..(j + 1) * batch]);
-                        }
-                    }
-                }
-                let gb = blocking.group_block(stored * batch, groups);
-                parallel_row_chunks(
-                    band_out,
-                    batch,
-                    blocking.threads,
-                    "host.gemv_lut_batch",
-                    |first, chunk| {
-                        let mut codes = vec![0u32; gb];
-                        for g0 in (0..groups).step_by(gb) {
-                            let gl = gb.min(groups - g0);
-                            let slab = &lut[g0 * stored * batch..(g0 + gl) * stored * batch];
-                            for (local, yrow) in chunk.chunks_mut(batch).enumerate() {
-                                let row = band_start + first + local;
-                                stream.unpack_block(row * groups + g0, &mut codes[..gl]);
-                                for (gi, &code) in codes[..gl].iter().enumerate() {
-                                    let base = (gi * stored + code as usize) * batch;
-                                    simd::add_assign(yrow, &slab[base..base + batch]);
-                                }
+                // Lane-interleaved LUT: one contiguous partial dot per
+                // batch lane in every (group, code) slot, one fused build
+                // per group over the interleaved codebook layout (`xt`:
+                // that group's activation sub-vectors, element-major). A
+                // batch wider than the SIMD lanes takes one pass per lane
+                // block, so slot width is what the accumulators hold; the
+                // packed rows are decoded once per block (`host_speedup`
+                // times batch 16 beside batch 8).
+                let mut lut = vec![0.0f32; groups * stored * batch.min(simd::LANES)];
+                let mut xt = vec![0.0f32; vs * batch.min(simd::LANES)];
+                for l0 in (0..batch).step_by(simd::LANES) {
+                    let w = (batch - l0).min(simd::LANES);
+                    let xt = &mut xt[..vs * w];
+                    let slabs = lut[..groups * stored * w].chunks_exact_mut(stored * w);
+                    for (g, gslab) in slabs.enumerate() {
+                        for (j, xj) in xt.chunks_exact_mut(w).enumerate() {
+                            for (b, x) in xj.iter_mut().enumerate() {
+                                *x = xs.row(l0 + b)[g * vs + j];
                             }
                         }
-                    },
-                )?;
+                        let book = books.book(r, books.scope_index(band_start, g * vs));
+                        simd::lut_batch_build(gslab, book.entries_interleaved(), xt, w);
+                    }
+                    let lut = &lut[..groups * stored * w];
+                    // Group blocks are sized to the outer budget: a slot
+                    // this wide leaves the slab room for a group or two,
+                    // and every block is one more sweep over all the
+                    // packed rows — decoding them and reloading every sum.
+                    let gb = blocking.outer().group_block(stored * w, groups);
+                    parallel_row_chunks(
+                        band_out,
+                        batch,
+                        blocking.threads,
+                        "host.gemv_lut_batch",
+                        |first, chunk| {
+                            let codes = simd::RowCodes {
+                                stream,
+                                first: (band_start + first) * groups,
+                                groups,
+                            };
+                            simd::lut_batch_accumulate(chunk, batch, l0, lut, stored, codes, gb);
+                        },
+                    )?;
+                }
             }
         }
         band_start += band_len;
@@ -456,7 +473,7 @@ pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Resu
     let groups = wq.col_groups();
     let stored = vq.stored_entries();
     let books = wq.codebooks();
-    let band = band_height(vq.scope, rows);
+    let band = books.band_rows();
     let mut y = vec![0.0f32; cols];
 
     // Workers own disjoint, contiguous column-group spans of y.
@@ -649,7 +666,7 @@ fn gemm_strip(
     let books = wq.codebooks();
     let sw = ge - gs;
     let strip_n = sw * vs;
-    let band = band_height(vq.scope, k);
+    let band = books.band_rows();
     // Panel depth is derived from the FULL row width, not the strip, so
     // the K-split — and therefore the f32 summation order — is identical
     // at every thread count.
@@ -666,15 +683,7 @@ fn gemm_strip(
     let mut band_start = 0;
     while band_start < k_end {
         let band_len = band.min(k_end - band_start);
-        // Books are row-invariant within a band: resolve the (residual,
-        // group) → codebook mapping once per band instead of per code.
-        let band_books: Vec<Vec<&vqllm_vq::Codebook>> = (0..vq.residuals)
-            .map(|r| {
-                (gs..ge)
-                    .map(|g| books.book(r, books.scope_index(band_start, g * vs)))
-                    .collect()
-            })
-            .collect();
+        let strip_books = band_books(books, band_start, gs, ge);
         let mut p0 = 0;
         while p0 < band_len {
             let kb = panel_rows.min(band_len - p0);
@@ -683,17 +692,17 @@ fn gemm_strip(
             // the first round writes entries straight into the panel, later
             // rounds accumulate.
             let panel_slice = &mut panel[..kb * padded_n];
-            for (r, row_books) in band_books.iter().enumerate() {
+            for (r, row_books) in strip_books.iter().enumerate() {
                 let stream = wq.index_stream(r);
                 for (ii, prow) in panel_slice.chunks_mut(padded_n).enumerate() {
                     stream.unpack_block((i0 + ii) * groups + gs, &mut codes);
-                    for (gi, &code) in codes.iter().enumerate() {
-                        let book = row_books[gi];
-                        let out = &mut prow[gi * vs..(gi + 1) * vs];
-                        if vq.lattice {
+                    if vq.lattice {
+                        for (gi, &code) in codes.iter().enumerate() {
+                            let book = row_books[gi];
                             let base = book.stored_id_of(code) as usize;
                             let signs = code >> book.sign_shift();
                             let entry = &book.entries_flat()[base * vs..(base + 1) * vs];
+                            let out = &mut prow[gi * vs..(gi + 1) * vs];
                             for (j, (o, &e)) in out.iter_mut().zip(entry).enumerate() {
                                 let v = if signs & (1 << j) != 0 { -e } else { e };
                                 if r == 0 {
@@ -702,32 +711,16 @@ fn gemm_strip(
                                     *o += v;
                                 }
                             }
-                        } else if vs == 4 {
-                            // The dominant sub-vector width: fixed-size
-                            // copies compile to two 16-byte moves instead
-                            // of a runtime-length memcpy per code.
-                            let c = code as usize;
-                            let entry: &[f32; 4] = book.entries_flat()[c * 4..c * 4 + 4]
-                                .try_into()
-                                .expect("vs-4 entry");
-                            let out: &mut [f32; 4] = out.try_into().expect("vs-4 slot");
-                            if r == 0 {
-                                *out = *entry;
-                            } else {
-                                for (o, &e) in out.iter_mut().zip(entry) {
-                                    *o += e;
-                                }
-                            }
-                        } else {
-                            let c = code as usize;
-                            let entry = &book.entries_flat()[c * vs..(c + 1) * vs];
-                            if r == 0 {
-                                out.copy_from_slice(entry);
-                            } else {
-                                for (o, &e) in out.iter_mut().zip(entry) {
-                                    *o += e;
-                                }
-                            }
+                        }
+                    } else {
+                        // The common sub-vector widths get a fixed-size
+                        // entry copy (one or two moves) instead of a
+                        // runtime-length memcpy per code.
+                        match vs {
+                            2 => decode_entries::<2>(prow, &codes, row_books, vs, r == 0),
+                            4 => decode_entries::<4>(prow, &codes, row_books, vs, r == 0),
+                            8 => decode_entries::<8>(prow, &codes, row_books, vs, r == 0),
+                            _ => decode_entries::<0>(prow, &codes, row_books, vs, r == 0),
                         }
                     }
                 }
@@ -757,6 +750,37 @@ fn gemm_strip(
             p0 += kb;
         }
         band_start += band_len;
+    }
+}
+
+/// One panel row of [`gemm_strip`]'s decode for plain (non-lattice) books:
+/// stored entry `codes[gi]` of `books[gi]` is written to (`first`: the
+/// first residual round) or added into sub-vector `gi` of `prow`. `VS` is
+/// the sub-vector width as a constant, or 0 to take it from `vs`.
+#[inline(always)]
+fn decode_entries<const VS: usize>(
+    prow: &mut [f32],
+    codes: &[u32],
+    books: &[&vqllm_vq::Codebook],
+    vs: usize,
+    first: bool,
+) {
+    let vs = if VS == 0 { vs } else { VS };
+    let slots = prow.chunks_exact_mut(vs).zip(codes).zip(books);
+    let slots = slots.map(|((out, &code), book)| {
+        let c = code as usize;
+        (out, &book.entries_flat()[c * vs..(c + 1) * vs])
+    });
+    if first {
+        for (out, entry) in slots {
+            out.copy_from_slice(entry);
+        }
+    } else {
+        for (out, entry) in slots {
+            for (o, &e) in out.iter_mut().zip(entry) {
+                *o += e;
+            }
+        }
     }
 }
 
@@ -941,17 +965,16 @@ impl RaggedExt<'_> {
 /// the caller).
 fn ext_row_score(
     q: &[f32],
-    books: &vqllm_vq::CodebookSet,
+    books: &[Vec<&vqllm_vq::Codebook>],
     codes: &[Vec<u32>],
     row: usize,
-    groups: usize,
     vs: usize,
 ) -> f32 {
     let mut acc = 0.0f32;
-    for (r, s) in codes.iter().enumerate() {
-        for g in 0..groups {
+    for (s, round_books) in codes.iter().zip(books) {
+        let groups = round_books.len();
+        for (g, book) in round_books.iter().enumerate() {
             let code = s[row * groups + g];
-            let book = books.book(r, books.scope_index(0, g * vs));
             let qsub = &q[g * vs..(g + 1) * vs];
             if book.is_lattice() {
                 let base = book.stored_id_of(code) as usize;
@@ -1046,8 +1069,16 @@ fn attention_inner(
     let batch = qs.rows();
     let vs = kq.config().vector_size;
     let groups = kq.col_groups();
-    let k_books = kq.codebooks();
-    let v_books = vq.codebooks();
+    // Extensions are encoded against the context's books, and extension
+    // scopes are row-invariant: one (round, group) → book table per call.
+    let (k_books, v_books) = if exts.is_empty() {
+        (Vec::new(), Vec::new())
+    } else {
+        (
+            band_books(kq.codebooks(), 0, 0, groups),
+            band_books(vq.codebooks(), 0, 0, groups),
+        )
+    };
     let no_ext = RaggedExt::default();
 
     // Shared context score pass: one batched LUT GeMV over the rows some
@@ -1069,7 +1100,7 @@ fn attention_inner(
         srow.clear();
         srow.extend(ctx_scores.iter().skip(b).step_by(batch).take(len));
         for row in 0..ext.rows {
-            srow.push(ext_row_score(q, k_books, ext.k_codes, row, groups, vs));
+            srow.push(ext_row_score(q, &k_books, ext.k_codes, row, vs));
         }
         for o in ext.k_outliers {
             let qsub = &q[o.group * vs..(o.group + 1) * vs];
@@ -1092,10 +1123,9 @@ fn attention_inner(
         let weights = &ext_weights[b];
         let orow = out.row_mut(b);
         for (row, &w) in weights.iter().take(ext.rows).enumerate() {
-            for (r, stream) in ext.v_codes.iter().enumerate() {
-                for g in 0..groups {
+            for (stream, round_books) in ext.v_codes.iter().zip(&v_books) {
+                for (g, book) in round_books.iter().enumerate() {
                     let code = stream[row * groups + g];
-                    let book = v_books.book(r, v_books.scope_index(0, g * vs));
                     book.axpy(code, w, &mut orow[g * vs..(g + 1) * vs]);
                 }
             }

@@ -13,8 +13,14 @@
 //! The primitives are exactly the inner loops of
 //! [`host_exec`](crate::host_exec): contiguous dot products (LUT builds and
 //! interleaved-codebook expansions), the `acc += lut[code]` gather of the
-//! LUT GeMV (an `vpgatherdps` over a group-blocked slab), and the
-//! batch-lane accumulation of `gemv_lut_batch`.
+//! LUT GeMV (an `vpgatherdps` over a group-blocked slab), and the two
+//! halves of `gemv_lut_batch` — [`lut_batch_build`] and
+//! [`lut_batch_accumulate`]. Those two are written once, as generic
+//! `#[inline(always)]` loops over const lane counts, and compiled twice:
+//! the AVX2 entry is a `#[target_feature]` function the loops inline into,
+//! so the tier is picked once per call, not once per packed code.
+
+use vqllm_vq::PackedIndices;
 
 /// Width of the accumulator-lane unroll (one AVX2 register of f32).
 pub const LANES: usize = 8;
@@ -105,23 +111,215 @@ pub fn axpy(out: &mut [f32], s: f32, src: &[f32]) {
     }
 }
 
-/// `acc[i] += src[i]` — the batch-lane accumulation of `gemv_lut_batch`
-/// (`src` is the B-wide slab row of one code).
+/// Runs `$f::<W, ..>` for the lane count `$w` (`1..=LANES`): the batched
+/// LUT loops are monomorphised per width, so slot offsets are constant
+/// multiples and a row block's sums live in registers.
+macro_rules! with_lanes {
+    ($w:expr, $f:ident $(, $extra:tt)?; $($a:expr),*) => {
+        match $w {
+            1 => $f::<1 $(, $extra)?>($($a),*),
+            2 => $f::<2 $(, $extra)?>($($a),*),
+            3 => $f::<3 $(, $extra)?>($($a),*),
+            4 => $f::<4 $(, $extra)?>($($a),*),
+            5 => $f::<5 $(, $extra)?>($($a),*),
+            6 => $f::<6 $(, $extra)?>($($a),*),
+            7 => $f::<7 $(, $extra)?>($($a),*),
+            _ => $f::<8 $(, $extra)?>($($a),*),
+        }
+    };
+}
+
+/// Builds one column group's slab of the lane-interleaved LUT for a block
+/// of `w` (`1..=LANES`) activation lanes:
+/// `gslab[c·w + b] = Σ_j inter[j·stored + c] · xt[j·w + b]` — the partial
+/// dot of stored entry `c` (element-major `inter`, see
+/// `Codebook::entries_interleaved`) against lane `b`'s activation
+/// sub-vector (`xt`, element-major too: `vs × w`). Each slot is the
+/// [`axpy`] chain over `j` ascending from +0.0 — zero centroid elements
+/// skipped, so a non-finite activation cannot reach a slot through one —
+/// summed in registers and written once; the AVX2 tier fuses the
+/// multiply-add, the scalar tier does not — per tier, a lane rounds the
+/// same way whatever block it sits in (the serving scheduler's parity
+/// contract).
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
+/// Panics if `w` is outside `1..=LANES`, the slices are not whole
+/// multiples of it, or `inter` does not hold `vs × stored` elements.
 #[inline]
-pub fn add_assign(acc: &mut [f32], src: &[f32]) {
-    assert_eq!(acc.len(), src.len(), "add_assign operand lengths");
+pub fn lut_batch_build(gslab: &mut [f32], inter: &[f32], xt: &[f32], w: usize) {
+    assert!((1..=LANES).contains(&w), "lane block width");
+    assert!(
+        gslab.len().is_multiple_of(w) && xt.len().is_multiple_of(w),
+        "slab and activations are lane-interleaved"
+    );
+    assert_eq!(
+        inter.len(),
+        (gslab.len() / w) * (xt.len() / w),
+        "interleaved codebook is vs × stored"
+    );
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2+FMA presence was just verified.
-        unsafe { add_assign_avx2(acc, src) };
+        unsafe { with_lanes!(w, lut_build_lanes_avx2; gslab, inter, xt) };
         return;
     }
-    for (a, &v) in acc.iter_mut().zip(src) {
-        *a += v;
+    with_lanes!(w, lut_build_lanes, false; gslab, inter, xt);
+}
+
+#[inline(always)]
+fn lut_build_lanes<const W: usize, const FMA: bool>(gslab: &mut [f32], inter: &[f32], xt: &[f32]) {
+    let stored = gslab.len() / W;
+    for (c, slot) in gslab.chunks_exact_mut(W).enumerate() {
+        let mut acc = [0.0f32; W];
+        for (j, xj) in xt.chunks_exact(W).enumerate() {
+            let e = inter[j * stored + c];
+            if e == 0.0 {
+                continue;
+            }
+            for (a, &x) in acc.iter_mut().zip(xj) {
+                *a = if FMA { e.mul_add(x, *a) } else { *a + e * x };
+            }
+        }
+        slot.copy_from_slice(&acc);
+    }
+}
+
+/// Rows whose sums [`lut_batch_accumulate`] holds in registers at once.
+/// The adds of one row are a dependent chain (that order *is* the result),
+/// so instruction-level parallelism has to come from independent rows.
+const LUT_ROW_BLOCK: usize = 4;
+
+/// The packed codes of consecutive rows of one index stream: row `i`'s
+/// are indices `first + i·groups ..` of `stream`, `groups` of them.
+#[derive(Debug, Clone, Copy)]
+pub struct RowCodes<'a> {
+    /// The residual round's packed index stream.
+    pub stream: &'a PackedIndices,
+    /// Index of the first row's first code.
+    pub first: usize,
+    /// Codes (column groups) per row.
+    pub groups: usize,
+}
+
+/// The score-pass inner kernel of `gemv_lut_batch`, for one lane block
+/// `[l0, l0 + w)` of the batch:
+/// `y[i·batch + l0 + b] += Σ_g lut[(g·stored + code(i, g))·w + b]` for
+/// every row `i` of `y` (`rows × batch`), where `code(i, g)` comes from
+/// `codes` and `lut` is the block's lane-interleaved table
+/// (`groups × stored × w`, see [`lut_batch_build`]; its length gives `w`).
+/// Groups are visited in blocks of `gb` (the cache-resident share of the
+/// LUT), all rows per block; within a block a few rows' sums stay in
+/// registers, so the cost per packed code is one load and one add. Each
+/// sum is the same left-to-right chain over `g` whatever `gb`, the row
+/// blocking and the lane block are.
+///
+/// # Panics
+///
+/// Panics if `lut` is not `groups × stored × w` for a `w` in `1..=LANES`,
+/// the lanes are outside the batch, `y` is not whole rows, the stream ends
+/// before the last row's codes, or a code is not below `stored`.
+#[inline]
+pub fn lut_batch_accumulate(
+    y: &mut [f32],
+    batch: usize,
+    l0: usize,
+    lut: &[f32],
+    stored: usize,
+    codes: RowCodes<'_>,
+    gb: usize,
+) {
+    if lut.is_empty() {
+        return;
+    }
+    let w = lut.len() / (codes.groups * stored).max(1);
+    assert_eq!(
+        lut.len(),
+        codes.groups * stored * w,
+        "lut is groups × stored × w"
+    );
+    assert!(
+        (1..=LANES).contains(&w) && l0 + w <= batch,
+        "lane block inside the batch"
+    );
+    assert!(y.len().is_multiple_of(batch), "y is rows × batch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2+FMA presence was just verified.
+        unsafe { with_lanes!(w, lut_accumulate_lanes_avx2; y, batch, l0, lut, stored, codes, gb) };
+        return;
+    }
+    with_lanes!(w, lut_accumulate_lanes; y, batch, l0, lut, stored, codes, gb);
+}
+
+/// Group blocks outermost, then row blocks of [`LUT_ROW_BLOCK`] (single
+/// rows for the remainder).
+#[inline(always)]
+fn lut_accumulate_lanes<const W: usize>(
+    y: &mut [f32],
+    batch: usize,
+    l0: usize,
+    lut: &[f32],
+    stored: usize,
+    codes: RowCodes<'_>,
+    gb: usize,
+) {
+    const R: usize = LUT_ROW_BLOCK;
+    let RowCodes {
+        stream,
+        first,
+        groups,
+    } = codes;
+    let gb = gb.clamp(1, groups);
+    let mut block = vec![0u32; R * gb];
+    for g0 in (0..groups).step_by(gb) {
+        let gl = gb.min(groups - g0);
+        let slab = &lut[g0 * stored * W..(g0 + gl) * stored * W];
+        let mut at = first + g0;
+        let mut blocks = y.chunks_exact_mut(R * batch);
+        for yblock in &mut blocks {
+            for row_codes in block[..R * gl].chunks_exact_mut(gl) {
+                stream.unpack_block(at, row_codes);
+                at += groups;
+            }
+            lut_accumulate_block::<W, R>(yblock, batch, l0, slab, stored, &block[..R * gl]);
+        }
+        for yrow in blocks.into_remainder().chunks_exact_mut(batch) {
+            stream.unpack_block(at, &mut block[..gl]);
+            at += groups;
+            lut_accumulate_block::<W, 1>(yrow, batch, l0, slab, stored, &block[..gl]);
+        }
+    }
+}
+
+/// `R` rows × `W` lanes of sums, loaded from `y` once, carried in
+/// registers over the block's `codes` (`R` rows of equal length,
+/// row-major) and stored once.
+#[inline(always)]
+fn lut_accumulate_block<const W: usize, const R: usize>(
+    y: &mut [f32],
+    batch: usize,
+    l0: usize,
+    slab: &[f32],
+    stored: usize,
+    codes: &[u32],
+) {
+    let gl = codes.len() / R;
+    let rows: [&[u32]; R] = std::array::from_fn(|i| &codes[i * gl..][..gl]);
+    let mut acc = [[0.0f32; W]; R];
+    for (a, yrow) in acc.iter_mut().zip(y.chunks_exact(batch)) {
+        a.copy_from_slice(&yrow[l0..l0 + W]);
+    }
+    for (gi, gslab) in slab.chunks_exact(stored * W).enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            let at = row[gi] as usize * W;
+            for (s, &v) in a.iter_mut().zip(&gslab[at..at + W]) {
+                *s += v;
+            }
+        }
+    }
+    for (a, yrow) in acc.iter().zip(y.chunks_exact_mut(batch)) {
+        yrow[l0..l0 + W].copy_from_slice(a);
     }
 }
 
@@ -219,7 +417,7 @@ fn gemm_acc_tile_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::LANES;
+    use super::{RowCodes, LANES};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -279,23 +477,30 @@ mod x86 {
         }
     }
 
+    /// [`super::lut_batch_build`]'s loop for `W` lanes, compiled for AVX2 +
+    /// FMA: the generic body inlines into this frame.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn add_assign_avx2(acc: &mut [f32], src: &[f32]) {
-        // SAFETY: caller guarantees AVX2+FMA and equal lengths.
-        unsafe {
-            let chunks = acc.len() / LANES;
-            for i in 0..chunks {
-                let a = acc.as_mut_ptr().add(i * LANES);
-                let v = _mm256_add_ps(
-                    _mm256_loadu_ps(a),
-                    _mm256_loadu_ps(src.as_ptr().add(i * LANES)),
-                );
-                _mm256_storeu_ps(a, v);
-            }
-            for i in chunks * LANES..acc.len() {
-                acc[i] += src[i];
-            }
-        }
+    pub unsafe fn lut_build_lanes_avx2<const W: usize>(
+        gslab: &mut [f32],
+        inter: &[f32],
+        xt: &[f32],
+    ) {
+        super::lut_build_lanes::<W, true>(gslab, inter, xt);
+    }
+
+    /// [`super::lut_batch_accumulate`]'s loops for `W` lanes, compiled for
+    /// AVX2 + FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn lut_accumulate_lanes_avx2<const W: usize>(
+        y: &mut [f32],
+        batch: usize,
+        l0: usize,
+        lut: &[f32],
+        stored: usize,
+        codes: RowCodes<'_>,
+        gb: usize,
+    ) {
+        super::lut_accumulate_lanes::<W>(y, batch, l0, lut, stored, codes, gb);
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -368,7 +573,10 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{add_assign_avx2, axpy_avx2, dot_avx2, gemm_acc_tile_avx2, lut_row_sum_avx2};
+use x86::{
+    axpy_avx2, dot_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2,
+    lut_row_sum_avx2,
+};
 
 #[cfg(test)]
 mod tests {
@@ -376,6 +584,11 @@ mod tests {
 
     fn series(n: usize, phase: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * phase).sin()).collect()
+    }
+
+    /// Bit patterns, so NaN slots and the sign of zero compare too.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -390,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_add_assign_match_naive() {
+    fn axpy_matches_naive() {
         for n in [0, 3, 8, 19, 40] {
             let src = series(n, 0.41);
             let mut out = series(n, 0.11);
@@ -403,12 +616,106 @@ mod tests {
             for (x, y) in out.iter().zip(&naive) {
                 assert!((x - y).abs() < 1e-5, "n = {n}");
             }
-            add_assign(&mut out, &src);
-            for (o, &s) in naive.iter_mut().zip(&src) {
-                *o += s;
+        }
+    }
+
+    #[test]
+    fn lut_batch_build_is_the_per_slot_axpy_chain() {
+        // Bitwise the composition it replaced — a zeroed slot, then one
+        // `axpy` per sub-vector element — at every lane-block width, on
+        // the dispatched tier; the scalar tier against its unfused chain.
+        // Zero centroid elements (one of each sign, and a whole zero
+        // entry) meet an infinite and a NaN activation lane: `axpy` skips
+        // them, so those slots stay finite and +0.0 stays +0.0.
+        let (stored, vs) = (19usize, 3usize);
+        let mut inter = series(vs * stored, 0.29);
+        inter[stored + 4] = 0.0;
+        inter[2 * stored + 7] = -0.0;
+        for j in 0..vs {
+            inter[j * stored + 11] = 0.0;
+        }
+        for w in 1..=LANES {
+            let mut xt = series(vs * w, 0.37);
+            xt[w] = f32::INFINITY;
+            xt[2 * w + (w - 1)] = f32::NAN;
+            let mut want = vec![0.0f32; stored * w];
+            let mut want_scalar = want.clone();
+            for c in 0..stored {
+                for j in 0..vs {
+                    let e = inter[j * stored + c];
+                    let xj = &xt[j * w..(j + 1) * w];
+                    axpy(&mut want[c * w..(c + 1) * w], e, xj);
+                    if e != 0.0 {
+                        for (o, &x) in want_scalar[c * w..(c + 1) * w].iter_mut().zip(xj) {
+                            *o += e * x;
+                        }
+                    }
+                }
             }
-            for (x, y) in out.iter().zip(&naive) {
-                assert!((x - y).abs() < 1e-5, "n = {n}");
+            assert!(want[11 * w..12 * w].iter().all(|s| s.to_bits() == 0));
+            // Stale contents must be overwritten, not accumulated into.
+            let mut got = vec![7.0f32; stored * w];
+            lut_batch_build(&mut got, &inter, &xt, w);
+            assert_eq!(bits(&got), bits(&want), "w {w}");
+            let mut got = vec![7.0f32; stored * w];
+            with_lanes!(w, lut_build_lanes, false; &mut got, &inter, &xt);
+            assert_eq!(bits(&got), bits(&want_scalar), "w {w} scalar tier");
+        }
+    }
+
+    #[test]
+    fn lut_batch_accumulate_is_the_per_code_add_chain() {
+        // Bitwise `y[row] += lut[code]` one code at a time in group order,
+        // for row counts that are not multiples of the row block, batches
+        // on both sides of the lane block (9 = a block of 8 and one of 1),
+        // and group blocks from one group to the whole row — on the
+        // dispatched tier and the scalar one.
+        let (stored, groups) = (16usize, 64usize);
+        for batch in 1..=9usize {
+            for rows in 0..=9usize {
+                // One leading row the kernel must skip (`first` > 0).
+                let codes: Vec<u32> = (0..(rows + 1) * groups)
+                    .map(|i| (i as u32).wrapping_mul(2654435761).rotate_left(9) % stored as u32)
+                    .collect();
+                let stream = PackedIndices::pack(&codes, 8).unwrap();
+                let start = series(rows * batch, 0.71);
+                let mut want = start.clone();
+                let mut luts = Vec::new();
+                for l0 in (0..batch).step_by(LANES) {
+                    let w = (batch - l0).min(LANES);
+                    let lut = series(groups * stored * w, 0.013 + l0 as f32);
+                    for (row, yrow) in want.chunks_mut(batch).enumerate() {
+                        for g in 0..groups {
+                            let code = codes[(row + 1) * groups + g] as usize;
+                            let slot = &lut[(g * stored + code) * w..][..w];
+                            for (o, &v) in yrow[l0..l0 + w].iter_mut().zip(slot) {
+                                *o += v;
+                            }
+                        }
+                    }
+                    luts.push((l0, w, lut));
+                }
+                for gb in [1usize, 2, 17, 64] {
+                    let mut got = start.clone();
+                    let mut got_scalar = start.clone();
+                    let rc = RowCodes {
+                        stream: &stream,
+                        first: groups,
+                        groups,
+                    };
+                    for (l0, w, lut) in &luts {
+                        lut_batch_accumulate(&mut got, batch, *l0, lut, stored, rc, gb);
+                        with_lanes!(
+                            *w, lut_accumulate_lanes;
+                            &mut got_scalar, batch, *l0, lut, stored, rc, gb
+                        );
+                    }
+                    assert_eq!(got, want, "batch {batch} rows {rows} gb {gb}");
+                    assert_eq!(
+                        got_scalar, want,
+                        "batch {batch} rows {rows} gb {gb} scalar tier"
+                    );
+                }
             }
         }
     }

@@ -11,6 +11,7 @@ use crate::config::{CodebookScope, VqConfig};
 use crate::kmeans;
 use crate::{Result, VqError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One trained codebook: `stored_entries × vector_size` centroids, plus the
 /// optional QuiP#-style lattice extension where logical entries are a
@@ -373,6 +374,30 @@ impl CodebookSet {
         &self.books[r][s]
     }
 
+    /// Height of a row band: rows `[i·h, (i+1)·h)` all map every column to
+    /// the same scope, so a row-at-a-time reader resolves its books once
+    /// per band ([`row_books`](Self::row_books)), not per code. A tile row
+    /// under per-tile scopes, the whole tensor otherwise; at least 1.
+    pub fn band_rows(&self) -> usize {
+        match self.config.scope {
+            CodebookScope::PerTile { rows, .. } => rows.min(self.shape.0).max(1),
+            _ => self.shape.0.max(1),
+        }
+    }
+
+    /// The residual-`r` codebook of each column group in `groups`
+    /// (sub-vectors of `vector_size` columns) at `row` — and at every other
+    /// row of its band.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r`, `row` or a group is out of range.
+    pub fn row_books(&self, r: usize, row: usize, groups: Range<usize>) -> Vec<&Codebook> {
+        groups
+            .map(|g| self.book(r, self.scope_index(row, g * self.config.vector_size)))
+            .collect()
+    }
+
     /// Codebooks per residual level.
     pub fn scopes(&self) -> usize {
         self.books.first().map_or(0, Vec::len)
@@ -537,6 +562,32 @@ mod tests {
         assert_eq!(set.scope_index(5, 0), 0);
         assert_eq!(set.scope_index(5, 9), 1);
         assert_eq!(set.scope_index(31, 31), 3);
+    }
+
+    #[test]
+    fn row_books_hold_across_a_band() {
+        let tile = CodebookScope::PerTile { rows: 16, cols: 8 };
+        let group = CodebookScope::PerChannelGroup { channels: 8 };
+        // Distinct books, so a wrong scope is a wrong pointer.
+        let books = |n: usize| vec![(0..n).map(|_| plain_book_4()).collect::<Vec<_>>()];
+        for (scope, shape, scopes, band) in [
+            (tile, (40, 32), 12, 16),
+            (tile, (8, 32), 4, 8),
+            (group, (40, 32), 4, 40),
+            (CodebookScope::PerTensor, (40, 32), 1, 40),
+        ] {
+            let cfg = VqConfig::new(4, 256, 1, scope).unwrap();
+            let set = CodebookSet::new(cfg, shape, books(scopes)).unwrap();
+            assert_eq!(set.band_rows(), band, "{scope:?}");
+            for row in 0..shape.0 {
+                let first_of_band = row / band * band;
+                let got = set.row_books(0, first_of_band, 2..8);
+                for (g, book) in (2..8).zip(got) {
+                    let want = set.book(0, set.scope_index(row, g * 4));
+                    assert!(std::ptr::eq(book, want), "{scope:?} row {row} group {g}");
+                }
+            }
+        }
     }
 
     fn plain_book_4() -> Codebook {

@@ -108,9 +108,11 @@ impl PackedIndices {
     }
 
     /// Batched decode of `out.len()` consecutive indices starting at
-    /// `start` — the kernel-facing fast path: the shift amount and mask are
-    /// computed once and each index is one word load, so hot loops decode a
-    /// whole row (or row-block) of codes at a time instead of re-running
+    /// `start` — the kernel-facing fast path. Whole-byte widths (8 for
+    /// GPTVQ/CQ, 16 for lattice ids) are a widening copy of the byte
+    /// stream; every other width computes the shift amount and mask once
+    /// and pays one word load per index, so hot loops decode a whole row
+    /// (or row-block) of codes at a time instead of re-running
     /// [`PackedIndices::get`]'s bit arithmetic per element.
     ///
     /// # Panics
@@ -124,12 +126,28 @@ impl PackedIndices {
             start + out.len(),
             self.len
         );
-        let bits = self.bits as usize;
-        let mask = Self::mask_of(self.bits);
-        let mut bit_pos = start * bits;
-        for o in out.iter_mut() {
-            *o = (self.word_at(bit_pos >> 3) >> (bit_pos & 7) & mask) as u32;
-            bit_pos += bits;
+        match self.bits {
+            8 => {
+                let src = &self.data[start..start + out.len()];
+                for (o, &b) in out.iter_mut().zip(src) {
+                    *o = u32::from(b);
+                }
+            }
+            16 => {
+                let src = &self.data[2 * start..2 * (start + out.len())];
+                for (o, b) in out.iter_mut().zip(src.chunks_exact(2)) {
+                    *o = u32::from(u16::from_le_bytes([b[0], b[1]]));
+                }
+            }
+            _ => {
+                let bits = self.bits as usize;
+                let mask = Self::mask_of(self.bits);
+                let mut bit_pos = start * bits;
+                for o in out.iter_mut() {
+                    *o = (self.word_at(bit_pos >> 3) >> (bit_pos & 7) & mask) as u32;
+                    bit_pos += bits;
+                }
+            }
         }
     }
 
@@ -327,6 +345,37 @@ mod tests {
                 let mut out = vec![0u32; tail];
                 p.unpack_block(start, &mut out);
                 assert_eq!(out, &idx[start..], "width {bits} tail {tail}");
+            }
+        }
+    }
+
+    #[test]
+    fn byte_aligned_block_decode_matches_oracle() {
+        // The widening-copy paths (8- and 16-bit codes): unaligned starts,
+        // empty / single / odd-length blocks, and blocks that end on the
+        // last code of the stream, against the per-byte `unpack()` oracle.
+        for bits in [8u8, 16] {
+            for n in [1usize, 2, 203] {
+                let idx = mixed_indices(n, bits);
+                let p = PackedIndices::pack(&idx, bits).unwrap();
+                let oracle = p.unpack();
+                assert_eq!(oracle, idx, "width {bits}");
+                for start in [0usize, 1, 3, 7, 64, 101, n - 1, n] {
+                    for count in [0usize, 1, 5, 17, 64] {
+                        if start + count > n {
+                            continue;
+                        }
+                        let mut out = vec![u32::MAX; count];
+                        p.unpack_block(start, &mut out);
+                        assert_eq!(out, &oracle[start..start + count], "width {bits} @ {start}");
+                    }
+                    // Through the last code of the stream.
+                    if start <= n {
+                        let mut out = vec![u32::MAX; n - start];
+                        p.unpack_block(start, &mut out);
+                        assert_eq!(out, &oracle[start..], "width {bits} tail from {start}");
+                    }
+                }
             }
         }
     }

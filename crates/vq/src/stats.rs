@@ -38,37 +38,39 @@ impl AccessHistogram {
     ///
     /// Panics if `r >= residuals`.
     pub fn profile(q: &QuantizedTensor, r: usize) -> Self {
-        let stored = q.config().stored_entries();
-        let mut counts = vec![0u64; stored];
-        let groups = q.col_groups();
-        let (rows, _) = q.shape();
-        for row in 0..rows {
-            for g in 0..groups {
-                let id = q.index_at(r, row, g);
-                let s = q.codebooks().scope_index(row, g * q.config().vector_size);
-                let sid = q.codebooks().book(r, s).stored_id_of(id);
-                counts[sid as usize] += 1;
-            }
-        }
-        AccessHistogram { counts }
+        Self::profile_rows(q, r, 0, q.shape().0)
     }
 
     /// Profiles a band of rows only (one "tensor part" of Fig. 9).
+    ///
+    /// The serving layer calls this on the live context every few steps,
+    /// so it reads codes the way the kernels do: a row per
+    /// [`unpack_block`](crate::PackedIndices::unpack_block), with the
+    /// group → codebook mapping resolved once per band of rows that share
+    /// it ([`CodebookSet::band_rows`](crate::CodebookSet::band_rows)).
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the tensor or `r >= residuals`.
     pub fn profile_rows(q: &QuantizedTensor, r: usize, row_start: usize, row_end: usize) -> Self {
-        let stored = q.config().stored_entries();
-        let mut counts = vec![0u64; stored];
         let groups = q.col_groups();
-        for row in row_start..row_end {
-            for g in 0..groups {
-                let id = q.index_at(r, row, g);
-                let s = q.codebooks().scope_index(row, g * q.config().vector_size);
-                let sid = q.codebooks().book(r, s).stored_id_of(id);
-                counts[sid as usize] += 1;
+        let books = q.codebooks();
+        let band = books.band_rows();
+        let stream = q.index_stream(r);
+        let mut counts = vec![0u64; q.config().stored_entries()];
+        let mut codes = vec![0u32; groups];
+        let mut row = row_start;
+        while row < row_end {
+            // The range may start mid-band: up to the next band boundary.
+            let band_end = ((row / band + 1) * band).min(row_end);
+            let band_books = books.row_books(r, row, 0..groups);
+            for row in row..band_end {
+                stream.unpack_block(row * groups, &mut codes);
+                for (&code, book) in codes.iter().zip(&band_books) {
+                    counts[book.stored_id_of(code) as usize] += 1;
+                }
             }
+            row = band_end;
         }
         AccessHistogram { counts }
     }
@@ -263,6 +265,51 @@ mod tests {
         let h = AccessHistogram::profile(&q, 0);
         assert_eq!(h.total(), (96 * 64 / 4) as u64);
         assert_eq!(h.counts().len(), 64);
+    }
+
+    /// The per-code walk `profile_rows` replaced, kept as its oracle:
+    /// random-access index, scope and book resolved for every code.
+    fn profile_rows_oracle(q: &QuantizedTensor, r: usize, start: usize, end: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; q.config().stored_entries()];
+        for row in start..end {
+            for g in 0..q.col_groups() {
+                let id = q.index_at(r, row, g);
+                let s = q.codebooks().scope_index(row, g * q.config().vector_size);
+                let sid = q.codebooks().book(r, s).stored_id_of(id);
+                counts[sid as usize] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn profile_rows_counts_equal_the_per_code_walk() {
+        let tile = CodebookScope::PerTile { rows: 16, cols: 16 };
+        let configs = [
+            VqConfig::new(4, 64, 1, CodebookScope::PerTensor).unwrap(),
+            VqConfig::new(2, 16, 2, CodebookScope::PerChannelGroup { channels: 2 }).unwrap(),
+            VqConfig::new(4, 16, 2, tile).unwrap(),
+            VqConfig::new_lattice(4, 256, 16, 1, CodebookScope::PerTensor).unwrap(),
+        ];
+        for cfg in configs {
+            let w = synth::gaussian_with_outliers(96, 32, 1.0, 0.02, 6.0, 23);
+            let q = VqQuantizer::new(cfg).quantize(&w, 5).unwrap();
+            // Whole tensor, ranges that start and end inside a tile row,
+            // a single row, and the empty range.
+            for (start, end) in [(0, 96), (5, 71), (16, 32), (40, 41), (96, 96)] {
+                for r in 0..cfg.residuals {
+                    assert_eq!(
+                        AccessHistogram::profile_rows(&q, r, start, end).counts(),
+                        profile_rows_oracle(&q, r, start, end),
+                        "{cfg} round {r} rows {start}..{end}"
+                    );
+                }
+            }
+            assert_eq!(
+                AccessHistogram::profile(&q, 0).counts(),
+                profile_rows_oracle(&q, 0, 0, 96)
+            );
+        }
     }
 
     #[test]

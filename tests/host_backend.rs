@@ -246,15 +246,30 @@ proptest! {
             .map(|b| if b == 0 { seq } else { 1 + (seed as usize * 13 + b * 89) % seq })
             .collect();
         // The HostBlocking clamp range is [16 KiB, 256 KiB]; cover both
-        // extremes, a mid-range slab, and 1/2/4 worker partitions.
+        // extremes, a mid-range slab, and 1/2/4 worker partitions — and,
+        // since the batched LUT's group block is sized to 8× the slab, a
+        // slab four times past the clamp.
         let blockings = [
             HostBlocking { slab_bytes: 16 << 10, threads: 1 },
             HostBlocking { slab_bytes: 48 << 10, threads: 2 },
             HostBlocking { slab_bytes: 256 << 10, threads: 4 },
+            HostBlocking { slab_bytes: 1 << 20, threads: 1 },
         ];
         let base_attn =
             host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blockings[0]).unwrap();
         let base_gemm = host_exec::gemm_fused(&a, &kq, &blockings[0]).unwrap();
+        // The score pass has no K-split, so its bytes hold further down:
+        // to LUT group blocks of one or two groups.
+        let base_scores = host_exec::gemv_lut_batch(&kq, &qs, &blockings[0]).unwrap();
+        for slab_bytes in [1usize, 64, 512] {
+            let b = HostBlocking { slab_bytes, threads: 2 };
+            let scores = host_exec::gemv_lut_batch(&kq, &qs, &b).unwrap();
+            prop_assert_eq!(
+                base_scores.as_slice(),
+                scores.as_slice(),
+                "score bytes depend on blocking {:?} ({} {}x{})", b, cfg, seq, head_dim
+            );
+        }
         for b in &blockings[1..] {
             let attn = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, b).unwrap();
             let gemm = host_exec::gemm_fused(&a, &kq, b).unwrap();
