@@ -20,10 +20,15 @@
 //!   most 4 ns per packed code each, the batch-16 score pass (two lane
 //!   blocks) at most 8 (ceilings several times the measured cost: they
 //!   trip on a return to per-code dispatch, not on a noisy box)
+//! * a live-KV extension (8 lanes × 128 folded CQ-4 rows, head_dim 64)
+//!   costs at most 4 ns per private code over its K and V passes, and
+//!   folding one appended K/V row pair at most 20 µs (the same kind of
+//!   ceiling: per-code calls or a scalar codebook search trip it)
 
 use std::hint::black_box;
 use std::time::Instant;
 use vq_llm::kernels::host_exec::{self, pool::WorkerPool, simd, HostBlocking};
+use vq_llm::llm::{KvQuantMode, SharedContext, TenantKv};
 use vq_llm::tensor::{linalg, metrics, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
 use vq_llm::vq::{Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqConfig};
@@ -380,6 +385,64 @@ fn main() {
          score pass at batch 16 {score_pass_b16_ns_per_code:.2} ns/code"
     ));
 
+    // --- Live KV: the private extension's passes and the fold ---
+    // The benchmark of record's live workload: a 512×64 CQ-4 context, 8
+    // lanes, each with 128 rows folded against the context's books behind
+    // a 2-row f32 tail. The extension's cost is the tailed call minus the
+    // same call without extensions, over the private codes it decoded
+    // (lanes × rows × groups, K and V).
+    let (lseq, ldim, llanes, lrows, ltail) = (512usize, 64usize, 8usize, 128usize, 2usize);
+    let live_ctx = SharedContext::new(
+        synth_quantized(cq4, lseq, ldim, 0x11),
+        synth_quantized(cq4, lseq, ldim, 0x12),
+        synth_quantized(cfg, ldim, ldim, 0x13),
+    )
+    .expect("live context");
+    let live_mode = KvQuantMode::Quantized {
+        tail_window: ltail,
+        outlier_keep_milli: 1000,
+    };
+    let live_rows: Vec<Vec<Vec<f32>>> = (0..llanes)
+        .map(|lane| {
+            (0..lrows + ltail)
+                .map(|t| wave(ldim, 0.05 + (lane * 131 + t) as f32 * 0.013))
+                .collect()
+        })
+        .collect();
+    let fill = |lane: usize| -> TenantKv {
+        let mut kv = TenantKv::new(&live_ctx, live_mode).expect("live cache");
+        for row in &live_rows[lane] {
+            kv.append(row, row).expect("append");
+        }
+        kv
+    };
+    // One sample is a whole cache's worth of appends (the first `ltail`
+    // fold nothing).
+    let fold_us_per_row = time_s(pass_reps, || fill(0)) * 1e6 / lrows as f64;
+    let kvs: Vec<TenantKv> = (0..llanes).map(fill).collect();
+    let exts: Vec<_> = kvs.iter().map(TenantKv::ext).collect();
+    let lq = Tensor2D::from_fn(llanes, ldim, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
+    let llens = vec![lseq / 2 + 1; llanes];
+    let (lk, lv) = (live_ctx.kq(), live_ctx.vq());
+    let tailed_s = time_s(4 * pass_reps, || {
+        host_exec::attention_decode_ragged_tailed(&lq, &llens, &exts, lk, lv, &single)
+            .expect("tailed attention")
+    });
+    let ragged_s = time_s(4 * pass_reps, || {
+        host_exec::attention_decode_ragged(&lq, &llens, lk, lv, &single).expect("ragged attention")
+    });
+    let private_codes = (2 * llanes * lrows * ldim / cq4.vector_size) as f64;
+    let ext_attn_ns_per_code = (tailed_s - ragged_s) * 1e9 / private_codes;
+    report.section(&format!(
+        "Live KV   ({llanes} lanes × {lrows} folded rows + {ltail} tail, {lseq}×{ldim} context, {cq4})"
+    ));
+    report.line(format!(
+        "  tailed {}   ragged {}   extension {ext_attn_ns_per_code:.2} ns/private code (K + V)   \
+         fold {fold_us_per_row:.2} us/appended row pair",
+        fmt_us(tailed_s * 1e6),
+        fmt_us(ragged_s * 1e6),
+    ));
+
     // --- Machine-readable trajectory ---
     let json = format!(
         "{{\n  \"gemv_rows\": {rows},\n  \"gemv_cols\": {cols},\n  \
@@ -394,6 +457,8 @@ fn main() {
          \"score_pass_ns_per_code\": {score_pass_ns_per_code:.3},\n  \
          \"value_decode_ns_per_code\": {value_decode_ns_per_code:.3},\n  \
          \"score_pass_b16_ns_per_code\": {score_pass_b16_ns_per_code:.3},\n  \
+         \"ext_attn_ns_per_code\": {ext_attn_ns_per_code:.3},\n  \
+         \"fold_us_per_row\": {fold_us_per_row:.3},\n  \
          \"simd_tier\": \"{}\",\n  \
          \"smoke\": {smoke}\n}}\n",
         gemv.naive_s * 1e3,
@@ -441,6 +506,16 @@ fn main() {
         "score pass ns per packed code (batch 16, CQ-4)",
         score_pass_b16_ns_per_code,
         8.0,
+    );
+    gates.check_max(
+        "live-KV extension ns per private code (8 × 128 rows, CQ-4, K + V)",
+        ext_attn_ns_per_code,
+        4.0,
+    );
+    gates.check_max(
+        "live-KV fold us per appended row pair (head_dim 64, CQ-4)",
+        fold_us_per_row,
+        20.0,
     );
     // The pool must never lose to serial (15 % noise allowance on shared
     // 1-core runners where both paths are the same code).

@@ -353,13 +353,13 @@ fn splice_extension(
             what: "extension code stream length must be rows × col_groups",
         });
     }
-    if tail.iter().any(|r| r.len() != head_dim) {
+    if !tail.len().is_multiple_of(head_dim) {
         return Err(crate::KernelError::ShapeMismatch {
             what: "tail rows must be head_dim wide",
         });
     }
     let books = q.codebooks();
-    let mut full = Tensor2D::zeros(len + ext.rows + tail.len(), head_dim);
+    let mut full = Tensor2D::zeros(len + ext.rows + tail.len() / head_dim, head_dim);
     for r in 0..len {
         full.row_mut(r).copy_from_slice(base.row(r));
     }
@@ -368,22 +368,25 @@ fn splice_extension(
         for (r, stream) in codes.iter().enumerate() {
             for g in 0..groups {
                 let book = books.book(r, books.scope_index(0, g * vs));
-                book.accumulate(stream[row * groups + g], &mut orow[g * vs..(g + 1) * vs]);
+                book.accumulate(
+                    stream.get(row * groups + g),
+                    &mut orow[g * vs..(g + 1) * vs],
+                );
             }
         }
     }
-    for o in outliers {
-        if o.row >= ext.rows || o.group >= groups || o.values.len() != vs {
+    for (row, group, values) in outliers.iter() {
+        if row >= ext.rows || group >= groups {
             return Err(crate::KernelError::InvalidInput {
                 what: "outlier residual outside the folded extension",
             });
         }
-        let orow = full.row_mut(len + o.row);
-        for (j, &v) in o.values.iter().enumerate() {
-            orow[o.group * vs + j] += v;
+        let orow = full.row_mut(len + row);
+        for (o, &v) in orow[group * vs..].iter_mut().zip(values) {
+            *o += v;
         }
     }
-    for (t, trow) in tail.iter().enumerate() {
+    for (t, trow) in tail.chunks_exact(head_dim).enumerate() {
         full.row_mut(len + ext.rows + t).copy_from_slice(trow);
     }
     Ok(full)
@@ -872,7 +875,7 @@ mod tests {
 
     #[test]
     fn attention_ragged_tailed_agrees_across_backends() {
-        use crate::host_exec::{OutlierResidual, RaggedExt};
+        use crate::host_exec::{CodeStream, OutlierBuf, RaggedExt};
         let vq_cfg = VqAlgorithm::Cq4.config();
         let k = synth::kv_stream(320, 32, 0.8, 30);
         let v = synth::kv_stream(320, 32, 0.8, 31);
@@ -894,33 +897,28 @@ mod tests {
             .collect();
         let vs = vq_cfg.vector_size;
         let groups = 32 / vs;
-        let encode = |books: &vqllm_vq::CodebookSet,
-                      rows: &[Vec<f32>]|
-         -> (Vec<Vec<u32>>, Vec<OutlierResidual>) {
-            let mut codes = vec![Vec::new(); vq_cfg.residuals];
-            let mut outs = Vec::new();
-            for (i, row) in rows.iter().enumerate() {
-                for g in 0..groups {
-                    let mut resid = row[g * vs..(g + 1) * vs].to_vec();
-                    let mut entry = vec![0.0f32; vs];
-                    for (r, stream) in codes.iter_mut().enumerate() {
-                        let book = books.book(r, books.scope_index(0, g * vs));
-                        let code = book.encode(&resid);
-                        stream.push(code);
-                        book.lookup(code, &mut entry);
-                        for (rv, &e) in resid.iter_mut().zip(&entry) {
-                            *rv -= e;
+        let encode =
+            |books: &vqllm_vq::CodebookSet, rows: &[Vec<f32>]| -> (Vec<CodeStream>, OutlierBuf) {
+                let mut codes = vec![CodeStream::new(vq_cfg.index_bits()); vq_cfg.residuals];
+                let mut outs = OutlierBuf::default();
+                for (i, row) in rows.iter().enumerate() {
+                    for g in 0..groups {
+                        let mut resid = row[g * vs..(g + 1) * vs].to_vec();
+                        let mut entry = vec![0.0f32; vs];
+                        for (r, stream) in codes.iter_mut().enumerate() {
+                            let book = books.book(r, books.scope_index(0, g * vs));
+                            let code = book.encode(&resid);
+                            stream.push(code);
+                            book.lookup(code, &mut entry);
+                            for (rv, &e) in resid.iter_mut().zip(&entry) {
+                                *rv -= e;
+                            }
                         }
+                        outs.push(i, g, &resid);
                     }
-                    outs.push(OutlierResidual {
-                        row: i,
-                        group: g,
-                        values: resid,
-                    });
                 }
-            }
-            (codes, outs)
-        };
+                (codes, outs)
+            };
         let (kc, ko) = encode(kq.codebooks(), &rows[..2]);
         let (vc, vo) = encode(vq_t.codebooks(), &rows[..2]);
         let exts = [
@@ -928,20 +926,16 @@ mod tests {
                 rows: 2,
                 k_codes: &kc,
                 v_codes: &vc,
-                k_outliers: &ko,
-                v_outliers: &vo,
-                k_tail: &rows[2..],
-                v_tail: &rows[2..],
+                k_outliers: ko.view(),
+                v_outliers: vo.view(),
+                k_tail: &rows[2],
+                v_tail: &rows[2],
             },
             RaggedExt::default(),
             RaggedExt {
-                rows: 0,
-                k_codes: &[],
-                v_codes: &[],
-                k_outliers: &[],
-                v_outliers: &[],
-                k_tail: &rows[..1],
-                v_tail: &rows[..1],
+                k_tail: &rows[0],
+                v_tail: &rows[0],
+                ..RaggedExt::default()
             },
         ];
         let backend = CpuBackend::with_threads(2);

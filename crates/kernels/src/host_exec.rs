@@ -35,6 +35,25 @@
 //!   extensions): the same two passes, **bounded to the longest attended
 //!   prefix** — packed K/V rows no query attends are never streamed.
 //!
+//! A live-KV extension ([`RaggedExt`]) is private to one query, so there
+//! is no batch to share a LUT across: its rows are decoded per code,
+//! straight from the context's centroid tables. The extension borrows the
+//! owning cache's flat buffers — byte-wide [`CodeStream`]s, [`Outliers`]
+//! as one coordinate and one value array, the f32 tail as one slice —
+//! and its score and value loops are entered once per query through a
+//! body monomorphised on the sub-vector width ([`ext_passes`]): a code is
+//! a byte load, an index into [`Codebook::entries_flat`] and
+//! `vector_size` multiply-adds, with a few rows' sums in flight. The
+//! `(residual round, group) → codebook` table those loops index is built
+//! once per attention call from the context's [`CodebookSet`] (extension
+//! scopes are row-invariant); the caches keep only the codes. The loops'
+//! arithmetic — every product, and the order each sum takes them in — is
+//! the per-code loops' they replaced, so a lane's bytes do not depend on
+//! which body ran.
+//!
+//! [`Codebook::entries_flat`]: vqllm_vq::Codebook::entries_flat
+//! [`CodebookSet`]: vqllm_vq::CodebookSet
+//!
 //! Blocking ([`HostBlocking`]) reuses the [`KernelPlan`]'s shared-memory
 //! budget decisions: the bytes the planner would stage into an SM's shared
 //! memory are the natural L1/L2-resident slab size on the host. Row
@@ -868,18 +887,139 @@ pub fn attention_decode_ragged(
     attention_inner(qs, lens, &[], kq, vq, blocking)
 }
 
-/// A per-group residual left unquantized because the packed codes alone
-/// reconstructed the sub-vector too poorly (the outlier channel of
-/// VecInfer-style KV VQ): `values` is added on top of the decoded codes
-/// for `(row, group)` of the extension.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OutlierResidual {
-    /// Extension row (0-based within the folded rows).
-    pub row: usize,
-    /// Column group (sub-vector slot) within the row.
-    pub group: usize,
-    /// Exact f32 residual, `vector_size` wide.
-    pub values: Vec<f32>,
+/// One residual round of a live-KV extension's codes: `rows × col_groups`
+/// codes (row-major, group-minor), each stored little-endian at the
+/// narrowest whole-byte width that holds the context's
+/// [`index_bits`](vqllm_vq::VqConfig::index_bits) — one byte for CQ's
+/// 8-bit (and any narrower) index, two up to 16 bits, four beyond. Codes
+/// are appended a row at a time and read back a byte at a time, so a
+/// whole-byte width costs neither a repack on append nor a shift on read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodeStream {
+    width: usize,
+    bytes: Vec<u8>,
+}
+
+impl CodeStream {
+    /// An empty stream for codes of `index_bits` bits.
+    pub fn new(index_bits: u32) -> Self {
+        CodeStream {
+            width: Self::width_for(index_bits),
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Bytes per stored code for an `index_bits`-bit index.
+    fn width_for(index_bits: u32) -> usize {
+        match index_bits {
+            0..=8 => 1,
+            9..=16 => 2,
+            _ => 4,
+        }
+    }
+
+    /// Appends one code (its low `8 · width` bits).
+    #[inline]
+    pub fn push(&mut self, code: u32) {
+        match self.width {
+            1 => self.bytes.push(code as u8),
+            2 => self.bytes.extend_from_slice(&(code as u16).to_le_bytes()),
+            _ => self.bytes.extend_from_slice(&code.to_le_bytes()),
+        }
+    }
+
+    /// Stored codes.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
+
+    /// Whether no code has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Code `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> u32 {
+        Self::code_at(&self.bytes, self.width, i)
+    }
+
+    /// Code `i` of `bytes`, `width` little-endian bytes a code.
+    #[inline(always)]
+    fn code_at(bytes: &[u8], width: usize, i: usize) -> u32 {
+        let mut le = [0u8; 4];
+        le[..width].copy_from_slice(&bytes[i * width..(i + 1) * width]);
+        u32::from_le_bytes(le)
+    }
+
+    /// The bytes of codes `[row · groups, (row + 1) · groups)`.
+    #[inline]
+    fn row(&self, row: usize, groups: usize) -> &[u8] {
+        let len = groups * self.width;
+        &self.bytes[row * len..(row + 1) * len]
+    }
+}
+
+/// Sparse exact residuals over an extension's folded rows (the outlier
+/// channel of VecInfer-style KV VQ): a group the packed codes alone
+/// reconstructed too poorly keeps its f32 residual, added on top of its
+/// decoded codes. Flat storage — one `(row, group)` array, one value
+/// array at `vector_size` floats a residual — so keeping an outlier
+/// allocates nothing. This is the owned side; kernels take its
+/// [`view`](OutlierBuf::view).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OutlierBuf {
+    coords: Vec<(u32, u32)>,
+    values: Vec<f32>,
+}
+
+impl OutlierBuf {
+    /// Keeps `residual` (`vector_size` floats) for `group` of extension
+    /// row `row`.
+    pub fn push(&mut self, row: usize, group: usize, residual: &[f32]) {
+        self.coords.push((row as u32, group as u32));
+        self.values.extend_from_slice(residual);
+    }
+
+    /// Outliers kept.
+    pub fn len(&self) -> usize {
+        self.coords.len()
+    }
+
+    /// Whether no outlier is kept.
+    pub fn is_empty(&self) -> bool {
+        self.coords.is_empty()
+    }
+
+    /// Borrows the buffer for a [`RaggedExt`].
+    pub fn view(&self) -> Outliers<'_> {
+        Outliers {
+            coords: &self.coords,
+            values: &self.values,
+        }
+    }
+}
+
+/// A borrowed [`OutlierBuf`]; the default is empty.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Outliers<'a> {
+    coords: &'a [(u32, u32)],
+    values: &'a [f32],
+}
+
+impl<'a> Outliers<'a> {
+    /// `(row, group, residual)` of every outlier, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &'a [f32])> {
+        let vs = self.values.len() / self.coords.len().max(1);
+        self.coords
+            .iter()
+            .zip(self.values.chunks_exact(vs.max(1)))
+            .map(|(&(row, group), v)| (row as usize, group as usize, v))
+    }
 }
 
 /// One query's private KV extension for
@@ -887,41 +1027,32 @@ pub struct OutlierResidual {
 /// packed codes (encoded against the **shared context's** codebooks, so
 /// the kernel reuses the already-resident tables), sparse per-group
 /// outlier residuals on top, and an unquantized f32 tail window of the
-/// newest tokens.
+/// newest tokens. Every field borrows a flat buffer of the owning cache.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RaggedExt<'a> {
     /// Folded (packed) extension rows.
     pub rows: usize,
     /// K codes, one stream per residual round, `rows × col_groups` long
-    /// each (row-major, group-minor).
-    pub k_codes: &'a [Vec<u32>],
+    /// each.
+    pub k_codes: &'a [CodeStream],
     /// V codes, same layout as `k_codes`.
-    pub v_codes: &'a [Vec<u32>],
+    pub v_codes: &'a [CodeStream],
     /// Sparse K outlier residuals over the folded rows.
-    pub k_outliers: &'a [OutlierResidual],
+    pub k_outliers: Outliers<'a>,
     /// Sparse V outlier residuals over the folded rows.
-    pub v_outliers: &'a [OutlierResidual],
-    /// Unquantized K tail rows (`head_dim` wide each), oldest first.
-    pub k_tail: &'a [Vec<f32>],
-    /// Unquantized V tail rows, same length as `k_tail`.
-    pub v_tail: &'a [Vec<f32>],
+    pub v_outliers: Outliers<'a>,
+    /// Unquantized K tail rows, oldest first, row-major `tail × head_dim`.
+    pub k_tail: &'a [f32],
+    /// Unquantized V tail rows, same shape as `k_tail`.
+    pub v_tail: &'a [f32],
 }
 
 impl RaggedExt<'_> {
-    /// Total extension tokens (folded + tail).
-    pub fn len(&self) -> usize {
-        self.rows + self.k_tail.len()
-    }
-
-    /// Whether the extension holds no tokens at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn validate(&self, kq: &QuantizedTensor) -> Result<()> {
         let cfg = kq.config();
         let groups = kq.col_groups();
         let head_dim = kq.shape().1;
+        let width = CodeStream::width_for(cfg.index_bits());
         for codes in [self.k_codes, self.v_codes] {
             // With no folded rows, an absent stream set (the `Default`)
             // is as valid as `residuals` empty streams.
@@ -930,28 +1061,29 @@ impl RaggedExt<'_> {
                     what: "extension code streams must match the context's residual rounds",
                 });
             }
-            if codes.iter().any(|s| s.len() != self.rows * groups) {
+            if codes
+                .iter()
+                .any(|s| s.width != width || s.len() != self.rows * groups)
+            {
                 return Err(KernelError::ShapeMismatch {
-                    what: "extension code stream length must be rows × col_groups",
+                    what: "extension code streams must hold rows × col_groups codes \
+                           at the context's index width",
                 });
             }
         }
         for outs in [self.k_outliers, self.v_outliers] {
-            if outs.iter().any(|o| {
-                o.row >= self.rows || o.group >= groups || o.values.len() != cfg.vector_size
-            }) {
+            if outs.values.len() != outs.coords.len() * cfg.vector_size
+                || outs
+                    .coords
+                    .iter()
+                    .any(|&(row, group)| row as usize >= self.rows || group as usize >= groups)
+            {
                 return Err(KernelError::InvalidInput {
                     what: "outlier residual outside the folded extension",
                 });
             }
         }
-        if self.k_tail.len() != self.v_tail.len()
-            || self
-                .k_tail
-                .iter()
-                .chain(self.v_tail)
-                .any(|r| r.len() != head_dim)
-        {
+        if self.k_tail.len() != self.v_tail.len() || !self.k_tail.len().is_multiple_of(head_dim) {
             return Err(KernelError::ShapeMismatch {
                 what: "tail rows must be head_dim wide with matching K/V lengths",
             });
@@ -960,33 +1092,208 @@ impl RaggedExt<'_> {
     }
 }
 
-/// Dot of `q` against one folded extension row decoded on the fly from
-/// the context's codebooks (all residual rounds, plus outliers applied by
-/// the caller).
-fn ext_row_score(
+/// Rows of an extension whose score chains [`ext_scores`] keeps in flight
+/// (and whose weights [`ext_values`] applies per output load): a row's sum
+/// is one dependent add per code, so interleaving a few rows hides the
+/// add latency without changing any row's order.
+const EXT_ROW_BLOCK: usize = 4;
+
+/// Stored-entry index of group `g` in one extension row's codes
+/// ([`CodeStream::row`]): a byte load when `VS` pins the one-byte layout,
+/// `width` little-endian bytes otherwise.
+#[inline(always)]
+fn ext_code<const VS: usize>(row: &[u8], width: usize, g: usize) -> usize {
+    if VS == 0 {
+        CodeStream::code_at(row, width, g) as usize
+    } else {
+        row[g] as usize
+    }
+}
+
+/// `R` rows of [`ext_scores`], starting at extension row `r0`.
+#[inline(always)]
+fn ext_scores_block<const VS: usize, const R: usize>(
     q: &[f32],
-    books: &[Vec<&vqllm_vq::Codebook>],
-    codes: &[Vec<u32>],
-    row: usize,
+    books: &[&vqllm_vq::Codebook],
+    codes: &[CodeStream],
     vs: usize,
-) -> f32 {
-    let mut acc = 0.0f32;
-    for (s, round_books) in codes.iter().zip(books) {
-        let groups = round_books.len();
-        for (g, book) in round_books.iter().enumerate() {
-            let code = s[row * groups + g];
-            let qsub = &q[g * vs..(g + 1) * vs];
-            if book.is_lattice() {
-                let base = book.stored_id_of(code) as usize;
-                let signs = code >> book.sign_shift();
-                acc += signed_dot(book.stored_entry(base), qsub, signs);
-            } else {
-                let entry = book.stored_entry(code as usize);
-                acc += entry.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
+    r0: usize,
+    out: &mut [f32],
+) {
+    let vs = if VS == 0 { vs } else { VS };
+    let groups = q.len() / vs;
+    let mut acc = [0.0f32; R];
+    for (stream, round_books) in codes.iter().zip(books.chunks_exact(groups)) {
+        let rows: [&[u8]; R] = std::array::from_fn(|i| stream.row(r0 + i, groups));
+        for (g, (book, qsub)) in round_books.iter().zip(q.chunks_exact(vs)).enumerate() {
+            let flat = book.entries_flat();
+            for (a, row) in acc.iter_mut().zip(rows) {
+                let c = ext_code::<VS>(row, stream.width, g);
+                let entry = &flat[c * vs..(c + 1) * vs];
+                *a += entry.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
             }
         }
     }
-    acc
+    out[r0..r0 + R].copy_from_slice(&acc);
+}
+
+/// Scores of `q` against every folded extension row of plain
+/// (non-lattice) books, decoded on the fly (all residual rounds; outliers
+/// are the caller's): `out[row] = Σ_round Σ_group entry · q_group`, each
+/// row one chain in (round, group) order, [`EXT_ROW_BLOCK`] rows' chains
+/// interleaved. `VS` is the sub-vector width as a constant — which also
+/// pins one-byte codes — or 0 to take both from `vs` and the streams;
+/// `books` is the (round, group) table, round-major.
+fn ext_scores<const VS: usize>(
+    q: &[f32],
+    books: &[&vqllm_vq::Codebook],
+    codes: &[CodeStream],
+    vs: usize,
+    out: &mut [f32],
+) {
+    let full = out.len() / EXT_ROW_BLOCK * EXT_ROW_BLOCK;
+    for r0 in (0..full).step_by(EXT_ROW_BLOCK) {
+        ext_scores_block::<VS, EXT_ROW_BLOCK>(q, books, codes, vs, r0, out);
+    }
+    for r0 in full..out.len() {
+        ext_scores_block::<VS, 1>(q, books, codes, vs, r0, out);
+    }
+}
+
+/// `N` consecutive sweeps of [`ext_values`], starting at sweep `t0`.
+#[inline(always)]
+fn ext_values_block<const VS: usize, const N: usize>(
+    weights: &[f32],
+    books: &[&vqllm_vq::Codebook],
+    codes: &[CodeStream],
+    vs: usize,
+    t0: usize,
+    orow: &mut [f32],
+) {
+    let vs = if VS == 0 { vs } else { VS };
+    let groups = orow.len() / vs;
+    // Sweep `t` is (row, round) = (t / rounds, t % rounds).
+    let sweeps: [(f32, &[u8], usize, &[&vqllm_vq::Codebook]); N] = std::array::from_fn(|i| {
+        let (row, round) = ((t0 + i) / codes.len(), (t0 + i) % codes.len());
+        let stream = &codes[round];
+        let round_books = &books[round * groups..(round + 1) * groups];
+        (
+            weights[row],
+            stream.row(row, groups),
+            stream.width,
+            round_books,
+        )
+    });
+    for (g, out) in orow.chunks_exact_mut(vs).enumerate() {
+        for (w, row, width, round_books) in sweeps {
+            let c = ext_code::<VS>(row, width, g);
+            let entry = &round_books[g].entries_flat()[c * vs..(c + 1) * vs];
+            for (o, &e) in out.iter_mut().zip(entry) {
+                *o += w * e;
+            }
+        }
+    }
+}
+
+/// Adds the folded extension rows of plain books into one query's output
+/// row: one *sweep* per (row, round), in that order, adds
+/// `weights[row] · entry` to every group's slot — so each output element
+/// is one chain in (row, round) order. [`EXT_ROW_BLOCK`] consecutive
+/// sweeps share each load and store of a slot. `VS`, `books` and `vs` as
+/// in [`ext_scores`].
+fn ext_values<const VS: usize>(
+    weights: &[f32],
+    books: &[&vqllm_vq::Codebook],
+    codes: &[CodeStream],
+    vs: usize,
+    orow: &mut [f32],
+) {
+    let sweeps = weights.len() * codes.len();
+    let full = sweeps / EXT_ROW_BLOCK * EXT_ROW_BLOCK;
+    for t0 in (0..full).step_by(EXT_ROW_BLOCK) {
+        ext_values_block::<VS, EXT_ROW_BLOCK>(weights, books, codes, vs, t0, orow);
+    }
+    for t0 in full..sweeps {
+        ext_values_block::<VS, 1>(weights, books, codes, vs, t0, orow);
+    }
+}
+
+/// [`ext_scores`] for lattice books: the sign-aware per-code loop.
+fn ext_scores_lattice(
+    q: &[f32],
+    books: &[&vqllm_vq::Codebook],
+    codes: &[CodeStream],
+    vs: usize,
+    out: &mut [f32],
+) {
+    let groups = q.len() / vs;
+    for (row, acc) in out.iter_mut().enumerate() {
+        *acc = 0.0;
+        for (stream, round_books) in codes.iter().zip(books.chunks_exact(groups)) {
+            for (g, (book, qsub)) in round_books.iter().zip(q.chunks_exact(vs)).enumerate() {
+                let code = stream.get(row * groups + g);
+                let base = book.stored_id_of(code) as usize;
+                let signs = code >> book.sign_shift();
+                *acc += signed_dot(book.stored_entry(base), qsub, signs);
+            }
+        }
+    }
+}
+
+/// [`ext_values`] for lattice books, through [`Codebook::axpy`]'s sign
+/// handling.
+///
+/// [`Codebook::axpy`]: vqllm_vq::Codebook::axpy
+fn ext_values_lattice(
+    weights: &[f32],
+    books: &[&vqllm_vq::Codebook],
+    codes: &[CodeStream],
+    vs: usize,
+    orow: &mut [f32],
+) {
+    let groups = orow.len() / vs;
+    for (row, &w) in weights.iter().enumerate() {
+        for (stream, round_books) in codes.iter().zip(books.chunks_exact(groups)) {
+            for (g, (book, out)) in round_books
+                .iter()
+                .zip(orow.chunks_exact_mut(vs))
+                .enumerate()
+            {
+                book.axpy(stream.get(row * groups + g), w, out);
+            }
+        }
+    }
+}
+
+/// The round-major `(residual round, group)` → codebook table extension
+/// rows of `t`'s context decode against (row-invariant scopes only).
+fn ext_books(t: &QuantizedTensor) -> Vec<&vqllm_vq::Codebook> {
+    let books = t.codebooks();
+    (0..books.config().residuals)
+        .flat_map(|r| books.row_books(r, 0, 0..t.col_groups()))
+        .collect()
+}
+
+/// One extension pass — [`ext_scores`] / [`ext_values`] or their lattice
+/// forms: `(q or weights, books, codes, vector_size, scores or output)`.
+type ExtPass = fn(&[f32], &[&vqllm_vq::Codebook], &[CodeStream], usize, &mut [f32]);
+
+/// The (score, value) extension passes for a context's books, picked once
+/// per attention call: lattice books take the sign-aware loops; plain
+/// books one body monomorphised on the sub-vector width when codes are a
+/// byte and the width is a common one, its runtime-width instance
+/// otherwise.
+fn ext_passes(cfg: &vqllm_vq::VqConfig) -> (ExtPass, ExtPass) {
+    if cfg.lattice {
+        return (ext_scores_lattice, ext_values_lattice);
+    }
+    let byte_codes = CodeStream::width_for(cfg.index_bits()) == 1;
+    match cfg.vector_size {
+        2 if byte_codes => (ext_scores::<2>, ext_values::<2>),
+        4 if byte_codes => (ext_scores::<4>, ext_values::<4>),
+        8 if byte_codes => (ext_scores::<8>, ext_values::<8>),
+        _ => (ext_scores::<0>, ext_values::<0>),
+    }
 }
 
 /// Ragged batched attention decode over a shared quantized context
@@ -998,7 +1305,8 @@ fn ext_row_score(
 /// window spliced in after the LUT score pass. One softmax spans the
 /// whole attended sequence; the context's value pass stays the
 /// panel-blocked [`gemm_fused`], the extension's value pass is
-/// per-query [`Codebook::axpy`] expansion plus dense tail accumulation.
+/// per-query centroid expansion ([`ext_values`]; [`Codebook::axpy`] for
+/// lattice books) plus dense tail accumulation.
 ///
 /// Both context passes stop at `max(lens)`, as in
 /// [`attention_decode_ragged`], and with every extension empty the two
@@ -1068,17 +1376,16 @@ fn attention_inner(
     }
     let batch = qs.rows();
     let vs = kq.config().vector_size;
-    let groups = kq.col_groups();
+    let head_dim = qs.cols();
     // Extensions are encoded against the context's books, and extension
-    // scopes are row-invariant: one (round, group) → book table per call.
+    // scopes are row-invariant: one round-major (round, group) → book
+    // table per side per call, and one choice of pass bodies.
     let (k_books, v_books) = if exts.is_empty() {
         (Vec::new(), Vec::new())
     } else {
-        (
-            band_books(kq.codebooks(), 0, 0, groups),
-            band_books(vq.codebooks(), 0, 0, groups),
-        )
+        (ext_books(kq), ext_books(vq))
     };
+    let (score_pass, value_pass) = ext_passes(kq.config());
     let no_ext = RaggedExt::default();
 
     // Shared context score pass: one batched LUT GeMV over the rows some
@@ -1086,12 +1393,13 @@ fn attention_inner(
     let bound = lens.iter().copied().max().unwrap_or(0);
     let ctx_scores = gemv_lut_batch_rows(kq, qs, bound, blocking)?;
     let ctx_scores = ctx_scores.as_slice();
-    let scale = 1.0 / (qs.cols() as f32).sqrt();
+    let scale = 1.0 / (head_dim as f32).sqrt();
     // Query-major softmax weights over the context (exactly zero between
     // a query's prefix and the bound, so the value pass adds nothing
-    // there) and, per query, over its extension (folded + tail).
+    // there) and, query after query in one buffer, over each extension
+    // (folded + tail).
     let mut weights = Tensor2D::zeros(batch, bound);
-    let mut ext_weights: Vec<Vec<f32>> = Vec::with_capacity(batch);
+    let mut ext_weights: Vec<f32> = Vec::new();
     let mut srow: Vec<f32> = Vec::new();
     for (b, &len) in lens.iter().enumerate() {
         let ext = exts.get(b).unwrap_or(&no_ext);
@@ -1099,14 +1407,13 @@ fn attention_inner(
         // Concatenated score row: [context prefix | folded ext | f32 tail].
         srow.clear();
         srow.extend(ctx_scores.iter().skip(b).step_by(batch).take(len));
-        for row in 0..ext.rows {
-            srow.push(ext_row_score(q, &k_books, ext.k_codes, row, vs));
+        srow.resize(len + ext.rows, 0.0);
+        score_pass(q, &k_books, ext.k_codes, vs, &mut srow[len..]);
+        for (row, group, values) in ext.k_outliers.iter() {
+            let qsub = &q[group * vs..(group + 1) * vs];
+            srow[len + row] += values.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
         }
-        for o in ext.k_outliers {
-            let qsub = &q[o.group * vs..(o.group + 1) * vs];
-            srow[len + o.row] += o.values.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
-        }
-        for t in ext.k_tail {
+        for t in ext.k_tail.chunks_exact(head_dim) {
             srow.push(t.iter().zip(q).map(|(&e, &x)| e * x).sum::<f32>());
         }
         for s in srow.iter_mut() {
@@ -1116,28 +1423,23 @@ fn attention_inner(
         // The context's weights ride the shared GeMM value pass; the
         // extension's weights are applied per query below.
         weights.row_mut(b)[..len].copy_from_slice(&srow[..len]);
-        ext_weights.push(srow[len..].to_vec());
+        ext_weights.extend_from_slice(&srow[len..]);
     }
     let mut out = gemm_fused_rows(&weights, vq, blocking)?;
+    let mut ext_weights = ext_weights.as_slice();
     for (b, ext) in exts.iter().enumerate() {
-        let weights = &ext_weights[b];
+        let weights;
+        (weights, ext_weights) = ext_weights.split_at(ext.rows + ext.v_tail.len() / head_dim);
+        let (folded, tail) = weights.split_at(ext.rows);
         let orow = out.row_mut(b);
-        for (row, &w) in weights.iter().take(ext.rows).enumerate() {
-            for (stream, round_books) in ext.v_codes.iter().zip(&v_books) {
-                for (g, book) in round_books.iter().enumerate() {
-                    let code = stream[row * groups + g];
-                    book.axpy(code, w, &mut orow[g * vs..(g + 1) * vs]);
-                }
+        value_pass(folded, &v_books, ext.v_codes, vs, orow);
+        for (row, group, values) in ext.v_outliers.iter() {
+            let w = folded[row];
+            for (o, &v) in orow[group * vs..].iter_mut().zip(values) {
+                *o += w * v;
             }
         }
-        for o in ext.v_outliers {
-            let w = weights[o.row];
-            for (j, &v) in o.values.iter().enumerate() {
-                orow[o.group * vs + j] += w * v;
-            }
-        }
-        for (t, vrow) in ext.v_tail.iter().enumerate() {
-            let w = weights[ext.rows + t];
+        for (&w, vrow) in tail.iter().zip(ext.v_tail.chunks_exact(head_dim)) {
             for (o, &v) in orow.iter_mut().zip(vrow) {
                 *o += w * v;
             }
@@ -1378,13 +1680,13 @@ mod tests {
         rows: &[Vec<f32>],
         books: &vqllm_vq::CodebookSet,
         keep: f32,
-    ) -> (Vec<Vec<u32>>, Vec<OutlierResidual>, Tensor2D) {
+    ) -> (Vec<CodeStream>, OutlierBuf, Tensor2D) {
         let cfg = books.config();
         let vs = cfg.vector_size;
         let d = rows.first().map_or(0, Vec::len);
         let groups = d / vs;
-        let mut codes = vec![Vec::new(); cfg.residuals];
-        let mut outliers = Vec::new();
+        let mut codes = vec![CodeStream::new(cfg.index_bits()); cfg.residuals];
+        let mut outliers = OutlierBuf::default();
         let mut recon = Tensor2D::zeros(rows.len(), d);
         for (i, row) in rows.iter().enumerate() {
             for g in 0..groups {
@@ -1408,11 +1710,7 @@ mod tests {
                     for (dv, &rv) in dec.iter_mut().zip(&resid) {
                         *dv += rv;
                     }
-                    outliers.push(OutlierResidual {
-                        row: i,
-                        group: g,
-                        values: resid.clone(),
-                    });
+                    outliers.push(i, g, &resid);
                 }
                 recon.row_mut(i)[g * vs..(g + 1) * vs].copy_from_slice(&dec);
             }
@@ -1451,23 +1749,24 @@ mod tests {
         let (k1, ko1, krec1) = fold_rows(&ext_rows[..2], kq.codebooks(), f32::INFINITY);
         let (v1, vo1, vrec1) = fold_rows(&ext_rows[..2], vq.codebooks(), f32::INFINITY);
         assert!(ko1.is_empty() && vo1.is_empty());
-        let no_codes = vec![Vec::new(); cfg.residuals];
+        let no_codes = vec![CodeStream::new(cfg.index_bits()); cfg.residuals];
+        let (tail0, tail2) = (ext_rows[3..5].concat(), ext_rows[..4].concat());
         let exts = vec![
             RaggedExt {
                 rows: 3,
                 k_codes: &k0,
                 v_codes: &v0,
-                k_outliers: &ko0,
-                v_outliers: &vo0,
-                k_tail: &ext_rows[3..5],
-                v_tail: &ext_rows[3..5],
+                k_outliers: ko0.view(),
+                v_outliers: vo0.view(),
+                k_tail: &tail0,
+                v_tail: &tail0,
             },
             RaggedExt {
                 rows: 2,
                 k_codes: &k1,
                 v_codes: &v1,
-                k_outliers: &ko1,
-                v_outliers: &vo1,
+                k_outliers: ko1.view(),
+                v_outliers: vo1.view(),
                 k_tail: &[],
                 v_tail: &[],
             },
@@ -1475,10 +1774,10 @@ mod tests {
                 rows: 0,
                 k_codes: &no_codes,
                 v_codes: &no_codes,
-                k_outliers: &[],
-                v_outliers: &[],
-                k_tail: &ext_rows[..4],
-                v_tail: &ext_rows[..4],
+                k_outliers: Outliers::default(),
+                v_outliers: Outliers::default(),
+                k_tail: &tail2,
+                v_tail: &tail2,
             },
         ];
         let out = attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, &blocking).unwrap();
@@ -1557,10 +1856,7 @@ mod tests {
             rows: 2,
             k_codes: &k1[..0],
             v_codes: &v1,
-            k_outliers: &[],
-            v_outliers: &[],
-            k_tail: &[],
-            v_tail: &[],
+            ..RaggedExt::default()
         };
         assert!(attention_decode_ragged_tailed(
             &qs,

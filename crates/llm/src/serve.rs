@@ -91,6 +91,14 @@ pub enum KvQuantMode {
         /// group whose remaining error norm exceeds
         /// `outlier_keep_milli/1000` of the group's norm keeps its exact
         /// f32 residual (integer milli-units keep `ServeConfig: Eq`).
+        ///
+        /// What it bounds, with `keep = outlier_keep_milli / 1000`: every
+        /// folded group left to its codes alone satisfies
+        /// `‖resid‖² ≤ keep² · ‖orig‖²`, and a group past that is exact —
+        /// so a cache's fold nMSE ([`TenantKv::kv_nmse`]) is at most
+        /// `keep²`, and `keep = 0` folds without error at outlier cost
+        /// (`tenant_kv`'s `outlier_keep_bounds_each_folded_group` pins
+        /// the inequality per group).
         outlier_keep_milli: u32,
     },
 }

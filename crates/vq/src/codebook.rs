@@ -23,9 +23,10 @@ pub struct Codebook {
     lattice: bool,
     /// Element-major mirror of `entries` (`vector_size × stored_entries`):
     /// `interleaved[j · stored + c] == entries[c · vector_size + j]`.
-    /// Derived at construction; the SIMD-wide host kernels stream it so
-    /// LUT builds and aggregated expansions become contiguous FMA loops
-    /// over all stored entries instead of `vector_size`-long strided dots.
+    /// Derived at construction; [`Codebook::encode`] searches it eight
+    /// entries at a time, and the SIMD-wide host kernels stream it so LUT
+    /// builds and aggregated expansions become contiguous FMA loops over
+    /// all stored entries instead of `vector_size`-long strided dots.
     interleaved: Vec<f32>,
 }
 
@@ -57,14 +58,7 @@ impl Codebook {
                 value: vector_size,
             });
         }
-        // Lattice kernels take sign-aware paths over `entries_flat` and
-        // never read the mirror — skip it rather than double their
-        // centroid memory.
-        let interleaved = if lattice {
-            Vec::new()
-        } else {
-            Self::interleave(&entries, vector_size)
-        };
+        let interleaved = Self::interleave(&entries, vector_size);
         Ok(Codebook {
             vector_size,
             entries,
@@ -75,13 +69,8 @@ impl Codebook {
 
     /// Builds the element-major mirror of a `stored × vector_size` buffer.
     fn interleave(entries: &[f32], vector_size: usize) -> Vec<f32> {
-        let stored = entries.len() / vector_size;
         let mut interleaved = vec![0.0f32; entries.len()];
-        for (c, entry) in entries.chunks_exact(vector_size).enumerate() {
-            for (j, &e) in entry.iter().enumerate() {
-                interleaved[j * stored + c] = e;
-            }
-        }
+        kmeans::element_major_into(entries, vector_size, &mut interleaved);
         interleaved
     }
 
@@ -114,8 +103,9 @@ impl Codebook {
     /// reads/FMAs a dense `stored_entries`-long run that vectorizes
     /// 8-wide. Derived from [`Codebook::entries_flat`] at construction.
     ///
-    /// Empty for lattice books: their per-element sign masks rule out the
-    /// table-driven kernels, so no mirror is materialized.
+    /// Lattice books mirror their stored (unsigned) entries: the kernels'
+    /// sign-aware paths never read it, but [`Codebook::encode`]'s search
+    /// over `|v|` does.
     #[inline]
     pub fn entries_interleaved(&self) -> &[f32] {
         &self.interleaved
@@ -264,17 +254,19 @@ impl Codebook {
         assert_eq!(v.len(), self.vector_size, "input vector size");
         if self.lattice {
             let mut signs = 0u32;
-            let mut abs = vec![0.0f32; self.vector_size];
+            // `new` caps lattice vectors at 16 elements (the sign bits).
+            let mut abs = [0.0f32; 16];
+            let abs = &mut abs[..self.vector_size];
             for (j, &x) in v.iter().enumerate() {
                 if x < 0.0 {
                     signs |= 1 << j;
                 }
                 abs[j] = x.abs();
             }
-            let (base, _) = kmeans::nearest(&abs, &self.entries, self.vector_size);
+            let (base, _) = kmeans::nearest(abs, &self.interleaved, self.vector_size);
             (signs << self.stored_entries().trailing_zeros()) | base
         } else {
-            kmeans::nearest(v, &self.entries, self.vector_size).0
+            kmeans::nearest(v, &self.interleaved, self.vector_size).0
         }
     }
 
@@ -299,11 +291,7 @@ impl Codebook {
             entries[new_pos * vs..(new_pos + 1) * vs]
                 .copy_from_slice(self.stored_entry(old_id as usize));
         }
-        let interleaved = if self.lattice {
-            Vec::new()
-        } else {
-            Self::interleave(&entries, vs)
-        };
+        let interleaved = Self::interleave(&entries, vs);
         Codebook {
             vector_size: vs,
             entries,
@@ -514,9 +502,9 @@ mod tests {
         // Reordering rebuilds the mirror consistently.
         let re = book.reordered(&[2, 0, 3, 1]);
         assert_eq!(re.entries_interleaved()[0], re.stored_entry(0)[0]);
-        // Lattice books take sign-aware kernel paths and carry no mirror.
+        // Lattice books mirror their stored entries for `encode`.
         let lattice = Codebook::new(vec![1.0, 2.0, 3.0, 4.0], 2, true).unwrap();
-        assert!(lattice.entries_interleaved().is_empty());
+        assert_eq!(lattice.entries_interleaved(), [1.0, 3.0, 2.0, 4.0]);
     }
 
     #[test]

@@ -111,8 +111,7 @@ impl VqQuantizer {
                 for g in 0..col_groups {
                     let s = scope_of(row, g);
                     let book = &round_books[s];
-                    let sv: Vec<f32> = residual.row(row)[g * vs..(g + 1) * vs].to_vec();
-                    let id = book.encode(&sv);
+                    let id = book.encode(&residual.row(row)[g * vs..(g + 1) * vs]);
                     indices.push(id);
                     book.lookup(id, &mut recon);
                     let dst = residual.row_mut(row);
@@ -472,6 +471,34 @@ mod tests {
 
     fn plain_book_16() -> Codebook {
         Codebook::new((0..16 * 4).map(|i| i as f32).collect(), 4, false).unwrap()
+    }
+
+    /// Codebooks and packed codes are the ones the one-centroid-at-a-time
+    /// search produced, under every preset: the whole pipeline — k-means++
+    /// seeding, Lloyd assignment, final assignment, encode pass, lattice
+    /// sign folding, residual rounds — re-run on the oracle compares equal.
+    #[test]
+    fn quantize_is_its_oracle_driven_run_under_every_preset() {
+        use crate::{kmeans::oracle, VqAlgorithm};
+        for algo in VqAlgorithm::ALL {
+            // Smallest shape that fills every scope's codebook.
+            let (rows, cols) = match algo {
+                VqAlgorithm::QuipSharp4 | VqAlgorithm::Gptvq2 => (64, 64),
+                // 4096 entries need 4096 sub-vectors: each search pass is
+                // 16.7 M distances, minutes when unoptimised.
+                VqAlgorithm::Aqlm3 if cfg!(debug_assertions) => continue,
+                VqAlgorithm::Aqlm3 => (256, 128),
+                VqAlgorithm::Cq4 | VqAlgorithm::Cq2 => (256, 8),
+            };
+            let w = synth::correlated_channels(rows, cols, algo.config().vector_size, 0.9, 31);
+            let quantizer = VqQuantizer::new(algo.config()).with_options(KmeansOptions {
+                max_iters: 3,
+                ..KmeansOptions::default()
+            });
+            let got = quantizer.quantize(&w, 5).unwrap();
+            let want = oracle::with(|| quantizer.quantize(&w, 5)).unwrap();
+            assert!(got == want, "{algo}: codebooks or codes moved");
+        }
     }
 
     #[test]

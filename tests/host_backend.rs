@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vq_llm::kernels::host_exec::{self, HostBlocking, OutlierResidual, RaggedExt};
+use vq_llm::kernels::host_exec::{self, CodeStream, HostBlocking, OutlierBuf, RaggedExt};
 use vq_llm::tensor::{linalg, metrics, synth, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
-use vq_llm::vq::{QuantizedTensor, VqQuantizer};
+use vq_llm::vq::{Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqQuantizer};
 use vq_llm::{Backend, BackendKind, ComputeOp, CpuBackend, GpuSpec, KernelPlan, Session, VqConfig};
 
 /// The randomized configuration space: residuals × scopes × lattice.
@@ -346,48 +346,111 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+fn f32s(n: usize, rng: &mut u64) -> Vec<f32> {
+    (0..n)
+        .map(|_| (splitmix(rng) % 2001) as f32 / 1000.0 - 1.0)
+        .collect()
+}
+
+/// The extension-pass grid of the tailed parity test: the old
+/// 4-wide / 16-entry cases first (`bounded_config`'s row-invariant
+/// scopes × rounds), then one case per extension body — each
+/// monomorphised sub-vector width at a one-byte and at a sub-byte index,
+/// the runtime-width instance (a 16-wide sub-vector; a 9-bit index, two
+/// bytes a code) and the lattice loops (8- and 16-bit ids). `true` marks
+/// a context assembled from random parts: these shapes hold too few
+/// sub-vectors per scope to train its books.
+fn tailed_config(case: usize) -> (VqConfig, bool) {
+    let group = |channels| CodebookScope::PerChannelGroup { channels };
+    match case {
+        0..=3 => (bounded_config(case % 2 + 3 * (case / 2)), false),
+        4 => (vq_llm::VqAlgorithm::Cq4.config(), true),
+        5 => (VqConfig::new(2, 16, 2, group(2)).unwrap(), false),
+        6 => (VqConfig::new(4, 256, 1, group(4)).unwrap(), true),
+        7 => (
+            VqConfig::new(8, 256, 2, CodebookScope::PerTensor).unwrap(),
+            true,
+        ),
+        8 => (VqConfig::new(8, 16, 1, group(8)).unwrap(), false),
+        9 => (VqConfig::new(16, 16, 1, group(16)).unwrap(), false),
+        10 => (
+            VqConfig::new(4, 512, 1, CodebookScope::PerTensor).unwrap(),
+            true,
+        ),
+        11 => (
+            VqConfig::new_lattice(4, 256, 16, 2, CodebookScope::PerTensor).unwrap(),
+            false,
+        ),
+        _ => (
+            VqConfig::new_lattice(8, 65_536, 256, 1, CodebookScope::PerTensor).unwrap(),
+            true,
+        ),
+    }
+}
+const TAILED_CONFIGS: usize = 13;
+
+/// A quantized tensor assembled from random codebooks and random codes —
+/// no training, so any entry count fits any shape.
+fn synthetic(cfg: VqConfig, rows: usize, cols: usize, seed: u64) -> QuantizedTensor {
+    let mut rng = seed ^ 0x5717;
+    let scopes = CodebookSet::num_scopes(&cfg, (rows, cols));
+    let books = (0..cfg.residuals)
+        .map(|_| {
+            (0..scopes)
+                .map(|_| {
+                    let entries = f32s(cfg.stored_entries() * cfg.vector_size, &mut rng);
+                    Codebook::new(entries, cfg.vector_size, cfg.lattice).unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    let set = CodebookSet::new(cfg, (rows, cols), books).unwrap();
+    let streams = (0..cfg.residuals)
+        .map(|_| {
+            let codes: Vec<u32> = (0..rows * cols / cfg.vector_size)
+                .map(|_| (splitmix(&mut rng) % cfg.num_entries as u64) as u32)
+                .collect();
+            PackedIndices::pack(&codes, cfg.index_bits() as u8).unwrap()
+        })
+        .collect();
+    QuantizedTensor::from_parts(set, streams).unwrap()
+}
+
 /// Owned storage behind one query's [`RaggedExt`].
-#[derive(Default)]
 struct ExtData {
     rows: usize,
-    k_codes: Vec<Vec<u32>>,
-    v_codes: Vec<Vec<u32>>,
-    k_outliers: Vec<OutlierResidual>,
-    v_outliers: Vec<OutlierResidual>,
-    k_tail: Vec<Vec<f32>>,
-    v_tail: Vec<Vec<f32>>,
+    k_codes: Vec<CodeStream>,
+    v_codes: Vec<CodeStream>,
+    k_outliers: OutlierBuf,
+    v_outliers: OutlierBuf,
+    k_tail: Vec<f32>,
+    v_tail: Vec<f32>,
 }
 
 impl ExtData {
-    /// 0..=3 folded rows of random codes, an outlier residual on about a
-    /// quarter of their groups, 0..=2 f32 tail rows.
+    /// 0..=9 folded rows of random codes (every remainder of the kernels'
+    /// row block, and none), an outlier residual on about a quarter of
+    /// their groups, 0..=2 f32 tail rows.
     fn random(cfg: &VqConfig, head_dim: usize, rng: &mut u64) -> ExtData {
         let groups = head_dim / cfg.vector_size;
-        let rows = (splitmix(rng) % 4) as usize;
-        let f32s = |n: usize, rng: &mut u64| -> Vec<f32> {
-            (0..n)
-                .map(|_| (splitmix(rng) % 2001) as f32 / 1000.0 - 1.0)
-                .collect()
-        };
-        let codes = |rng: &mut u64| -> Vec<Vec<u32>> {
+        let rows = (splitmix(rng) % 10) as usize;
+        let codes = |rng: &mut u64| -> Vec<CodeStream> {
             (0..cfg.residuals)
                 .map(|_| {
-                    (0..rows * groups)
-                        .map(|_| (splitmix(rng) % cfg.num_entries as u64) as u32)
-                        .collect()
+                    let mut stream = CodeStream::new(cfg.index_bits());
+                    for _ in 0..rows * groups {
+                        stream.push((splitmix(rng) % cfg.num_entries as u64) as u32);
+                    }
+                    stream
                 })
                 .collect()
         };
         let (k_codes, v_codes) = (codes(rng), codes(rng));
-        let outliers = |rng: &mut u64| -> Vec<OutlierResidual> {
-            let mut out = Vec::new();
+        let outliers = |rng: &mut u64| -> OutlierBuf {
+            let mut out = OutlierBuf::default();
             for i in 0..rows * groups {
                 if splitmix(rng).is_multiple_of(4) {
-                    out.push(OutlierResidual {
-                        row: i / groups,
-                        group: i % groups,
-                        values: f32s(cfg.vector_size, rng),
-                    });
+                    out.push(i / groups, i % groups, &f32s(cfg.vector_size, rng));
                 }
             }
             out
@@ -400,8 +463,8 @@ impl ExtData {
             v_codes,
             k_outliers,
             v_outliers,
-            k_tail: (0..tail).map(|_| f32s(head_dim, rng)).collect(),
-            v_tail: (0..tail).map(|_| f32s(head_dim, rng)).collect(),
+            k_tail: f32s(tail * head_dim, rng),
+            v_tail: f32s(tail * head_dim, rng),
         }
     }
 
@@ -410,8 +473,8 @@ impl ExtData {
             rows: self.rows,
             k_codes: &self.k_codes,
             v_codes: &self.v_codes,
-            k_outliers: &self.k_outliers,
-            v_outliers: &self.v_outliers,
+            k_outliers: self.k_outliers.view(),
+            v_outliers: self.v_outliers.view(),
             k_tail: &self.k_tail,
             v_tail: &self.v_tail,
         }
@@ -423,8 +486,8 @@ impl ExtData {
 /// scores **every** context row, the matrix is transposed, each query's
 /// row is scaled and softmaxed over its prefix (+ extension) with exact
 /// zeros behind it, and `gemm_fused` multiplies **every** V row.
-/// Non-lattice books only; with all-default `exts` this is the plain
-/// ragged composition.
+/// A lattice code's entry is materialised (signs applied) before the same
+/// dot. With all-default `exts` this is the plain ragged composition.
 fn full_range_attention(
     qs: &Tensor2D,
     lens: &[usize],
@@ -436,6 +499,7 @@ fn full_range_attention(
     let vs = kq.config().vector_size;
     let groups = kq.col_groups();
     let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&e, &x)| e * x).sum::<f32>();
+    let mut signed = vec![0.0f32; vs];
     let mut scores = host_exec::gemv_lut_batch(kq, qs, blocking)
         .unwrap()
         .transposed();
@@ -450,16 +514,22 @@ fn full_range_attention(
                 for g in 0..groups {
                     let books = kq.codebooks();
                     let book = books.book(r, books.scope_index(0, g * vs));
-                    let entry = book.stored_entry(stream[row * groups + g] as usize);
+                    let code = stream.get(row * groups + g);
+                    let entry = if book.is_lattice() {
+                        book.lookup(code, &mut signed);
+                        &signed
+                    } else {
+                        book.stored_entry(code as usize)
+                    };
                     acc += dot(entry, &q[g * vs..(g + 1) * vs]);
                 }
             }
             srow.push(acc);
         }
-        for o in ext.k_outliers {
-            srow[len + o.row] += dot(&o.values, &q[o.group * vs..(o.group + 1) * vs]);
+        for (row, group, values) in ext.k_outliers.iter() {
+            srow[len + row] += dot(values, &q[group * vs..(group + 1) * vs]);
         }
-        for t in ext.k_tail {
+        for t in ext.k_tail.chunks_exact(qs.cols()) {
             srow.push(dot(t, q));
         }
         for s in srow.iter_mut() {
@@ -480,16 +550,17 @@ fn full_range_attention(
                 for g in 0..groups {
                     let books = vq.codebooks();
                     let book = books.book(r, books.scope_index(0, g * vs));
-                    book.axpy(stream[row * groups + g], w, &mut orow[g * vs..(g + 1) * vs]);
+                    let code = stream.get(row * groups + g);
+                    book.axpy(code, w, &mut orow[g * vs..(g + 1) * vs]);
                 }
             }
         }
-        for o in ext.v_outliers {
-            for (j, &v) in o.values.iter().enumerate() {
-                orow[o.group * vs + j] += weights[o.row] * v;
+        for (row, group, values) in ext.v_outliers.iter() {
+            for (j, &v) in values.iter().enumerate() {
+                orow[group * vs + j] += weights[row] * v;
             }
         }
-        for (t, vrow) in ext.v_tail.iter().enumerate() {
+        for (t, vrow) in ext.v_tail.chunks_exact(qs.cols()).enumerate() {
             for (o, &v) in orow.iter_mut().zip(vrow) {
                 *o += weights[ext.rows + t] * v;
             }
@@ -502,15 +573,16 @@ fn full_range_attention(
 /// queries, and random prefix lengths — *not* forced to reach `seq`, so
 /// the bound the kernels stop at is usually inside the cache.
 fn bounded_case(
-    cfg: VqConfig,
+    (cfg, synthetic_parts): (VqConfig, bool),
     rows_i: usize,
     cols_i: usize,
     batch: usize,
     seed: u64,
 ) -> (QuantizedTensor, QuantizedTensor, Tensor2D, Vec<usize>, u64) {
     let (seq, head_dim) = dims(rows_i, cols_i);
-    let kq = quantize(cfg, seq, head_dim, seed);
-    let vq = quantize(cfg, seq, head_dim, seed ^ 0x1212);
+    let build = if synthetic_parts { synthetic } else { quantize };
+    let kq = build(cfg, seq, head_dim, seed);
+    let vq = build(cfg, seq, head_dim, seed ^ 0x1212);
     let qs = Tensor2D::from_fn(batch, head_dim, |b, d| {
         ((b * 29 + d) as f32 * 0.31 + seed as f32).sin()
     });
@@ -536,7 +608,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let cfg = bounded_config(case);
-        let (kq, vq, qs, lens, _) = bounded_case(cfg, rows_i, cols_i, batch, seed);
+        let (kq, vq, qs, lens, _) = bounded_case((cfg, false), rows_i, cols_i, batch, seed);
         let blocking = bounded_blocking(blocking_i);
         let out = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
         let none = vec![RaggedExt::default(); batch];
@@ -553,22 +625,22 @@ proptest! {
         }
     }
 
-    /// The same for `attention_decode_ragged_tailed` with random non-empty
-    /// extensions (row-invariant scopes: per-tile books cannot take
-    /// extensions); and with every extension empty it stays the plain
-    /// ragged kernel.
+    /// The same for `attention_decode_ragged_tailed` with random
+    /// extensions under every extension-pass body (`tailed_config`;
+    /// row-invariant scopes: per-tile books cannot take extensions); and
+    /// with every extension empty it stays the plain ragged kernel.
     #[test]
     fn bounded_tailed_attention_is_bitwise_full_range_and_solo(
-        scope_i in 0usize..2,
-        residuals_i in 0usize..2,
+        config_i in 0usize..TAILED_CONFIGS,
         rows_i in 0usize..3,
         cols_i in 0usize..2,
         batch in 1usize..=8,
         blocking_i in 0usize..6,
         seed in 0u64..500,
     ) {
-        let cfg = bounded_config(scope_i + 3 * residuals_i);
-        let (kq, vq, qs, lens, mut rng) = bounded_case(cfg, rows_i, cols_i, batch, seed);
+        let (cfg, synthetic_parts) = tailed_config(config_i);
+        let (kq, vq, qs, lens, mut rng) =
+            bounded_case((cfg, synthetic_parts), rows_i, cols_i, batch, seed);
         let blocking = bounded_blocking(blocking_i);
         let data: Vec<ExtData> = (0..batch)
             .map(|_| ExtData::random(&cfg, qs.cols(), &mut rng))

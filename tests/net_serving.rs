@@ -483,17 +483,19 @@ fn slow_reader_is_evicted_and_its_tickets_cancelled() {
         loopback_with(engine, vec![h], AdmissionConfig::default(), net).expect("bind loopback");
     let client = server.client().clone();
 
-    // Submit enough streamed tokens to overrun both the socket buffers
-    // and the 8-frame writer queue, then never read a byte.
+    // Never read a byte, and keep asking for streamed tokens until the
+    // server gives up on us: however much the kernel's loopback buffers
+    // grow to absorb, the frames owed eventually back up into the 8-frame
+    // writer queue. A submit the server refuses still costs it a frame; a
+    // write that fails or stalls means it has stopped listening, and the
+    // counter says why.
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .expect("write timeout");
     let mut writer = stream.try_clone().expect("clone socket");
-    for i in 0..24u64 {
-        let line = proto::submit_line(0, i, &query(i), 8, 240, 0, None, true);
-        writeln!(writer, "{line}").expect("send submit");
-    }
-
-    // The connection must be evicted as a slow reader.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let mut next_id = 0u64;
     loop {
         let m = client.metrics();
         let slow = m
@@ -508,6 +510,13 @@ fn slow_reader_is_evicted_and_its_tickets_cancelled() {
             std::time::Instant::now() < deadline,
             "slow reader never evicted: {m:?}"
         );
+        for _ in 0..8 {
+            let line = proto::submit_line(0, next_id, &query(next_id), 8, 240, 0, None, true);
+            if writeln!(writer, "{line}").is_err() {
+                break;
+            }
+            next_id += 1;
+        }
         std::thread::sleep(Duration::from_millis(10));
     }
 
