@@ -90,7 +90,7 @@ pub const SITES: &[(&str, &str)] = &[
     ),
     (
         "host.attention_ragged",
-        "ragged shared-K attention entry (plain and tailed variants)",
+        "ragged shared-K attention entry (plain and tailed variants) and its value-pass column chunks",
     ),
 ];
 

@@ -647,9 +647,10 @@ impl Backend for CpuBackend {
                 what: "empty query batch",
             });
         }
-        // The real batched kernel: K's packed codes are decoded once for
-        // the whole batch (gemv_lut_batch) and the value pass rides the
-        // panel-blocked GeMM.
+        // The real batched kernel: K's packed codes are streamed once for
+        // a whole lane block of queries (the batched LUT pass), and the
+        // value pass multiply-adds V's codebook entries straight into
+        // per-lane register accumulators.
         let out = host_exec::attention_decode_batch(qs, kq, vq, &self.blocking(plan))?;
         Ok((out, self.output_for(gpu, plan, kq)))
     }

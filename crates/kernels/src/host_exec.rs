@@ -4,7 +4,8 @@
 //! cache-resident and fuse dequantization into the consuming op) mapped
 //! onto the host memory hierarchy. No kernel here ever materializes the
 //! dequantized weight matrix; every inner loop reads **packed codes**
-//! (via [`PackedIndices::unpack_block`]) and small cache-resident tables:
+//! (via [`PackedIndices::unpack_block`], or as the stream's own bytes when
+//! an index is eight bits wide) and small cache-resident tables:
 //!
 //! * [`gemv_lut`] — `y = dequant(Wq) · x`: per-(scope, residual) lookup
 //!   tables of `x`-sub-vector · centroid partial dots (the decode-centric
@@ -13,9 +14,9 @@
 //!   ([`simd::lut_row_sum`]).
 //! * [`gemv_lut_batch`] — the same LUT kernel over a **batch** of
 //!   activations (the serving-layer multi-token decode shape): one shared
-//!   code decode per weight row feeds batch-interleaved LUT slabs, so a
-//!   packed code costs one B-wide load and one add into sums that a small
-//!   row block keeps in registers across the whole group block
+//!   pass over the packed codes of a weight row feeds lane-interleaved LUT
+//!   slabs, so a packed code costs one load and one add into sums that a
+//!   small row block keeps in registers across the whole group block
 //!   ([`simd::lut_batch_accumulate`]).
 //! * [`gemv_xw`] — `y = xᵀ · dequant(Wq)` (the [`Backend`] GeMV contract,
 //!   where sub-vectors run along the *output* axis): the dual trick —
@@ -26,14 +27,67 @@
 //!   worker decodes a K-panel of its column strip once (all residual
 //!   rounds folded, never the full matrix) and reuses it across an M×N
 //!   register-blocked micro-kernel, instead of re-decoding per output row.
-//! * [`attention_decode_fused`] / [`attention_decode_batch`] — decode
-//!   heads over quantized K/V: the K-side score pass *is* the LUT GeMV
-//!   (batched for multi-query), the V-side weighted sum *is* the
-//!   aggregation GeMV (the batch variant rides the panel-blocked GeMM).
-//! * [`attention_decode_ragged`] / [`attention_decode_ragged_tailed`] —
-//!   the serving shapes (per-query prefixes, plus private live-KV
-//!   extensions): the same two passes, **bounded to the longest attended
-//!   prefix** — packed K/V rows no query attends are never streamed.
+//!   The linear layer's kernel.
+//! * [`attention_decode_fused`] — one decode head over quantized K/V: the
+//!   K-side score pass *is* the LUT GeMV, the V-side weighted sum *is* the
+//!   aggregation GeMV.
+//! * [`attention_decode_batch`] / [`attention_decode_ragged`] /
+//!   [`attention_decode_ragged_tailed`] — the serving shapes (a batch of
+//!   queries over one shared cache; per-query prefixes; plus private
+//!   live-KV extensions), one body. See below.
+//!
+//! # Batched attention: three stages in one buffer
+//!
+//! The paper's dataflow is codebook-centric with **register-level** fusion:
+//! a dequantized value goes from the codebook cache into the consuming
+//! instruction, never through memory. The batched attention body
+//! ([`attention_lanes`]) is that on the host. Up to [`simd::LANES`] queries
+//! ride the lanes of one vector; a block of `w` of them is padded to
+//! `W = `[`simd::padded_lanes`]`(w)` ∈ {1, 2, 4, 8} and works in one
+//! token-major buffer of `bound × W` floats (`bound`: the longest prefix a
+//! lane attends — packed K/V rows no query attends are never streamed):
+//!
+//! 1. **Score** ([`lut_scores`]): the batched LUT pass writes
+//!    `q_b · dequant(K)[t]` into `buf[t][b]`.
+//! 2. **Softmax** ([`simd::softmax_lanes`]): lane-wise and in place. Each
+//!    lane takes the maximum over its own prefix and private rows, then
+//!    every score becomes the numerator `exp(s·scale − max)` through one
+//!    polynomial [`simd::exp`]; rows past a lane's prefix become exactly
+//!    +0.0. The normalising sum is kept per lane and divides last.
+//! 3. **Value** ([`value_lanes`] → [`simd::value_accumulate`]): column
+//!    groups outermost — a block's codebooks are its L1-resident codebook
+//!    cache, its `vector_size × groups` output elements × `W` lanes its
+//!    register-resident accumulators — and the rows are streamed once per
+//!    block: per packed V code, `vector_size` broadcasts from
+//!    [`Codebook::entries_flat`] and as many multiply-adds by the row's
+//!    weight vector `buf[t]`. No row is decoded, no panel exists, nothing
+//!    is transposed or gathered between the stages.
+//!
+//! **The one summation order.** For every configuration, batch width,
+//! lane position, thread count and [`HostBlocking`], query `b`'s bytes are
+//! these and no others:
+//!
+//! * a context score is the [`gemv_lut_batch`] sum: per residual round, LUT
+//!   slots added left to right over the column groups (lattice books: the
+//!   signed dots, in the same order);
+//! * maximum, then numerators and their sum, run in row order over
+//!   [context prefix | folded extension rows | f32 tail rows];
+//! * every output element is **one** chain of multiply-adds from +0.0 over
+//!   the same rows — a context row contributes `weight · entry` once per
+//!   residual round, rounds in order (fused on the AVX2 tier, multiply then
+//!   add on the scalar one); folded rows, their outlier residuals and the
+//!   tail rows continue it with `+= weight · value` ([`ext_values`]) — and
+//!   is divided by the lane's sum.
+//!
+//! Zero-weight rows between a lane's prefix and the bound add exact zeros,
+//! so solo ≡ batched ≡ tailed-with-empty-extensions bit for bit, and since
+//! no sum is ever split by a block, panel or worker boundary, a replan
+//! cannot move a byte. The register-resident kernels cover plain books of
+//! 256 entries with one-byte codes (score) and, on the AVX2 tier, one
+//! residual round of 2-, 4- or 8-wide entries (value); every other shape —
+//! lattice signs, other index widths, other sub-vector widths, more rounds
+//! — runs the same chains through the generic lane-array bodies, the split
+//! [`ext_passes`] makes for private rows.
 //!
 //! A live-KV extension ([`RaggedExt`]) is private to one query, so there
 //! is no batch to share a LUT across: its rows are decoded per code,
@@ -46,10 +100,7 @@
 //! `vector_size` multiply-adds, with a few rows' sums in flight. The
 //! `(residual round, group) → codebook` table those loops index is built
 //! once per attention call from the context's [`CodebookSet`] (extension
-//! scopes are row-invariant); the caches keep only the codes. The loops'
-//! arithmetic — every product, and the order each sum takes them in — is
-//! the per-code loops' they replaced, so a lane's bytes do not depend on
-//! which body ran.
+//! scopes are row-invariant); the caches keep only the codes.
 //!
 //! [`Codebook::entries_flat`]: vqllm_vq::Codebook::entries_flat
 //! [`CodebookSet`]: vqllm_vq::CodebookSet
@@ -62,8 +113,8 @@
 //! through a channel, so a parallel kernel call costs two queue pushes,
 //! not N thread spawns. Inner loops dispatch through [`simd`]: AVX2 + FMA
 //! when the CPU has them, 8-wide unrolled scalar lanes otherwise — per
-//! primitive for the dense ones, once per kernel call for the batched LUT
-//! pass, whose per-code work is too small to carry a dispatch.
+//! primitive for the dense ones, once per kernel call for the attention
+//! stages, whose per-code work is too small to carry a dispatch.
 //!
 //! [`Backend`]: crate::backend::Backend
 //! [`PackedIndices::unpack_block`]: vqllm_vq::PackedIndices::unpack_block
@@ -191,15 +242,16 @@ fn failpoint(site: &'static str) -> Result<()> {
 ///
 /// Returns [`KernelError::Panicked`] (tagged with `site`) if a chunk job
 /// panicked; the panic is contained by the pool, not re-raised.
-fn parallel_row_chunks<F>(
-    data: &mut [f32],
+fn parallel_row_chunks<T, F>(
+    data: &mut [T],
     row_width: usize,
     threads: usize,
     site: &'static str,
     f: F,
 ) -> Result<()>
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     let rows = data.len() / row_width.max(1);
     let workers = threads.max(1).min(rows.max(1));
@@ -326,10 +378,10 @@ pub fn gemv_lut(wq: &QuantizedTensor, x: &[f32], blocking: &HostBlocking) -> Res
 ///
 /// This is the serving-layer multi-token decode shape: the packed-code
 /// decode — the per-row cost [`gemv_lut`] pays once per activation — is
-/// shared across the whole batch, and the LUT slab is **batch-interleaved**
-/// (`lut[(g·stored + code)·B..][..B]`; a batch wider than
-/// [`simd::LANES`] is taken a lane block at a time) so a packed code costs
-/// a single contiguous B-wide load and add
+/// shared across the whole batch, and the LUT slab is **lane-interleaved**
+/// (one slot of [`simd::padded_lanes`] partial dots per (group, code); a
+/// batch wider than [`simd::LANES`] is taken a lane block at a time) so a
+/// packed code costs a single contiguous load and add
 /// ([`simd::lut_batch_accumulate`]) instead of B scattered gathers.
 /// Lattice books fall back to the fused sign-aware path per batch lane.
 ///
@@ -341,57 +393,100 @@ pub fn gemv_lut_batch(
     xs: &Tensor2D,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
-    gemv_lut_batch_rows(wq, xs, wq.shape().0, blocking)
-}
-
-/// Rows `[0, row_end)` of [`gemv_lut_batch`] (`row_end × batch`). Output
-/// rows are independent of one another and codebook bands keep the
-/// boundaries of the full tensor, so every row computed is bitwise the
-/// row the full-range call computes.
-fn gemv_lut_batch_rows(
-    wq: &QuantizedTensor,
-    xs: &Tensor2D,
-    row_end: usize,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
     let (rows, cols) = wq.shape();
     if xs.cols() != cols {
         return Err(KernelError::ShapeMismatch {
             what: "batch activation cols must equal quantized cols",
         });
     }
-    if row_end > rows {
-        return Err(KernelError::ShapeMismatch {
-            what: "row bound must not exceed quantized rows",
-        });
-    }
     let batch = xs.rows();
-    let mut y = Tensor2D::zeros(row_end, batch);
-    if batch == 0 {
-        return Ok(y);
+    let mut y = Tensor2D::zeros(rows, batch);
+    for l0 in (0..batch).step_by(simd::LANES) {
+        let w = (batch - l0).min(simd::LANES);
+        simd::with_padded_lanes!(
+            simd::padded_lanes(w), lut_scores_into;
+            wq, xs, l0, w, blocking, &mut y
+        )?;
     }
+    Ok(y)
+}
+
+/// Lanes `[l0, l0 + w)` of [`gemv_lut_batch`], written into `y`.
+fn lut_scores_into<const W: usize>(
+    wq: &QuantizedTensor,
+    xs: &Tensor2D,
+    l0: usize,
+    w: usize,
+    blocking: &HostBlocking,
+    y: &mut Tensor2D,
+) -> Result<()> {
+    let scores = lut_scores::<W>(wq, xs, l0, w, wq.shape().0, blocking)?;
+    simd::with_lanes!(w, copy_lanes, W; y.as_mut_slice(), xs.rows(), l0, &scores);
+    Ok(())
+}
+
+/// Lanes `[0, N)` of every row of `scores` into columns `[l0, l0 + N)` of
+/// `y` (`batch` columns). `N` is a constant so a row is a few moves, where
+/// a runtime length would make it a `memcpy` call.
+fn copy_lanes<const N: usize, const W: usize>(
+    y: &mut [f32],
+    batch: usize,
+    l0: usize,
+    scores: &[[f32; W]],
+) {
+    for (yrow, lanes) in y.chunks_exact_mut(batch).zip(scores) {
+        yrow[l0..l0 + N].copy_from_slice(&lanes[..N]);
+    }
+}
+
+/// The score pass of one padded lane block: rows `[0, row_end)` of
+/// [`gemv_lut_batch`] for activation lanes `[l0, l0 + w)` of `xs`,
+/// token-major in `W = padded_lanes(w)` lanes (the padding lanes score a
+/// zero activation). Output rows are independent of one another and
+/// codebook bands keep the boundaries of the full tensor, so every row
+/// computed is bitwise the row the full-range call computes — and each
+/// lane's sum is its own chain, so neither `W` nor the lane's position in
+/// the block can be read from it.
+fn lut_scores<const W: usize>(
+    wq: &QuantizedTensor,
+    xs: &Tensor2D,
+    l0: usize,
+    w: usize,
+    row_end: usize,
+    blocking: &HostBlocking,
+) -> Result<Vec<[f32; W]>> {
     let vq = *wq.config();
     let vs = vq.vector_size;
     let groups = wq.col_groups();
     let stored = vq.stored_entries();
     let books = wq.codebooks();
     let band = books.band_rows();
+    let mut y = vec![[0.0f32; W]; row_end];
+    // Lane-interleaved LUT: one partial dot per lane in every (group,
+    // code) slot, one fused build per group over the interleaved codebook
+    // layout (`xt`: that group's activation sub-vectors, element-major).
+    let mut lut = vec![[0.0f32; W]; if vq.lattice { 0 } else { groups * stored }];
+    let mut xt = vec![[0.0f32; W]; vs];
+    // Group blocks are sized to the outer budget: a slot this wide leaves
+    // the slab room for a group or two, and every block is one more sweep
+    // over all the packed rows, reloading every sum.
+    let gb = blocking.outer().group_block(stored * W, groups);
 
     let mut band_start = 0;
     while band_start < row_end {
         let band_len = band.min(row_end - band_start);
-        let band_out = &mut y.as_mut_slice()[band_start * batch..(band_start + band_len) * batch];
+        let band_out = &mut y[band_start..band_start + band_len];
         for r in 0..vq.residuals {
             let stream = wq.index_stream(r);
             if vq.lattice {
                 parallel_row_chunks(
                     band_out,
-                    batch,
+                    1,
                     blocking.threads,
                     "host.gemv_lut_batch",
                     |first, chunk| {
                         let mut codes = vec![0u32; groups];
-                        for (local, yrow) in chunk.chunks_mut(batch).enumerate() {
+                        for (local, yrow) in chunk.iter_mut().enumerate() {
                             let row = band_start + first + local;
                             stream.unpack_block(row * groups, &mut codes);
                             for (g, &code) in codes.iter().enumerate() {
@@ -399,59 +494,44 @@ fn gemv_lut_batch_rows(
                                 let base = book.stored_id_of(code) as usize;
                                 let signs = code >> book.sign_shift();
                                 let entry = &book.entries_flat()[base * vs..(base + 1) * vs];
-                                for (b, out) in yrow.iter_mut().enumerate() {
-                                    *out +=
-                                        signed_dot(entry, &xs.row(b)[g * vs..(g + 1) * vs], signs);
+                                for (b, out) in yrow[..w].iter_mut().enumerate() {
+                                    let x = &xs.row(l0 + b)[g * vs..(g + 1) * vs];
+                                    *out += signed_dot(entry, x, signs);
                                 }
                             }
                         }
                     },
                 )?;
             } else {
-                // Lane-interleaved LUT: one contiguous partial dot per
-                // batch lane in every (group, code) slot, one fused build
-                // per group over the interleaved codebook layout (`xt`:
-                // that group's activation sub-vectors, element-major). A
-                // batch wider than the SIMD lanes takes one pass per lane
-                // block, so slot width is what the accumulators hold; the
-                // packed rows are decoded once per block (`host_speedup`
-                // times batch 16 beside batch 8).
-                let mut lut = vec![0.0f32; groups * stored * batch.min(simd::LANES)];
-                let mut xt = vec![0.0f32; vs * batch.min(simd::LANES)];
-                for l0 in (0..batch).step_by(simd::LANES) {
-                    let w = (batch - l0).min(simd::LANES);
-                    let xt = &mut xt[..vs * w];
-                    let slabs = lut[..groups * stored * w].chunks_exact_mut(stored * w);
-                    for (g, gslab) in slabs.enumerate() {
-                        for (j, xj) in xt.chunks_exact_mut(w).enumerate() {
-                            for (b, x) in xj.iter_mut().enumerate() {
-                                *x = xs.row(l0 + b)[g * vs + j];
-                            }
+                for (g, gslab) in lut.chunks_exact_mut(stored).enumerate() {
+                    for (j, xj) in xt.iter_mut().enumerate() {
+                        for (b, x) in xj[..w].iter_mut().enumerate() {
+                            *x = xs.row(l0 + b)[g * vs + j];
                         }
-                        let book = books.book(r, books.scope_index(band_start, g * vs));
-                        simd::lut_batch_build(gslab, book.entries_interleaved(), xt, w);
                     }
-                    let lut = &lut[..groups * stored * w];
-                    // Group blocks are sized to the outer budget: a slot
-                    // this wide leaves the slab room for a group or two,
-                    // and every block is one more sweep over all the
-                    // packed rows — decoding them and reloading every sum.
-                    let gb = blocking.outer().group_block(stored * w, groups);
-                    parallel_row_chunks(
-                        band_out,
-                        batch,
-                        blocking.threads,
-                        "host.gemv_lut_batch",
-                        |first, chunk| {
-                            let codes = simd::RowCodes {
-                                stream,
-                                first: (band_start + first) * groups,
-                                groups,
-                            };
-                            simd::lut_batch_accumulate(chunk, batch, l0, lut, stored, codes, gb);
-                        },
-                    )?;
+                    let book = books.book(r, books.scope_index(band_start, g * vs));
+                    simd::lut_batch_build(
+                        gslab.as_flattened_mut(),
+                        book.entries_interleaved(),
+                        xt.as_flattened(),
+                        W,
+                    );
                 }
+                let lut = lut.as_slice();
+                parallel_row_chunks(
+                    band_out,
+                    1,
+                    blocking.threads,
+                    "host.gemv_lut_batch",
+                    |first, chunk| {
+                        let codes = simd::RowCodes {
+                            stream,
+                            first: (band_start + first) * groups,
+                            groups,
+                        };
+                        simd::lut_batch_accumulate(chunk, lut, stored, codes, gb);
+                    },
+                )?;
             }
         }
         band_start += band_len;
@@ -599,29 +679,10 @@ use simd::{GEMM_MR, GEMM_NR};
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `a.cols() != wq.rows`.
 pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Tensor2D> {
+    failpoint("host.gemm_fused")?;
     if a.cols() != wq.shape().0 {
         return Err(KernelError::ShapeMismatch {
             what: "A.cols must equal quantized weight rows",
-        });
-    }
-    gemm_fused_rows(a, wq, blocking)
-}
-
-/// [`gemm_fused`] over weight rows `[0, a.cols())` only: `C = A ×
-/// dequant(Wq)[..a.cols()]`. Band and K-panel boundaries stay those of
-/// the full weight and the micro-kernel is one sequential accumulator
-/// chain per output, so the result is bitwise what [`gemm_fused`] returns
-/// for `A` zero-padded to the full depth (finite weights: the dropped
-/// terms are exact zeros).
-fn gemm_fused_rows(
-    a: &Tensor2D,
-    wq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    failpoint("host.gemm_fused")?;
-    if a.cols() > wq.shape().0 {
-        return Err(KernelError::ShapeMismatch {
-            what: "A.cols must not exceed quantized weight rows",
         });
     }
     let n = wq.shape().1;
@@ -665,9 +726,8 @@ fn gemm_fused_rows(
     Ok(c)
 }
 
-/// One worker's share of [`gemm_fused_rows`]: groups `[gs, ge)` of the
-/// weight over its rows `[0, a.cols())`, accumulated into `cs`
-/// (`m × (ge-gs)·vs`, row-major).
+/// One worker's share of [`gemm_fused`]: groups `[gs, ge)` of the weight,
+/// accumulated into `cs` (`m × (ge-gs)·vs`, row-major).
 fn gemm_strip(
     a: &Tensor2D,
     wq: &QuantizedTensor,
@@ -677,7 +737,6 @@ fn gemm_strip(
     cs: &mut [f32],
 ) {
     let (k, _) = wq.shape();
-    let k_end = a.cols();
     let m = a.rows();
     let vq = *wq.config();
     let vs = vq.vector_size;
@@ -700,8 +759,8 @@ fn gemm_strip(
     let mut codes = vec![0u32; sw];
 
     let mut band_start = 0;
-    while band_start < k_end {
-        let band_len = band.min(k_end - band_start);
+    while band_start < k {
+        let band_len = band.min(k - band_start);
         let strip_books = band_books(books, band_start, gs, ge);
         let mut p0 = 0;
         while p0 < band_len {
@@ -838,10 +897,9 @@ pub fn attention_decode_fused(
 /// (`batch × head_dim`) attending over shared quantized K/V caches;
 /// returns `batch × head_dim` outputs.
 ///
-/// The serving-layer composition of the two blocked paths: the score pass
-/// is [`gemv_lut_batch`] (K's packed codes decoded **once** for the whole
-/// batch), and after per-query softmax the value pass is the
-/// panel-blocked [`gemm_fused`] (`scores (batch × seq) × dequant(Vq)`).
+/// Every query attends the whole cache: [`attention_decode_ragged`] with
+/// all lengths `seq`, through the same body (see the module doc for its
+/// three stages and the one order they sum in).
 ///
 /// # Errors
 ///
@@ -860,16 +918,16 @@ pub fn attention_decode_batch(
 /// shared K/V — the continuous-batching shape, where co-scheduled tenants
 /// sit at different positions in the cache.
 ///
-/// The K-decode is still shared across the whole batch, and both passes
-/// stop at the longest attended prefix: the LUT score pass and the value
-/// GeMM stream rows `[0, max(lens))` of the packed K/V codes and nothing
-/// past them. Each query's softmax runs over its own prefix and its
-/// weights beyond it (up to the batch's bound) are exactly zero, so the
-/// value pass contributes nothing there. A query with `lens[b] == seq`
-/// goes through *identical* arithmetic to [`attention_decode_batch`], and
-/// every lane's result is bitwise independent of the other lanes in the
-/// batch — and therefore of the bound they set — the serving scheduler's
-/// parity contract.
+/// The K-decode is still shared across a lane block, and both passes stop
+/// at the longest attended prefix: the LUT score pass and the value pass
+/// stream rows `[0, max(lens))` of the packed K/V codes and nothing past
+/// them. Each query's softmax runs over its own prefix and its weights
+/// beyond it (up to the block's bound) are exactly zero, so the value
+/// pass contributes nothing there. A query with `lens[b] == seq` goes
+/// through *identical* arithmetic to [`attention_decode_batch`], and every
+/// lane's result is bitwise independent of the other lanes in the batch —
+/// and therefore of the bound they set — the serving scheduler's parity
+/// contract.
 ///
 /// # Errors
 ///
@@ -1302,11 +1360,11 @@ fn ext_passes(cfg: &vqllm_vq::VqConfig) -> (ExtPass, ExtPass) {
 /// Query `b` attends `lens[b]` tokens of the shared packed context
 /// followed by its own [`RaggedExt`]: folded rows decoded against the
 /// context's codebooks (+ sparse outlier residuals), then the f32 tail
-/// window spliced in after the LUT score pass. One softmax spans the
-/// whole attended sequence; the context's value pass stays the
-/// panel-blocked [`gemm_fused`], the extension's value pass is
-/// per-query centroid expansion ([`ext_values`]; [`Codebook::axpy`] for
-/// lattice books) plus dense tail accumulation.
+/// window. One softmax spans the whole attended sequence, and every
+/// output element is one sum over it: the context rows' chain
+/// ([`simd::value_accumulate`]) continued by per-query centroid expansion
+/// of the folded rows ([`ext_values`]; [`Codebook::axpy`] for lattice
+/// books), the outlier residuals and the dense tail rows.
 ///
 /// Both context passes stop at `max(lens)`, as in
 /// [`attention_decode_ragged`], and with every extension empty the two
@@ -1346,7 +1404,8 @@ pub fn attention_decode_ragged_tailed(
 /// The one body of [`attention_decode_batch`] / [`attention_decode_ragged`]
 /// / [`attention_decode_ragged_tailed`]: query `b` attends `lens[b]` rows
 /// of the shared context, then `exts[b]` (`exts` empty: no query has an
-/// extension).
+/// extension). The batch is taken a lane block at a time
+/// ([`attention_lanes`]).
 fn attention_inner(
     qs: &Tensor2D,
     lens: &[usize],
@@ -1374,9 +1433,6 @@ fn attention_inner(
     for ext in exts {
         ext.validate(kq)?;
     }
-    let batch = qs.rows();
-    let vs = kq.config().vector_size;
-    let head_dim = qs.cols();
     // Extensions are encoded against the context's books, and extension
     // scopes are row-invariant: one round-major (round, group) → book
     // table per side per call, and one choice of pass bodies.
@@ -1385,54 +1441,110 @@ fn attention_inner(
     } else {
         (ext_books(kq), ext_books(vq))
     };
-    let (score_pass, value_pass) = ext_passes(kq.config());
-    let no_ext = RaggedExt::default();
+    let call = AttentionCall {
+        qs,
+        lens,
+        exts,
+        kq,
+        vq,
+        blocking,
+        k_books: &k_books,
+        v_books: &v_books,
+        ext_passes: ext_passes(kq.config()),
+    };
+    let mut out = Tensor2D::zeros(qs.rows(), qs.cols());
+    for l0 in (0..qs.rows()).step_by(simd::LANES) {
+        let w = (qs.rows() - l0).min(simd::LANES);
+        simd::with_padded_lanes!(simd::padded_lanes(w), attention_lanes; &call, l0, w, &mut out)?;
+    }
+    Ok(out)
+}
 
-    // Shared context score pass: one batched LUT GeMV over the rows some
-    // query attends, token-major (`bound × batch`).
-    let bound = lens.iter().copied().max().unwrap_or(0);
-    let ctx_scores = gemv_lut_batch_rows(kq, qs, bound, blocking)?;
-    let ctx_scores = ctx_scores.as_slice();
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    // Query-major softmax weights over the context (exactly zero between
-    // a query's prefix and the bound, so the value pass adds nothing
-    // there) and, query after query in one buffer, over each extension
-    // (folded + tail).
-    let mut weights = Tensor2D::zeros(batch, bound);
+/// What every lane block of one [`attention_inner`] call shares.
+struct AttentionCall<'a> {
+    qs: &'a Tensor2D,
+    lens: &'a [usize],
+    exts: &'a [RaggedExt<'a>],
+    kq: &'a QuantizedTensor,
+    vq: &'a QuantizedTensor,
+    blocking: &'a HostBlocking,
+    /// [`ext_books`] of K and of V (empty without extensions).
+    k_books: &'a [&'a vqllm_vq::Codebook],
+    v_books: &'a [&'a vqllm_vq::Codebook],
+    ext_passes: (ExtPass, ExtPass),
+}
+
+/// Queries `[l0, l0 + w)` of an attention call, side by side in the
+/// `W = padded_lanes(w)` lanes of one token-major buffer that all three
+/// stages work in: [`lut_scores`] fills it, [`simd::softmax_lanes`] turns
+/// scores into softmax numerators where they lie, [`value_lanes`] streams
+/// it against V's packed codes into element-major accumulators. A lane's
+/// private rows are scored into a row of their own beside it, share the
+/// lane's maximum and sum, and continue its accumulators once those are
+/// transposed into the output row; the sum divides last.
+fn attention_lanes<const W: usize>(
+    call: &AttentionCall<'_>,
+    l0: usize,
+    w: usize,
+    out: &mut Tensor2D,
+) -> Result<()> {
+    let &AttentionCall {
+        qs, lens, exts, kq, ..
+    } = call;
+    let (score_pass, value_pass) = call.ext_passes;
+    let vs = kq.config().vector_size;
+    let head_dim = qs.cols();
+    let no_ext = RaggedExt::default();
+    let ext_of = |b: usize| exts.get(l0 + b).unwrap_or(&no_ext);
+
+    let mut lane_lens = [0usize; W];
+    lane_lens[..w].copy_from_slice(&lens[l0..l0 + w]);
+    let bound = lane_lens.iter().copied().max().unwrap_or(0);
+    let mut weights = lut_scores::<W>(kq, qs, l0, w, bound, call.blocking)?;
+
+    // Private score rows, lane after lane: [folded ext | f32 tail].
     let mut ext_weights: Vec<f32> = Vec::new();
-    let mut srow: Vec<f32> = Vec::new();
-    for (b, &len) in lens.iter().enumerate() {
-        let ext = exts.get(b).unwrap_or(&no_ext);
-        let q = qs.row(b);
-        // Concatenated score row: [context prefix | folded ext | f32 tail].
-        srow.clear();
-        srow.extend(ctx_scores.iter().skip(b).step_by(batch).take(len));
-        srow.resize(len + ext.rows, 0.0);
-        score_pass(q, &k_books, ext.k_codes, vs, &mut srow[len..]);
+    let mut ext_lens = [0usize; W];
+    for (b, ext_len) in ext_lens[..w].iter_mut().enumerate() {
+        let ext = ext_of(b);
+        let q = qs.row(l0 + b);
+        let start = ext_weights.len();
+        ext_weights.resize(start + ext.rows, 0.0);
+        let folded = &mut ext_weights[start..];
+        score_pass(q, call.k_books, ext.k_codes, vs, folded);
         for (row, group, values) in ext.k_outliers.iter() {
             let qsub = &q[group * vs..(group + 1) * vs];
-            srow[len + row] += values.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
+            folded[row] += values.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
         }
         for t in ext.k_tail.chunks_exact(head_dim) {
-            srow.push(t.iter().zip(q).map(|(&e, &x)| e * x).sum::<f32>());
+            ext_weights.push(t.iter().zip(q).map(|(&e, &x)| e * x).sum::<f32>());
         }
-        for s in srow.iter_mut() {
-            *s *= scale;
-        }
-        linalg::softmax_inplace(&mut srow);
-        // The context's weights ride the shared GeMM value pass; the
-        // extension's weights are applied per query below.
-        weights.row_mut(b)[..len].copy_from_slice(&srow[..len]);
-        ext_weights.extend_from_slice(&srow[len..]);
+        *ext_len = ext_weights.len() - start;
     }
-    let mut out = gemm_fused_rows(&weights, vq, blocking)?;
+
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut rest = ext_weights.as_mut_slice();
+    let lane_exts: [&mut [f32]; W] = ext_lens.map(|len| {
+        let (lane, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        lane
+    });
+    let sums = simd::softmax_lanes(&mut weights, &lane_lens, scale, lane_exts);
+
+    let mut acc = vec![[0.0f32; W]; head_dim];
+    value_lanes(call.vq, &weights, &mut acc, call.blocking)?;
+
     let mut ext_weights = ext_weights.as_slice();
-    for (b, ext) in exts.iter().enumerate() {
-        let weights;
-        (weights, ext_weights) = ext_weights.split_at(ext.rows + ext.v_tail.len() / head_dim);
-        let (folded, tail) = weights.split_at(ext.rows);
-        let orow = out.row_mut(b);
-        value_pass(folded, &v_books, ext.v_codes, vs, orow);
+    for (b, (&sum, &ext_len)) in sums.iter().zip(&ext_lens).take(w).enumerate() {
+        let ext = ext_of(b);
+        let lane_weights;
+        (lane_weights, ext_weights) = ext_weights.split_at(ext_len);
+        let (folded, tail) = lane_weights.split_at(ext.rows);
+        let orow = out.row_mut(l0 + b);
+        for (o, lanes) in orow.iter_mut().zip(&acc) {
+            *o = lanes[b];
+        }
+        value_pass(folded, call.v_books, ext.v_codes, vs, orow);
         for (row, group, values) in ext.v_outliers.iter() {
             let w = folded[row];
             for (o, &v) in orow[group * vs..].iter_mut().zip(values) {
@@ -1444,8 +1556,53 @@ fn attention_inner(
                 *o += w * v;
             }
         }
+        for o in orow.iter_mut() {
+            *o /= sum;
+        }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// The context value pass of one lane block: `acc[d][b] = Σ_t
+/// weights[t][b] · dequant(Vq)[t][d]` over the rows `weights` covers, each
+/// accumulator one chain from +0.0 in row order, residual rounds in order
+/// inside a row ([`simd::value_accumulate`]). Workers own disjoint spans of
+/// column groups and codebook bands only swap the books under a chain, so
+/// neither the thread count nor anything else in [`HostBlocking`] can move
+/// a sum.
+fn value_lanes<const W: usize>(
+    vq: &QuantizedTensor,
+    weights: &[[f32; W]],
+    acc: &mut [[f32; W]],
+    blocking: &HostBlocking,
+) -> Result<()> {
+    let vs = vq.config().vector_size;
+    let groups = vq.col_groups();
+    let books = vq.codebooks();
+    let band = books.band_rows();
+    parallel_row_chunks(
+        acc,
+        vs,
+        blocking.threads,
+        "host.attention_ragged",
+        |gs, span| {
+            let ge = gs + span.len() / vs;
+            for band_start in (0..weights.len()).step_by(band) {
+                let band_end = weights.len().min(band_start + band);
+                let span_books = band_books(books, band_start, gs, ge);
+                let rounds: Vec<simd::ValueRound<'_>> = span_books
+                    .iter()
+                    .enumerate()
+                    .map(|(r, books)| simd::ValueRound {
+                        stream: vq.index_stream(r),
+                        first: band_start * groups,
+                        books,
+                    })
+                    .collect();
+                simd::value_accumulate(span, &weights[band_start..band_end], &rounds, groups, gs);
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1521,6 +1678,47 @@ mod tests {
                         metrics::allclose(&col, &single, 1e-4, 1e-4),
                         "{cfg} {rows}x{cols} batch {batch} lane {b}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_lut_batch_lane_is_its_solo_chain() {
+        // Real widths 1..=9 (9 = a block of eight and a block of one): a
+        // lane's column is, bit for bit, that activation scored alone —
+        // whatever padded block it rode, wherever it sat in it, whatever
+        // the group block. CQ-4 takes the byte-indexed slabs, the 16-entry
+        // config the widened codes, the lattice one the signed dots.
+        for (cfg, rows, cols) in [
+            (VqAlgorithm::Cq4.config(), 256usize, 32usize),
+            (
+                VqConfig::new(4, 16, 2, CodebookScope::PerTensor).unwrap(),
+                48,
+                64,
+            ),
+            (
+                VqConfig::new_lattice(4, 256, 16, 1, CodebookScope::PerTensor).unwrap(),
+                32,
+                32,
+            ),
+        ] {
+            let wq = quantized(cfg, rows, cols, 29);
+            for batch in 1..=9usize {
+                let acts =
+                    Tensor2D::from_fn(batch, cols, |b, c| ((b * 31 + c) as f32 * 0.17).sin());
+                for slab_bytes in [1usize, 32 << 10] {
+                    let blocking = HostBlocking {
+                        slab_bytes,
+                        threads: 1,
+                    };
+                    let out = gemv_lut_batch(&wq, &acts, &blocking).unwrap();
+                    for b in 0..batch {
+                        let solo_x = Tensor2D::from_vec(1, cols, acts.row(b).to_vec()).unwrap();
+                        let solo = gemv_lut_batch(&wq, &solo_x, &HostBlocking::default()).unwrap();
+                        let col: Vec<f32> = (0..rows).map(|r| out.get(r, b)).collect();
+                        assert_eq!(col, solo.as_slice(), "{cfg} batch {batch} lane {b}");
+                    }
                 }
             }
         }

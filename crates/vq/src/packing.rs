@@ -151,6 +151,15 @@ impl PackedIndices {
         }
     }
 
+    /// The stream as one byte per index — `Some` exactly when indices are
+    /// 8 bits wide, where the packed layout *is* that array. Kernels index
+    /// 256-slot tables with these bytes directly: no widening scratch, and
+    /// no range check a `u8` could fail.
+    #[inline]
+    pub fn as_bytes(&self) -> Option<&[u8]> {
+        (self.bits == 8).then_some(self.data.as_slice())
+    }
+
     /// Iterator over `count` indices starting at `start` — a lazy wrapper
     /// over [`PackedIndices::get`]'s word-at-a-time decode for callers
     /// that don't want a scratch buffer ([`PackedIndices::unpack_block`]
@@ -378,6 +387,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn byte_view_is_the_eight_bit_stream() {
+        for bits in (1u8..=16).chain([24, 32]) {
+            let idx = mixed_indices(203, bits);
+            let p = PackedIndices::pack(&idx, bits).unwrap();
+            match p.as_bytes() {
+                Some(bytes) => {
+                    assert_eq!(bits, 8);
+                    let widened: Vec<u32> = bytes.iter().map(|&b| u32::from(b)).collect();
+                    assert_eq!(widened, p.unpack());
+                }
+                None => assert_ne!(bits, 8),
+            }
+        }
+        let empty = PackedIndices::pack(&[], 8).unwrap();
+        assert_eq!(empty.as_bytes(), Some(&[][..]));
     }
 
     #[test]

@@ -162,6 +162,12 @@ impl QuantizedTensor {
     /// `< 2^index_bits = num_entries`, which equals each book's logical
     /// entry count (checked below, and enforced for lattice configs by
     /// [`VqConfig::new_lattice`]), so no O(elements) range scan is needed.
+    /// The host kernels rely on exactly this — `code < 2^index_bits`, every
+    /// book holding that many logical entries — to index by type instead of
+    /// by check: an 8-bit stream's bytes ([`PackedIndices::as_bytes`]) go
+    /// straight into 256-slot tables and 256-entry books with no range test
+    /// per code. A change that lets a wider code or a shorter book through
+    /// here must restore those tests there.
     ///
     /// # Errors
     ///

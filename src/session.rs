@@ -491,8 +491,9 @@ impl Session {
     /// queries (`qs` is `batch × head_dim`, one row per in-flight
     /// sequence) over shared quantized K/V caches — the serving-layer
     /// shape. On a `CpuBackend` this is the fused batched kernel (one
-    /// packed-code decode for the whole batch + the panel-blocked GeMM
-    /// value pass); other backends fall back to a per-query loop.
+    /// pass over the packed K codes for a whole lane block of queries,
+    /// lane-wise softmax, and a value pass that never decodes a V row to
+    /// memory); other backends fall back to a per-query loop.
     ///
     /// # Errors
     ///

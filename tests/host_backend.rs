@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vq_llm::kernels::host_exec::{self, CodeStream, HostBlocking, OutlierBuf, RaggedExt};
+use vq_llm::kernels::host_exec::{self, simd, CodeStream, HostBlocking, OutlierBuf, RaggedExt};
 use vq_llm::tensor::{linalg, metrics, synth, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
 use vq_llm::vq::{Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqQuantizer};
@@ -481,47 +481,46 @@ impl ExtData {
     }
 }
 
-/// Ragged (tailed) attention as it was composed before the kernels were
-/// bounded, rebuilt from the public full-range pieces: `gemv_lut_batch`
-/// scores **every** context row, the matrix is transposed, each query's
-/// row is scaled and softmaxed over its prefix (+ extension) with exact
-/// zeros behind it, and `gemm_fused` multiplies **every** V row.
-/// A lattice code's entry is materialised (signs applied) before the same
-/// dot. With all-default `exts` this is the plain ragged composition.
+/// Ragged (tailed) attention as a plain scalar statement of the one order
+/// the kernels sum in. Per query: scores over `[context prefix | folded
+/// rows | tail rows]` (the context's from `gemv_lut_batch` over **every**
+/// row, so the bound the kernels stop at cannot hide in it), scaled;
+/// softmax numerators `exp(s − max)` through the kernels' `exp`, summed in
+/// row order; then every output element is one chain from +0.0 over the
+/// same rows — context rows by a multiply-add per residual round (fused on
+/// the AVX2 tier), folded rows, outlier residuals and tail rows by
+/// `+= w · v` — divided by the sum last. A lattice code's entry is
+/// materialised (signs applied) before the same arithmetic. With
+/// all-default `exts` this is plain ragged attention.
 fn full_range_attention(
     qs: &Tensor2D,
     lens: &[usize],
     exts: &[RaggedExt<'_>],
     kq: &QuantizedTensor,
     vq: &QuantizedTensor,
-    blocking: &HostBlocking,
 ) -> Tensor2D {
     let vs = kq.config().vector_size;
     let groups = kq.col_groups();
     let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&e, &x)| e * x).sum::<f32>();
-    let mut signed = vec![0.0f32; vs];
-    let mut scores = host_exec::gemv_lut_batch(kq, qs, blocking)
-        .unwrap()
-        .transposed();
+    let fused = simd::avx2_available();
+    let madd = |a: f32, b: f32, c: f32| if fused { a.mul_add(b, c) } else { c + a * b };
+    fn book(t: &QuantizedTensor, r: usize, row: usize, g: usize) -> &Codebook {
+        let books = t.codebooks();
+        books.book(r, books.scope_index(row, g * t.config().vector_size))
+    }
+    let mut entry = vec![0.0f32; vs];
+    let scores = host_exec::gemv_lut_batch(kq, qs, &HostBlocking::default()).unwrap();
     let scale = 1.0 / (qs.cols() as f32).sqrt();
-    let mut ext_weights = Vec::new();
+    let mut out = Tensor2D::zeros(qs.rows(), qs.cols());
     for (b, (ext, &len)) in exts.iter().zip(lens).enumerate() {
         let q = qs.row(b);
-        let mut srow = scores.row(b)[..len].to_vec();
+        let mut srow: Vec<f32> = (0..len).map(|t| scores.get(t, b)).collect();
         for row in 0..ext.rows {
             let mut acc = 0.0f32;
             for (r, stream) in ext.k_codes.iter().enumerate() {
                 for g in 0..groups {
-                    let books = kq.codebooks();
-                    let book = books.book(r, books.scope_index(0, g * vs));
-                    let code = stream.get(row * groups + g);
-                    let entry = if book.is_lattice() {
-                        book.lookup(code, &mut signed);
-                        &signed
-                    } else {
-                        book.stored_entry(code as usize)
-                    };
-                    acc += dot(entry, &q[g * vs..(g + 1) * vs]);
+                    book(kq, r, 0, g).lookup(stream.get(row * groups + g), &mut entry);
+                    acc += dot(&entry, &q[g * vs..(g + 1) * vs]);
                 }
             }
             srow.push(acc);
@@ -532,38 +531,48 @@ fn full_range_attention(
         for t in ext.k_tail.chunks_exact(qs.cols()) {
             srow.push(dot(t, q));
         }
+        let mut max = f32::NEG_INFINITY;
         for s in srow.iter_mut() {
             *s *= scale;
+            max = if *s > max { *s } else { max };
         }
-        linalg::softmax_inplace(&mut srow);
-        let ctx = scores.row_mut(b);
-        ctx[..len].copy_from_slice(&srow[..len]);
-        ctx[len..].fill(0.0);
-        ext_weights.push(srow.split_off(len));
-    }
-    let mut out = host_exec::gemm_fused(&scores, vq, blocking).unwrap();
-    for (b, ext) in exts.iter().enumerate() {
-        let weights = &ext_weights[b];
+        let mut sum = 0.0f32;
+        for s in srow.iter_mut() {
+            *s = simd::exp(*s - max);
+            sum += *s;
+        }
+        let (ctx, ext_weights) = srow.split_at(len);
         let orow = out.row_mut(b);
-        for (row, &w) in weights.iter().take(ext.rows).enumerate() {
+        for (t, &w) in ctx.iter().enumerate() {
+            for r in 0..vq.config().residuals {
+                for g in 0..groups {
+                    book(vq, r, t, g).lookup(vq.index_at(r, t, g), &mut entry);
+                    for (o, &e) in orow[g * vs..].iter_mut().zip(&entry) {
+                        *o = madd(w, e, *o);
+                    }
+                }
+            }
+        }
+        for (row, &w) in ext_weights.iter().take(ext.rows).enumerate() {
             for (r, stream) in ext.v_codes.iter().enumerate() {
                 for g in 0..groups {
-                    let books = vq.codebooks();
-                    let book = books.book(r, books.scope_index(0, g * vs));
                     let code = stream.get(row * groups + g);
-                    book.axpy(code, w, &mut orow[g * vs..(g + 1) * vs]);
+                    book(vq, r, 0, g).axpy(code, w, &mut orow[g * vs..(g + 1) * vs]);
                 }
             }
         }
         for (row, group, values) in ext.v_outliers.iter() {
             for (j, &v) in values.iter().enumerate() {
-                orow[group * vs + j] += weights[row] * v;
+                orow[group * vs + j] += ext_weights[row] * v;
             }
         }
         for (t, vrow) in ext.v_tail.chunks_exact(qs.cols()).enumerate() {
             for (o, &v) in orow.iter_mut().zip(vrow) {
-                *o += weights[ext.rows + t] * v;
+                *o += ext_weights[ext.rows + t] * v;
             }
+        }
+        for o in orow.iter_mut() {
+            *o /= sum;
         }
     }
     out
@@ -594,16 +603,16 @@ fn bounded_case(
 }
 
 proptest! {
-    /// Bounded `attention_decode_ragged` is, bit for bit, (a) the
-    /// full-range composition it replaced and (b) every lane decoded
-    /// alone — so neither the bound nor the batch-mates that set it can
-    /// be seen in a lane's bytes.
+    /// Bounded `attention_decode_ragged` is, bit for bit, (a) the scalar
+    /// statement of its order over the full range and (b) every lane
+    /// decoded alone — so neither the bound, nor the batch-mates that set
+    /// it, nor the lane block they share can be seen in a lane's bytes.
     #[test]
     fn bounded_ragged_attention_is_bitwise_full_range_and_solo(
         case in 0usize..6,
         rows_i in 0usize..3,
         cols_i in 0usize..2,
-        batch in 1usize..=8,
+        batch in 1usize..=9,
         blocking_i in 0usize..6,
         seed in 0u64..500,
     ) {
@@ -612,10 +621,10 @@ proptest! {
         let blocking = bounded_blocking(blocking_i);
         let out = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
         let none = vec![RaggedExt::default(); batch];
-        let full = full_range_attention(&qs, &lens, &none, &kq, &vq, &blocking);
+        let full = full_range_attention(&qs, &lens, &none, &kq, &vq);
         prop_assert_eq!(
             out.as_slice(), full.as_slice(),
-            "{} lens {:?} {:?}: bounded != full-range composition", cfg, lens, blocking
+            "{} lens {:?} {:?}: bounded != full-range statement", cfg, lens, blocking
         );
         for (b, &len) in lens.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, qs.cols(), qs.row(b).to_vec()).unwrap();
@@ -634,7 +643,7 @@ proptest! {
         config_i in 0usize..TAILED_CONFIGS,
         rows_i in 0usize..3,
         cols_i in 0usize..2,
-        batch in 1usize..=8,
+        batch in 1usize..=9,
         blocking_i in 0usize..6,
         seed in 0u64..500,
     ) {
@@ -649,10 +658,10 @@ proptest! {
         let out =
             host_exec::attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, &blocking)
                 .unwrap();
-        let full = full_range_attention(&qs, &lens, &exts, &kq, &vq, &blocking);
+        let full = full_range_attention(&qs, &lens, &exts, &kq, &vq);
         prop_assert_eq!(
             out.as_slice(), full.as_slice(),
-            "{} lens {:?} {:?}: bounded != full-range composition", cfg, lens, blocking
+            "{} lens {:?} {:?}: bounded != full-range statement", cfg, lens, blocking
         );
         for (b, &len) in lens.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, qs.cols(), qs.row(b).to_vec()).unwrap();
@@ -669,6 +678,68 @@ proptest! {
             host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap(),
             "empty extensions must stay bitwise invisible"
         );
+    }
+}
+
+/// `kernel_bytes_are_blocking_independent` at serving size. Its shapes stop
+/// at 64 rows, which every slab holds in one K-panel; these contexts are
+/// 8–128 panels deep at the 16 KiB slab and one or two at 1 MiB, so a
+/// value pass that split its sums at panel boundaries would emit different
+/// bytes per slab (it did: on 2048×128, 404–493 of 512 output floats moved
+/// between 16 KiB and each of the other slabs below). Threads partition
+/// score rows and value column groups — disjoint outputs — so no count can
+/// move a sum either. Every lane-block width, 9 = a block of eight and a
+/// block of one.
+#[test]
+fn kernel_bytes_are_blocking_independent_across_panels() {
+    let cfg = vq_llm::VqAlgorithm::Cq4.config();
+    let blockings: Vec<HostBlocking> = [16 << 10, 17_404, 48 << 10, 256 << 10, 1 << 20]
+        .into_iter()
+        .flat_map(|slab_bytes| {
+            [1, 2, 4].map(|threads| HostBlocking {
+                slab_bytes,
+                threads,
+            })
+        })
+        .collect();
+    for (seq, head_dim) in [(2048usize, 128usize), (1024, 64)] {
+        let kq = synthetic(cfg, seq, head_dim, 7);
+        let vq = synthetic(cfg, seq, head_dim, 7 ^ 0x5a5a);
+        let mut rng = 0xface ^ seq as u64;
+        for batch in 1..=9usize {
+            let qs = Tensor2D::from_fn(batch, head_dim, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
+            let lens: Vec<usize> = (0..batch)
+                .map(|b| match b {
+                    0 => seq,
+                    _ => 1 + (splitmix(&mut rng) % seq as u64) as usize,
+                })
+                .collect();
+            let data: Vec<ExtData> = (0..batch)
+                .map(|_| ExtData::random(&cfg, head_dim, &mut rng))
+                .collect();
+            let exts: Vec<RaggedExt<'_>> = data.iter().map(ExtData::ext).collect();
+            let run = |b: &HostBlocking| {
+                (
+                    host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, b).unwrap(),
+                    host_exec::attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, b)
+                        .unwrap(),
+                )
+            };
+            let (base_ragged, base_tailed) = run(&blockings[0]);
+            for b in &blockings[1..] {
+                let (ragged, tailed) = run(b);
+                assert_eq!(
+                    base_ragged.as_slice(),
+                    ragged.as_slice(),
+                    "ragged bytes depend on blocking {b:?} ({seq}x{head_dim} batch {batch})"
+                );
+                assert_eq!(
+                    base_tailed.as_slice(),
+                    tailed.as_slice(),
+                    "tailed bytes depend on blocking {b:?} ({seq}x{head_dim} batch {batch})"
+                );
+            }
+        }
     }
 }
 
