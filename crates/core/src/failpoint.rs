@@ -70,27 +70,23 @@ pub const SITES: &[(&str, &str)] = &[
     ),
     (
         "pool.scope",
-        "entry of every `WorkerPool` scope, before jobs are queued",
-    ),
-    (
-        "host.gemv_lut",
-        "fused LUT GeMV: kernel entry and each worker's row chunk",
+        "entry of every `WorkerPool` scope, before jobs are queued; surfaces as `KernelError::Panicked`",
     ),
     (
         "host.gemv_lut_batch",
-        "batched serving-shape LUT GeMV row chunks",
+        "score pass entry: `gemv_lut_batch`, and `gemv_lut`, its one-lane case",
     ),
     (
         "host.gemv_xw",
-        "dense x*W aggregation GeMV row chunks (the non-LUT side of the step)",
+        "`gemv_xw` entry: the aggregation GeMV (`Backend::run_gemv`)",
     ),
     (
         "host.gemm_fused",
-        "panel-blocked fused GeMM: kernel entry and scope body",
+        "`gemm_fused` entry: the linear layer (`Backend::run_gemm`), value pass and panel body alike",
     ),
     (
         "host.attention_ragged",
-        "ragged shared-K attention entry (plain and tailed variants) and its value-pass column chunks",
+        "`attention_decode` entry: every attention shape (head, batch, ragged, tailed)",
     ),
 ];
 

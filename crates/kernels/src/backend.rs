@@ -19,13 +19,13 @@
 //! pipeline and the facade share one seam; a real-GPU (CUDA/HIP) backend
 //! plugs in here later without touching any consumer.
 
-use crate::host_exec::{self, HostBlocking};
-use crate::{vq_kernel, AccessProfile, KernelOutput, Result};
+use crate::host_exec::{self, AttentionBatch, HostBlocking};
+use crate::{vq_kernel, AccessProfile, KernelError, KernelOutput, Result};
 use std::sync::{Mutex, PoisonError};
 use vqllm_core::plan_cache::PlanRequest;
 use vqllm_core::{ComputeOp, KernelPlan, KernelPlanner, OptLevel, ProfileSummary};
 use vqllm_gpu::GpuSpec;
-use vqllm_tensor::Tensor2D;
+use vqllm_tensor::{linalg, Tensor2D};
 use vqllm_vq::{QuantizedTensor, VqConfig};
 
 /// An execution substrate for fused VQ kernels.
@@ -120,12 +120,38 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         wq: &QuantizedTensor,
     ) -> Result<(Vec<f32>, KernelOutput)>;
 
-    /// Functionally executes one head of fused attention decode over
-    /// quantized K/V caches.
+    /// Functionally executes one attention decode call ([`AttentionBatch`]:
+    /// per-query prefixes of shared quantized K/V caches, optional private
+    /// live-KV extensions) — the one attention seam; every named shape
+    /// below is a description passed to it. The default is the reference
+    /// body, correct on any substrate: dequantize the context, splice each
+    /// extension underneath its prefix and loop the dense reference per
+    /// query. [`CpuBackend`] overrides it with the fused kernel.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches.
+    /// Whatever [`AttentionBatch::validate`] rejects: shape mismatches, an
+    /// empty batch, a length outside `1..=seq`, or extensions inconsistent
+    /// with the context's VQ configuration.
+    fn run_attention(
+        &self,
+        gpu: &GpuSpec,
+        plan: &KernelPlan,
+        batch: &AttentionBatch<'_>,
+        kq: &QuantizedTensor,
+        vq: &QuantizedTensor,
+    ) -> Result<(Tensor2D, KernelOutput)> {
+        let out = attention_reference(batch, kq, vq)?;
+        let profile = AccessProfile::default_for(kq.config());
+        Ok((out, self.estimate(gpu, plan, &profile)))
+    }
+
+    /// One head of attention decode: [`Backend::run_attention`] with a
+    /// single query over the whole cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`Backend::run_attention`].
     fn run_attention_head(
         &self,
         gpu: &GpuSpec,
@@ -133,18 +159,21 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         q: &[f32],
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
-    ) -> Result<(Vec<f32>, KernelOutput)>;
+    ) -> Result<(Vec<f32>, KernelOutput)> {
+        let qs = &Tensor2D::from_fn(1, q.len(), |_, d| q[d]);
+        let (lens, exts) = (&[kq.shape().0][..], &[][..]);
+        let batch = AttentionBatch { qs, lens, exts };
+        let (out, counters) = self.run_attention(gpu, plan, &batch, kq, vq)?;
+        Ok((out.into_vec(), counters))
+    }
 
-    /// Functionally executes one head of attention decode for a **batch**
-    /// of queries (`qs` is `batch × head_dim`, one row per sequence)
-    /// attending over shared quantized K/V caches — the serving-layer
-    /// multi-tenant decode shape. The default loops
-    /// [`Backend::run_attention_head`]; substrates with a real batched
-    /// kernel (see [`CpuBackend`]) override it.
+    /// A **batch** of queries (`qs` is `batch × head_dim`, one row per
+    /// sequence) each attending the whole of the shared caches — the
+    /// serving-layer multi-tenant decode shape.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches or an empty batch.
+    /// As [`Backend::run_attention`].
     fn run_attention_batch(
         &self,
         gpu: &GpuSpec,
@@ -153,33 +182,17 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        let mut out = Tensor2D::zeros(qs.rows(), qs.cols());
-        let mut last = None;
-        for b in 0..qs.rows() {
-            let (row, o) = self.run_attention_head(gpu, plan, qs.row(b), kq, vq)?;
-            out.row_mut(b).copy_from_slice(&row);
-            last = Some(o);
-        }
-        Ok((out, last.expect("non-empty batch")))
+        let (lens, exts) = (&vec![kq.shape().0; qs.rows()][..], &[][..]);
+        self.run_attention(gpu, plan, &AttentionBatch { qs, lens, exts }, kq, vq)
     }
 
-    /// Ragged batched attention decode: query `b` attends only the first
-    /// `lens[b]` cached tokens of the shared quantized K/V — the
-    /// continuous-batching shape, where co-scheduled tenants sit at
-    /// different positions in one cache. The default dequantizes and loops
-    /// the reference per query (correct on any substrate); [`CpuBackend`]
-    /// overrides it with the fused ragged kernel whose K-decode is shared
-    /// across the batch.
+    /// Ragged batch: query `b` attends only the first `lens[b]` cached
+    /// tokens — the continuous-batching shape, where co-scheduled tenants
+    /// sit at different positions in one cache.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches, an empty batch, or a length
-    /// outside `1..=seq`.
+    /// As [`Backend::run_attention`].
     fn run_attention_ragged(
         &self,
         gpu: &GpuSpec,
@@ -189,72 +202,20 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        if lens.len() != qs.rows() {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "one softmax length per query row",
-            });
-        }
-        if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "qs/K/V shapes disagree",
-            });
-        }
-        let (seq, head_dim) = kq.shape();
-        if lens.iter().any(|&l| l == 0 || l > seq) {
-            return Err(crate::KernelError::InvalidInput {
-                what: "softmax lengths must be in 1..=seq",
-            });
-        }
-        let kd = kq
-            .dequantize()
-            .map_err(|_| crate::KernelError::InvalidInput {
-                what: "K cache failed to dequantize",
-            })?;
-        let vd = vq
-            .dequantize()
-            .map_err(|_| crate::KernelError::InvalidInput {
-                what: "V cache failed to dequantize",
-            })?;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut out = Tensor2D::zeros(qs.rows(), head_dim);
-        for (b, &len) in lens.iter().enumerate() {
-            let row = vqllm_tensor::linalg::attention_decode_ref(
-                qs.row(b),
-                &kd.slice(0, 0, len, head_dim),
-                &vd.slice(0, 0, len, head_dim),
-                scale,
-            )
-            .map_err(|_| crate::KernelError::ShapeMismatch {
-                what: "reference attention rejected the ragged slice",
-            })?;
-            out.row_mut(b).copy_from_slice(&row);
-        }
-        let profile = AccessProfile::default_for(kq.config());
-        let counters = self.estimate(gpu, plan, &profile);
-        Ok((out, counters))
+        let exts = &[];
+        self.run_attention(gpu, plan, &AttentionBatch { qs, lens, exts }, kq, vq)
     }
 
-    /// Ragged attention decode over a shared quantized context **plus
-    /// per-query private KV extensions** ([`RaggedExt`]: packed codes
-    /// encoded against the context's codebooks, sparse outlier residuals,
-    /// and an unquantized f32 tail window) — the live-KV serving shape.
-    /// The default dequantizes the context, reconstructs each extension
-    /// (codes + outliers + tail) and loops the dense reference per query
-    /// (correct on any substrate); [`CpuBackend`] overrides it with the
-    /// fused tailed kernel that keeps the shared batched LUT score pass.
+    /// Ragged batch **plus per-query private KV extensions**
+    /// ([`RaggedExt`]: packed codes encoded against the context's
+    /// codebooks, sparse outlier residuals, and an unquantized f32 tail
+    /// window) — the live-KV serving shape.
     ///
     /// [`RaggedExt`]: host_exec::RaggedExt
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches, an empty batch, lengths
-    /// outside `1..=seq`, or extensions inconsistent with the context's
-    /// VQ configuration.
+    /// As [`Backend::run_attention`].
     #[allow(clippy::too_many_arguments)]
     fn run_attention_ragged_tailed(
         &self,
@@ -266,130 +227,78 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        if lens.len() != qs.rows() || exts.len() != qs.rows() {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "one prefix length and one extension per query row",
-            });
-        }
-        if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "qs/K/V shapes disagree",
-            });
-        }
-        let (seq, head_dim) = kq.shape();
-        if lens.iter().any(|&l| l == 0 || l > seq) {
-            return Err(crate::KernelError::InvalidInput {
-                what: "softmax lengths must be in 1..=seq",
-            });
-        }
-        let kd = kq
-            .dequantize()
-            .map_err(|_| crate::KernelError::InvalidInput {
-                what: "K cache failed to dequantize",
-            })?;
-        let vd = vq
-            .dequantize()
-            .map_err(|_| crate::KernelError::InvalidInput {
-                what: "V cache failed to dequantize",
-            })?;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut out = Tensor2D::zeros(qs.rows(), head_dim);
-        for (b, ext) in exts.iter().enumerate() {
-            let len = lens[b];
-            let kfull = splice_extension(&kd, len, ext, kq, ExtSide::K)?;
-            let vfull = splice_extension(&vd, len, ext, vq, ExtSide::V)?;
-            let row = vqllm_tensor::linalg::attention_decode_ref(qs.row(b), &kfull, &vfull, scale)
-                .map_err(|_| crate::KernelError::ShapeMismatch {
-                    what: "reference attention rejected the spliced extension",
-                })?;
-            out.row_mut(b).copy_from_slice(&row);
-        }
-        let profile = AccessProfile::default_for(kq.config());
-        let counters = self.estimate(gpu, plan, &profile);
-        Ok((out, counters))
+        self.run_attention(gpu, plan, &AttentionBatch { qs, lens, exts }, kq, vq)
     }
 }
 
-/// Which half of a [`host_exec::RaggedExt`] to reconstruct.
-#[derive(Clone, Copy)]
-enum ExtSide {
-    K,
-    V,
+/// The reference attention body behind [`Backend::run_attention`]'s
+/// default: per query, the dense reference over the dequantized context
+/// prefix with the query's extension reconstructed underneath it.
+fn attention_reference(
+    batch: &AttentionBatch<'_>,
+    kq: &QuantizedTensor,
+    vq: &QuantizedTensor,
+) -> Result<Tensor2D> {
+    batch.validate(kq, vq)?;
+    let dequantized = |t: &QuantizedTensor| {
+        t.dequantize().map_err(|_| KernelError::InvalidInput {
+            what: "K/V cache failed to dequantize",
+        })
+    };
+    let (kd, vd) = (dequantized(kq)?, dequantized(vq)?);
+    let head_dim = batch.qs.cols();
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let no_ext = host_exec::RaggedExt::default();
+    let mut out = Tensor2D::zeros(batch.qs.rows(), head_dim);
+    for (b, &len) in batch.lens.iter().enumerate() {
+        let ext = batch.exts.get(b).unwrap_or(&no_ext);
+        let kfull = splice(&kd, len, kq, ext.k_codes, ext.k_outliers, ext.k_tail);
+        let vfull = splice(&vd, len, vq, ext.v_codes, ext.v_outliers, ext.v_tail);
+        let row =
+            linalg::attention_decode_ref(batch.qs.row(b), &kfull, &vfull, scale).map_err(|_| {
+                KernelError::ShapeMismatch {
+                    what: "reference attention rejected the spliced rows",
+                }
+            })?;
+        out.row_mut(b).copy_from_slice(&row);
+    }
+    Ok(out)
 }
 
-/// Dense reconstruction of `len` context rows plus one query's extension
-/// (decoded codes + outlier residuals + f32 tail) — the oracle the
-/// default [`Backend::run_attention_ragged_tailed`] attends over.
-fn splice_extension(
+/// Dense reconstruction of `len` context rows of `base` plus one side of a
+/// validated extension: its folded rows (codes decoded against `q`'s books,
+/// outlier residuals added) and its f32 tail.
+fn splice(
     base: &Tensor2D,
     len: usize,
-    ext: &host_exec::RaggedExt<'_>,
     q: &QuantizedTensor,
-    side: ExtSide,
-) -> Result<Tensor2D> {
-    let cfg = q.config();
-    if matches!(cfg.scope, vqllm_vq::CodebookScope::PerTile { .. }) {
-        return Err(crate::KernelError::InvalidInput {
-            what: "per-tile codebook scopes are row-dependent; live-KV extensions \
-                   require a row-invariant scope (PerTensor or PerChannelGroup)",
-        });
-    }
-    let (codes, outliers, tail) = match side {
-        ExtSide::K => (ext.k_codes, ext.k_outliers, ext.k_tail),
-        ExtSide::V => (ext.v_codes, ext.v_outliers, ext.v_tail),
-    };
+    codes: &[host_exec::CodeStream],
+    outliers: host_exec::Outliers<'_>,
+    tail: &[f32],
+) -> Tensor2D {
     let head_dim = q.shape().1;
-    let vs = cfg.vector_size;
+    let vs = q.config().vector_size;
     let groups = q.col_groups();
-    if ext.rows > 0
-        && (codes.len() != cfg.residuals || codes.iter().any(|s| s.len() != ext.rows * groups))
-    {
-        return Err(crate::KernelError::ShapeMismatch {
-            what: "extension code stream length must be rows × col_groups",
-        });
-    }
-    if !tail.len().is_multiple_of(head_dim) {
-        return Err(crate::KernelError::ShapeMismatch {
-            what: "tail rows must be head_dim wide",
-        });
-    }
     let books = q.codebooks();
-    let mut full = Tensor2D::zeros(len + ext.rows + tail.len() / head_dim, head_dim);
-    for r in 0..len {
-        full.row_mut(r).copy_from_slice(base.row(r));
-    }
-    for row in 0..ext.rows {
+    let folded = codes.first().map_or(0, |s| s.len() / groups);
+    let mut full = Tensor2D::zeros(len + folded + tail.len() / head_dim, head_dim);
+    full.as_mut_slice()[..len * head_dim].copy_from_slice(&base.as_slice()[..len * head_dim]);
+    for row in 0..folded {
         let orow = full.row_mut(len + row);
         for (r, stream) in codes.iter().enumerate() {
-            for g in 0..groups {
+            for (g, out) in orow.chunks_exact_mut(vs).enumerate() {
                 let book = books.book(r, books.scope_index(0, g * vs));
-                book.accumulate(
-                    stream.get(row * groups + g),
-                    &mut orow[g * vs..(g + 1) * vs],
-                );
+                book.accumulate(stream.get(row * groups + g), out);
             }
         }
     }
     for (row, group, values) in outliers.iter() {
-        if row >= ext.rows || group >= groups {
-            return Err(crate::KernelError::InvalidInput {
-                what: "outlier residual outside the folded extension",
-            });
-        }
-        let orow = full.row_mut(len + row);
-        for (o, &v) in orow[group * vs..].iter_mut().zip(values) {
+        for (o, &v) in full.row_mut(len + row)[group * vs..].iter_mut().zip(values) {
             *o += v;
         }
     }
-    for (t, trow) in tail.chunks_exact(head_dim).enumerate() {
-        full.row_mut(len + ext.rows + t).copy_from_slice(trow);
-    }
-    Ok(full)
+    full.as_mut_slice()[(len + folded) * head_dim..].copy_from_slice(tail);
+    full
 }
 
 /// The GPU performance-model backend (the workspace's documented hardware
@@ -454,17 +363,6 @@ impl Backend for PerfModelBackend {
         wq: &QuantizedTensor,
     ) -> Result<(Vec<f32>, KernelOutput)> {
         vq_kernel::run_gemv(gpu, plan, x, wq)
-    }
-
-    fn run_attention_head(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        q: &[f32],
-        kq: &QuantizedTensor,
-        vq: &QuantizedTensor,
-    ) -> Result<(Vec<f32>, KernelOutput)> {
-        vq_kernel::run_attention_head(gpu, plan, q, kq, vq)
     }
 }
 
@@ -622,85 +520,20 @@ impl Backend for CpuBackend {
         Ok((y, self.output_for(gpu, plan, wq)))
     }
 
-    fn run_attention_head(
+    fn run_attention(
         &self,
         gpu: &GpuSpec,
         plan: &KernelPlan,
-        q: &[f32],
-        kq: &QuantizedTensor,
-        vq: &QuantizedTensor,
-    ) -> Result<(Vec<f32>, KernelOutput)> {
-        let out = host_exec::attention_decode_fused(q, kq, vq, &self.blocking(plan))?;
-        Ok((out, self.output_for(gpu, plan, kq)))
-    }
-
-    fn run_attention_batch(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        qs: &Tensor2D,
+        batch: &AttentionBatch<'_>,
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        // The real batched kernel: K's packed codes are streamed once for
-        // a whole lane block of queries (the batched LUT pass), and the
-        // value pass multiply-adds V's codebook entries straight into
-        // per-lane register accumulators.
-        let out = host_exec::attention_decode_batch(qs, kq, vq, &self.blocking(plan))?;
-        Ok((out, self.output_for(gpu, plan, kq)))
-    }
-
-    fn run_attention_ragged(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        qs: &Tensor2D,
-        lens: &[usize],
-        kq: &QuantizedTensor,
-        vq: &QuantizedTensor,
-    ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        // One shared K-decode for the whole ragged batch, stopped at the
-        // longest attended prefix; per-query softmax prefixes with exact
-        // zeros between a query's prefix and that bound.
-        let out = host_exec::attention_decode_ragged(qs, lens, kq, vq, &self.blocking(plan))?;
-        Ok((out, self.output_for(gpu, plan, kq)))
-    }
-
-    fn run_attention_ragged_tailed(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        qs: &Tensor2D,
-        lens: &[usize],
-        exts: &[host_exec::RaggedExt<'_>],
-        kq: &QuantizedTensor,
-        vq: &QuantizedTensor,
-    ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        // Shared batched LUT score pass over the context, per-query code
-        // expansion + f32 tail splice for the extensions.
-        let out = host_exec::attention_decode_ragged_tailed(
-            qs,
-            lens,
-            exts,
-            kq,
-            vq,
-            &self.blocking(plan),
-        )?;
+        // The fused kernel: K's packed codes are streamed once for a whole
+        // lane block of queries and stopped at the longest attended prefix
+        // (the LUT score pass), the value pass multiply-adds V's codebook
+        // entries straight into per-lane register accumulators, private
+        // extensions are expanded per query.
+        let out = host_exec::attention_decode(batch, kq, vq, &self.blocking(plan))?;
         Ok((out, self.output_for(gpu, plan, kq)))
     }
 }
@@ -708,7 +541,8 @@ impl Backend for CpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqllm_tensor::{linalg, metrics, synth};
+    use crate::host_exec::{CodeStream, OutlierBuf, RaggedExt};
+    use vqllm_tensor::{metrics, synth};
     use vqllm_vq::{VqAlgorithm, VqQuantizer};
 
     fn plan_for(vq: &VqConfig, op: &ComputeOp) -> KernelPlan {
@@ -783,128 +617,47 @@ mod tests {
         );
     }
 
-    #[test]
-    fn attention_batch_matches_looped_default() {
-        use vqllm_vq::VqAlgorithm;
-        let vq_cfg = VqAlgorithm::Cq4.config();
-        let k = synth::kv_stream(320, 32, 0.8, 8);
-        let v = synth::kv_stream(320, 32, 0.8, 9);
-        let kq = VqQuantizer::new(vq_cfg).quantize(&k, 1).unwrap();
-        let vq_t = VqQuantizer::new(vq_cfg).quantize(&v, 2).unwrap();
-        let op = ComputeOp::attention_decode(1, 32, 320, 4);
-        let plan = plan_for(&vq_cfg, &op);
-        let gpu = GpuSpec::rtx4090();
-        let qs = vqllm_tensor::Tensor2D::from_fn(4, 32, |b, d| ((b * 13 + d) as f32 * 0.23).sin());
-        let backend = CpuBackend::with_threads(2);
-        // The fused batch override vs the trait's looped default (which
-        // PerfModelBackend inherits) vs per-query fused.
-        let (fused, out) = backend
-            .run_attention_batch(&gpu, &plan, &qs, &kq, &vq_t)
-            .unwrap();
-        assert!(out.us() > 0.0);
-        let (looped, _) = PerfModelBackend
-            .run_attention_batch(&gpu, &plan, &qs, &kq, &vq_t)
-            .unwrap();
-        assert!(metrics::allclose(
-            fused.as_slice(),
-            looped.as_slice(),
-            1e-4,
-            1e-4
-        ));
-        for b in 0..qs.rows() {
-            let (single, _) = backend
-                .run_attention_head(&gpu, &plan, qs.row(b), &kq, &vq_t)
-                .unwrap();
-            assert!(
-                metrics::allclose(fused.row(b), &single, 1e-4, 1e-4),
-                "query {b}"
-            );
-        }
-        // Empty batches are rejected, not silently mis-shaped.
-        let empty = vqllm_tensor::Tensor2D::zeros(0, 32);
-        assert!(backend
-            .run_attention_batch(&gpu, &plan, &empty, &kq, &vq_t)
-            .is_err());
-        assert!(PerfModelBackend
-            .run_attention_batch(&gpu, &plan, &empty, &kq, &vq_t)
-            .is_err());
+    /// What the three attention tests share: a 320×32 CQ-4 context and its
+    /// plan, three queries, and the storage behind one extension of each
+    /// kind — two folded rows whose every group keeps its residual as an
+    /// outlier (so they reconstruct exactly) plus a tail row, none, and a
+    /// tail row alone.
+    struct AttentionFixture {
+        kq: QuantizedTensor,
+        vq: QuantizedTensor,
+        plan: KernelPlan,
+        gpu: GpuSpec,
+        qs: Tensor2D,
+        rows: Vec<Vec<f32>>,
+        k_folded: (Vec<CodeStream>, OutlierBuf),
+        v_folded: (Vec<CodeStream>, OutlierBuf),
     }
 
-    #[test]
-    fn attention_ragged_agrees_across_backends() {
-        let vq_cfg = VqAlgorithm::Cq4.config();
-        let k = synth::kv_stream(320, 32, 0.8, 30);
-        let v = synth::kv_stream(320, 32, 0.8, 31);
-        let kq = VqQuantizer::new(vq_cfg).quantize(&k, 1).unwrap();
-        let vq_t = VqQuantizer::new(vq_cfg).quantize(&v, 2).unwrap();
-        let op = ComputeOp::attention_decode(1, 32, 320, 3);
-        let plan = plan_for(&vq_cfg, &op);
-        let gpu = GpuSpec::rtx4090();
-        let qs = vqllm_tensor::Tensor2D::from_fn(3, 32, |b, d| ((b * 7 + d) as f32 * 0.19).sin());
-        let lens = [40usize, 320, 9];
-        let backend = CpuBackend::with_threads(2);
-        let (fused, out) = backend
-            .run_attention_ragged(&gpu, &plan, &qs, &lens, &kq, &vq_t)
-            .unwrap();
-        assert!(out.us() > 0.0);
-        // The trait's dequantize-and-loop default (what PerfModelBackend
-        // inherits) is the oracle.
-        let (reference, _) = PerfModelBackend
-            .run_attention_ragged(&gpu, &plan, &qs, &lens, &kq, &vq_t)
-            .unwrap();
-        assert!(metrics::allclose(
-            fused.as_slice(),
-            reference.as_slice(),
-            1e-4,
-            1e-4
-        ));
-        // Invalid lengths and empty batches are rejected on both paths.
-        let empty = vqllm_tensor::Tensor2D::zeros(0, 32);
-        assert!(backend
-            .run_attention_ragged(&gpu, &plan, &empty, &[], &kq, &vq_t)
-            .is_err());
-        assert!(PerfModelBackend
-            .run_attention_ragged(&gpu, &plan, &empty, &[], &kq, &vq_t)
-            .is_err());
-        assert!(backend
-            .run_attention_ragged(&gpu, &plan, &qs, &[0, 1, 1], &kq, &vq_t)
-            .is_err());
-        assert!(PerfModelBackend
-            .run_attention_ragged(&gpu, &plan, &qs, &[1, 1, 321], &kq, &vq_t)
-            .is_err());
-    }
+    const SEQ: usize = 320;
+    const LENS: [usize; 3] = [40, SEQ, 9];
 
-    #[test]
-    fn attention_ragged_tailed_agrees_across_backends() {
-        use crate::host_exec::{CodeStream, OutlierBuf, RaggedExt};
-        let vq_cfg = VqAlgorithm::Cq4.config();
-        let k = synth::kv_stream(320, 32, 0.8, 30);
-        let v = synth::kv_stream(320, 32, 0.8, 31);
-        let kq = VqQuantizer::new(vq_cfg).quantize(&k, 1).unwrap();
-        let vq_t = VqQuantizer::new(vq_cfg).quantize(&v, 2).unwrap();
-        let op = ComputeOp::attention_decode(1, 32, 320, 3);
-        let plan = plan_for(&vq_cfg, &op);
-        let gpu = GpuSpec::rtx4090();
-        let qs = vqllm_tensor::Tensor2D::from_fn(3, 32, |b, d| ((b * 7 + d) as f32 * 0.19).sin());
-        let lens = [40usize, 320, 9];
-        // Encode two appended rows against the context's codebooks; keep
-        // every group's residual as an outlier so reconstruction is exact.
-        let rows: Vec<Vec<f32>> = (0..3)
-            .map(|i| {
-                (0..32)
-                    .map(|j| ((i * 11 + j) as f32 * 0.33).sin())
-                    .collect()
-            })
-            .collect();
-        let vs = vq_cfg.vector_size;
-        let groups = 32 / vs;
-        let encode =
-            |books: &vqllm_vq::CodebookSet, rows: &[Vec<f32>]| -> (Vec<CodeStream>, OutlierBuf) {
-                let mut codes = vec![CodeStream::new(vq_cfg.index_bits()); vq_cfg.residuals];
-                let mut outs = OutlierBuf::default();
-                for (i, row) in rows.iter().enumerate() {
-                    for g in 0..groups {
-                        let mut resid = row[g * vs..(g + 1) * vs].to_vec();
+    impl AttentionFixture {
+        fn new() -> Self {
+            let cfg = VqAlgorithm::Cq4.config();
+            let quantize = |seed| {
+                let t = synth::kv_stream(SEQ, 32, 0.8, seed);
+                VqQuantizer::new(cfg).quantize(&t, seed).unwrap()
+            };
+            let (kq, vq) = (quantize(30), quantize(31));
+            let rows: Vec<Vec<f32>> = (0..3)
+                .map(|i| {
+                    (0..32)
+                        .map(|j| ((i * 11 + j) as f32 * 0.33).sin())
+                        .collect()
+                })
+                .collect();
+            let vs = cfg.vector_size;
+            let fold = |books: &vqllm_vq::CodebookSet| {
+                let mut codes = vec![CodeStream::new(cfg.index_bits()); cfg.residuals];
+                let mut outliers = OutlierBuf::default();
+                for (i, row) in rows[..2].iter().enumerate() {
+                    for (g, sub) in row.chunks_exact(vs).enumerate() {
+                        let mut resid = sub.to_vec();
                         let mut entry = vec![0.0f32; vs];
                         for (r, stream) in codes.iter_mut().enumerate() {
                             let book = books.book(r, books.scope_index(0, g * vs));
@@ -915,67 +668,155 @@ mod tests {
                                 *rv -= e;
                             }
                         }
-                        outs.push(i, g, &resid);
+                        outliers.push(i, g, &resid);
                     }
                 }
-                (codes, outs)
+                (codes, outliers)
             };
-        let (kc, ko) = encode(kq.codebooks(), &rows[..2]);
-        let (vc, vo) = encode(vq_t.codebooks(), &rows[..2]);
-        let exts = [
-            RaggedExt {
-                rows: 2,
-                k_codes: &kc,
-                v_codes: &vc,
-                k_outliers: ko.view(),
-                v_outliers: vo.view(),
-                k_tail: &rows[2],
-                v_tail: &rows[2],
-            },
-            RaggedExt::default(),
-            RaggedExt {
-                k_tail: &rows[0],
-                v_tail: &rows[0],
-                ..RaggedExt::default()
-            },
-        ];
+            AttentionFixture {
+                k_folded: fold(kq.codebooks()),
+                v_folded: fold(vq.codebooks()),
+                plan: plan_for(&cfg, &ComputeOp::attention_decode(1, 32, SEQ, 3)),
+                gpu: GpuSpec::rtx4090(),
+                qs: Tensor2D::from_fn(3, 32, |b, d| ((b * 7 + d) as f32 * 0.19).sin()),
+                kq,
+                vq,
+                rows,
+            }
+        }
+
+        fn exts(&self) -> [RaggedExt<'_>; 3] {
+            [
+                RaggedExt {
+                    rows: 2,
+                    k_codes: &self.k_folded.0,
+                    v_codes: &self.v_folded.0,
+                    k_outliers: self.k_folded.1.view(),
+                    v_outliers: self.v_folded.1.view(),
+                    k_tail: &self.rows[2],
+                    v_tail: &self.rows[2],
+                },
+                RaggedExt::default(),
+                RaggedExt {
+                    k_tail: &self.rows[0],
+                    v_tail: &self.rows[0],
+                    ..RaggedExt::default()
+                },
+            ]
+        }
+
+        fn run(&self, backend: &dyn Backend, batch: &AttentionBatch<'_>) -> Result<Tensor2D> {
+            let (out, counters) =
+                backend.run_attention(&self.gpu, &self.plan, batch, &self.kq, &self.vq)?;
+            assert!(counters.us() > 0.0);
+            Ok(out)
+        }
+
+        /// The fused body against the one reference body (the trait
+        /// default, which `PerfModelBackend` inherits) on `batch`; returns
+        /// the fused output.
+        fn fused_agrees_with_reference(&self, batch: &AttentionBatch<'_>) -> Tensor2D {
+            let fused = self.run(&CpuBackend::with_threads(2), batch).unwrap();
+            let reference = self.run(&PerfModelBackend, batch).unwrap();
+            assert!(metrics::allclose(
+                fused.as_slice(),
+                reference.as_slice(),
+                1e-4,
+                1e-4
+            ));
+            fused
+        }
+
+        /// Both bodies run the one validation: `batch` is rejected by each.
+        fn both_reject(&self, batch: &AttentionBatch<'_>) {
+            assert!(self.run(&CpuBackend::new(), batch).is_err());
+            assert!(self.run(&PerfModelBackend, batch).is_err());
+        }
+    }
+
+    #[test]
+    fn attention_batch_matches_looped_default() {
+        let fx = AttentionFixture::new();
+        let (qs, lens) = (&fx.qs, &[SEQ; 3][..]);
+        let fused = fx.fused_agrees_with_reference(&AttentionBatch {
+            qs,
+            lens,
+            exts: &[],
+        });
+        // The named shapes are descriptions of that one call: the batch
+        // method is it, and a head alone is one lane of the same chain.
         let backend = CpuBackend::with_threads(2);
-        let (fused, out) = backend
-            .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &exts, &kq, &vq_t)
+        let (batch, _) = backend
+            .run_attention_batch(&fx.gpu, &fx.plan, qs, &fx.kq, &fx.vq)
             .unwrap();
-        assert!(out.us() > 0.0);
-        // The trait's dequantize-splice-and-loop default (what
-        // PerfModelBackend inherits) is the oracle.
-        let (reference, _) = PerfModelBackend
-            .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &exts, &kq, &vq_t)
+        assert_eq!(batch, fused);
+        for b in 0..qs.rows() {
+            let (single, _) = backend
+                .run_attention_head(&fx.gpu, &fx.plan, qs.row(b), &fx.kq, &fx.vq)
+                .unwrap();
+            assert_eq!(fused.row(b), single, "query {b}");
+        }
+        // Empty batches are rejected, not silently mis-shaped.
+        fx.both_reject(&AttentionBatch {
+            qs: &Tensor2D::zeros(0, 32),
+            lens: &[],
+            exts: &[],
+        });
+    }
+
+    #[test]
+    fn attention_ragged_agrees_across_backends() {
+        let fx = AttentionFixture::new();
+        let qs = &fx.qs;
+        let fused = fx.fused_agrees_with_reference(&AttentionBatch {
+            qs,
+            lens: &LENS,
+            exts: &[],
+        });
+        let (ragged, _) = CpuBackend::with_threads(2)
+            .run_attention_ragged(&fx.gpu, &fx.plan, qs, &LENS, &fx.kq, &fx.vq)
             .unwrap();
-        assert!(metrics::allclose(
-            fused.as_slice(),
-            reference.as_slice(),
-            1e-4,
-            1e-4
-        ));
+        assert_eq!(ragged, fused);
+        // Invalid lengths are rejected on both paths.
+        for lens in [&[0, 1, 1][..], &[1, 1, SEQ + 1], &[1, 1]] {
+            fx.both_reject(&AttentionBatch {
+                qs,
+                lens,
+                exts: &[],
+            });
+        }
+    }
+
+    #[test]
+    fn attention_ragged_tailed_agrees_across_backends() {
+        let fx = AttentionFixture::new();
+        let (qs, exts) = (&fx.qs, fx.exts());
+        let fused = fx.fused_agrees_with_reference(&AttentionBatch {
+            qs,
+            lens: &LENS,
+            exts: &exts,
+        });
+        let backend = CpuBackend::with_threads(2);
+        let (tailed, _) = backend
+            .run_attention_ragged_tailed(&fx.gpu, &fx.plan, qs, &LENS, &exts, &fx.kq, &fx.vq)
+            .unwrap();
+        assert_eq!(tailed, fused);
         // With every extension empty both paths reduce to the plain
         // ragged decode.
-        let empty = [
-            RaggedExt::default(),
-            RaggedExt::default(),
-            RaggedExt::default(),
-        ];
+        let empty = [RaggedExt::default(); 3];
         let (no_ext, _) = backend
-            .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &empty, &kq, &vq_t)
+            .run_attention_ragged_tailed(&fx.gpu, &fx.plan, qs, &LENS, &empty, &fx.kq, &fx.vq)
             .unwrap();
         let (plain, _) = backend
-            .run_attention_ragged(&gpu, &plan, &qs, &lens, &kq, &vq_t)
+            .run_attention_ragged(&fx.gpu, &fx.plan, qs, &LENS, &fx.kq, &fx.vq)
             .unwrap();
         assert_eq!(no_ext, plain, "empty extensions must be bitwise invisible");
         // Mismatched extension counts are rejected on both paths.
-        assert!(backend
-            .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &exts[..2], &kq, &vq_t)
-            .is_err());
-        assert!(PerfModelBackend
-            .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &exts[..2], &kq, &vq_t)
-            .is_err());
+        fx.both_reject(&AttentionBatch {
+            qs,
+            lens: &LENS,
+            exts: &exts[..2],
+        });
     }
 
     #[test]

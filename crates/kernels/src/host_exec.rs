@@ -5,89 +5,105 @@
 //! onto the host memory hierarchy. No kernel here ever materializes the
 //! dequantized weight matrix; every inner loop reads **packed codes**
 //! (via [`PackedIndices::unpack_block`], or as the stream's own bytes when
-//! an index is eight bits wide) and small cache-resident tables:
+//! an index is eight bits wide) and small cache-resident tables.
 //!
-//! * [`gemv_lut`] — `y = dequant(Wq) · x`: per-(scope, residual) lookup
-//!   tables of `x`-sub-vector · centroid partial dots (the decode-centric
-//!   LUT GeMV of EVA/VPTQ), so the inner loop is `acc[row] += lut[code]` —
-//!   one gather and one add per packed code, 8 group lanes at a time
-//!   ([`simd::lut_row_sum`]).
-//! * [`gemv_lut_batch`] — the same LUT kernel over a **batch** of
-//!   activations (the serving-layer multi-token decode shape): one shared
-//!   pass over the packed codes of a weight row feeds lane-interleaved LUT
-//!   slabs, so a packed code costs one load and one add into sums that a
-//!   small row block keeps in registers across the whole group block
-//!   ([`simd::lut_batch_accumulate`]).
-//! * [`gemv_xw`] — `y = xᵀ · dequant(Wq)` (the [`Backend`] GeMV contract,
-//!   where sub-vectors run along the *output* axis): the dual trick —
+//! Two arithmetic bodies do the work, over **lane blocks**: up to
+//! [`simd::LANES`] activations ride the lanes of one vector, a block of `w`
+//! of them padded to `W = `[`simd::padded_lanes`]`(w)` ∈ {1, 2, 4, 8}.
+//!
+//! * **The score pass** ([`lut_scores`]) — `Y = dequant(Wq) · Xᵀ`,
+//!   sub-vectors along the *reduction* axis (the decode-centric LUT GeMV of
+//!   EVA/VPTQ): per (residual round, column group) a lane-interleaved table
+//!   of activation · centroid partial dots, then one load and one add per
+//!   packed code into sums a small row block keeps in registers
+//!   ([`simd::lut_batch_accumulate`]). [`gemv_lut_batch`] is this pass,
+//!   [`gemv_lut`] its one-lane case, attention's K side its prefix.
+//! * **The value pass** ([`value_lanes`] → [`simd::value_accumulate`]) —
+//!   `C = A × dequant(Wq)`, sub-vectors along the *output* axis: per packed
+//!   code, `vector_size` broadcasts from [`Codebook::entries_flat`] and as
+//!   many multiply-adds by the row's `W` weights, into register-resident
+//!   accumulators; rows streamed once per block of column groups. It is
+//!   attention's V side (weights: the softmax numerators) and
+//!   [`gemm_fused`], the linear layer (weights: the batch rows of `A`,
+//!   transposed).
+//! * [`gemv_xw`] — `y = xᵀ · dequant(Wq)` (the [`Backend`] GeMV contract) is
+//!   a different algorithm, not a third copy of the sums above:
 //!   scatter-aggregate `wsum[code] += x[row]` into a cache-resident slab,
-//!   then expand through the centroids once, as dense SIMD dots over the
-//!   interleaved codebook layout when the aggregation is saturated.
-//! * [`gemm_fused`] — `C = A × dequant(Wq)`: **panel-blocked**. Each
-//!   worker decodes a K-panel of its column strip once (all residual
-//!   rounds folded, never the full matrix) and reuses it across an M×N
-//!   register-blocked micro-kernel, instead of re-decoding per output row.
-//!   The linear layer's kernel.
-//! * [`attention_decode_fused`] — one decode head over quantized K/V: the
-//!   K-side score pass *is* the LUT GeMV, the V-side weighted sum *is* the
-//!   aggregation GeMV.
-//! * [`attention_decode_batch`] / [`attention_decode_ragged`] /
-//!   [`attention_decode_ragged_tailed`] — the serving shapes (a batch of
-//!   queries over one shared cache; per-query prefixes; plus private
-//!   live-KV extensions), one body. See below.
+//!   then expand through the centroids once.
+//! * [`attention_decode`] — the one attention entry: score pass, lane-wise
+//!   softmax, value pass in one buffer (see below). One query, a full
+//!   batch, per-query prefixes and private live-KV extensions are all
+//!   descriptions ([`AttentionBatch`]) of the same call.
 //!
-//! # Batched attention: three stages in one buffer
+//! **Where the value pass hands over.** [`simd::value_accumulate`]'s
+//! register kernel covers what serving uses: one residual round of one-byte
+//! codes over plain 256-entry books with 2-, 4- or 8-wide entries
+//! ([`lanes_cover`]). For every other configuration — codes wider than a
+//! byte, more residual rounds, lattice signs, other sub-vector widths —
+//! re-decoding a row once per lane block costs more than decoding it once
+//! to memory, so [`gemm_fused`] runs the **panel body** ([`gemm_panels`]:
+//! decode a K-chunk of rows, reuse it across a register-blocked
+//! micro-kernel). That is the paper's register- versus shared-memory-level
+//! fusion threshold, and like it the choice is a function of the tensor's
+//! [`VqConfig`] alone — never of the plan, the SIMD tier or the caller — and
+//! the chunk a function of the tensor's shape alone.
+//!
+//! # Attention: three stages in one buffer
 //!
 //! The paper's dataflow is codebook-centric with **register-level** fusion:
 //! a dequantized value goes from the codebook cache into the consuming
-//! instruction, never through memory. The batched attention body
-//! ([`attention_lanes`]) is that on the host. Up to [`simd::LANES`] queries
-//! ride the lanes of one vector; a block of `w` of them is padded to
-//! `W = `[`simd::padded_lanes`]`(w)` ∈ {1, 2, 4, 8} and works in one
-//! token-major buffer of `bound × W` floats (`bound`: the longest prefix a
-//! lane attends — packed K/V rows no query attends are never streamed):
+//! instruction, never through memory. The attention body
+//! ([`attention_lanes`]) is that on the host. A lane block of queries works
+//! in one token-major buffer of `bound × W` floats (`bound`: the longest
+//! prefix a lane attends — packed K/V rows no query attends are never
+//! streamed):
 //!
-//! 1. **Score** ([`lut_scores`]): the batched LUT pass writes
+//! 1. **Score** ([`lut_scores`]): the LUT pass writes
 //!    `q_b · dequant(K)[t]` into `buf[t][b]`.
 //! 2. **Softmax** ([`simd::softmax_lanes`]): lane-wise and in place. Each
 //!    lane takes the maximum over its own prefix and private rows, then
 //!    every score becomes the numerator `exp(s·scale − max)` through one
 //!    polynomial [`simd::exp`]; rows past a lane's prefix become exactly
 //!    +0.0. The normalising sum is kept per lane and divides last.
-//! 3. **Value** ([`value_lanes`] → [`simd::value_accumulate`]): column
-//!    groups outermost — a block's codebooks are its L1-resident codebook
-//!    cache, its `vector_size × groups` output elements × `W` lanes its
-//!    register-resident accumulators — and the rows are streamed once per
-//!    block: per packed V code, `vector_size` broadcasts from
-//!    [`Codebook::entries_flat`] and as many multiply-adds by the row's
-//!    weight vector `buf[t]`. No row is decoded, no panel exists, nothing
-//!    is transposed or gathered between the stages.
+//! 3. **Value** ([`value_lanes`]): column groups outermost — a block's
+//!    codebooks are its L1-resident codebook cache, its `vector_size ×
+//!    groups` output elements × `W` lanes its register-resident
+//!    accumulators — and the rows are streamed once per block against the
+//!    row's weight vector `buf[t]`. No row is decoded, no panel exists,
+//!    nothing is transposed or gathered between the stages.
 //!
-//! **The one summation order.** For every configuration, batch width,
-//! lane position, thread count and [`HostBlocking`], query `b`'s bytes are
-//! these and no others:
+//! # The one summation order
 //!
-//! * a context score is the [`gemv_lut_batch`] sum: per residual round, LUT
-//!   slots added left to right over the column groups (lattice books: the
-//!   signed dots, in the same order);
-//! * maximum, then numerators and their sum, run in row order over
+//! For every configuration, batch width, lane position, thread count and
+//! [`HostBlocking`], an output's bytes are these and no others:
+//!
+//! * a score — a [`gemv_lut`] / [`gemv_lut_batch`] output, a context score
+//!   of attention — is, per residual round, LUT slots added left to right
+//!   over the column groups (lattice books: the signed dots, in the same
+//!   order);
+//! * softmax maximum, then numerators and their sum, run in row order over
 //!   [context prefix | folded extension rows | f32 tail rows];
-//! * every output element is **one** chain of multiply-adds from +0.0 over
-//!   the same rows — a context row contributes `weight · entry` once per
-//!   residual round, rounds in order (fused on the AVX2 tier, multiply then
-//!   add on the scalar one); folded rows, their outlier residuals and the
-//!   tail rows continue it with `+= weight · value` ([`ext_values`]) — and
-//!   is divided by the lane's sum.
+//! * a value-pass output — a [`gemm_fused`] element on a covered
+//!   configuration, an attention output element — is **one** chain of
+//!   multiply-adds from +0.0 over the rows: a row contributes
+//!   `weight · entry` once per residual round, rounds in order (fused on
+//!   the AVX2 tier, multiply then add on the scalar one). Attention
+//!   continues it over folded rows, their outlier residuals and the tail
+//!   rows with `+= weight · value` ([`ext_values`]) and divides by the
+//!   lane's sum;
+//! * a panel-body [`gemm_fused`] element is the sum, in row order, of one
+//!   such chain per K-chunk of the row's codebook band — chunks of
+//!   `256 KiB ÷ row bytes` rows, fixed by the tensor's shape.
 //!
 //! Zero-weight rows between a lane's prefix and the bound add exact zeros,
 //! so solo ≡ batched ≡ tailed-with-empty-extensions bit for bit, and since
-//! no sum is ever split by a block, panel or worker boundary, a replan
-//! cannot move a byte. The register-resident kernels cover plain books of
-//! 256 entries with one-byte codes (score) and, on the AVX2 tier, one
-//! residual round of 2-, 4- or 8-wide entries (value); every other shape —
-//! lattice signs, other index widths, other sub-vector widths, more rounds
-//! — runs the same chains through the generic lane-array bodies, the split
-//! [`ext_passes`] makes for private rows.
+//! no sum is ever split by a block or worker boundary — nor anywhere a
+//! [`HostBlocking`] can reach — a replan cannot move a byte.
+//! [`HostBlocking::slab_bytes`] sizes the score LUT's and [`gemv_xw`]'s
+//! aggregation table's *group blocks*, which reorder work and never a sum.
+//! Shapes the register kernels do not cover run the same chains through the
+//! generic lane-array bodies, the split [`ext_passes`] makes for private
+//! rows.
 //!
 //! A live-KV extension ([`RaggedExt`]) is private to one query, so there
 //! is no batch to share a LUT across: its rows are decoded per code,
@@ -107,13 +123,13 @@
 //!
 //! Blocking ([`HostBlocking`]) reuses the [`KernelPlan`]'s shared-memory
 //! budget decisions: the bytes the planner would stage into an SM's shared
-//! memory are the natural L1/L2-resident slab size on the host. Row
+//! memory size the L1/L2-resident group block of a table on the host. Row
 //! partitioning derived from the blocking runs on the persistent
 //! [`pool::WorkerPool`] — workers are spawned once per process and fed
 //! through a channel, so a parallel kernel call costs two queue pushes,
 //! not N thread spawns. Inner loops dispatch through [`simd`]: AVX2 + FMA
 //! when the CPU has them, 8-wide unrolled scalar lanes otherwise — per
-//! primitive for the dense ones, once per kernel call for the attention
+//! primitive for the dense ones, once per kernel call for the lane-block
 //! stages, whose per-code work is too small to carry a dispatch.
 //!
 //! [`Backend`]: crate::backend::Backend
@@ -124,16 +140,17 @@ pub mod simd;
 
 use crate::{KernelError, Result};
 use vqllm_core::KernelPlan;
-use vqllm_tensor::{linalg, Tensor2D};
+use vqllm_tensor::Tensor2D;
 use vqllm_vq::config::CodebookScope;
-use vqllm_vq::QuantizedTensor;
+use vqllm_vq::{QuantizedTensor, VqConfig};
 
 /// Cache-blocking and threading decisions for the host kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostBlocking {
-    /// Byte budget for the cache-resident slab (LUT, aggregation table, or
-    /// decoded weight panel) a kernel keeps hot — the host analogue of the
-    /// plan's shared-memory footprint.
+    /// Byte budget for the cache-resident slab — the group block of the
+    /// score LUT or of [`gemv_xw`]'s aggregation table — a kernel keeps
+    /// hot: the host analogue of the plan's shared-memory footprint. It
+    /// orders work, never a sum.
     pub slab_bytes: usize,
     /// Worker partitions for the parallel paths (1 = sequential). The
     /// partitions execute on the shared [`pool::WorkerPool`]; this knob
@@ -186,14 +203,6 @@ impl HostBlocking {
             slab_bytes: self.slab_bytes * 8,
             ..*self
         }
-    }
-
-    /// Rows per decoded K-panel. Panels are sized to the outer budget: the
-    /// micro-kernel re-streams the panel `m / MR` times, so the panel
-    /// wants L2 residency, while deep panels amortize the accumulator-tile
-    /// setup. At least 8 rows, capped at `rows`.
-    fn panel_rows(&self, row_floats: usize, rows: usize) -> usize {
-        (self.outer().slab_bytes / (row_floats * 4).max(1)).clamp(8.min(rows.max(1)), rows.max(1))
     }
 }
 
@@ -270,120 +279,37 @@ where
 
 /// Fused LUT GeMV: `y = dequant(Wq) · x` with `x.len() == cols`,
 /// `y.len() == rows` — the decode-orientation GeMV where quantized
-/// sub-vectors run along the reduction axis.
-///
-/// For each (residual, row band) a `groups × stored_entries` table of
-/// `x`-sub-vector · centroid partial dots is built with SIMD AXPYs over
-/// the interleaved codebook layout; the per-row inner loop is then one
-/// gather + add per block-decoded packed code ([`simd::lut_row_sum`]),
-/// visited in [`HostBlocking`]-sized group blocks so the active LUT slab
-/// stays L1-resident. Lattice codebooks (sign-extended logical entries)
-/// take a fused sign-aware path instead — a per-base-entry LUT cannot
-/// absorb element-wise sign masks.
+/// sub-vectors run along the reduction axis. This is [`gemv_lut_batch`] at
+/// batch 1: the score pass on one lane, every output the sum a lane of any
+/// wider batch gets.
 ///
 /// # Errors
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `x.len() != cols`.
 pub fn gemv_lut(wq: &QuantizedTensor, x: &[f32], blocking: &HostBlocking) -> Result<Vec<f32>> {
-    let (rows, cols) = wq.shape();
-    if x.len() != cols {
+    if x.len() != wq.shape().1 {
         return Err(KernelError::ShapeMismatch {
             what: "x length must equal quantized cols",
         });
     }
-    let vq = *wq.config();
-    let vs = vq.vector_size;
-    let groups = wq.col_groups();
-    let stored = vq.stored_entries();
-    let books = wq.codebooks();
-    let band = books.band_rows();
-    let mut y = vec![0.0f32; rows];
-
-    let mut band_start = 0;
-    while band_start < rows {
-        let band_len = band.min(rows - band_start);
-        for r in 0..vq.residuals {
-            let stream = wq.index_stream(r);
-            if vq.lattice {
-                // Sign-extended entries: fuse the sign application into the
-                // dot instead of tabulating 2^vs variants per base entry.
-                parallel_row_chunks(
-                    &mut y[band_start..band_start + band_len],
-                    1,
-                    blocking.threads,
-                    "host.gemv_lut",
-                    |first, chunk| {
-                        let mut codes = vec![0u32; groups];
-                        for (local, out) in chunk.iter_mut().enumerate() {
-                            let row = band_start + first + local;
-                            stream.unpack_block(row * groups, &mut codes);
-                            let mut acc = 0.0f32;
-                            for (g, &code) in codes.iter().enumerate() {
-                                let book = books.book(r, books.scope_index(row, g * vs));
-                                let base = book.stored_id_of(code) as usize;
-                                let signs = code >> book.sign_shift();
-                                acc += signed_dot(
-                                    &book.entries_flat()[base * vs..(base + 1) * vs],
-                                    &x[g * vs..(g + 1) * vs],
-                                    signs,
-                                );
-                            }
-                            *out += acc;
-                        }
-                    },
-                )?;
-            } else {
-                // The LUT: partial dot of every centroid against the x
-                // sub-vector of every column group of this band's books,
-                // built as `vs` dense AXPYs over the interleaved layout.
-                let mut lut = vec![0.0f32; groups * stored];
-                for (g, slab) in lut.chunks_mut(stored).enumerate() {
-                    let inter = books
-                        .book(r, books.scope_index(band_start, g * vs))
-                        .entries_interleaved();
-                    let xs = &x[g * vs..(g + 1) * vs];
-                    for (j, &xj) in xs.iter().enumerate() {
-                        simd::axpy(slab, xj, &inter[j * stored..(j + 1) * stored]);
-                    }
-                }
-                let gb = blocking.group_block(stored, groups);
-                parallel_row_chunks(
-                    &mut y[band_start..band_start + band_len],
-                    1,
-                    blocking.threads,
-                    "host.gemv_lut",
-                    |first, chunk| {
-                        let mut codes = vec![0u32; gb];
-                        for g0 in (0..groups).step_by(gb) {
-                            let gl = gb.min(groups - g0);
-                            let slab = &lut[g0 * stored..(g0 + gl) * stored];
-                            for (local, out) in chunk.iter_mut().enumerate() {
-                                let row = band_start + first + local;
-                                stream.unpack_block(row * groups + g0, &mut codes[..gl]);
-                                *out += simd::lut_row_sum(slab, stored, &codes[..gl]);
-                            }
-                        }
-                    },
-                )?;
-            }
-        }
-        band_start += band_len;
-    }
-    Ok(y)
+    let xs = Tensor2D::from_fn(1, x.len(), |_, c| x[c]);
+    Ok(gemv_lut_batch(wq, &xs, blocking)?.into_vec())
 }
 
 /// Batched fused LUT GeMV: `Y = dequant(Wq) · Xᵀ` for a batch of
 /// activation rows `xs` (`batch × cols`, row-major), returning `Y` as
 /// `rows × batch` (token-major: `Y[row][b] = (dequant(Wq) · xs[b])[row]`).
 ///
-/// This is the serving-layer multi-token decode shape: the packed-code
-/// decode — the per-row cost [`gemv_lut`] pays once per activation — is
-/// shared across the whole batch, and the LUT slab is **lane-interleaved**
-/// (one slot of [`simd::padded_lanes`] partial dots per (group, code); a
-/// batch wider than [`simd::LANES`] is taken a lane block at a time) so a
-/// packed code costs a single contiguous load and add
-/// ([`simd::lut_batch_accumulate`]) instead of B scattered gathers.
-/// Lattice books fall back to the fused sign-aware path per batch lane.
+/// This is the score pass, the serving-layer multi-token decode shape: the
+/// packed-code decode is shared across the whole batch, and the LUT slab
+/// is **lane-interleaved** (one slot of [`simd::padded_lanes`] partial dots
+/// per (group, code); a batch wider than [`simd::LANES`] is taken a lane
+/// block at a time) so a packed code costs a single contiguous load and
+/// add ([`simd::lut_batch_accumulate`]) instead of B scattered gathers,
+/// visited in [`HostBlocking`]-sized group blocks so the active LUT slab
+/// stays cache-resident. Lattice books (sign-extended logical entries)
+/// take a fused sign-aware path per lane instead — a per-base-entry LUT
+/// cannot absorb element-wise sign masks.
 ///
 /// # Errors
 ///
@@ -393,6 +319,7 @@ pub fn gemv_lut_batch(
     xs: &Tensor2D,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
+    failpoint("host.gemv_lut_batch")?;
     let (rows, cols) = wq.shape();
     if xs.cols() != cols {
         return Err(KernelError::ShapeMismatch {
@@ -561,6 +488,7 @@ fn lut_scores<const W: usize>(
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `x.len() != rows`.
 pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Vec<f32>> {
+    failpoint("host.gemv_xw")?;
     let (rows, cols) = wq.shape();
     if x.len() != rows {
         return Err(KernelError::ShapeMismatch {
@@ -662,18 +590,29 @@ pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Resu
 
 use simd::{GEMM_MR, GEMM_NR};
 
-/// Fused GeMM: `C = A (m×k) × dequant(Wq) (k×n)` — panel-blocked.
+/// Whether [`simd::value_accumulate`]'s register kernel covers `cfg`: one
+/// residual round of one-byte codes over plain 256-entry books with 2-, 4-
+/// or 8-wide entries. [`gemm_fused`] runs the value pass on these and the
+/// panel body on everything else; nothing but the tensor's configuration
+/// enters the choice.
+fn lanes_cover(cfg: &VqConfig) -> bool {
+    !cfg.lattice
+        && cfg.residuals == 1
+        && cfg.num_entries == 256
+        && matches!(cfg.vector_size, 2 | 4 | 8)
+}
+
+/// Fused GeMM: `C = A (m×k) × dequant(Wq) (k×n)` — the linear layer's
+/// kernel.
 ///
-/// The quantized weight is decoded one **K-panel at a time** (a
-/// slab-resident `panel_rows × strip` block assembled directly from packed
-/// codes, all residual rounds folded — the full dequantized matrix never
-/// exists), and each panel is reused across every row of `A` through an
-/// `MR × NR` register-blocked micro-kernel: `GEMM_NR`-wide accumulator
-/// tiles stay live across the whole panel depth, so the decoded panel is
-/// streamed from cache `m / MR` times instead of `m` times and each
-/// decoded weight feeds `MR` FMAs per load. Workers own disjoint
-/// column-group strips, so the packed stream is decoded exactly once per
-/// strip (PR 2 re-decoded it per worker).
+/// On a configuration the register kernel covers ([`lanes_cover`]) this is
+/// the **value pass** with the batch as lanes: up to [`simd::LANES`] rows
+/// of `A` are transposed into a `k × W` weight buffer, [`value_lanes`]
+/// streams `Wq`'s packed rows against it, and the accumulators are
+/// transposed out — every output one multiply-add chain over `k`, no
+/// panel, no K-split, nothing a [`HostBlocking`] can reach but the worker
+/// count, which partitions column groups. Every other configuration runs
+/// the panel body ([`gemm_panels`]).
 ///
 /// # Errors
 ///
@@ -685,19 +624,74 @@ pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -
             what: "A.cols must equal quantized weight rows",
         });
     }
-    let n = wq.shape().1;
-    let m = a.rows();
-    let vs = wq.config().vector_size;
-    let groups = wq.col_groups();
+    let (m, n) = (a.rows(), wq.shape().1);
     let mut c = Tensor2D::zeros(m, n);
     if m == 0 || n == 0 {
         return Ok(c);
     }
-
-    let workers = blocking.threads.max(1).min(groups);
-    if workers <= 1 {
-        gemm_strip(a, wq, blocking, 0, groups, c.as_mut_slice());
+    if !lanes_cover(wq.config()) {
+        gemm_panels(a, wq, blocking.threads, &mut c)?;
         return Ok(c);
+    }
+    for l0 in (0..m).step_by(simd::LANES) {
+        let w = (m - l0).min(simd::LANES);
+        simd::with_padded_lanes!(
+            simd::padded_lanes(w), gemm_lanes;
+            a, wq, l0, w, blocking.threads, &mut c
+        )?;
+    }
+    Ok(c)
+}
+
+/// Rows `[l0, l0 + w)` of [`gemm_fused`]'s output through the value pass,
+/// in `W = padded_lanes(w)` lanes (the padding lanes weigh every row zero).
+fn gemm_lanes<const W: usize>(
+    a: &Tensor2D,
+    wq: &QuantizedTensor,
+    l0: usize,
+    w: usize,
+    threads: usize,
+    c: &mut Tensor2D,
+) -> Result<()> {
+    let mut weights = vec![[0.0f32; W]; a.cols()];
+    for b in 0..w {
+        for (lanes, &v) in weights.iter_mut().zip(a.row(l0 + b)) {
+            lanes[b] = v;
+        }
+    }
+    let mut acc = vec![[0.0f32; W]; c.cols()];
+    value_lanes(wq, &weights, &mut acc, threads, "host.gemm_fused")?;
+    for b in 0..w {
+        for (o, lanes) in c.row_mut(l0 + b).iter_mut().zip(&acc) {
+            *o = lanes[b];
+        }
+    }
+    Ok(())
+}
+
+/// Bytes of decoded rows one K-chunk of the panel body holds: an L2's
+/// worth, since the micro-kernel re-streams the chunk `m / MR` times.
+pub const PANEL_BYTES: usize = 256 << 10;
+
+/// [`gemm_fused`] for the configurations [`lanes_cover`] excludes —
+/// **panel-blocked**. The quantized weight is decoded one K-chunk at a time
+/// (`chunk × strip` floats assembled directly from packed codes, all
+/// residual rounds folded — the full dequantized matrix never exists), and
+/// each chunk is reused across every row of `A` through an `MR × NR`
+/// register-blocked micro-kernel: a row is decoded once for all `m`, where
+/// the lane form would decode it once per lane block. Workers own disjoint
+/// column-group strips, so the packed stream is decoded exactly once per
+/// strip. The chunk is [`PANEL_BYTES`]` ÷ row bytes` rows (at least 8),
+/// restarted at every codebook band: a function of the tensor's shape, so
+/// the order these sums run in is too.
+fn gemm_panels(a: &Tensor2D, wq: &QuantizedTensor, threads: usize, c: &mut Tensor2D) -> Result<()> {
+    let m = a.rows();
+    let vs = wq.config().vector_size;
+    let groups = wq.col_groups();
+    let workers = threads.max(1).min(groups);
+    if workers <= 1 {
+        gemm_strip(a, wq, 0, groups, c.as_mut_slice());
+        return Ok(());
     }
 
     // Column-parallel: each worker owns a contiguous group strip and a
@@ -714,7 +708,7 @@ pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -
         .collect();
     pool::WorkerPool::shared().try_scope("host.gemm_fused", |scope| {
         for (&(gs, ge), buf) in strips.iter().zip(bufs.iter_mut()) {
-            scope.spawn(move || gemm_strip(a, wq, blocking, gs, ge, buf));
+            scope.spawn(move || gemm_strip(a, wq, gs, ge, buf));
         }
     })?;
     for (&(gs, ge), buf) in strips.iter().zip(&bufs) {
@@ -723,19 +717,12 @@ pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -
             c.row_mut(p)[gs * vs..ge * vs].copy_from_slice(&buf[p * strip_n..(p + 1) * strip_n]);
         }
     }
-    Ok(c)
+    Ok(())
 }
 
-/// One worker's share of [`gemm_fused`]: groups `[gs, ge)` of the weight,
+/// One worker's share of [`gemm_panels`]: groups `[gs, ge)` of the weight,
 /// accumulated into `cs` (`m × (ge-gs)·vs`, row-major).
-fn gemm_strip(
-    a: &Tensor2D,
-    wq: &QuantizedTensor,
-    blocking: &HostBlocking,
-    gs: usize,
-    ge: usize,
-    cs: &mut [f32],
-) {
+fn gemm_strip(a: &Tensor2D, wq: &QuantizedTensor, gs: usize, ge: usize, cs: &mut [f32]) {
     let (k, _) = wq.shape();
     let m = a.rows();
     let vq = *wq.config();
@@ -748,7 +735,7 @@ fn gemm_strip(
     // Panel depth is derived from the FULL row width, not the strip, so
     // the K-split — and therefore the f32 summation order — is identical
     // at every thread count.
-    let panel_rows = blocking.panel_rows(groups * vs, k);
+    let panel_rows = (PANEL_BYTES / (groups * vs * 4)).clamp(8.min(k), k);
     // The panel is padded to a whole number of micro-kernel tiles (the
     // padding stays zero), and short A-row sets are padded with a zero
     // column, so every tile runs the one full-size kernel — uniform
@@ -860,89 +847,6 @@ fn decode_entries<const VS: usize>(
             }
         }
     }
-}
-
-/// One head of fused attention decode over quantized K/V caches
-/// (`seq × head_dim` each): `softmax(q · dequant(Kq)ᵀ / √d) · dequant(Vq)`.
-///
-/// The score pass is exactly [`gemv_lut`] (q-sub-vector · centroid LUTs,
-/// `score[t] += lut[code]` over K's packed codes); the output pass is
-/// exactly [`gemv_xw`] with the softmaxed scores as `x`. Neither K nor V
-/// is ever materialized.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] on inconsistent shapes.
-pub fn attention_decode_fused(
-    q: &[f32],
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Vec<f32>> {
-    if kq.shape() != vq.shape() || q.len() != kq.shape().1 {
-        return Err(KernelError::ShapeMismatch {
-            what: "q/K/V shapes disagree",
-        });
-    }
-    let mut scores = gemv_lut(kq, q, blocking)?;
-    let scale = 1.0 / (q.len() as f32).sqrt();
-    for s in scores.iter_mut() {
-        *s *= scale;
-    }
-    linalg::softmax_inplace(&mut scores);
-    gemv_xw(&scores, vq, blocking)
-}
-
-/// Batched fused attention decode: `qs` holds one query row per sequence
-/// (`batch × head_dim`) attending over shared quantized K/V caches;
-/// returns `batch × head_dim` outputs.
-///
-/// Every query attends the whole cache: [`attention_decode_ragged`] with
-/// all lengths `seq`, through the same body (see the module doc for its
-/// three stages and the one order they sum in).
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] on inconsistent shapes.
-pub fn attention_decode_batch(
-    qs: &Tensor2D,
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    attention_inner(qs, &vec![kq.shape().0; qs.rows()], &[], kq, vq, blocking)
-}
-
-/// Ragged batched fused attention decode: like [`attention_decode_batch`],
-/// but query `b` attends only the first `lens[b]` cached tokens of the
-/// shared K/V — the continuous-batching shape, where co-scheduled tenants
-/// sit at different positions in the cache.
-///
-/// The K-decode is still shared across a lane block, and both passes stop
-/// at the longest attended prefix: the LUT score pass and the value pass
-/// stream rows `[0, max(lens))` of the packed K/V codes and nothing past
-/// them. Each query's softmax runs over its own prefix and its weights
-/// beyond it (up to the block's bound) are exactly zero, so the value
-/// pass contributes nothing there. A query with `lens[b] == seq` goes
-/// through *identical* arithmetic to [`attention_decode_batch`], and every
-/// lane's result is bitwise independent of the other lanes in the batch —
-/// and therefore of the bound they set — the serving scheduler's parity
-/// contract.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] on inconsistent shapes or
-/// `lens` length, and [`KernelError::InvalidInput`] when any length is 0
-/// or exceeds the cached sequence.
-pub fn attention_decode_ragged(
-    qs: &Tensor2D,
-    lens: &[usize],
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    failpoint("host.attention_ragged")?;
-    attention_inner(qs, lens, &[], kq, vq, blocking)
 }
 
 /// One residual round of a live-KV extension's codes: `rows × col_groups`
@@ -1081,7 +985,7 @@ impl<'a> Outliers<'a> {
 }
 
 /// One query's private KV extension for
-/// [`attention_decode_ragged_tailed`]: `rows` appended tokens folded into
+/// [`attention_decode`]: `rows` appended tokens folded into
 /// packed codes (encoded against the **shared context's** codebooks, so
 /// the kernel reuses the already-resident tables), sparse per-group
 /// outlier residuals on top, and an unquantized f32 tail window of the
@@ -1354,85 +1258,99 @@ fn ext_passes(cfg: &vqllm_vq::VqConfig) -> (ExtPass, ExtPass) {
     }
 }
 
-/// Ragged batched attention decode over a shared quantized context
-/// **plus per-query private KV extensions** — the live-KV serving shape.
+/// One attention decode call over a shared quantized context: query `b`
+/// (row `b` of `qs`, `batch × head_dim`) attends the first `lens[b]` cached
+/// tokens of the shared K/V, then its private live-KV extension `exts[b]`.
+/// `exts` empty means no query has one. A single head is one row with
+/// `lens = [seq]`; the plain batch is every length `seq`; continuous
+/// batching — co-scheduled tenants at different positions in one cache —
+/// is ragged `lens`; live KV adds the extensions.
+#[derive(Debug, Clone, Copy)]
+pub struct AttentionBatch<'a> {
+    /// One query row per sequence.
+    pub qs: &'a Tensor2D,
+    /// Attended context prefix per query, each in `1..=seq`.
+    pub lens: &'a [usize],
+    /// One private extension per query, or empty for none.
+    pub exts: &'a [RaggedExt<'a>],
+}
+
+impl AttentionBatch<'_> {
+    /// The one validation every attention body — fused or reference —
+    /// runs first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::InvalidInput`] on an empty batch, a length
+    /// outside `1..=seq`, extensions under a row-dependent (per-tile)
+    /// scope or an outlier outside its extension, and
+    /// [`KernelError::ShapeMismatch`] when `lens`, `exts`, the queries and
+    /// the caches disagree in shape or an extension does not match the
+    /// context's VQ configuration.
+    pub fn validate(&self, kq: &QuantizedTensor, vq: &QuantizedTensor) -> Result<()> {
+        let batch = self.qs.rows();
+        if batch == 0 {
+            return Err(KernelError::InvalidInput {
+                what: "empty query batch",
+            });
+        }
+        if self.lens.len() != batch || !(self.exts.is_empty() || self.exts.len() == batch) {
+            return Err(KernelError::ShapeMismatch {
+                what: "one prefix length and at most one extension per query row",
+            });
+        }
+        if kq.shape() != vq.shape() || self.qs.cols() != kq.shape().1 {
+            return Err(KernelError::ShapeMismatch {
+                what: "qs/K/V shapes disagree",
+            });
+        }
+        let seq = kq.shape().0;
+        if self.lens.iter().any(|&l| l == 0 || l > seq) {
+            return Err(KernelError::InvalidInput {
+                what: "softmax lengths must be in 1..=seq",
+            });
+        }
+        if !self.exts.is_empty() && matches!(kq.config().scope, CodebookScope::PerTile { .. }) {
+            return Err(KernelError::InvalidInput {
+                what: "per-tile codebook scopes are row-dependent; live-KV extensions \
+                       require a row-invariant scope (PerTensor or PerChannelGroup)",
+            });
+        }
+        self.exts.iter().try_for_each(|ext| ext.validate(kq))
+    }
+}
+
+/// Fused attention decode over quantized K/V caches (`seq × head_dim`
+/// each): `softmax(q · dequant(Kq)ᵀ / √d) · dequant(Vq)` per query of
+/// `batch`, over its own prefix and private extension; returns
+/// `batch × head_dim` outputs. Neither K nor V is ever materialized.
 ///
-/// Query `b` attends `lens[b]` tokens of the shared packed context
-/// followed by its own [`RaggedExt`]: folded rows decoded against the
-/// context's codebooks (+ sparse outlier residuals), then the f32 tail
-/// window. One softmax spans the whole attended sequence, and every
-/// output element is one sum over it: the context rows' chain
-/// ([`simd::value_accumulate`]) continued by per-query centroid expansion
-/// of the folded rows ([`ext_values`]; [`Codebook::axpy`] for lattice
-/// books), the outlier residuals and the dense tail rows.
-///
-/// Both context passes stop at `max(lens)`, as in
-/// [`attention_decode_ragged`], and with every extension empty the two
-/// are one body run on the same inputs — so turning the live-KV path on
-/// without appending anything is bitwise invisible.
-///
-/// [`Codebook::axpy`]: vqllm_vq::Codebook::axpy
+/// The K-decode is shared across a lane block, and both context passes
+/// stop at the longest attended prefix: the score pass and the value pass
+/// stream rows `[0, max(lens))` of the packed K/V codes and nothing past
+/// them. Each query's softmax runs over its own prefix and its weights
+/// beyond it (up to the block's bound) are exactly zero, so the value pass
+/// contributes nothing there. A folded extension row is decoded against
+/// the context's codebooks (+ sparse outlier residuals), the f32 tail
+/// window is attended dense; one softmax spans the whole attended sequence
+/// and every output element is one sum over it (see the module doc for the
+/// three stages and the one order they sum in). So every lane's result is
+/// bitwise independent of the other lanes in the batch — and therefore of
+/// the bound they set and of whether anyone carries an extension: the
+/// serving scheduler's parity contract.
 ///
 /// # Errors
 ///
-/// Returns [`KernelError::ShapeMismatch`] /
-/// [`KernelError::InvalidInput`] on inconsistent shapes, lengths, or
-/// extensions that do not match the context's VQ configuration.
-pub fn attention_decode_ragged_tailed(
-    qs: &Tensor2D,
-    lens: &[usize],
-    exts: &[RaggedExt<'_>],
+/// Whatever [`AttentionBatch::validate`] rejects.
+pub fn attention_decode(
+    batch: &AttentionBatch<'_>,
     kq: &QuantizedTensor,
     vq: &QuantizedTensor,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
     failpoint("host.attention_ragged")?;
-    if exts.len() != qs.rows() {
-        return Err(KernelError::ShapeMismatch {
-            what: "one extension per query row",
-        });
-    }
-    if matches!(kq.config().scope, CodebookScope::PerTile { .. }) {
-        return Err(KernelError::InvalidInput {
-            what: "per-tile codebook scopes are row-dependent; live-KV extensions \
-                   require a row-invariant scope (PerTensor or PerChannelGroup)",
-        });
-    }
-    attention_inner(qs, lens, exts, kq, vq, blocking)
-}
-
-/// The one body of [`attention_decode_batch`] / [`attention_decode_ragged`]
-/// / [`attention_decode_ragged_tailed`]: query `b` attends `lens[b]` rows
-/// of the shared context, then `exts[b]` (`exts` empty: no query has an
-/// extension). The batch is taken a lane block at a time
-/// ([`attention_lanes`]).
-fn attention_inner(
-    qs: &Tensor2D,
-    lens: &[usize],
-    exts: &[RaggedExt<'_>],
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    if lens.len() != qs.rows() {
-        return Err(KernelError::ShapeMismatch {
-            what: "one softmax length per query row",
-        });
-    }
-    if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-        return Err(KernelError::ShapeMismatch {
-            what: "qs/K/V shapes disagree",
-        });
-    }
-    let seq = kq.shape().0;
-    if lens.iter().any(|&l| l == 0 || l > seq) {
-        return Err(KernelError::InvalidInput {
-            what: "softmax lengths must be in 1..=seq",
-        });
-    }
-    for ext in exts {
-        ext.validate(kq)?;
-    }
+    batch.validate(kq, vq)?;
+    let &AttentionBatch { qs, lens, exts } = batch;
     // Extensions are encoded against the context's books, and extension
     // scopes are row-invariant: one round-major (round, group) → book
     // table per side per call, and one choice of pass bodies.
@@ -1460,7 +1378,7 @@ fn attention_inner(
     Ok(out)
 }
 
-/// What every lane block of one [`attention_inner`] call shares.
+/// What every lane block of one [`attention_decode`] call shares.
 struct AttentionCall<'a> {
     qs: &'a Tensor2D,
     lens: &'a [usize],
@@ -1532,7 +1450,13 @@ fn attention_lanes<const W: usize>(
     let sums = simd::softmax_lanes(&mut weights, &lane_lens, scale, lane_exts);
 
     let mut acc = vec![[0.0f32; W]; head_dim];
-    value_lanes(call.vq, &weights, &mut acc, call.blocking)?;
+    value_lanes(
+        call.vq,
+        &weights,
+        &mut acc,
+        call.blocking.threads,
+        "host.attention_ragged",
+    )?;
 
     let mut ext_weights = ext_weights.as_slice();
     for (b, (&sum, &ext_len)) in sums.iter().zip(&ext_lens).take(w).enumerate() {
@@ -1563,53 +1487,48 @@ fn attention_lanes<const W: usize>(
     Ok(())
 }
 
-/// The context value pass of one lane block: `acc[d][b] = Σ_t
-/// weights[t][b] · dequant(Vq)[t][d]` over the rows `weights` covers, each
-/// accumulator one chain from +0.0 in row order, residual rounds in order
-/// inside a row ([`simd::value_accumulate`]). Workers own disjoint spans of
-/// column groups and codebook bands only swap the books under a chain, so
-/// neither the thread count nor anything else in [`HostBlocking`] can move
-/// a sum.
+/// The value pass of one lane block: `acc[d][b] = Σ_t weights[t][b] ·
+/// dequant(Vq)[t][d]` over the rows `weights` covers, each accumulator one
+/// chain from +0.0 in row order, residual rounds in order inside a row
+/// ([`simd::value_accumulate`]). Workers own disjoint spans of column
+/// groups (`site` tags a contained worker panic) and codebook bands only
+/// swap the books under a chain, so neither the thread count nor anything
+/// else a caller passes can move a sum.
 fn value_lanes<const W: usize>(
     vq: &QuantizedTensor,
     weights: &[[f32; W]],
     acc: &mut [[f32; W]],
-    blocking: &HostBlocking,
+    threads: usize,
+    site: &'static str,
 ) -> Result<()> {
     let vs = vq.config().vector_size;
     let groups = vq.col_groups();
     let books = vq.codebooks();
     let band = books.band_rows();
-    parallel_row_chunks(
-        acc,
-        vs,
-        blocking.threads,
-        "host.attention_ragged",
-        |gs, span| {
-            let ge = gs + span.len() / vs;
-            for band_start in (0..weights.len()).step_by(band) {
-                let band_end = weights.len().min(band_start + band);
-                let span_books = band_books(books, band_start, gs, ge);
-                let rounds: Vec<simd::ValueRound<'_>> = span_books
-                    .iter()
-                    .enumerate()
-                    .map(|(r, books)| simd::ValueRound {
-                        stream: vq.index_stream(r),
-                        first: band_start * groups,
-                        books,
-                    })
-                    .collect();
-                simd::value_accumulate(span, &weights[band_start..band_end], &rounds, groups, gs);
-            }
-        },
-    )
+    parallel_row_chunks(acc, vs, threads, site, |gs, span| {
+        let ge = gs + span.len() / vs;
+        for band_start in (0..weights.len()).step_by(band) {
+            let band_end = weights.len().min(band_start + band);
+            let span_books = band_books(books, band_start, gs, ge);
+            let rounds: Vec<simd::ValueRound<'_>> = span_books
+                .iter()
+                .enumerate()
+                .map(|(r, books)| simd::ValueRound {
+                    stream: vq.index_stream(r),
+                    first: band_start * groups,
+                    books,
+                })
+                .collect();
+            simd::value_accumulate(span, &weights[band_start..band_end], &rounds, groups, gs);
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqllm_tensor::{metrics, synth};
-    use vqllm_vq::{VqAlgorithm, VqConfig, VqQuantizer};
+    use vqllm_tensor::{linalg, metrics, synth};
+    use vqllm_vq::{VqAlgorithm, VqQuantizer};
 
     fn quantized(cfg: VqConfig, rows: usize, cols: usize, seed: u64) -> QuantizedTensor {
         let w = synth::correlated_channels(rows, cols, cfg.vector_size, 0.9, seed);
@@ -1618,6 +1537,29 @@ mod tests {
 
     fn xs(n: usize, phase: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * phase).sin()).collect()
+    }
+
+    /// [`attention_decode`] on the descriptor's parts.
+    fn attend(
+        qs: &Tensor2D,
+        lens: &[usize],
+        exts: &[RaggedExt<'_>],
+        kq: &QuantizedTensor,
+        vq: &QuantizedTensor,
+        blocking: &HostBlocking,
+    ) -> Result<Tensor2D> {
+        attention_decode(&AttentionBatch { qs, lens, exts }, kq, vq, blocking)
+    }
+
+    /// One query over the whole cache: the solo shape.
+    fn attend_one(
+        q: &[f32],
+        kq: &QuantizedTensor,
+        vq: &QuantizedTensor,
+        blocking: &HostBlocking,
+    ) -> Result<Vec<f32>> {
+        let qs = Tensor2D::from_fn(1, q.len(), |_, d| q[d]);
+        attend(&qs, &[kq.shape().0], &[], kq, vq, blocking).map(Tensor2D::into_vec)
     }
 
     /// Every preset the repo ships, at a size each scope supports.
@@ -1672,12 +1614,11 @@ mod tests {
                 let out = gemv_lut_batch(&wq, &acts, &HostBlocking::default()).unwrap();
                 assert_eq!(out.shape(), (rows, batch));
                 for b in 0..batch {
+                    // One chain: a lane of the batch is the solo call, bit
+                    // for bit.
                     let single = gemv_lut(&wq, acts.row(b), &HostBlocking::default()).unwrap();
                     let col: Vec<f32> = (0..rows).map(|r| out.get(r, b)).collect();
-                    assert!(
-                        metrics::allclose(&col, &single, 1e-4, 1e-4),
-                        "{cfg} {rows}x{cols} batch {batch} lane {b}"
-                    );
+                    assert_eq!(col, single, "{cfg} {rows}x{cols} batch {batch} lane {b}");
                 }
             }
         }
@@ -1750,8 +1691,9 @@ mod tests {
     fn gemm_fused_matches_dequantized_matmul() {
         for (cfg, rows, cols) in preset_cases() {
             let wq = quantized(cfg, rows, cols, 3);
-            // Cover micro-kernel edges: m below/at/above MR multiples.
-            for m in [1usize, 4, 5] {
+            // Lane-block and micro-kernel edges: padded blocks, a full one,
+            // a block of eight and a block of one.
+            for m in [1usize, 4, 5, 8, 9] {
                 let a = synth::gaussian(m, rows, 1.0, 9 + m as u64);
                 let fused = gemm_fused(&a, &wq, &HostBlocking::default()).unwrap();
                 let reference = linalg::matmul(&a, &wq.dequantize().unwrap()).unwrap();
@@ -1765,9 +1707,11 @@ mod tests {
 
     #[test]
     fn gemm_fused_tiny_panels_still_correct() {
-        // Slab smaller than one panel row: panel_rows bottoms out and the
-        // K loop walks many panels.
+        // Two residual rounds: the panel body. Its K-chunk is the
+        // tensor's, so even a slab smaller than one panel row cannot move
+        // a bit.
         let cfg = VqConfig::new(4, 64, 2, CodebookScope::PerTensor).unwrap();
+        assert!(!lanes_cover(&cfg));
         let wq = quantized(cfg, 48, 64, 2);
         let a = synth::gaussian(6, 48, 1.0, 21);
         let tiny = HostBlocking {
@@ -1782,6 +1726,10 @@ mod tests {
             1e-4,
             1e-4
         ));
+        assert_eq!(
+            fused,
+            gemm_fused(&a, &wq, &HostBlocking::default()).unwrap()
+        );
     }
 
     #[test]
@@ -1792,7 +1740,7 @@ mod tests {
         let kq = VqQuantizer::new(cfg).quantize(&k, 1).unwrap();
         let vq = VqQuantizer::new(cfg).quantize(&v, 2).unwrap();
         let q = xs(64, 0.31);
-        let fused = attention_decode_fused(&q, &kq, &vq, &HostBlocking::default()).unwrap();
+        let fused = attend_one(&q, &kq, &vq, &HostBlocking::default()).unwrap();
         let reference = linalg::attention_decode_ref(
             &q,
             &kq.dequantize().unwrap(),
@@ -1813,14 +1761,12 @@ mod tests {
         let qs = Tensor2D::from_fn(5, 32, |b, d| ((b * 17 + d) as f32 * 0.29).cos());
         for threads in [1usize, 3] {
             let blocking = HostBlocking::default().with_threads(threads);
-            let batch = attention_decode_batch(&qs, &kq, &vq, &blocking).unwrap();
+            let batch = attend(&qs, &[320; 5], &[], &kq, &vq, &blocking).unwrap();
             assert_eq!(batch.shape(), (5, 32));
             for b in 0..qs.rows() {
-                let single = attention_decode_fused(qs.row(b), &kq, &vq, &blocking).unwrap();
-                assert!(
-                    metrics::allclose(batch.row(b), &single, 1e-4, 1e-4),
-                    "query {b} threads {threads}"
-                );
+                // Solo is one lane of the same body: the same bits.
+                let single = attend_one(qs.row(b), &kq, &vq, &blocking).unwrap();
+                assert_eq!(batch.row(b), single, "query {b} threads {threads}");
             }
         }
     }
@@ -1835,7 +1781,7 @@ mod tests {
         let qs = Tensor2D::from_fn(4, 32, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
         let lens = [17usize, 320, 40, 1];
         let blocking = HostBlocking::default();
-        let out = attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
+        let out = attend(&qs, &lens, &[], &kq, &vq, &blocking).unwrap();
         let kd = kq.dequantize().unwrap();
         let vd = vq.dequantize().unwrap();
         for (b, &len) in lens.iter().enumerate() {
@@ -1851,22 +1797,17 @@ mod tests {
                 "query {b} len {len}"
             );
         }
-        // Full-length raggedness is the same arithmetic as the plain batch
-        // path — bitwise.
-        let full = attention_decode_batch(&qs, &kq, &vq, &blocking).unwrap();
-        let ragged_full = attention_decode_ragged(&qs, &[320; 4], &kq, &vq, &blocking).unwrap();
-        assert_eq!(full, ragged_full);
-        // And each lane is bitwise independent of its batch-mates: the
-        // request alone (batch 1, same length) reproduces its row exactly.
+        // Each lane is bitwise independent of its batch-mates: the request
+        // alone (batch 1, same length) reproduces its row exactly.
         for (b, &len) in lens.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, 32, qs.row(b).to_vec()).unwrap();
-            let solo = attention_decode_ragged(&solo_q, &[len], &kq, &vq, &blocking).unwrap();
+            let solo = attend(&solo_q, &[len], &[], &kq, &vq, &blocking).unwrap();
             assert_eq!(out.row(b), solo.row(0), "lane {b} not batch-invariant");
         }
         // Degenerate lengths are rejected.
-        assert!(attention_decode_ragged(&qs, &[0, 1, 1, 1], &kq, &vq, &blocking).is_err());
-        assert!(attention_decode_ragged(&qs, &[321, 1, 1, 1], &kq, &vq, &blocking).is_err());
-        assert!(attention_decode_ragged(&qs, &[1, 1], &kq, &vq, &blocking).is_err());
+        assert!(attend(&qs, &[0, 1, 1, 1], &[], &kq, &vq, &blocking).is_err());
+        assert!(attend(&qs, &[321, 1, 1, 1], &[], &kq, &vq, &blocking).is_err());
+        assert!(attend(&qs, &[1, 1], &[], &kq, &vq, &blocking).is_err());
     }
 
     /// Encodes f32 rows against a codebook set the way the live-KV fold
@@ -1930,9 +1871,8 @@ mod tests {
 
         // Empty extensions: bitwise the plain ragged kernel.
         let empty = vec![RaggedExt::default(); 3];
-        let tailed =
-            attention_decode_ragged_tailed(&qs, &lens, &empty, &kq, &vq, &blocking).unwrap();
-        let plain = attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
+        let tailed = attend(&qs, &lens, &empty, &kq, &vq, &blocking).unwrap();
+        let plain = attend(&qs, &lens, &[], &kq, &vq, &blocking).unwrap();
         assert_eq!(tailed, plain, "empty extensions must be invisible");
 
         // Per-query extensions: query 0 gets 3 folded rows (keep=0 → every
@@ -1978,7 +1918,7 @@ mod tests {
                 v_tail: &tail2,
             },
         ];
-        let out = attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, &blocking).unwrap();
+        let out = attend(&qs, &lens, &exts, &kq, &vq, &blocking).unwrap();
 
         // Oracle: dequantize the context prefix, splice the extension's
         // reconstruction and tail underneath, run the dense reference.
@@ -2037,7 +1977,7 @@ mod tests {
         // Lane independence: each query solo reproduces its batched row.
         for (b, ext) in exts.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, d, qs.row(b).to_vec()).unwrap();
-            let solo = attention_decode_ragged_tailed(
+            let solo = attend(
                 &solo_q,
                 &[lens[b]],
                 std::slice::from_ref(ext),
@@ -2056,7 +1996,7 @@ mod tests {
             v_codes: &v1,
             ..RaggedExt::default()
         };
-        assert!(attention_decode_ragged_tailed(
+        assert!(attend(
             &qs,
             &lens,
             &[bad_stream, exts[1], exts[2]],
@@ -2122,7 +2062,7 @@ mod tests {
         for b in 0..2 {
             let single = gemv_lut(&wq, acts.row(b), &tiny).unwrap();
             let col: Vec<f32> = (0..48).map(|r| batch.get(r, b)).collect();
-            assert!(metrics::allclose(&col, &single, 1e-4, 1e-4));
+            assert_eq!(col, single);
         }
     }
 
@@ -2136,7 +2076,11 @@ mod tests {
         assert!(gemm_fused(&Tensor2D::zeros(2, 3), &wq, &b).is_err());
         assert!(gemv_lut_batch(&wq, &Tensor2D::zeros(2, 3), &b).is_err());
         let other = quantized(cfg, 32, 32, 2);
-        assert!(attention_decode_fused(&[0.0; 32], &wq, &other, &b).is_err());
-        assert!(attention_decode_batch(&Tensor2D::zeros(2, 32), &wq, &other, &b).is_err());
+        assert!(attend_one(&[0.0; 32], &wq, &other, &b).is_err());
+        assert!(attend(&Tensor2D::zeros(2, 32), &[64; 2], &[], &wq, &other, &b).is_err());
+        // An empty batch, and a stray extension count, are rejected too.
+        assert!(attend(&Tensor2D::zeros(0, 32), &[], &[], &wq, &wq, &b).is_err());
+        let one_ext = [RaggedExt::default()];
+        assert!(attend(&Tensor2D::zeros(2, 32), &[64; 2], &one_ext, &wq, &wq, &b).is_err());
     }
 }

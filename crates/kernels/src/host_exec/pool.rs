@@ -179,12 +179,20 @@ impl WorkerPool {
     /// job's downcast panic message) if any spawned job panicked. The
     /// panic does **not** unwind out of this call, which is what lets the
     /// serving layer above treat a poisoned kernel as a per-request fault
-    /// instead of a dead thread.
+    /// instead of a dead thread. A fired `pool.scope` failpoint returns
+    /// the same error, tagged `pool.scope`, without running `f`.
     pub fn try_scope<'env, R>(
         &self,
         site: &'static str,
         f: impl FnOnce(&Scope<'_, 'env>) -> R,
     ) -> Result<R, KernelError> {
+        // Failpoint: fail the scope before anything is queued.
+        if let Some(message) = vqllm_core::failpoint::fire("pool.scope") {
+            return Err(KernelError::Panicked {
+                site: "pool.scope",
+                message,
+            });
+        }
         let scope = Scope {
             pool: self,
             state: Arc::new(ScopeState {

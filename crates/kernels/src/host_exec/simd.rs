@@ -11,15 +11,14 @@
 //!   when it does not).
 //!
 //! The primitives are exactly the inner loops of
-//! [`host_exec`](crate::host_exec): contiguous dot products (LUT builds and
-//! interleaved-codebook expansions), the `acc += lut[code]` gather of the
-//! LUT GeMV (an `vpgatherdps` over a group-blocked slab), the GeMM
-//! micro-kernel tile, and the stages of batched attention, which all work
-//! on **lane blocks**: up to [`LANES`] queries side by side in the lanes of
-//! one vector, a block of `w` real lanes padded to `W =`
+//! [`host_exec`](crate::host_exec): contiguous dot products and AXPYs
+//! (interleaved-codebook expansions), the panel body's GeMM micro-kernel
+//! tile, and the score, softmax and value stages, which all work on **lane
+//! blocks**: up to [`LANES`] activations side by side in the lanes of one
+//! vector, a block of `w` real lanes padded to `W =`
 //! [`padded_lanes`]`(w)` ∈ {1, 2, 4, 8} so every lane count in an inner
 //! loop is a constant. Buffers are slices of `[f32; W]` — one row of lanes
-//! per cached token (or per table slot, or per output element):
+//! per weight row (or per table slot, or per output element):
 //!
 //! * [`lut_batch_build`] / [`lut_batch_accumulate`] — the score pass: a
 //!   lane-interleaved table of query · centroid partial dots per column
@@ -28,7 +27,8 @@
 //!   a slab typed `[[f32; W]; 256]`, which no byte can overrun;
 //! * [`softmax_lanes`] — lane-wise softmax numerators in that same buffer,
 //!   through one polynomial [`exp`] whose bits depend on the element alone;
-//! * [`value_accumulate`] — the value pass: per packed code, `vector_size`
+//! * [`value_accumulate`] — the value pass (attention's V side, and the
+//!   linear layer with the batch as lanes): per packed code, `vector_size`
 //!   broadcast multiply-adds from the codebook entry straight into `W`-lane
 //!   accumulators. No row is ever decoded to memory.
 //!
@@ -108,29 +108,6 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// `out[i] += s · src[i]` — the AXPY behind LUT builds over the
-/// interleaved codebook layout.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy(out: &mut [f32], s: f32, src: &[f32]) {
-    assert_eq!(out.len(), src.len(), "axpy operand lengths");
-    if s == 0.0 {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        unsafe { axpy_avx2(out, s, src) };
-        return;
-    }
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o += s * v;
-    }
-}
-
 /// Runs `$f::<W, ..>` for the lane count `$w` (`1..=LANES`): the batched
 /// LUT loops are monomorphised per width, so slot offsets are constant
 /// multiples and a row block's sums live in registers.
@@ -177,7 +154,7 @@ pub(crate) use with_padded_lanes;
 /// dot of stored entry `c` (element-major `inter`, see
 /// `Codebook::entries_interleaved`) against lane `b`'s activation
 /// sub-vector (`xt`, element-major too: `vs × w`). Each slot is the
-/// [`axpy`] chain over `j` ascending from +0.0 — a zero centroid element
+/// `+= e · x` chain over `j` ascending from +0.0 — a zero centroid element
 /// leaves the sum as it is, so a non-finite activation cannot reach a slot
 /// through one (a book with no zero element, the usual case, is built
 /// without the test) — eight slots' sums in registers at a time, each
@@ -263,7 +240,7 @@ fn lut_build_slots<const W: usize, const FMA: bool, const N: usize>(
 /// Rows whose sums [`lut_batch_accumulate`] holds in registers at once.
 /// The adds of one row are a dependent chain (that order *is* the result),
 /// so instruction-level parallelism has to come from independent rows.
-const LUT_ROW_BLOCK: usize = 4;
+pub const LUT_ROW_BLOCK: usize = 4;
 
 /// Stored entries a one-byte code addresses: the slab height at which
 /// [`lut_batch_accumulate`] indexes with the packed bytes themselves.
@@ -428,41 +405,6 @@ fn lut_accumulate_block<const W: usize, const R: usize, const STORED: usize, C: 
         }
     }
     y[..R].copy_from_slice(&acc);
-}
-
-/// The LUT GeMV inner loop: `Σ_g slab[g·stored + codes[g]]` — one gather
-/// and one add per packed code, 8 group lanes at a time.
-///
-/// # Panics
-///
-/// Panics (scalar tier) or debug-asserts (AVX2 tier) if any code indexes
-/// outside its `stored`-entry slab row.
-#[inline]
-pub fn lut_row_sum(slab: &[f32], stored: usize, codes: &[u32]) -> f32 {
-    debug_assert!(codes.len() * stored <= slab.len(), "slab covers codes");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified; index bounds are
-        // debug-asserted inside.
-        return unsafe { lut_row_sum_avx2(slab, stored, codes) };
-    }
-    lut_row_sum_scalar(slab, stored, codes)
-}
-
-fn lut_row_sum_scalar(slab: &[f32], stored: usize, codes: &[u32]) -> f32 {
-    let mut lanes = [0.0f32; LANES];
-    let chunks = codes.len() / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            lanes[l] += slab[(base + l) * stored + codes[base + l] as usize];
-        }
-    }
-    let mut acc = lanes.iter().sum::<f32>();
-    for g in chunks * LANES..codes.len() {
-        acc += slab[g * stored + codes[g] as usize];
-    }
-    acc
 }
 
 /// One GeMM micro-kernel tile: `acc[p][l] += Σ_ii arows[p][ii] ·
@@ -675,6 +617,18 @@ fn softmax_lanes_body<const W: usize, const FMA: bool>(
     sum
 }
 
+/// Column groups per block of the register-resident value pass for
+/// `vs`-wide entries — `G · vs` vector accumulators fill the register file
+/// — or 0 where only the lane-array body runs.
+pub const fn value_group_block(vs: usize) -> usize {
+    match vs {
+        2 => 6,
+        4 => 3,
+        8 => 1,
+        _ => 0,
+    }
+}
+
 /// One residual round of the value pass over a run of rows that share
 /// their books: row `t`'s codes are indices `first + t·groups ..` of
 /// `stream`, and `books[i]` decodes group `gs + i` of the span the call
@@ -780,7 +734,7 @@ fn value_accumulate_lanes<const W: usize, const FMA: bool>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{RowCodes, ValueRound, BYTE_ENTRIES, LANES};
+    use super::{value_group_block as G, RowCodes, ValueRound, BYTE_ENTRIES, LANES};
     use std::arch::x86_64::*;
     use vqllm_vq::Codebook;
 
@@ -813,31 +767,6 @@ mod x86 {
                 sum += a[i] * b[i];
             }
             sum
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_avx2(out: &mut [f32], s: f32, src: &[f32]) {
-        // SAFETY: caller guarantees AVX2+FMA and equal lengths.
-        unsafe {
-            let chunks = out.len() / LANES;
-            let vs = _mm256_set1_ps(s);
-            for i in 0..chunks {
-                let o = out.as_mut_ptr().add(i * LANES);
-                let v = _mm256_fmadd_ps(
-                    vs,
-                    _mm256_loadu_ps(src.as_ptr().add(i * LANES)),
-                    _mm256_loadu_ps(o),
-                );
-                _mm256_storeu_ps(o, v);
-            }
-            // Fused like the vector body: a lane must land on the same
-            // rounding whether it fell in the 8-wide chunks or the tail,
-            // so batch-interleaved LUT slabs are bitwise identical at
-            // every batch width (the serving scheduler's parity contract).
-            for i in chunks * LANES..out.len() {
-                out[i] = s.mul_add(src[i], out[i]);
-            }
         }
     }
 
@@ -904,9 +833,9 @@ mod x86 {
                 // kernels check the rest of their contract themselves.
                 let done = unsafe {
                     match acc.len() / books.len() {
-                        2 => value_bytes_avx2::<2, 6, W>(acc, weights, codes, books, groups),
-                        4 => value_bytes_avx2::<4, 3, W>(acc, weights, codes, books, groups),
-                        8 => value_bytes_avx2::<8, 1, W>(acc, weights, codes, books, groups),
+                        2 => value_bytes_avx2::<2, { G(2) }, W>(acc, weights, codes, books, groups),
+                        4 => value_bytes_avx2::<4, { G(4) }, W>(acc, weights, codes, books, groups),
+                        8 => value_bytes_avx2::<8, { G(8) }, W>(acc, weights, codes, books, groups),
                         _ => false,
                     }
                 };
@@ -1054,47 +983,12 @@ mod x86 {
             }
         }
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn lut_row_sum_avx2(slab: &[f32], stored: usize, codes: &[u32]) -> f32 {
-        // SAFETY: caller guarantees AVX2+FMA; every gathered index is
-        // `g·stored + code` with `code < stored` (debug-asserted), which
-        // the caller's bound `codes.len()·stored ≤ slab.len()` keeps in
-        // range.
-        unsafe {
-            let chunks = codes.len() / LANES;
-            let mut acc = _mm256_setzero_ps();
-            // Lane offsets 0·stored … 7·stored, advanced by 8·stored.
-            let lane_off = _mm256_mullo_epi32(
-                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                _mm256_set1_epi32(stored as i32),
-            );
-            let step = _mm256_set1_epi32((LANES * stored) as i32);
-            let mut base = lane_off;
-            for c in 0..chunks {
-                if cfg!(debug_assertions) {
-                    for l in 0..LANES {
-                        debug_assert!((codes[c * LANES + l] as usize) < stored, "code in range");
-                    }
-                }
-                let vcodes = _mm256_loadu_si256(codes.as_ptr().add(c * LANES).cast());
-                let vidx = _mm256_add_epi32(base, vcodes);
-                acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(slab.as_ptr(), vidx));
-                base = _mm256_add_epi32(base, step);
-            }
-            let mut sum = hsum(acc);
-            for g in chunks * LANES..codes.len() {
-                sum += slab[g * stored + codes[g] as usize];
-            }
-            sum
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    axpy_avx2, dot_avx2, exp_lanes_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2,
-    lut_build_lanes_avx2, lut_row_sum_avx2, softmax_lanes_avx2,
+    dot_avx2, exp_lanes_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2,
+    softmax_lanes_avx2,
 };
 
 #[cfg(test)]
@@ -1122,30 +1016,13 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_naive() {
-        for n in [0, 3, 8, 19, 40] {
-            let src = series(n, 0.41);
-            let mut out = series(n, 0.11);
-            let mut naive = out.clone();
-            axpy(&mut out, 1.5, &src);
-            for (o, &s) in naive.iter_mut().zip(&src) {
-                *o += 1.5 * s;
-            }
-            assert_eq!(out.len(), naive.len());
-            for (x, y) in out.iter().zip(&naive) {
-                assert!((x - y).abs() < 1e-5, "n = {n}");
-            }
-        }
-    }
-
-    #[test]
     fn lut_batch_build_is_the_per_slot_axpy_chain() {
-        // Bitwise the composition it replaced — a zeroed slot, then one
-        // `axpy` per sub-vector element — at every lane-block width, on
-        // the dispatched tier; the scalar tier against its unfused chain.
-        // Zero centroid elements (one of each sign, and a whole zero
-        // entry) meet an infinite and a NaN activation lane: `axpy` skips
-        // them, so those slots stay finite and +0.0 stays +0.0.
+        // Bitwise a zeroed slot, then one `+= e · x` per sub-vector element
+        // (fused on the AVX2 tier) — at every lane-block width, on the
+        // dispatched tier; the scalar tier against its unfused chain. Zero
+        // centroid elements (one of each sign, and a whole zero entry) meet
+        // an infinite and a NaN activation lane: the chain skips them, so
+        // those slots stay finite and +0.0 stays +0.0.
         let (stored, vs) = (19usize, 3usize);
         let mut inter = series(vs * stored, 0.29);
         inter[stored + 4] = 0.0;
@@ -1163,9 +1040,16 @@ mod tests {
                 for j in 0..vs {
                     let e = inter[j * stored + c];
                     let xj = &xt[j * w..(j + 1) * w];
-                    axpy(&mut want[c * w..(c + 1) * w], e, xj);
                     if e != 0.0 {
-                        for (o, &x) in want_scalar[c * w..(c + 1) * w].iter_mut().zip(xj) {
+                        let slots = c * w..(c + 1) * w;
+                        for (o, &x) in want[slots.clone()].iter_mut().zip(xj) {
+                            *o = if avx2_available() {
+                                e.mul_add(x, *o)
+                            } else {
+                                *o + e * x
+                            };
+                        }
+                        for (o, &x) in want_scalar[slots].iter_mut().zip(xj) {
                             *o += e * x;
                         }
                     }
@@ -1485,30 +1369,6 @@ mod tests {
         value_is_one_chain_per_output::<2>();
         value_is_one_chain_per_output::<4>();
         value_is_one_chain_per_output::<8>();
-    }
-
-    #[test]
-    fn lut_row_sum_matches_naive_gather() {
-        let stored = 16;
-        for groups in [1usize, 5, 8, 13, 24] {
-            let slab = series(groups * stored, 0.19);
-            let codes: Vec<u32> = (0..groups as u32)
-                .map(|g| (g * 7 + 3) % stored as u32)
-                .collect();
-            let naive: f32 = codes
-                .iter()
-                .enumerate()
-                .map(|(g, &c)| slab[g * stored + c as usize])
-                .sum();
-            assert!(
-                (lut_row_sum(&slab, stored, &codes) - naive).abs() < 1e-5,
-                "groups = {groups}"
-            );
-            assert!(
-                (lut_row_sum_scalar(&slab, stored, &codes) - naive).abs() < 1e-5,
-                "groups = {groups}"
-            );
-        }
     }
 
     #[test]

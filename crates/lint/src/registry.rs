@@ -31,7 +31,7 @@ pub const FAILPOINT_RS: &str = "crates/core/src/failpoint.rs";
 const SITE_NAMESPACES: &[&str] = &["llm", "net", "host", "pool"];
 
 /// Call shapes whose first string argument is a failpoint site.
-const SITE_CALLS: &[&str] = &["fire(", "failpoint(", "try_scope(", "configure("];
+const SITE_CALLS: &[&str] = &["fire(", "failpoint(", "configure("];
 
 pub fn check(files: &[SourceFile], readme: Option<&str>) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -648,7 +648,7 @@ mod tests {
             ),
             (
                 "crates/kernels/src/host_exec/pool.rs",
-                "fn scope() { self.try_scope(\"pool.scope\", f); }\n".to_string(),
+                "fn scope() { failpoint::fire(\"pool.scope\"); }\n".to_string(),
             ),
         ];
         for (path, from, to) in edits {
@@ -751,7 +751,7 @@ mod tests {
         // Registered but never referenced anywhere.
         let files = fixture(&[(
             "crates/kernels/src/host_exec/pool.rs",
-            "self.try_scope(\"pool.scope\", f);",
+            "failpoint::fire(\"pool.scope\");",
             "noop();",
         )]);
         let got = check(&files, Some(README_FIX));
@@ -763,7 +763,7 @@ mod tests {
         // a use (and as a violation when unregistered).
         let files = fixture(&[(
             "crates/kernels/src/host_exec/pool.rs",
-            "self.try_scope(\"pool.scope\", f);",
+            "failpoint::fire(\"pool.scope\");",
             "helper(rows, \"pool.scope\", f); helper(rows, \"host.ghost\", f);",
         )]);
         let got = check(&files, Some(README_FIX));

@@ -299,9 +299,9 @@ impl Pipeline {
     /// This is the serving-layer execution hook: a single-token batch is
     /// planned and run as a GeMV, while a multi-token batch is planned as
     /// the **GeMM-shaped decode op** (`m = batch`) and routed through
-    /// [`Backend::run_gemm`] — on a `CpuBackend` that is the panel-blocked
-    /// batched path, which decodes each weight panel once for the whole
-    /// batch instead of once per sequence.
+    /// [`Backend::run_gemm`] — on a `CpuBackend` that is the fused batched
+    /// path, which streams the weight's packed codes once per lane block
+    /// of the batch instead of once per sequence.
     ///
     /// # Errors
     ///

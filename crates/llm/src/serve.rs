@@ -1,10 +1,10 @@
 //! Batched request serving on top of the decode pipeline.
 //!
 //! The kernel substrate already speaks the serving shapes — one shared
-//! K-decode feeds a whole batch of queries
-//! ([`Backend::run_attention_ragged`]), and a multi-row linear rides the
-//! panel-blocked GeMM ([`Backend::run_gemm`]) — so what this module adds
-//! is the machinery that *keeps those batches full under traffic*
+//! K-decode feeds a whole batch of queries ([`Backend::run_attention`]),
+//! and a multi-row linear streams the weight's packed rows once for the
+//! whole batch ([`Backend::run_gemm`]) — so what this module adds is the
+//! machinery that *keeps those batches full under traffic*
 //! (EVA's decode-centric interface, PAPERS.md):
 //!
 //! * **admission** — [`Server::submit`] accepts a [`DecodeRequest`] into a
@@ -36,7 +36,7 @@
 //! batch widths — a request decoded in a full batch produces exactly the
 //! bytes it would produce running alone (`tests/serving.rs` pins this).
 //!
-//! [`Backend::run_attention_ragged`]: vqllm_kernels::backend::Backend::run_attention_ragged
+//! [`Backend::run_attention`]: vqllm_kernels::backend::Backend::run_attention
 //! [`Backend::run_gemm`]: vqllm_kernels::backend::Backend::run_gemm
 //! [`KvCache`]: crate::KvCache
 //! [`Pipeline`]: crate::Pipeline

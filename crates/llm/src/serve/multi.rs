@@ -43,6 +43,7 @@ use std::sync::Arc;
 use vqllm_core::failpoint;
 use vqllm_core::plan_cache::PlanKey;
 use vqllm_core::{ComputeOp, KernelPlan, OptLevel, ProfileSummary};
+use vqllm_kernels::host_exec::AttentionBatch;
 use vqllm_kernels::AccessProfile;
 use vqllm_tensor::Tensor2D;
 use vqllm_vq::stats::AccessHistogram;
@@ -864,8 +865,8 @@ impl MultiServer {
         }
 
         // One shared K-decode per group, ragged over each tenant's
-        // attended prefix, then one panel-blocked GeMM through that
-        // context's projection weight.
+        // attended prefix, then one fused GeMM through that context's
+        // projection weight.
         //
         // Each group's kernel work runs under `catch_unwind`: a panic (or
         // kernel error) poisons only that group — its requests are
@@ -914,33 +915,23 @@ impl MultiServer {
                         }
                     })
                     .collect();
-                let attn = if live_kv {
-                    let exts: Vec<_> = idxs
-                        .iter()
-                        .map(|&i| {
-                            self.running[i]
-                                .live
-                                .as_ref()
-                                .map(TenantKv::ext)
-                                .unwrap_or_default()
-                        })
-                        .collect();
-                    backend
-                        .run_attention_ragged_tailed(
-                            gpu,
-                            &attn_plan,
-                            &qs,
-                            &lens,
-                            &exts,
-                            ctx.kq(),
-                            ctx.vq(),
-                        )?
-                        .0
-                } else {
-                    backend
-                        .run_attention_ragged(gpu, &attn_plan, &qs, &lens, ctx.kq(), ctx.vq())?
-                        .0
+                let ext_of = |&i: &usize| {
+                    let live = self.running[i].live.as_ref();
+                    live.map(TenantKv::ext).unwrap_or_default()
                 };
+                let exts: Vec<_> = if live_kv {
+                    idxs.iter().map(ext_of).collect()
+                } else {
+                    Vec::new()
+                };
+                let batch = AttentionBatch {
+                    qs: &qs,
+                    lens: &lens,
+                    exts: &exts,
+                };
+                let attn = backend
+                    .run_attention(gpu, &attn_plan, &batch, ctx.kq(), ctx.vq())?
+                    .0;
                 let ys = backend.run_gemm(gpu, &linear_plan, &attn, ctx.wq())?.0;
                 let budget = self.config.kv_budget_bytes;
 

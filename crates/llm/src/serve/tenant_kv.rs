@@ -9,8 +9,8 @@
 //! Folding re-encodes against the *shared context's* codebooks
 //! ([`SharedContext::kq`]/[`SharedContext::vq`]) — the paper's amortized
 //! codebook reuse: no per-token re-clustering, and the attention kernel
-//! ([`attention_decode_ragged_tailed`]) decodes extension rows from
-//! tables it already holds for the context. Groups the codebooks
+//! ([`attention_decode`]) decodes extension rows from tables it already
+//! holds for the context. Groups the codebooks
 //! reconstruct too poorly keep their exact f32 residual in a sparse
 //! outlier channel, so one pathological token cannot poison a tenant's
 //! whole cache.
@@ -54,7 +54,7 @@
 //!
 //! [`QuantizedTensor`]: vqllm_vq::QuantizedTensor
 //! [`Codebook::encode`]: vqllm_vq::Codebook::encode
-//! [`attention_decode_ragged_tailed`]: vqllm_kernels::host_exec::attention_decode_ragged_tailed
+//! [`attention_decode`]: vqllm_kernels::host_exec::attention_decode
 //! [`accuracy::project_kv_accuracy`]: crate::accuracy::project_kv_accuracy
 
 use crate::serve::{KvQuantMode, SharedContext};

@@ -493,7 +493,7 @@ impl Session {
     /// shape. On a `CpuBackend` this is the fused batched kernel (one
     /// pass over the packed K codes for a whole lane block of queries,
     /// lane-wise softmax, and a value pass that never decodes a V row to
-    /// memory); other backends fall back to a per-query loop.
+    /// memory); other backends run the dequantize-and-loop reference.
     ///
     /// # Errors
     ///

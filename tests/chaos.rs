@@ -115,6 +115,63 @@ fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
     srv.take_output(&handle).expect("finished").steps
 }
 
+/// Every `host.*` entry of `failpoint::SITES` is a failpoint some public
+/// kernel call fires: armed to error once, the call returns
+/// `KernelError::Panicked` at that site, and the next call runs. A site
+/// that is only a worker-panic tag passes the lint and cannot be drilled.
+#[test]
+fn every_registered_host_site_fires() {
+    use vq_llm::kernels::host_exec::{self, HostBlocking};
+    use vq_llm::kernels::KernelError;
+    use vq_llm::tensor::Tensor2D;
+    use vq_llm::{ComputeOp, VqLlmError};
+
+    let _scope = fault_scope();
+    let (session, ctx) = harness();
+    let q = query(1);
+    let qs = Tensor2D::from_fn(3, HEAD_DIM, |b, d| query(b as u64)[d]);
+    let attn_plan = session
+        .kv_plan(&ComputeOp::attention_decode(1, HEAD_DIM, SEQ, 3))
+        .expect("attention plan");
+    let (n, k) = (HEAD_DIM, HEAD_DIM);
+    let linear_plan = |op: ComputeOp| session.weight_plan(&op).expect("linear plan");
+    let gemm_plan = linear_plan(ComputeOp::Gemm { m: 3, n, k });
+    let gemv_plan = linear_plan(ComputeOp::Gemv { n, k, batch: 1 });
+
+    let drive = |site: &str| -> Result<(), VqLlmError> {
+        match site {
+            "host.gemv_lut_batch" => {
+                host_exec::gemv_lut(ctx.kq(), &q, &HostBlocking::default())?;
+            }
+            "host.gemv_xw" => drop(session.run_gemv(&gemv_plan, &q, ctx.wq())?),
+            "host.gemm_fused" => drop(session.run_gemm(&gemm_plan, &qs, ctx.wq())?),
+            "host.attention_ragged" => {
+                session.run_attention_batch(&attn_plan, &qs, ctx.kq(), ctx.vq())?;
+            }
+            other => panic!("registered site {other} has no call here that fires it"),
+        }
+        Ok(())
+    };
+    let host_sites = failpoint::SITES
+        .iter()
+        .map(|(site, _)| *site)
+        .filter(|site| site.starts_with("host."));
+    let mut drilled = 0;
+    for site in host_sites {
+        failpoint::configure(site, Action::Error("drill".into()), 0, Some(1));
+        match drive(site) {
+            Err(VqLlmError::Kernel(KernelError::Panicked { site: at, message })) => {
+                assert_eq!((at, message.as_str()), (site, "drill"));
+            }
+            other => panic!("armed {site} did not fail its kernel: {other:?}"),
+        }
+        drive(site).unwrap_or_else(|e| panic!("{site} fired more than once: {e}"));
+        failpoint::clear();
+        drilled += 1;
+    }
+    assert!(drilled >= 4, "the host namespace lost its sites");
+}
+
 /// A kernel panic inside a batch group quarantines the group with a
 /// typed `Internal` rejection; the driver keeps serving, and a healthy
 /// follow-up decodes bitwise-identical to a solo drain.

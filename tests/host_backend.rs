@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vq_llm::kernels::host_exec::{self, simd, CodeStream, HostBlocking, OutlierBuf, RaggedExt};
+use vq_llm::kernels::host_exec::{
+    self, simd, AttentionBatch, CodeStream, HostBlocking, OutlierBuf, RaggedExt,
+};
 use vq_llm::tensor::{linalg, metrics, synth, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
 use vq_llm::vq::{Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqQuantizer};
@@ -37,6 +39,19 @@ fn dims(rows_i: usize, cols_i: usize) -> (usize, usize) {
 fn quantize(cfg: VqConfig, rows: usize, cols: usize, seed: u64) -> QuantizedTensor {
     let w = synth::correlated_channels(rows, cols, cfg.vector_size, 0.9, seed);
     VqQuantizer::new(cfg).quantize(&w, seed).expect("quantize")
+}
+
+/// `host_exec::attention_decode` on the descriptor's parts.
+fn attend(
+    qs: &Tensor2D,
+    lens: &[usize],
+    exts: &[RaggedExt<'_>],
+    kq: &QuantizedTensor,
+    vq: &QuantizedTensor,
+    blocking: &HostBlocking,
+) -> Tensor2D {
+    host_exec::attention_decode(&AttentionBatch { qs, lens, exts }, kq, vq, blocking)
+        .expect("attention_decode")
 }
 
 /// Any launchable plan for the op (the host kernels only read blocking
@@ -223,7 +238,10 @@ proptest! {
     /// kernel output is **bitwise** independent of the blocking hints a
     /// plan supplies (slab budget across the full clamp range, worker
     /// partitions). A profile-shift replan only changes blocking hints,
-    /// so it can never change decoded bytes.
+    /// so it can never change decoded bytes. Ragged attention over the
+    /// randomized configuration space here; every other public kernel, and
+    /// the sizes at which blocked loops take a second trip, in
+    /// `kernel_bytes_are_blocking_independent_across_panels`.
     #[test]
     fn kernel_bytes_are_blocking_independent(
         case in 0usize..8,
@@ -239,15 +257,12 @@ proptest! {
         let qs = vq_llm::tensor::Tensor2D::from_fn(batch, head_dim, |b, d| {
             ((b * 19 + d) as f32 * 0.27 + seed as f32).sin()
         });
-        let a = vq_llm::tensor::Tensor2D::from_fn(batch, seq, |b, d| {
-            ((b * 11 + d) as f32 * 0.17 + seed as f32).cos()
-        });
         let lens: Vec<usize> = (0..batch)
             .map(|b| if b == 0 { seq } else { 1 + (seed as usize * 13 + b * 89) % seq })
             .collect();
         // The HostBlocking clamp range is [16 KiB, 256 KiB]; cover both
         // extremes, a mid-range slab, and 1/2/4 worker partitions — and,
-        // since the batched LUT's group block is sized to 8× the slab, a
+        // since the score LUT's group block is sized to 8× the slab, a
         // slab four times past the clamp.
         let blockings = [
             HostBlocking { slab_bytes: 16 << 10, threads: 1 },
@@ -255,33 +270,13 @@ proptest! {
             HostBlocking { slab_bytes: 256 << 10, threads: 4 },
             HostBlocking { slab_bytes: 1 << 20, threads: 1 },
         ];
-        let base_attn =
-            host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blockings[0]).unwrap();
-        let base_gemm = host_exec::gemm_fused(&a, &kq, &blockings[0]).unwrap();
-        // The score pass has no K-split, so its bytes hold further down:
-        // to LUT group blocks of one or two groups.
-        let base_scores = host_exec::gemv_lut_batch(&kq, &qs, &blockings[0]).unwrap();
-        for slab_bytes in [1usize, 64, 512] {
-            let b = HostBlocking { slab_bytes, threads: 2 };
-            let scores = host_exec::gemv_lut_batch(&kq, &qs, &b).unwrap();
-            prop_assert_eq!(
-                base_scores.as_slice(),
-                scores.as_slice(),
-                "score bytes depend on blocking {:?} ({} {}x{})", b, cfg, seq, head_dim
-            );
-        }
+        let base_attn = attend(&qs, &lens, &[], &kq, &vq, &blockings[0]);
         for b in &blockings[1..] {
-            let attn = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, b).unwrap();
-            let gemm = host_exec::gemm_fused(&a, &kq, b).unwrap();
+            let attn = attend(&qs, &lens, &[], &kq, &vq, b);
             prop_assert_eq!(
                 base_attn.as_slice(),
                 attn.as_slice(),
                 "attention bytes depend on blocking {:?} ({} {}x{})", b, cfg, seq, head_dim
-            );
-            prop_assert_eq!(
-                base_gemm.as_slice(),
-                gemm.as_slice(),
-                "gemm bytes depend on blocking {:?} ({} {}x{})", b, cfg, seq, head_dim
             );
         }
     }
@@ -603,7 +598,7 @@ fn bounded_case(
 }
 
 proptest! {
-    /// Bounded `attention_decode_ragged` is, bit for bit, (a) the scalar
+    /// Bounded ragged `attention_decode` is, bit for bit, (a) the scalar
     /// statement of its order over the full range and (b) every lane
     /// decoded alone — so neither the bound, nor the batch-mates that set
     /// it, nor the lane block they share can be seen in a lane's bytes.
@@ -619,7 +614,7 @@ proptest! {
         let cfg = bounded_config(case);
         let (kq, vq, qs, lens, _) = bounded_case((cfg, false), rows_i, cols_i, batch, seed);
         let blocking = bounded_blocking(blocking_i);
-        let out = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
+        let out = attend(&qs, &lens, &[], &kq, &vq, &blocking);
         let none = vec![RaggedExt::default(); batch];
         let full = full_range_attention(&qs, &lens, &none, &kq, &vq);
         prop_assert_eq!(
@@ -628,16 +623,15 @@ proptest! {
         );
         for (b, &len) in lens.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, qs.cols(), qs.row(b).to_vec()).unwrap();
-            let solo =
-                host_exec::attention_decode_ragged(&solo_q, &[len], &kq, &vq, &blocking).unwrap();
+            let solo = attend(&solo_q, &[len], &[], &kq, &vq, &blocking);
             prop_assert_eq!(out.row(b), solo.row(0), "{} lane {} len {}", cfg, b, len);
         }
     }
 
-    /// The same for `attention_decode_ragged_tailed` with random
-    /// extensions under every extension-pass body (`tailed_config`;
-    /// row-invariant scopes: per-tile books cannot take extensions); and
-    /// with every extension empty it stays the plain ragged kernel.
+    /// The same with random extensions under every extension-pass body
+    /// (`tailed_config`; row-invariant scopes: per-tile books cannot take
+    /// extensions); and with every extension empty it stays the plain
+    /// ragged kernel.
     #[test]
     fn bounded_tailed_attention_is_bitwise_full_range_and_solo(
         config_i in 0usize..TAILED_CONFIGS,
@@ -655,9 +649,7 @@ proptest! {
             .map(|_| ExtData::random(&cfg, qs.cols(), &mut rng))
             .collect();
         let exts: Vec<RaggedExt<'_>> = data.iter().map(ExtData::ext).collect();
-        let out =
-            host_exec::attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, &blocking)
-                .unwrap();
+        let out = attend(&qs, &lens, &exts, &kq, &vq, &blocking);
         let full = full_range_attention(&qs, &lens, &exts, &kq, &vq);
         prop_assert_eq!(
             out.as_slice(), full.as_slice(),
@@ -665,80 +657,220 @@ proptest! {
         );
         for (b, &len) in lens.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, qs.cols(), qs.row(b).to_vec()).unwrap();
-            let solo = host_exec::attention_decode_ragged_tailed(
-                &solo_q, &[len], &exts[b..=b], &kq, &vq, &blocking,
-            )
-            .unwrap();
+            let solo = attend(&solo_q, &[len], &exts[b..=b], &kq, &vq, &blocking);
             prop_assert_eq!(out.row(b), solo.row(0), "{} lane {} len {}", cfg, b, len);
         }
         let none = vec![RaggedExt::default(); batch];
         prop_assert_eq!(
-            host_exec::attention_decode_ragged_tailed(&qs, &lens, &none, &kq, &vq, &blocking)
-                .unwrap(),
-            host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap(),
+            attend(&qs, &lens, &none, &kq, &vq, &blocking),
+            attend(&qs, &lens, &[], &kq, &vq, &blocking),
             "empty extensions must stay bitwise invisible"
         );
     }
 }
 
-/// `kernel_bytes_are_blocking_independent` at serving size. Its shapes stop
-/// at 64 rows, which every slab holds in one K-panel; these contexts are
-/// 8–128 panels deep at the 16 KiB slab and one or two at 1 MiB, so a
-/// value pass that split its sums at panel boundaries would emit different
-/// bytes per slab (it did: on 2048×128, 404–493 of 512 output floats moved
-/// between 16 KiB and each of the other slabs below). Threads partition
-/// score rows and value column groups — disjoint outputs — so no count can
-/// move a sum either. Every lane-block width, 9 = a block of eight and a
-/// block of one.
+/// Sizes at which a loop blocked by `block` never completes a block, runs
+/// exactly one, and runs two and a remainder.
+fn rungs(block: usize) -> [usize; 3] {
+    [(block - 1).max(1), block, 2 * block + 1]
+}
+
+/// Every public weight kernel on `wq` under `blocking`, labelled: the two
+/// GeMVs, then `gemm_fused` at each batch of `ms` and — `score_batches` —
+/// the batched score pass beside it (`gemv_lut` is its one-lane case; a
+/// 4096-entry LUT eight lanes wide is too slow to build unoptimized).
+fn weight_kernels(
+    wq: &QuantizedTensor,
+    ms: &[usize],
+    score_batches: bool,
+    blocking: &HostBlocking,
+) -> Vec<(String, Vec<f32>)> {
+    let (rows, cols) = wq.shape();
+    let wave =
+        |n: usize, phase: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * phase).sin()).collect() };
+    let gemv_lut = host_exec::gemv_lut(wq, &wave(cols, 0.23), blocking).expect("gemv_lut");
+    let gemv_xw = host_exec::gemv_xw(&wave(rows, 0.37), wq, blocking).expect("gemv_xw");
+    let mut out = vec![("gemv_lut".into(), gemv_lut), ("gemv_xw".into(), gemv_xw)];
+    for &m in ms {
+        let a = Tensor2D::from_fn(m, rows, |b, d| ((b * 11 + d) as f32 * 0.17).cos());
+        let gemm = host_exec::gemm_fused(&a, wq, blocking).expect("gemm_fused");
+        out.push((format!("gemm_fused m {m}"), gemm.into_vec()));
+        if !score_batches {
+            continue;
+        }
+        let acts = Tensor2D::from_fn(m, cols, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
+        let scores = host_exec::gemv_lut_batch(wq, &acts, blocking).expect("gemv_lut_batch");
+        out.push((format!("gemv_lut_batch m {m}"), scores.into_vec()));
+    }
+    out
+}
+
+/// Asserts `run` emits the same bytes under every blocking of `blockings`.
+fn assert_blocking_independent(
+    what: &str,
+    blockings: &[HostBlocking],
+    run: impl Fn(&HostBlocking) -> Vec<(String, Vec<f32>)>,
+) {
+    let base = run(&blockings[0]);
+    for b in &blockings[1..] {
+        for ((kernel, want), (_, got)) in base.iter().zip(run(b)) {
+            assert_eq!(
+                want, &got,
+                "{kernel} bytes depend on blocking {b:?} ({what})"
+            );
+        }
+    }
+}
+
+/// No public kernel's bytes depend on the [`HostBlocking`] a plan hands it
+/// — at the sizes where that could show. Shapes are a ladder over the
+/// kernels' own blocking constants, so every blocked loop takes no full
+/// trip, one, and two plus a remainder: lane blocks (`simd::LANES`: batch
+/// 1, 4, 9), the score pass's row block and LUT group block, the value
+/// pass's register block of column groups, codebook bands, and the panel
+/// body's K-chunk and micro-kernel tile. Small rungs run under group
+/// blocks of one group (slab 1) upward; the serving-size rungs — a 512²
+/// GPTVQ-2 weight, a 2048×128 CQ-4 cache, and a 512² AQLM-3 and QuIP#-4
+/// weight on the panel side — under the slabs of the plan clamp range and
+/// past it, each at 1, 2 and 4 worker partitions (threads partition score
+/// rows and value column groups — disjoint outputs — so no count can move
+/// a sum either).
+///
+/// What it would catch: a K-split sized by the slab (a panel-blocked
+/// `gemm_fused` moved 15 216 of 16 384 floats at 16×1024×1024), score sums
+/// regrouped by the LUT block, or a second body behind a named shape
+/// (`run_attention_head` as `gemv_lut` + `gemv_xw` moved 99 of 128 floats
+/// at 2048×128 CQ-4).
 #[test]
 fn kernel_bytes_are_blocking_independent_across_panels() {
-    let cfg = vq_llm::VqAlgorithm::Cq4.config();
-    let blockings: Vec<HostBlocking> = [16 << 10, 17_404, 48 << 10, 256 << 10, 1 << 20]
-        .into_iter()
-        .flat_map(|slab_bytes| {
-            [1, 2, 4].map(|threads| HostBlocking {
-                slab_bytes,
-                threads,
-            })
-        })
-        .collect();
-    for (seq, head_dim) in [(2048usize, 128usize), (1024, 64)] {
-        let kq = synthetic(cfg, seq, head_dim, 7);
-        let vq = synthetic(cfg, seq, head_dim, 7 ^ 0x5a5a);
-        let mut rng = 0xface ^ seq as u64;
-        for batch in 1..=9usize {
-            let qs = Tensor2D::from_fn(batch, head_dim, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
-            let lens: Vec<usize> = (0..batch)
-                .map(|b| match b {
-                    0 => seq,
-                    _ => 1 + (splitmix(&mut rng) % seq as u64) as usize,
+    let grid = |slabs: &[usize]| -> Vec<HostBlocking> {
+        let threads = [1usize, 2, 4];
+        slabs
+            .iter()
+            .flat_map(|&slab_bytes| {
+                threads.map(|threads| HostBlocking {
+                    slab_bytes,
+                    threads,
                 })
-                .collect();
-            let data: Vec<ExtData> = (0..batch)
-                .map(|_| ExtData::random(&cfg, head_dim, &mut rng))
-                .collect();
-            let exts: Vec<RaggedExt<'_>> = data.iter().map(ExtData::ext).collect();
-            let run = |b: &HostBlocking| {
-                (
-                    host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, b).unwrap(),
-                    host_exec::attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, b)
-                        .unwrap(),
-                )
-            };
-            let (base_ragged, base_tailed) = run(&blockings[0]);
-            for b in &blockings[1..] {
-                let (ragged, tailed) = run(b);
-                assert_eq!(
-                    base_ragged.as_slice(),
-                    ragged.as_slice(),
-                    "ragged bytes depend on blocking {b:?} ({seq}x{head_dim} batch {batch})"
-                );
-                assert_eq!(
-                    base_tailed.as_slice(),
-                    tailed.as_slice(),
-                    "tailed bytes depend on blocking {b:?} ({seq}x{head_dim} batch {batch})"
+            })
+            .collect()
+    };
+    let clamp_slabs = [16 << 10, 17_404, 48 << 10, 256 << 10];
+    let serving = grid(&[&clamp_slabs[..], &[1 << 20]].concat());
+    let small = grid(&[1, 64, 512, 16 << 10, 1 << 20]);
+    let lane_ms = [1, simd::LANES / 2, simd::LANES + 1];
+    let plain =
+        |vs, entries, rounds| VqConfig::new(vs, entries, rounds, CodebookScope::PerTensor).unwrap();
+
+    // --- Small rungs, weight kernels. ---
+    // The value pass's register block, per covered sub-vector width.
+    for vs in [2usize, 4, 8] {
+        let cfg = plain(vs, 256, 1);
+        for groups in rungs(simd::value_group_block(vs)) {
+            for rows in rungs(simd::LUT_ROW_BLOCK) {
+                let wq = synthetic(cfg, rows, groups * vs, 3);
+                assert_blocking_independent(
+                    &format!("{cfg} {rows}x{}", groups * vs),
+                    &small,
+                    |b| weight_kernels(&wq, &[0, 1, 4, 9], true, b),
                 );
             }
+        }
+    }
+    // The panel body, on the proptests' configuration space (16- and
+    // 32-entry books: none is covered): micro-kernel column tiles, and
+    // rows across the 16-row bands of the per-tile case.
+    let nr = simd::GEMM_NR;
+    for case in 0..8 {
+        let cfg = config(case);
+        for cols in [nr / 2, nr, 2 * nr + nr / 2] {
+            for rows in rungs(16) {
+                let wq = synthetic(cfg, rows, cols, 5);
+                assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &small, |b| {
+                    weight_kernels(&wq, &[0, 1, 4, 9], true, b)
+                });
+            }
+        }
+    }
+    // Its K-chunk: 32 rows of a 2048-wide AQLM-3 weight.
+    let diagonal: Vec<HostBlocking> = serving.iter().copied().step_by(4).collect();
+    let aqlm3 = vq_llm::VqAlgorithm::Aqlm3.config();
+    for rows in rungs(host_exec::PANEL_BYTES / (2048 * 4)) {
+        let wq = synthetic(aqlm3, rows, 2048, 9);
+        let a = Tensor2D::from_fn(lane_ms[2], rows, |b, d| ((b * 11 + d) as f32 * 0.17).cos());
+        assert_blocking_independent(&format!("{aqlm3} {rows}x2048"), &diagonal, |b| {
+            let gemm = host_exec::gemm_fused(&a, &wq, b).expect("gemm_fused");
+            vec![("gemm_fused".into(), gemm.into_vec())]
+        });
+    }
+
+    // --- Serving-size rungs, weight kernels. ---
+    let quip4 = vq_llm::VqAlgorithm::QuipSharp4.config();
+    for (cfg, rows, cols) in [
+        (vq_llm::VqAlgorithm::Gptvq2.config(), 512usize, 512usize),
+        (vq_llm::VqAlgorithm::Cq4.config(), 2048, 128),
+        (aqlm3, 512, 512),
+        (quip4, 512, 512),
+    ] {
+        let wq = synthetic(cfg, rows, cols, 7);
+        assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &serving, |b| {
+            weight_kernels(&wq, &lane_ms, cfg.num_entries == 256, b)
+        });
+    }
+
+    // --- Attention: ragged, tailed, and one head through the backend. ---
+    let cfg = vq_llm::VqAlgorithm::Cq4.config();
+    let (seq, head_dim) = (2048usize, 128usize);
+    let kq = synthetic(cfg, seq, head_dim, 7);
+    let vq = synthetic(cfg, seq, head_dim, 7 ^ 0x5a5a);
+    let mut rng = 0xface ^ seq as u64;
+    for batch in lane_ms {
+        let qs = Tensor2D::from_fn(batch, head_dim, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
+        let lens: Vec<usize> = (0..batch)
+            .map(|b| match b {
+                0 => seq,
+                _ => 1 + (splitmix(&mut rng) % seq as u64) as usize,
+            })
+            .collect();
+        let data: Vec<ExtData> = (0..batch)
+            .map(|_| ExtData::random(&cfg, head_dim, &mut rng))
+            .collect();
+        let exts: Vec<RaggedExt<'_>> = data.iter().map(ExtData::ext).collect();
+        assert_blocking_independent(&format!("{seq}x{head_dim} batch {batch}"), &serving, |b| {
+            vec![
+                (
+                    "ragged attention".into(),
+                    attend(&qs, &lens, &[], &kq, &vq, b).into_vec(),
+                ),
+                (
+                    "tailed attention".into(),
+                    attend(&qs, &lens, &exts, &kq, &vq, b).into_vec(),
+                ),
+            ]
+        });
+    }
+    // `run_attention_head` takes its slab from the plan: the same head
+    // under plans staging each slab of the clamp range is lane 0 above,
+    // alone.
+    let q = Tensor2D::from_fn(1, head_dim, |_, d| (d as f32 * 0.27).sin());
+    let solo = attend(&q, &[seq], &[], &kq, &vq, &serving[0]);
+    let op = ComputeOp::attention_decode(1, head_dim, seq, 1);
+    let plan = plan_for(&cfg, &op).expect("attention plan");
+    let gpu = GpuSpec::rtx4090();
+    for slab in clamp_slabs {
+        let mut staged = plan.clone();
+        staged.smem_codebook_bytes = slab;
+        staged.tiling.smem_data_bytes = 0;
+        assert_eq!(HostBlocking::for_plan(&staged).slab_bytes, slab);
+        for threads in [1, 2, 4] {
+            let (head, _) = CpuBackend::with_threads(threads)
+                .run_attention_head(&gpu, &staged, q.row(0), &kq, &vq)
+                .expect("run_attention_head");
+            assert_eq!(
+                solo.row(0),
+                head,
+                "run_attention_head bytes depend on slab {slab} × {threads} threads"
+            );
         }
     }
 }
@@ -769,8 +901,8 @@ fn cpu_session_runs_fused_kernels() {
     assert!(metrics::allclose(&y, &oracle, 1e-4, 1e-4));
     assert!(out.us() > 0.0);
 
-    // Batched decode attention through the facade: the CPU backend's
-    // fused batch kernel vs its own per-query path.
+    // Batched decode attention through the facade: a query alone is one
+    // lane of the CPU backend's one attention body — the same bits.
     let kd = synth::kv_stream(320, 64, 0.8, 4);
     let vd = synth::kv_stream(320, 64, 0.8, 5);
     let kq = session.quantize_kv(&kd, 1).unwrap();
@@ -785,10 +917,7 @@ fn cpu_session_runs_fused_kernels() {
         let (single, _) = session
             .run_attention_head(&kv_plan, qs.row(b), &kq, &vq)
             .unwrap();
-        assert!(
-            metrics::allclose(batch_out.row(b), &single, 1e-4, 1e-4),
-            "query {b}"
-        );
+        assert_eq!(batch_out.row(b), single, "query {b}");
     }
 
     // The session's pipelines inherit the backend, including the real
