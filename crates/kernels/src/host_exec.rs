@@ -22,7 +22,8 @@
 //!   `C = A × dequant(Wq)`, sub-vectors along the *output* axis: per packed
 //!   code, `vector_size` broadcasts from [`Codebook::entries_flat`] and as
 //!   many multiply-adds by the row's `W` weights, into register-resident
-//!   accumulators; rows streamed once per block of column groups. It is
+//!   accumulators; rows streamed once per block of column groups (at one
+//!   lane the output row itself is packed into the vectors instead). It is
 //!   attention's V side (weights: the softmax numerators) and
 //!   [`gemm_fused`], the linear layer (weights: the batch rows of `A`,
 //!   transposed).
@@ -59,7 +60,8 @@
 //! streamed):
 //!
 //! 1. **Score** ([`lut_scores`]): the LUT pass writes
-//!    `q_b · dequant(K)[t]` into `buf[t][b]`.
+//!    `q_b · dequant(K)[t]` into `buf[t][b]`, and scores lane `b`'s folded
+//!    extension rows out of lane `b`'s column of the same table.
 //! 2. **Softmax** ([`simd::softmax_lanes`]): lane-wise and in place. Each
 //!    lane takes the maximum over its own prefix and private rows, then
 //!    every score becomes the numerator `exp(s·scale − max)` through one
@@ -77,20 +79,21 @@
 //! For every configuration, batch width, lane position, thread count and
 //! [`HostBlocking`], an output's bytes are these and no others:
 //!
-//! * a score — a [`gemv_lut`] / [`gemv_lut_batch`] output, a context score
-//!   of attention — is, per residual round, LUT slots added left to right
-//!   over the column groups (lattice books: the signed dots, in the same
-//!   order);
+//! * a score — a [`gemv_lut`] / [`gemv_lut_batch`] output, attention's
+//!   score of a context row or of a folded extension row — is, per
+//!   residual round, LUT slots added left to right over the column groups
+//!   (lattice books: the signed dots, in the same order); a folded row then
+//!   adds its outlier residuals' dots, in push order, and a tail row is a
+//!   dot;
 //! * softmax maximum, then numerators and their sum, run in row order over
 //!   [context prefix | folded extension rows | f32 tail rows];
 //! * a value-pass output — a [`gemm_fused`] element on a covered
 //!   configuration, an attention output element — is **one** chain of
-//!   multiply-adds from +0.0 over the rows: a row contributes
-//!   `weight · entry` once per residual round, rounds in order (fused on
-//!   the AVX2 tier, multiply then add on the scalar one). Attention
-//!   continues it over folded rows, their outlier residuals and the tail
-//!   rows with `+= weight · value` ([`ext_values`]) and divides by the
-//!   lane's sum;
+//!   multiply-adds from +0.0 over the rows: a context or folded row
+//!   contributes `weight · entry` once per residual round, rounds in order
+//!   (fused on the AVX2 tier, multiply then add on the scalar one).
+//!   Attention continues it over the outlier residuals (push order) and
+//!   the tail rows with `+= weight · value` and divides by the lane's sum;
 //! * a panel-body [`gemm_fused`] element is the sum, in row order, of one
 //!   such chain per K-chunk of the row's codebook band — chunks of
 //!   `256 KiB ÷ row bytes` rows, fixed by the tensor's shape.
@@ -102,24 +105,18 @@
 //! [`HostBlocking::slab_bytes`] sizes the score LUT's and [`gemv_xw`]'s
 //! aggregation table's *group blocks*, which reorder work and never a sum.
 //! Shapes the register kernels do not cover run the same chains through the
-//! generic lane-array bodies, the split [`ext_passes`] makes for private
-//! rows.
+//! generic lane-array bodies.
 //!
-//! A live-KV extension ([`RaggedExt`]) is private to one query, so there
-//! is no batch to share a LUT across: its rows are decoded per code,
-//! straight from the context's centroid tables. The extension borrows the
-//! owning cache's flat buffers — byte-wide [`CodeStream`]s, [`Outliers`]
-//! as one coordinate and one value array, the f32 tail as one slice —
-//! and its score and value loops are entered once per query through a
-//! body monomorphised on the sub-vector width ([`ext_passes`]): a code is
-//! a byte load, an index into [`Codebook::entries_flat`] and
-//! `vector_size` multiply-adds, with a few rows' sums in flight. The
-//! `(residual round, group) → codebook` table those loops index is built
-//! once per attention call from the context's [`CodebookSet`] (extension
-//! scopes are row-invariant); the caches keep only the codes.
-//!
-//! [`Codebook::entries_flat`]: vqllm_vq::Codebook::entries_flat
-//! [`CodebookSet`]: vqllm_vq::CodebookSet
+//! A live-KV extension ([`RaggedExt`]) is private to one query and folded
+//! against the context's own books, so a folded row is computed like a
+//! context row holding the same codes, by the same kernels, to the same
+//! bits: scored out of lane `b`'s column of the LUT just built for the
+//! context, accumulated by the value pass one lane wide straight into the
+//! lane's output row. It borrows the owning cache's flat buffers —
+//! byte-wide [`CodeStream`]s (read through [`simd::CodeSource`]),
+//! [`Outliers`] as one coordinate and one value array, the f32 tail as one
+//! slice. Each lane's private chain is its own, so solo ≡ batched ≡ tailed
+//! holds by construction.
 //!
 //! Blocking ([`HostBlocking`]) reuses the [`KernelPlan`]'s shared-memory
 //! budget decisions: the bytes the planner would stage into an SM's shared
@@ -127,12 +124,16 @@
 //! partitioning derived from the blocking runs on the persistent
 //! [`pool::WorkerPool`] — workers are spawned once per process and fed
 //! through a channel, so a parallel kernel call costs two queue pushes,
-//! not N thread spawns. Inner loops dispatch through [`simd`]: AVX2 + FMA
+//! not N thread spawns. A lane block's LUT, score rows and accumulators
+//! are carved from a scratch buffer each thread keeps across calls (see
+//! `with_scratch`), so a call allocates none of them. Inner loops dispatch
+//! through [`simd`]: AVX2 + FMA
 //! when the CPU has them, 8-wide unrolled scalar lanes otherwise — per
 //! primitive for the dense ones, once per kernel call for the lane-block
 //! stages, whose per-code work is too small to carry a dispatch.
 //!
 //! [`Backend`]: crate::backend::Backend
+//! [`Codebook::entries_flat`]: vqllm_vq::Codebook::entries_flat
 //! [`PackedIndices::unpack_block`]: vqllm_vq::PackedIndices::unpack_block
 
 pub mod pool;
@@ -347,9 +348,54 @@ fn lut_scores_into<const W: usize>(
     blocking: &HostBlocking,
     y: &mut Tensor2D,
 ) -> Result<()> {
-    let scores = lut_scores::<W>(wq, xs, l0, w, wq.shape().0, blocking)?;
-    simd::with_lanes!(w, copy_lanes, W; y.as_mut_slice(), xs.rows(), l0, &scores);
-    Ok(())
+    let (rows, slots) = (wq.shape().0, lut_slots(wq));
+    with_scratch((slots + rows) * W, |mut buf| {
+        let lut = carve::<W>(&mut buf, slots);
+        let scores = carve::<W>(&mut buf, rows);
+        scores.fill([0.0; W]);
+        lut_scores(wq, xs, l0..l0 + w, &[], lut, scores, blocking)?;
+        simd::with_lanes!(w, copy_lanes, W; y.as_mut_slice(), xs.rows(), l0, scores);
+        Ok(())
+    })
+}
+
+thread_local! {
+    /// The calling thread's kernel scratch (see [`with_scratch`]).
+    static SCRATCH: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on `len` floats of the calling thread's scratch: 64-byte
+/// aligned (no LUT slot straddles a cache line), contents unspecified,
+/// kept across calls at the largest size the thread has asked for. A call
+/// nested inside `f` (a pool job run while waiting) gets its own.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    const ALIGN: usize = 64 / std::mem::size_of::<f32>();
+    let mut buf = SCRATCH.take();
+    if buf.len() < len + ALIGN {
+        buf = vec![0.0; len + ALIGN];
+    }
+    // `align_offset` may decline to answer; only speed depends on it.
+    let start = buf.as_ptr().align_offset(64).min(ALIGN);
+    let out = f(&mut buf[start..start + len]);
+    SCRATCH.set(buf);
+    out
+}
+
+/// Splits `rows` rows of `W` lanes off the front of `buf`.
+fn carve<'a, const W: usize>(buf: &mut &'a mut [f32], rows: usize) -> &'a mut [[f32; W]] {
+    let (head, rest) = std::mem::take(buf).split_at_mut(rows * W);
+    *buf = rest;
+    head.as_chunks_mut::<W>().0
+}
+
+/// Slots of a lane block's LUT over `wq`: (column group, stored entry) pairs.
+fn lut_slots(wq: &QuantizedTensor) -> usize {
+    let cfg = wq.config();
+    if cfg.lattice {
+        0
+    } else {
+        wq.col_groups() * cfg.stored_entries()
+    }
 }
 
 /// Lanes `[0, N)` of every row of `scores` into columns `[l0, l0 + N)` of
@@ -366,34 +412,45 @@ fn copy_lanes<const N: usize, const W: usize>(
     }
 }
 
-/// The score pass of one padded lane block: rows `[0, row_end)` of
-/// [`gemv_lut_batch`] for activation lanes `[l0, l0 + w)` of `xs`,
-/// token-major in `W = padded_lanes(w)` lanes (the padding lanes score a
-/// zero activation). Output rows are independent of one another and
-/// codebook bands keep the boundaries of the full tensor, so every row
-/// computed is bitwise the row the full-range call computes — and each
-/// lane's sum is its own chain, so neither `W` nor the lane's position in
-/// the block can be read from it.
+/// The score pass of one padded lane block: the leading rows of `scores`
+/// are rows `[0, n)` of [`gemv_lut_batch`] for activation lanes `lanes` of
+/// `xs`, token-major in `W = padded_lanes(w)` lanes (the padding lanes
+/// score a zero activation), built in `lut` (`groups × stored` slots of
+/// scratch, none for lattice books). Output rows are independent of one
+/// another and codebook bands keep the boundaries of the full tensor, so
+/// every row computed is bitwise the row the full-range call computes —
+/// and each lane's sum is its own chain, so neither `W` nor the lane's
+/// position in the block can be read from it.
+///
+/// The rows after them are lane `b`'s folded extension rows, lane after
+/// lane, scored in the same loop by the same kernel out of the same table,
+/// so a private row's sum is a context row's sum over the same codes (all
+/// lanes of a slot are added; only lane `b` is read). `scores` arrives
+/// zeroed.
 fn lut_scores<const W: usize>(
     wq: &QuantizedTensor,
     xs: &Tensor2D,
-    l0: usize,
-    w: usize,
-    row_end: usize,
+    lanes: std::ops::Range<usize>,
+    exts: &[RaggedExt<'_>],
+    lut: &mut [[f32; W]],
+    scores: &mut [[f32; W]],
     blocking: &HostBlocking,
-) -> Result<Vec<[f32; W]>> {
+) -> Result<()> {
+    let (l0, w) = (lanes.start, lanes.len());
+    let private_rows: usize = exts.iter().map(|e| e.rows).sum();
+    let (ctx, private) = scores.split_at_mut(scores.len() - private_rows);
     let vq = *wq.config();
     let vs = vq.vector_size;
     let groups = wq.col_groups();
     let stored = vq.stored_entries();
     let books = wq.codebooks();
     let band = books.band_rows();
-    let mut y = vec![[0.0f32; W]; row_end];
+    let row_end = ctx.len();
     // Lane-interleaved LUT: one partial dot per lane in every (group,
     // code) slot, one fused build per group over the interleaved codebook
     // layout (`xt`: that group's activation sub-vectors, element-major).
-    let mut lut = vec![[0.0f32; W]; if vq.lattice { 0 } else { groups * stored }];
     let mut xt = vec![[0.0f32; W]; vs];
+    let mut codes = vec![0u32; if vq.lattice { groups } else { 0 }];
     // Group blocks are sized to the outer budget: a slot this wide leaves
     // the slab room for a group or two, and every block is one more sweep
     // over all the packed rows, reloading every sum.
@@ -402,8 +459,9 @@ fn lut_scores<const W: usize>(
     let mut band_start = 0;
     while band_start < row_end {
         let band_len = band.min(row_end - band_start);
-        let band_out = &mut y[band_start..band_start + band_len];
-        for r in 0..vq.residuals {
+        let band_out = &mut ctx[band_start..band_start + band_len];
+        let band_books = band_books(books, band_start, 0, groups);
+        for (r, round_books) in band_books.iter().enumerate() {
             let stream = wq.index_stream(r);
             if vq.lattice {
                 parallel_row_chunks(
@@ -414,29 +472,19 @@ fn lut_scores<const W: usize>(
                     |first, chunk| {
                         let mut codes = vec![0u32; groups];
                         for (local, yrow) in chunk.iter_mut().enumerate() {
-                            let row = band_start + first + local;
-                            stream.unpack_block(row * groups, &mut codes);
-                            for (g, &code) in codes.iter().enumerate() {
-                                let book = books.book(r, books.scope_index(row, g * vs));
-                                let base = book.stored_id_of(code) as usize;
-                                let signs = code >> book.sign_shift();
-                                let entry = &book.entries_flat()[base * vs..(base + 1) * vs];
-                                for (b, out) in yrow[..w].iter_mut().enumerate() {
-                                    let x = &xs.row(l0 + b)[g * vs..(g + 1) * vs];
-                                    *out += signed_dot(entry, x, signs);
-                                }
-                            }
+                            stream.unpack_block((band_start + first + local) * groups, &mut codes);
+                            lattice_scores(&mut yrow[..w], &codes, round_books, xs, l0);
                         }
                     },
                 )?;
             } else {
-                for (g, gslab) in lut.chunks_exact_mut(stored).enumerate() {
+                for ((g, gslab), book) in lut.chunks_exact_mut(stored).enumerate().zip(round_books)
+                {
                     for (j, xj) in xt.iter_mut().enumerate() {
                         for (b, x) in xj[..w].iter_mut().enumerate() {
                             *x = xs.row(l0 + b)[g * vs + j];
                         }
                     }
-                    let book = books.book(r, books.scope_index(band_start, g * vs));
                     simd::lut_batch_build(
                         gslab.as_flattened_mut(),
                         book.entries_interleaved(),
@@ -444,7 +492,7 @@ fn lut_scores<const W: usize>(
                         W,
                     );
                 }
-                let lut = lut.as_slice();
+                let lut = &*lut;
                 parallel_row_chunks(
                     band_out,
                     1,
@@ -452,7 +500,7 @@ fn lut_scores<const W: usize>(
                     "host.gemv_lut_batch",
                     |first, chunk| {
                         let codes = simd::RowCodes {
-                            stream,
+                            stream: simd::CodeSource::Packed(stream),
                             first: (band_start + first) * groups,
                             groups,
                         };
@@ -460,10 +508,55 @@ fn lut_scores<const W: usize>(
                     },
                 )?;
             }
+            // Extension scopes are row-invariant: the first band's books
+            // are the private rows' books.
+            if band_start > 0 {
+                continue;
+            }
+            let mut rest = &mut *private;
+            for (b, ext) in exts.iter().enumerate() {
+                let rows;
+                (rows, rest) = std::mem::take(&mut rest).split_at_mut(ext.rows);
+                let Some(source) = ext.k_codes.get(r).filter(|_| ext.rows > 0) else {
+                    continue;
+                };
+                if vq.lattice {
+                    for (i, row) in rows.iter_mut().enumerate() {
+                        simd::CodeSource::Stream(source).unpack(i * groups, &mut codes);
+                        lattice_scores(&mut row[b..=b], &codes, round_books, xs, l0 + b);
+                    }
+                } else {
+                    let codes = simd::RowCodes {
+                        stream: simd::CodeSource::Stream(source),
+                        first: 0,
+                        groups,
+                    };
+                    simd::lut_batch_accumulate(rows, lut, stored, codes, gb);
+                }
+            }
         }
         band_start += band_len;
     }
-    Ok(y)
+    Ok(())
+}
+
+/// One row of a lattice score pass: `out[b] += signed_dot(..)` of each
+/// group's entry against row `lane0 + b` of `xs`, groups left to right.
+fn lattice_scores(
+    out: &mut [f32],
+    codes: &[u32],
+    books: &[&vqllm_vq::Codebook],
+    xs: &Tensor2D,
+    lane0: usize,
+) {
+    let vs = xs.cols() / codes.len().max(1);
+    for (g, (&code, book)) in codes.iter().zip(books).enumerate() {
+        let entry = book.stored_entry(book.stored_id_of(code) as usize);
+        let signs = code >> book.sign_shift();
+        for (b, o) in out.iter_mut().enumerate() {
+            *o += signed_dot(entry, &xs.row(lane0 + b)[g * vs..(g + 1) * vs], signs);
+        }
+    }
 }
 
 /// Fused transposed GeMV: `y = xᵀ · dequant(Wq)` with `x.len() == rows`,
@@ -917,13 +1010,6 @@ impl CodeStream {
         le[..width].copy_from_slice(&bytes[i * width..(i + 1) * width]);
         u32::from_le_bytes(le)
     }
-
-    /// The bytes of codes `[row · groups, (row + 1) · groups)`.
-    #[inline]
-    fn row(&self, row: usize, groups: usize) -> &[u8] {
-        let len = groups * self.width;
-        &self.bytes[row * len..(row + 1) * len]
-    }
 }
 
 /// Sparse exact residuals over an extension's folded rows (the outlier
@@ -981,6 +1067,64 @@ impl<'a> Outliers<'a> {
             .iter()
             .zip(self.values.chunks_exact(vs.max(1)))
             .map(|(&(row, group), v)| (row as usize, group as usize, v))
+    }
+}
+
+/// Runs `$f::<VS>` with a common sub-vector width `$vs` as the constant
+/// `VS` (a residual is then a fixed-size array), else `VS = 0`.
+macro_rules! with_vs {
+    ($vs:expr, $f:ident; $($a:expr),*) => {
+        match $vs {
+            2 => $f::<2>($($a),*),
+            4 => $f::<4>($($a),*),
+            8 => $f::<8>($($a),*),
+            _ => $f::<0>($($a),*),
+        }
+    };
+}
+
+/// Adds a lane's K outlier residuals to its folded scores, in push order:
+/// `folded[row] += Σ_j residual[j] · q[group·vs + j]`, a run of one row's
+/// summed in a register (the same chain, no store and reload per link).
+fn outlier_scores<const VS: usize>(
+    folded: &mut [f32],
+    outliers: Outliers<'_>,
+    q: &[f32],
+    vs: usize,
+) {
+    let vs = if VS == 0 { vs } else { VS };
+    let (mut at, mut sum) = (None, 0.0f32);
+    for (&(row, group), values) in outliers.coords.iter().zip(outliers.values.chunks_exact(vs)) {
+        let (row, group) = (row as usize, group as usize);
+        if at != Some(row) {
+            if let Some(done) = at {
+                folded[done] = sum;
+            }
+            (at, sum) = (Some(row), folded[row]);
+        }
+        let qg = &q[group * vs..][..vs];
+        sum += values.iter().zip(qg).map(|(&e, &x)| e * x).sum::<f32>();
+    }
+    if let Some(done) = at {
+        folded[done] = sum;
+    }
+}
+
+/// Adds a lane's V outlier residuals to its output row, in push order:
+/// `orow[group·vs + j] += folded[row] · residual[j]`.
+fn outlier_values<const VS: usize>(
+    orow: &mut [f32],
+    outliers: Outliers<'_>,
+    folded: &[f32],
+    vs: usize,
+) {
+    let vs = if VS == 0 { vs } else { VS };
+    for (&(row, group), values) in outliers.coords.iter().zip(outliers.values.chunks_exact(vs)) {
+        let w = folded[row as usize];
+        let out = &mut orow[group as usize * vs..][..vs];
+        for (o, &v) in out.iter_mut().zip(&values[..vs]) {
+            *o += w * v;
+        }
     }
 }
 
@@ -1051,210 +1195,6 @@ impl RaggedExt<'_> {
             });
         }
         Ok(())
-    }
-}
-
-/// Rows of an extension whose score chains [`ext_scores`] keeps in flight
-/// (and whose weights [`ext_values`] applies per output load): a row's sum
-/// is one dependent add per code, so interleaving a few rows hides the
-/// add latency without changing any row's order.
-const EXT_ROW_BLOCK: usize = 4;
-
-/// Stored-entry index of group `g` in one extension row's codes
-/// ([`CodeStream::row`]): a byte load when `VS` pins the one-byte layout,
-/// `width` little-endian bytes otherwise.
-#[inline(always)]
-fn ext_code<const VS: usize>(row: &[u8], width: usize, g: usize) -> usize {
-    if VS == 0 {
-        CodeStream::code_at(row, width, g) as usize
-    } else {
-        row[g] as usize
-    }
-}
-
-/// `R` rows of [`ext_scores`], starting at extension row `r0`.
-#[inline(always)]
-fn ext_scores_block<const VS: usize, const R: usize>(
-    q: &[f32],
-    books: &[&vqllm_vq::Codebook],
-    codes: &[CodeStream],
-    vs: usize,
-    r0: usize,
-    out: &mut [f32],
-) {
-    let vs = if VS == 0 { vs } else { VS };
-    let groups = q.len() / vs;
-    let mut acc = [0.0f32; R];
-    for (stream, round_books) in codes.iter().zip(books.chunks_exact(groups)) {
-        let rows: [&[u8]; R] = std::array::from_fn(|i| stream.row(r0 + i, groups));
-        for (g, (book, qsub)) in round_books.iter().zip(q.chunks_exact(vs)).enumerate() {
-            let flat = book.entries_flat();
-            for (a, row) in acc.iter_mut().zip(rows) {
-                let c = ext_code::<VS>(row, stream.width, g);
-                let entry = &flat[c * vs..(c + 1) * vs];
-                *a += entry.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
-            }
-        }
-    }
-    out[r0..r0 + R].copy_from_slice(&acc);
-}
-
-/// Scores of `q` against every folded extension row of plain
-/// (non-lattice) books, decoded on the fly (all residual rounds; outliers
-/// are the caller's): `out[row] = Σ_round Σ_group entry · q_group`, each
-/// row one chain in (round, group) order, [`EXT_ROW_BLOCK`] rows' chains
-/// interleaved. `VS` is the sub-vector width as a constant — which also
-/// pins one-byte codes — or 0 to take both from `vs` and the streams;
-/// `books` is the (round, group) table, round-major.
-fn ext_scores<const VS: usize>(
-    q: &[f32],
-    books: &[&vqllm_vq::Codebook],
-    codes: &[CodeStream],
-    vs: usize,
-    out: &mut [f32],
-) {
-    let full = out.len() / EXT_ROW_BLOCK * EXT_ROW_BLOCK;
-    for r0 in (0..full).step_by(EXT_ROW_BLOCK) {
-        ext_scores_block::<VS, EXT_ROW_BLOCK>(q, books, codes, vs, r0, out);
-    }
-    for r0 in full..out.len() {
-        ext_scores_block::<VS, 1>(q, books, codes, vs, r0, out);
-    }
-}
-
-/// `N` consecutive sweeps of [`ext_values`], starting at sweep `t0`.
-#[inline(always)]
-fn ext_values_block<const VS: usize, const N: usize>(
-    weights: &[f32],
-    books: &[&vqllm_vq::Codebook],
-    codes: &[CodeStream],
-    vs: usize,
-    t0: usize,
-    orow: &mut [f32],
-) {
-    let vs = if VS == 0 { vs } else { VS };
-    let groups = orow.len() / vs;
-    // Sweep `t` is (row, round) = (t / rounds, t % rounds).
-    let sweeps: [(f32, &[u8], usize, &[&vqllm_vq::Codebook]); N] = std::array::from_fn(|i| {
-        let (row, round) = ((t0 + i) / codes.len(), (t0 + i) % codes.len());
-        let stream = &codes[round];
-        let round_books = &books[round * groups..(round + 1) * groups];
-        (
-            weights[row],
-            stream.row(row, groups),
-            stream.width,
-            round_books,
-        )
-    });
-    for (g, out) in orow.chunks_exact_mut(vs).enumerate() {
-        for (w, row, width, round_books) in sweeps {
-            let c = ext_code::<VS>(row, width, g);
-            let entry = &round_books[g].entries_flat()[c * vs..(c + 1) * vs];
-            for (o, &e) in out.iter_mut().zip(entry) {
-                *o += w * e;
-            }
-        }
-    }
-}
-
-/// Adds the folded extension rows of plain books into one query's output
-/// row: one *sweep* per (row, round), in that order, adds
-/// `weights[row] · entry` to every group's slot — so each output element
-/// is one chain in (row, round) order. [`EXT_ROW_BLOCK`] consecutive
-/// sweeps share each load and store of a slot. `VS`, `books` and `vs` as
-/// in [`ext_scores`].
-fn ext_values<const VS: usize>(
-    weights: &[f32],
-    books: &[&vqllm_vq::Codebook],
-    codes: &[CodeStream],
-    vs: usize,
-    orow: &mut [f32],
-) {
-    let sweeps = weights.len() * codes.len();
-    let full = sweeps / EXT_ROW_BLOCK * EXT_ROW_BLOCK;
-    for t0 in (0..full).step_by(EXT_ROW_BLOCK) {
-        ext_values_block::<VS, EXT_ROW_BLOCK>(weights, books, codes, vs, t0, orow);
-    }
-    for t0 in full..sweeps {
-        ext_values_block::<VS, 1>(weights, books, codes, vs, t0, orow);
-    }
-}
-
-/// [`ext_scores`] for lattice books: the sign-aware per-code loop.
-fn ext_scores_lattice(
-    q: &[f32],
-    books: &[&vqllm_vq::Codebook],
-    codes: &[CodeStream],
-    vs: usize,
-    out: &mut [f32],
-) {
-    let groups = q.len() / vs;
-    for (row, acc) in out.iter_mut().enumerate() {
-        *acc = 0.0;
-        for (stream, round_books) in codes.iter().zip(books.chunks_exact(groups)) {
-            for (g, (book, qsub)) in round_books.iter().zip(q.chunks_exact(vs)).enumerate() {
-                let code = stream.get(row * groups + g);
-                let base = book.stored_id_of(code) as usize;
-                let signs = code >> book.sign_shift();
-                *acc += signed_dot(book.stored_entry(base), qsub, signs);
-            }
-        }
-    }
-}
-
-/// [`ext_values`] for lattice books, through [`Codebook::axpy`]'s sign
-/// handling.
-///
-/// [`Codebook::axpy`]: vqllm_vq::Codebook::axpy
-fn ext_values_lattice(
-    weights: &[f32],
-    books: &[&vqllm_vq::Codebook],
-    codes: &[CodeStream],
-    vs: usize,
-    orow: &mut [f32],
-) {
-    let groups = orow.len() / vs;
-    for (row, &w) in weights.iter().enumerate() {
-        for (stream, round_books) in codes.iter().zip(books.chunks_exact(groups)) {
-            for (g, (book, out)) in round_books
-                .iter()
-                .zip(orow.chunks_exact_mut(vs))
-                .enumerate()
-            {
-                book.axpy(stream.get(row * groups + g), w, out);
-            }
-        }
-    }
-}
-
-/// The round-major `(residual round, group)` → codebook table extension
-/// rows of `t`'s context decode against (row-invariant scopes only).
-fn ext_books(t: &QuantizedTensor) -> Vec<&vqllm_vq::Codebook> {
-    let books = t.codebooks();
-    (0..books.config().residuals)
-        .flat_map(|r| books.row_books(r, 0, 0..t.col_groups()))
-        .collect()
-}
-
-/// One extension pass — [`ext_scores`] / [`ext_values`] or their lattice
-/// forms: `(q or weights, books, codes, vector_size, scores or output)`.
-type ExtPass = fn(&[f32], &[&vqllm_vq::Codebook], &[CodeStream], usize, &mut [f32]);
-
-/// The (score, value) extension passes for a context's books, picked once
-/// per attention call: lattice books take the sign-aware loops; plain
-/// books one body monomorphised on the sub-vector width when codes are a
-/// byte and the width is a common one, its runtime-width instance
-/// otherwise.
-fn ext_passes(cfg: &vqllm_vq::VqConfig) -> (ExtPass, ExtPass) {
-    if cfg.lattice {
-        return (ext_scores_lattice, ext_values_lattice);
-    }
-    let byte_codes = CodeStream::width_for(cfg.index_bits()) == 1;
-    match cfg.vector_size {
-        2 if byte_codes => (ext_scores::<2>, ext_values::<2>),
-        4 if byte_codes => (ext_scores::<4>, ext_values::<4>),
-        8 if byte_codes => (ext_scores::<8>, ext_values::<8>),
-        _ => (ext_scores::<0>, ext_values::<0>),
     }
 }
 
@@ -1352,12 +1292,11 @@ pub fn attention_decode(
     batch.validate(kq, vq)?;
     let &AttentionBatch { qs, lens, exts } = batch;
     // Extensions are encoded against the context's books, and extension
-    // scopes are row-invariant: one round-major (round, group) → book
-    // table per side per call, and one choice of pass bodies.
-    let (k_books, v_books) = if exts.is_empty() {
-        (Vec::new(), Vec::new())
+    // scopes are row-invariant: V's first band holds their books.
+    let v_books = if exts.is_empty() {
+        Vec::new()
     } else {
-        (ext_books(kq), ext_books(vq))
+        band_books(vq.codebooks(), 0, 0, vq.col_groups())
     };
     let call = AttentionCall {
         qs,
@@ -1366,9 +1305,7 @@ pub fn attention_decode(
         kq,
         vq,
         blocking,
-        k_books: &k_books,
-        v_books: &v_books,
-        ext_passes: ext_passes(kq.config()),
+        v_books,
     };
     let mut out = Tensor2D::zeros(qs.rows(), qs.cols());
     for l0 in (0..qs.rows()).step_by(simd::LANES) {
@@ -1386,10 +1323,9 @@ struct AttentionCall<'a> {
     kq: &'a QuantizedTensor,
     vq: &'a QuantizedTensor,
     blocking: &'a HostBlocking,
-    /// [`ext_books`] of K and of V (empty without extensions).
-    k_books: &'a [&'a vqllm_vq::Codebook],
-    v_books: &'a [&'a vqllm_vq::Codebook],
-    ext_passes: (ExtPass, ExtPass),
+    /// The `(residual round, group)` → codebook table extension rows of V
+    /// decode against (empty without extensions).
+    v_books: Vec<Vec<&'a vqllm_vq::Codebook>>,
 }
 
 /// Queries `[l0, l0 + w)` of an attention call, side by side in the
@@ -1397,9 +1333,10 @@ struct AttentionCall<'a> {
 /// stages work in: [`lut_scores`] fills it, [`simd::softmax_lanes`] turns
 /// scores into softmax numerators where they lie, [`value_lanes`] streams
 /// it against V's packed codes into element-major accumulators. A lane's
-/// private rows are scored into a row of their own beside it, share the
-/// lane's maximum and sum, and continue its accumulators once those are
-/// transposed into the output row; the sum divides last.
+/// private rows are scored beside it by the same pass, share the lane's
+/// maximum and sum, and continue its accumulators — through the same value
+/// kernel, one lane wide — once those are transposed into the output row;
+/// the sum divides last. Every buffer is the thread's scratch.
 fn attention_lanes<const W: usize>(
     call: &AttentionCall<'_>,
     l0: usize,
@@ -1407,84 +1344,100 @@ fn attention_lanes<const W: usize>(
     out: &mut Tensor2D,
 ) -> Result<()> {
     let &AttentionCall {
-        qs, lens, exts, kq, ..
+        qs,
+        lens,
+        kq,
+        vq,
+        blocking,
+        ..
     } = call;
-    let (score_pass, value_pass) = call.ext_passes;
+    let exts = call.exts.get(l0..l0 + w).unwrap_or_default();
     let vs = kq.config().vector_size;
+    let groups = kq.col_groups();
     let head_dim = qs.cols();
-    let no_ext = RaggedExt::default();
-    let ext_of = |b: usize| exts.get(l0 + b).unwrap_or(&no_ext);
 
     let mut lane_lens = [0usize; W];
     lane_lens[..w].copy_from_slice(&lens[l0..l0 + w]);
     let bound = lane_lens.iter().copied().max().unwrap_or(0);
-    let mut weights = lut_scores::<W>(kq, qs, l0, w, bound, call.blocking)?;
+    let private_rows: usize = exts.iter().map(|e| e.rows).sum();
+    let ext_len = |e: &RaggedExt<'_>| e.rows + e.k_tail.len() / head_dim;
+    let ext_scores: usize = exts.iter().map(ext_len).sum();
+    let slots = lut_slots(kq);
+    let floats = (slots + bound + private_rows + head_dim) * W + ext_scores;
+    with_scratch(floats, |mut buf| {
+        let lut = carve::<W>(&mut buf, slots);
+        let scores = carve::<W>(&mut buf, bound + private_rows);
+        let acc = carve::<W>(&mut buf, head_dim);
+        scores.fill([0.0; W]);
+        acc.fill([0.0; W]);
+        lut_scores(kq, qs, l0..l0 + w, exts, lut, scores, blocking)?;
+        let (weights, private) = scores.split_at_mut(bound);
 
-    // Private score rows, lane after lane: [folded ext | f32 tail].
-    let mut ext_weights: Vec<f32> = Vec::new();
-    let mut ext_lens = [0usize; W];
-    for (b, ext_len) in ext_lens[..w].iter_mut().enumerate() {
-        let ext = ext_of(b);
-        let q = qs.row(l0 + b);
-        let start = ext_weights.len();
-        ext_weights.resize(start + ext.rows, 0.0);
-        let folded = &mut ext_weights[start..];
-        score_pass(q, call.k_books, ext.k_codes, vs, folded);
-        for (row, group, values) in ext.k_outliers.iter() {
-            let qsub = &q[group * vs..(group + 1) * vs];
-            folded[row] += values.iter().zip(qsub).map(|(&e, &x)| e * x).sum::<f32>();
-        }
-        for t in ext.k_tail.chunks_exact(head_dim) {
-            ext_weights.push(t.iter().zip(q).map(|(&e, &x)| e * x).sum::<f32>());
-        }
-        *ext_len = ext_weights.len() - start;
-    }
-
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut rest = ext_weights.as_mut_slice();
-    let lane_exts: [&mut [f32]; W] = ext_lens.map(|len| {
-        let (lane, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        rest = tail;
-        lane
-    });
-    let sums = simd::softmax_lanes(&mut weights, &lane_lens, scale, lane_exts);
-
-    let mut acc = vec![[0.0f32; W]; head_dim];
-    value_lanes(
-        call.vq,
-        &weights,
-        &mut acc,
-        call.blocking.threads,
-        "host.attention_ragged",
-    )?;
-
-    let mut ext_weights = ext_weights.as_slice();
-    for (b, (&sum, &ext_len)) in sums.iter().zip(&ext_lens).take(w).enumerate() {
-        let ext = ext_of(b);
-        let lane_weights;
-        (lane_weights, ext_weights) = ext_weights.split_at(ext_len);
-        let (folded, tail) = lane_weights.split_at(ext.rows);
-        let orow = out.row_mut(l0 + b);
-        for (o, lanes) in orow.iter_mut().zip(&acc) {
-            *o = lanes[b];
-        }
-        value_pass(folded, call.v_books, ext.v_codes, vs, orow);
-        for (row, group, values) in ext.v_outliers.iter() {
-            let w = folded[row];
-            for (o, &v) in orow[group * vs..].iter_mut().zip(values) {
-                *o += w * v;
+        // Private score rows, lane after lane: [folded ext | f32 tail].
+        let ext_weights = buf;
+        let mut ext_lens = [0usize; W];
+        let (mut rest, mut rows) = (&mut *ext_weights, &*private);
+        for (b, ext) in exts.iter().enumerate() {
+            let q = qs.row(l0 + b);
+            ext_lens[b] = ext_len(ext);
+            let (lane, lane_rows);
+            (lane, rest) = std::mem::take(&mut rest).split_at_mut(ext_lens[b]);
+            (lane_rows, rows) = rows.split_at(ext.rows);
+            let (folded, tail) = lane.split_at_mut(ext.rows);
+            for (s, row) in folded.iter_mut().zip(lane_rows) {
+                *s = row[b];
+            }
+            with_vs!(vs, outlier_scores; folded, ext.k_outliers, q, vs);
+            for (s, t) in tail.iter_mut().zip(ext.k_tail.chunks_exact(head_dim)) {
+                *s = t.iter().zip(q).map(|(&e, &x)| e * x).sum::<f32>();
             }
         }
-        for (&w, vrow) in tail.iter().zip(ext.v_tail.chunks_exact(head_dim)) {
-            for (o, &v) in orow.iter_mut().zip(vrow) {
-                *o += w * v;
+
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let mut rest = &mut *ext_weights;
+        let lane_exts: [&mut [f32]; W] = ext_lens.map(|len| {
+            let lane;
+            (lane, rest) = std::mem::take(&mut rest).split_at_mut(len);
+            lane
+        });
+        let sums = simd::softmax_lanes(weights, &lane_lens, scale, lane_exts);
+        value_lanes(vq, weights, acc, blocking.threads, "host.attention_ragged")?;
+
+        let mut ext_weights = &*ext_weights;
+        for (b, &sum) in sums.iter().enumerate().take(w) {
+            let orow = out.row_mut(l0 + b);
+            for (o, lanes) in orow.iter_mut().zip(&*acc) {
+                *o = lanes[b];
+            }
+            if let Some(ext) = exts.get(b) {
+                let lane;
+                (lane, ext_weights) = ext_weights.split_at(ext_lens[b]);
+                let (folded, tail) = lane.split_at(ext.rows);
+                let rounds: Vec<simd::ValueRound<'_>> = ext
+                    .v_codes
+                    .iter()
+                    .zip(&call.v_books)
+                    .map(|(codes, books)| simd::ValueRound {
+                        stream: simd::CodeSource::Stream(codes),
+                        first: 0,
+                        books,
+                    })
+                    .collect();
+                let (lane_acc, lane_w) = (orow.as_chunks_mut::<1>().0, folded.as_chunks::<1>().0);
+                simd::value_accumulate(lane_acc, lane_w, &rounds, groups, 0);
+                with_vs!(vs, outlier_values; orow, ext.v_outliers, folded, vs);
+                for (&w, vrow) in tail.iter().zip(ext.v_tail.chunks_exact(head_dim)) {
+                    for (o, &v) in orow.iter_mut().zip(vrow) {
+                        *o += w * v;
+                    }
+                }
+            }
+            for o in orow.iter_mut() {
+                *o /= sum;
             }
         }
-        for o in orow.iter_mut() {
-            *o /= sum;
-        }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// The value pass of one lane block: `acc[d][b] = Σ_t weights[t][b] ·
@@ -1514,7 +1467,7 @@ fn value_lanes<const W: usize>(
                 .iter()
                 .enumerate()
                 .map(|(r, books)| simd::ValueRound {
-                    stream: vq.index_stream(r),
+                    stream: simd::CodeSource::Packed(vq.index_stream(r)),
                     first: band_start * groups,
                     books,
                 })

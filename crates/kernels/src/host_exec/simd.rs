@@ -25,21 +25,26 @@
 //!   group, then one `W`-wide load and add per packed code. Codes eight
 //!   bits wide are read as bytes straight from the packed stream and index
 //!   a slab typed `[[f32; W]; 256]`, which no byte can overrun;
+//!   a live-KV extension's private rows run through the same accumulate,
+//!   their codes a [`CodeSource::Stream`];
 //! * [`softmax_lanes`] — lane-wise softmax numerators in that same buffer,
 //!   through one polynomial [`exp`] whose bits depend on the element alone;
 //! * [`value_accumulate`] — the value pass (attention's V side, and the
 //!   linear layer with the batch as lanes): per packed code, `vector_size`
 //!   broadcast multiply-adds from the codebook entry straight into `W`-lane
-//!   accumulators. No row is ever decoded to memory.
+//!   accumulators — at one lane (a solo query, a private extension) the
+//!   output row itself packed into vectors. No row is ever decoded to
+//!   memory.
 //!
 //! The generic loops are written once, as `#[inline(always)]` bodies over
 //! const lane counts, and compiled twice: the AVX2 entry is a
 //! `#[target_feature]` function the body inlines into, so the tier is
 //! picked once per call, not once per packed code. Only the value pass has
-//! a hand-written intrinsic kernel beside its lane-array body (the body
-//! alone left the accumulators in memory); the two run the same chain of
-//! fused multiply-adds.
+//! hand-written intrinsic kernels beside its lane-array body (the body
+//! alone left the accumulators in memory) — one for lane blocks, one for a
+//! single lane; all three run the same chain of fused multiply-adds.
 
+use super::CodeStream;
 use vqllm_vq::{Codebook, PackedIndices};
 
 /// Width of the accumulator-lane unroll (one AVX2 register of f32).
@@ -246,12 +251,48 @@ pub const LUT_ROW_BLOCK: usize = 4;
 /// [`lut_batch_accumulate`] indexes with the packed bytes themselves.
 const BYTE_ENTRIES: usize = 256;
 
+/// Where a kernel reads one residual round's codes from: a quantized
+/// tensor's bit-packed index stream, or a live-KV extension's whole-byte
+/// [`CodeStream`] — so a private row runs through the very kernels a
+/// context row does.
+#[derive(Debug, Clone, Copy)]
+pub enum CodeSource<'a> {
+    /// A [`QuantizedTensor`](vqllm_vq::QuantizedTensor)'s index stream.
+    Packed(&'a PackedIndices),
+    /// An extension's codes.
+    Stream(&'a CodeStream),
+}
+
+impl<'a> CodeSource<'a> {
+    /// The codes as bytes, when each is one byte wide.
+    #[inline]
+    fn bytes(self) -> Option<&'a [u8]> {
+        match self {
+            CodeSource::Packed(p) => p.as_bytes(),
+            CodeSource::Stream(s) => (s.width == 1).then_some(&s.bytes),
+        }
+    }
+
+    /// Codes `[start, start + out.len())`, widened.
+    #[inline]
+    pub(super) fn unpack(self, start: usize, out: &mut [u32]) {
+        match self {
+            CodeSource::Packed(p) => p.unpack_block(start, out),
+            CodeSource::Stream(s) => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = CodeStream::code_at(&s.bytes, s.width, start + i);
+                }
+            }
+        }
+    }
+}
+
 /// The packed codes of consecutive rows of one index stream: row `i`'s
 /// are indices `first + i·groups ..` of `stream`, `groups` of them.
 #[derive(Debug, Clone, Copy)]
 pub struct RowCodes<'a> {
-    /// The residual round's packed index stream.
-    pub stream: &'a PackedIndices,
+    /// The residual round's codes.
+    pub stream: CodeSource<'a>,
     /// Index of the first row's first code.
     pub first: usize,
     /// Codes (column groups) per row.
@@ -321,7 +362,7 @@ fn lut_accumulate_lanes<const W: usize>(
         groups,
     } = codes;
     let gb = gb.clamp(1, groups);
-    let bytes = stream.as_bytes().filter(|_| stored == BYTE_ENTRIES);
+    let bytes = stream.bytes().filter(|_| stored == BYTE_ENTRIES);
     let mut widened = vec![0u32; if bytes.is_some() { 0 } else { R * gb }];
     for g0 in (0..groups).step_by(gb) {
         let gl = gb.min(groups - g0);
@@ -334,7 +375,7 @@ fn lut_accumulate_lanes<const W: usize>(
                 lut_accumulate_block::<W, R, BYTE_ENTRIES, u8>(yblock, slab, stored, rows);
             } else {
                 for (i, row) in widened[..R * gl].chunks_exact_mut(gl).enumerate() {
-                    stream.unpack_block(at + i * groups, row);
+                    stream.unpack(at + i * groups, row);
                 }
                 let rows: [&[u32]; R] = std::array::from_fn(|i| &widened[i * gl..][..gl]);
                 lut_accumulate_block::<W, R, 0, u32>(yblock, slab, stored, rows);
@@ -350,7 +391,7 @@ fn lut_accumulate_lanes<const W: usize>(
                     [&bytes[at..][..gl]],
                 );
             } else {
-                stream.unpack_block(at, &mut widened[..gl]);
+                stream.unpack(at, &mut widened[..gl]);
                 lut_accumulate_block::<W, 1, 0, u32>(yrow, slab, stored, [&widened[..gl]]);
             }
             at += groups;
@@ -635,15 +676,15 @@ pub const fn value_group_block(vs: usize) -> usize {
 /// accumulates (see [`value_accumulate`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ValueRound<'a> {
-    /// The round's packed index stream.
-    pub stream: &'a PackedIndices,
+    /// The round's codes.
+    pub stream: CodeSource<'a>,
     /// Index of the run's first row's first code.
     pub first: usize,
     /// The round's codebook for each column group of the span.
     pub books: &'a [&'a Codebook],
 }
 
-/// The value-pass inner kernel of batched attention, for one padded lane
+/// The value-pass inner kernel of attention, for one padded lane
 /// block and a span of column groups `[gs, gs + span)`:
 /// `acc[(i·vs + j)][b] += Σ_t Σ_round weights[t][b] · entry(t, round, gs + i)[j]`
 /// — every accumulator one chain of multiply-adds in (row, round) order,
@@ -655,11 +696,13 @@ pub struct ValueRound<'a> {
 /// Nothing is decoded to memory: a packed code is an index into
 /// `Codebook::entries_flat` and `vs` broadcast multiply-adds. One round of
 /// byte codes over plain 256-entry books with 2-, 4- or 8-wide sub-vectors
-/// runs the intrinsic kernel on the AVX2 tier — a block of groups whose
+/// runs an intrinsic kernel on the AVX2 tier — a block of groups whose
 /// books fit L1 and whose accumulators fill the register file, rows
-/// streamed once per block; everything else (lattice signs, other widths,
-/// residual rounds, the scalar tier) runs the lane-array body. Both are
-/// the chain above, so which one ran cannot be read from a result.
+/// streamed once per block; at `W = 1` the block's accumulators are the
+/// output row's elements side by side in vectors. Everything else (lattice
+/// signs, other widths, residual rounds, the scalar tier) runs the
+/// lane-array body. All are the chain above, so which one ran cannot be
+/// read from a result.
 ///
 /// # Panics
 ///
@@ -711,7 +754,7 @@ fn value_accumulate_lanes<const W: usize, const FMA: bool>(
         for round in rounds {
             round
                 .stream
-                .unpack_block(round.first + t * groups + gs, &mut codes);
+                .unpack(round.first + t * groups + gs, &mut codes);
             for ((&code, book), out) in codes.iter().zip(round.books).zip(acc.chunks_exact_mut(vs))
             {
                 let base = book.stored_id_of(code) as usize;
@@ -813,8 +856,8 @@ mod x86 {
         super::softmax_lanes_body::<W, true>(scores, lens, scale, ext)
     }
 
-    /// [`super::value_accumulate`] on the AVX2 tier: the intrinsic kernel
-    /// for the shapes it covers, the lane-array body with fused
+    /// [`super::value_accumulate`] on the AVX2 tier: the intrinsic kernels
+    /// for the groups they cover, the lane-array body with fused
     /// multiply-adds for the rest.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn value_accumulate_avx2<const W: usize>(
@@ -824,27 +867,104 @@ mod x86 {
         groups: usize,
         gs: usize,
     ) {
-        if let [round] = rounds {
-            if let Some(bytes) = round.stream.as_bytes() {
-                // The run's rows, from group `gs` of the first one.
-                let codes = &bytes[round.first + gs..];
-                let books = round.books;
-                // SAFETY: AVX2+FMA are enabled for this function; the
-                // kernels check the rest of their contract themselves.
-                let done = unsafe {
-                    match acc.len() / books.len() {
-                        2 => value_bytes_avx2::<2, { G(2) }, W>(acc, weights, codes, books, groups),
-                        4 => value_bytes_avx2::<4, { G(4) }, W>(acc, weights, codes, books, groups),
-                        8 => value_bytes_avx2::<8, { G(8) }, W>(acc, weights, codes, books, groups),
-                        _ => false,
+        let [round] = rounds else {
+            return super::value_accumulate_lanes::<W, true>(acc, weights, rounds, groups, gs);
+        };
+        let (books, vs) = (round.books, acc.len() / round.books.len());
+        // The run's rows, from group `gs` of the first one.
+        let bytes = round.stream.bytes().map(|b| &b[round.first + gs..]);
+        // SAFETY: AVX2+FMA are enabled for this function; the kernels
+        // check the rest of their contract themselves.
+        let done = unsafe {
+            match (bytes, vs) {
+                (Some(c), 2) => value_bytes_avx2::<2, { G(2) }, W>(acc, weights, c, books, groups),
+                (Some(c), 4) => value_bytes_avx2::<4, { G(4) }, W>(acc, weights, c, books, groups),
+                (Some(c), 8) => value_bytes_avx2::<8, { G(8) }, W>(acc, weights, c, books, groups),
+                _ => 0,
+            }
+        };
+        if done < books.len() {
+            let rest = ValueRound {
+                books: &books[done..],
+                ..*round
+            };
+            let acc = &mut acc[done * vs..];
+            super::value_accumulate_lanes::<W, true>(acc, weights, &[rest], groups, gs + done);
+        }
+    }
+
+    /// [`value_bytes_avx2`] at one lane, register-resident the other way
+    /// round: the output row's elements side by side in vectors, groups
+    /// taken eight at a time (`VS` vectors; their books' pointers stay in
+    /// general registers) and the rows streamed once per block — per row a
+    /// broadcast of its weight, per code a byte load and the entry's `VS`
+    /// floats moved into its group's place, per vector one fused
+    /// multiply-add. Returns the groups covered, the whole blocks, having
+    /// touched no accumulator past them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2 and FMA, and every book holds 256 plain `VS`-wide
+    /// entries; lengths are asserted here.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn value_row_bytes_avx2<const VS: usize>(
+        acc: &mut [f32],
+        weights: &[f32],
+        codes: &[u8],
+        books: &[&Codebook],
+        groups: usize,
+    ) -> usize {
+        const BLOCK: usize = 8;
+        let covered = books.len() / BLOCK * BLOCK;
+        assert_eq!(acc.len(), books.len() * VS, "acc is span × VS floats");
+        let rows = weights.len();
+        assert!(
+            rows == 0 || covered == 0 || (rows - 1) * groups + covered <= codes.len(),
+            "codes cover every row of the blocks"
+        );
+        for g0 in (0..covered).step_by(BLOCK) {
+            let flat: [*const f32; BLOCK] =
+                std::array::from_fn(|i| books[g0 + i].entries_flat().as_ptr());
+            // SAFETY: AVX2+FMA are enabled for this function. The block's
+            // accumulators are floats `[g0·VS, (g0 + BLOCK)·VS)` of `acc`,
+            // row `t`'s codes bytes `t·groups + g0 + i` of `codes` (both
+            // asserted above); a byte is below 256, so `code·VS + j` lies
+            // in its 256 × VS book (the caller's guarantee).
+            unsafe {
+                let out = acc.as_mut_ptr().add(g0 * VS);
+                let mut sums = [_mm256_setzero_ps(); VS];
+                for (k, sum) in sums.iter_mut().enumerate() {
+                    *sum = _mm256_loadu_ps(out.add(LANES * k));
+                }
+                for (t, &w) in weights.iter().enumerate() {
+                    let w = _mm256_set1_ps(w);
+                    let row = codes.as_ptr().add(t * groups + g0);
+                    let entry = |i: usize| flat[i].add(usize::from(*row.add(i)) * VS);
+                    for (k, sum) in sums.iter_mut().enumerate() {
+                        let e = match VS {
+                            // Four groups a vector: each entry's pair
+                            // broadcast, then blended into its place.
+                            2 => {
+                                let pair = |i: usize| {
+                                    let bits = entry(4 * k + i).cast::<f64>().read_unaligned();
+                                    _mm256_castpd_ps(_mm256_set1_pd(bits))
+                                };
+                                let lo = _mm256_blend_ps::<0b0000_1100>(pair(0), pair(1));
+                                let hi = _mm256_blend_ps::<0b1100_0000>(pair(2), pair(3));
+                                _mm256_blend_ps::<0b1111_0000>(lo, hi)
+                            }
+                            4 => _mm256_loadu2_m128(entry(2 * k + 1), entry(2 * k)),
+                            _ => _mm256_loadu_ps(entry(k)),
+                        };
+                        *sum = _mm256_fmadd_ps(w, e, *sum);
                     }
-                };
-                if done {
-                    return;
+                }
+                for (k, sum) in sums.iter().enumerate() {
+                    _mm256_storeu_ps(out.add(LANES * k), *sum);
                 }
             }
         }
-        super::value_accumulate_lanes::<W, true>(acc, weights, rounds, groups, gs);
+        covered
     }
 
     /// The first `W` lanes of a vector from a row of lanes, the rest zero.
@@ -889,7 +1009,8 @@ mod x86 {
     /// weights, per code `VS` broadcasts from the entry and `VS` fused
     /// multiply-adds. A span that is not a multiple of `G` ends with a
     /// block moved back over groups already done, whose accumulators are
-    /// recomputed and dropped. Returns `false`, having touched nothing,
+    /// recomputed and dropped; at one lane [`value_row_bytes_avx2`] runs
+    /// instead. Returns the groups covered: none — having touched nothing —
     /// when the span is shorter than one block or a book is not such a
     /// book.
     #[target_feature(enable = "avx2,fma")]
@@ -899,11 +1020,16 @@ mod x86 {
         codes: &[u8],
         books: &[&Codebook],
         groups: usize,
-    ) -> bool {
+    ) -> usize {
         let span = books.len();
         let plain = |b: &&Codebook| !b.is_lattice() && b.entries_flat().len() == BYTE_ENTRIES * VS;
         if span < G || !books.iter().all(plain) {
-            return false;
+            return 0;
+        }
+        if W == 1 {
+            let (acc, weights) = (acc.as_flattened_mut(), weights.as_flattened());
+            // SAFETY: AVX2+FMA are enabled; every book was checked above.
+            return unsafe { value_row_bytes_avx2::<VS>(acc, weights, codes, books, groups) };
         }
         assert_eq!(acc.len(), span * VS, "acc is span × VS rows of lanes");
         let rows = weights.len();
@@ -948,7 +1074,7 @@ mod x86 {
                 }
             }
         }
-        true
+        span
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -1099,7 +1225,7 @@ mod tests {
                     }
                 }
                 let rc = RowCodes {
-                    stream: &stream,
+                    stream: CodeSource::Packed(&stream),
                     first: groups,
                     groups,
                 };
@@ -1315,12 +1441,19 @@ mod tests {
     fn value_is_one_chain_per_output<const W: usize>() {
         let rows = 23usize;
         for vs in [2usize, 4, 8, 3] {
-            // Spans of whole blocks, with a remainder, and shorter than one.
-            for (groups, gs, span) in [(16usize, 0usize, 16usize), (16, 3, 7), (16, 14, 2)] {
+            // Spans of whole blocks, with a remainder, and shorter than one
+            // (one lane: the row kernel's blocks of eight groups, then the
+            // lane-array body on the rest).
+            for (groups, gs, span) in [
+                (16usize, 0usize, 16usize),
+                (16, 3, 7),
+                (16, 14, 2),
+                (24, 3, 13),
+            ] {
                 let (books, stream) = value_fixture(vs, groups, rows + 1);
                 let book_refs: Vec<&Codebook> = books[gs..gs + span].iter().collect();
                 let round = ValueRound {
-                    stream: &stream,
+                    stream: CodeSource::Packed(&stream),
                     first: groups,
                     books: &book_refs,
                 };

@@ -10,7 +10,10 @@
 //! ([`SharedContext::kq`]/[`SharedContext::vq`]) — the paper's amortized
 //! codebook reuse: no per-token re-clustering, and the attention kernel
 //! ([`attention_decode`]) decodes extension rows from tables it already
-//! holds for the context. Groups the codebooks
+//! holds for the context — a folded K row is scored out of the lane's
+//! column of the score LUT built for the context rows, a folded V row is
+//! accumulated from the context's value books by the same value kernel,
+//! so a folded row costs and sums like a context row. Groups the codebooks
 //! reconstruct too poorly keep their exact f32 residual in a sparse
 //! outlier channel, so one pathological token cannot poison a tenant's
 //! whole cache.

@@ -347,12 +347,12 @@ fn f32s(n: usize, rng: &mut u64) -> Vec<f32> {
         .collect()
 }
 
-/// The extension-pass grid of the tailed parity test: the old
+/// The configuration grid of the tailed parity test: the old
 /// 4-wide / 16-entry cases first (`bounded_config`'s row-invariant
-/// scopes × rounds), then one case per extension body — each
-/// monomorphised sub-vector width at a one-byte and at a sub-byte index,
-/// the runtime-width instance (a 16-wide sub-vector; a 9-bit index, two
-/// bytes a code) and the lattice loops (8- and 16-bit ids). `true` marks
+/// scopes × rounds), then one case per way a private row can be decoded —
+/// each register-kernel sub-vector width at a one-byte and at a sub-byte
+/// index, a width no register kernel takes (16), codes two bytes wide (a
+/// 9-bit index) and the lattice loops (8- and 16-bit ids). `true` marks
 /// a context assembled from random parts: these shapes hold too few
 /// sub-vectors per scope to train its books.
 fn tailed_config(case: usize) -> (VqConfig, bool) {
@@ -463,6 +463,39 @@ impl ExtData {
         }
     }
 
+    /// Rows `[start, start + rows)` of the context itself, folded: their
+    /// K and V codes copied code by code, no outlier, no tail.
+    fn context_rows(
+        kq: &QuantizedTensor,
+        vq: &QuantizedTensor,
+        start: usize,
+        rows: usize,
+    ) -> ExtData {
+        let cfg = kq.config();
+        let copy = |t: &QuantizedTensor| -> Vec<CodeStream> {
+            (0..cfg.residuals)
+                .map(|r| {
+                    let mut stream = CodeStream::new(cfg.index_bits());
+                    for row in start..start + rows {
+                        for g in 0..t.col_groups() {
+                            stream.push(t.index_at(r, row, g));
+                        }
+                    }
+                    stream
+                })
+                .collect()
+        };
+        ExtData {
+            rows,
+            k_codes: copy(kq),
+            v_codes: copy(vq),
+            k_outliers: OutlierBuf::default(),
+            v_outliers: OutlierBuf::default(),
+            k_tail: Vec::new(),
+            v_tail: Vec::new(),
+        }
+    }
+
     fn ext(&self) -> RaggedExt<'_> {
         RaggedExt {
             rows: self.rows,
@@ -479,12 +512,16 @@ impl ExtData {
 /// Ragged (tailed) attention as a plain scalar statement of the one order
 /// the kernels sum in. Per query: scores over `[context prefix | folded
 /// rows | tail rows]` (the context's from `gemv_lut_batch` over **every**
-/// row, so the bound the kernels stop at cannot hide in it), scaled;
+/// row, so the bound the kernels stop at cannot hide in it; a folded row's
+/// the context rows' sum over its codes — per residual round, per group
+/// left to right, `+=` the LUT slot, itself the multiply-add chain from
+/// +0.0 over the entry's nonzero elements; lattice books: the signed
+/// entry's dot), outlier residuals and tail rows by dot products, scaled;
 /// softmax numerators `exp(s − max)` through the kernels' `exp`, summed in
 /// row order; then every output element is one chain from +0.0 over the
-/// same rows — context rows by a multiply-add per residual round (fused on
-/// the AVX2 tier), folded rows, outlier residuals and tail rows by
-/// `+= w · v` — divided by the sum last. A lattice code's entry is
+/// same rows — context and folded rows alike by a multiply-add per
+/// residual round (fused on the AVX2 tier), outlier residuals and tail
+/// rows by `+= w · v` — divided by the sum last. A lattice code's entry is
 /// materialised (signs applied) before the same arithmetic. With
 /// all-default `exts` this is plain ragged attention.
 fn full_range_attention(
@@ -499,6 +536,12 @@ fn full_range_attention(
     let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&e, &x)| e * x).sum::<f32>();
     let fused = simd::avx2_available();
     let madd = |a: f32, b: f32, c: f32| if fused { a.mul_add(b, c) } else { c + a * b };
+    let slot = |e: &[f32], x: &[f32]| {
+        e.iter().zip(x).fold(
+            0.0f32,
+            |s, (&e, &x)| if e == 0.0 { s } else { madd(e, x, s) },
+        )
+    };
     fn book(t: &QuantizedTensor, r: usize, row: usize, g: usize) -> &Codebook {
         let books = t.codebooks();
         books.book(r, books.scope_index(row, g * t.config().vector_size))
@@ -514,8 +557,14 @@ fn full_range_attention(
             let mut acc = 0.0f32;
             for (r, stream) in ext.k_codes.iter().enumerate() {
                 for g in 0..groups {
-                    book(kq, r, 0, g).lookup(stream.get(row * groups + g), &mut entry);
-                    acc += dot(&entry, &q[g * vs..(g + 1) * vs]);
+                    let (code, qg) = (stream.get(row * groups + g), &q[g * vs..(g + 1) * vs]);
+                    let kbook = book(kq, r, 0, g);
+                    acc += if kbook.is_lattice() {
+                        kbook.lookup(code, &mut entry);
+                        dot(&entry, qg)
+                    } else {
+                        slot(kbook.stored_entry(code as usize), qg)
+                    };
                 }
             }
             srow.push(acc);
@@ -536,26 +585,30 @@ fn full_range_attention(
             *s = simd::exp(*s - max);
             sum += *s;
         }
-        let (ctx, ext_weights) = srow.split_at(len);
         let orow = out.row_mut(b);
-        for (t, &w) in ctx.iter().enumerate() {
+        // Context rows, then folded rows: (code of round r, group g, book).
+        let code_of = |t: usize, r: usize, g: usize| {
+            if t < len {
+                (vq.index_at(r, t, g), book(vq, r, t, g))
+            } else {
+                (
+                    ext.v_codes[r].get((t - len) * groups + g),
+                    book(vq, r, 0, g),
+                )
+            }
+        };
+        for (t, &w) in srow.iter().enumerate().take(len + ext.rows) {
             for r in 0..vq.config().residuals {
                 for g in 0..groups {
-                    book(vq, r, t, g).lookup(vq.index_at(r, t, g), &mut entry);
+                    let (code, vbook) = code_of(t, r, g);
+                    vbook.lookup(code, &mut entry);
                     for (o, &e) in orow[g * vs..].iter_mut().zip(&entry) {
                         *o = madd(w, e, *o);
                     }
                 }
             }
         }
-        for (row, &w) in ext_weights.iter().take(ext.rows).enumerate() {
-            for (r, stream) in ext.v_codes.iter().enumerate() {
-                for g in 0..groups {
-                    let code = stream.get(row * groups + g);
-                    book(vq, r, 0, g).axpy(code, w, &mut orow[g * vs..(g + 1) * vs]);
-                }
-            }
-        }
+        let ext_weights = &srow[len..];
         for (row, group, values) in ext.v_outliers.iter() {
             for (j, &v) in values.iter().enumerate() {
                 orow[group * vs + j] += ext_weights[row] * v;
@@ -630,8 +683,11 @@ proptest! {
 
     /// The same with random extensions under every extension-pass body
     /// (`tailed_config`; row-invariant scopes: per-tile books cannot take
-    /// extensions); and with every extension empty it stays the plain
-    /// ragged kernel.
+    /// extensions); with every extension empty it stays the plain ragged
+    /// kernel; and a folded row *is* a context row: a lane whose extension
+    /// holds the codes of the context's own rows `[len, len + k)` decodes,
+    /// under every blocking, exactly what plain ragged attention at
+    /// `len + k` decodes — plain and lattice books alike.
     #[test]
     fn bounded_tailed_attention_is_bitwise_full_range_and_solo(
         config_i in 0usize..TAILED_CONFIGS,
@@ -666,6 +722,26 @@ proptest! {
             attend(&qs, &lens, &[], &kq, &vq, &blocking),
             "empty extensions must stay bitwise invisible"
         );
+
+        let seq = kq.shape().0;
+        let grown: Vec<usize> = lens
+            .iter()
+            .map(|&len| len + (splitmix(&mut rng) % (seq - len + 1) as u64) as usize)
+            .collect();
+        let copies: Vec<ExtData> = lens
+            .iter()
+            .zip(&grown)
+            .map(|(&len, &to)| ExtData::context_rows(&kq, &vq, len, to - len))
+            .collect();
+        let copied: Vec<RaggedExt<'_>> = copies.iter().map(ExtData::ext).collect();
+        for b in (0..6).map(bounded_blocking) {
+            prop_assert_eq!(
+                attend(&qs, &lens, &copied, &kq, &vq, &b),
+                attend(&qs, &grown, &[], &kq, &vq, &b),
+                "{} lens {:?} → {:?} {:?}: folded rows != the context rows they copy",
+                cfg, lens, grown, b
+            );
+        }
     }
 }
 
