@@ -36,9 +36,8 @@ use vq_llm::net::json::{self, Json};
 use vq_llm::net::{loopback_supervised, percentile, proto, spawn_driver, NetConfig};
 use vq_llm::tensor::synth;
 use vq_llm::{
-    AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, NetRequest,
-    ProfileConfig, RejectReason, ServeConfig, Session, SharedContext, SupervisorConfig, TicketEnd,
-    VqAlgorithm,
+    AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, NetRequest, RejectReason,
+    ServeConfig, Session, SharedContext, SupervisorConfig, TicketEnd, VqAlgorithm,
 };
 use vqllm_bench::Report;
 
@@ -81,7 +80,6 @@ fn engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(max_batch, max_queue))
-        .profile_config(ProfileConfig::disabled())
         .build()
         .expect("engine");
     let handle = engine.register_context(ctx.clone()).expect("register");

@@ -42,9 +42,7 @@ use std::time::{Duration, Instant};
 use vq_llm::net::json::{self, Json};
 use vq_llm::net::{loopback_with, percentile, proto, NetConfig};
 use vq_llm::tensor::synth;
-use vq_llm::{
-    AdmissionConfig, Engine, ProfileConfig, ServeConfig, Session, SharedContext, VqAlgorithm,
-};
+use vq_llm::{AdmissionConfig, Engine, ServeConfig, Session, SharedContext, VqAlgorithm};
 use vqllm_bench::Report;
 
 const SEQ: usize = 256;
@@ -423,7 +421,6 @@ fn main() {
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(MAX_BATCH, 4096))
-        .profile_config(ProfileConfig::disabled())
         .build()
         .expect("engine");
     let handle = engine.register_context(ctx).expect("register");

@@ -44,8 +44,8 @@ use vq_llm::llm::accuracy::project_kv_accuracy;
 use vq_llm::net::percentile;
 use vq_llm::tensor::synth;
 use vq_llm::{
-    ContextHandle, DecodeRequest, Engine, KvQuantMode, ProfileConfig, ServeConfig, Session,
-    SharedContext, VqAlgorithm,
+    ContextHandle, DecodeRequest, Engine, KvQuantMode, ServeConfig, Session, SharedContext,
+    VqAlgorithm,
 };
 use vqllm_bench::Report;
 
@@ -181,10 +181,6 @@ fn mixed_engine(
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(max_batch, TENANTS))
-        // Measured registration profiles but no mid-drain replan churn in
-        // the timed loop (replans are byte-invisible; still, keep the two
-        // drivers structurally identical).
-        .profile_config(ProfileConfig::disabled())
         .build()
         .expect("engine");
     let ha = engine.register_context(ctx_a.clone()).expect("register A");
@@ -234,7 +230,6 @@ fn live_kv_run(session: &Session, ctx: &SharedContext, mode: KvQuantMode) -> Liv
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(TENANTS, TENANTS).with_kv_quant(mode))
-        .profile_config(ProfileConfig::disabled())
         .build()
         .expect("engine");
     let h = engine.register_context(ctx.clone()).expect("register");

@@ -132,8 +132,8 @@ impl PlanKey {
     /// The canonical [`PlanRequest::Best`] key under a **measured**
     /// profile: the measured summary's hot-entry count plus the estimation
     /// profile's fingerprint. [`PlanKey::best`] is the default-profile
-    /// specialization of this recipe; every front end that plans with
-    /// measured feedback (the engine's per-context canonical plans) must
+    /// specialization of this recipe; every front end that plans from a
+    /// measured profile (serving registration's canonical plans) must
     /// build its keys here so siblings measuring the same tensors share
     /// cache entries.
     pub fn best_profiled(
@@ -256,19 +256,6 @@ impl PlanCache {
                 map.remove(&victim);
             }
         }
-    }
-
-    /// Removes the entry for `key`, returning whether one was cached.
-    /// Outstanding `Arc`s to the evicted plan stay valid; the next lookup
-    /// for the key re-plans. This is the profile-feedback seam: when a
-    /// context's measured access distribution shifts, its canonical plan
-    /// keys are invalidated and replanned under the new profile.
-    pub fn invalidate(&self, key: &PlanKey) -> bool {
-        self.map
-            .lock()
-            .expect("plan cache poisoned")
-            .remove(key)
-            .is_some()
     }
 
     /// Inserts a plan directly (used by [`PlanCache::load_from`] and by
@@ -710,24 +697,6 @@ mod tests {
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&full);
-    }
-
-    #[test]
-    fn invalidate_forces_a_replan() {
-        let cache = PlanCache::new();
-        let k = key(VqAlgorithm::Cq2, OptLevel::O2);
-        cache
-            .get_or_try_insert_with::<()>(k.clone(), || Ok(plan(VqAlgorithm::Cq2, OptLevel::O2)))
-            .unwrap();
-        assert!(cache.invalidate(&k));
-        assert!(!cache.invalidate(&k), "second invalidate finds nothing");
-        assert!(cache.peek(&k).is_none());
-        // The next lookup misses and re-plans.
-        let misses = cache.stats().misses;
-        cache
-            .get_or_try_insert_with::<()>(k.clone(), || Ok(plan(VqAlgorithm::Cq2, OptLevel::O2)))
-            .unwrap();
-        assert_eq!(cache.stats().misses, misses + 1);
     }
 
     #[test]

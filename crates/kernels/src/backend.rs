@@ -9,11 +9,12 @@
 //!   documented hardware substitution): plans with the paper's heuristics,
 //!   estimates with the roofline timing model, executes functionally
 //!   through the modelled codebook cache.
-//! * [`CpuBackend`] — real host execution: the same planner decisions,
-//!   but `run_*` dispatches to the fused [`host_exec`](crate::host_exec)
-//!   kernels, which compute directly on packed codes with cache-resident
-//!   codebook LUTs, runtime-dispatched SIMD inner loops, and parallel
-//!   paths on the persistent [`host_exec::pool::WorkerPool`].
+//! * [`CpuBackend`] — real host execution: the same planner decisions for
+//!   the modelled counters, but `run_*` dispatches to the fused
+//!   [`host_exec`](crate::host_exec) kernels, which compute directly on
+//!   packed codes with cache-resident codebook LUTs, runtime-dispatched
+//!   SIMD inner loops, and parallel paths on the persistent
+//!   [`host_exec::pool::WorkerPool`].
 //!
 //! The trait lives in `vqllm-kernels` (below `vqllm-llm`) so the decode
 //! pipeline and the facade share one seam; a real-GPU (CUDA/HIP) backend
@@ -366,12 +367,12 @@ impl Backend for PerfModelBackend {
     }
 }
 
-/// Real host execution: plans exactly like [`PerfModelBackend`] (the
-/// plan's tiling/placement decisions also seed the host cache blocking),
-/// but `run_*` executes the fused [`host_exec`] kernels directly on packed
+/// Real host execution: plans exactly like [`PerfModelBackend`], but
+/// `run_*` executes the fused [`host_exec`] kernels directly on packed
 /// codes — no dequantized weight matrix, codebooks and LUT slabs sized to
 /// stay cache-resident, SIMD-tiered inner loops, and optional
-/// row/column parallelism on the shared persistent worker pool.
+/// row/column parallelism on the shared persistent worker pool. A plan
+/// reaches execution only as the key of its modelled counters.
 ///
 /// The [`KernelOutput`] returned alongside real results still carries the
 /// *modelled* GPU counters for the plan (so perf-model and CPU runs stay
@@ -387,10 +388,10 @@ pub struct CpuBackend {
 }
 
 /// Distinct `(plan, tensor config, gpu)` triples the backend remembers the
-/// modelled output of. A context serves through two canonical plans and a
-/// profile-driven replan retires the one it replaces, so the working set
-/// is a few entries per registered context; past the cap the oldest entry
-/// is dropped and would simply be modelled again.
+/// modelled output of. A registered context serves through two canonical
+/// plans, fixed at registration, so the working set is two entries per
+/// registered context; past the cap the oldest entry is dropped and would
+/// simply be modelled again.
 const MODELLED_CAP: usize = 64;
 
 impl Default for CpuBackend {
@@ -434,9 +435,9 @@ impl CpuBackend {
         self.threads
     }
 
-    /// Host blocking derived from a plan plus this backend's threading.
-    fn blocking(&self, plan: &KernelPlan) -> HostBlocking {
-        HostBlocking::for_plan(plan).with_threads(self.threads)
+    /// This backend's threading; nothing of the plan enters host execution.
+    fn blocking(&self) -> HostBlocking {
+        HostBlocking::default().with_threads(self.threads)
     }
 
     /// Modelled counters for the executed plan under the default access
@@ -505,7 +506,7 @@ impl Backend for CpuBackend {
         a: &Tensor2D,
         wq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        let c = host_exec::gemm_fused(a, wq, &self.blocking(plan))?;
+        let c = host_exec::gemm_fused(a, wq, &self.blocking())?;
         Ok((c, self.output_for(gpu, plan, wq)))
     }
 
@@ -516,7 +517,7 @@ impl Backend for CpuBackend {
         x: &[f32],
         wq: &QuantizedTensor,
     ) -> Result<(Vec<f32>, KernelOutput)> {
-        let y = host_exec::gemv_xw(x, wq, &self.blocking(plan))?;
+        let y = host_exec::gemv_xw(x, wq, &self.blocking())?;
         Ok((y, self.output_for(gpu, plan, wq)))
     }
 
@@ -533,7 +534,7 @@ impl Backend for CpuBackend {
         // (the LUT score pass), the value pass multiply-adds V's codebook
         // entries straight into per-lane register accumulators, private
         // extensions are expanded per query.
-        let out = host_exec::attention_decode(batch, kq, vq, &self.blocking(plan))?;
+        let out = host_exec::attention_decode(batch, kq, vq, &self.blocking())?;
         Ok((out, self.output_for(gpu, plan, kq)))
     }
 }

@@ -76,8 +76,8 @@
 //!
 //! # The one summation order
 //!
-//! For every configuration, batch width, lane position, thread count and
-//! [`HostBlocking`], an output's bytes are these and no others:
+//! For every configuration, batch width, lane position and thread count,
+//! an output's bytes are these and no others:
 //!
 //! * a score — a [`gemv_lut`] / [`gemv_lut_batch`] output, attention's
 //!   score of a context row or of a folded extension row — is, per
@@ -100,10 +100,10 @@
 //!
 //! Zero-weight rows between a lane's prefix and the bound add exact zeros,
 //! so solo ≡ batched ≡ tailed-with-empty-extensions bit for bit, and since
-//! no sum is ever split by a block or worker boundary — nor anywhere a
-//! [`HostBlocking`] can reach — a replan cannot move a byte.
-//! [`HostBlocking::slab_bytes`] sizes the score LUT's and [`gemv_xw`]'s
-//! aggregation table's *group blocks*, which reorder work and never a sum.
+//! no sum is ever split by a block or worker boundary, the thread count
+//! cannot move a byte either. [`SLAB_BYTES`] sizes the score LUT's and
+//! [`gemv_xw`]'s aggregation table's *group blocks*, which reorder work and
+//! never a sum.
 //! Shapes the register kernels do not cover run the same chains through the
 //! generic lane-array bodies.
 //!
@@ -118,10 +118,10 @@
 //! slice. Each lane's private chain is its own, so solo ≡ batched ≡ tailed
 //! holds by construction.
 //!
-//! Blocking ([`HostBlocking`]) reuses the [`KernelPlan`]'s shared-memory
-//! budget decisions: the bytes the planner would stage into an SM's shared
-//! memory size the L1/L2-resident group block of a table on the host. Row
-//! partitioning derived from the blocking runs on the persistent
+//! Nothing here reads a kernel plan: the planner's decisions describe GPU
+//! shared memory and registers, while a host group block is a function of
+//! the tensor's shape and [`SLAB_BYTES`] alone. Row partitioning
+//! ([`HostBlocking::threads`]) runs on the persistent
 //! [`pool::WorkerPool`] — workers are spawned once per process and fed
 //! through a channel, so a parallel kernel call costs two queue pushes,
 //! not N thread spawns. A lane block's LUT, score rows and accumulators
@@ -140,19 +140,15 @@ pub mod pool;
 pub mod simd;
 
 use crate::{KernelError, Result};
-use vqllm_core::KernelPlan;
 use vqllm_tensor::Tensor2D;
 use vqllm_vq::config::CodebookScope;
 use vqllm_vq::{QuantizedTensor, VqConfig};
 
-/// Cache-blocking and threading decisions for the host kernels.
+/// Threading decisions for the host kernels. Cache blocking is not among
+/// them: every group block is a function of the tensor's shape and
+/// [`SLAB_BYTES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostBlocking {
-    /// Byte budget for the cache-resident slab — the group block of the
-    /// score LUT or of [`gemv_xw`]'s aggregation table — a kernel keeps
-    /// hot: the host analogue of the plan's shared-memory footprint. It
-    /// orders work, never a sum.
-    pub slab_bytes: usize,
     /// Worker partitions for the parallel paths (1 = sequential). The
     /// partitions execute on the shared [`pool::WorkerPool`]; this knob
     /// decides how many chunks a call is split into, not how many OS
@@ -160,29 +156,21 @@ pub struct HostBlocking {
     pub threads: usize,
 }
 
-/// Default slab budget when no plan is supplied: a typical L1 data cache.
-const DEFAULT_SLAB_BYTES: usize = 32 << 10;
-
 impl Default for HostBlocking {
     fn default() -> Self {
-        HostBlocking {
-            slab_bytes: DEFAULT_SLAB_BYTES,
-            threads: 1,
-        }
+        HostBlocking { threads: 1 }
     }
 }
 
 impl HostBlocking {
-    /// Derives blocking from a kernel plan: the bytes the planner decided
-    /// to stage into shared memory (codebook slice + data tiles) become
-    /// the host's cache-resident slab budget, clamped to a sane L1..L2
-    /// range.
-    pub fn for_plan(plan: &KernelPlan) -> Self {
-        let staged = plan.smem_codebook_bytes + plan.tiling.smem_data_bytes;
-        HostBlocking {
-            slab_bytes: staged.clamp(16 << 10, 256 << 10),
-            threads: 1,
-        }
+    /// The default blocking, whatever the plan: a plan describes GPU
+    /// shared memory and registers, and nothing in it sizes host work.
+    /// Kept only for the benchmark of record's probe
+    /// (`benchmark/src/probe.rs`), which still calls it; remove it
+    /// together with that call.
+    #[doc(hidden)]
+    pub fn for_plan(_plan: &vqllm_core::KernelPlan) -> Self {
+        HostBlocking::default()
     }
 
     /// Sets the worker count for the parallel paths.
@@ -190,21 +178,18 @@ impl HostBlocking {
         self.threads = threads.max(1);
         self
     }
+}
 
-    /// Column groups per slab so `group_block × slot_width` f32 slots
-    /// fit the budget.
-    fn group_block(&self, slot_width: usize, groups: usize) -> usize {
-        (self.slab_bytes / (slot_width * 4).max(1)).clamp(1, groups.max(1))
-    }
+/// Byte budget of a cache-resident group block: a typical L1 data cache.
+/// [`gemv_xw`]'s aggregation table is blocked to it, the score LUT — whose
+/// every block is one more sweep over all the packed rows — to 8× it, the
+/// typical L2:L1 ratio. A block orders work, never a sum.
+pub const SLAB_BYTES: usize = 32 << 10;
 
-    /// The same blocking one level of the hierarchy above the slab: 8× its
-    /// budget, the typical L2:L1 ratio.
-    fn outer(&self) -> HostBlocking {
-        HostBlocking {
-            slab_bytes: self.slab_bytes * 8,
-            ..*self
-        }
-    }
+/// Column groups per block so `block × slot_width` f32 slots fit `budget`
+/// bytes (at least one group, at most `groups`).
+fn group_block(budget: usize, slot_width: usize, groups: usize) -> usize {
+    (budget / (slot_width * 4).max(1)).clamp(1, groups.max(1))
 }
 
 /// Dot product against a lattice entry with per-element sign bits applied.
@@ -307,8 +292,8 @@ pub fn gemv_lut(wq: &QuantizedTensor, x: &[f32], blocking: &HostBlocking) -> Res
 /// per (group, code); a batch wider than [`simd::LANES`] is taken a lane
 /// block at a time) so a packed code costs a single contiguous load and
 /// add ([`simd::lut_batch_accumulate`]) instead of B scattered gathers,
-/// visited in [`HostBlocking`]-sized group blocks so the active LUT slab
-/// stays cache-resident. Lattice books (sign-extended logical entries)
+/// visited in group blocks sized to 8 × [`SLAB_BYTES`] so the active LUT
+/// slab stays cache-resident. Lattice books (sign-extended logical entries)
 /// take a fused sign-aware path per lane instead — a per-base-entry LUT
 /// cannot absorb element-wise sign masks.
 ///
@@ -452,9 +437,9 @@ fn lut_scores<const W: usize>(
     let mut xt = vec![[0.0f32; W]; vs];
     let mut codes = vec![0u32; if vq.lattice { groups } else { 0 }];
     // Group blocks are sized to the outer budget: a slot this wide leaves
-    // the slab room for a group or two, and every block is one more sweep
-    // over all the packed rows, reloading every sum.
-    let gb = blocking.outer().group_block(stored * W, groups);
+    // an L1 slab room for a group or two, and every block is one more
+    // sweep over all the packed rows, reloading every sum.
+    let gb = group_block(8 * SLAB_BYTES, stored * W, groups);
 
     let mut band_start = 0;
     while band_start < row_end {
@@ -604,7 +589,7 @@ pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Resu
         "host.gemv_xw",
         |first_group, ychunk| {
             let span = ychunk.len() / vs;
-            let gb = blocking.group_block(stored, span);
+            let gb = group_block(SLAB_BYTES, stored, span);
             let mut codes = vec![0u32; gb];
             let mut wsum = vec![0.0f32; gb * stored];
             for r in 0..vq.residuals {
@@ -703,9 +688,8 @@ fn lanes_cover(cfg: &VqConfig) -> bool {
 /// of `A` are transposed into a `k × W` weight buffer, [`value_lanes`]
 /// streams `Wq`'s packed rows against it, and the accumulators are
 /// transposed out — every output one multiply-add chain over `k`, no
-/// panel, no K-split, nothing a [`HostBlocking`] can reach but the worker
-/// count, which partitions column groups. Every other configuration runs
-/// the panel body ([`gemm_panels`]).
+/// panel, no K-split; the worker count only partitions column groups.
+/// Every other configuration runs the panel body ([`gemm_panels`]).
 ///
 /// # Errors
 ///
@@ -1581,9 +1565,13 @@ mod tests {
     fn gemv_lut_batch_lane_is_its_solo_chain() {
         // Real widths 1..=9 (9 = a block of eight and a block of one): a
         // lane's column is, bit for bit, that activation scored alone —
-        // whatever padded block it rode, wherever it sat in it, whatever
-        // the group block. CQ-4 takes the byte-indexed slabs, the 16-entry
-        // config the widened codes, the lattice one the signed dots.
+        // whatever padded block it rode, wherever it sat in it, however
+        // many workers split its rows. CQ-4 takes the byte-indexed slabs,
+        // the 16-entry config the widened codes, the lattice one the
+        // signed dots; 80 groups of a 256-entry book make the LUT's group
+        // loop take 32 + 32 + 16 at eight lanes and 64 + 16 at four, where
+        // a lane alone takes one block.
+        assert_eq!(group_block(8 * SLAB_BYTES, 256 * 8, 80), 32);
         for (cfg, rows, cols) in [
             (VqAlgorithm::Cq4.config(), 256usize, 32usize),
             (
@@ -1596,22 +1584,28 @@ mod tests {
                 32,
                 32,
             ),
+            (wide_groups(), 64, 160),
         ] {
             let wq = quantized(cfg, rows, cols, 29);
             for batch in 1..=9usize {
                 let acts =
                     Tensor2D::from_fn(batch, cols, |b, c| ((b * 31 + c) as f32 * 0.17).sin());
-                for slab_bytes in [1usize, 32 << 10] {
-                    let blocking = HostBlocking {
-                        slab_bytes,
-                        threads: 1,
-                    };
-                    let out = gemv_lut_batch(&wq, &acts, &blocking).unwrap();
-                    for b in 0..batch {
+                let solos: Vec<Tensor2D> = (0..batch)
+                    .map(|b| {
                         let solo_x = Tensor2D::from_vec(1, cols, acts.row(b).to_vec()).unwrap();
-                        let solo = gemv_lut_batch(&wq, &solo_x, &HostBlocking::default()).unwrap();
+                        gemv_lut_batch(&wq, &solo_x, &HostBlocking::default()).unwrap()
+                    })
+                    .collect();
+                for threads in 1..=4 {
+                    let blocking = HostBlocking { threads };
+                    let out = gemv_lut_batch(&wq, &acts, &blocking).unwrap();
+                    for (b, solo) in solos.iter().enumerate() {
                         let col: Vec<f32> = (0..rows).map(|r| out.get(r, b)).collect();
-                        assert_eq!(col, solo.as_slice(), "{cfg} batch {batch} lane {b}");
+                        assert_eq!(
+                            col,
+                            solo.as_slice(),
+                            "{cfg} batch {batch} lane {b} threads {threads}"
+                        );
                     }
                 }
             }
@@ -1626,17 +1620,27 @@ mod tests {
         assert_eq!(out.shape(), (32, 0));
     }
 
+    /// 2-wide sub-vectors over a 256-entry book: at 160 columns, 80 column
+    /// groups, which [`gemv_xw`]'s aggregation table takes in blocks of
+    /// 32 + 32 + 16 on one thread and 32 + 8 per worker on two.
+    fn wide_groups() -> VqConfig {
+        VqConfig::new(2, 256, 1, CodebookScope::PerTensor).unwrap()
+    }
+
     #[test]
     fn gemv_xw_matches_transposed_gemv() {
-        for (cfg, rows, cols) in preset_cases() {
+        assert_eq!(group_block(SLAB_BYTES, 256, 80), 32);
+        for (cfg, rows, cols) in preset_cases().into_iter().chain([(wide_groups(), 64, 160)]) {
             let wq = quantized(cfg, rows, cols, 11);
             let x = xs(rows, 0.23);
-            let fused = gemv_xw(&x, &wq, &HostBlocking::default()).unwrap();
             let reference = linalg::gemv(&wq.dequantize().unwrap().transposed(), &x).unwrap();
-            assert!(
-                metrics::allclose(&fused, &reference, 1e-4, 1e-4),
-                "{cfg} {rows}x{cols}"
-            );
+            for threads in 1..=4 {
+                let fused = gemv_xw(&x, &wq, &HostBlocking { threads }).unwrap();
+                assert!(
+                    metrics::allclose(&fused, &reference, 1e-4, 1e-4),
+                    "{cfg} {rows}x{cols} threads {threads}"
+                );
+            }
         }
     }
 
@@ -1661,17 +1665,12 @@ mod tests {
     #[test]
     fn gemm_fused_tiny_panels_still_correct() {
         // Two residual rounds: the panel body. Its K-chunk is the
-        // tensor's, so even a slab smaller than one panel row cannot move
-        // a bit.
+        // tensor's, so no worker count can move a bit.
         let cfg = VqConfig::new(4, 64, 2, CodebookScope::PerTensor).unwrap();
         assert!(!lanes_cover(&cfg));
         let wq = quantized(cfg, 48, 64, 2);
         let a = synth::gaussian(6, 48, 1.0, 21);
-        let tiny = HostBlocking {
-            slab_bytes: 1,
-            threads: 1,
-        };
-        let fused = gemm_fused(&a, &wq, &tiny).unwrap();
+        let fused = gemm_fused(&a, &wq, &HostBlocking::default()).unwrap();
         let reference = linalg::matmul(&a, &wq.dequantize().unwrap()).unwrap();
         assert!(metrics::allclose(
             fused.as_slice(),
@@ -1679,10 +1678,12 @@ mod tests {
             1e-4,
             1e-4
         ));
-        assert_eq!(
-            fused,
-            gemm_fused(&a, &wq, &HostBlocking::default()).unwrap()
-        );
+        for threads in 2..=4 {
+            assert_eq!(
+                fused,
+                gemm_fused(&a, &wq, &HostBlocking { threads }).unwrap()
+            );
+        }
     }
 
     #[test]
@@ -1990,32 +1991,6 @@ mod tests {
                 gemm_fused(&a, &wq, &par).unwrap(),
                 "{cfg} gemm"
             );
-        }
-    }
-
-    #[test]
-    fn tiny_slab_blocking_still_correct() {
-        // Force many group blocks (slab smaller than one group's table).
-        let cfg = VqConfig::new(4, 64, 1, CodebookScope::PerTensor).unwrap();
-        let wq = quantized(cfg, 48, 64, 2);
-        let x = xs(64, 0.53);
-        let tiny = HostBlocking {
-            slab_bytes: 1,
-            threads: 1,
-        };
-        let fused = gemv_lut(&wq, &x, &tiny).unwrap();
-        let reference = linalg::gemv(&wq.dequantize().unwrap(), &x).unwrap();
-        assert!(metrics::allclose(&fused, &reference, 1e-4, 1e-4));
-        let xr = xs(48, 0.29);
-        let fused = gemv_xw(&xr, &wq, &tiny).unwrap();
-        let reference = linalg::gemv(&wq.dequantize().unwrap().transposed(), &xr).unwrap();
-        assert!(metrics::allclose(&fused, &reference, 1e-4, 1e-4));
-        let acts = Tensor2D::from_fn(2, 64, |b, c| ((b + c) as f32 * 0.11).cos());
-        let batch = gemv_lut_batch(&wq, &acts, &tiny).unwrap();
-        for b in 0..2 {
-            let single = gemv_lut(&wq, acts.row(b), &tiny).unwrap();
-            let col: Vec<f32> = (0..48).map(|r| batch.get(r, b)).collect();
-            assert_eq!(col, single);
         }
     }
 

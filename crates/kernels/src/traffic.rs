@@ -95,25 +95,6 @@ impl AccessProfile {
         }
     }
 
-    /// Kolmogorov–Smirnov distance between two rank distributions: the
-    /// largest absolute gap between the cumulative curves, in `[0, 1]`.
-    /// A shorter curve is treated as saturated (mass 1.0) past its end,
-    /// so comparing profiles of different entry counts is well-defined.
-    ///
-    /// This is the serving layer's replan trigger: a measured per-context
-    /// profile that drifts more than a configured threshold from the one
-    /// its canonical plans were made under invalidates those plans.
-    pub fn divergence(&self, other: &AccessProfile) -> f64 {
-        let n = self.cumulative.len().max(other.cumulative.len());
-        let mut d: f64 = 0.0;
-        for i in 0..n {
-            let a = self.cumulative.get(i).copied().unwrap_or(1.0);
-            let b = other.cumulative.get(i).copied().unwrap_or(1.0);
-            d = d.max((a - b).abs());
-        }
-        d
-    }
-
     /// Fraction of accesses landing in ranks `[0, n)`.
     pub fn mass_below(&self, n: usize) -> f64 {
         if n == 0 {
@@ -343,21 +324,6 @@ mod tests {
         let aqlm = AccessProfile::default_for(&VqAlgorithm::Aqlm3.config());
         let cq = AccessProfile::default_for(&VqAlgorithm::Cq2.config());
         assert!(aqlm.mass_below(30) > cq.mass_below(30));
-    }
-
-    #[test]
-    fn divergence_is_a_metric_on_rank_curves() {
-        let flat = AccessProfile::zipf(256, 0.0);
-        let skewed = AccessProfile::zipf(256, 1.2);
-        assert_eq!(flat.divergence(&flat), 0.0);
-        assert_eq!(skewed.divergence(&flat), flat.divergence(&skewed));
-        assert!(skewed.divergence(&flat) > 0.3, "skew is a large shift");
-        // A mild reshuffle is a small shift; different lengths still work.
-        let mild = AccessProfile::zipf(256, 0.1);
-        assert!(flat.divergence(&mild) < skewed.divergence(&flat));
-        let short = AccessProfile::zipf(16, 0.0);
-        let d = short.divergence(&flat);
-        assert!(d > 0.0 && d <= 1.0, "{d}");
     }
 
     #[test]

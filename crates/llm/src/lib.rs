@@ -25,9 +25,9 @@ pub use kv::KvCache;
 pub use model::LlamaConfig;
 pub use pipeline::{DecodeBreakdown, E2eReport, Pipeline, QuantScheme};
 pub use serve::{
-    ContextHandle, ContextStats, DecodeRequest, FairQueue, KvQuantMode, MultiServer, ProfileConfig,
-    RejectReason, RequestHandle, RequestId, RequestOutput, RequestStatus, ServeConfig, Server,
-    ServerStats, SharedContext, SloEstimator, StepReport, TenantKv,
+    ContextHandle, ContextStats, DecodeRequest, FairQueue, KvQuantMode, MultiServer, RejectReason,
+    RequestHandle, RequestId, RequestOutput, RequestStatus, ServeConfig, Server, ServerStats,
+    SharedContext, SloEstimator, StepReport, TenantKv,
 };
 
 /// Error type for pipeline configuration and the serving layer.

@@ -458,16 +458,14 @@ impl Pipeline {
         profile: &AccessProfile,
     ) -> Option<Arc<KernelPlan>> {
         self.vq_plan_profiled(vq, op, opt, profile, &ProfileSummary::default_for(vq))
-            .map(|(_, plan)| plan)
     }
 
     /// [`Pipeline::vq_plan`] with an explicit **measured** profile summary
-    /// (the profile-feedback seam): the key carries the measured hot-entry
-    /// count and the estimation profile's fingerprint via the canonical
-    /// [`PlanKey::best_profiled`] recipe, so two engines measuring the
-    /// same tensors share one cache entry while a shifted distribution
-    /// never aliases a stale decision. Returns the key alongside the plan
-    /// so the caller can later invalidate exactly this entry.
+    /// (the serving registration seam): the key carries the measured
+    /// hot-entry count and the estimation profile's fingerprint via the
+    /// canonical [`PlanKey::best_profiled`] recipe, so two engines
+    /// measuring the same tensors share one cache entry while a different
+    /// distribution never aliases another's decision.
     pub(crate) fn vq_plan_profiled(
         &self,
         vq: &vqllm_vq::VqConfig,
@@ -475,7 +473,7 @@ impl Pipeline {
         opt: OptLevel,
         profile: &AccessProfile,
         summary: &ProfileSummary,
-    ) -> Option<(PlanKey, Arc<KernelPlan>)> {
+    ) -> Option<Arc<KernelPlan>> {
         let (key, request) = if opt == OptLevel::O4 {
             (
                 PlanKey::best_profiled(
@@ -499,15 +497,13 @@ impl Pipeline {
                 PlanRequest::At(opt),
             )
         };
-        let plan = self
-            .cache
-            .get_or_try_insert_with(key.clone(), || -> Result<KernelPlan, ()> {
+        self.cache
+            .get_or_try_insert_with(key, || -> Result<KernelPlan, ()> {
                 self.backend
                     .plan_request(&self.gpu, vq, op, request, profile, summary)
                     .map_err(|_| ())
             })
-            .ok()?;
-        Some((key, plan))
+            .ok()
     }
 }
 

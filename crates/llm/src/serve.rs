@@ -26,9 +26,9 @@
 //!   `vq_llm::Engine` wraps): requests are tagged with a
 //!   [`ContextHandle`], slots and the queue are shared engine-wide, and
 //!   each step runs one ragged-attention + one GeMM pass **per live
-//!   context group**, with measured-profile feedback replanning a
-//!   context's canonical plans when its access distribution shifts.
-//!   [`Server`] itself is now a thin single-context view over it.
+//!   context group** through canonical plans made once, at registration,
+//!   from the context's measured access distribution. [`Server`] itself
+//!   is now a thin single-context view over it.
 //!
 //! Numerically the scheduler is *invisible*: each step runs one canonical
 //! ragged-attention plan and one canonical linear plan at whatever batch
@@ -49,7 +49,7 @@ pub mod slo;
 pub mod tenant_kv;
 
 pub use fair::FairQueue;
-pub use multi::{ContextHandle, ContextStats, MultiServer, ProfileConfig, REJECTED_TOMBSTONE_CAP};
+pub use multi::{ContextHandle, ContextStats, MultiServer, REJECTED_TOMBSTONE_CAP};
 pub use request::{
     DecodeRequest, RejectReason, RequestHandle, RequestId, RequestOutput, RequestStatus,
 };

@@ -1,6 +1,6 @@
 //! The multi-context scheduler: one engine-wide queue and slot pool over a
-//! registry of quantized contexts, with per-context canonical plans and
-//! measured-profile feedback.
+//! registry of quantized contexts, with per-context canonical plans made
+//! once, at registration, from measured access profiles.
 //!
 //! This is the generalization the single-context [`Server`] grew out of
 //! (and now delegates to): requests are tagged with a [`ContextHandle`] at
@@ -12,19 +12,11 @@
 //! contexts, so one engine serves EVA/VecInfer-style traffic fanning out
 //! over several quantized caches at once without per-context servers.
 //!
-//! **Profile feedback** closes the `ProfileSummary::default_for`
-//! placeholder: a context registered under an enabled [`ProfileConfig`] is
-//! planned from its **measured** access histogram (profiled once off its
-//! packed K codes at registration), and executed steps accumulate the
-//! attended-prefix histogram back into the context. When the observed
-//! distribution drifts past [`ProfileConfig::replan_divergence`] (KS
-//! distance, or a changed hot-entry count), the context's cached canonical
-//! attention plan is invalidated in the shared `PlanCache` and replanned
-//! under the observed profile. Replanning is **numerically invisible**:
-//! the host kernels read only cache-blocking hints from a plan
-//! (`tests/host_backend.rs` pins bitwise blocking-independence), so a
-//! replan never changes decoded bytes — only the modelled placement the
-//! estimates and a future GPU backend would use.
+//! **Registration profile**: a context's canonical plans are made from the
+//! **measured** access histograms of its packed K codes and projection
+//! weight, profiled once when it registers; a step never profiles, plans
+//! or touches the `PlanCache`. The plans key the modelled counters a
+//! backend reports — the host kernels read nothing else from them.
 //!
 //! [`Server`]: crate::serve::Server
 
@@ -41,7 +33,6 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use vqllm_core::failpoint;
-use vqllm_core::plan_cache::PlanKey;
 use vqllm_core::{ComputeOp, KernelPlan, OptLevel, ProfileSummary};
 use vqllm_kernels::host_exec::AttentionBatch;
 use vqllm_kernels::AccessProfile;
@@ -81,47 +72,7 @@ impl ContextHandle {
     }
 }
 
-/// Per-context profile-feedback policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileConfig {
-    /// Decode steps a context participates in between profile checks
-    /// (`0` disables feedback entirely: contexts are planned from the
-    /// algorithm's default synthetic profile and never replanned — the
-    /// compatibility behaviour of the single-context [`Server`]).
-    ///
-    /// [`Server`]: crate::serve::Server
-    pub check_every: u64,
-    /// Kolmogorov–Smirnov distance between the observed and the active
-    /// access profile above which the context's canonical attention plan
-    /// is invalidated and replanned.
-    pub replan_divergence: f64,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            check_every: 16,
-            replan_divergence: 0.05,
-        }
-    }
-}
-
-impl ProfileConfig {
-    /// No measurement, no replanning: plan from synthetic defaults.
-    pub fn disabled() -> Self {
-        ProfileConfig {
-            check_every: 0,
-            replan_divergence: f64::INFINITY,
-        }
-    }
-
-    /// Whether feedback is active.
-    pub fn is_enabled(&self) -> bool {
-        self.check_every > 0
-    }
-}
-
-/// Per-context feedback counters, cheap to copy out for reporting.
+/// Per-context counters, cheap to copy out for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ContextStats {
     /// Requests admitted against this context.
@@ -132,73 +83,56 @@ pub struct ContextStats {
     pub cancelled: u64,
     /// Decode steps this context's group participated in.
     pub steps: u64,
-    /// Attended-prefix tokens folded into the observed histogram.
-    pub profiled_tokens: u64,
-    /// Times the canonical attention plan was invalidated and replanned
-    /// under a shifted profile.
-    pub replans: u64,
-    /// Hot-entry count (µ+3σ) of the profile the active plans were made
-    /// under.
-    pub num_hot: usize,
     /// Requests quarantined mid-decode against this context by the
     /// fault-containment layer (contained panics, forced KV failures).
     pub quarantined: u64,
 }
 
-/// The canonical, batch-independent kernel plans of one context. The
-/// attention plan carries the exact cache key it is memoized under, so a
-/// profile shift can invalidate precisely that entry (the linear plan is
-/// keyed off the static weight profile and is never invalidated).
+/// The canonical, batch-independent kernel plans of one context.
 #[derive(Debug, Clone)]
-pub(crate) struct CanonicalPlans {
-    pub(crate) attn_key: PlanKey,
-    pub(crate) attn: Arc<KernelPlan>,
-    pub(crate) linear: Arc<KernelPlan>,
+struct CanonicalPlans {
+    attn: Arc<KernelPlan>,
+    linear: Arc<KernelPlan>,
 }
 
 /// Plans the two canonical serving shapes of `ctx` — attention decode at
 /// batch 1 over the full cached sequence, and the `head_dim × head_dim`
-/// projection GeMV — through the pipeline's shared `PlanCache` under the
-/// given KV/weight profiles. One warm-up helper for every front end
-/// (single-context `Server`, multi-context `MultiServer`/engine): sibling
-/// constructions over the same context are pure cache hits.
-pub(crate) fn warm_canonical_plans(
+/// projection GeMV — through the pipeline's shared `PlanCache`, each under
+/// its tensor's [`measured`] profile. Every front end (single-context
+/// `Server`, multi-context `MultiServer`/engine) registers through here,
+/// so sibling registrations of the same context are pure cache hits.
+fn warm_canonical_plans(
     pipeline: &Pipeline,
     ctx: &SharedContext,
     opt: OptLevel,
-    kv_profile: &AccessProfile,
-    kv_summary: &ProfileSummary,
-    w_profile: &AccessProfile,
-    w_summary: &ProfileSummary,
 ) -> Result<CanonicalPlans> {
-    let (seq, head_dim) = (ctx.seq(), ctx.head_dim());
-    let kv_cfg = *ctx.kq().config();
-    let attn_op = ComputeOp::attention_decode(1, head_dim, seq, 1);
-    let (attn_key, attn) = pipeline
-        .vq_plan_profiled(&kv_cfg, &attn_op, opt, kv_profile, kv_summary)
-        .ok_or(LlmError::InvalidConfig {
-            what: "no launchable plan for the serving attention shape",
-        })?;
-    let w_cfg = *ctx.wq().config();
-    let linear_op = ComputeOp::Gemv {
-        n: head_dim,
-        k: head_dim,
-        batch: 1,
+    let plan = |q: &QuantizedTensor, op: ComputeOp, what| {
+        let (profile, summary) = measured(q);
+        pipeline
+            .vq_plan_profiled(q.config(), &op, opt, &profile, &summary)
+            .ok_or(LlmError::InvalidConfig { what })
     };
-    let (_, linear) = pipeline
-        .vq_plan_profiled(&w_cfg, &linear_op, opt, w_profile, w_summary)
-        .ok_or(LlmError::InvalidConfig {
-            what: "no launchable plan for the serving linear shape",
-        })?;
+    let head_dim = ctx.head_dim();
     Ok(CanonicalPlans {
-        attn_key,
-        attn,
-        linear,
+        attn: plan(
+            ctx.kq(),
+            ComputeOp::attention_decode(1, head_dim, ctx.seq(), 1),
+            "no launchable plan for the serving attention shape",
+        )?,
+        linear: plan(
+            ctx.wq(),
+            ComputeOp::Gemv {
+                n: head_dim,
+                k: head_dim,
+                batch: 1,
+            },
+            "no launchable plan for the serving linear shape",
+        )?,
     })
 }
 
 /// The optimization level a scheme's serving plans are made at.
-pub(crate) fn serve_opt_level(scheme: &QuantScheme) -> OptLevel {
+fn serve_opt_level(scheme: &QuantScheme) -> OptLevel {
     match scheme {
         QuantScheme::VqLlm { opt, .. } => *opt,
         _ => OptLevel::O4,
@@ -221,15 +155,6 @@ fn measured(q: &QuantizedTensor) -> (AccessProfile, ProfileSummary) {
 struct ContextState {
     ctx: SharedContext,
     plans: CanonicalPlans,
-    /// The access profile/summary the active plans were made under.
-    profile: AccessProfile,
-    summary: ProfileSummary,
-    /// Accumulated observed access counts (per stored KV-codebook entry).
-    observed: Vec<u64>,
-    /// Steps since the last profile check.
-    steps_since_check: u64,
-    /// Deepest attended prefix seen since the last check.
-    max_len_seen: usize,
     stats: ContextStats,
 }
 
@@ -354,11 +279,10 @@ impl ServerStats {
 /// Each context registers once ([`MultiServer::register_context`]) and
 /// gets canonical, batch-independent kernel plans through the pipeline's
 /// shared `PlanCache`; every step reuses them at whatever per-context
-/// group is live. The host kernels read only cache-blocking hints from a
-/// plan and are lane-stable across batch widths, so decode output is
-/// bitwise identical whether a request runs alone on a single-context
-/// server or co-scheduled in a mixed-context batch (`tests/serving.rs`
-/// pins this).
+/// group is live. The host kernels read nothing from a plan and are
+/// lane-stable across batch widths, so decode output is bitwise identical
+/// whether a request runs alone on a single-context server or
+/// co-scheduled in a mixed-context batch (`tests/serving.rs` pins this).
 ///
 /// Drive it with [`MultiServer::step`] (one batched decode step,
 /// deterministic) or [`MultiServer::run_until_drained`].
@@ -366,7 +290,6 @@ impl ServerStats {
 pub struct MultiServer {
     pipeline: Pipeline,
     config: ServeConfig,
-    profile_cfg: ProfileConfig,
     opt: OptLevel,
     /// Process-unique identity stamped into every issued
     /// [`ContextHandle`] and verified on use.
@@ -398,18 +321,13 @@ impl MultiServer {
     /// # Errors
     ///
     /// Returns [`LlmError::InvalidConfig`] on a degenerate config.
-    pub fn new(
-        pipeline: Pipeline,
-        config: ServeConfig,
-        profile_cfg: ProfileConfig,
-    ) -> Result<MultiServer> {
+    pub fn new(pipeline: Pipeline, config: ServeConfig) -> Result<MultiServer> {
         config.validate()?;
         let opt = serve_opt_level(pipeline.scheme());
         static NONCE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(1);
         Ok(MultiServer {
             pipeline,
             config,
-            profile_cfg,
             opt,
             nonce: NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             contexts: Vec::new(),
@@ -425,56 +343,24 @@ impl MultiServer {
     }
 
     /// Registers a quantized context and warms its canonical plans in the
-    /// shared `PlanCache`. Under an enabled [`ProfileConfig`] the plans
-    /// are made from the context's **measured** access histograms
-    /// (profiled off its packed K codes and projection weight); disabled
-    /// feedback falls back to the algorithm's synthetic default profile.
+    /// shared `PlanCache`, made from the context's **measured** access
+    /// histograms (profiled off its packed K codes and projection weight).
+    /// The plans are fixed from here on.
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::InvalidConfig`] when no launchable plan exists
     /// for the context's serving shapes.
     pub fn register_context(&mut self, ctx: SharedContext) -> Result<ContextHandle> {
-        let kv_cfg = *ctx.kq().config();
-        let w_cfg = *ctx.wq().config();
-        let (kv_profile, kv_summary, w_profile, w_summary) = if self.profile_cfg.is_enabled() {
-            let (kp, ks) = measured(ctx.kq());
-            let (wp, ws) = measured(ctx.wq());
-            (kp, ks, wp, ws)
-        } else {
-            (
-                AccessProfile::default_for(&kv_cfg),
-                ProfileSummary::default_for(&kv_cfg),
-                AccessProfile::default_for(&w_cfg),
-                ProfileSummary::default_for(&w_cfg),
-            )
-        };
-        let plans = warm_canonical_plans(
-            &self.pipeline,
-            &ctx,
-            self.opt,
-            &kv_profile,
-            &kv_summary,
-            &w_profile,
-            &w_summary,
-        )?;
+        let plans = warm_canonical_plans(&self.pipeline, &ctx, self.opt)?;
         let engine = self.nonce;
         let id = u32::try_from(self.contexts.len()).map_err(|_| LlmError::InvalidConfig {
             what: "context registry overflow",
         })?;
-        let observed = vec![0u64; kv_cfg.stored_entries()];
         self.contexts.push(ContextState {
             ctx,
             plans,
-            stats: ContextStats {
-                num_hot: kv_summary.num_hot,
-                ..ContextStats::default()
-            },
-            profile: kv_profile,
-            summary: kv_summary,
-            observed,
-            steps_since_check: 0,
-            max_len_seen: 0,
+            stats: ContextStats::default(),
         });
         Ok(ContextHandle { engine, id })
     }
@@ -496,11 +382,6 @@ impl MultiServer {
         self.config
     }
 
-    /// The profile-feedback policy.
-    pub fn profile_config(&self) -> ProfileConfig {
-        self.profile_cfg
-    }
-
     /// Registered contexts.
     pub fn context_count(&self) -> usize {
         self.contexts.len()
@@ -511,7 +392,7 @@ impl MultiServer {
         self.state(handle).map(|s| &s.ctx)
     }
 
-    /// Profile-feedback counters of a context.
+    /// The counters of a context.
     pub fn context_stats(&self, handle: ContextHandle) -> Option<ContextStats> {
         self.state(handle).map(|s| s.stats)
     }
@@ -989,14 +870,7 @@ impl MultiServer {
                     r.h.copy_from_slice(ys.row(j));
                     r.remaining -= 1;
                 }
-
-                // Profile feedback: the shared K-decode touched rows
-                // [0, max_len) of this context's packed codes this step.
-                let max_len = lens.iter().copied().max().unwrap_or(0);
-                let state = &mut self.contexts[*ctx_id as usize];
-                state.stats.steps += 1;
-                state.max_len_seen = state.max_len_seen.max(max_len);
-                state.steps_since_check += 1;
+                self.contexts[*ctx_id as usize].stats.steps += 1;
                 Ok(())
             }));
             match outcome {
@@ -1042,9 +916,6 @@ impl MultiServer {
         }
 
         // Retire finished requests (their slots are free next step).
-        // This runs *before* the profile checks so the scheduler state is
-        // fully consistent the moment decoding is done — nothing after
-        // this point can leave a decoded-to-zero request in `running`.
         let mut finished = Vec::new();
         let mut i = 0;
         while i < self.running.len() {
@@ -1074,14 +945,6 @@ impl MultiServer {
                 );
             } else {
                 i += 1;
-            }
-        }
-
-        // Profile feedback last, and infallible: a context whose replan
-        // cannot be satisfied keeps its current plan.
-        if self.profile_cfg.is_enabled() {
-            for (ctx_id, _) in &groups {
-                self.check_profile(*ctx_id);
             }
         }
 
@@ -1126,70 +989,6 @@ impl MultiServer {
                 what: "kernel failure in decode group",
             },
         }
-    }
-
-    /// Folds the attended-prefix access histogram into the context's
-    /// observed distribution every `check_every` steps, and replans the
-    /// canonical attention plan when the observation has drifted from the
-    /// profile the plan was made under.
-    ///
-    /// Infallible by design: replanning is an optimization, so a failed
-    /// replan (no launchable plan under the observed profile — the
-    /// registration plan's existence makes this near-impossible, since
-    /// planning depends on the profile only through placement sizing)
-    /// keeps the current plan rather than poisoning the decode step with
-    /// an error after requests have already been advanced.
-    fn check_profile(&mut self, ctx_id: u32) {
-        let state = &mut self.contexts[ctx_id as usize];
-        if state.steps_since_check < self.profile_cfg.check_every {
-            return;
-        }
-        state.steps_since_check = 0;
-        let max_len = std::mem::take(&mut state.max_len_seen);
-        if max_len == 0 {
-            return;
-        }
-        let hist = AccessHistogram::profile_rows(state.ctx.kq(), 0, 0, max_len);
-        for (o, &c) in state.observed.iter_mut().zip(hist.counts()) {
-            *o += c;
-        }
-        state.stats.profiled_tokens += max_len as u64;
-        let observed_hist = AccessHistogram::from_counts(state.observed.clone());
-        let observed_profile = AccessProfile::from_histogram(&observed_hist);
-        let observed_summary = ProfileSummary::from_histogram(&observed_hist);
-        let shifted = observed_summary.num_hot != state.summary.num_hot
-            || observed_profile.divergence(&state.profile) > self.profile_cfg.replan_divergence;
-        if !shifted {
-            return;
-        }
-        // Replan under the observed distribution first; only a successful
-        // replan invalidates the old cached entry and swaps the context's
-        // plan. The linear plan is keyed off the projection weight's
-        // profile, which does not drift with attended depth, so it stays.
-        let kv_cfg = *state.ctx.kq().config();
-        let attn_op = ComputeOp::attention_decode(1, state.ctx.head_dim(), state.ctx.seq(), 1);
-        let Some((attn_key, attn)) = self.pipeline.vq_plan_profiled(
-            &kv_cfg,
-            &attn_op,
-            self.opt,
-            &observed_profile,
-            &observed_summary,
-        ) else {
-            return;
-        };
-        let old_key = {
-            let state = &mut self.contexts[ctx_id as usize];
-            std::mem::replace(&mut state.plans.attn_key, attn_key)
-        };
-        if old_key != self.contexts[ctx_id as usize].plans.attn_key {
-            self.pipeline.plan_cache().invalidate(&old_key);
-        }
-        let state = &mut self.contexts[ctx_id as usize];
-        state.plans.attn = attn;
-        state.profile = observed_profile;
-        state.summary = observed_summary;
-        state.stats.replans += 1;
-        state.stats.num_hot = observed_summary.num_hot;
     }
 
     /// Steps until every submitted request has finished, returning the

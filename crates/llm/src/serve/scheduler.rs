@@ -6,14 +6,14 @@
 //! re-formation. Since the engine redesign all of that machinery lives in
 //! [`MultiServer`] (requests tagged with a [`ContextHandle`], per-context
 //! batch groups); a `Server` is a `MultiServer` with exactly one
-//! registered context and profile feedback disabled, so its behaviour —
-//! plan-cache keys included — is unchanged from the pre-engine scheduler.
+//! registered context, planned under the same measured-profile keys an
+//! `Engine` registration uses.
 //!
 //! [`MultiServer`]: crate::serve::MultiServer
 //! [`ContextHandle`]: crate::serve::ContextHandle
 
 use crate::pipeline::Pipeline;
-use crate::serve::multi::{ContextHandle, MultiServer, ProfileConfig};
+use crate::serve::multi::{ContextHandle, MultiServer};
 use crate::serve::request::{DecodeRequest, RequestHandle, RequestOutput, RequestStatus};
 use crate::serve::{ServeConfig, SharedContext};
 use crate::Result;
@@ -28,10 +28,9 @@ pub use crate::serve::multi::{ServerStats, StepReport};
 /// Construction plans two **canonical, batch-independent** kernel plans
 /// through the pipeline's shared plan cache — one attention-decode shape
 /// and one linear shape — and every step reuses them at whatever batch is
-/// live. The host kernels read only cache-blocking hints from a plan, and
-/// a fixed plan means a fixed f32 summation order: decode output is
-/// bitwise identical whether a request runs alone or co-scheduled
-/// (`tests/serving.rs` pins this).
+/// live. The host kernels read nothing from a plan and sum in one fixed
+/// order: decode output is bitwise identical whether a request runs alone
+/// or co-scheduled (`tests/serving.rs` pins this).
 ///
 /// Drive it with [`Server::step`] (one batched decode step, deterministic)
 /// or [`Server::run_until_drained`].
@@ -55,10 +54,7 @@ impl Server {
     ///
     /// [`LlmError::InvalidConfig`]: crate::LlmError::InvalidConfig
     pub fn new(pipeline: Pipeline, ctx: SharedContext, config: ServeConfig) -> Result<Server> {
-        // Profile feedback stays disabled on the compatibility facade:
-        // plans come from the algorithm's synthetic default profiles,
-        // exactly as before the engine redesign.
-        let mut inner = MultiServer::new(pipeline, config, ProfileConfig::disabled())?;
+        let mut inner = MultiServer::new(pipeline, config)?;
         let handle = inner.register_context(ctx)?;
         Ok(Server { inner, handle })
     }

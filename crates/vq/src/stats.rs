@@ -43,8 +43,8 @@ impl AccessHistogram {
 
     /// Profiles a band of rows only (one "tensor part" of Fig. 9).
     ///
-    /// The serving layer calls this on the live context every few steps,
-    /// so it reads codes the way the kernels do: a row per
+    /// Serving registration profiles every context through here, so it
+    /// reads codes the way the kernels do: a row per
     /// [`unpack_block`](crate::PackedIndices::unpack_block), with the
     /// group → codebook mapping resolved once per band of rows that share
     /// it ([`CodebookSet::band_rows`](crate::CodebookSet::band_rows)).

@@ -6,17 +6,15 @@
 //! scheduler re-forms the decode batch *per context group* every step —
 //! slots and the admission queue are shared across contexts. Requests
 //! ride the typed lifecycle (`submit → poll → Finished/Rejected`), and
-//! per-context profile feedback replans a context's canonical kernel
-//! plans when its measured access distribution drifts.
+//! each context's canonical kernel plans are made once, at registration,
+//! from its measured access distribution.
 //!
 //! ```sh
 //! cargo run --release --example multi_context_serve
 //! ```
 
 use vq_llm::tensor::synth;
-use vq_llm::{
-    DecodeRequest, Engine, ProfileConfig, RequestStatus, ServeConfig, SharedContext, VqAlgorithm,
-};
+use vq_llm::{DecodeRequest, Engine, RequestStatus, ServeConfig, SharedContext, VqAlgorithm};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = Engine::builder()
@@ -24,12 +22,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(4, 16))
-        // Aggressive feedback so the demo shows a replan: check every 4
-        // steps, replan on any visible profile drift.
-        .profile_config(ProfileConfig {
-            check_every: 4,
-            replan_divergence: 0.01,
-        })
         .build()?;
 
     // Two shared pre-quantized contexts — think two tenant pools over two
@@ -121,10 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (name, handle) in [("A", ctx_a), ("B", ctx_b)] {
         let cs = engine.context_stats(handle).expect("registered");
-        println!(
-            "context {name}: {} steps, {} tokens profiled, {} replan(s), hot entries {}",
-            cs.steps, cs.profiled_tokens, cs.replans, cs.num_hot
-        );
+        println!("context {name}: {} steps", cs.steps);
     }
     println!(
         "plan cache: {} plans, {:.0}% hits",

@@ -25,9 +25,7 @@ use std::time::Duration;
 
 use vq_llm::net::proto;
 use vq_llm::tensor::synth;
-use vq_llm::{
-    AdmissionConfig, Engine, NetServer, ProfileConfig, ServeConfig, SharedContext, VqAlgorithm,
-};
+use vq_llm::{AdmissionConfig, Engine, NetServer, ServeConfig, SharedContext, VqAlgorithm};
 
 const SEQ: usize = 320;
 const HEAD_DIM: usize = 32;
@@ -38,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(4, 16))
-        .profile_config(ProfileConfig::disabled())
         .build()?;
     let session = engine.session_unbound();
     let ctx = SharedContext::new(

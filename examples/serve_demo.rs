@@ -4,8 +4,8 @@
 //! whole batch.
 //!
 //! This is the single-context `Session::serve` facade; for decode batches
-//! spanning *multiple* registered contexts (and profile-driven
-//! replanning), see `examples/multi_context_serve.rs` and `vq_llm::Engine`.
+//! spanning *multiple* registered contexts, see
+//! `examples/multi_context_serve.rs` and `vq_llm::Engine`.
 //!
 //! ```sh
 //! cargo run --release --example serve_demo

@@ -16,12 +16,9 @@
 //! slots (`max_batch`) and the bounded queue are shared engine-wide, and
 //! each live group runs one shared-K-decode ragged attention pass plus
 //! one batched linear through that context's canonical plans. Contexts
-//! are planned from **measured** access histograms at registration
-//! (closing the `ProfileSummary::default_for` placeholder), executed
-//! steps feed observed histograms back, and a drifted profile invalidates
-//! and replans that context's cached plans — without changing a single
-//! decoded byte, since the host kernels are bitwise independent of plan
-//! blocking.
+//! are planned once, from **measured** access histograms at registration
+//! (closing the `ProfileSummary::default_for` placeholder); a step never
+//! plans, and the host kernels read nothing from a plan.
 //!
 //! ```
 //! use vq_llm::tensor::synth;
@@ -57,7 +54,7 @@ use std::sync::Arc;
 use vqllm_core::plan_cache::{self, CacheStats, PlanCache};
 use vqllm_core::OptLevel;
 use vqllm_gpu::GpuSpec;
-use vqllm_llm::serve::{ContextHandle, ContextStats, MultiServer, ProfileConfig};
+use vqllm_llm::serve::{ContextHandle, ContextStats, MultiServer};
 use vqllm_llm::{
     DecodeRequest, LlamaConfig, Pipeline, QuantScheme, RequestHandle, RequestOutput, RequestStatus,
     ServeConfig, ServerStats, SharedContext, StepReport,
@@ -115,7 +112,6 @@ pub struct EngineBuilder {
     backend: Option<Arc<dyn Backend>>,
     plan_cache: Option<Arc<PlanCache>>,
     serve: ServeConfig,
-    profile: ProfileConfig,
     plan_cache_path: Option<PathBuf>,
 }
 
@@ -130,7 +126,6 @@ impl Default for EngineBuilder {
             backend: None,
             plan_cache: None,
             serve: ServeConfig::default(),
-            profile: ProfileConfig::default(),
             plan_cache_path: None,
         }
     }
@@ -200,27 +195,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-context profile-feedback policy (default: check every 16
-    /// steps, replan at KS divergence > 0.05; use
-    /// [`ProfileConfig::disabled`] to plan from synthetic defaults and
-    /// never replan).
-    pub fn profile_config(mut self, profile: ProfileConfig) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Persists the plan cache at `path`: if the file exists when the
     /// engine is built, its entries are loaded so registration skips the
     /// cold-start planning pass, and [`Engine::save_plan_cache`] writes
     /// the warmed cache back to the same path.
-    ///
-    /// One caveat: a context whose profile **drifted** before the save
-    /// had its registration-keyed attention entry invalidated by the
-    /// replan, and the in-memory observed histogram does not survive a
-    /// restart — so re-registering that context re-plans its attention
-    /// shape once (from the registration profile, the honest state after
-    /// a restart). Undrifted contexts and every linear plan warm-start
-    /// as pure cache hits.
     pub fn plan_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.plan_cache_path = Some(path.into());
         self
@@ -254,7 +232,7 @@ impl EngineBuilder {
                     })?;
             }
         }
-        let server = MultiServer::new(shared.pipeline(shared.scheme()), self.serve, self.profile)?;
+        let server = MultiServer::new(shared.pipeline(shared.scheme()), self.serve)?;
         Ok(Engine {
             shared,
             server,
@@ -370,17 +348,11 @@ impl Engine {
         self.server.config()
     }
 
-    /// The per-context profile-feedback policy.
-    pub fn profile_config(&self) -> ProfileConfig {
-        self.server.profile_config()
-    }
-
     // --- the context registry ---
 
     /// Registers a quantized context: warms its canonical plans in the
-    /// shared plan cache (measured access profiles under an enabled
-    /// profile config) and returns the typed handle requests are tagged
-    /// with.
+    /// shared plan cache (from its measured access profiles) and returns
+    /// the typed handle requests are tagged with.
     ///
     /// # Errors
     ///
@@ -400,8 +372,8 @@ impl Engine {
         self.server.context(handle)
     }
 
-    /// Profile-feedback counters of a registered context (steps served,
-    /// tokens profiled, replans under shifted profiles).
+    /// Counters of a registered context (requests admitted, completed,
+    /// cancelled and quarantined; steps served).
     pub fn context_stats(&self, handle: ContextHandle) -> Option<ContextStats> {
         self.server.context_stats(handle)
     }

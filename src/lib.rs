@@ -84,7 +84,7 @@ pub use vqllm_gpu::GpuSpec;
 pub use vqllm_kernels::KernelOutput;
 pub use vqllm_llm::{
     ContextHandle, ContextStats, DecodeRequest, E2eReport, KvQuantMode, LlamaConfig, Pipeline,
-    ProfileConfig, QuantScheme, RejectReason, RequestHandle, RequestOutput, RequestStatus,
-    ServeConfig, Server, ServerStats, SharedContext, StepReport, TenantKv,
+    QuantScheme, RejectReason, RequestHandle, RequestOutput, RequestStatus, ServeConfig, Server,
+    ServerStats, SharedContext, StepReport, TenantKv,
 };
 pub use vqllm_vq::{VqAlgorithm, VqConfig};

@@ -18,9 +18,8 @@ use vq_llm::core::failpoint::{self, Action};
 use vq_llm::net::{spawn_driver, spawn_supervised, SupervisorConfig, WaitError};
 use vq_llm::tensor::synth;
 use vq_llm::{
-    AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, NetRequest,
-    ProfileConfig, RejectReason, RequestStatus, ServeConfig, Session, SharedContext, TicketEnd,
-    VqAlgorithm,
+    AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, NetRequest, RejectReason,
+    RequestStatus, ServeConfig, Session, SharedContext, TicketEnd, VqAlgorithm,
 };
 
 const SEQ: usize = 256;
@@ -81,7 +80,6 @@ fn engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(max_batch, max_queue))
-        .profile_config(ProfileConfig::default())
         .build()
         .expect("valid engine");
     let handle = engine.register_context(ctx.clone()).expect("register");

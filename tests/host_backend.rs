@@ -54,8 +54,8 @@ fn attend(
         .expect("attention_decode")
 }
 
-/// Any launchable plan for the op (the host kernels only read blocking
-/// hints from it, so the rung doesn't matter for correctness).
+/// Any launchable plan for the op (the host kernels read nothing from it,
+/// so the rung doesn't matter for correctness).
 fn plan_for(cfg: &VqConfig, op: &ComputeOp) -> Option<KernelPlan> {
     let backend = CpuBackend::new();
     let profile = vq_llm::kernels::AccessProfile::default_for(cfg);
@@ -105,11 +105,7 @@ proptest! {
         let (rows, cols) = dims(rows_i, cols_i);
         let wq = quantize(cfg, rows, cols, seed);
         let x: Vec<f32> = (0..cols).map(|i| ((i as f32) * 0.23 + seed as f32).cos()).collect();
-        let blocking = HostBlocking {
-            // Exercise many slab splits, including degenerate ones.
-            slab_bytes: [1usize, 1 << 10, 32 << 10][(seed as usize) % 3],
-            threads: [1, 2, 4][(seed as usize) % 3],
-        };
+        let blocking = HostBlocking { threads: 1 + (seed as usize) % 4 };
         let y = host_exec::gemv_lut(&wq, &x, &blocking).expect("gemv_lut");
         let oracle = linalg::gemv(&wq.dequantize().unwrap(), &x).unwrap();
         prop_assert!(metrics::allclose(&y, &oracle, 1e-4, 1e-4), "{cfg} {rows}x{cols}");
@@ -117,7 +113,7 @@ proptest! {
 
     /// The batched LUT GeMV (`Y = dequant(Wq) · Xᵀ`, the serving-layer
     /// multi-token decode shape) vs per-column dequantize oracles, across
-    /// batch sizes, slab splits, and pool partition counts.
+    /// batch sizes and pool partition counts.
     #[test]
     fn lut_gemv_batch_matches_oracle(
         case in 0usize..8,
@@ -132,10 +128,7 @@ proptest! {
         let acts = vq_llm::tensor::Tensor2D::from_fn(batch, cols, |b, c| {
             ((b * 13 + c) as f32 * 0.23 + seed as f32).cos()
         });
-        let blocking = HostBlocking {
-            slab_bytes: [1usize, 1 << 10, 32 << 10][(seed as usize) % 3],
-            threads: [1, 2, 4][(seed as usize + 1) % 3],
-        };
+        let blocking = HostBlocking { threads: 1 + (seed as usize + 1) % 4 };
         let y = host_exec::gemv_lut_batch(&wq, &acts, &blocking).expect("gemv_lut_batch");
         prop_assert_eq!(y.shape(), (rows, batch));
         let w = wq.dequantize().unwrap();
@@ -234,14 +227,12 @@ proptest! {
         prop_assert_eq!(out.row(0), full.row(0));
     }
 
-    /// The serving layer's replan guarantee rests on this invariant: host
-    /// kernel output is **bitwise** independent of the blocking hints a
-    /// plan supplies (slab budget across the full clamp range, worker
-    /// partitions). A profile-shift replan only changes blocking hints,
-    /// so it can never change decoded bytes. Ragged attention over the
-    /// randomized configuration space here; every other public kernel, and
-    /// the sizes at which blocked loops take a second trip, in
-    /// `kernel_bytes_are_blocking_independent_across_panels`.
+    /// Host kernel output is **bitwise** independent of the
+    /// [`HostBlocking`] a caller supplies (1 to 4 worker partitions), so a
+    /// backend's thread count can never change decoded bytes. Ragged
+    /// attention over the randomized configuration space here; every other
+    /// public kernel, and the sizes at which blocked loops take a second
+    /// trip, in `kernel_bytes_are_blocking_independent_across_panels`.
     #[test]
     fn kernel_bytes_are_blocking_independent(
         case in 0usize..8,
@@ -260,16 +251,7 @@ proptest! {
         let lens: Vec<usize> = (0..batch)
             .map(|b| if b == 0 { seq } else { 1 + (seed as usize * 13 + b * 89) % seq })
             .collect();
-        // The HostBlocking clamp range is [16 KiB, 256 KiB]; cover both
-        // extremes, a mid-range slab, and 1/2/4 worker partitions — and,
-        // since the score LUT's group block is sized to 8× the slab, a
-        // slab four times past the clamp.
-        let blockings = [
-            HostBlocking { slab_bytes: 16 << 10, threads: 1 },
-            HostBlocking { slab_bytes: 48 << 10, threads: 2 },
-            HostBlocking { slab_bytes: 256 << 10, threads: 4 },
-            HostBlocking { slab_bytes: 1 << 20, threads: 1 },
-        ];
+        let blockings = thread_sweep();
         let base_attn = attend(&qs, &lens, &[], &kq, &vq, &blockings[0]);
         for b in &blockings[1..] {
             let attn = attend(&qs, &lens, &[], &kq, &vq, b);
@@ -324,13 +306,10 @@ fn bounded_config(case: usize) -> VqConfig {
     VqConfig::new(4, 16, 1 + (case / 3) % 2, scope).unwrap()
 }
 
-/// Tiny slabs (8- and 10..20-row K panels, one-group LUT blocks — every
-/// blocking loop takes several trips) and the default, at 1 and 3 threads.
-fn bounded_blocking(i: usize) -> HostBlocking {
-    HostBlocking {
-        slab_bytes: [1, 160, 32 << 10][i % 3],
-        threads: [1, 3][(i / 3) % 2],
-    }
+/// The blockings the suites sweep: 1 to 4 worker partitions (3 leaves a
+/// short last partition).
+fn thread_sweep() -> Vec<HostBlocking> {
+    (1..=4).map(|threads| HostBlocking { threads }).collect()
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -661,12 +640,12 @@ proptest! {
         rows_i in 0usize..3,
         cols_i in 0usize..2,
         batch in 1usize..=9,
-        blocking_i in 0usize..6,
+        threads in 1usize..=4,
         seed in 0u64..500,
     ) {
         let cfg = bounded_config(case);
         let (kq, vq, qs, lens, _) = bounded_case((cfg, false), rows_i, cols_i, batch, seed);
-        let blocking = bounded_blocking(blocking_i);
+        let blocking = HostBlocking { threads };
         let out = attend(&qs, &lens, &[], &kq, &vq, &blocking);
         let none = vec![RaggedExt::default(); batch];
         let full = full_range_attention(&qs, &lens, &none, &kq, &vq);
@@ -694,13 +673,13 @@ proptest! {
         rows_i in 0usize..3,
         cols_i in 0usize..2,
         batch in 1usize..=9,
-        blocking_i in 0usize..6,
+        threads in 1usize..=4,
         seed in 0u64..500,
     ) {
         let (cfg, synthetic_parts) = tailed_config(config_i);
         let (kq, vq, qs, lens, mut rng) =
             bounded_case((cfg, synthetic_parts), rows_i, cols_i, batch, seed);
-        let blocking = bounded_blocking(blocking_i);
+        let blocking = HostBlocking { threads };
         let data: Vec<ExtData> = (0..batch)
             .map(|_| ExtData::random(&cfg, qs.cols(), &mut rng))
             .collect();
@@ -734,7 +713,7 @@ proptest! {
             .map(|(&len, &to)| ExtData::context_rows(&kq, &vq, len, to - len))
             .collect();
         let copied: Vec<RaggedExt<'_>> = copies.iter().map(ExtData::ext).collect();
-        for b in (0..6).map(bounded_blocking) {
+        for b in thread_sweep() {
             prop_assert_eq!(
                 attend(&qs, &lens, &copied, &kq, &vq, &b),
                 attend(&qs, &grown, &[], &kq, &vq, &b),
@@ -798,42 +777,28 @@ fn assert_blocking_independent(
     }
 }
 
-/// No public kernel's bytes depend on the [`HostBlocking`] a plan hands it
-/// — at the sizes where that could show. Shapes are a ladder over the
-/// kernels' own blocking constants, so every blocked loop takes no full
-/// trip, one, and two plus a remainder: lane blocks (`simd::LANES`: batch
-/// 1, 4, 9), the score pass's row block and LUT group block, the value
-/// pass's register block of column groups, codebook bands, and the panel
-/// body's K-chunk and micro-kernel tile. Small rungs run under group
-/// blocks of one group (slab 1) upward; the serving-size rungs — a 512²
-/// GPTVQ-2 weight, a 2048×128 CQ-4 cache, and a 512² AQLM-3 and QuIP#-4
-/// weight on the panel side — under the slabs of the plan clamp range and
-/// past it, each at 1, 2 and 4 worker partitions (threads partition score
+/// No public kernel's bytes depend on the [`HostBlocking`] a caller hands
+/// it — 1 to 4 worker partitions — or on the plan it executes, at the
+/// sizes where that could show. Shapes are a ladder over the kernels' own
+/// blocking constants, so every blocked loop takes no full trip, one, and
+/// two plus a remainder: lane blocks (`simd::LANES`: batch 1, 4, 9), the
+/// score pass's row block, the group blocks of the score LUT and of
+/// `gemv_xw`'s aggregation table, the value pass's register block of
+/// column groups, codebook bands, and the panel body's K-chunk and
+/// micro-kernel tile. Then the serving-size rungs: a 512² GPTVQ-2 weight,
+/// a 2048×128 CQ-4 cache (two LUT group blocks at batch 9), and a 512²
+/// AQLM-3 and QuIP#-4 weight on the panel side. Threads partition score
 /// rows and value column groups — disjoint outputs — so no count can move
-/// a sum either).
+/// a sum.
 ///
-/// What it would catch: a K-split sized by the slab (a panel-blocked
-/// `gemm_fused` moved 15 216 of 16 384 floats at 16×1024×1024), score sums
-/// regrouped by the LUT block, or a second body behind a named shape
-/// (`run_attention_head` as `gemv_lut` + `gemv_xw` moved 99 of 128 floats
-/// at 2048×128 CQ-4).
+/// What it would catch: a K-split sized by a blocking (a panel-blocked
+/// `gemm_fused` moved 15 216 of 16 384 floats at 16×1024×1024 when a
+/// plan-derived slab sized it), score sums regrouped by the LUT block, or
+/// a second body behind a named shape (`run_attention_head` as `gemv_lut`
+/// + `gemv_xw` moved 99 of 128 floats at 2048×128 CQ-4).
 #[test]
 fn kernel_bytes_are_blocking_independent_across_panels() {
-    let grid = |slabs: &[usize]| -> Vec<HostBlocking> {
-        let threads = [1usize, 2, 4];
-        slabs
-            .iter()
-            .flat_map(|&slab_bytes| {
-                threads.map(|threads| HostBlocking {
-                    slab_bytes,
-                    threads,
-                })
-            })
-            .collect()
-    };
-    let clamp_slabs = [16 << 10, 17_404, 48 << 10, 256 << 10];
-    let serving = grid(&[&clamp_slabs[..], &[1 << 20]].concat());
-    let small = grid(&[1, 64, 512, 16 << 10, 1 << 20]);
+    let threads = thread_sweep();
     let lane_ms = [1, simd::LANES / 2, simd::LANES + 1];
     let plain =
         |vs, entries, rounds| VqConfig::new(vs, entries, rounds, CodebookScope::PerTensor).unwrap();
@@ -847,10 +812,33 @@ fn kernel_bytes_are_blocking_independent_across_panels() {
                 let wq = synthetic(cfg, rows, groups * vs, 3);
                 assert_blocking_independent(
                     &format!("{cfg} {rows}x{}", groups * vs),
-                    &small,
+                    &threads,
                     |b| weight_kernels(&wq, &[0, 1, 4, 9], true, b),
                 );
             }
+        }
+    }
+    // The group blocks of a 256-entry book: `gemv_xw`'s aggregation table
+    // and, at eight lanes, the score LUT both take 32 groups a block. A
+    // lane of the multi-block score pass is also its one-block solo chain.
+    let cfg = plain(2, 256, 1);
+    let group_block = host_exec::SLAB_BYTES / (256 * 4);
+    assert_eq!(
+        8 * host_exec::SLAB_BYTES / (256 * simd::LANES * 4),
+        group_block
+    );
+    for groups in rungs(group_block) {
+        let (rows, cols) = (simd::LUT_ROW_BLOCK + 1, groups * 2);
+        let wq = synthetic(cfg, rows, cols, 11);
+        assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &threads, |b| {
+            weight_kernels(&wq, &[0, 1, 4, 9], true, b)
+        });
+        let acts = Tensor2D::from_fn(simd::LANES, cols, |b, d| ((b * 7 + d) as f32 * 0.31).sin());
+        let scores = host_exec::gemv_lut_batch(&wq, &acts, &threads[0]).expect("gemv_lut_batch");
+        for b in 0..simd::LANES {
+            let solo = host_exec::gemv_lut(&wq, acts.row(b), &threads[0]).expect("gemv_lut");
+            let lane: Vec<f32> = (0..rows).map(|r| scores.get(r, b)).collect();
+            assert_eq!(lane, solo, "{cfg} {rows}x{cols} lane {b} != solo");
         }
     }
     // The panel body, on the proptests' configuration space (16- and
@@ -862,19 +850,18 @@ fn kernel_bytes_are_blocking_independent_across_panels() {
         for cols in [nr / 2, nr, 2 * nr + nr / 2] {
             for rows in rungs(16) {
                 let wq = synthetic(cfg, rows, cols, 5);
-                assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &small, |b| {
+                assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &threads, |b| {
                     weight_kernels(&wq, &[0, 1, 4, 9], true, b)
                 });
             }
         }
     }
     // Its K-chunk: 32 rows of a 2048-wide AQLM-3 weight.
-    let diagonal: Vec<HostBlocking> = serving.iter().copied().step_by(4).collect();
     let aqlm3 = vq_llm::VqAlgorithm::Aqlm3.config();
     for rows in rungs(host_exec::PANEL_BYTES / (2048 * 4)) {
         let wq = synthetic(aqlm3, rows, 2048, 9);
         let a = Tensor2D::from_fn(lane_ms[2], rows, |b, d| ((b * 11 + d) as f32 * 0.17).cos());
-        assert_blocking_independent(&format!("{aqlm3} {rows}x2048"), &diagonal, |b| {
+        assert_blocking_independent(&format!("{aqlm3} {rows}x2048"), &threads, |b| {
             let gemm = host_exec::gemm_fused(&a, &wq, b).expect("gemm_fused");
             vec![("gemm_fused".into(), gemm.into_vec())]
         });
@@ -889,7 +876,7 @@ fn kernel_bytes_are_blocking_independent_across_panels() {
         (quip4, 512, 512),
     ] {
         let wq = synthetic(cfg, rows, cols, 7);
-        assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &serving, |b| {
+        assert_blocking_independent(&format!("{cfg} {rows}x{cols}"), &threads, |b| {
             weight_kernels(&wq, &lane_ms, cfg.num_entries == 256, b)
         });
     }
@@ -912,7 +899,7 @@ fn kernel_bytes_are_blocking_independent_across_panels() {
             .map(|_| ExtData::random(&cfg, head_dim, &mut rng))
             .collect();
         let exts: Vec<RaggedExt<'_>> = data.iter().map(ExtData::ext).collect();
-        assert_blocking_independent(&format!("{seq}x{head_dim} batch {batch}"), &serving, |b| {
+        assert_blocking_independent(&format!("{seq}x{head_dim} batch {batch}"), &threads, |b| {
             vec![
                 (
                     "ragged attention".into(),
@@ -925,27 +912,25 @@ fn kernel_bytes_are_blocking_independent_across_panels() {
             ]
         });
     }
-    // `run_attention_head` takes its slab from the plan: the same head
-    // under plans staging each slab of the clamp range is lane 0 above,
-    // alone.
+    // `run_attention_head` reads nothing from its plan: the same head
+    // under plans staging a small and a large shared-memory footprint is
+    // lane 0 above, alone.
     let q = Tensor2D::from_fn(1, head_dim, |_, d| (d as f32 * 0.27).sin());
-    let solo = attend(&q, &[seq], &[], &kq, &vq, &serving[0]);
+    let solo = attend(&q, &[seq], &[], &kq, &vq, &threads[0]);
     let op = ComputeOp::attention_decode(1, head_dim, seq, 1);
     let plan = plan_for(&cfg, &op).expect("attention plan");
     let gpu = GpuSpec::rtx4090();
-    for slab in clamp_slabs {
+    for smem in [16 << 10, 256 << 10] {
         let mut staged = plan.clone();
-        staged.smem_codebook_bytes = slab;
-        staged.tiling.smem_data_bytes = 0;
-        assert_eq!(HostBlocking::for_plan(&staged).slab_bytes, slab);
-        for threads in [1, 2, 4] {
-            let (head, _) = CpuBackend::with_threads(threads)
+        staged.smem_codebook_bytes = smem;
+        for b in &threads {
+            let (head, _) = CpuBackend::with_threads(b.threads)
                 .run_attention_head(&gpu, &staged, q.row(0), &kq, &vq)
                 .expect("run_attention_head");
             assert_eq!(
                 solo.row(0),
                 head,
-                "run_attention_head bytes depend on slab {slab} × {threads} threads"
+                "run_attention_head bytes depend on the plan ({smem} B staged) or {b:?}"
             );
         }
     }

@@ -13,9 +13,9 @@ use vq_llm::net::json::{self, Json};
 use vq_llm::net::{loopback_with, proto, spawn_driver, NetConfig};
 use vq_llm::tensor::synth;
 use vq_llm::{
-    AdmissionConfig, ContextHandle, DecodeRequest, Engine, NetRequest, NetServer, ProfileConfig,
-    RateLimitConfig, RejectReason, RequestStatus, ServeConfig, Session, SharedContext, StreamEvent,
-    TicketEnd, VqAlgorithm,
+    AdmissionConfig, ContextHandle, DecodeRequest, Engine, NetRequest, NetServer, RateLimitConfig,
+    RejectReason, RequestStatus, ServeConfig, Session, SharedContext, StreamEvent, TicketEnd,
+    VqAlgorithm,
 };
 
 const SEQ: usize = 256;
@@ -54,7 +54,6 @@ fn engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .serve_config(ServeConfig::new(max_batch, max_queue))
-        .profile_config(ProfileConfig::default())
         .build()
         .expect("valid engine");
     let handle = engine.register_context(ctx.clone()).expect("register");

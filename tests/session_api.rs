@@ -329,6 +329,16 @@ fn plan_cache_path_round_trips_the_warm_start() {
     let hc = cold.register_context(ctx.clone()).unwrap();
     let cold_stats = cold.cache_stats();
     assert_eq!(cold_stats.misses, 2, "cold registration plans twice");
+    // Serving changes nothing that is saved: a drain plans nothing.
+    let q: Vec<f32> = (0..32).map(|d| (d as f32 * 0.2).sin()).collect();
+    let ticket = cold.submit(hc, vq_llm::DecodeRequest::new(1, q, 10, 40));
+    cold.run_until_drained().unwrap();
+    assert_eq!(cold.take_output(&ticket).unwrap().steps.len(), 40);
+    assert_eq!(
+        cold.cache_stats(),
+        cold_stats,
+        "a drain touched the plan cache"
+    );
     let written = cold.save_plan_cache().unwrap();
     assert_eq!(written, 2);
 
