@@ -32,7 +32,12 @@
 //!   least twice its cost once folded rows are scored from the context's
 //!   LUT and accumulated by the one-lane register kernel; a return to
 //!   per-code decoding trips it — and folding one appended K/V row pair at
-//!   most 20 µs (a scalar codebook search trips that)
+//!   most 20 µs (a scalar codebook search trips that; the ceiling holds
+//!   on runners without AVX-512, whose fold reads ≈ 9 µs)
+//!
+//! Beside the fold it records the search inside it alone —
+//! `nearest_ns_per_search` (256 entries, vs 2) and `nearest_tier`, the
+//! arm `kmeans::nearest` dispatched to — ungated.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -42,7 +47,7 @@ use vq_llm::kernels::host_exec::{
 use vq_llm::llm::{KvQuantMode, SharedContext, TenantKv};
 use vq_llm::tensor::{linalg, metrics, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
-use vq_llm::vq::{Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqConfig};
+use vq_llm::vq::{kmeans, Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqConfig};
 use vqllm_bench::{fmt_us, Report};
 
 use rand::rngs::StdRng;
@@ -502,6 +507,19 @@ fn main() {
     // One sample is a whole cache's worth of appends (the first `ltail`
     // fold nothing).
     let fold_us_per_row = time_s(pass_reps, || fill(0)) * 1e6 / lrows as f64;
+    // The codebook search the fold runs once per group and side, alone:
+    // lane 0's rows against the context's first K book, the fold's shape.
+    let book = live_ctx.kq().codebooks().book(0, 0);
+    let (book_em, vs) = (book.entries_interleaved(), book.vector_size());
+    let search_points: Vec<f32> = live_rows[0].concat();
+    let nearest_ns_per_search = time_s(pass_reps, || {
+        search_points
+            .chunks_exact(vs)
+            .map(|p| kmeans::nearest(p, book_em, vs).0)
+            .fold(0u32, u32::wrapping_add)
+    }) * 1e9
+        / (search_points.len() / vs) as f64;
+    let nearest_tier = kmeans::nearest_tier();
     let kvs: Vec<TenantKv> = (0..llanes).map(fill).collect();
     let exts: Vec<_> = kvs.iter().map(TenantKv::ext).collect();
     let lq = Tensor2D::from_fn(llanes, ldim, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
@@ -519,6 +537,11 @@ fn main() {
          fold {fold_us_per_row:.2} us/appended row pair",
         fmt_us(tailed_s * 1e6),
         fmt_us(ragged_s * 1e6),
+    ));
+    report.line(format!(
+        "  codebook search (kmeans::nearest, {} entries, vs {vs}, {nearest_tier} tier) \
+         {nearest_ns_per_search:.1} ns/search",
+        book.stored_entries(),
     ));
 
     // --- Machine-readable trajectory ---
@@ -543,6 +566,8 @@ fn main() {
          \"value_pass_ns_per_code\": {value_pass_ns_per_code:.3},\n  \
          \"ext_attn_ns_per_code\": {ext_attn_ns_per_code:.3},\n  \
          \"fold_us_per_row\": {fold_us_per_row:.3},\n  \
+         \"nearest_ns_per_search\": {nearest_ns_per_search:.3},\n  \
+         \"nearest_tier\": \"{nearest_tier}\",\n  \
          \"simd_tier\": \"{}\",\n  \
          \"smoke\": {smoke}\n}}\n",
         gemv.naive_s * 1e3,

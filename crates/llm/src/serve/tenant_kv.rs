@@ -51,9 +51,11 @@
 //! works in `2 · vector_size` floats of scratch owned by the cache.
 //!
 //! Which entry a group folds to is [`Codebook::encode`]'s
-//! entry-parallel search; its distances are unfused multiply-adds so that
-//! every code — and with it every byte here — is the one the scalar
-//! search chose (`vqllm_vq::kmeans::nearest`).
+//! entry-parallel search (`vqllm_vq::kmeans::nearest`: sixteen entries a
+//! block under AVX-512, eight under AVX2 or portable code); its distances
+//! are unfused multiply-adds and its lanes merge by (distance, index), so
+//! that every code — and with it every byte here — is the one the scalar
+//! search chose, whichever tier the machine runs.
 //!
 //! [`QuantizedTensor`]: vqllm_vq::QuantizedTensor
 //! [`Codebook::encode`]: vqllm_vq::Codebook::encode

@@ -46,9 +46,15 @@ impl Default for KmeansOptions {
     }
 }
 
-/// Stored entries searched per iteration of [`nearest`] (one AVX2 register
-/// of `f32`, two SSE ones).
+/// Stored entries searched per iteration of [`nearest`]'s portable and
+/// AVX2 tiers (one AVX2 register of `f32`, two SSE ones), and of the
+/// k-means++ distance updates. The AVX-512 tier searches [`WIDE_LANES`].
 const LANES: usize = 8;
+
+/// Stored entries searched per iteration of [`nearest`]'s AVX-512 tier:
+/// one zmm register of `f32`.
+#[cfg(target_arch = "x86_64")]
+const WIDE_LANES: usize = 16;
 
 /// Squared Euclidean distance between two `dim`-length slices.
 #[inline]
@@ -138,8 +144,17 @@ fn nearest_lanes(point: &[f32], em: &[f32], dim: usize) -> (u32, f32) {
             (lane, b_min, d_min) = (l, best_b[l], best_d[l]);
         }
     }
-    let mut best = (b_min as usize * LANES + lane) as u32;
-    for c in blocks * LANES..k {
+    let best = (b_min as usize * LANES + lane) as u32;
+    scan_rest(point, em, k, blocks * LANES, (best, d_min))
+}
+
+/// Continues a search whose first minimum over entries `..from` is `best`
+/// through the remaining entries `from..k`, one at a time. They sit past
+/// every entry already searched, so strict `<` keeps the first minimum.
+#[inline(always)]
+fn scan_rest(point: &[f32], em: &[f32], k: usize, from: usize, best: (u32, f32)) -> (u32, f32) {
+    let (mut best, mut d_min) = best;
+    for c in from..k {
         let d = dist2_strided(point, em, k, c);
         if d < d_min {
             d_min = d;
@@ -155,14 +170,83 @@ fn nearest_avx2(point: &[f32], em: &[f32], dim: usize) -> (u32, f32) {
     nearest_lanes(point, em, dim)
 }
 
+/// [`nearest`] on AVX-512: [`WIDE_LANES`] entries per block, each lane
+/// [`dist2_lanes`]'s unfused chain, the running minimum kept by mask
+/// selects and the lanes merged without a branch.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn nearest_avx512(point: &[f32], em: &[f32], dim: usize) -> (u32, f32) {
+    use std::arch::x86_64::*;
+    let k = em.len() / dim;
+    let point = &point[..dim];
+    let blocks = k / WIDE_LANES;
+    // Lane `l` keeps the first minimum among entries `≡ l (mod 16)`: its
+    // distance and its entry index, both replaced under one strict-`<`
+    // mask, so a NaN distance (every compare false) is never taken.
+    let mut best_d = _mm512_set1_ps(f32::INFINITY);
+    let mut best_i = _mm512_setzero_si512();
+    let mut idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let step = _mm512_set1_epi32(WIDE_LANES as i32);
+    for b in 0..blocks {
+        let row0 = em[b * WIDE_LANES..].as_ptr();
+        // `0 + d·d` is `d·d` bit for bit (a square is never −0), so each
+        // chain starts at its first square.
+        let mut s = _mm512_setzero_ps();
+        for (j, &x) in point.iter().enumerate() {
+            // SAFETY: `j < dim` and `(b + 1) · 16 ≤ k`, so this reads
+            // `em[j·k + b·16 ..][..16]`, inside `dim · k ≤ em.len()`.
+            let c = unsafe { _mm512_loadu_ps(row0.add(j * k)) };
+            let d = _mm512_sub_ps(_mm512_set1_ps(x), c);
+            let dd = _mm512_mul_ps(d, d);
+            s = if j == 0 { dd } else { _mm512_add_ps(s, dd) };
+        }
+        let closer = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(s, best_d);
+        best_d = _mm512_mask_blend_ps(closer, best_d, s);
+        best_i = _mm512_mask_blend_epi32(closer, best_i, idx);
+        idx = _mm512_add_epi32(idx, step);
+    }
+    // The first global minimum is the smallest distance, lowest index on
+    // ties. No lane holds a NaN, so the minimum is exact; with none finite
+    // every lane ties at ∞ on index 0.
+    let d_min = _mm512_reduce_min_ps(best_d);
+    let ties = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(best_d, _mm512_set1_ps(d_min));
+    let best = _mm512_mask_reduce_min_epu32(ties, best_i);
+    scan_rest(point, em, k, blocks * WIDE_LANES, (best, d_min))
+}
+
+/// The tier [`nearest`] dispatches to on this machine: `"avx512f"`,
+/// `"avx2"` or `"portable"`.
+pub fn nearest_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    "portable"
+}
+
 /// Index of the nearest centroid and its squared distance, over an
 /// **element-major** centroid table (`dim × k`: row `j` holds element `j`
 /// of every centroid — [`element_major_into`]'s layout).
 ///
-/// Entry-parallel: [`LANES`] centroids per iteration, each lane an
-/// unfused scalar chain (see [`dist2_lanes`]), first minimum wins — the
-/// result is bit for bit the one-centroid-at-a-time scan's, NaN distances
-/// never selected, `(0, ∞)` when none is finite.
+/// Entry-parallel, in one of three tiers picked once per call
+/// ([`nearest_tier`]): AVX-512 ([`WIDE_LANES`] centroids a block), AVX2
+/// or portable ([`LANES`] a block); the `k mod` width remainder is
+/// scanned one entry at a time. Every tier returns bit for bit the
+/// one-centroid-at-a-time scan's result, for three reasons:
+///
+/// * each lane runs the scan's **unfused** chain `s += (x_j − c_j)²` in
+///   `j` order (see [`dist2_lanes`]), so a distance has the scan's bits;
+/// * a lane replaces its minimum only on a **strict `<`** (a select on
+///   the compare mask), so it keeps its first minimum and never a NaN;
+/// * the lanes merge by **(distance, index)** — the smallest distance,
+///   the lowest entry index on ties — which is the scan's first minimum.
+///
+/// NaN distances are never selected; `(0, ∞)` when none is finite.
 ///
 /// # Panics
 ///
@@ -175,9 +259,15 @@ pub fn nearest(point: &[f32], centroids: &[f32], dim: usize) -> (u32, f32) {
         return oracle::nearest_element_major(point, centroids, dim);
     }
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified.
-        return unsafe { nearest_avx2(point, centroids, dim) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F presence was just verified.
+            return unsafe { nearest_avx512(point, centroids, dim) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 presence was just verified.
+            return unsafe { nearest_avx2(point, centroids, dim) };
+        }
     }
     nearest_lanes(point, centroids, dim)
 }
@@ -534,7 +624,8 @@ mod tests {
     }
 
     /// A coordinate from a small grid (so distances tie), now and then a
-    /// signed zero, an infinity or a NaN when `wild`.
+    /// full-mantissa one (so a fused multiply-add would round
+    /// differently), a signed zero, or an infinity or a NaN when `wild`.
     fn coord(rng: &mut u64, wild: bool) -> f32 {
         let pick = splitmix(rng) % 64;
         match pick {
@@ -543,25 +634,82 @@ mod tests {
             2 if wild => f32::NEG_INFINITY,
             3 => -0.0,
             4 => 0.0,
+            5..=20 => (splitmix(rng) >> 40) as f32 / (1 << 23) as f32 - 1.0,
             _ => (splitmix(rng) % 9) as f32 * 0.25 - 1.0,
         }
     }
 
+    type Search = fn(&[f32], &[f32], usize) -> (u32, f32);
+
+    /// Every tier of [`nearest`] by name, `None` where this machine lacks
+    /// it — plus the dispatched entry itself.
+    fn tiers() -> Vec<(&'static str, Option<Search>)> {
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512) = (
+            std::arch::is_x86_feature_detected!("avx2")
+                // SAFETY: AVX2 presence was just verified.
+                .then_some::<Search>(|p, c, d| unsafe { nearest_avx2(p, c, d) }),
+            std::arch::is_x86_feature_detected!("avx512f")
+                // SAFETY: AVX-512F presence was just verified.
+                .then_some::<Search>(|p, c, d| unsafe { nearest_avx512(p, c, d) }),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512) = (None, None);
+        vec![
+            ("portable", Some(nearest_lanes as Search)),
+            ("avx2", avx2),
+            ("avx512f", avx512),
+            ("dispatched", Some(nearest as Search)),
+        ]
+    }
+
+    /// Checks every tier this machine has against the oracle on one
+    /// element-major table; missing tiers are reported once as skipped.
+    fn assert_tiers_match(point: &[f32], rows: &[f32], em: &[f32], dim: usize) {
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        let (want_i, want_d) = oracle::nearest(point, rows, dim);
+        let k = rows.len() / dim;
+        let tiers = tiers();
+        let missing: Vec<_> = tiers
+            .iter()
+            .filter(|t| t.1.is_none())
+            .map(|t| t.0)
+            .collect();
+        if !missing.is_empty() {
+            SKIPPED.call_once(|| eprintln!("nearest: tiers SKIPPED, CPU lacks them: {missing:?}"));
+        }
+        for (name, search) in tiers {
+            let Some(search) = search else { continue };
+            let (i, d) = search(point, em, dim);
+            assert_eq!(
+                (i, d.to_bits()),
+                (want_i, want_d.to_bits()),
+                "{name} tier, k {k} dim {dim}, point {point:?}"
+            );
+        }
+    }
+
+    fn element_major(rows: &[f32], dim: usize) -> Vec<f32> {
+        let mut em = vec![0.0f32; rows.len()];
+        element_major_into(rows, dim, &mut em);
+        em
+    }
+
     proptest::proptest! {
         /// The entry-parallel search returns the oracle's index and the
-        /// oracle's distance bits — on every tier this machine has — over
-        /// tie-heavy tables (grid coordinates, duplicated centroids),
-        /// signed zeros and non-finite coordinates, at block-aligned and
-        /// ragged `k`.
+        /// oracle's distance bits — on every tier this machine has, each
+        /// called by name — over tie-heavy tables (grid coordinates,
+        /// duplicated centroids), signed zeros and non-finite coordinates,
+        /// at block-aligned and ragged `k` for both block widths.
         #[test]
         fn nearest_is_the_scalar_scan_bit_for_bit(
-            dim_i in 0usize..4,
-            k_i in 0usize..6,
+            dim_i in 0usize..6,
+            k_i in 0usize..10,
             wild in proptest::any::<bool>(),
             seed in 0u64..10_000,
         ) {
-            let dim = [1, 2, 4, 8][dim_i];
-            let k = [1, 7, 8, 9, 256, 4096][k_i];
+            let dim = [1, 2, 3, 4, 8, 16][dim_i];
+            let k = [1, 7, 8, 9, 15, 16, 17, 33, 256, 4096][k_i];
             let mut rng = seed;
             let mut rows: Vec<f32> = (0..k * dim).map(|_| coord(&mut rng, wild)).collect();
             // Duplicate a quarter of the centroids onto earlier ones.
@@ -571,8 +719,7 @@ mod tests {
                     rows.copy_within(src * dim..(src + 1) * dim, c * dim);
                 }
             }
-            let mut em = vec![0.0f32; k * dim];
-            element_major_into(&rows, dim, &mut em);
+            let em = element_major(&rows, dim);
             for _ in 0..8 {
                 // Half the probes sit exactly on a centroid.
                 let point: Vec<f32> = if splitmix(&mut rng).is_multiple_of(2) {
@@ -581,12 +728,42 @@ mod tests {
                 } else {
                     (0..dim).map(|_| coord(&mut rng, wild)).collect()
                 };
-                let (want_i, want_d) = oracle::nearest(&point, &rows, dim);
-                let want = (want_i, want_d.to_bits());
-                let (i, d) = nearest_lanes(&point, &em, dim);
-                proptest::prop_assert_eq!((i, d.to_bits()), want, "portable tier, k {} dim {}", k, dim);
-                let (i, d) = nearest(&point, &em, dim);
-                proptest::prop_assert_eq!((i, d.to_bits()), want, "dispatched tier, k {} dim {}", k, dim);
+                assert_tiers_match(&point, &rows, &em, dim);
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_tiers_agree_on_pinned_edge_cases() {
+        for dim in [1, 2, 3, 4, 8, 16] {
+            for k in [1, 15, 16, 17, 33, 256] {
+                // No finite distance anywhere: every tier answers (0, ∞).
+                let nan = vec![f32::NAN; k * dim];
+                let point = vec![0.5f32; dim];
+                assert_eq!(oracle::nearest(&point, &nan, dim).0, 0);
+                assert_tiers_match(&point, &nan, &element_major(&nan, dim), dim);
+
+                // An infinite coordinate in the point: ∞ or NaN distances.
+                let rows: Vec<f32> = (0..k * dim).map(|i| (i % 7) as f32 - 3.0).collect();
+                let em = element_major(&rows, dim);
+                for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut point = rows[(k - 1) * dim..].to_vec();
+                    point[dim - 1] = inf;
+                    assert_tiers_match(&point, &rows, &em, dim);
+                }
+            }
+            // The same entry at `c`, `c + 8` and `c + 16`: a tie across
+            // 8-wide lanes and across 16-wide blocks, first index wins.
+            for c in [0, 3, 7, 8, 15, 16, 200] {
+                let k = 256;
+                let mut rows: Vec<f32> = (0..k * dim).map(|i| i as f32 * 0.5 + 10.0).collect();
+                let target = vec![-1.0f32; dim];
+                for e in [c, c + 8, c + 16] {
+                    rows[e * dim..(e + 1) * dim].copy_from_slice(&target);
+                }
+                let point = vec![-1.25f32; dim];
+                assert_eq!(oracle::nearest(&point, &rows, dim).0, c as u32);
+                assert_tiers_match(&point, &rows, &element_major(&rows, dim), dim);
             }
         }
     }
