@@ -31,7 +31,7 @@ use std::net::TcpStream;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use vq_llm::core::failpoint::{self, Action};
+use vq_llm::core::failpoint::{self, Action, Site};
 use vq_llm::net::json::{self, Json};
 use vq_llm::net::{loopback_supervised, percentile, proto, spawn_driver, NetConfig};
 use vq_llm::tensor::synth;
@@ -197,7 +197,7 @@ fn scenario_panic_storm(report: &mut Report, gates: &mut Gates, totals: &mut Tot
     let (client, driver) = spawn_driver(engine, AdmissionConfig::default());
 
     failpoint::configure(
-        "llm.step.group",
+        Site::LlmStepGroup,
         Action::Panic("chaos: forced kernel panic".into()),
         0,
         Some(storm as u64),
@@ -255,7 +255,7 @@ fn scenario_wedged_step(report: &mut Report, gates: &mut Gates, totals: &mut Tot
     let (engine, h) = engine(MAX_BATCH, 64);
     let (client, driver) = spawn_driver(engine, cfg);
 
-    failpoint::configure("llm.step.group", Action::DelayMs(150), 0, Some(1));
+    failpoint::configure(Site::LlmStepGroup, Action::DelayMs(150), 0, Some(1));
     let wedged = client.submit(NetRequest::new(h, DecodeRequest::new(1, query(1), 20, 4)));
     let end = client.wait_timeout(&wedged, WAIT);
     let shed_typed = matches!(
@@ -305,7 +305,7 @@ fn scenario_kv_exhaustion(report: &mut Report, gates: &mut Gates, totals: &mut T
     let (client, driver) = spawn_driver(engine, AdmissionConfig::default());
 
     failpoint::configure(
-        "llm.step.append",
+        Site::LlmStepAppend,
         Action::Error("chaos: forced exhaustion".into()),
         0,
         Some(1),
@@ -420,7 +420,7 @@ fn scenario_driver_kill(report: &mut Report, gates: &mut Gates, totals: &mut Tot
     // Kill the driver on its next step: the in-flight request must come
     // back on the wire as a typed driver_restarted with a retry hint.
     failpoint::configure(
-        "net.driver.step",
+        Site::NetDriverStep,
         Action::Panic("chaos: forced driver kill".into()),
         0,
         Some(1),

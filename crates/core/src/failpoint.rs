@@ -24,9 +24,14 @@
 //!
 //! # Configuration
 //!
+//! Sites are the [`Site`] variants, generated from the one `sites!` table
+//! below, so a call site can only fire or arm a declared site.
+//!
 //! Programmatic: [`configure`] / [`clear`]. Environment: the first call to
 //! [`fire`] parses `VQLLM_FAILPOINTS` (a `;`-separated list of
-//! `site=action` clauses) once. The action grammar is
+//! `site=action` clauses, each naming a site by [`Site::name`]) once; a
+//! spec with an unknown site or a malformed clause is ignored whole. The
+//! action grammar is
 //!
 //! ```text
 //! action   := kind [ '(' arg ')' ] [ '*' times ] [ '+' skip ]
@@ -39,56 +44,73 @@
 //! Failpoints are process-global: tests that arm them must serialize (the
 //! repo's chaos tests share one mutex) and [`clear`] on exit.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// Central registry of every failpoint site compiled into the workspace,
-/// as `(site, where the fault is injected)` pairs.
-///
-/// This is the source of truth `vqllm-lint` checks call sites and the
-/// README table against (`--fix-docs` regenerates the latter): firing an
-/// unregistered site, or registering a site nothing fires, is a lint
-/// error. Keep entries in namespace order.
-pub const SITES: &[(&str, &str)] = &[
-    (
-        "llm.step",
-        "start of every `Engine::step`, before any group is formed",
-    ),
-    (
-        "llm.step.group",
-        "inside one batch group's decode, under the per-group `catch_unwind`",
-    ),
-    (
-        "llm.step.append",
-        "the KV append of one decoded row; maps onto a typed `KvCapacity` rejection",
-    ),
-    (
-        "net.driver.step",
-        "the driver thread's step loop, outside the engine; escalates to the supervisor",
-    ),
-    (
-        "pool.scope",
-        "entry of every `WorkerPool` scope, before jobs are queued; surfaces as `KernelError::Panicked`",
-    ),
-    (
-        "host.gemv_lut_batch",
-        "score pass entry: `gemv_lut_batch`, and `gemv_lut`, its one-lane case",
-    ),
-    (
-        "host.gemv_xw",
-        "`gemv_xw` entry: the aggregation GeMV (`Backend::run_gemv`)",
-    ),
-    (
-        "host.gemm_fused",
-        "`gemm_fused` entry: the linear layer (`Backend::run_gemm`), value pass and panel body alike",
-    ),
-    (
-        "host.attention_ragged",
-        "`attention_decode` entry: every attention shape (head, batch, ragged, tailed)",
-    ),
-];
+/// Generates [`Site`] from the one table below: each row
+/// `Variant => "name", "where the fault is injected";` becomes a variant
+/// documented by its description, its [`Site::name`] and its [`Site::at`].
+macro_rules! sites {
+    ($($variant:ident => $name:literal, $at:literal;)*) => {
+        /// A failpoint site compiled into the workspace.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Site {
+            $(#[doc = $at] $variant,)*
+        }
+
+        impl Site {
+            /// Every site, in table (and declaration) order.
+            pub const ALL: &'static [Site] = &[$(Site::$variant),*];
+
+            /// The dotted name `VQLLM_FAILPOINTS` clauses and panic
+            /// messages use.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Site::$variant => $name,)*
+                }
+            }
+
+            /// Where the fault is injected.
+            pub const fn at(self) -> &'static str {
+                match self {
+                    $(Site::$variant => $at,)*
+                }
+            }
+        }
+    };
+}
+
+// The one registry of failpoint sites, in namespace order. `vqllm-lint`
+// renders it into the README (`--fix-docs`) and flags a site that no
+// non-test code fires.
+sites! {
+    LlmStep => "llm.step",
+        "start of every `Engine::step`, before any group is formed";
+    LlmStepGroup => "llm.step.group",
+        "inside one batch group's decode, under the per-group `catch_unwind`";
+    LlmStepAppend => "llm.step.append",
+        "the KV append of one decoded row; maps onto a typed `KvCapacity` rejection";
+    NetDriverStep => "net.driver.step",
+        "the driver thread's step loop, outside the engine; escalates to the supervisor";
+    PoolScope => "pool.scope",
+        "entry of every `WorkerPool` scope, before jobs are queued; surfaces as `KernelError::Panicked`";
+    HostGemvLutBatch => "host.gemv_lut_batch",
+        "score pass entry: `gemv_lut_batch`, and `gemv_lut`, its one-lane case";
+    HostGemvXw => "host.gemv_xw",
+        "`gemv_xw` entry: the aggregation GeMV (`Backend::run_gemv`)";
+    HostGemmFused => "host.gemm_fused",
+        "`gemm_fused` entry: the linear layer (`Backend::run_gemm`), value pass and panel body alike";
+    HostAttentionRagged => "host.attention_ragged",
+        "`attention_decode` entry: every attention shape (head, batch, ragged, tailed)";
+}
+
+impl Site {
+    /// The site called `name`, if one is declared.
+    fn from_name(name: &str) -> Option<Site> {
+        Site::ALL.iter().copied().find(|s| s.name() == name)
+    }
+}
 
 /// What a fired failpoint does.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,8 +124,9 @@ pub enum Action {
     Error(String),
 }
 
+/// One armed site's schedule.
 #[derive(Debug)]
-struct Site {
+struct Armed {
     action: Action,
     /// Hits to ignore before the action starts firing.
     skip: u64,
@@ -113,7 +136,7 @@ struct Site {
     hits: u64,
 }
 
-impl Site {
+impl Armed {
     /// Advances the hit counter and reports whether this hit fires.
     fn check(&mut self) -> bool {
         let hit = self.hits;
@@ -128,87 +151,85 @@ impl Site {
     }
 }
 
+/// One slot per [`Site`], indexed by `site as usize`.
+type Slots = [Option<Armed>; Site::ALL.len()];
+
 struct Registry {
-    sites: Mutex<HashMap<String, Site>>,
+    sites: Mutex<Slots>,
     /// Fast-path gate: true iff any site is configured.
     armed: AtomicBool,
     /// One-shot `VQLLM_FAILPOINTS` bootstrap.
     env: OnceLock<()>,
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        sites: Mutex::new(HashMap::new()),
-        armed: AtomicBool::new(false),
-        env: OnceLock::new(),
-    })
+static REGISTRY: Registry = Registry {
+    sites: Mutex::new([const { None }; Site::ALL.len()]),
+    armed: AtomicBool::new(false),
+    env: OnceLock::new(),
+};
+
+/// The slots are only mutated in whole-slot writes and the panic action
+/// fires after the guard is released, so a poisoned mutex (some unrelated
+/// panic mid-critical-section) cannot hold torn state: recover instead of
+/// cascading the panic into every later `fire`.
+fn lock_sites() -> MutexGuard<'static, Slots> {
+    REGISTRY.sites.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The sites map is only mutated in whole-entry inserts/removes and the
-/// panic action fires after the guard is released, so a poisoned mutex
-/// (some unrelated panic mid-critical-section) cannot hold torn state:
-/// recover instead of cascading the panic into every later `fire`.
-fn lock_sites(reg: &Registry) -> std::sync::MutexGuard<'_, HashMap<String, Site>> {
-    reg.sites.lock().unwrap_or_else(|e| e.into_inner())
+/// Writes `site`'s slot and re-derives the fast-path gate.
+fn set(site: Site, slot: Option<Armed>) {
+    let mut sites = lock_sites();
+    if let Some(s) = sites.get_mut(site as usize) {
+        *s = slot;
+    }
+    let any = sites.iter().any(Option::is_some);
+    REGISTRY.armed.store(any, Ordering::Release);
 }
 
 /// Arms `site` with `action`, skipping the first `skip` hits and firing
 /// for `times` hits after that (`None` = every hit). Replaces any prior
 /// configuration for the site, resetting its hit counter.
-pub fn configure(site: &str, action: Action, skip: u64, times: Option<u64>) {
-    let reg = registry();
-    let mut sites = lock_sites(reg);
-    sites.insert(
-        site.to_string(),
-        Site {
-            action,
-            skip,
-            times,
-            hits: 0,
-        },
-    );
-    reg.armed.store(true, Ordering::Release);
+pub fn configure(site: Site, action: Action, skip: u64, times: Option<u64>) {
+    let armed = Armed {
+        action,
+        skip,
+        times,
+        hits: 0,
+    };
+    set(site, Some(armed));
 }
 
 /// Removes every configured failpoint and disarms the fast path.
 pub fn clear() {
-    let reg = registry();
-    let mut sites = lock_sites(reg);
-    sites.clear();
-    reg.armed.store(false, Ordering::Release);
+    let mut sites = lock_sites();
+    *sites = [const { None }; Site::ALL.len()];
+    REGISTRY.armed.store(false, Ordering::Release);
 }
 
 /// Parses a `VQLLM_FAILPOINTS`-style spec (`site=action;site=action`).
-/// Returns the number of sites configured.
+/// Returns the number of clauses applied.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed clause; earlier clauses
-/// in the spec are already applied.
+/// Returns a description of the first malformed clause, or of the first
+/// clause naming a site no [`Site`] declares. The spec is checked whole
+/// before any clause is applied, so on error nothing is armed.
 pub fn configure_from_spec(spec: &str) -> Result<usize, String> {
-    let mut n = 0;
-    for clause in spec.split(';') {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        let (site, action) = clause
+    let mut clauses = Vec::new();
+    for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
+        let (name, action) = clause
             .split_once('=')
             .ok_or_else(|| format!("failpoint clause missing '=': {clause:?}"))?;
-        let (action, skip, times) = parse_action(action.trim())?;
+        let site = Site::from_name(name.trim())
+            .ok_or_else(|| format!("unknown failpoint site {:?} in {clause:?}", name.trim()))?;
+        clauses.push((site, parse_action(action.trim())?));
+    }
+    let n = clauses.len();
+    for (site, (action, skip, times)) in clauses {
         match action {
-            Some(action) => configure(site.trim(), action, skip, times),
-            None => {
-                let reg = registry();
-                let mut sites = lock_sites(reg);
-                sites.remove(site.trim());
-                if sites.is_empty() {
-                    reg.armed.store(false, Ordering::Release);
-                }
-            }
+            Some(action) => configure(site, action, skip, times),
+            None => set(site, None),
         }
-        n += 1;
     }
     Ok(n)
 }
@@ -271,30 +292,29 @@ fn parse_action(s: &str) -> Result<(Option<Action>, u64, Option<u64>), String> {
 ///   proceeds normally, just late);
 /// * [`Action::Error`] returns `Some(detail)` for the call site to map
 ///   onto its own typed error.
-pub fn fire(site: &str) -> Option<String> {
-    let reg = registry();
+pub fn fire(site: Site) -> Option<String> {
     // One-shot env bootstrap has to happen even while disarmed, but only
     // costs a OnceLock check after the first call.
-    reg.env.get_or_init(|| {
+    REGISTRY.env.get_or_init(|| {
         if let Ok(spec) = std::env::var("VQLLM_FAILPOINTS") {
             if let Err(e) = configure_from_spec(&spec) {
-                eprintln!("VQLLM_FAILPOINTS ignored clause: {e}");
+                eprintln!("VQLLM_FAILPOINTS ignored: {e}");
             }
         }
     });
-    if !reg.armed.load(Ordering::Relaxed) {
+    if !REGISTRY.armed.load(Ordering::Relaxed) {
         return None;
     }
     let action = {
-        let mut sites = lock_sites(reg);
-        let s = sites.get_mut(site)?;
+        let mut sites = lock_sites();
+        let s = sites.get_mut(site as usize)?.as_mut()?;
         if !s.check() {
             return None;
         }
         s.action.clone()
     };
     match action {
-        Action::Panic(msg) => panic!("failpoint {site}: {msg}"),
+        Action::Panic(msg) => panic!("failpoint {}: {msg}", site.name()),
         Action::DelayMs(ms) => {
             std::thread::sleep(Duration::from_millis(ms));
             None
@@ -305,29 +325,32 @@ pub fn fire(site: &str) -> Option<String> {
 
 /// True iff any failpoint is currently configured (test/bench helper).
 pub fn armed() -> bool {
-    registry().armed.load(Ordering::Relaxed)
+    REGISTRY.armed.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// Failpoints are process-global; serialize the tests that arm them.
     fn lock() -> MutexGuard<'static, ()> {
-        static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        let gate = GATE.get_or_init(|| Mutex::new(()));
-        gate.lock().unwrap_or_else(|e| e.into_inner())
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The armed schedule of `site`, as `(action, times)`.
+    fn slot(site: Site) -> Option<(Action, Option<u64>)> {
+        let sites = lock_sites();
+        let armed = sites[site as usize].as_ref()?;
+        Some((armed.action.clone(), armed.times))
     }
 
     #[test]
     fn site_registry_is_well_formed() {
-        for (i, (site, desc)) in SITES.iter().enumerate() {
-            assert!(!desc.trim().is_empty(), "site {site} has no description");
-            assert!(
-                SITES[..i].iter().all(|(s, _)| s != site),
-                "duplicate site {site}"
-            );
+        for (i, site) in Site::ALL.iter().enumerate() {
+            assert_eq!(*site as usize, i, "{site:?} is out of slot order");
+            assert!(!site.at().trim().is_empty(), "{site:?} has no description");
+            assert_eq!(Site::from_name(site.name()), Some(*site), "duplicate name");
         }
     }
 
@@ -336,18 +359,20 @@ mod tests {
         let _g = lock();
         clear();
         assert!(!armed());
-        assert_eq!(fire("nowhere"), None);
+        assert_eq!(fire(Site::LlmStep), None);
     }
 
     #[test]
     fn error_action_fires_deterministically() {
         let _g = lock();
         clear();
-        configure("t.site", Action::Error("boom".into()), 1, Some(2));
-        assert_eq!(fire("t.site"), None, "skip=1 ignores the first hit");
-        assert_eq!(fire("t.site"), Some("boom".into()));
-        assert_eq!(fire("t.site"), Some("boom".into()));
-        assert_eq!(fire("t.site"), None, "times=2 exhausted");
+        let site = Site::LlmStepAppend;
+        configure(site, Action::Error("boom".into()), 1, Some(2));
+        assert_eq!(fire(site), None, "skip=1 ignores the first hit");
+        assert_eq!(fire(site), Some("boom".into()));
+        assert_eq!(fire(site), Some("boom".into()));
+        assert_eq!(fire(site), None, "times=2 exhausted");
+        assert_eq!(fire(Site::LlmStep), None, "other sites stay quiet");
         clear();
     }
 
@@ -355,11 +380,14 @@ mod tests {
     fn panic_action_panics_with_site_and_message() {
         let _g = lock();
         clear();
-        configure("t.panic", Action::Panic("kaboom".into()), 0, Some(1));
-        let err = std::panic::catch_unwind(|| fire("t.panic")).unwrap_err();
+        configure(Site::PoolScope, Action::Panic("kaboom".into()), 0, Some(1));
+        let err = std::panic::catch_unwind(|| fire(Site::PoolScope)).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("t.panic") && msg.contains("kaboom"), "{msg}");
-        assert_eq!(fire("t.panic"), None, "one-shot");
+        assert!(
+            msg.contains("pool.scope") && msg.contains("kaboom"),
+            "{msg}"
+        );
+        assert_eq!(fire(Site::PoolScope), None, "one-shot");
         clear();
     }
 
@@ -367,23 +395,34 @@ mod tests {
     fn spec_grammar_round_trips() {
         let _g = lock();
         clear();
-        let n = configure_from_spec("a=panic(x)*1+2; b=delay(5); c=error(full)*3; a=off").unwrap();
+        let n = configure_from_spec(
+            "llm.step=panic(x)*1+2; pool.scope=delay(5); host.gemv_xw=error(full)*3; llm.step=off",
+        )
+        .unwrap();
         assert_eq!(n, 4);
-        {
-            let sites = registry().sites.lock().unwrap();
-            assert!(!sites.contains_key("a"), "off removes the site");
-            assert_eq!(
-                sites.get("b").map(|s| s.action.clone()),
-                Some(Action::DelayMs(5))
-            );
-            assert_eq!(
-                sites.get("c").map(|s| (s.action.clone(), s.times)),
-                Some((Action::Error("full".into()), Some(3)))
-            );
-        }
+        assert_eq!(slot(Site::LlmStep), None, "off removes the site");
+        assert_eq!(slot(Site::PoolScope), Some((Action::DelayMs(5), None)));
+        assert_eq!(
+            slot(Site::HostGemvXw),
+            Some((Action::Error("full".into()), Some(3)))
+        );
         assert!(configure_from_spec("bogus").is_err());
-        assert!(configure_from_spec("x=warp").is_err());
-        assert!(configure_from_spec("x=delay").is_err());
+        assert!(configure_from_spec("llm.step=warp").is_err());
+        assert!(configure_from_spec("llm.step=delay").is_err());
+        clear();
+    }
+
+    #[test]
+    fn unknown_spec_site_is_rejected_and_arms_nothing() {
+        let _g = lock();
+        clear();
+        let err = configure_from_spec("llm.nowhere=panic").unwrap_err();
+        assert!(err.contains("llm.nowhere"), "{err}");
+        assert!(!armed(), "an unknown site must not arm the fast path");
+        // The whole spec is checked before any clause is applied.
+        let err = configure_from_spec("pool.scope=panic; ghost=off").unwrap_err();
+        assert!(err.contains("ghost"), "{err}");
+        assert!(!armed() && slot(Site::PoolScope).is_none());
         clear();
     }
 }

@@ -140,6 +140,7 @@ pub mod pool;
 pub mod simd;
 
 use crate::{KernelError, Result};
+use vqllm_core::failpoint::Site;
 use vqllm_tensor::Tensor2D;
 use vqllm_vq::config::CodebookScope;
 use vqllm_vq::{QuantizedTensor, VqConfig};
@@ -221,9 +222,12 @@ fn band_books(
 /// a fired `Error` action surfaces as a contained
 /// [`KernelError::Panicked`] so fault drills can force a kernel failure
 /// without unwinding. Disabled failpoints cost one relaxed atomic load.
-fn failpoint(site: &'static str) -> Result<()> {
+fn failpoint(site: Site) -> Result<()> {
     match vqllm_core::failpoint::fire(site) {
-        Some(message) => Err(KernelError::Panicked { site, message }),
+        Some(message) => Err(KernelError::Panicked {
+            site: site.name(),
+            message,
+        }),
         None => Ok(()),
     }
 }
@@ -305,7 +309,7 @@ pub fn gemv_lut_batch(
     xs: &Tensor2D,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
-    failpoint("host.gemv_lut_batch")?;
+    failpoint(Site::HostGemvLutBatch)?;
     let (rows, cols) = wq.shape();
     if xs.cols() != cols {
         return Err(KernelError::ShapeMismatch {
@@ -566,7 +570,7 @@ fn lattice_scores(
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `x.len() != rows`.
 pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Vec<f32>> {
-    failpoint("host.gemv_xw")?;
+    failpoint(Site::HostGemvXw)?;
     let (rows, cols) = wq.shape();
     if x.len() != rows {
         return Err(KernelError::ShapeMismatch {
@@ -695,7 +699,7 @@ fn lanes_cover(cfg: &VqConfig) -> bool {
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `a.cols() != wq.rows`.
 pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Tensor2D> {
-    failpoint("host.gemm_fused")?;
+    failpoint(Site::HostGemmFused)?;
     if a.cols() != wq.shape().0 {
         return Err(KernelError::ShapeMismatch {
             what: "A.cols must equal quantized weight rows",
@@ -1272,7 +1276,7 @@ pub fn attention_decode(
     vq: &QuantizedTensor,
     blocking: &HostBlocking,
 ) -> Result<Tensor2D> {
-    failpoint("host.attention_ragged")?;
+    failpoint(Site::HostAttentionRagged)?;
     batch.validate(kq, vq)?;
     let &AttentionBatch { qs, lens, exts } = batch;
     // Extensions are encoded against the context's books, and extension

@@ -35,6 +35,7 @@
 //!   carrying the same message from [`WorkerPool::scope`].
 
 use crate::KernelError;
+use vqllm_core::failpoint::{self, Site};
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -187,9 +188,9 @@ impl WorkerPool {
         f: impl FnOnce(&Scope<'_, 'env>) -> R,
     ) -> Result<R, KernelError> {
         // Failpoint: fail the scope before anything is queued.
-        if let Some(message) = vqllm_core::failpoint::fire("pool.scope") {
+        if let Some(message) = failpoint::fire(Site::PoolScope) {
             return Err(KernelError::Panicked {
-                site: "pool.scope",
+                site: Site::PoolScope.name(),
                 message,
             });
         }

@@ -14,14 +14,16 @@
 //! 3. **lock discipline** (`lock-order`) — a declared lock hierarchy per
 //!    file; lexically nested `.lock()`s within one function must acquire
 //!    outer-rank locks before inner-rank ones.
-//! 4. **registry consistency** (`registry`, `docs`) — `RejectReason` ↔
-//!    `RejectKind` counters ↔ wire codes must partition `rejected`, and
-//!    every failpoint site literal must be registered in
-//!    `vqllm_core::failpoint::SITES` and listed in the README table.
+//! 4. **failpoint registry** (`registry`, `docs`) — every site declared
+//!    in the `sites!` table (`vqllm_core::failpoint::Site`) must be fired
+//!    by non-test code, and the README site table must list exactly the
+//!    declared sites. The rest of registry consistency is the compiler's:
+//!    sites and `RejectReason` wire codes are generated from one table
+//!    each, so an undeclared site or a code-less reason does not compile.
 //!
 //! Output is machine-readable: one finding per line, `file:line rule
 //! message`. `--fix-docs` regenerates the README failpoint table from
-//! the source-of-truth registry.
+//! the `sites!` table.
 
 use std::fmt;
 use std::io;

@@ -7,8 +7,8 @@
 //! `--check` (the default) prints one finding per line as
 //! `file:line rule message` and exits 1 when any survive the waiver
 //! file. `--fix-docs` regenerates the README failpoint-site table from
-//! `vqllm_core::failpoint::SITES`. Exit codes: 0 clean, 1 findings,
-//! 2 usage or I/O error.
+//! the `sites!` table in `crates/core/src/failpoint.rs`. Exit codes: 0
+//! clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -3,9 +3,9 @@
 //! `#[cfg(test)]` items — the token-level substrate every rule runs on.
 //!
 //! This is deliberately a lexer, not a parser: the rules only need
-//! line-level facts (is this `.unwrap()` in code or in a comment? is this
-//! string a failpoint site or a doc example?), and a character-state
-//! machine answers those exactly without a syntax tree.
+//! line-level facts (is this `.unwrap()` in code, in a comment or in a
+//! string? is this line test code?), and a character-state machine
+//! answers those exactly without a syntax tree.
 
 use std::fs;
 use std::io;

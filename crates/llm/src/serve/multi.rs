@@ -32,7 +32,7 @@ use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use vqllm_core::failpoint;
+use vqllm_core::failpoint::{self, Site};
 use vqllm_core::{ComputeOp, KernelPlan, OptLevel, ProfileSummary};
 use vqllm_kernels::host_exec::AttentionBatch;
 use vqllm_kernels::AccessProfile;
@@ -704,7 +704,7 @@ impl MultiServer {
         self.step += 1;
         // Failpoint: force a whole-step failure (the driver's supervisor
         // path); a `panic` action here dies on the calling thread.
-        if failpoint::fire("llm.step").is_some() {
+        if failpoint::fire(Site::LlmStep).is_some() {
             return Err(LlmError::Internal {
                 what: "forced step failure (failpoint llm.step)",
             });
@@ -771,7 +771,7 @@ impl MultiServer {
             let head_dim = ctx.head_dim();
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| -> Result<()> {
                 // Failpoint: fault exactly this group (panic/delay/error).
-                if failpoint::fire("llm.step.group").is_some() {
+                if failpoint::fire(Site::LlmStepGroup).is_some() {
                     return Err(LlmError::Internal {
                         what: "forced group fault (failpoint llm.step.group)",
                     });
@@ -827,7 +827,7 @@ impl MultiServer {
                     let r = &mut self.running[i];
                     if r.remaining > 1 {
                         let forced =
-                            failpoint::fire("llm.step.append").map(|_| LlmError::KvCapacity {
+                            failpoint::fire(Site::LlmStepAppend).map(|_| LlmError::KvCapacity {
                                 what: "forced kv exhaustion (failpoint llm.step.append)",
                                 value: r.kv.seq,
                                 limit: r.kv.seq,

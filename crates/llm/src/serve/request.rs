@@ -57,27 +57,71 @@ impl DecodeRequest {
     }
 }
 
-/// Why a request was refused at admission. Every rejection is explicit
-/// and typed — [`MultiServer::submit`] hands back a handle whose
-/// [`RequestStatus::Rejected`] carries the reason, and
-/// [`Server::submit`] surfaces the same information as an [`LlmError`].
-///
-/// [`MultiServer::submit`]: crate::serve::MultiServer::submit
-/// [`Server::submit`]: crate::serve::Server::submit
-/// [`LlmError`]: crate::LlmError
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
+/// Generates [`RejectReason`] from the one table below: each variant with
+/// its docs, its fields and its wire code. The enum,
+/// [`RejectReason::code`], [`RejectReason::slot`] and
+/// [`RejectReason::CODES`] all come from the table, so a variant without a
+/// code does not compile.
+macro_rules! reject_reasons {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $({ $($(#[$field_doc:meta])* $field:ident: $ty:ty,)* })? => $code:literal,
+    )*) => {
+        /// Why a request was refused at admission. Every rejection is
+        /// explicit and typed — [`MultiServer::submit`] hands back a handle
+        /// whose [`RequestStatus::Rejected`] carries the reason, and
+        /// [`Server::submit`] surfaces the same information as an
+        /// [`LlmError`].
+        ///
+        /// [`MultiServer::submit`]: crate::serve::MultiServer::submit
+        /// [`Server::submit`]: crate::serve::Server::submit
+        /// [`LlmError`]: crate::LlmError
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum RejectReason {
+            $(
+                $(#[$doc])*
+                $variant $({ $($(#[$field_doc])* $field: $ty,)* })?,
+            )*
+        }
+
+        impl RejectReason {
+            /// Every wire code, in slot order: the protocol's `reason`
+            /// strings and the `rejected_<code>` metrics keys.
+            pub const CODES: &'static [&'static str] = &[$($code),*];
+
+            /// The protocol wire code (`queue_full`, `deadline`, ...).
+            pub fn code(&self) -> &'static str {
+                match self {
+                    $(RejectReason::$variant { .. } => $code,)*
+                }
+            }
+
+            /// This reason's index into [`RejectReason::CODES`], e.g. into
+            /// an array of per-reason counters.
+            pub fn slot(&self) -> usize {
+                enum Slot {
+                    $($variant,)*
+                }
+                match self {
+                    $(RejectReason::$variant { .. } => Slot::$variant as usize,)*
+                }
+            }
+        }
+    };
+}
+
+reject_reasons! {
     /// The bounded queue is at its configured `max_queue` limit.
     QueueFull {
         /// The configured admission limit.
         max_queue: usize,
-    },
+    } => "queue_full",
     /// The request was malformed or unservable against its context
     /// (wrong query width, zero tokens, decode past the shared context).
     Invalid {
         /// Description of the problem.
         what: &'static str,
-    },
+    } => "invalid",
     /// The request would grow its KV cache past the model's limits.
     KvCapacity {
         /// What was out of range.
@@ -86,36 +130,36 @@ pub enum RejectReason {
         value: usize,
         /// The model's limit for it.
         limit: usize,
-    },
+    } => "kv_capacity",
     /// The request named a context handle this engine never issued.
     UnknownContext {
         /// The unrecognized handle id.
         id: u64,
-    },
+    } => "unknown_context",
     /// The request was cancelled after admission
     /// ([`MultiServer::cancel`](crate::serve::MultiServer::cancel) or the
     /// protocol's `cancel` verb); its slot or queue entry was freed.
-    Cancelled,
+    Cancelled => "cancelled",
     /// SLO-aware admission projected the request cannot meet its deadline
     /// under the current load.
     Deadline {
         /// Milliseconds after which the same deadline could be met if the
         /// queue ahead has drained (always at least 1).
         retry_after_ms: u64,
-    },
+    } => "deadline",
     /// The tenant exhausted its token budget for the current rate-limit
     /// window (a budget layered on top of the fair-queue weights).
     RateLimited {
         /// Milliseconds until enough of the sliding window has passed for
         /// the same request to fit the budget (always at least 1).
         retry_after_ms: u64,
-    },
+    } => "rate_limited",
     /// The server is draining for shutdown: in-flight requests finish,
     /// but nothing new is admitted.
     Draining {
         /// Estimated milliseconds until the drain completes.
         retry_after_ms: u64,
-    },
+    } => "draining",
     /// The request was quarantined by the fault-containment layer: a
     /// contained panic, a forced KV/allocation failure mid-decode, or a
     /// watchdog shed. The request itself may have been healthy (collateral
@@ -124,7 +168,7 @@ pub enum RejectReason {
     Internal {
         /// What faulted (kernel site or watchdog description).
         what: &'static str,
-    },
+    } => "internal",
     /// The driver thread died and was rebuilt by the supervisor; every
     /// ticket alive across the restart resolves with this reason. The
     /// request can be retried after `retry_after_ms` against the warm
@@ -133,7 +177,7 @@ pub enum RejectReason {
         /// Computed backoff until the restarted driver is warm (always at
         /// least 1).
         retry_after_ms: u64,
-    },
+    } => "driver_restarted",
 }
 
 impl RejectReason {

@@ -46,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use vqllm_core::failpoint;
+use vqllm_core::failpoint::{self, Site};
 use vqllm_llm::{
     ContextHandle, RejectReason, RequestHandle, RequestOutput, RequestStatus, ServerStats,
 };
@@ -948,7 +948,7 @@ impl DriverState {
                 // Fault-injection site for the supervisor path: a panic
                 // (or error) here kills this incarnation of the driver
                 // exactly as a wedged/corrupt engine would.
-                if let Some(msg) = failpoint::fire("net.driver.step") {
+                if let Some(msg) = failpoint::fire(Site::NetDriverStep) {
                     panic!("failpoint net.driver.step: {msg}");
                 }
                 let depth = self.admission.len() + self.engine.queued();

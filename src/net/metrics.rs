@@ -137,80 +137,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     s.get(rank - 1).copied().unwrap_or(0.0)
 }
 
-/// Stable index of a rejection reason in the per-reason counter array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectKind {
-    /// Bounded queue at capacity.
-    QueueFull,
-    /// Malformed/unservable request.
-    Invalid,
-    /// Would outgrow the KV window.
-    KvCapacity,
-    /// Handle not issued by this engine.
-    UnknownContext,
-    /// Cancelled after admission.
-    Cancelled,
-    /// Deadline projected unmeetable.
-    Deadline,
-    /// Tenant token budget exhausted for the window.
-    RateLimited,
-    /// Server draining, not admitting.
-    Draining,
-    /// Quarantined by the fault-containment layer (contained panic,
-    /// forced mid-decode failure, or watchdog shed).
-    Internal,
-    /// Dropped across a supervised driver restart; retryable.
-    DriverRestarted,
-}
-
-impl RejectKind {
-    /// All kinds, in counter-array order.
-    pub const ALL: [RejectKind; 10] = [
-        RejectKind::QueueFull,
-        RejectKind::Invalid,
-        RejectKind::KvCapacity,
-        RejectKind::UnknownContext,
-        RejectKind::Cancelled,
-        RejectKind::Deadline,
-        RejectKind::RateLimited,
-        RejectKind::Draining,
-        RejectKind::Internal,
-        RejectKind::DriverRestarted,
-    ];
-
-    /// Classifies a typed rejection.
-    pub fn of(reason: &RejectReason) -> RejectKind {
-        match reason {
-            RejectReason::QueueFull { .. } => RejectKind::QueueFull,
-            RejectReason::Invalid { .. } => RejectKind::Invalid,
-            RejectReason::KvCapacity { .. } => RejectKind::KvCapacity,
-            RejectReason::UnknownContext { .. } => RejectKind::UnknownContext,
-            RejectReason::Cancelled => RejectKind::Cancelled,
-            RejectReason::Deadline { .. } => RejectKind::Deadline,
-            RejectReason::RateLimited { .. } => RejectKind::RateLimited,
-            RejectReason::Draining { .. } => RejectKind::Draining,
-            RejectReason::Internal { .. } => RejectKind::Internal,
-            RejectReason::DriverRestarted { .. } => RejectKind::DriverRestarted,
-        }
-    }
-
-    /// The protocol wire code (also the metrics JSON key suffix).
-    pub fn code(&self) -> &'static str {
-        match self {
-            RejectKind::QueueFull => "queue_full",
-            RejectKind::Invalid => "invalid",
-            RejectKind::KvCapacity => "kv_capacity",
-            RejectKind::UnknownContext => "unknown_context",
-            RejectKind::Cancelled => "cancelled",
-            RejectKind::Deadline => "deadline",
-            RejectKind::RateLimited => "rate_limited",
-            RejectKind::Draining => "draining",
-            RejectKind::Internal => "internal",
-            RejectKind::DriverRestarted => "driver_restarted",
-        }
-    }
-}
-
 /// Why a connection was closed, as the per-reason disconnect counters
 /// track it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,7 +185,8 @@ pub struct Metrics {
     pub queue_depth: Histogram,
     decoded_tokens: AtomicU64,
     admitted: AtomicU64,
-    rejected: [AtomicU64; RejectKind::ALL.len()],
+    /// Per-reason rejections, indexed by [`RejectReason::slot`].
+    rejected: [AtomicU64; RejectReason::CODES.len()],
     /// tenant -> decoded tokens.
     tenants: Mutex<Vec<(u64, u64)>>,
     /// Connections currently open (gauge).
@@ -295,7 +222,7 @@ impl Metrics {
             queue_depth: Histogram::new(),
             decoded_tokens: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
-            rejected: [const { AtomicU64::new(0) }; RejectKind::ALL.len()],
+            rejected: [const { AtomicU64::new(0) }; RejectReason::CODES.len()],
             tenants: Mutex::new(Vec::new()),
             active_connections: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
@@ -386,11 +313,9 @@ impl Metrics {
 
     /// Counts a typed rejection (including cancellations).
     pub fn record_rejection(&self, reason: &RejectReason) {
-        let kind = RejectKind::of(reason);
-        // `kind as usize` == its slot in ALL (pinned by
-        // `enum_order_matches_all` below), and the array is sized by
-        // ALL, so the lookup cannot miss.
-        if let Some(counter) = self.rejected.get(kind as usize) {
+        // `slot()` indexes `CODES`, which sizes the array, so the lookup
+        // cannot miss.
+        if let Some(counter) = self.rejected.get(reason.slot()) {
             counter.fetch_add(1, Relaxed);
         }
     }
@@ -434,10 +359,10 @@ impl Metrics {
             queue_depth_p50: self.queue_depth.quantile(0.50),
             queue_depth_max: self.queue_depth.max(),
             admitted: self.admitted.load(Relaxed),
-            rejected: RejectKind::ALL
+            rejected: RejectReason::CODES
                 .iter()
                 .zip(self.rejected.iter())
-                .map(|(k, c)| (k.code(), c.load(Relaxed)))
+                .map(|(code, c)| (*code, c.load(Relaxed)))
                 .collect(),
             active_connections: self.active_connections.load(Relaxed),
             connections_total: self.connections_total.load(Relaxed),
@@ -626,11 +551,10 @@ mod tests {
 
     #[test]
     fn enum_order_matches_all() {
-        // The counter arrays are indexed with `kind as usize`; that is
-        // only correct while ALL lists variants in declaration order.
-        for (i, k) in RejectKind::ALL.iter().enumerate() {
-            assert_eq!(*k as usize, i, "RejectKind::ALL out of declaration order");
-        }
+        // The disconnect counters are indexed with `reason as usize`;
+        // that is only correct while ALL lists variants in declaration
+        // order. (Rejection counters are indexed by the generated
+        // `RejectReason::slot`, pinned by `proto`'s wire golden.)
         for (i, r) in DisconnectReason::ALL.iter().enumerate() {
             assert_eq!(
                 *r as usize, i,

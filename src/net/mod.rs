@@ -55,9 +55,7 @@ pub use driver::{
     EngineFactory, HandleTable, StreamEvent, StreamSink, SupervisorConfig, Ticket, TicketEnd,
     WaitError,
 };
-pub use metrics::{
-    percentile, DisconnectReason, Histogram, Metrics, MetricsSnapshot, RejectKind, TenantRate,
-};
+pub use metrics::{percentile, DisconnectReason, Histogram, Metrics, MetricsSnapshot, TenantRate};
 pub use proto::{ClientFrame, PROTO_VERSION};
 pub use server::{loopback, loopback_supervised, loopback_with, NetConfig, NetServer};
 

@@ -28,7 +28,7 @@ use vqllm_llm::{RejectReason, RequestStatus};
 
 use crate::net::driver::{DriverStats, StreamEvent, TicketEnd};
 use crate::net::json::{self, Json};
-use crate::net::metrics::{MetricsSnapshot, RejectKind};
+use crate::net::metrics::MetricsSnapshot;
 
 /// The line protocol's version, announced in the `hello` frame every
 /// connection receives first. Bump on wire-incompatible changes.
@@ -155,33 +155,9 @@ pub fn submit_line(
     s
 }
 
-/// Every rejection code this protocol can put on the wire, in
-/// counter-array order. This is the protocol-side registry `vqllm-lint`
-/// cross-checks against `RejectKind::code` and the per-reason metrics
-/// counters: a code added to one place but not the others is a lint
-/// error, and `codes_cover_every_kind` below pins the mapping at run
-/// time too.
-pub const REJECT_WIRE_CODES: &[&str] = &[
-    "queue_full",
-    "invalid",
-    "kv_capacity",
-    "unknown_context",
-    "cancelled",
-    "deadline",
-    "rate_limited",
-    "draining",
-    "internal",
-    "driver_restarted",
-];
-
-/// The wire code of a rejection reason (`queue_full`, `deadline`, ...).
-pub fn reason_code(reason: &RejectReason) -> &'static str {
-    RejectKind::of(reason).code()
-}
-
 fn push_reason(reason: &RejectReason, retry_after_ms: u64, out: &mut String) {
     out.push_str(",\"reason\":");
-    json::push_escaped(reason_code(reason), out);
+    json::push_escaped(reason.code(), out);
     out.push_str(&format!(",\"retry_after_ms\":{retry_after_ms}"));
     out.push_str(",\"detail\":");
     json::push_escaped(&reason.to_string(), out);
@@ -344,11 +320,73 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_cover_every_kind() {
-        // The static registry must match what RejectKind actually emits,
-        // one to one and in order.
-        let emitted: Vec<&str> = RejectKind::ALL.iter().map(|k| k.code()).collect();
-        assert_eq!(REJECT_WIRE_CODES, emitted.as_slice());
+    fn reject_wire_codes_are_pinned() {
+        // Wire golden: the `reason` of every rejection and the order of
+        // the per-reason counters are protocol, so both are literals here.
+        // The i-th reason is counted i + 1 times, which also pins that each
+        // reason lands in its own counter.
+        let cases = [
+            (RejectReason::QueueFull { max_queue: 4 }, "queue_full"),
+            (RejectReason::Invalid { what: "w" }, "invalid"),
+            (
+                RejectReason::KvCapacity {
+                    what: "w",
+                    value: 9,
+                    limit: 8,
+                },
+                "kv_capacity",
+            ),
+            (RejectReason::UnknownContext { id: 3 }, "unknown_context"),
+            (RejectReason::Cancelled, "cancelled"),
+            (RejectReason::Deadline { retry_after_ms: 5 }, "deadline"),
+            (
+                RejectReason::RateLimited { retry_after_ms: 5 },
+                "rate_limited",
+            ),
+            (RejectReason::Draining { retry_after_ms: 5 }, "draining"),
+            (RejectReason::Internal { what: "w" }, "internal"),
+            (
+                RejectReason::DriverRestarted { retry_after_ms: 5 },
+                "driver_restarted",
+            ),
+        ];
+        let metrics = crate::net::metrics::Metrics::new();
+        for (i, (reason, code)) in cases.iter().enumerate() {
+            let frame = event_frame(&StreamEvent::Rejected {
+                id: 1,
+                reason: *reason,
+                retry_after_ms: 5,
+            });
+            let v = json::parse(&frame).expect("valid frame");
+            assert_eq!(v.get("reason").and_then(Json::as_str), Some(*code));
+            for _ in 0..=i {
+                metrics.record_rejection(reason);
+            }
+        }
+        let snapshot = metrics.snapshot().to_json();
+        let v = json::parse(&snapshot).expect("valid snapshot");
+        let keys: Vec<&str> = snapshot
+            .split('"')
+            .filter(|k| k.starts_with("rejected_"))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "rejected_queue_full",
+                "rejected_invalid",
+                "rejected_kv_capacity",
+                "rejected_unknown_context",
+                "rejected_cancelled",
+                "rejected_deadline",
+                "rejected_rate_limited",
+                "rejected_draining",
+                "rejected_internal",
+                "rejected_driver_restarted",
+            ]
+        );
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(v.get(key).and_then(Json::as_u64), Some(i as u64 + 1));
+        }
     }
 
     #[test]

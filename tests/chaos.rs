@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use vq_llm::core::failpoint::{self, Action};
+use vq_llm::core::failpoint::{self, Action, Site};
 use vq_llm::net::{spawn_driver, spawn_supervised, SupervisorConfig, WaitError};
 use vq_llm::tensor::synth;
 use vq_llm::{
@@ -113,10 +113,11 @@ fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
     srv.take_output(&handle).expect("finished").steps
 }
 
-/// Every `host.*` entry of `failpoint::SITES` is a failpoint some public
-/// kernel call fires: armed to error once, the call returns
-/// `KernelError::Panicked` at that site, and the next call runs. A site
-/// that is only a worker-panic tag passes the lint and cannot be drilled.
+/// Every `host.*` [`Site`] is a failpoint some public kernel call fires:
+/// armed to error once, the call returns `KernelError::Panicked` at that
+/// site, and the next call runs. The `match` is exhaustive, so a new site
+/// does not compile until it is drilled here or named as a serving-layer
+/// site (those are drilled by the scenarios below).
 #[test]
 fn every_registered_host_site_fires() {
     use vq_llm::kernels::host_exec::{self, HostBlocking};
@@ -136,34 +137,38 @@ fn every_registered_host_site_fires() {
     let gemm_plan = linear_plan(ComputeOp::Gemm { m: 3, n, k });
     let gemv_plan = linear_plan(ComputeOp::Gemv { n, k, batch: 1 });
 
-    let drive = |site: &str| -> Result<(), VqLlmError> {
+    let drive = |site: Site| -> Result<(), VqLlmError> {
         match site {
-            "host.gemv_lut_batch" => {
+            Site::HostGemvLutBatch => {
                 host_exec::gemv_lut(ctx.kq(), &q, &HostBlocking::default())?;
             }
-            "host.gemv_xw" => drop(session.run_gemv(&gemv_plan, &q, ctx.wq())?),
-            "host.gemm_fused" => drop(session.run_gemm(&gemm_plan, &qs, ctx.wq())?),
-            "host.attention_ragged" => {
+            Site::HostGemvXw => drop(session.run_gemv(&gemv_plan, &q, ctx.wq())?),
+            Site::HostGemmFused => drop(session.run_gemm(&gemm_plan, &qs, ctx.wq())?),
+            Site::HostAttentionRagged => {
                 session.run_attention_batch(&attn_plan, &qs, ctx.kq(), ctx.vq())?;
             }
-            other => panic!("registered site {other} has no call here that fires it"),
+            Site::LlmStep
+            | Site::LlmStepGroup
+            | Site::LlmStepAppend
+            | Site::NetDriverStep
+            | Site::PoolScope => {}
         }
         Ok(())
     };
-    let host_sites = failpoint::SITES
+    let host_sites = Site::ALL
         .iter()
-        .map(|(site, _)| *site)
-        .filter(|site| site.starts_with("host."));
+        .copied()
+        .filter(|site| site.name().starts_with("host."));
     let mut drilled = 0;
     for site in host_sites {
         failpoint::configure(site, Action::Error("drill".into()), 0, Some(1));
         match drive(site) {
             Err(VqLlmError::Kernel(KernelError::Panicked { site: at, message })) => {
-                assert_eq!((at, message.as_str()), (site, "drill"));
+                assert_eq!((at, message.as_str()), (site.name(), "drill"));
             }
-            other => panic!("armed {site} did not fail its kernel: {other:?}"),
+            other => panic!("armed {site:?} did not fail its kernel: {other:?}"),
         }
-        drive(site).unwrap_or_else(|e| panic!("{site} fired more than once: {e}"));
+        drive(site).unwrap_or_else(|e| panic!("{site:?} fired more than once: {e}"));
         failpoint::clear();
         drilled += 1;
     }
@@ -179,7 +184,12 @@ fn group_panic_quarantines_typed_and_service_recovers() {
     let (engine, h) = engine(2, 16);
     let (client, driver) = spawn_driver(engine, AdmissionConfig::default());
 
-    failpoint::configure("llm.step.group", Action::Panic("chaos".into()), 0, Some(1));
+    failpoint::configure(
+        Site::LlmStepGroup,
+        Action::Panic("chaos".into()),
+        0,
+        Some(1),
+    );
     let t1 = client.submit(NetRequest::new(h, DecodeRequest::new(1, query(1), 50, 3)));
     let end = client.wait(&t1).expect("driver alive");
     assert!(
@@ -220,7 +230,12 @@ fn kv_exhaustion_quarantines_exactly_one_request() {
 
     // The append failpoint fires once: the first request to append after
     // step 1 is quarantined, every other append proceeds normally.
-    failpoint::configure("llm.step.append", Action::Error("chaos".into()), 0, Some(1));
+    failpoint::configure(
+        Site::LlmStepAppend,
+        Action::Error("chaos".into()),
+        0,
+        Some(1),
+    );
     let victim = client.submit(NetRequest::new(h, DecodeRequest::new(1, query(1), 50, 4)));
     let survivor_req = DecodeRequest::new(2, query(2), 50, 4);
     let survivor = client.submit(NetRequest::new(h, survivor_req.clone()));
@@ -263,7 +278,12 @@ fn driver_death_unblocks_wait_with_driver_down() {
 
     // skip=1: the first step runs (so the wait below is parked on a
     // genuinely in-flight request), the second kills the driver.
-    failpoint::configure("net.driver.step", Action::Panic("kill".into()), 1, Some(1));
+    failpoint::configure(
+        Site::NetDriverStep,
+        Action::Panic("kill".into()),
+        1,
+        Some(1),
+    );
     let t = client.submit(NetRequest::new(h, DecodeRequest::new(1, query(1), 50, 8)));
     let end = client.wait(&t);
     assert!(
@@ -316,7 +336,12 @@ fn supervisor_restarts_driver_and_resolves_live_tickets() {
     .expect("initial engine build");
     let h = handles.get(0).expect("context published");
 
-    failpoint::configure("net.driver.step", Action::Panic("kill".into()), 0, Some(1));
+    failpoint::configure(
+        Site::NetDriverStep,
+        Action::Panic("kill".into()),
+        0,
+        Some(1),
+    );
     let t1 = client.submit(NetRequest::new(h, DecodeRequest::new(1, query(1), 50, 4)));
     let end = client.wait(&t1).expect("supervisor keeps the driver alive");
     let TicketEnd::Rejected {
@@ -358,7 +383,12 @@ fn drain_during_fault_resolves_every_ticket() {
     let (engine, h) = engine(2, 8);
     let (client, driver) = spawn_driver(engine, AdmissionConfig::default());
 
-    failpoint::configure("llm.step.group", Action::Panic("chaos".into()), 0, Some(1));
+    failpoint::configure(
+        Site::LlmStepGroup,
+        Action::Panic("chaos".into()),
+        0,
+        Some(1),
+    );
     let tickets: Vec<_> = (0..4)
         .map(|i| client.submit(NetRequest::new(h, DecodeRequest::new(i, query(i), 50, 3))))
         .collect();
@@ -411,7 +441,7 @@ proptest! {
         nreq in 1usize..5,
     ) {
         let _scope = fault_scope();
-        let site = ["llm.step.group", "llm.step.append", "net.driver.step"][site_ix];
+        let site = [Site::LlmStepGroup, Site::LlmStepAppend, Site::NetDriverStep][site_ix];
         let action = match kind_ix {
             0 => Action::Panic("chaos".into()),
             1 => Action::Error("chaos".into()),
@@ -439,7 +469,7 @@ proptest! {
             prop_assert!(
                 !matches!(end, Err(WaitError::Timeout)),
                 "ticket {} stuck under schedule {}={:?} skip={} times={}",
-                i, site, kind_ix, skip, times
+                i, site.name(), kind_ix, skip, times
             );
         }
         failpoint::clear();
