@@ -37,7 +37,9 @@
 //!
 //! Beside the fold it records the search inside it alone —
 //! `nearest_ns_per_search` (256 entries, vs 2) and `nearest_tier`, the
-//! arm `kmeans::nearest` dispatched to — ungated.
+//! arm `kmeans::nearest` dispatched to — ungated, and beside the softmax
+//! and value-pass costs the arms those ran: `softmax_tier` and
+//! `value_tier` (`avx512f`, `avx2+fma` or `scalar-8w`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -194,7 +196,7 @@ fn main() {
     let fused_gbps = fp16_bytes / gemv.fused_s / 1e9;
     let naive_gbps = fp16_bytes / gemv.naive_s / 1e9;
     report.section(&format!(
-        "LUT GeMV  y = dequant(Wq)·x   ({rows}×{cols}, {cfg}, simd tier {})",
+        "LUT GeMV  y = dequant(Wq)·x   ({rows}×{cols}, {cfg}, lane kernels' simd tier {})",
         simd::tier()
     ));
     report.line(format!(
@@ -452,6 +454,7 @@ fn main() {
         stream: simd::CodeSource::Packed(pv.index_stream(0)),
         first: 0,
         books: &v_books,
+        run: pv.codebooks().book_run(0, 0, 0..pgroups),
     };
     let value_pass_ns_per_code = time_s(pass_reps, || {
         let mut acc = vec![[0.0f32; 8]; pdim];
@@ -459,6 +462,10 @@ fn main() {
         acc
     }) * 1e9
         / codes;
+    // Both lane kernels dispatch to the widest arm the machine has; at this
+    // shape (8 lanes, 64 groups a consecutive arena run) the value pass
+    // takes its lane-pair kernel there.
+    let lane_tier = simd::tier();
     report.section(&format!(
         "Attention per packed code   (batch {pbatch}, {pseq}×{pdim}, {cq4})"
     ));
@@ -469,8 +476,8 @@ fn main() {
     report.line(format!(
         "  score pass (gemv_lut_batch) {score_pass_ns_per_code:.2} ns/code   \
          at batch 16 {score_pass_b16_ns_per_code:.2}   \
-         softmax {softmax_ns_per_score:.2} ns/score   \
-         value pass (value_accumulate) {value_pass_ns_per_code:.2} ns/code"
+         softmax ({lane_tier}) {softmax_ns_per_score:.2} ns/score   \
+         value pass (value_accumulate, {lane_tier}) {value_pass_ns_per_code:.2} ns/code"
     ));
 
     // --- Live KV: the private extension's passes and the fold ---
@@ -568,6 +575,8 @@ fn main() {
          \"fold_us_per_row\": {fold_us_per_row:.3},\n  \
          \"nearest_ns_per_search\": {nearest_ns_per_search:.3},\n  \
          \"nearest_tier\": \"{nearest_tier}\",\n  \
+         \"softmax_tier\": \"{lane_tier}\",\n  \
+         \"value_tier\": \"{lane_tier}\",\n  \
          \"simd_tier\": \"{}\",\n  \
          \"smoke\": {smoke}\n}}\n",
         gemv.naive_s * 1e3,

@@ -20,10 +20,11 @@
 //!   [`gemv_lut`] its one-lane case, attention's K side its prefix.
 //! * **The value pass** ([`value_lanes`] → [`simd::value_accumulate`]) —
 //!   `C = A × dequant(Wq)`, sub-vectors along the *output* axis: per packed
-//!   code, `vector_size` broadcasts from [`Codebook::entries_flat`] and as
-//!   many multiply-adds by the row's `W` weights, into register-resident
-//!   accumulators; rows streamed once per block of column groups (at one
-//!   lane the output row itself is packed into the vectors instead). It is
+//!   code, one broadcast of its entry from the codebook arena
+//!   ([`CodebookSet::book_run`]) and the multiply-adds by the row's `W`
+//!   weights, into register-resident lane-pair accumulators; rows streamed
+//!   once per block of column groups (at one lane the output row itself is
+//!   packed into the vectors instead). It is
 //!   attention's V side (weights: the softmax numerators) and
 //!   [`gemm_fused`], the linear layer (weights: the batch rows of `A`,
 //!   transposed).
@@ -37,9 +38,10 @@
 //!   descriptions ([`AttentionBatch`]) of the same call.
 //!
 //! **Where the value pass hands over.** [`simd::value_accumulate`]'s
-//! register kernel covers what serving uses: one residual round of one-byte
+//! register kernels cover what serving uses: one residual round of one-byte
 //! codes over plain 256-entry books with 2-, 4- or 8-wide entries
-//! ([`lanes_cover`]). For every other configuration — codes wider than a
+//! ([`lanes_cover`]); a span whose books are neither consecutive scopes nor
+//! one shared book runs its lane-array body. For every other configuration — codes wider than a
 //! byte, more residual rounds, lattice signs, other sub-vector widths —
 //! re-decoding a row once per lane block costs more than decoding it once
 //! to memory, so [`gemm_fused`] runs the **panel body** ([`gemm_panels`]:
@@ -68,11 +70,13 @@
 //!    polynomial [`simd::exp`]; rows past a lane's prefix become exactly
 //!    +0.0. The normalising sum is kept per lane and divides last.
 //! 3. **Value** ([`value_lanes`]): column groups outermost — a block's
-//!    codebooks are its L1-resident codebook cache, its `vector_size ×
-//!    groups` output elements × `W` lanes its register-resident
-//!    accumulators — and the rows are streamed once per block against the
-//!    row's weight vector `buf[t]`. No row is decoded, no panel exists,
-//!    nothing is transposed or gathered between the stages.
+//!    codebooks, one run of the arena, are its L1-resident codebook cache,
+//!    its `vector_size × groups` output elements × `W` lanes its
+//!    register-resident accumulators — and the rows are streamed once per
+//!    block against the row's weight vector `buf[t]`. No row is decoded,
+//!    no panel exists, nothing is gathered between the stages (the
+//!    accumulators are laid out lane-pair inside a block and element-major
+//!    outside it).
 //!
 //! # The one summation order
 //!
@@ -85,13 +89,17 @@
 //!   (lattice books: the signed dots, in the same order); a folded row then
 //!   adds its outlier residuals' dots, in push order, and a tail row is a
 //!   dot;
-//! * softmax maximum, then numerators and their sum, run in row order over
-//!   [context prefix | folded extension rows | f32 tail rows];
+//! * softmax maximum (order-free: the AVX-512 tier reduces it per row
+//!   slot of a vector, and a ±0 tie moves no numerator), then numerators
+//!   and their sum, run in row order over [context prefix | folded
+//!   extension rows | f32 tail rows];
 //! * a value-pass output — a [`gemm_fused`] element on a covered
 //!   configuration, an attention output element — is **one** chain of
 //!   multiply-adds from +0.0 over the rows: a context or folded row
 //!   contributes `weight · entry` once per residual round, rounds in order
-//!   (fused on the AVX2 tier, multiply then add on the scalar one).
+//!   (fused on the AVX2 and AVX-512 tiers — the AVX-512 tier is the AVX2
+//!   tier's arithmetic on wider vectors, so AVX-512 ≡ AVX2 bit for bit —
+//!   multiply then add on the scalar one).
 //!   Attention continues it over the outlier residuals (push order) and
 //!   the tail rows with `+= weight · value` and divides by the lane's sum;
 //! * a panel-body [`gemm_fused`] element is the sum, in row order, of one
@@ -127,13 +135,14 @@
 //! not N thread spawns. A lane block's LUT, score rows and accumulators
 //! are carved from a scratch buffer each thread keeps across calls (see
 //! `with_scratch`), so a call allocates none of them. Inner loops dispatch
-//! through [`simd`]: AVX2 + FMA
-//! when the CPU has them, 8-wide unrolled scalar lanes otherwise — per
-//! primitive for the dense ones, once per kernel call for the lane-block
-//! stages, whose per-code work is too small to carry a dispatch.
+//! through [`simd`]: AVX2 + FMA when the CPU has them (AVX-512F beside it
+//! for softmax and the value pass), 8-wide unrolled scalar lanes
+//! otherwise — per primitive for the dense ones, once per kernel call for
+//! the lane-block stages, whose per-code work is too small to carry a
+//! dispatch.
 //!
 //! [`Backend`]: crate::backend::Backend
-//! [`Codebook::entries_flat`]: vqllm_vq::Codebook::entries_flat
+//! [`CodebookSet::book_run`]: vqllm_vq::CodebookSet::book_run
 //! [`PackedIndices::unpack_block`]: vqllm_vq::PackedIndices::unpack_block
 
 pub mod pool;
@@ -245,7 +254,7 @@ fn parallel_row_chunks<T, F>(
     data: &mut [T],
     row_width: usize,
     threads: usize,
-    site: &'static str,
+    site: Site,
     f: F,
 ) -> Result<()>
 where
@@ -457,7 +466,7 @@ fn lut_scores<const W: usize>(
                     band_out,
                     1,
                     blocking.threads,
-                    "host.gemv_lut_batch",
+                    Site::HostGemvLutBatch,
                     |first, chunk| {
                         let mut codes = vec![0u32; groups];
                         for (local, yrow) in chunk.iter_mut().enumerate() {
@@ -486,7 +495,7 @@ fn lut_scores<const W: usize>(
                     band_out,
                     1,
                     blocking.threads,
-                    "host.gemv_lut_batch",
+                    Site::HostGemvLutBatch,
                     |first, chunk| {
                         let codes = simd::RowCodes {
                             stream: simd::CodeSource::Packed(stream),
@@ -590,7 +599,7 @@ pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Resu
         &mut y,
         vs,
         blocking.threads,
-        "host.gemv_xw",
+        Site::HostGemvXw,
         |first_group, ychunk| {
             let span = ychunk.len() / vs;
             let gb = group_block(SLAB_BYTES, stored, span);
@@ -741,7 +750,7 @@ fn gemm_lanes<const W: usize>(
         }
     }
     let mut acc = vec![[0.0f32; W]; c.cols()];
-    value_lanes(wq, &weights, &mut acc, threads, "host.gemm_fused")?;
+    value_lanes(wq, &weights, &mut acc, threads, Site::HostGemmFused)?;
     for b in 0..w {
         for (o, lanes) in c.row_mut(l0 + b).iter_mut().zip(&acc) {
             *o = lanes[b];
@@ -787,7 +796,7 @@ fn gemm_panels(a: &Tensor2D, wq: &QuantizedTensor, threads: usize, c: &mut Tenso
         .iter()
         .map(|(gs, ge)| vec![0.0f32; m * (ge - gs) * vs])
         .collect();
-    pool::WorkerPool::shared().try_scope("host.gemm_fused", |scope| {
+    pool::WorkerPool::shared().try_scope(Site::HostGemmFused, |scope| {
         for (&(gs, ge), buf) in strips.iter().zip(bufs.iter_mut()) {
             scope.spawn(move || gemm_strip(a, wq, gs, ge, buf));
         }
@@ -1389,7 +1398,13 @@ fn attention_lanes<const W: usize>(
             lane
         });
         let sums = simd::softmax_lanes(weights, &lane_lens, scale, lane_exts);
-        value_lanes(vq, weights, acc, blocking.threads, "host.attention_ragged")?;
+        value_lanes(
+            vq,
+            weights,
+            acc,
+            blocking.threads,
+            Site::HostAttentionRagged,
+        )?;
 
         let mut ext_weights = &*ext_weights;
         for (b, &sum) in sums.iter().enumerate().take(w) {
@@ -1409,6 +1424,7 @@ fn attention_lanes<const W: usize>(
                         stream: simd::CodeSource::Stream(codes),
                         first: 0,
                         books,
+                        run: None,
                     })
                     .collect();
                 let (lane_acc, lane_w) = (orow.as_chunks_mut::<1>().0, folded.as_chunks::<1>().0);
@@ -1432,35 +1448,50 @@ fn attention_lanes<const W: usize>(
 /// dequant(Vq)[t][d]` over the rows `weights` covers, each accumulator one
 /// chain from +0.0 in row order, residual rounds in order inside a row
 /// ([`simd::value_accumulate`]). Workers own disjoint spans of column
-/// groups (`site` tags a contained worker panic) and codebook bands only
-/// swap the books under a chain, so neither the thread count nor anything
-/// else a caller passes can move a sum.
+/// groups (`site` tags a contained worker panic), and codebook bands and
+/// the tile edges a per-tile span is cut at (so each piece's books are one
+/// arena run, [`CodebookSet::book_run`](vqllm_vq::CodebookSet::book_run))
+/// only swap the books under a chain, so neither the thread count nor
+/// anything else a caller passes can move a sum.
 fn value_lanes<const W: usize>(
     vq: &QuantizedTensor,
     weights: &[[f32; W]],
     acc: &mut [[f32; W]],
     threads: usize,
-    site: &'static str,
+    site: Site,
 ) -> Result<()> {
     let vs = vq.config().vector_size;
     let groups = vq.col_groups();
     let books = vq.codebooks();
     let band = books.band_rows();
+    // Groups per tile column: a per-tile span is cut at the tile edges, so
+    // each piece's books are one run of the arena.
+    let piece = match vq.config().scope {
+        CodebookScope::PerTile { cols, .. } => cols / vs,
+        _ => groups,
+    };
     parallel_row_chunks(acc, vs, threads, site, |gs, span| {
         let ge = gs + span.len() / vs;
         for band_start in (0..weights.len()).step_by(band) {
             let band_end = weights.len().min(band_start + band);
             let span_books = band_books(books, band_start, gs, ge);
-            let rounds: Vec<simd::ValueRound<'_>> = span_books
-                .iter()
-                .enumerate()
-                .map(|(r, books)| simd::ValueRound {
-                    stream: simd::CodeSource::Packed(vq.index_stream(r)),
-                    first: band_start * groups,
-                    books,
-                })
-                .collect();
-            simd::value_accumulate(span, &weights[band_start..band_end], &rounds, groups, gs);
+            let mut ps = gs;
+            while ps < ge {
+                let pe = ge.min((ps / piece + 1) * piece);
+                let rounds: Vec<simd::ValueRound<'_>> = span_books
+                    .iter()
+                    .enumerate()
+                    .map(|(r, round_books)| simd::ValueRound {
+                        stream: simd::CodeSource::Packed(vq.index_stream(r)),
+                        first: band_start * groups,
+                        books: &round_books[ps - gs..pe - gs],
+                        run: books.book_run(r, band_start, ps..pe),
+                    })
+                    .collect();
+                let out = &mut span[(ps - gs) * vs..(pe - gs) * vs];
+                simd::value_accumulate(out, &weights[band_start..band_end], &rounds, groups, ps);
+                ps = pe;
+            }
         }
     })
 }

@@ -176,7 +176,7 @@ impl WorkerPool {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Panicked`] (tagged with `site` and the
+    /// Returns [`KernelError::Panicked`] (tagged with `site.name()` and the
     /// job's downcast panic message) if any spawned job panicked. The
     /// panic does **not** unwind out of this call, which is what lets the
     /// serving layer above treat a poisoned kernel as a per-request fault
@@ -184,7 +184,7 @@ impl WorkerPool {
     /// the same error, tagged `pool.scope`, without running `f`.
     pub fn try_scope<'env, R>(
         &self,
-        site: &'static str,
+        site: Site,
         f: impl FnOnce(&Scope<'_, 'env>) -> R,
     ) -> Result<R, KernelError> {
         // Failpoint: fail the scope before anything is queued.
@@ -217,7 +217,10 @@ impl WorkerPool {
                     let message = lock_recover(&scope.state.panic_msg)
                         .take()
                         .unwrap_or_else(|| "worker pool job panicked".to_string());
-                    Err(KernelError::Panicked { site, message })
+                    Err(KernelError::Panicked {
+                        site: site.name(),
+                        message,
+                    })
                 } else {
                     Ok(result)
                 }
@@ -234,7 +237,7 @@ impl WorkerPool {
     /// Panics with the captured job message if any spawned job panicked
     /// (never the old bare "worker pool job panicked").
     pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        match self.try_scope("pool.scope", f) {
+        match self.try_scope(Site::PoolScope, f) {
             Ok(result) => result,
             Err(e) => panic!("{e}"),
         }
@@ -438,14 +441,14 @@ mod tests {
     fn try_scope_returns_structured_panicked_error() {
         let pool = WorkerPool::new(2);
         let err = pool
-            .try_scope("test.site", |scope| {
+            .try_scope(Site::HostGemmFused, |scope| {
                 scope.spawn(|| panic!("lut index {} out of range", 7));
                 scope.spawn(|| ());
             })
             .unwrap_err();
         match err {
             KernelError::Panicked { site, message } => {
-                assert_eq!(site, "test.site");
+                assert_eq!(site, Site::HostGemmFused.name());
                 assert_eq!(message, "lut index 7 out of range");
             }
             other => panic!("expected Panicked, got {other:?}"),
@@ -458,7 +461,7 @@ mod tests {
         // Poison every worker (more panics than threads, so workers and
         // the caller-drain path both see one).
         for _ in 0..4 {
-            let _ = pool.try_scope("test.heal", |scope| {
+            let _ = pool.try_scope(Site::HostGemvXw, |scope| {
                 for _ in 0..3 {
                     scope.spawn(|| panic!("transient"));
                 }
@@ -466,7 +469,7 @@ mod tests {
         }
         // Full healthy scope still completes with correct data.
         let counter = AtomicUsize::new(0);
-        pool.try_scope("test.heal", |scope| {
+        pool.try_scope(Site::HostGemvXw, |scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     counter.fetch_add(1, Ordering::Relaxed);

@@ -1,10 +1,14 @@
 //! SIMD-wide inner loops for the host kernels.
 //!
-//! Every primitive here ships two tiers behind one safe entry point:
+//! Every primitive here ships two tiers behind one safe entry point, and
+//! the lane kernels — softmax and the value pass — a third:
 //!
 //! * an **AVX2 + FMA** path (`#[cfg(target_arch = "x86_64")]`, selected at
 //!   runtime via `is_x86_feature_detected!`, which caches the CPUID
-//!   probe), and
+//!   probe);
+//! * for [`softmax_lanes`] and [`value_accumulate`], an **AVX-512F** path
+//!   beside it, selected the same way: the same operations on 512-bit
+//!   vectors, so its bits are the AVX2 path's;
 //! * a **scalar** fallback restructured into 8-wide unrolled accumulator
 //!   lanes so LLVM's autovectorizer reliably emits packed math on any
 //!   target (and out-of-order cores get independent dependency chains even
@@ -28,24 +32,25 @@
 //!   a live-KV extension's private rows run through the same accumulate,
 //!   their codes a [`CodeSource::Stream`];
 //! * [`softmax_lanes`] — lane-wise softmax numerators in that same buffer,
-//!   through one polynomial [`exp`] whose bits depend on the element alone;
+//!   through one polynomial [`exp`] whose bits depend on the element alone
+//!   (on AVX-512, `16 / W` rows a vector);
 //! * [`value_accumulate`] — the value pass (attention's V side, and the
-//!   linear layer with the batch as lanes): per packed code, `vector_size`
-//!   broadcast multiply-adds from the codebook entry straight into `W`-lane
-//!   accumulators — at one lane (a solo query, a private extension) the
-//!   output row itself packed into vectors. No row is ever decoded to
-//!   memory.
+//!   linear layer with the batch as lanes): per packed code, the codebook
+//!   entry times the row's weights straight into `W`-lane accumulators —
+//!   at one lane (a solo query, a private extension) the output row itself
+//!   packed into vectors. No row is ever decoded to memory.
 //!
 //! The generic loops are written once, as `#[inline(always)]` bodies over
-//! const lane counts, and compiled twice: the AVX2 entry is a
+//! const lane counts, and compiled per tier: each tier's entry is a
 //! `#[target_feature]` function the body inlines into, so the tier is
 //! picked once per call, not once per packed code. Only the value pass has
 //! hand-written intrinsic kernels beside its lane-array body (the body
-//! alone left the accumulators in memory) — one for lane blocks, one for a
-//! single lane; all three run the same chain of fused multiply-adds.
+//! alone left the accumulators in memory) — one lane-pair kernel for lane
+//! blocks, generic over the vector width, and one for a single lane; all
+//! run the same chain of fused multiply-adds.
 
 use super::CodeStream;
-use vqllm_vq::{Codebook, PackedIndices};
+use vqllm_vq::{BookRun, Codebook, PackedIndices};
 
 /// Width of the accumulator-lane unroll (one AVX2 register of f32).
 pub const LANES: usize = 8;
@@ -72,9 +77,28 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Human-readable name of the selected tier (for reports/benches).
+/// Whether the AVX-512 arms of the lane kernels ([`softmax_lanes`],
+/// [`value_accumulate`]) are selected on this machine: AVX-512F beside the
+/// AVX2 + FMA tier.
+#[inline]
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Human-readable name of the widest arm the lane kernels use on this
+/// machine (for reports/benches): `avx512f`, `avx2+fma` or `scalar-8w`.
+/// The other primitives' widest arm is AVX2 + FMA.
 pub fn tier() -> &'static str {
-    if avx2_available() {
+    if avx512_available() {
+        "avx512f"
+    } else if avx2_available() {
         "avx2+fma"
     } else {
         "scalar-8w"
@@ -588,7 +612,10 @@ pub fn exp(x: f32) -> f32 {
 /// a lane's bits depend on that lane alone: not on `W`, its position, or
 /// the rows other lanes make the buffer hold. A lane with nothing to attend
 /// (a padded slot: `lens[b] == 0`, no private rows) gets all zeros and sum
-/// 0.
+/// 0. The AVX-512 tier takes `16 / W` rows a vector: it reduces the
+/// maximum per row slot and then combines the slots (a maximum is
+/// order-free, and a ±0 tie moves no numerator), and adds each vector's
+/// rows into the sums one after the other.
 #[inline]
 pub fn softmax_lanes<const W: usize>(
     scores: &mut [[f32; W]],
@@ -597,34 +624,63 @@ pub fn softmax_lanes<const W: usize>(
     ext: [&mut [f32]; W],
 ) -> [f32; W] {
     #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        // SAFETY: AVX-512F, AVX2 and FMA presence was just verified.
+        return unsafe { softmax_lanes_avx512(scores, lens, scale, ext) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2+FMA presence was just verified.
         return unsafe { softmax_lanes_avx2(scores, lens, scale, ext) };
     }
-    softmax_lanes_body::<W, false>(scores, lens, scale, ext)
+    softmax_lanes_body::<W, false, W>(scores, lens, scale, ext)
 }
 
+/// [`softmax_lanes`] with `L` floats a vector: lane `l` of a vector is lane
+/// `l % W` of row `l / W` among the vector's `L / W` rows (`L = W` on the
+/// AVX2 and scalar tiers, one row a vector).
 #[inline(always)]
-fn softmax_lanes_body<const W: usize, const FMA: bool>(
+fn softmax_lanes_body<const W: usize, const FMA: bool, const L: usize>(
     scores: &mut [[f32; W]],
     lens: &[usize; W],
     scale: f32,
     ext: [&mut [f32]; W],
 ) -> [f32; W] {
     const MASKED: f32 = f32::NEG_INFINITY;
+    let per = L / W;
     // Row indices compare as `u32` — one vector compare a row.
-    assert!(u32::try_from(scores.len()).is_ok(), "rows index as u32");
-    let mut prefix = [0u32; W];
-    for b in 0..W {
-        prefix[b] = lens[b].min(scores.len()) as u32;
+    assert!(
+        u32::try_from(scores.len() + per).is_ok(),
+        "rows index as u32"
+    );
+    let mut prefix = [0u32; L];
+    let mut slot = [0u32; L];
+    for l in 0..L {
+        prefix[l] = lens[l % W].min(scores.len()) as u32;
+        slot[l] = (l / W) as u32;
+    }
+    let rows = scores.len();
+    let (vectors, tail) = scores.as_flattened_mut().as_chunks_mut::<L>();
+    // The rows past the last whole vector, padded with rows past every
+    // prefix.
+    let mut last = [0.0f32; L];
+    last[..tail.len()].copy_from_slice(tail);
+    let padded = usize::from(!tail.is_empty());
+
+    let mut slot_max = [MASKED; L];
+    let last_vector = std::iter::once(&last).take(padded);
+    for (c, v) in vectors.iter().chain(last_vector).enumerate() {
+        let t0 = (c * per) as u32;
+        for l in 0..L {
+            let s = v[l] * scale;
+            let s = if t0 + slot[l] < prefix[l] { s } else { MASKED };
+            slot_max[l] = if s > slot_max[l] { s } else { slot_max[l] };
+        }
     }
     let mut max = [MASKED; W];
-    for (t, row) in scores.iter().enumerate() {
-        for b in 0..W {
-            let s = row[b] * scale;
-            let s = if (t as u32) < prefix[b] { s } else { MASKED };
-            max[b] = if s > max[b] { s } else { max[b] };
-        }
+    for (l, &m) in slot_max.iter().enumerate() {
+        let b = l % W;
+        max[b] = if m > max[b] { m } else { max[b] };
     }
     for b in 0..W {
         for &s in ext[b].iter() {
@@ -638,17 +694,24 @@ fn softmax_lanes_body<const W: usize, const FMA: bool>(
         }
     }
     let mut sum = [0.0f32; W];
-    for (t, row) in scores.iter_mut().enumerate() {
-        let mut x = [MASKED; W];
-        for b in 0..W {
-            let s = row[b] * scale - max[b];
-            x[b] = if (t as u32) < prefix[b] { s } else { MASKED };
+    let last_vector = std::iter::once(&mut last).take(padded);
+    for (c, v) in vectors.iter_mut().chain(last_vector).enumerate() {
+        let t0 = (c * per) as u32;
+        let mut x = [MASKED; L];
+        for l in 0..L {
+            let s = v[l] * scale - max[l % W];
+            x[l] = if t0 + slot[l] < prefix[l] { s } else { MASKED };
         }
-        *row = exp_lanes::<W, FMA>(x);
-        for b in 0..W {
-            sum[b] += row[b];
+        *v = exp_lanes::<L, FMA>(x);
+        // Each lane's sum, one row after the other; the padded vector's
+        // rows past the buffer are not added.
+        for r in 0..per.min(rows - c * per) {
+            for b in 0..W {
+                sum[b] += v[r * W + b];
+            }
         }
     }
+    tail.copy_from_slice(&last[..tail.len()]);
     for b in 0..W {
         for s in ext[b].iter_mut() {
             *s = exp_lanes::<1, FMA>([*s * scale - max[b]])[0];
@@ -658,15 +721,50 @@ fn softmax_lanes_body<const W: usize, const FMA: bool>(
     sum
 }
 
-/// Column groups per block of the register-resident value pass for
-/// `vs`-wide entries — `G · vs` vector accumulators fill the register file
-/// — or 0 where only the lane-array body runs.
-pub const fn value_group_block(vs: usize) -> usize {
-    match vs {
-        2 => 6,
-        4 => 3,
-        8 => 1,
-        _ => 0,
+/// f32 lanes of the AVX-512 tier's vectors.
+const ZMM_LANES: usize = 16;
+
+/// Vector registers of the 256-bit (AVX2) and 512-bit (AVX-512) tiers.
+const YMM_REGISTERS: usize = 16;
+const ZMM_REGISTERS: usize = 32;
+
+/// The lane-pair value pass's layout for `w` lanes of `vs`-wide entries on
+/// a tier of `registers` vectors of `lanes` f32: `(sub, vectors, block)`.
+///
+/// * `sub`: an entry is broadcast `sub` floats at a time — all of it,
+///   unless its lane pairs would need more than `registers / 16` weight
+///   vectors a row (each with an index vector to build it): on 256-bit
+///   vectors one, so eight lanes take an entry a float at a time (the
+///   element-major layout) and four lanes two at a time; on 512-bit
+///   vectors two, so eight lanes take an 8-wide entry in halves;
+/// * `vectors`: registers a column group's accumulators take, each
+///   sub-entry's `w × sub` outputs side by side in `⌈w·sub / lanes⌉`;
+/// * `block`: column groups taken at a time — as many as have their books
+///   fit [`SLAB_BYTES`](super::SLAB_BYTES) (256 entries of `vs` floats
+///   each) and leave at least four registers free beside the accumulators.
+const fn pair_shape(w: usize, vs: usize, lanes: usize, registers: usize) -> (usize, usize, usize) {
+    let mut sub = vs;
+    while sub > 1 && w * sub > lanes * registers / 16 {
+        sub /= 2;
+    }
+    let vectors = vs / sub * (w * sub).div_ceil(lanes);
+    let books = super::SLAB_BYTES / (BYTE_ENTRIES * vs * 4);
+    let fit = (registers - 4) / vectors;
+    (sub, vectors, if books < fit { books } else { fit })
+}
+
+/// Column groups per block of the register-resident value pass for an
+/// eight-lane block of `vs`-wide entries (2, 4 or 8), on the widest tier
+/// this machine runs — the 256-bit block where it has no AVX-512 — or 0
+/// for widths only the lane-array body runs.
+pub fn value_group_block(vs: usize) -> usize {
+    if !matches!(vs, 2 | 4 | 8) {
+        return 0;
+    }
+    if avx512_available() {
+        pair_shape(LANES, vs, ZMM_LANES, ZMM_REGISTERS).2
+    } else {
+        pair_shape(LANES, vs, LANES, YMM_REGISTERS).2
     }
 }
 
@@ -682,27 +780,40 @@ pub struct ValueRound<'a> {
     pub first: usize,
     /// The round's codebook for each column group of the span.
     pub books: &'a [&'a Codebook],
+    /// The same books as one run of their set's codebook arena
+    /// ([`CodebookSet::book_run`](vqllm_vq::CodebookSet::book_run)), when
+    /// they form one: what the lane-pair kernel reads.
+    pub run: Option<BookRun<'a>>,
 }
 
 /// The value-pass inner kernel of attention, for one padded lane
 /// block and a span of column groups `[gs, gs + span)`:
 /// `acc[(i·vs + j)][b] += Σ_t Σ_round weights[t][b] · entry(t, round, gs + i)[j]`
 /// — every accumulator one chain of multiply-adds in (row, round) order,
-/// continued from the value `acc` holds on entry, fused on the AVX2 tier
-/// and separate on the scalar one. `weights` is token-major like the score
-/// buffer (the numerators [`softmax_lanes`] left there), `acc` is
-/// element-major (`span · vs` rows of lanes), `groups` the codes per row.
+/// continued from the value `acc` holds on entry, fused on the AVX2 and
+/// AVX-512 tiers and separate on the scalar one. `weights` is token-major
+/// like the score buffer (the numerators [`softmax_lanes`] left there),
+/// `acc` is element-major (`span · vs` rows of lanes), `groups` the codes
+/// per row.
 ///
-/// Nothing is decoded to memory: a packed code is an index into
-/// `Codebook::entries_flat` and `vs` broadcast multiply-adds. One round of
-/// byte codes over plain 256-entry books with 2-, 4- or 8-wide sub-vectors
-/// runs an intrinsic kernel on the AVX2 tier — a block of groups whose
-/// books fit L1 and whose accumulators fill the register file, rows
-/// streamed once per block; at `W = 1` the block's accumulators are the
-/// output row's elements side by side in vectors. Everything else (lattice
-/// signs, other widths, residual rounds, the scalar tier) runs the
-/// lane-array body. All are the chain above, so which one ran cannot be
-/// read from a result.
+/// Nothing is decoded to memory. One round of byte codes over plain
+/// 256-entry books with 2-, 4- or 8-wide entries runs an intrinsic kernel
+/// on the AVX2 and AVX-512 tiers. In lane blocks that is the **lane-pair**
+/// kernel: its accumulators hold a group's `W × vs` outputs side by side
+/// (`[b][j]`), so a code costs one broadcast of its whole entry from the
+/// round's [`BookRun`] and `⌈W·vs / 16⌉` fused multiply-adds by the row's
+/// weights, each repeated `vs` times (512-bit vectors: one at CQ-4 and
+/// eight lanes). Where that would take more weight vectors a row than the
+/// tier's registers afford, an entry is broadcast in sub-entries instead
+/// (`pair_shape`: on 256-bit vectors at eight lanes a float at a time, the
+/// element-major layout, `vs` multiply-adds a code). Groups are taken in
+/// blocks whose books fit L1 and whose accumulators stay in registers,
+/// rows streamed once per block. At
+/// `W = 1` the block's accumulators are the output row's elements side by
+/// side in vectors. Everything else (no arena run, lattice signs, other
+/// widths, residual rounds, spans shorter than a block, the scalar tier)
+/// runs the lane-array body. All are the chain above, so which one ran
+/// cannot be read from a result.
 ///
 /// # Panics
 ///
@@ -777,7 +888,10 @@ fn value_accumulate_lanes<const W: usize, const FMA: bool>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{value_group_block as G, RowCodes, ValueRound, BYTE_ENTRIES, LANES};
+    use super::{
+        pair_shape, RowCodes, ValueRound, BYTE_ENTRIES, LANES, YMM_REGISTERS, ZMM_LANES,
+        ZMM_REGISTERS,
+    };
     use std::arch::x86_64::*;
     use vqllm_vq::Codebook;
 
@@ -853,12 +967,26 @@ mod x86 {
         scale: f32,
         ext: [&mut [f32]; W],
     ) -> [f32; W] {
-        super::softmax_lanes_body::<W, true>(scores, lens, scale, ext)
+        super::softmax_lanes_body::<W, true, W>(scores, lens, scale, ext)
     }
 
-    /// [`super::value_accumulate`] on the AVX2 tier: the intrinsic kernels
-    /// for the groups they cover, the lane-array body with fused
-    /// multiply-adds for the rest.
+    /// [`super::softmax_lanes`]'s body for `W` lanes, `16 / W` rows a
+    /// vector, compiled for AVX-512F (+ AVX2, FMA).
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn softmax_lanes_avx512<const W: usize>(
+        scores: &mut [[f32; W]],
+        lens: &[usize; W],
+        scale: f32,
+        ext: [&mut [f32]; W],
+    ) -> [f32; W] {
+        super::softmax_lanes_body::<W, true, ZMM_LANES>(scores, lens, scale, ext)
+    }
+
+    /// [`super::value_accumulate`] on the AVX2 and AVX-512 tiers: the
+    /// intrinsic kernels for the spans they cover — the 512-bit lane-pair
+    /// kernel where the machine has AVX-512F, else (or on a span shorter
+    /// than its block) the 256-bit one, the row kernel at one lane — and
+    /// the lane-array body with fused multiply-adds for the rest.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn value_accumulate_avx2<const W: usize>(
         acc: &mut [[f32; W]],
@@ -870,22 +998,45 @@ mod x86 {
         let [round] = rounds else {
             return super::value_accumulate_lanes::<W, true>(acc, weights, rounds, groups, gs);
         };
-        let (books, vs) = (round.books, acc.len() / round.books.len());
-        // The run's rows, from group `gs` of the first one.
-        let bytes = round.stream.bytes().map(|b| &b[round.first + gs..]);
-        // SAFETY: AVX2+FMA are enabled for this function; the kernels
-        // check the rest of their contract themselves.
-        let done = unsafe {
-            match (bytes, vs) {
-                (Some(c), 2) => value_bytes_avx2::<2, { G(2) }, W>(acc, weights, c, books, groups),
-                (Some(c), 4) => value_bytes_avx2::<4, { G(4) }, W>(acc, weights, c, books, groups),
-                (Some(c), 8) => value_bytes_avx2::<8, { G(8) }, W>(acc, weights, c, books, groups),
+        let done = if W == 1 {
+            let (books, vs) = (round.books, acc.len() / round.books.len());
+            let plain =
+                |b: &&Codebook| !b.is_lattice() && b.entries_flat().len() == BYTE_ENTRIES * vs;
+            match round.stream.bytes() {
+                Some(c) if books.iter().all(plain) => {
+                    let (acc, weights) = (acc.as_flattened_mut(), weights.as_flattened());
+                    let c = &c[round.first + gs..];
+                    // SAFETY: AVX2+FMA are enabled for this function; every
+                    // book was checked above.
+                    unsafe {
+                        match vs {
+                            2 => value_row_bytes_avx2::<2>(acc, weights, c, books, groups),
+                            4 => value_row_bytes_avx2::<4>(acc, weights, c, books, groups),
+                            8 => value_row_bytes_avx2::<8>(acc, weights, c, books, groups),
+                            _ => 0,
+                        }
+                    }
+                }
                 _ => 0,
             }
+        } else {
+            let mut done = 0;
+            if super::avx512_available() {
+                // SAFETY: AVX-512F presence was just verified, AVX2 and
+                // FMA are enabled for this function.
+                done = unsafe { value_pairs_avx512(acc, weights, round, groups, gs) };
+            }
+            if done == 0 {
+                // SAFETY: AVX2+FMA are enabled for this function.
+                done = unsafe { value_pairs_avx2(acc, weights, round, groups, gs) };
+            }
+            done
         };
-        if done < books.len() {
+        if done < round.books.len() {
+            let vs = acc.len() / round.books.len();
             let rest = ValueRound {
-                books: &books[done..],
+                books: &round.books[done..],
+                run: None,
                 ..*round
             };
             let acc = &mut acc[done * vs..];
@@ -893,7 +1044,7 @@ mod x86 {
         }
     }
 
-    /// [`value_bytes_avx2`] at one lane, register-resident the other way
+    /// The value pass at one lane, register-resident the other way
     /// round: the output row's elements side by side in vectors, groups
     /// taken eight at a time (`VS` vectors; their books' pointers stay in
     /// general registers) and the rows streamed once per block — per row a
@@ -967,114 +1118,392 @@ mod x86 {
         covered
     }
 
-    /// The first `W` lanes of a vector from a row of lanes, the rest zero.
-    #[inline(always)]
-    unsafe fn load_lanes<const W: usize>(row: &[f32; W]) -> __m256 {
-        let p = row.as_ptr();
-        // SAFETY: caller guarantees AVX2; each arm reads exactly the `W`
-        // floats `row` holds.
-        unsafe {
-            match W {
-                8 => _mm256_loadu_ps(p),
-                4 => _mm256_zextps128_ps256(_mm_loadu_ps(p)),
-                2 => _mm256_zextps128_ps256(_mm_castpd_ps(_mm_load_sd(p.cast()))),
-                _ => _mm256_zextps128_ps256(_mm_load_ss(p)),
+    /// A vector register of the lane-pair value pass ([`value_pairs`]).
+    /// Every method is one instruction (or a load and one) of the tier
+    /// whose `#[target_feature]` frame it inlines into.
+    trait PairVector: Copy {
+        /// f32 lanes.
+        const LANES: usize;
+        /// All lanes +0.0.
+        unsafe fn zero() -> Self;
+        /// `LANES` floats from `p`.
+        unsafe fn load(p: *const f32) -> Self;
+        /// `LANES` floats to `p`.
+        unsafe fn store(self, p: *mut f32);
+        /// `a · b + c` per lane, one rounding.
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
+        /// The `S` floats at `p` repeated across the lanes.
+        unsafe fn entry<const S: usize>(p: *const f32) -> Self;
+        /// Vector `k` of a row's lane-pair weights for `S`-wide
+        /// sub-entries: lane `l` holds the `W` floats at `w` indexed by
+        /// `(k·LANES + l) / S` — each weight repeated `S` times — and +0.0
+        /// past the `W`-th.
+        unsafe fn weights<const W: usize, const S: usize>(w: *const f32, k: usize) -> Self;
+    }
+
+    impl PairVector for __m256 {
+        const LANES: usize = LANES;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            // SAFETY: the caller's frame has AVX2 (the trait's contract).
+            unsafe { _mm256_setzero_ps() }
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            // SAFETY: AVX2, and `LANES` readable floats at `p` (the
+            // caller's contract).
+            unsafe { _mm256_loadu_ps(p) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            // SAFETY: AVX2, and `LANES` writable floats at `p`.
+            unsafe { _mm256_storeu_ps(p, self) }
+        }
+
+        #[inline(always)]
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+            // SAFETY: the caller's frame has FMA.
+            unsafe { _mm256_fmadd_ps(a, b, c) }
+        }
+
+        #[inline(always)]
+        unsafe fn entry<const S: usize>(p: *const f32) -> Self {
+            // SAFETY: AVX2, and `S` readable floats at `p`; each arm
+            // reads exactly those.
+            unsafe {
+                match S {
+                    1 => _mm256_set1_ps(*p),
+                    2 => _mm256_castpd_ps(_mm256_set1_pd(p.cast::<f64>().read_unaligned())),
+                    4 => {
+                        let e = _mm_loadu_ps(p);
+                        _mm256_set_m128(e, e)
+                    }
+                    _ => _mm256_loadu_ps(p),
+                }
+            }
+        }
+
+        /// `pair_shape` gives 256-bit vectors one weight vector a row
+        /// (`k == 0`, `W·S ≤ 8`): the row itself at eight lanes, each
+        /// weight twice at four, twice or four times at two.
+        #[inline(always)]
+        unsafe fn weights<const W: usize, const S: usize>(w: *const f32, k: usize) -> Self {
+            debug_assert!(k == 0 && W * S <= LANES, "one weight vector a row");
+            // SAFETY: AVX2, and `W` readable floats at `w`; each arm reads
+            // exactly those.
+            unsafe {
+                match (W, S) {
+                    (8, _) => _mm256_loadu_ps(w),
+                    (4, _) => {
+                        let x = _mm_loadu_ps(w);
+                        _mm256_set_m128(_mm_unpackhi_ps(x, x), _mm_unpacklo_ps(x, x))
+                    }
+                    (_, 2) => {
+                        let x = _mm_castpd_ps(_mm_load_sd(w.cast()));
+                        _mm256_zextps128_ps256(_mm_unpacklo_ps(x, x))
+                    }
+                    _ => _mm256_set_m128(_mm_set1_ps(*w.add(1)), _mm_set1_ps(*w)),
+                }
             }
         }
     }
 
-    /// The first `W` lanes of `v` into a row of lanes.
-    #[inline(always)]
-    unsafe fn store_lanes<const W: usize>(row: &mut [f32; W], v: __m256) {
-        let p = row.as_mut_ptr();
-        // SAFETY: caller guarantees AVX2; each arm writes exactly the `W`
-        // floats `row` holds.
-        unsafe {
-            let lo = _mm256_castps256_ps128(v);
-            match W {
-                8 => _mm256_storeu_ps(p, v),
-                4 => _mm_storeu_ps(p, lo),
-                2 => _mm_store_sd(p.cast(), _mm_castps_pd(lo)),
-                _ => _mm_store_ss(p, lo),
+    impl PairVector for __m512 {
+        const LANES: usize = ZMM_LANES;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            // SAFETY: the caller's frame has AVX-512F (the trait's
+            // contract).
+            unsafe { _mm512_setzero_ps() }
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            // SAFETY: AVX-512F, and `LANES` readable floats at `p`.
+            unsafe { _mm512_loadu_ps(p) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            // SAFETY: AVX-512F, and `LANES` writable floats at `p`.
+            unsafe { _mm512_storeu_ps(p, self) }
+        }
+
+        #[inline(always)]
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+            // SAFETY: the caller's frame has AVX-512F.
+            unsafe { _mm512_fmadd_ps(a, b, c) }
+        }
+
+        #[inline(always)]
+        unsafe fn entry<const S: usize>(p: *const f32) -> Self {
+            // SAFETY: AVX-512F, and `S` readable floats at `p`; each arm
+            // reads exactly those.
+            unsafe {
+                match S {
+                    2 => _mm512_castpd_ps(_mm512_set1_pd(p.cast::<f64>().read_unaligned())),
+                    4 => _mm512_broadcast_f32x4(_mm_loadu_ps(p)),
+                    _ => _mm512_castpd_ps(_mm512_broadcast_f64x4(_mm256_loadu_pd(p.cast()))),
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn weights<const W: usize, const S: usize>(w: *const f32, k: usize) -> Self {
+            let idx: [i32; ZMM_LANES] = std::array::from_fn(|l| ((k * ZMM_LANES + l) / S) as i32);
+            // SAFETY: AVX-512F (+ AVX2), and `W` readable floats at `w`;
+            // each arm reads exactly those, and `idx` is below 16.
+            unsafe {
+                let src = match W {
+                    8 => _mm512_zextps256_ps512(_mm256_loadu_ps(w)),
+                    4 => _mm512_zextps128_ps512(_mm_loadu_ps(w)),
+                    _ => _mm512_zextps128_ps512(_mm_castpd_ps(_mm_load_sd(w.cast()))),
+                };
+                _mm512_permutexvar_ps(_mm512_loadu_si512(idx.as_ptr().cast()), src)
             }
         }
     }
 
-    /// The register-resident value pass: one residual round of byte
-    /// `codes` (`weights.len()` rows of `groups`, from the span's first
-    /// group) over plain 256-entry `books` of `VS`-wide entries, one book
-    /// per group of the span. Groups are taken `G` at a time — `G · VS`
-    /// vector accumulators, `G` books (L1-resident: the codebook cache) —
-    /// and each block streams the rows once: per row one load of its `W`
-    /// weights, per code `VS` broadcasts from the entry and `VS` fused
-    /// multiply-adds. A span that is not a multiple of `G` ends with a
-    /// block moved back over groups already done, whose accumulators are
-    /// recomputed and dropped; at one lane [`value_row_bytes_avx2`] runs
-    /// instead. Returns the groups covered: none — having touched nothing —
-    /// when the span is shorter than one block or a book is not such a
-    /// book.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn value_bytes_avx2<const VS: usize, const G: usize, const W: usize>(
-        acc: &mut [[f32; W]],
-        weights: &[[f32; W]],
+    /// The lane-pair value pass: one round of byte `codes`
+    /// (`weights.len() / W` rows of `groups`, from the span's first group)
+    /// over plain 256-entry books of `VS`-wide entries, one per group of
+    /// the span, read from the arena run `entries` — consecutive books
+    /// (`SHARED == false`) or one book all groups share. `acc` and
+    /// `weights` are the flattened element-major accumulators
+    /// (`span · VS` rows of `W` lanes) and weight rows; `(S, NV, G)` is
+    /// [`pair_shape`] for `V`.
+    ///
+    /// Groups are taken `G` at a time and each block streams the rows
+    /// once. A group's accumulators are lane pairs: for each `S`-wide
+    /// sub-entry (the whole entry unless `S < VS`) its `W × S` outputs
+    /// side by side as `[b][j]`, `NV` vectors in all. Per row: the row's
+    /// weights, each repeated `S` times; per code: per sub-entry one
+    /// broadcast of its `S` floats — one base address plus a constant
+    /// offset per group — and a fused multiply-add per vector. Lane
+    /// `b·S + j` of a sub-entry's vectors thus runs output `(j, b)`'s chain
+    /// of `weight · entry` multiply-adds in row order, exactly as
+    /// element-major accumulators would. The accumulators enter and leave
+    /// in `acc`'s element-major layout. A span that is not a multiple of
+    /// `G` ends with a block moved back over groups already done, whose
+    /// accumulators are recomputed and dropped. Returns the groups covered:
+    /// the span, or none — having touched nothing — when it is shorter than
+    /// one block.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has the instructions `V`'s methods use, and FMA. Lengths
+    /// are asserted here.
+    #[inline(always)]
+    unsafe fn value_pairs<
+        V: PairVector,
+        const W: usize,
+        const VS: usize,
+        const S: usize,
+        const NV: usize,
+        const G: usize,
+        const SHARED: bool,
+    >(
+        acc: &mut [f32],
+        weights: &[f32],
         codes: &[u8],
-        books: &[&Codebook],
+        entries: &[f32],
         groups: usize,
     ) -> usize {
-        let span = books.len();
-        let plain = |b: &&Codebook| !b.is_lattice() && b.entries_flat().len() == BYTE_ENTRIES * VS;
-        if span < G || !books.iter().all(plain) {
+        // Floats of a group's vectors: at most 64 for every shape
+        // `pair_shape` gives.
+        const PAIR_FLOATS: usize = 64;
+        // Vectors per sub-entry, and floats of a sub-entry's vectors.
+        let nk = NV / (VS / S);
+        let sub_floats = nk * V::LANES;
+        assert!(
+            NV * V::LANES <= PAIR_FLOATS && sub_floats >= W * S,
+            "a group's lane pairs fit its vectors"
+        );
+        let span = acc.len() / (VS * W);
+        if span < G {
             return 0;
         }
-        if W == 1 {
-            let (acc, weights) = (acc.as_flattened_mut(), weights.as_flattened());
-            // SAFETY: AVX2+FMA are enabled; every book was checked above.
-            return unsafe { value_row_bytes_avx2::<VS>(acc, weights, codes, books, groups) };
-        }
-        assert_eq!(acc.len(), span * VS, "acc is span × VS rows of lanes");
-        let rows = weights.len();
+        let book = BYTE_ENTRIES * VS;
+        let stride = if SHARED { 0 } else { book };
+        assert_eq!(acc.len(), span * VS * W, "acc is span × VS rows of W lanes");
+        assert_eq!(
+            entries.len(),
+            if SHARED { book } else { span * book },
+            "the run holds the span's books"
+        );
+        let rows = weights.len() / W;
         assert!(
             rows == 0 || (rows - 1) * groups + span <= codes.len(),
             "codes cover every row of the span"
         );
+        // Float `h·sub_floats + b·S + j` of a group's vectors is output
+        // `(h·S + j, b)`: element-major float `(h·S + j)·W + b`.
+        let element = |p: usize| {
+            let (h, q) = (p / sub_floats, p % sub_floats);
+            (q < W * S).then(|| (h * S + q % S) * W + q / S)
+        };
         let starts = (0..span / G)
             .map(|i| (i * G, 0))
             .chain((!span.is_multiple_of(G)).then_some((span - G, G - span % G)));
         for (g0, redone) in starts {
-            let flat: [*const f32; G] =
-                std::array::from_fn(|i| books[g0 + i].entries_flat().as_ptr());
-            // SAFETY: AVX2+FMA are enabled for this function. Accumulator
-            // rows `(g0 + i)·VS + j` lie in `acc` (`g0 + G ≤ span`, length
-            // asserted above). Row `t`'s codes are bytes
-            // `t·groups + g0 + i` of `codes`, inside it by the assertion
-            // above; a byte is below 256, so `code·VS + j` is inside its
-            // 256 × VS book (checked above).
+            // SAFETY: the caller guarantees `V`'s instructions. A group's
+            // vectors are `NV · LANES ≤ 64` floats of `pair` (asserted
+            // above). Accumulator floats `(g0 + i)·VS·W ..` lie in `acc`
+            // (`g0 + G ≤ span`, length asserted above); row `t`'s weights
+            // are floats `t·W ..` of `weights`, its codes bytes
+            // `t·groups + g0 + i` of `codes` (asserted above); a byte is
+            // below 256, so `(g0 + i)·stride + code·VS + j` lies in
+            // `entries` (its length asserted above).
             unsafe {
-                let mut sums = [[_mm256_setzero_ps(); VS]; G];
-                let kept = &mut acc[(g0 + redone) * VS..(g0 + G) * VS];
-                for (group, rows) in sums[redone..].iter_mut().zip(kept.chunks_exact(VS)) {
-                    for (sum, row) in group.iter_mut().zip(rows) {
-                        *sum = load_lanes(row);
+                let base = entries.as_ptr().add(g0 * stride);
+                // The accumulators enter and leave through `staged`, whose
+                // transposes may stay loops: `sums` itself is only ever
+                // indexed by constants once the row loop unrolls, so it
+                // lives in registers.
+                let mut staged = [[V::zero(); NV]; G];
+                for (i, group) in staged.iter_mut().enumerate().skip(redone) {
+                    let out = &acc[(g0 + i) * VS * W..][..VS * W];
+                    let mut pair = [0.0f32; PAIR_FLOATS];
+                    for (p, x) in pair[..NV * V::LANES].iter_mut().enumerate() {
+                        if let Some(e) = element(p) {
+                            *x = out[e];
+                        }
+                    }
+                    for (k, sum) in group.iter_mut().enumerate() {
+                        *sum = V::load(pair.as_ptr().add(k * V::LANES));
                     }
                 }
-                for (t, w) in weights.iter().enumerate() {
-                    let w = load_lanes(w);
+                let mut sums = staged;
+                for t in 0..rows {
+                    let w = weights.as_ptr().add(t * W);
+                    let mut wv = [V::zero(); NV];
+                    for (k, v) in wv[..nk].iter_mut().enumerate() {
+                        *v = V::weights::<W, S>(w, k);
+                    }
                     let row = codes.as_ptr().add(t * groups + g0);
                     for (i, group) in sums.iter_mut().enumerate() {
-                        let entry = flat[i].add(usize::from(*row.add(i)) * VS);
-                        for (j, sum) in group.iter_mut().enumerate() {
-                            *sum = _mm256_fmadd_ps(w, _mm256_broadcast_ss(&*entry.add(j)), *sum);
+                        let entry = base.add(i * stride + usize::from(*row.add(i)) * VS);
+                        for (h, vectors) in group.chunks_exact_mut(nk).enumerate() {
+                            let e = V::entry::<S>(entry.add(h * S));
+                            for (sum, &w) in vectors.iter_mut().zip(&wv) {
+                                *sum = V::fmadd(w, e, *sum);
+                            }
                         }
                     }
                 }
-                for (group, rows) in sums[redone..].iter().zip(kept.chunks_exact_mut(VS)) {
-                    for (&sum, row) in group.iter().zip(rows) {
-                        store_lanes(row, sum);
+                staged = sums;
+                for (i, group) in staged.iter().enumerate().skip(redone) {
+                    let mut pair = [0.0f32; PAIR_FLOATS];
+                    for (k, sum) in group.iter().enumerate() {
+                        sum.store(pair.as_mut_ptr().add(k * V::LANES));
+                    }
+                    let out = &mut acc[(g0 + i) * VS * W..][..VS * W];
+                    for (p, &x) in pair[..NV * V::LANES].iter().enumerate() {
+                        if let Some(e) = element(p) {
+                            out[e] = x;
+                        }
                     }
                 }
             }
         }
         span
+    }
+
+    /// Runs [`value_pairs`] on vector type `$v` for the runtime lane count,
+    /// entry width and sharing of `$key = (W, VS, SHARED)`, the layout
+    /// [`pair_shape`] derives for the type: 0 (nothing covered) for a
+    /// shape the kernel does not take.
+    macro_rules! value_pairs_on {
+        ($v:ty, $regs:expr; $key:expr; $args:tt) => {
+            value_pairs_on!(@ $v, $regs; $key; $args;
+                (2, 2) (2, 4) (2, 8) (4, 2) (4, 4) (4, 8) (8, 2) (8, 4) (8, 8))
+        };
+        (@ $v:ty, $regs:expr; $key:expr; $args:tt; $(($w:literal, $vs:literal))*) => {
+            match $key {
+                $(
+                    ($w, $vs, true) => value_pairs_on!(@arm $v, $regs, $w, $vs, true, $args),
+                    ($w, $vs, false) => value_pairs_on!(@arm $v, $regs, $w, $vs, false, $args),
+                )*
+                _ => 0,
+            }
+        };
+        (@arm $v:ty, $regs:expr, $w:literal, $vs:literal, $shared:literal, ($($a:expr),*)) => {
+            value_pairs::<
+                $v,
+                $w,
+                $vs,
+                { pair_shape($w, $vs, <$v as PairVector>::LANES, $regs).0 },
+                { pair_shape($w, $vs, <$v as PairVector>::LANES, $regs).1 },
+                { pair_shape($w, $vs, <$v as PairVector>::LANES, $regs).2 },
+                $shared,
+            >($($a),*)
+        };
+    }
+
+    /// What [`value_pairs`] reads of `round`, for `vs`-wide entries from
+    /// group `gs`: its byte codes from the span's first group, its arena
+    /// run's entries and whether they are one shared book — `None` without
+    /// byte codes or a run of 256-entry books.
+    fn pair_operands<'a>(
+        round: &ValueRound<'a>,
+        vs: usize,
+        gs: usize,
+    ) -> Option<(&'a [u8], &'a [f32], bool)> {
+        let codes = round.stream.bytes()?;
+        let run = round.run?;
+        let shared = match run.stride {
+            0 => true,
+            s if s == BYTE_ENTRIES * vs => false,
+            _ => return None,
+        };
+        Some((&codes[round.first + gs..], run.entries, shared))
+    }
+
+    /// The 256-bit lane-pair value pass ([`value_pairs`]) over `round`'s
+    /// span from group `gs`: returns the groups covered, the span or none.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn value_pairs_avx2<const W: usize>(
+        acc: &mut [[f32; W]],
+        weights: &[[f32; W]],
+        round: &ValueRound<'_>,
+        groups: usize,
+        gs: usize,
+    ) -> usize {
+        let vs = acc.len() / round.books.len();
+        let Some((codes, entries, shared)) = pair_operands(round, vs, gs) else {
+            return 0;
+        };
+        let (acc, weights) = (acc.as_flattened_mut(), weights.as_flattened());
+        // SAFETY: AVX2+FMA are enabled for this function; the kernel
+        // checks the rest of its contract itself.
+        unsafe {
+            value_pairs_on!(__m256, YMM_REGISTERS; (W, vs, shared); (acc, weights, codes, entries, groups))
+        }
+    }
+
+    /// [`value_pairs_avx2`] on 512-bit vectors.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub unsafe fn value_pairs_avx512<const W: usize>(
+        acc: &mut [[f32; W]],
+        weights: &[[f32; W]],
+        round: &ValueRound<'_>,
+        groups: usize,
+        gs: usize,
+    ) -> usize {
+        let vs = acc.len() / round.books.len();
+        let Some((codes, entries, shared)) = pair_operands(round, vs, gs) else {
+            return 0;
+        };
+        let (acc, weights) = (acc.as_flattened_mut(), weights.as_flattened());
+        // SAFETY: AVX-512F, AVX2 and FMA are enabled for this function;
+        // the kernel checks the rest of its contract itself.
+        unsafe {
+            value_pairs_on!(__m512, ZMM_REGISTERS; (W, vs, shared); (acc, weights, codes, entries, groups))
+        }
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -1114,12 +1543,13 @@ mod x86 {
 #[cfg(target_arch = "x86_64")]
 use x86::{
     dot_avx2, exp_lanes_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2,
-    softmax_lanes_avx2,
+    softmax_lanes_avx2, softmax_lanes_avx512,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vqllm_vq::{CodebookScope, CodebookSet, VqConfig};
 
     fn series(n: usize, phase: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * phase).sin()).collect()
@@ -1424,17 +1854,6 @@ mod tests {
         }
     }
 
-    /// Random plain books and byte codes for the value-pass tests.
-    fn value_fixture(vs: usize, groups: usize, rows: usize) -> (Vec<Codebook>, PackedIndices) {
-        let books = (0..groups)
-            .map(|g| Codebook::new(series(BYTE_ENTRIES * vs, 0.11 + g as f32), vs, false).unwrap())
-            .collect();
-        let codes: Vec<u32> = (0..rows * groups)
-            .map(|i| (i as u32).wrapping_mul(2654435761).rotate_left(11) % 256)
-            .collect();
-        (books, PackedIndices::pack(&codes, 8).unwrap())
-    }
-
     /// `value_accumulate` at `W` lanes — the intrinsic kernel where the
     /// tier and shape select it — against the lane-array body with the
     /// tier's multiply-add and against the plain per-element chain.
@@ -1450,12 +1869,14 @@ mod tests {
                 (16, 14, 2),
                 (24, 3, 13),
             ] {
-                let (books, stream) = value_fixture(vs, groups, rows + 1);
-                let book_refs: Vec<&Codebook> = books[gs..gs + span].iter().collect();
+                let scope = CodebookScope::PerChannelGroup { channels: vs };
+                let (set, stream) = scoped_fixture(scope, vs, groups, rows);
+                let book_refs = set.row_books(0, 0, gs..gs + span);
                 let round = ValueRound {
                     stream: CodeSource::Packed(&stream),
                     first: groups,
                     books: &book_refs,
+                    run: set.book_run(0, 0, gs..gs + span),
                 };
                 let weights: Vec<[f32; W]> = series(rows * W, 0.23)
                     .chunks_exact(W)
@@ -1470,7 +1891,7 @@ mod tests {
                 for (t, w) in weights.iter().enumerate() {
                     for i in 0..span {
                         let code = stream.get((t + 1) * groups + gs + i) as usize;
-                        let entry = books[gs + i].stored_entry(code);
+                        let entry = set.book(0, gs + i).stored_entry(code);
                         for (j, &e) in entry.iter().enumerate() {
                             for (o, &wb) in want[i * vs + j].iter_mut().zip(w) {
                                 *o = if fused {
@@ -1504,6 +1925,349 @@ mod tests {
         value_is_one_chain_per_output::<8>();
     }
 
+    /// Tiers a test names that this machine lacks, reported once a test.
+    fn report_skipped(what: &str, once: &std::sync::Once, tiers: &[(&str, bool)]) {
+        let missing: Vec<&str> = tiers.iter().filter(|t| !t.1).map(|t| t.0).collect();
+        if !missing.is_empty() {
+            once.call_once(|| eprintln!("{what}: tiers SKIPPED, CPU lacks them: {missing:?}"));
+        }
+    }
+
+    /// One value-pass kernel called by name: `(acc, weights, round,
+    /// groups, gs) → groups covered`.
+    type ValueKernel<const W: usize> =
+        unsafe fn(&mut [[f32; W]], &[[f32; W]], &ValueRound<'_>, usize, usize) -> usize;
+
+    /// The lane-pair kernels this test build knows, by name, with whether
+    /// the machine has them.
+    fn pair_kernels<const W: usize>() -> Vec<(&'static str, usize, Option<ValueKernel<W>>)> {
+        let mut tiers: Vec<(&'static str, usize, Option<ValueKernel<W>>)> = vec![
+            ("lane-pair 256", LANES, None),
+            ("lane-pair 512", ZMM_LANES, None),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_available() {
+                tiers[0].2 = Some(x86::value_pairs_avx2::<W>);
+            }
+            if avx512_available() {
+                tiers[1].2 = Some(x86::value_pairs_avx512::<W>);
+            }
+        }
+        tiers
+    }
+
+    /// Groups a lane-pair block of `vs`-wide entries takes at `W` lanes on
+    /// vectors of `lanes` f32.
+    fn pair_block_of<const W: usize>(vs: usize, lanes: usize) -> usize {
+        let registers = if lanes == ZMM_LANES {
+            ZMM_REGISTERS
+        } else {
+            YMM_REGISTERS
+        };
+        pair_shape(W, vs, lanes, registers).2
+    }
+
+    /// Runs every lane-pair kernel the machine has on `round` and checks it
+    /// against the lane-array body with fused multiply-adds, bit for bit:
+    /// a kernel covers the whole span when it has a run and the span is at
+    /// least `block` groups long (with the block moved back over a
+    /// remainder), and otherwise touches nothing.
+    fn assert_pair_tiers<const W: usize>(
+        start: &[[f32; W]],
+        weights: &[[f32; W]],
+        round: ValueRound<'_>,
+        groups: usize,
+        gs: usize,
+        what: &str,
+    ) {
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        let span = round.books.len();
+        let mut want = start.to_vec();
+        value_accumulate_lanes::<W, true>(&mut want, weights, &[round], groups, gs);
+        let tiers = pair_kernels::<W>();
+        let present: Vec<_> = tiers.iter().map(|t| (t.0, t.2.is_some())).collect();
+        report_skipped("value pass", &SKIPPED, &present);
+        let vs = start.len() / span;
+        for (name, lanes, kernel) in tiers {
+            let Some(kernel) = kernel else { continue };
+            let mut got = start.to_vec();
+            // SAFETY: the kernel's tier was detected on this machine.
+            let done = unsafe { kernel(&mut got, weights, &round, groups, gs) };
+            let covers = round.run.is_some() && span >= pair_block_of::<W>(vs, lanes);
+            assert_eq!(done, if covers { span } else { 0 }, "{name}: {what}");
+            let want = if covers { &want[..] } else { start };
+            assert_eq!(got, want, "{name}: {what}");
+        }
+    }
+
+    /// `n` rows of `W` lanes from a phase-shifted sine.
+    fn lane_rows<const W: usize>(n: usize, phase: f32) -> Vec<[f32; W]> {
+        series(n * W, phase)
+            .chunks_exact(W)
+            .map(|c| c.try_into().expect("W lanes"))
+            .collect()
+    }
+
+    /// A set of 256-entry `vs`-wide books under `scope` over `rows ×
+    /// groups·vs`, and one more row of byte codes than `rows` (the first,
+    /// skipped by the rounds).
+    fn scoped_fixture(
+        scope: CodebookScope,
+        vs: usize,
+        groups: usize,
+        rows: usize,
+    ) -> (CodebookSet, PackedIndices) {
+        let cfg = VqConfig::new(vs, 256, 1, scope).unwrap();
+        let shape = (rows + 1, groups * vs);
+        let books = (0..CodebookSet::num_scopes(&cfg, shape))
+            .map(|s| Codebook::new(series(BYTE_ENTRIES * vs, 0.13 + s as f32), vs, false).unwrap())
+            .collect();
+        let codes: Vec<u32> = (0..shape.0 * groups)
+            .map(|i| (i as u32).wrapping_mul(2654435761).rotate_left(7) % 256)
+            .collect();
+        (
+            CodebookSet::new(cfg, shape, vec![books]).unwrap(),
+            PackedIndices::pack(&codes, 8).unwrap(),
+        )
+    }
+
+    /// The lane-pair kernels at `W` lanes against the fused lane-array
+    /// body, bit for bit, per entry width: spans of whole blocks, a
+    /// moved-back remainder and one group short of a block (each tier's
+    /// block), over consecutive, shared and run-less books; then a
+    /// per-tile range across tile edges, cut at them.
+    fn value_tiers_agree<const W: usize>() {
+        let rows = 23usize;
+        let weights = lane_rows::<W>(rows, 0.23);
+        for vs in [2usize, 4, 8] {
+            let blocks = [LANES, ZMM_LANES].map(|lanes| pair_block_of::<W>(vs, lanes));
+            // Per block width: whole blocks, a moved-back remainder, and
+            // one group short of a block.
+            let mut spans: Vec<usize> = blocks
+                .iter()
+                .flat_map(|&g| [g, 2 * g, 2 * g + 3, g - 1])
+                .filter(|&n| n > 0)
+                .collect();
+            spans.sort_unstable();
+            spans.dedup();
+            for span in spans {
+                let (gs, groups) = (3, span + 5);
+                let scopes = [
+                    (
+                        "consecutive",
+                        CodebookScope::PerChannelGroup { channels: vs },
+                        true,
+                    ),
+                    ("shared", CodebookScope::PerTensor, true),
+                    (
+                        "two groups a book",
+                        CodebookScope::PerChannelGroup { channels: 2 * vs },
+                        false,
+                    ),
+                ];
+                for (kind, scope, has_run) in scopes {
+                    let (set, stream) = scoped_fixture(scope, vs, groups, rows);
+                    let books = set.row_books(0, 0, gs..gs + span);
+                    let run = set.book_run(0, 0, gs..gs + span);
+                    assert_eq!(run.is_some(), has_run || span <= 2, "{kind} run");
+                    let round = ValueRound {
+                        stream: CodeSource::Packed(&stream),
+                        first: groups,
+                        books: &books,
+                        run,
+                    };
+                    let start = lane_rows::<W>(span * vs, 0.57);
+                    let what = format!("W {W} vs {vs} span {span} {kind}");
+                    assert_pair_tiers(&start, &weights, round, groups, gs, &what);
+                }
+            }
+        }
+        // Per-tile books: a range across a tile edge has no run; cut at the
+        // edge, each piece is one shared book, on every tier the same
+        // chains as the lane-array body over the whole range.
+        for vs in [2usize, 4, 8] {
+            let tile = 2 * pair_block_of::<W>(vs, LANES).max(pair_block_of::<W>(vs, ZMM_LANES));
+            let groups = 3 * tile;
+            let scope = CodebookScope::PerTile {
+                rows: rows + 1,
+                cols: tile * vs,
+            };
+            let (set, stream) = scoped_fixture(scope, vs, groups, rows);
+            let (gs, ge) = (tile / 2, 2 * tile + 3);
+            assert_eq!(set.book_run(0, 1, gs..ge), None, "a run across tile edges");
+            let start = lane_rows::<W>((ge - gs) * vs, 0.61);
+            let all_books = set.row_books(0, 1, gs..ge);
+            let whole = ValueRound {
+                stream: CodeSource::Packed(&stream),
+                first: groups,
+                books: &all_books,
+                run: None,
+            };
+            let mut want = start.clone();
+            value_accumulate_lanes::<W, true>(&mut want, &weights, &[whole], groups, gs);
+            for (name, _, kernel) in pair_kernels::<W>() {
+                let Some(kernel) = kernel else { continue };
+                let mut got = start.clone();
+                for (ps, pe) in [(gs, tile), (tile, 2 * tile), (2 * tile, ge)] {
+                    let books = set.row_books(0, 1, ps..pe);
+                    let piece = ValueRound {
+                        books: &books,
+                        run: set.book_run(0, 1, ps..pe),
+                        ..whole
+                    };
+                    assert_eq!(piece.run.map(|r| r.stride), Some(0), "one book a tile");
+                    let acc = &mut got[(ps - gs) * vs..(pe - gs) * vs];
+                    // SAFETY: the kernel's tier was detected on this machine.
+                    let done = unsafe { kernel(acc, &weights, &piece, groups, ps) };
+                    if done == 0 {
+                        value_accumulate_lanes::<W, true>(acc, &weights, &[piece], groups, ps);
+                    }
+                }
+                assert_eq!(got, want, "{name}: W {W} vs {vs} per-tile pieces");
+            }
+        }
+    }
+
+    #[test]
+    fn value_tiers_agree_bit_for_bit() {
+        value_tiers_agree::<2>();
+        value_tiers_agree::<4>();
+        value_tiers_agree::<8>();
+    }
+
+    #[test]
+    fn value_tiers_agree_at_serving_size() {
+        // A 2048-token CQ-4 cache of head_dim 128, eight lanes: every block
+        // loop of every tier takes many trips.
+        let (rows, groups, vs) = (2048usize, 64usize, 2usize);
+        let scope = CodebookScope::PerChannelGroup { channels: vs };
+        let (set, stream) = scoped_fixture(scope, vs, groups, rows);
+        let books = set.row_books(0, 0, 0..groups);
+        let round = ValueRound {
+            stream: CodeSource::Packed(&stream),
+            first: groups,
+            books: &books,
+            run: set.book_run(0, 0, 0..groups),
+        };
+        let weights = lane_rows::<8>(rows, 0.0071);
+        let start = vec![[0.0f32; 8]; groups * vs];
+        assert_pair_tiers(&start, &weights, round, groups, 0, "2048x128 CQ-4");
+    }
+
+    /// One softmax body called by name, [`softmax_lanes`]'s signature.
+    type SoftmaxBody<const W: usize> =
+        unsafe fn(&mut [[f32; W]], &[usize; W], f32, [&mut [f32]; W]) -> [f32; W];
+
+    /// Softmax bodies by name: the scalar body one row a vector and
+    /// sixteen lanes a vector (the row-slot logic, on any machine), then
+    /// the AVX2 and AVX-512 tiers where the machine has them (`None`
+    /// otherwise).
+    fn softmax_bodies<const W: usize>() -> [(&'static str, Option<SoftmaxBody<W>>); 4] {
+        #[allow(unused_mut)]
+        let mut bodies: [(&'static str, Option<SoftmaxBody<W>>); 4] = [
+            (
+                "scalar, a row a vector",
+                Some(softmax_lanes_body::<W, false, W>),
+            ),
+            (
+                "scalar, 16 lanes a vector",
+                Some(softmax_lanes_body::<W, false, ZMM_LANES>),
+            ),
+            ("avx2", None),
+            ("avx512", None),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_available() {
+                bodies[2].1 = Some(softmax_lanes_avx2::<W>);
+            }
+            if avx512_available() {
+                bodies[3].1 = Some(softmax_lanes_avx512::<W>);
+            }
+        }
+        bodies
+    }
+
+    /// Every softmax body at `W` lanes on the same buffers, bit for bit
+    /// within the unfused (scalar) and the fused (vector) pair: row counts
+    /// odd, even and past a vector, prefixes ending mid-pair, a padded
+    /// lane, a ±0 tie at a lane's maximum and a NaN score.
+    fn softmax_tiers_agree<const W: usize>() {
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        let bodies = softmax_bodies::<W>();
+        let present: Vec<_> = bodies.iter().map(|b| (b.0, b.1.is_some())).collect();
+        report_skipped("softmax", &SKIPPED, &present);
+        let scale = 0.125f32;
+        for rows in [0usize, 1, 2, 3, 15, 16, 17, 37] {
+            let mut scores: Vec<[f32; W]> = lane_rows::<W>(rows, 0.41)
+                .into_iter()
+                .map(|r| r.map(|s| s * 40.0 - 20.0))
+                .collect();
+            // Lane 0: a ±0 tie at its maximum. The last lane: a NaN score.
+            for row in scores.iter_mut() {
+                row[0] = -row[0].abs();
+            }
+            if rows >= 3 {
+                scores[0][0] = -0.0;
+                scores[rows / 2][0] = 0.0;
+                scores[rows - 1][0] = -0.0;
+                scores[rows / 3][W - 1] = f32::NAN;
+            }
+            // Prefixes: the whole buffer, one row short (mid-pair), a
+            // padded lane, half of it.
+            let lens: [usize; W] = std::array::from_fn(|b| match b % 4 {
+                0 => rows,
+                1 => rows.saturating_sub(1),
+                2 if b == 2 => 0,
+                _ => rows / 2 + 1,
+            });
+            let ext_lens: [usize; W] = std::array::from_fn(|b| if b == 2 { 0 } else { b % 3 });
+            let exts: Vec<Vec<f32>> = ext_lens
+                .iter()
+                .enumerate()
+                .map(|(b, &n)| {
+                    series(n, 0.7 + b as f32)
+                        .iter()
+                        .map(|s| s * 30.0 - 10.0)
+                        .collect()
+                })
+                .collect();
+            // The scalar bodies multiply and add, the vector tiers fuse:
+            // each pair must agree.
+            let mut want: [Option<(Vec<u32>, Vec<u32>)>; 2] = [None, None];
+            for (i, (name, body)) in bodies.iter().enumerate() {
+                let Some(body) = body else { continue };
+                let mut got = scores.clone();
+                let mut got_ext = exts.clone();
+                let mut refs = got_ext.iter_mut();
+                let lane_exts: [&mut [f32]; W] =
+                    std::array::from_fn(|_| refs.next().expect("W lanes").as_mut_slice());
+                // SAFETY: the body's tier was detected on this machine.
+                let sums = unsafe { body(&mut got, &lens, scale, lane_exts) };
+                let out: Vec<u32> = got
+                    .as_flattened()
+                    .iter()
+                    .chain(got_ext.concat().iter())
+                    .map(|x| x.to_bits())
+                    .collect();
+                let result = (out, sums.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                match &want[i / 2] {
+                    None => want[i / 2] = Some(result),
+                    Some(want) => assert_eq!(&result, want, "{name}: W {W} rows {rows}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_tiers_agree_bit_for_bit() {
+        softmax_tiers_agree::<1>();
+        softmax_tiers_agree::<2>();
+        softmax_tiers_agree::<4>();
+        softmax_tiers_agree::<8>();
+    }
+
     #[test]
     fn gemm_tile_matches_naive_triple_loop() {
         let kb = 11;
@@ -1532,9 +2296,9 @@ mod tests {
 
     #[test]
     fn tier_is_reported() {
-        // On x86_64 CI this exercises the AVX2 path; elsewhere the scalar
-        // tier. Either way the selection is stable across calls.
+        // On x86_64 CI this exercises the AVX2 or AVX-512 path; elsewhere
+        // the scalar tier. Either way the selection is stable across calls.
         assert_eq!(tier(), tier());
-        assert!(["avx2+fma", "scalar-8w"].contains(&tier()));
+        assert!(["avx512f", "avx2+fma", "scalar-8w"].contains(&tier()));
     }
 }

@@ -302,11 +302,35 @@ impl Codebook {
 }
 
 /// All codebooks of one quantized tensor: `books[residual][scope]`.
+///
+/// Beside the books the set keeps a **codebook arena** per residual round:
+/// every scope's stored entries back to back, scope-major (book `s` starts
+/// at float `s · stored · vs`), built once here like [`Codebook`]'s
+/// element-major mirror. It is what a kernel stages as its codebook cache:
+/// a run of column groups whose books are consecutive scopes, or one
+/// shared scope, is one base address and a constant stride
+/// ([`book_run`](Self::book_run)), so a block of books needs no pointer
+/// table. Rounds of lattice or unequally sized books get no arena.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CodebookSet {
     config: VqConfig,
     shape: (usize, usize),
     books: Vec<Vec<Codebook>>,
+    /// `arena[r]`: round `r`'s books' stored entries, scope-major; empty
+    /// when the round has none (see the type's docs).
+    arena: Vec<Vec<f32>>,
+}
+
+/// The codebooks of a run of column groups inside one round's arena
+/// ([`CodebookSet::book_run`]): group `i` of the run decodes through the
+/// book starting at float `i · stride` of `entries`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BookRun<'a> {
+    /// The run's books back to back, or the one book all of them share.
+    pub entries: &'a [f32],
+    /// Floats from one group's book to the next: `stored · vs` when the
+    /// groups' scopes are consecutive, 0 when they share one book.
+    pub stride: usize,
 }
 
 impl CodebookSet {
@@ -324,11 +348,30 @@ impl CodebookSet {
                 value: books.len(),
             });
         }
+        let arena = books.iter().map(|round| Self::arena_of(round)).collect();
         Ok(CodebookSet {
             config,
             shape,
             books,
+            arena,
         })
+    }
+
+    /// One round's books' stored entries, scope-major — or nothing when a
+    /// book is a lattice book or the books differ in size.
+    fn arena_of(round: &[Codebook]) -> Vec<f32> {
+        let len = round.first().map_or(0, |b| b.entries_flat().len());
+        if round
+            .iter()
+            .any(|b| b.is_lattice() || b.entries_flat().len() != len)
+        {
+            return Vec::new();
+        }
+        round
+            .iter()
+            .flat_map(Codebook::entries_flat)
+            .copied()
+            .collect()
     }
 
     /// Number of distinct codebooks per residual level for `shape`.
@@ -384,6 +427,43 @@ impl CodebookSet {
         groups
             .map(|g| self.book(r, self.scope_index(row, g * self.config.vector_size)))
             .collect()
+    }
+
+    /// The residual-`r` books of column groups `groups` at `row` (and at
+    /// every other row of its band) as one run of the round's arena: a base
+    /// and a stride of `stored · vs` when the groups' scopes are
+    /// consecutive (CQ-4, CQ-2: one book per group), 0 when they all share
+    /// one book (per-tensor scopes, a per-tile range inside one tile), and
+    /// `None` for any other pattern, an empty range, or a round without an
+    /// arena. A per-tile range that crosses a tile edge is `None`: callers
+    /// split their spans there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r`, `row` or a group is out of range.
+    pub fn book_run(&self, r: usize, row: usize, groups: Range<usize>) -> Option<BookRun<'_>> {
+        let arena = &self.arena[r];
+        let (first, n) = (groups.start, groups.len());
+        if arena.is_empty() || n == 0 {
+            return None;
+        }
+        let book = arena.len() / self.scopes();
+        // Every scope is a whole number of groups wide, so along a row the
+        // scope never skips one from a group to the next: the two ends of
+        // the range decide the pattern.
+        let scope = |g: usize| self.scope_index(row, g * self.config.vector_size);
+        let (s0, last) = (scope(first), scope(groups.end - 1));
+        let (stride, books) = if last == s0 {
+            (0, 1)
+        } else if last - s0 == n - 1 {
+            (book, n)
+        } else {
+            return None;
+        };
+        Some(BookRun {
+            entries: &arena[s0 * book..(s0 + books) * book],
+            stride,
+        })
     }
 
     /// Codebooks per residual level.
@@ -576,6 +656,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn book_run_addresses_the_arena_per_scope_pattern() {
+        // Distinct books: book `s` holds `s` in every element.
+        let books = |n: usize, vs: usize| {
+            (0..n)
+                .map(|s| Codebook::new(vec![s as f32; 256 * vs], vs, false).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let set = |scope, shape, vs| {
+            let cfg = VqConfig::new(vs, 256, 1, scope).unwrap();
+            let n = CodebookSet::num_scopes(&cfg, shape);
+            CodebookSet::new(cfg, shape, vec![books(n, vs)]).unwrap()
+        };
+        // `(first scope, stride in books, books in the run)` of a run.
+        let run_of = |set: &CodebookSet, row, groups| {
+            let run = set.book_run(0, row, groups)?;
+            let book = 256 * set.config().vector_size;
+            Some((
+                run.entries[0] as usize,
+                run.stride / book,
+                run.entries.len() / book,
+            ))
+        };
+        // CQ-4 / CQ-2 shape: one book per group, consecutive.
+        let cq = set(CodebookScope::PerChannelGroup { channels: 2 }, (8, 32), 2);
+        assert_eq!(run_of(&cq, 5, 3..9), Some((3, 1, 6)));
+        for g in 3..9 {
+            let at = (g - 3) * 512;
+            assert_eq!(
+                cq.book_run(0, 0, 3..9).unwrap().entries[at..at + 512],
+                *cq.book(0, g).entries_flat()
+            );
+        }
+        // Per tensor: one shared book.
+        let tensor = set(CodebookScope::PerTensor, (8, 32), 4);
+        assert_eq!(run_of(&tensor, 7, 0..8), Some((0, 0, 1)));
+        // Per tile: shared inside a tile, nothing across its edge; the
+        // band picks the tile row.
+        let tile = set(CodebookScope::PerTile { rows: 4, cols: 16 }, (8, 32), 4);
+        assert_eq!(run_of(&tile, 0, 0..4), Some((0, 0, 1)));
+        assert_eq!(run_of(&tile, 4, 4..8), Some((3, 0, 1)));
+        assert_eq!(run_of(&tile, 0, 2..6), None);
+        // Two groups a book: shared within a pair, no pattern beyond.
+        let pairs = set(CodebookScope::PerChannelGroup { channels: 8 }, (8, 32), 4);
+        assert_eq!(run_of(&pairs, 0, 2..4), Some((1, 0, 1)));
+        assert_eq!(run_of(&pairs, 0, 1..4), None);
+        assert_eq!(run_of(&pairs, 0, 2..2), None);
+        // Lattice books get no arena.
+        let cfg = VqConfig::new_lattice(2, 16, 4, 1, CodebookScope::PerTensor).unwrap();
+        let lattice = Codebook::new(vec![1.0; 8], 2, true).unwrap();
+        let set = CodebookSet::new(cfg, (8, 8), vec![vec![lattice]]).unwrap();
+        assert_eq!(set.book_run(0, 0, 0..4), None);
     }
 
     fn plain_book_4() -> Codebook {

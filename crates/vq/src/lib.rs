@@ -44,7 +44,7 @@ pub mod scalar;
 pub mod stats;
 
 pub use algorithms::VqAlgorithm;
-pub use codebook::{Codebook, CodebookSet};
+pub use codebook::{BookRun, Codebook, CodebookSet};
 pub use config::{CodebookScope, VqConfig};
 pub use packing::PackedIndices;
 pub use quantizer::{QuantizedTensor, VqQuantizer};
