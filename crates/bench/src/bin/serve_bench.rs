@@ -2,8 +2,8 @@
 //!
 //! Two scenarios, both parity-asserted before timing anything:
 //!
-//! 1. **Single context** — tokens/second of the batched request scheduler
-//!    (`Session::serve`, continuous batching at `max_batch = 8`) against
+//! 1. **Single context** — tokens/second of a one-context `vq_llm::Engine`
+//!    (continuous batching at `max_batch = 8`) against
 //!    per-request looping (the same requests, the same kernels, but one
 //!    request in flight at a time — what a naive server would do), over a
 //!    shared pre-quantized context. The batched scheduler wins because
@@ -119,6 +119,37 @@ fn quantize_context(session: &Session, seq: usize, dim: usize, seed: u64) -> Sha
     .expect("context")
 }
 
+/// A fresh engine on the session's backend over `contexts`, returning one
+/// handle per context, in order.
+fn engine(
+    session: &Session,
+    contexts: &[&SharedContext],
+    config: ServeConfig,
+) -> (Engine, Vec<ContextHandle>) {
+    let mut engine = Engine::builder()
+        .backend(std::sync::Arc::clone(session.backend()))
+        .weight_algo(VqAlgorithm::Gptvq2)
+        .kv_algo(VqAlgorithm::Cq4)
+        .serve_config(config)
+        .build()
+        .expect("engine");
+    let handles = contexts
+        .iter()
+        .map(|&ctx| engine.register_context(ctx.clone()).expect("register"))
+        .collect();
+    (engine, handles)
+}
+
+/// A fresh one-context engine over `ctx`.
+fn one_ctx_engine(
+    session: &Session,
+    ctx: &SharedContext,
+    config: ServeConfig,
+) -> (Engine, ContextHandle) {
+    let (engine, handles) = engine(session, &[ctx], config);
+    (engine, handles[0])
+}
+
 /// Tokens/second of one full drain, best of `reps` (best-of suppresses
 /// shared-runner scheduling noise).
 fn tokens_per_s(
@@ -130,12 +161,10 @@ fn tokens_per_s(
     let mut best = f64::INFINITY;
     let mut tokens = 0u64;
     for _ in 0..reps.max(1) {
-        let mut srv = session
-            .serve(ctx.clone(), ServeConfig::new(max_batch, TENANTS))
-            .expect("server");
+        let (mut srv, h) = one_ctx_engine(session, ctx, ServeConfig::new(max_batch, TENANTS));
         let handles: Vec<_> = requests()
             .into_iter()
-            .map(|r| srv.submit(r).expect("admitted"))
+            .map(|r| srv.try_submit(h, r).expect("admitted"))
             .collect();
         let t0 = Instant::now();
         srv.run_until_drained().expect("drain");
@@ -152,11 +181,9 @@ fn tokens_per_s(
 /// every step decodes a full batch — the shape the tail-latency gate is
 /// about.
 fn step_profile(session: &Session, ctx: &SharedContext, max_batch: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(max_batch, 2 * TENANTS))
-        .expect("server");
+    let (mut srv, h) = one_ctx_engine(session, ctx, ServeConfig::new(max_batch, 2 * TENANTS));
     for r in requests_from(0).into_iter().chain(requests_from(TENANTS)) {
-        srv.submit(r).expect("admitted");
+        srv.try_submit(h, r).expect("admitted");
     }
     let mut latencies_us = Vec::new();
     let mut queue_depths = Vec::new();
@@ -176,16 +203,12 @@ fn mixed_engine(
     ctx_b: &SharedContext,
     max_batch: usize,
 ) -> (Engine, ContextHandle, ContextHandle) {
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(max_batch, TENANTS))
-        .build()
-        .expect("engine");
-    let ha = engine.register_context(ctx_a.clone()).expect("register A");
-    let hb = engine.register_context(ctx_b.clone()).expect("register B");
-    (engine, ha, hb)
+    let (engine, handles) = engine(
+        session,
+        &[ctx_a, ctx_b],
+        ServeConfig::new(max_batch, TENANTS),
+    );
+    (engine, handles[0], handles[1])
 }
 
 /// Tokens/second of one mixed two-context engine drain, best of `reps`.
@@ -225,14 +248,8 @@ struct LiveKvRun {
 }
 
 fn live_kv_run(session: &Session, ctx: &SharedContext, mode: KvQuantMode) -> LiveKvRun {
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(TENANTS, TENANTS).with_kv_quant(mode))
-        .build()
-        .expect("engine");
-    let h = engine.register_context(ctx.clone()).expect("register");
+    let config = ServeConfig::new(TENANTS, TENANTS).with_kv_quant(mode);
+    let (mut engine, h) = one_ctx_engine(session, ctx, config);
     let handles: Vec<_> = requests()
         .into_iter()
         .map(|r| engine.submit(h, r))
@@ -281,19 +298,15 @@ fn main() {
     // disagree. The batched drain and the per-request drain must produce
     // identical bytes for every tenant (the scheduler's bitwise contract).
     {
-        let mut batched = session
-            .serve(ctx.clone(), ServeConfig::new(TENANTS, TENANTS))
-            .expect("server");
-        let mut looped = session
-            .serve(ctx.clone(), ServeConfig::new(1, TENANTS))
-            .expect("server");
+        let (mut batched, bh) = one_ctx_engine(&session, &ctx, ServeConfig::new(TENANTS, TENANTS));
+        let (mut looped, lh) = one_ctx_engine(&session, &ctx, ServeConfig::new(1, TENANTS));
         let hb: Vec<_> = requests()
             .into_iter()
-            .map(|r| batched.submit(r).expect("admitted"))
+            .map(|r| batched.try_submit(bh, r).expect("admitted"))
             .collect();
         let hl: Vec<_> = requests()
             .into_iter()
-            .map(|r| looped.submit(r).expect("admitted"))
+            .map(|r| looped.try_submit(lh, r).expect("admitted"))
             .collect();
         batched.run_until_drained().expect("drain");
         looped.run_until_drained().expect("drain");

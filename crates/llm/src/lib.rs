@@ -26,7 +26,7 @@ pub use model::LlamaConfig;
 pub use pipeline::{DecodeBreakdown, E2eReport, Pipeline, QuantScheme};
 pub use serve::{
     ContextHandle, ContextStats, DecodeRequest, FairQueue, KvQuantMode, MultiServer, RejectReason,
-    RequestHandle, RequestId, RequestOutput, RequestStatus, ServeConfig, Server, ServerStats,
+    RequestHandle, RequestId, RequestOutput, RequestStatus, ServeConfig, ServerStats,
     SharedContext, SloEstimator, StepReport, TenantKv,
 };
 

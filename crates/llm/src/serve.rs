@@ -5,36 +5,36 @@
 //! and a multi-row linear streams the weight's packed rows once for the
 //! whole batch ([`Backend::run_gemm`]) — so what this module adds is the
 //! machinery that *keeps those batches full under traffic*
-//! (EVA's decode-centric interface, PAPERS.md):
+//! (EVA's decode-centric interface, PAPERS.md). It lives in one scheduler,
+//! [`MultiServer`], which `vq_llm::Engine` wraps:
 //!
-//! * **admission** — [`Server::submit`] accepts a [`DecodeRequest`] into a
-//!   bounded FIFO queue ([`ServeConfig::max_queue`]) or rejects it
-//!   explicitly; nothing is ever dropped silently;
-//! * **continuous batch formation** — every [`Server::step`] re-forms the
-//!   decode batch: finished requests leave their slot, queued ones take
-//!   it, up to [`ServeConfig::max_batch`] in flight;
+//! * **a context registry** — [`MultiServer::register_context`] plans a
+//!   [`SharedContext`] once, from its measured access distribution, and
+//!   returns the [`ContextHandle`] requests are tagged with;
+//! * **admission** — [`MultiServer::submit`] accepts a [`DecodeRequest`]
+//!   into a bounded FIFO queue ([`ServeConfig::max_queue`]) or rejects it
+//!   with a typed [`RejectReason`]; nothing is ever dropped silently;
+//! * **continuous batch formation** — every [`MultiServer::step`]
+//!   re-forms the decode batch: finished requests leave their slot,
+//!   queued ones take it, up to [`ServeConfig::max_batch`] in flight
+//!   engine-wide, and each live context group runs one ragged-attention
+//!   pass plus one GeMM;
 //! * **per-tenant KV ownership** — each request owns a [`KvCache`]
 //!   descriptor (its position in the shared context, validated growth),
-//!   while all tenants share one quantized context ([`SharedContext`]),
-//!   one `PlanCache`, and one backend through the [`Pipeline`];
-//! * **a deterministic driver** — [`Server::step`] is synchronous and
-//!   side-effect-free beyond its own state, so tests can single-step the
-//!   scheduler and a bench can meter tokens/second; an async/tokio driver
-//!   can wrap it later without touching the scheduling logic;
-//! * **multi-context batches** — the [`multi`] module generalizes all of
-//!   the above to a registry of contexts ([`MultiServer`], what
-//!   `vq_llm::Engine` wraps): requests are tagged with a
-//!   [`ContextHandle`], slots and the queue are shared engine-wide, and
-//!   each step runs one ragged-attention + one GeMM pass **per live
-//!   context group** through canonical plans made once, at registration,
-//!   from the context's measured access distribution. [`Server`] itself
-//!   is now a thin single-context view over it.
+//!   while all tenants of a context share its quantized tensors, one
+//!   `PlanCache`, and one backend through the [`Pipeline`];
+//! * **a deterministic driver** — [`MultiServer::step`] is synchronous
+//!   and side-effect-free beyond its own state, so tests can single-step
+//!   the scheduler and a bench can meter tokens/second; the network
+//!   driver (`vq_llm::net`) wraps it without touching the scheduling
+//!   logic.
 //!
-//! Numerically the scheduler is *invisible*: each step runs one canonical
-//! ragged-attention plan and one canonical linear plan at whatever batch
-//! happens to be live, and both kernels are bitwise lane-stable across
-//! batch widths — a request decoded in a full batch produces exactly the
-//! bytes it would produce running alone (`tests/serving.rs` pins this).
+//! Numerically the scheduler is *invisible*: each step runs the
+//! context's canonical ragged-attention and linear plans at whatever
+//! batch happens to be live, and both kernels are bitwise lane-stable
+//! across batch widths — a request decoded in a full batch produces
+//! exactly the bytes it would produce running alone (`tests/serving.rs`
+//! pins this).
 //!
 //! [`Backend::run_attention`]: vqllm_kernels::backend::Backend::run_attention
 //! [`Backend::run_gemm`]: vqllm_kernels::backend::Backend::run_gemm
@@ -44,16 +44,16 @@
 pub mod fair;
 pub mod multi;
 pub mod request;
-pub mod scheduler;
 pub mod slo;
 pub mod tenant_kv;
 
 pub use fair::FairQueue;
-pub use multi::{ContextHandle, ContextStats, MultiServer, REJECTED_TOMBSTONE_CAP};
+pub use multi::{
+    ContextHandle, ContextStats, MultiServer, ServerStats, StepReport, REJECTED_TOMBSTONE_CAP,
+};
 pub use request::{
     DecodeRequest, RejectReason, RequestHandle, RequestId, RequestOutput, RequestStatus,
 };
-pub use scheduler::{Server, ServerStats, StepReport};
 pub use slo::SloEstimator;
 pub use tenant_kv::TenantKv;
 
@@ -103,7 +103,7 @@ pub enum KvQuantMode {
     },
 }
 
-/// Admission and batching limits of a [`Server`].
+/// Admission and batching limits of a [`MultiServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest decode batch formed per step (in-flight request slots).
@@ -166,8 +166,8 @@ impl ServeConfig {
     }
 }
 
-/// The quantized state every request of a [`Server`] decodes against: one
-/// K cache, one V cache (`seq × head_dim` each), and one output-projection
+/// The quantized state a registered context's requests decode against:
+/// one K cache, one V cache (`seq × head_dim` each), and one output-projection
 /// weight (`head_dim × head_dim`).
 ///
 /// This is the EVA/VecInfer serving scenario: tenants fan out over a

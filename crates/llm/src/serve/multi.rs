@@ -2,9 +2,7 @@
 //! registry of quantized contexts, with per-context canonical plans made
 //! once, at registration, from measured access profiles.
 //!
-//! This is the generalization the single-context [`Server`] grew out of
-//! (and now delegates to): requests are tagged with a [`ContextHandle`] at
-//! submission, and every [`MultiServer::step`] re-forms the decode batch
+//! Requests are tagged with a [`ContextHandle`] at submission, and every [`MultiServer::step`] re-forms the decode batch
 //! **per context group** — the running set is partitioned by context, and
 //! each live group runs one shared-K-decode ragged attention pass plus one
 //! batched linear through that context's own canonical plans. Slots
@@ -17,8 +15,6 @@
 //! weight, profiled once when it registers; a step never profiles, plans
 //! or touches the `PlanCache`. The plans key the modelled counters a
 //! backend reports — the host kernels read nothing else from them.
-//!
-//! [`Server`]: crate::serve::Server
 
 use crate::kv::KvCache;
 use crate::pipeline::{Pipeline, QuantScheme};
@@ -98,9 +94,9 @@ struct CanonicalPlans {
 /// Plans the two canonical serving shapes of `ctx` — attention decode at
 /// batch 1 over the full cached sequence, and the `head_dim × head_dim`
 /// projection GeMV — through the pipeline's shared `PlanCache`, each under
-/// its tensor's [`measured`] profile. Every front end (single-context
-/// `Server`, multi-context `MultiServer`/engine) registers through here,
-/// so sibling registrations of the same context are pure cache hits.
+/// its tensor's [`measured`] profile. Every registration goes through
+/// here, so sibling registrations of the same context — on this
+/// scheduler or another sharing the cache — are pure cache hits.
 fn warm_canonical_plans(
     pipeline: &Pipeline,
     ctx: &SharedContext,
@@ -281,7 +277,7 @@ impl ServerStats {
 /// shared `PlanCache`; every step reuses them at whatever per-context
 /// group is live. The host kernels read nothing from a plan and are
 /// lane-stable across batch widths, so decode output is bitwise identical
-/// whether a request runs alone on a single-context server or
+/// whether a request runs alone on a one-context scheduler or
 /// co-scheduled in a mixed-context batch (`tests/serving.rs` pins this).
 ///
 /// Drive it with [`MultiServer::step`] (one batched decode step,

@@ -1,17 +1,18 @@
 //! Request vocabulary of the serving layer: what a tenant submits, the
 //! handle it gets back, and the output it can collect.
 
-/// Server-assigned request identifier (unique per [`Server`] instance).
+/// Scheduler-assigned request identifier (unique per [`MultiServer`]
+/// instance).
 ///
-/// [`Server`]: crate::serve::Server
+/// [`MultiServer`]: crate::serve::MultiServer
 pub type RequestId = u64;
 
-/// Opaque handle returned by [`Server::submit`]; pass it back to query
-/// [`Server::status`] or collect [`Server::take_output`].
+/// Opaque handle returned by [`MultiServer::submit`]; pass it back to
+/// [`MultiServer::poll`] or collect [`MultiServer::take_output`].
 ///
-/// [`Server::submit`]: crate::serve::Server::submit
-/// [`Server::status`]: crate::serve::Server::status
-/// [`Server::take_output`]: crate::serve::Server::take_output
+/// [`MultiServer::submit`]: crate::serve::MultiServer::submit
+/// [`MultiServer::poll`]: crate::serve::MultiServer::poll
+/// [`MultiServer::take_output`]: crate::serve::MultiServer::take_output
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RequestHandle {
     pub(crate) id: RequestId,
@@ -70,11 +71,11 @@ macro_rules! reject_reasons {
         /// Why a request was refused at admission. Every rejection is
         /// explicit and typed — [`MultiServer::submit`] hands back a handle
         /// whose [`RequestStatus::Rejected`] carries the reason, and
-        /// [`Server::submit`] surfaces the same information as an
+        /// [`MultiServer::try_submit`] surfaces the same information as an
         /// [`LlmError`].
         ///
         /// [`MultiServer::submit`]: crate::serve::MultiServer::submit
-        /// [`Server::submit`]: crate::serve::Server::submit
+        /// [`MultiServer::try_submit`]: crate::serve::MultiServer::try_submit
         /// [`LlmError`]: crate::LlmError
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum RejectReason {
@@ -297,7 +298,7 @@ pub enum RequestStatus {
 /// The collected result of a completed request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutput {
-    /// Server-assigned id.
+    /// Scheduler-assigned id.
     pub id: RequestId,
     /// The tenant tag from the [`DecodeRequest`].
     pub tenant: u64,

@@ -1,16 +1,20 @@
-//! The `Engine`: the multi-context serving entry point.
+//! The `Engine`: the one serving front end.
 //!
-//! A [`Session`](crate::Session) binds one configuration to *one* view of
-//! the framework; an [`Engine`] owns the whole serving side of it — one
-//! backend, one shared [`PlanCache`], and a **registry of quantized
-//! contexts** ([`Engine::register_context`]), with the typed request
-//! lifecycle the serving layer is built around:
+//! A [`Session`] plans, quantizes and models; an [`Engine`] serves. It
+//! owns one backend, one shared [`PlanCache`], and a **registry of
+//! quantized contexts** ([`Engine::register_context`]), with the typed
+//! request lifecycle the serving layer is built around:
 //!
 //! ```text
-//! Engine::submit(ctx, req) -> RequestHandle
-//! Engine::poll(&handle)    -> Queued | Running | Finished{tokens} | Rejected{reason}
-//! Engine::step()           -> one decode step across every live context group
+//! Engine::register_context(ctx) -> ContextHandle
+//! Engine::submit(ctx, req)      -> RequestHandle (try_submit: Result-shaped)
+//! Engine::poll(&handle)         -> Queued | Running | Finished{tokens} | Rejected{reason}
+//! Engine::step()                -> one decode step across every live context group
 //! ```
+//!
+//! Serving one context is registering one context: a one-context engine
+//! at `ServeConfig::new(1, 1)` is the solo reference every batched,
+//! networked or fault-injected decode is pinned against bitwise.
 //!
 //! Every [`Engine::step`] re-forms the decode batch per context group:
 //! slots (`max_batch`) and the bounded queue are shared engine-wide, and
@@ -290,13 +294,12 @@ pub(crate) fn build_shared(
     }))
 }
 
-/// A multi-context serving engine: one backend + one shared plan cache +
-/// a registry of quantized contexts, driven by the typed
-/// submit/poll/step lifecycle.
+/// A serving engine: one backend + one shared plan cache + a registry of
+/// quantized contexts, driven by the typed submit/poll/step lifecycle.
 ///
-/// [`Engine::session`] hands out [`Session`] views — the single-context
-/// compatibility facade — sharing this engine's backend, plan cache, and
-/// configuration.
+/// [`Engine::session_unbound`] hands out a [`Session`] sharing this
+/// engine's backend, plan cache, and configuration, for quantizing the
+/// contexts it registers.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<EngineShared>,
@@ -390,32 +393,10 @@ impl Engine {
 
     // --- sessions ---
 
-    /// A [`Session`] view bound to a registered context: it shares this
-    /// engine's backend, plan cache, and configuration, and exposes the
-    /// single-context API (`serve`, `quantize_*`, `run_*`) against that
-    /// context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::Pipeline`] with
-    /// [`LlmError::UnknownContext`](vqllm_llm::LlmError::UnknownContext)
-    /// when the handle was not issued by this engine.
-    pub fn session(&self, handle: ContextHandle) -> Result<Session> {
-        let ctx = self
-            .server
-            .context(handle)
-            .ok_or(VqLlmError::Pipeline(vqllm_llm::LlmError::UnknownContext {
-                id: handle.id(),
-            }))?
-            .clone();
-        Ok(Session::view(Arc::clone(&self.shared), Some((handle, ctx))))
-    }
-
-    /// An unbound [`Session`] view (no context attached) sharing this
-    /// engine's backend, plan cache, and configuration — the planning /
-    /// quantization front end.
+    /// A [`Session`] sharing this engine's backend, plan cache, and
+    /// configuration — the planning / quantization front end.
     pub fn session_unbound(&self) -> Session {
-        Session::view(Arc::clone(&self.shared), None)
+        Session::view(Arc::clone(&self.shared))
     }
 
     // --- the typed request lifecycle ---

@@ -7,7 +7,7 @@
 //! whole framework (profile → codebook-cache placement → dataflow → fusion
 //! → codegen → execute, paper Fig. 7) with a pluggable execution
 //! [`Backend`] and a memoizing [`PlanCache`] shared by every pipeline it
-//! creates.
+//! creates. Serving goes through [`Engine`].
 //!
 //! ## Quickstart
 //!
@@ -84,7 +84,7 @@ pub use vqllm_gpu::GpuSpec;
 pub use vqllm_kernels::KernelOutput;
 pub use vqllm_llm::{
     ContextHandle, ContextStats, DecodeRequest, E2eReport, KvQuantMode, LlamaConfig, Pipeline,
-    QuantScheme, RejectReason, RequestHandle, RequestOutput, RequestStatus, ServeConfig, Server,
+    QuantScheme, RejectReason, RequestHandle, RequestOutput, RequestStatus, ServeConfig,
     ServerStats, SharedContext, StepReport, TenantKv,
 };
 pub use vqllm_vq::{VqAlgorithm, VqConfig};

@@ -1,4 +1,4 @@
-//! The `Session` facade: one ergonomic, cache-aware view of the engine.
+//! The `Session` facade: the paper's modelling front end.
 //!
 //! The paper's framework is a single coherent pipeline — profile →
 //! codebook-cache placement → dataflow → fusion → codegen → execute
@@ -11,17 +11,16 @@
 //! * a pluggable [`Backend`](crate::Backend) supplies planning,
 //!   estimation, and functional execution (the performance model today; a
 //!   real-GPU backend later);
-//! * a shared, memoizing [`PlanCache`] makes repeated planning requests —
-//!   the serving hot path — a hash probe instead of re-running Alg. 2, and
-//!   is inherited by every [`Pipeline`] the session creates.
+//! * a shared, memoizing [`PlanCache`] makes a repeated planning request
+//!   a hash probe instead of a re-run of Alg. 2, and is inherited by every
+//!   [`Pipeline`] the session creates.
 //!
-//! Since the engine redesign a `Session` is a **thin view** over the same
-//! shared state an [`Engine`](crate::Engine) owns (device + algorithms +
-//! backend + plan cache), optionally **bound to one registered context**
-//! ([`Engine::session`](crate::Engine::session)) — the single-context
-//! compatibility facade over the multi-context serving API. A standalone
-//! `Session::builder()` still works exactly as before for planning,
-//! quantization, and single-context serving.
+//! A `Session` plans, quantizes and models; serving is
+//! [`Engine`](crate::Engine)'s job. [`Engine::session_unbound`] hands out
+//! a `Session` over the engine's own device, algorithms, backend and plan
+//! cache, which is how a server quantizes the contexts it registers.
+//!
+//! [`Engine::session_unbound`]: crate::Engine::session_unbound
 //!
 //! ```
 //! use vq_llm::{OptLevel, Session, VqAlgorithm};
@@ -48,10 +47,7 @@ use vqllm_core::plan_cache::{CacheStats, PlanCache, PlanKey, PlanRequest};
 use vqllm_core::{codegen, ComputeOp, KernelPlan, OptLevel, ProfileSummary};
 use vqllm_gpu::GpuSpec;
 use vqllm_kernels::{AccessProfile, KernelOutput};
-use vqllm_llm::serve::ContextHandle;
-use vqllm_llm::{
-    E2eReport, LlamaConfig, Pipeline, QuantScheme, ServeConfig, Server, SharedContext,
-};
+use vqllm_llm::{E2eReport, LlamaConfig, Pipeline, QuantScheme};
 use vqllm_tensor::Tensor2D;
 use vqllm_vq::{QuantizedTensor, VqAlgorithm, VqConfig, VqQuantizer};
 
@@ -162,21 +158,18 @@ impl SessionBuilder {
             self.backend,
             self.plan_cache,
         )?;
-        Ok(Session::view(shared, None))
+        Ok(Session::view(shared))
     }
 }
 
 /// A configured VQ-LLM view: device + algorithms + optimization level +
-/// backend + shared plan cache, optionally bound to one registered
-/// context (see [`Engine::session`](crate::Engine::session)).
+/// backend + shared plan cache.
 ///
 /// Cloning is cheap (everything is behind one `Arc`), so a server can
 /// hand one clone to every worker thread.
 #[derive(Debug, Clone)]
 pub struct Session {
     shared: Arc<EngineShared>,
-    /// The engine context this view is bound to, if any.
-    bound: Option<(ContextHandle, SharedContext)>,
 }
 
 impl Session {
@@ -187,11 +180,8 @@ impl Session {
     }
 
     /// Internal constructor: a view over shared engine state.
-    pub(crate) fn view(
-        shared: Arc<EngineShared>,
-        bound: Option<(ContextHandle, SharedContext)>,
-    ) -> Session {
-        Session { shared, bound }
+    pub(crate) fn view(shared: Arc<EngineShared>) -> Session {
+        Session { shared }
     }
 
     // --- accessors ---
@@ -234,17 +224,6 @@ impl Session {
     /// Hit/miss counters of the shared plan cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.plan_cache.stats()
-    }
-
-    /// The engine context handle this view is bound to, if it came from
-    /// [`Engine::session`](crate::Engine::session).
-    pub fn context_handle(&self) -> Option<ContextHandle> {
-        self.bound.as_ref().map(|(h, _)| *h)
-    }
-
-    /// The registered context this view is bound to, if any.
-    pub fn bound_context(&self) -> Option<&SharedContext> {
-        self.bound.as_ref().map(|(_, ctx)| ctx)
     }
 
     /// The quantization scheme this session's pipeline runs under.
@@ -553,43 +532,5 @@ impl Session {
     pub fn generate(&self, prompt: usize, gen_tokens: usize, batch: usize) -> E2eReport {
         self.pipeline(self.scheme())
             .generate(prompt, gen_tokens, batch)
-    }
-
-    // --- serving ---
-
-    /// A batched request [`Server`] over this session: tenants submitted
-    /// through [`Server::submit`] share `ctx`'s quantized context, this
-    /// session's backend, and its plan cache, while each owns its KV
-    /// position; every [`Server::step`] re-forms the decode batch
-    /// (continuous batching) and runs one shared-K-decode attention pass
-    /// plus one batched linear for all live requests.
-    ///
-    /// For decode batches spanning **multiple** contexts, use
-    /// [`Engine`](crate::Engine) instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::Pipeline`] on a degenerate config or when no
-    /// launchable plan exists for the serving shapes.
-    pub fn serve(&self, ctx: SharedContext, config: ServeConfig) -> Result<Server> {
-        Ok(Server::new(self.pipeline(self.scheme()), ctx, config)?)
-    }
-
-    /// [`Session::serve`] against the context this view is bound to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::InvalidSession`] when the session is not
-    /// bound to a context, otherwise as [`Session::serve`].
-    pub fn serve_bound(&self, config: ServeConfig) -> Result<Server> {
-        let Some((_, ctx)) = &self.bound else {
-            return Err(VqLlmError::InvalidSession {
-                what: "context",
-                detail: "session is not bound to an engine context; use \
-                         Engine::session(handle) or Session::serve(ctx, config)"
-                    .to_string(),
-            });
-        };
-        self.serve(ctx.clone(), config)
     }
 }

@@ -72,7 +72,7 @@ fn harness() -> &'static (Session, SharedContext) {
 }
 
 /// A fresh engine over the harness context, sharing the harness backend
-/// so decode bytes are comparable with solo session drains.
+/// so decode bytes are comparable with solo drains.
 fn engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
     let (session, ctx) = harness();
     let mut engine = Engine::builder()
@@ -100,17 +100,14 @@ fn query(tenant: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Drains one request alone through `Session::serve` — the solo
-/// reference healthy requests must reproduce bitwise even with faults
-/// flying around them.
+/// Drains one request alone through a fresh one-context engine at batch
+/// 1 — the solo reference healthy requests must reproduce bitwise even
+/// with faults flying around them.
 fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
-    let (session, ctx) = harness();
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(1, 1))
-        .expect("solo server");
-    let handle = srv.submit(req).expect("admitted");
-    srv.run_until_drained().expect("drained");
-    srv.take_output(&handle).expect("finished").steps
+    let (mut solo, h) = engine(1, 1);
+    let ticket = solo.try_submit(h, req).expect("admitted");
+    solo.run_until_drained().expect("drained");
+    solo.take_output(&ticket).expect("finished").steps
 }
 
 /// Every `host.*` [`Site`] is a failpoint some public kernel call fires:

@@ -2,7 +2,7 @@
 //! driver-thread lifecycle, weighted fairness under contention, SLO
 //! deadline rejection, cancellation, and — the acceptance pin — a
 //! loopback TCP client whose streamed token frames are **bitwise**
-//! identical to a solo in-process `Session` drain of the same requests.
+//! identical to a solo in-process engine drain of the same requests.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -46,7 +46,7 @@ fn harness() -> &'static (Session, SharedContext) {
 }
 
 /// A fresh engine over the harness context, sharing the harness backend
-/// so decode bytes are comparable with solo session drains.
+/// so decode bytes are comparable with solo drains.
 fn engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
     let (session, ctx) = harness();
     let mut engine = Engine::builder()
@@ -66,21 +66,18 @@ fn query(tenant: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Drains one request alone through `Session::serve` — the solo
-/// reference the driven/TCP paths must reproduce bitwise.
+/// Drains one request alone through a fresh one-context engine at batch
+/// 1 — the solo reference the driven/TCP paths must reproduce bitwise.
 fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
-    let (session, ctx) = harness();
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(1, 1))
-        .expect("solo server");
-    let handle = srv.submit(req).expect("admitted");
-    srv.run_until_drained().expect("drained");
-    srv.take_output(&handle).expect("finished").steps
+    let (mut solo, h) = engine(1, 1);
+    let ticket = solo.try_submit(h, req).expect("admitted");
+    solo.run_until_drained().expect("drained");
+    solo.take_output(&ticket).expect("finished").steps
 }
 
 /// The driver completes work submitted through the thread-safe client,
 /// resolves waits, streams tokens in order, and its decode bytes match a
-/// solo session drain.
+/// solo drain.
 #[test]
 fn driver_completes_streams_and_matches_solo() {
     let (engine, h) = engine(2, 16);
@@ -278,7 +275,7 @@ fn cancel_through_the_driver_resolves_typed() {
 }
 
 /// The acceptance pin: tokens streamed over a real TCP socket are
-/// bitwise identical to a solo `Session` drain of the same request. Also
+/// bitwise identical to a solo engine drain of the same request. Also
 /// exercises the `poll`, `cancel`, and `stats` verbs end to end.
 #[test]
 fn loopback_tcp_streamed_tokens_are_bitwise_equal_to_solo_session() {
@@ -363,7 +360,7 @@ fn loopback_tcp_streamed_tokens_are_bitwise_equal_to_solo_session() {
         let solo = solo_reference(DecodeRequest::new(tenant, query(tenant), context_len, gen));
         assert_eq!(
             rows, solo,
-            "tenant {tenant}: TCP-streamed tokens diverged bitwise from solo session"
+            "tenant {tenant}: TCP-streamed tokens diverged bitwise from solo drain"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Deterministic scheduler harness for the serving layer.
 //!
-//! The `Server` is a synchronous state machine — no threads, no clocks —
+//! An `Engine` is a synchronous state machine — no threads, no clocks —
 //! so these tests single-step it and assert exact scheduling behaviour:
 //!
 //! * continuous batch re-formation (a request finishing mid-decode frees a
@@ -10,7 +10,9 @@
 //! * **bitwise parity**: a request decoded inside a full, ragged batch
 //!   produces exactly the bytes it produces running alone through
 //!   `Session::run_attention_ragged` / `Session::run_attention_batch`
-//!   with batch = 1 and the server's own canonical plans;
+//!   with batch = 1 and the engine's own canonical plans, and a request
+//!   in a mixed two-context batch produces the bytes of a one-context
+//!   engine draining it alone;
 //! * a property: random arrival/length schedules (seeded, no wall-clock)
 //!   always terminate, never exceed `max_batch`, and account for every
 //!   submission as completed or rejected.
@@ -22,7 +24,7 @@ use vq_llm::llm::LlmError;
 use vq_llm::tensor::{synth, Tensor2D};
 use vq_llm::{
     ContextHandle, DecodeRequest, Engine, KvQuantMode, RejectReason, RequestStatus, ServeConfig,
-    Server, Session, SharedContext, VqAlgorithm,
+    Session, SharedContext, VqAlgorithm, VqLlmError,
 };
 
 const SEQ: usize = 320;
@@ -71,28 +73,39 @@ fn harness() -> &'static (Session, SharedContext, SharedContext) {
     })
 }
 
-fn server(max_batch: usize, max_queue: usize) -> Server {
-    let (session, ctx, _) = harness();
-    session
-        .serve(ctx.clone(), ServeConfig::new(max_batch, max_queue))
-        .expect("valid server")
-}
-
-/// An engine over both harness contexts (fresh plan cache per call so
-/// stats assertions don't race other tests), sharing the harness
-/// session's backend.
-fn two_ctx_engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle, ContextHandle) {
-    let (session, ctx_a, ctx_b) = harness();
+/// An engine over `contexts`, sharing the harness session's backend and
+/// plan cache (so only the first registration of a context plans); one
+/// handle per context, in order. Tests that assert on plan-cache counters
+/// build their own engine.
+fn engine_over(contexts: &[&SharedContext], config: ServeConfig) -> (Engine, Vec<ContextHandle>) {
+    let (session, _, _) = harness();
     let mut engine = Engine::builder()
         .backend(std::sync::Arc::clone(session.backend()))
+        .plan_cache(std::sync::Arc::clone(session.plan_cache()))
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(max_batch, max_queue))
+        .serve_config(config)
         .build()
         .expect("valid engine");
-    let ha = engine.register_context(ctx_a.clone()).expect("register A");
-    let hb = engine.register_context(ctx_b.clone()).expect("register B");
-    (engine, ha, hb)
+    let handles = contexts
+        .iter()
+        .map(|&ctx| engine.register_context(ctx.clone()).expect("register"))
+        .collect();
+    (engine, handles)
+}
+
+/// An engine over harness context A alone.
+fn one_ctx_engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
+    let (_, ctx_a, _) = harness();
+    let (engine, handles) = engine_over(&[ctx_a], ServeConfig::new(max_batch, max_queue));
+    (engine, handles[0])
+}
+
+/// An engine over both harness contexts.
+fn two_ctx_engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle, ContextHandle) {
+    let (_, ctx_a, ctx_b) = harness();
+    let (engine, handles) = engine_over(&[ctx_a, ctx_b], ServeConfig::new(max_batch, max_queue));
+    (engine, handles[0], handles[1])
 }
 
 fn query(tenant: u64) -> Vec<f32> {
@@ -107,41 +120,44 @@ fn query_b(tenant: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Drains one request alone through the single-context `Session::serve`
-/// facade (its own canonical plans, batch of one) and returns its decoded
-/// steps — the solo reference the engine's mixed-context batches must
-/// reproduce bitwise.
+/// Drains one request alone through a fresh one-context engine (its own
+/// canonical plans, batch of one) and returns its decoded steps — the
+/// solo reference the engine's mixed-context batches must reproduce
+/// bitwise.
 fn solo_reference(ctx: &SharedContext, req: DecodeRequest) -> Vec<Vec<f32>> {
-    let (session, _, _) = harness();
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(1, 1))
-        .expect("solo server");
-    let handle = srv.submit(req).expect("admitted");
-    srv.run_until_drained().expect("drained");
-    srv.take_output(&handle).expect("finished").steps
+    let (mut solo, handles) = engine_over(&[ctx], ServeConfig::new(1, 1));
+    let ticket = solo.try_submit(handles[0], req).expect("admitted");
+    solo.run_until_drained().expect("drained");
+    solo.take_output(&ticket).expect("finished").steps
 }
 
 #[test]
 fn finishing_request_frees_a_slot_a_queued_request_takes() {
-    let mut srv = server(2, 8);
-    let a = srv.submit(DecodeRequest::new(1, query(1), 40, 2)).unwrap();
-    let b = srv.submit(DecodeRequest::new(2, query(2), 60, 5)).unwrap();
-    let c = srv.submit(DecodeRequest::new(3, query(3), 25, 3)).unwrap();
-    assert_eq!(srv.status(&a), RequestStatus::Queued);
+    let (mut srv, h) = one_ctx_engine(2, 8);
+    let a = srv
+        .try_submit(h, DecodeRequest::new(1, query(1), 40, 2))
+        .unwrap();
+    let b = srv
+        .try_submit(h, DecodeRequest::new(2, query(2), 60, 5))
+        .unwrap();
+    let c = srv
+        .try_submit(h, DecodeRequest::new(3, query(3), 25, 3))
+        .unwrap();
+    assert_eq!(srv.poll(&a), RequestStatus::Queued);
 
     // Step 0: a and b take the two slots; c waits.
     let r0 = srv.step().unwrap();
     assert_eq!(r0.batch, 2);
     assert_eq!(r0.admitted, vec![a.id(), b.id()]);
     assert_eq!(r0.queued, 1);
-    assert_eq!(srv.status(&a), RequestStatus::Running);
-    assert_eq!(srv.status(&c), RequestStatus::Queued);
+    assert_eq!(srv.poll(&a), RequestStatus::Running);
+    assert_eq!(srv.poll(&c), RequestStatus::Queued);
 
     // Step 1: a decodes its last token and leaves mid-drain.
     let r1 = srv.step().unwrap();
     assert_eq!(r1.batch, 2);
     assert_eq!(r1.finished, vec![a.id()]);
-    assert_eq!(srv.status(&a), RequestStatus::Finished { tokens: 2 });
+    assert_eq!(srv.poll(&a), RequestStatus::Finished { tokens: 2 });
 
     // Step 2: the freed slot goes to c — the batch is re-formed, not
     // drained to empty first.
@@ -154,11 +170,11 @@ fn finishing_request_frees_a_slot_a_queued_request_takes() {
     assert!(rest.iter().all(|r| r.batch <= 2));
     assert!(srv.is_idle());
     for (h, gen) in [(a, 2usize), (b, 5), (c, 3)] {
-        assert_eq!(srv.status(&h), RequestStatus::Finished { tokens: gen });
+        assert_eq!(srv.poll(&h), RequestStatus::Finished { tokens: gen });
         let out = srv.take_output(&h).expect("output ready");
         assert_eq!(out.steps.len(), gen);
         assert!(out.steps.iter().all(|s| s.len() == HEAD_DIM));
-        assert_eq!(srv.status(&h), RequestStatus::Unknown, "collected");
+        assert_eq!(srv.poll(&h), RequestStatus::Unknown, "collected");
     }
     let stats = srv.stats();
     assert_eq!(stats.submitted, 3);
@@ -170,37 +186,45 @@ fn finishing_request_frees_a_slot_a_queued_request_takes() {
 
 #[test]
 fn admission_limits_reject_explicitly() {
-    let mut srv = server(1, 2);
-    srv.submit(DecodeRequest::new(1, query(1), 10, 2)).unwrap();
-    srv.submit(DecodeRequest::new(2, query(2), 10, 2)).unwrap();
+    let (mut srv, h) = one_ctx_engine(1, 2);
+    srv.try_submit(h, DecodeRequest::new(1, query(1), 10, 2))
+        .unwrap();
+    srv.try_submit(h, DecodeRequest::new(2, query(2), 10, 2))
+        .unwrap();
     // Queue full: the third submission is refused, not silently dropped.
     let err = srv
-        .submit(DecodeRequest::new(3, query(3), 10, 2))
+        .try_submit(h, DecodeRequest::new(3, query(3), 10, 2))
         .unwrap_err();
-    assert!(matches!(err, LlmError::QueueFull { max_queue: 2 }), "{err}");
+    assert!(
+        matches!(
+            err,
+            VqLlmError::Pipeline(LlmError::QueueFull { max_queue: 2 })
+        ),
+        "{err}"
+    );
 
     // Malformed / unservable requests are rejected up front with a reason.
-    let wrong_width = srv.submit(DecodeRequest::new(4, vec![0.0; 3], 10, 2));
+    let wrong_width = srv.try_submit(h, DecodeRequest::new(4, vec![0.0; 3], 10, 2));
     assert!(matches!(
         wrong_width.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
-    let zero_tokens = srv.submit(DecodeRequest::new(5, query(5), 10, 0));
+    let zero_tokens = srv.try_submit(h, DecodeRequest::new(5, query(5), 10, 0));
     assert!(matches!(
         zero_tokens.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
-    let past_context = srv.submit(DecodeRequest::new(6, query(6), SEQ, 2));
+    let past_context = srv.try_submit(h, DecodeRequest::new(6, query(6), SEQ, 2));
     assert!(matches!(
         past_context.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
     // Regression: an absurd token budget must reject, not wrap the
     // admission arithmetic around usize and sneak in.
-    let overflow = srv.submit(DecodeRequest::new(7, query(7), 100, usize::MAX - 49));
+    let overflow = srv.try_submit(h, DecodeRequest::new(7, query(7), 100, usize::MAX - 49));
     assert!(matches!(
         overflow.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
 
     let stats = srv.stats();
@@ -214,11 +238,11 @@ fn admission_limits_reject_explicitly() {
 /// The tentpole guarantee: scheduling is numerically invisible. Every
 /// request decoded in a co-scheduled ragged batch produces bitwise the
 /// same bytes as the same request run alone, one step at a time, through
-/// the session's batch-of-one entry points with the server's own plans.
+/// the session's batch-of-one entry points with the engine's own plans.
 #[test]
 fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
     let (session, ctx, _) = harness();
-    let mut srv = server(3, 8);
+    let (mut srv, h) = one_ctx_engine(3, 8);
     // Varied context positions and lengths force genuinely ragged batches
     // and mid-decode re-formation. The last request attends the *full*
     // context, so its solo reference can go through the plain (non-ragged)
@@ -233,7 +257,7 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
     let handles: Vec<_> = specs
         .iter()
         .map(|&(t, ctx_len, gen)| {
-            srv.submit(DecodeRequest::new(t, query(t), ctx_len, gen))
+            srv.try_submit(h, DecodeRequest::new(t, query(t), ctx_len, gen))
                 .unwrap()
         })
         .collect();
@@ -245,8 +269,8 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
         "re-formation happened"
     );
 
-    let attn_plan = srv.attention_plan().clone();
-    let linear_plan = srv.linear_plan().clone();
+    let attn_plan = srv.attention_plan(h).expect("registered").clone();
+    let linear_plan = srv.linear_plan(h).expect("registered").clone();
     for (&(t, ctx_len, gen), handle) in specs.iter().zip(&handles) {
         let out = srv.take_output(handle).expect("completed");
         assert_eq!(out.tenant, t);
@@ -281,11 +305,9 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
 // --- the multi-context engine ---
 
 /// The acceptance pin: a two-context `Engine` drain produces, per
-/// request, bytes identical to that request run alone on a
-/// single-context `Session::serve` facade — even though the engine plans
-/// from measured profiles and the solo servers from synthetic defaults
-/// (host kernels are bitwise blocking-independent, pinned in
-/// `tests/host_backend.rs`).
+/// request, bytes identical to that request run alone on a one-context
+/// engine at batch 1 (host kernels are bitwise blocking-independent,
+/// pinned in `tests/host_backend.rs`).
 #[test]
 fn two_context_engine_drain_is_bitwise_identical_to_solo_sessions() {
     let (_, ctx_a, ctx_b) = harness();
@@ -328,7 +350,7 @@ fn two_context_engine_drain_is_bitwise_identical_to_solo_sessions() {
         let solo = solo_reference(ctx, req.clone());
         assert_eq!(
             out.steps, solo,
-            "tenant {}: engine mixed-context batch diverged from solo session",
+            "tenant {}: engine mixed-context batch diverged from solo drain",
             req.tenant
         );
         assert_eq!(engine.poll(handle), RequestStatus::Unknown, "collected");
@@ -551,7 +573,7 @@ proptest! {
         max_queue in 0usize..5,
         n_requests in 1usize..11,
     ) {
-        let mut srv = server(max_batch, max_queue);
+        let (mut srv, h) = one_ctx_engine(max_batch, max_queue);
         // Arrival step, context position, and length all derived from the
         // seed — no wall-clock anywhere.
         let mut arrivals: Vec<(u64, DecodeRequest)> = (0..n_requests)
@@ -578,12 +600,12 @@ proptest! {
             while next < arrivals.len() && arrivals[next].0 <= ticks {
                 let req = arrivals[next].1.clone();
                 let gen = req.gen_tokens;
-                match srv.submit(req) {
-                    Ok(h) => {
-                        accepted.push((h, gen));
+                match srv.try_submit(h, req) {
+                    Ok(ticket) => {
+                        accepted.push((ticket, gen));
                         expected_tokens += gen;
                     }
-                    Err(LlmError::QueueFull { .. }) => rejected += 1,
+                    Err(VqLlmError::Pipeline(LlmError::QueueFull { .. })) => rejected += 1,
                     Err(e) => prop_assert!(false, "unexpected rejection: {e}"),
                 }
                 next += 1;
@@ -598,9 +620,9 @@ proptest! {
         prop_assert_eq!(stats.rejected, rejected);
         prop_assert_eq!(stats.completed, accepted.len() as u64);
         prop_assert_eq!(stats.decoded_tokens as usize, expected_tokens);
-        for (h, gen) in accepted {
-            prop_assert_eq!(srv.status(&h), RequestStatus::Finished { tokens: gen });
-            let out = srv.take_output(&h).expect("completed output");
+        for (ticket, gen) in accepted {
+            prop_assert_eq!(srv.poll(&ticket), RequestStatus::Finished { tokens: gen });
+            let out = srv.take_output(&ticket).expect("completed output");
             prop_assert_eq!(out.steps.len(), gen);
         }
     }
@@ -609,8 +631,8 @@ proptest! {
     /// engine-wide slots never exceed `max_batch`, at most one kernel
     /// group per registered context per step, every request finishes or
     /// is explicitly rejected, and every finished request is **bitwise**
-    /// identical to the same request drained alone on a single-context
-    /// `Session::serve` facade.
+    /// identical to the same request drained alone on a one-context
+    /// engine.
     #[test]
     fn random_multi_context_schedules_are_sound_and_solo_exact(
         seed in 0u64..10_000,
@@ -691,23 +713,15 @@ proptest! {
 // --- online KV-cache vector quantization ---
 
 /// An engine over harness context A with live-KV mode `mode` and an
-/// optional compressed-byte budget (fresh plan cache per call, shared
-/// backend — same pattern as [`two_ctx_engine`]).
+/// optional compressed-byte budget.
 fn live_engine(mode: KvQuantMode, budget: Option<usize>) -> (Engine, ContextHandle) {
-    let (session, ctx_a, _) = harness();
+    let (_, ctx_a, _) = harness();
     let mut cfg = ServeConfig::new(4, 16).with_kv_quant(mode);
     if let Some(b) = budget {
         cfg = cfg.with_kv_budget(b);
     }
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(cfg)
-        .build()
-        .expect("valid engine");
-    let h = engine.register_context(ctx_a.clone()).expect("register");
-    (engine, h)
+    let (engine, handles) = engine_over(&[ctx_a], cfg);
+    (engine, handles[0])
 }
 
 /// Drains one request through a live-KV engine and returns its output.
@@ -941,57 +955,46 @@ fn decode_steps_after_the_first_never_run_the_perf_model() {
     }
 }
 
-/// The warm-up dedupe satellite: sibling servers over one shared plan
-/// cache plan nothing new — the second construction is pure cache hits,
-/// and the canonical plans are pointer-equal across siblings.
+/// The warm-up dedupe satellite: sibling engines over one shared plan
+/// cache plan nothing new — the second registration of a context is pure
+/// cache hits, and the canonical plans are pointer-equal across siblings.
 #[test]
 fn sibling_servers_warm_from_the_shared_cache() {
     let (_, ctx, _) = harness();
     let cache = std::sync::Arc::new(vq_llm::PlanCache::new());
-    let session = Session::builder()
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .plan_cache(std::sync::Arc::clone(&cache))
-        .build()
-        .expect("valid session");
-    let srv1 = session
-        .serve(ctx.clone(), ServeConfig::new(2, 2))
-        .expect("server");
+    let sibling = |config| {
+        let mut engine = Engine::builder()
+            .weight_algo(VqAlgorithm::Gptvq2)
+            .kv_algo(VqAlgorithm::Cq4)
+            .plan_cache(std::sync::Arc::clone(&cache))
+            .serve_config(config)
+            .build()
+            .expect("engine");
+        let h = engine.register_context(ctx.clone()).expect("register");
+        (engine, h)
+    };
+    let (srv1, h1) = sibling(ServeConfig::new(2, 2));
     let after_first = cache.stats();
     assert_eq!(after_first.misses, 2, "one miss per canonical shape");
 
-    let srv2 = session
-        .serve(ctx.clone(), ServeConfig::new(4, 8))
-        .expect("server");
+    let (mut srv2, h2) = sibling(ServeConfig::new(4, 8));
     let after_second = cache.stats();
     assert_eq!(
         after_second.misses, after_first.misses,
-        "sibling construction re-planned a canonical shape"
+        "sibling registration re-planned a canonical shape"
     );
     assert_eq!(after_second.hits, after_first.hits + 2);
     assert!(std::sync::Arc::ptr_eq(
-        srv1.attention_plan(),
-        srv2.attention_plan()
+        srv1.attention_plan(h1).expect("registered"),
+        srv2.attention_plan(h2).expect("registered")
     ));
     assert!(std::sync::Arc::ptr_eq(
-        srv1.linear_plan(),
-        srv2.linear_plan()
+        srv1.linear_plan(h1).expect("registered"),
+        srv2.linear_plan(h2).expect("registered")
     ));
 
-    // The engine warms through the same helper, the same cache and the
-    // same measured keys, so its registration is a pure hit too.
-    let mut engine = Engine::builder()
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .plan_cache(std::sync::Arc::clone(&cache))
-        .build()
-        .expect("engine");
-    engine.register_context(ctx.clone()).expect("register");
-    let after_engine = cache.stats();
-    assert_eq!(after_engine.misses, after_second.misses);
-    engine
-        .register_context(ctx.clone())
-        .expect("register again");
-    assert_eq!(engine.cache_stats().misses, after_engine.misses);
-    assert!(engine.cache_stats().hits > after_engine.hits);
+    // Registering the same context again on one engine is a pure hit too.
+    srv2.register_context(ctx.clone()).expect("register again");
+    assert_eq!(srv2.cache_stats().misses, after_second.misses);
+    assert!(srv2.cache_stats().hits > after_second.hits);
 }

@@ -266,48 +266,24 @@ fn engine_sessions_are_views_over_the_engine_state() {
         .kv_algo(VqAlgorithm::Cq4)
         .build()
         .unwrap();
-    let unbound = engine.session_unbound();
-    assert!(unbound.context_handle().is_none());
+    let session = engine.session_unbound();
     assert!(
-        Arc::ptr_eq(engine.plan_cache(), unbound.plan_cache()),
+        Arc::ptr_eq(engine.plan_cache(), session.plan_cache()),
         "session views share the engine's plan cache"
     );
-
-    let ctx = small_context(&unbound);
-    let handle = engine.register_context(ctx.clone()).unwrap();
-    let bound = engine.session(handle).unwrap();
-    assert_eq!(bound.context_handle(), Some(handle));
-    assert_eq!(
-        bound.bound_context().unwrap().seq(),
-        ctx.seq(),
-        "bound session sees the registered context"
-    );
-    // The bound view serves its context without re-passing it…
-    let mut srv = bound
-        .serve_bound(vq_llm::ServeConfig::new(2, 4))
-        .expect("serve_bound");
-    let q: Vec<f32> = (0..32).map(|d| (d as f32 * 0.2).sin()).collect();
-    let h = srv.submit(vq_llm::DecodeRequest::new(1, q, 10, 2)).unwrap();
-    srv.run_until_drained().unwrap();
-    assert_eq!(srv.take_output(&h).unwrap().steps.len(), 2);
-    // …while an unbound view refuses.
-    let err = unbound
-        .serve_bound(vq_llm::ServeConfig::default())
-        .unwrap_err();
     assert!(
-        matches!(
-            err,
-            VqLlmError::InvalidSession {
-                what: "context",
-                ..
-            }
-        ),
-        "{err}"
+        Arc::ptr_eq(engine.backend(), session.backend()),
+        "session views share the engine's backend"
     );
-    // Unknown handles are typed errors, not panics.
-    drop(bound);
-    let other = vq_llm::Engine::builder().build().unwrap();
-    assert!(other.session(handle).is_err());
+
+    // The engine serves a context its session view quantized.
+    let handle = engine.register_context(small_context(&session)).unwrap();
+    let q: Vec<f32> = (0..32).map(|d| (d as f32 * 0.2).sin()).collect();
+    let ticket = engine
+        .try_submit(handle, vq_llm::DecodeRequest::new(1, q, 10, 2))
+        .unwrap();
+    engine.run_until_drained().unwrap();
+    assert_eq!(engine.take_output(&ticket).unwrap().steps.len(), 2);
 }
 
 #[test]
