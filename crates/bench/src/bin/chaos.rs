@@ -39,7 +39,7 @@ use vq_llm::{
     AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, NetRequest, RejectReason,
     ServeConfig, Session, SharedContext, SupervisorConfig, TicketEnd, VqAlgorithm,
 };
-use vqllm_bench::Report;
+use vqllm_bench::{idle_inflight, merge_bench_json, num, Gates, Report};
 
 const SEQ: usize = 256;
 const HEAD_DIM: usize = 32;
@@ -108,23 +108,6 @@ fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
     solo.take_output(&ticket).expect("finished").steps
 }
 
-/// The OK:/FAIL: gate ledger; any failure flips the process exit code
-/// under `--smoke`.
-struct Gates {
-    failed: bool,
-}
-
-impl Gates {
-    fn check(&mut self, ok: bool, what: &str) {
-        if ok {
-            println!("OK: {what}");
-        } else {
-            eprintln!("FAIL: {what}");
-            self.failed = true;
-        }
-    }
-}
-
 /// Scenario totals folded into the BENCH keys.
 #[derive(Default)]
 struct Totals {
@@ -170,22 +153,6 @@ fn healthy_wave(
     ok
 }
 
-/// Waits for the driver to go idle and returns its inflight-token gauge
-/// (`u64::MAX` if it never idles or died).
-fn idle_inflight(client: &vq_llm::Client) -> u64 {
-    let deadline = Instant::now() + WAIT;
-    while Instant::now() < deadline {
-        match client.stats() {
-            Some(s) if s.front_queued == 0 && s.engine_queued == 0 && s.running == 0 => {
-                return s.inflight_tokens;
-            }
-            Some(_) => std::thread::sleep(Duration::from_millis(5)),
-            None => break,
-        }
-    }
-    u64::MAX
-}
-
 /// A burst of forced kernel panics: each victim quarantines typed, the
 /// service survives, healthy traffic decodes solo-exact afterwards.
 fn scenario_panic_storm(report: &mut Report, gates: &mut Gates, totals: &mut Totals, storm: usize) {
@@ -225,17 +192,17 @@ fn scenario_panic_storm(report: &mut Report, gates: &mut Gates, totals: &mut Tot
         storm + 1,
         m.quarantined
     ));
-    gates.check(
-        typed == storm,
+    gates.require(
         &format!("panic storm: all {storm} victims quarantined with typed internal rejections"),
+        typed == storm,
     );
-    gates.check(
-        healthy == storm + 1,
+    gates.require(
         "panic storm: every healthy follow-up decoded bitwise-equal to solo",
+        healthy == storm + 1,
     );
-    gates.check(
-        inflight == 0,
+    gates.require(
         "panic storm: inflight tokens exactly 0 at idle",
+        inflight == 0,
     );
     driver.shutdown();
 }
@@ -275,21 +242,21 @@ fn scenario_wedged_step(report: &mut Report, gates: &mut Gates, totals: &mut Tot
          idle inflight {inflight}",
         m.watchdog_sheds, m.breaker_trips
     ));
-    gates.check(
-        shed_typed && m.watchdog_sheds >= 1,
+    gates.require(
         "wedged step: watchdog shed the running group with a typed rejection",
+        shed_typed && m.watchdog_sheds >= 1,
     );
-    gates.check(
-        m.breaker_trips >= 1,
+    gates.require(
         "wedged step: the breaker tripped (halved batch cooldown)",
+        m.breaker_trips >= 1,
     );
-    gates.check(
-        healthy == 3,
+    gates.require(
         "wedged step: healthy traffic completed solo-exact after the breaker",
+        healthy == 3,
     );
-    gates.check(
-        inflight == 0,
+    gates.require(
         "wedged step: inflight tokens exactly 0 at idle",
+        inflight == 0,
     );
     driver.shutdown();
 }
@@ -337,17 +304,17 @@ fn scenario_kv_exhaustion(report: &mut Report, gates: &mut Gates, totals: &mut T
          quarantined {}, idle inflight {inflight}",
         m.quarantined
     ));
-    gates.check(
-        v_typed && m.quarantined == 1,
+    gates.require(
         "kv exhaustion: exactly the offending request quarantined, typed kv_capacity",
+        v_typed && m.quarantined == 1,
     );
-    gates.check(
-        mate_exact,
+    gates.require(
         "kv exhaustion: the batch-mate finished bitwise-equal to solo",
+        mate_exact,
     );
-    gates.check(
-        inflight == 0,
+    gates.require(
         "kv exhaustion: inflight tokens exactly 0 at idle",
+        inflight == 0,
     );
     driver.shutdown();
 }
@@ -459,53 +426,24 @@ fn scenario_driver_kill(report: &mut Report, gates: &mut Gates, totals: &mut Tot
          solo-exact; restarts {}, idle inflight {inflight}",
         m.restarts
     ));
-    gates.check(
-        restarted_typed,
+    gates.require(
         "driver kill: pre-kill request resolved driver_restarted with retry hint >= 1",
+        restarted_typed,
     );
-    gates.check(
-        exact == post && post >= 1,
+    gates.require(
         "driver kill: healthy requests completed solo-exact across the forced restart",
+        exact == post && post >= 1,
     );
-    gates.check(m.restarts == 1, "driver kill: exactly one restart counted");
-    gates.check(
-        inflight == 0,
+    gates.require("driver kill: exactly one restart counted", m.restarts == 1);
+    gates.require(
         "driver kill: inflight tokens exactly 0 at idle",
+        inflight == 0,
     );
     let drain = server.drain(Duration::from_secs(60));
-    gates.check(
-        drain.cancelled == 0,
+    gates.require(
         "driver kill: graceful drain completed without escalation",
+        drain.cancelled == 0,
     );
-}
-
-/// Upserts `key` in a top-level JSON object.
-fn set(fields: &mut Vec<(String, Json)>, key: &str, v: Json) {
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = v,
-        None => fields.push((key.to_string(), v)),
-    }
-}
-
-fn num(n: f64) -> Json {
-    Json::Num((n * 10.0).round() / 10.0)
-}
-
-/// One key per line — the same human-diffable shape `serve_bench` writes.
-fn render_pretty(fields: &[(String, Json)]) -> String {
-    let mut s = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        s.push_str("  ");
-        json::push_escaped(k, &mut s);
-        s.push_str(": ");
-        s.push_str(&json::to_string(v));
-        if i + 1 < fields.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("}\n");
-    s
 }
 
 fn main() {
@@ -515,7 +453,7 @@ fn main() {
         "chaos",
         "Injected fault schedules: quarantine, watchdog, supervised restart",
     );
-    let mut gates = Gates { failed: false };
+    let mut gates = Gates::default();
     let mut totals = Totals::default();
 
     // Failpoints are process-global: clear between scenarios so each
@@ -537,40 +475,22 @@ fn main() {
 
     // Merge the chaos_* keys into BENCH_serving.json, preserving
     // whatever serve_bench / net_load last wrote there.
-    let mut json_path = vqllm_bench::results_dir();
-    json_path.pop();
-    json_path.push("BENCH_serving.json");
-    let mut fields = match std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|s| json::parse(&s).ok())
-    {
-        Some(Json::Obj(fields)) => fields,
-        _ => Vec::new(),
-    };
-    set(&mut fields, "chaos_restarts", num(totals.restarts as f64));
-    set(
-        &mut fields,
-        "chaos_quarantined",
-        num(totals.quarantined as f64),
+    let rendered = merge_bench_json(
+        "BENCH_serving.json",
+        vec![
+            ("chaos_restarts", num(totals.restarts as f64)),
+            ("chaos_quarantined", num(totals.quarantined as f64)),
+            ("chaos_watchdog_sheds", num(totals.watchdog_sheds as f64)),
+            (
+                "chaos_healthy_requests",
+                num(totals.healthy_completed as f64),
+            ),
+            ("chaos_healthy_p99_us", num(p99_us)),
+        ],
     );
-    set(
-        &mut fields,
-        "chaos_watchdog_sheds",
-        num(totals.watchdog_sheds as f64),
-    );
-    set(
-        &mut fields,
-        "chaos_healthy_requests",
-        num(totals.healthy_completed as f64),
-    );
-    set(&mut fields, "chaos_healthy_p99_us", num(p99_us));
-    let rendered = render_pretty(&fields);
-    std::fs::write(&json_path, &rendered).expect("write BENCH_serving.json");
     report.section("BENCH_serving.json (chaos_* keys merged)");
     report.line(rendered.trim_end());
     report.finish();
 
-    if gates.failed && smoke {
-        std::process::exit(1);
-    }
+    gates.finish(smoke);
 }

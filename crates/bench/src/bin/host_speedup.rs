@@ -47,10 +47,11 @@ use vq_llm::kernels::host_exec::{
     self, pool::WorkerPool, simd, AttentionBatch, HostBlocking, RaggedExt,
 };
 use vq_llm::llm::{KvQuantMode, SharedContext, TenantKv};
+use vq_llm::net::json::Json;
 use vq_llm::tensor::{linalg, metrics, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
 use vq_llm::vq::{kmeans, Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqConfig};
-use vqllm_bench::{fmt_us, Report};
+use vqllm_bench::{fmt_us, merge_bench_json, num, Gates, Report};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,41 +122,14 @@ impl Measured {
     }
 }
 
-/// A CI gate: record, report, and fail the process at exit if violated.
-struct Gates {
-    failures: Vec<String>,
-}
-
-impl Gates {
-    fn check(&mut self, what: &str, value: f64, min: f64) {
-        if value < min {
-            self.failures
-                .push(format!("{what}: {value:.2} < required {min:.2}"));
-        } else {
-            println!("OK: {what} {value:.2} (>= {min:.2} required)");
-        }
-    }
-
-    fn check_max(&mut self, what: &str, value: f64, max: f64) {
-        if value > max {
-            self.failures
-                .push(format!("{what}: {value:.2} > allowed {max:.2}"));
-        } else {
-            println!("OK: {what} {value:.2} (<= {max:.2} allowed)");
-        }
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reps = 3;
+    let mut gates = Gates::default();
     let mut report = Report::new(
         "host_speedup",
         "Fused host execution vs naive dequantize-then-linalg",
     );
-    let mut gates = Gates {
-        failures: Vec::new(),
-    };
 
     // --- Headline: LUT GeMV on a 4096×4096 quantized weight ---
     let (rows, cols) = (4096, 4096);
@@ -552,130 +526,115 @@ fn main() {
     ));
 
     // --- Machine-readable trajectory ---
-    let json = format!(
-        "{{\n  \"gemv_rows\": {rows},\n  \"gemv_cols\": {cols},\n  \
-         \"gemv_naive_ms\": {:.3},\n  \"gemv_fused_ms\": {:.3},\n  \
-         \"gemv_speedup\": {:.3},\n  \"gemv_fused_gbps\": {:.3},\n  \
-         \"gemv_naive_gbps\": {:.3},\n  \"gemv_parallel_threads\": {threads},\n  \
-         \"gemv_parallel_ms\": {:.3},\n  \"gemv_parallel_speedup\": {:.3},\n  \
-         \"gemv_parallel4_speedup\": {:.3},\n  \"gemv_batch\": {batch},\n  \
-         \"gemv_batch_speedup\": {:.3},\n  \"gemv_xw_speedup\": {:.3},\n  \
-         \"gemm_m\": {gm},\n  \"gemm_speedup\": {:.3},\n  \
-         \"gemm_panel_speedup\": {:.3},\n  \
-         \"gemm_serving_us\": {gemm_serving_us:.3},\n  \
-         \"attention_speedup\": {:.3},\n  \
-         \"attn_solo_us\": {attn_solo_us:.3},\n  \
-         \"attn_ns_per_code\": {attn_ns_per_code:.3},\n  \
-         \"attn_b6_ns_per_code\": {attn_b6_ns_per_code:.3},\n  \
-         \"score_pass_ns_per_code\": {score_pass_ns_per_code:.3},\n  \
-         \"score_pass_b16_ns_per_code\": {score_pass_b16_ns_per_code:.3},\n  \
-         \"softmax_ns_per_score\": {softmax_ns_per_score:.3},\n  \
-         \"value_pass_ns_per_code\": {value_pass_ns_per_code:.3},\n  \
-         \"ext_attn_ns_per_code\": {ext_attn_ns_per_code:.3},\n  \
-         \"fold_us_per_row\": {fold_us_per_row:.3},\n  \
-         \"nearest_ns_per_search\": {nearest_ns_per_search:.3},\n  \
-         \"nearest_tier\": \"{nearest_tier}\",\n  \
-         \"softmax_tier\": \"{lane_tier}\",\n  \
-         \"value_tier\": \"{lane_tier}\",\n  \
-         \"simd_tier\": \"{}\",\n  \
-         \"smoke\": {smoke}\n}}\n",
-        gemv.naive_s * 1e3,
-        gemv.fused_s * 1e3,
-        gemv.speedup(),
-        fused_gbps,
-        naive_gbps,
-        fused_par_s * 1e3,
-        par_speedup,
-        par4_speedup,
-        gemv_batch.speedup(),
-        gemv_xw.speedup(),
-        gemm.speedup(),
-        gemm_panel.speedup(),
-        attn.speedup(),
-        simd::tier(),
+    let json = merge_bench_json(
+        "BENCH_host.json",
+        vec![
+            ("gemv_rows", num(rows as f64)),
+            ("gemv_cols", num(cols as f64)),
+            ("gemv_naive_ms", num(gemv.naive_s * 1e3)),
+            ("gemv_fused_ms", num(gemv.fused_s * 1e3)),
+            ("gemv_speedup", num(gemv.speedup())),
+            ("gemv_fused_gbps", num(fused_gbps)),
+            ("gemv_naive_gbps", num(naive_gbps)),
+            ("gemv_parallel_threads", num(threads as f64)),
+            ("gemv_parallel_ms", num(fused_par_s * 1e3)),
+            ("gemv_parallel_speedup", num(par_speedup)),
+            ("gemv_parallel4_speedup", num(par4_speedup)),
+            ("gemv_batch", num(batch as f64)),
+            ("gemv_batch_speedup", num(gemv_batch.speedup())),
+            ("gemv_xw_speedup", num(gemv_xw.speedup())),
+            ("gemm_m", num(gm as f64)),
+            ("gemm_speedup", num(gemm.speedup())),
+            ("gemm_panel_speedup", num(gemm_panel.speedup())),
+            ("gemm_serving_us", num(gemm_serving_us)),
+            ("attention_speedup", num(attn.speedup())),
+            ("attn_solo_us", num(attn_solo_us)),
+            ("attn_ns_per_code", num(attn_ns_per_code)),
+            ("attn_b6_ns_per_code", num(attn_b6_ns_per_code)),
+            ("score_pass_ns_per_code", num(score_pass_ns_per_code)),
+            (
+                "score_pass_b16_ns_per_code",
+                num(score_pass_b16_ns_per_code),
+            ),
+            ("softmax_ns_per_score", num(softmax_ns_per_score)),
+            ("value_pass_ns_per_code", num(value_pass_ns_per_code)),
+            ("ext_attn_ns_per_code", num(ext_attn_ns_per_code)),
+            ("fold_us_per_row", num(fold_us_per_row)),
+            ("nearest_ns_per_search", num(nearest_ns_per_search)),
+            ("nearest_tier", Json::Str(nearest_tier.to_string())),
+            ("softmax_tier", Json::Str(lane_tier.to_string())),
+            ("value_tier", Json::Str(lane_tier.to_string())),
+            ("simd_tier", Json::Str(simd::tier().to_string())),
+            ("smoke", Json::Bool(smoke)),
+        ],
     );
-    let mut json_path = vqllm_bench::results_dir();
-    json_path.pop();
-    json_path.push("BENCH_host.json");
-    std::fs::write(&json_path, &json).expect("write BENCH_host.json");
     report.section("BENCH_host.json");
     report.line(json.trim_end());
     report.finish();
 
     // --- The acceptance gates (asserted in --smoke / CI) ---
-    gates.check("fused LUT GeMV speedup over naive", gemv.speedup(), 3.0);
-    gates.check(
+    gates.min("fused LUT GeMV speedup over naive", gemv.speedup(), 3.0);
+    gates.min(
         "fused GeMM speedup over naive (value pass, batch as lanes)",
         gemm.speedup(),
         2.5,
     );
-    gates.check(
+    gates.min(
         "fused GeMM speedup over naive (panel body, AQLM-3 8×512×512)",
         gemm_panel.speedup(),
         1.3,
     );
-    gates.check("fused attention decode speedup", attn.speedup(), 3.0);
-    gates.check(
+    gates.min("fused attention decode speedup", attn.speedup(), 3.0);
+    gates.min(
         "batched LUT GeMV speedup over looped",
         gemv_batch.speedup(),
         1.5,
     );
-    gates.check_max(
+    gates.max(
         "attention ns per K/V code pair (batch 8, CQ-4)",
         attn_ns_per_code,
         4.0,
     );
-    gates.check_max(
+    gates.max(
         "attention at batch 6 vs batch 8 (a padded lane block)",
         attn_b6_ns_per_code / attn_ns_per_code,
         1.25,
     );
-    gates.check_max(
+    gates.max(
         "score pass ns per packed code (batch 8, CQ-4)",
         score_pass_ns_per_code,
         2.0,
     );
-    gates.check_max(
+    gates.max(
         "value pass ns per packed code (batch 8, CQ-4)",
         value_pass_ns_per_code,
         2.0,
     );
-    gates.check_max(
+    gates.max(
         "score pass ns per packed code (batch 16, CQ-4)",
         score_pass_b16_ns_per_code,
         4.0,
     );
-    gates.check_max(
+    gates.max(
         "live-KV extension ns per private code (8 × 128 rows, CQ-4, K + V)",
         ext_attn_ns_per_code,
         1.5,
     );
-    gates.check_max(
+    gates.max(
         "live-KV fold us per appended row pair (head_dim 64, CQ-4)",
         fold_us_per_row,
         20.0,
     );
     // The pool must never lose to serial (15 % noise allowance on shared
     // 1-core runners where both paths are the same code).
-    gates.check(
+    gates.min(
         "pool-parallel GeMV vs serial (1.0 = parity)",
         par_speedup,
         0.85,
     );
     if threads >= 4 {
-        gates.check("pool-parallel GeMV scaling @ 4 threads", par4_speedup, 1.8);
+        gates.min("pool-parallel GeMV scaling @ 4 threads", par4_speedup, 1.8);
     }
 
-    if gates.failures.is_empty() {
-        println!("OK: all host-speedup gates passed");
-    } else if smoke {
-        for f in &gates.failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    } else {
-        for f in &gates.failures {
-            eprintln!("WARN (non-smoke, not fatal): {f}");
-        }
-    }
+    gates.finish(smoke);
 }

@@ -43,7 +43,7 @@ use vq_llm::net::json::{self, Json};
 use vq_llm::net::{loopback_with, percentile, proto, NetConfig};
 use vq_llm::tensor::synth;
 use vq_llm::{AdmissionConfig, Engine, ServeConfig, Session, SharedContext, VqAlgorithm};
-use vqllm_bench::Report;
+use vqllm_bench::{idle_inflight, merge_bench_json, num, Gates, Report};
 
 const SEQ: usize = 256;
 const HEAD_DIM: usize = 32;
@@ -174,46 +174,48 @@ fn run_client(
         evicted: false,
         err: None,
     };
-    let fail = |out: &mut Outcome, msg: String| {
-        out.err = Some(msg);
-    };
+    let conn = open(addr);
+    barrier.wait();
+    if let Err(e) =
+        conn.and_then(|(mut w, mut r)| drive(role, idx, rounds, &mut w, &mut r, &mut out))
+    {
+        out.err = Some(e);
+    }
+    out
+}
 
-    let stream = match connect(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            barrier.wait();
-            fail(&mut out, format!("connect: {e}"));
-            return out;
-        }
-    };
+/// Dials the server and reads its `hello`.
+fn open(addr: SocketAddr) -> Result<(TcpStream, BufReader<TcpStream>), String> {
+    let stream = connect(addr).map_err(|e| format!("connect: {e}"))?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            barrier.wait();
-            fail(&mut out, format!("clone: {e}"));
-            return out;
-        }
-    };
+    let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
-    if let Err(e) = read_until_event(&mut reader, "hello", 4) {
-        barrier.wait();
-        fail(&mut out, format!("hello: {e}"));
-        return out;
-    }
+    read_until_event(&mut reader, "hello", 4).map_err(|e| format!("hello: {e}"))?;
+    Ok((writer, reader))
+}
 
+/// Plays `role` on an open connection, recording into `out`.
+fn drive(
+    role: Role,
+    idx: usize,
+    rounds: usize,
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    out: &mut Outcome,
+) -> Result<(), String> {
     let tenant = 1 + idx as u64;
-    let q = query(
-        tenant,
-        if role == Role::Slow {
-            HEAD_DIM_SLOW
-        } else {
-            HEAD_DIM
-        },
-    );
+    let dim = if role == Role::Slow {
+        HEAD_DIM_SLOW
+    } else {
+        HEAD_DIM
+    };
+    let q = query(tenant, dim);
     let context_len = 16 + (idx % 64);
-    barrier.wait();
+    let submit = |writer: &mut TcpStream, ctx: usize, len: usize, gen: usize, streamed: bool| {
+        let line = proto::submit_line(ctx, tenant, &q, len, gen, 0, None, streamed);
+        writeln!(writer, "{line}").map_err(|e| format!("submit: {e}"))
+    };
 
     match role {
         Role::Stream | Role::Poll => {
@@ -223,118 +225,79 @@ fn run_client(
             };
             for _ in 0..rounds {
                 let t0 = Instant::now();
-                let line = proto::submit_line(0, tenant, &q, context_len, gen, 0, None, streamed);
-                if let Err(e) = writeln!(writer, "{line}") {
-                    fail(&mut out, format!("submit: {e}"));
-                    return out;
-                }
-                let accepted = match read_until_event(&mut reader, "accepted", 8) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        fail(&mut out, format!("accepted: {e}"));
-                        return out;
-                    }
-                };
+                submit(writer, 0, context_len, gen, streamed)?;
+                let accepted = read_until_event(reader, "accepted", 8)
+                    .map_err(|e| format!("accepted: {e}"))?;
                 let mut tokens = 0usize;
                 loop {
                     let mut line = String::new();
                     match reader.read_line(&mut line) {
-                        Ok(0) => {
-                            fail(&mut out, "EOF mid-request".to_string());
-                            return out;
-                        }
+                        Ok(0) => return Err("EOF mid-request".to_string()),
                         Ok(_) => {}
-                        Err(e) => {
-                            fail(&mut out, format!("read: {e}"));
-                            return out;
-                        }
+                        Err(e) => return Err(format!("read: {e}")),
                     }
-                    let v = match json::parse(line.trim()) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fail(&mut out, format!("bad frame {line:?}: {e}"));
-                            return out;
-                        }
-                    };
+                    let v =
+                        json::parse(line.trim()).map_err(|e| format!("bad frame {line:?}: {e}"))?;
                     match v.get("event").and_then(Json::as_str) {
                         Some("token") => tokens += 1,
                         Some("done") => break,
-                        Some("rejected") => {
-                            fail(&mut out, format!("rejected: {line:?}"));
-                            return out;
-                        }
+                        Some("rejected") => return Err(format!("rejected: {line:?}")),
                         _ => {}
                     }
                 }
                 let want = if streamed { gen } else { 0 };
                 if tokens != want {
-                    fail(&mut out, format!("{tokens} token frames, wanted {want}"));
-                    return out;
+                    return Err(format!("{tokens} token frames, wanted {want}"));
                 }
                 out.latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
                 out.completed += 1;
                 if role == Role::Poll {
                     // Exercise the poll verb on the finished request.
                     let id = accepted.get("id").and_then(Json::as_u64).unwrap_or(0);
-                    if writeln!(writer, "{{\"verb\":\"poll\",\"id\":{id}}}").is_err() {
-                        fail(&mut out, "poll write failed".to_string());
-                        return out;
-                    }
-                    match read_until_event(&mut reader, "status", 4) {
-                        Ok(v) if v.get("state").and_then(Json::as_str) == Some("finished") => {}
-                        Ok(v) => {
-                            fail(&mut out, format!("poll state: {v:?}"));
-                            return out;
-                        }
-                        Err(e) => {
-                            fail(&mut out, format!("poll: {e}"));
-                            return out;
-                        }
+                    writeln!(writer, "{{\"verb\":\"poll\",\"id\":{id}}}")
+                        .map_err(|_| "poll write failed".to_string())?;
+                    let v =
+                        read_until_event(reader, "status", 4).map_err(|e| format!("poll: {e}"))?;
+                    if v.get("state").and_then(Json::as_str) != Some("finished") {
+                        return Err(format!("poll state: {v:?}"));
                     }
                 }
             }
+            Ok(())
         }
         Role::Slow => {
             // Submit a frame backlog far past socket buffering (against
             // the fat context, ctx index 1), then go silent: the server
             // must evict this connection instead of buffering without
-            // bound or stalling the driver.
+            // bound or stalling the driver. A failed write is the
+            // client-visible proof the server hung up.
             for _ in 0..SLOW_REQS {
-                let line = proto::submit_line(1, tenant, &q, 8, SLOW_GEN, 0, None, true);
-                if writeln!(writer, "{line}").is_err() {
-                    out.evicted = true; // already hung up on — even better
-                    return out;
+                if submit(writer, 1, 8, SLOW_GEN, true).is_err() {
+                    out.evicted = true;
+                    return Ok(());
                 }
             }
-            // Never read; probe with pings until a write fails, which is
-            // the client-visible proof the server hung up. (Eviction is
-            // guaranteed — the backlog exceeds kernel buffering — so the
+            // Never read; probe with pings until a write fails. (Eviction
+            // is guaranteed — the backlog exceeds kernel buffering — so the
             // deadline only bounds a regression.)
             let deadline = Instant::now() + Duration::from_secs(120);
             while Instant::now() < deadline {
                 if writeln!(writer, "{{\"verb\":\"ping\"}}").is_err() {
                     out.evicted = true;
-                    return out;
+                    return Ok(());
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
-            fail(&mut out, "slow reader was never evicted".to_string());
+            Err("slow reader was never evicted".to_string())
         }
         Role::Drop => {
-            let line = proto::submit_line(0, tenant, &q, context_len, DROP_GEN, 0, None, true);
-            if let Err(e) = writeln!(writer, "{line}") {
-                fail(&mut out, format!("submit: {e}"));
-                return out;
-            }
-            if let Err(e) = read_until_event(&mut reader, "accepted", 8) {
-                fail(&mut out, format!("accepted: {e}"));
-                return out;
-            }
+            submit(writer, 0, context_len, DROP_GEN, true)?;
+            read_until_event(reader, "accepted", 8).map_err(|e| format!("accepted: {e}"))?;
             // Hang up mid-stream; the server's reader sees EOF and must
             // cancel the orphaned ticket.
+            Ok(())
         }
     }
-    out
 }
 
 fn disconnects(m: &vq_llm::net::MetricsSnapshot, code: &str) -> u64 {
@@ -342,35 +305,6 @@ fn disconnects(m: &vq_llm::net::MetricsSnapshot, code: &str) -> u64 {
         .iter()
         .find(|(c, _)| *c == code)
         .map_or(0, |&(_, n)| n)
-}
-
-/// Upserts `key` in a top-level JSON object.
-fn set(fields: &mut Vec<(String, Json)>, key: &str, v: Json) {
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = v,
-        None => fields.push((key.to_string(), v)),
-    }
-}
-
-fn num(n: f64) -> Json {
-    Json::Num((n * 10.0).round() / 10.0)
-}
-
-/// One key per line — the same human-diffable shape `serve_bench` writes.
-fn render_pretty(fields: &[(String, Json)]) -> String {
-    let mut s = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        s.push_str("  ");
-        json::push_escaped(k, &mut s);
-        s.push_str(": ");
-        s.push_str(&json::to_string(v));
-        if i + 1 < fields.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("}\n");
-    s
 }
 
 fn main() {
@@ -494,18 +428,7 @@ fn main() {
 
     // Evictions and EOFs cancel orphaned work: the driver must reach
     // idle with exactly zero inflight tokens before the drain.
-    let idle_deadline = Instant::now() + Duration::from_secs(120);
-    let mut idle_inflight = u64::MAX;
-    while Instant::now() < idle_deadline {
-        match client.stats() {
-            Some(s) if s.front_queued == 0 && s.engine_queued == 0 && s.running == 0 => {
-                idle_inflight = s.inflight_tokens;
-                break;
-            }
-            Some(_) => std::thread::sleep(Duration::from_millis(10)),
-            None => break,
-        }
-    }
+    let idle_inflight = idle_inflight(&client);
 
     let m = client.metrics();
     let drain_report = server.drain(Duration::from_secs(60));
@@ -564,133 +487,79 @@ fn main() {
 
     // Merge the net_load_* keys into BENCH_serving.json, preserving
     // whatever serve_bench last wrote there.
-    let mut json_path = vqllm_bench::results_dir();
-    json_path.pop();
-    json_path.push("BENCH_serving.json");
-    let mut fields = match std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|s| json::parse(&s).ok())
-    {
-        Some(Json::Obj(fields)) => fields,
-        _ => Vec::new(),
-    };
-    set(&mut fields, "net_load_connections", num(conns as f64));
-    set(
-        &mut fields,
-        "net_load_requests",
-        num(mix.healthy_requests() as f64),
+    let rendered = merge_bench_json(
+        "BENCH_serving.json",
+        vec![
+            ("net_load_connections", num(conns as f64)),
+            ("net_load_requests", num(mix.healthy_requests() as f64)),
+            ("net_load_completed", num(completed as f64)),
+            ("net_load_p50_us", num(p50_us)),
+            ("net_load_p99_us", num(p99_us)),
+            ("net_load_mean_us", num(mean_us)),
+            ("net_load_max_us", num(max_us)),
+            (
+                "net_load_writer_queue_peak",
+                num(m.writer_queue_peak as f64),
+            ),
+            ("net_load_writer_queue_cap", num(WRITER_QUEUE_CAP as f64)),
+            ("net_load_slow_reader_evictions", num(slow_evictions as f64)),
+            (
+                "net_load_eof_disconnects",
+                num(disconnects(&m, "eof") as f64),
+            ),
+            (
+                "net_load_drain_completed",
+                num(drain_report.completed as f64),
+            ),
+            (
+                "net_load_drain_cancelled",
+                num(drain_report.cancelled as f64),
+            ),
+            ("net_load_elapsed_s", num(elapsed_s)),
+            ("net_load_decoded_tokens", num(m.decoded_tokens as f64)),
+        ],
     );
-    set(&mut fields, "net_load_completed", num(completed as f64));
-    set(&mut fields, "net_load_p50_us", num(p50_us));
-    set(&mut fields, "net_load_p99_us", num(p99_us));
-    set(&mut fields, "net_load_mean_us", num(mean_us));
-    set(&mut fields, "net_load_max_us", num(max_us));
-    set(
-        &mut fields,
-        "net_load_writer_queue_peak",
-        num(m.writer_queue_peak as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_writer_queue_cap",
-        num(WRITER_QUEUE_CAP as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_slow_reader_evictions",
-        num(slow_evictions as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_eof_disconnects",
-        num(disconnects(&m, "eof") as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_drain_completed",
-        num(drain_report.completed as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_drain_cancelled",
-        num(drain_report.cancelled as f64),
-    );
-    set(&mut fields, "net_load_elapsed_s", num(elapsed_s));
-    set(
-        &mut fields,
-        "net_load_decoded_tokens",
-        num(m.decoded_tokens as f64),
-    );
-    let rendered = render_pretty(&fields);
-    std::fs::write(&json_path, &rendered).expect("write BENCH_serving.json");
     report.section("BENCH_serving.json (net_load_* keys merged)");
     report.line(rendered.trim_end());
     report.finish();
 
     // --- The acceptance gates (asserted in --smoke / CI) ---
-    let mut failed = false;
-    if completed == mix.healthy_requests() && failures.is_empty() {
-        println!(
-            "OK: all {} healthy requests over {} connections completed",
-            completed,
-            mix.healthy()
-        );
-    } else {
-        eprintln!(
-            "FAIL: {}/{} healthy requests completed ({} client failures)",
-            completed,
+    let mut gates = Gates::default();
+    gates.require(
+        &format!(
+            "{completed}/{} healthy requests over {} connections completed ({} client failures)",
             mix.healthy_requests(),
+            mix.healthy(),
             failures.len()
-        );
-        failed = true;
-    }
-    if m.writer_queue_peak <= WRITER_QUEUE_CAP as u64 {
-        println!(
-            "OK: writer queue peak {} within the configured bound {}",
-            m.writer_queue_peak, WRITER_QUEUE_CAP
-        );
-    } else {
-        eprintln!(
-            "FAIL: writer queue peak {} exceeded the configured bound {}",
-            m.writer_queue_peak, WRITER_QUEUE_CAP
-        );
-        failed = true;
-    }
+        ),
+        completed == mix.healthy_requests() && failures.is_empty(),
+    );
+    gates.max(
+        "writer queue peak vs the configured bound",
+        m.writer_queue_peak as f64,
+        WRITER_QUEUE_CAP as f64,
+    );
     let slow_confirmed = outcomes
         .iter()
         .filter(|o| o.role == Role::Slow && o.evicted)
         .count();
-    if slow_evictions >= mix.slow as u64 && slow_confirmed == mix.slow {
-        println!(
-            "OK: all {} slow readers evicted (typed slow_reader disconnects, client-confirmed)",
+    gates.require(
+        &format!(
+            "slow readers evicted {slow_evictions}/{} with typed slow_reader disconnects \
+             (client-confirmed {slow_confirmed})",
             mix.slow
-        );
-    } else {
-        eprintln!(
-            "FAIL: slow readers evicted {slow_evictions}/{} (client-confirmed {slow_confirmed})",
-            mix.slow
-        );
-        failed = true;
-    }
-    if idle_inflight == 0 {
-        println!("OK: driver idled with exactly zero inflight tokens before the drain");
-    } else {
-        eprintln!("FAIL: driver inflight tokens at idle = {idle_inflight} (expected 0)");
-        failed = true;
-    }
-    if drain_report.cancelled == 0 {
-        println!(
-            "OK: graceful drain completed without escalation ({} finished under drain)",
-            drain_report.completed
-        );
-    } else {
-        eprintln!(
-            "FAIL: drain escalated to cancellation ({} cancelled)",
-            drain_report.cancelled
-        );
-        failed = true;
-    }
-    if failed && smoke {
-        std::process::exit(1);
-    }
+        ),
+        slow_evictions >= mix.slow as u64 && slow_confirmed == mix.slow,
+    );
+    gates.max(
+        "driver inflight tokens at idle before the drain",
+        idle_inflight as f64,
+        0.0,
+    );
+    gates.max(
+        "requests cancelled by the graceful drain (escalation)",
+        drain_report.cancelled as f64,
+        0.0,
+    );
+    gates.finish(smoke);
 }

@@ -41,13 +41,14 @@
 
 use std::time::Instant;
 use vq_llm::llm::accuracy::project_kv_accuracy;
+use vq_llm::net::json::Json;
 use vq_llm::net::percentile;
 use vq_llm::tensor::synth;
 use vq_llm::{
-    ContextHandle, DecodeRequest, Engine, KvQuantMode, ServeConfig, Session, SharedContext,
-    VqAlgorithm,
+    ContextHandle, DecodeRequest, Engine, KvQuantMode, RequestHandle, ServeConfig, Session,
+    SharedContext, StepReport, VqAlgorithm,
 };
-use vqllm_bench::Report;
+use vqllm_bench::{merge_bench_json, num, Gates, Report};
 
 const SEQ: usize = 1024;
 const HEAD_DIM: usize = 64;
@@ -59,30 +60,36 @@ const GEN_TOKENS: usize = 24;
 const SEQ_B: usize = 768;
 const HEAD_DIM_B: usize = 32;
 
-fn requests_from(base: usize) -> Vec<DecodeRequest> {
+/// A scenario's traffic: each request with the index of the context it
+/// decodes against.
+type Traffic = Vec<(usize, DecodeRequest)>;
+
+/// `TENANTS` requests against the first context, from tenant `base` on, at
+/// ragged positions: tenants sit at different depths of the shared cache,
+/// like real continuous batching.
+fn requests_from(base: usize) -> Traffic {
     (base..base + TENANTS)
         .map(|t| {
             let query: Vec<f32> = (0..HEAD_DIM)
                 .map(|d| ((t * 13 + d) as f32 * 0.21).sin())
                 .collect();
-            // Ragged context positions: tenants sit at different depths of
-            // the shared cache, like real continuous batching.
-            DecodeRequest::new(t as u64, query, 640 + 40 * (t % TENANTS), GEN_TOKENS)
+            let req = DecodeRequest::new(t as u64, query, 640 + 40 * (t % TENANTS), GEN_TOKENS);
+            (0, req)
         })
         .collect()
 }
 
-fn requests() -> Vec<DecodeRequest> {
+fn requests() -> Traffic {
     requests_from(0)
 }
 
 /// The mixed scenario's traffic: tenants alternate between the two
 /// contexts, ragged positions in both.
-fn mixed_requests() -> Vec<(bool, DecodeRequest)> {
+fn mixed_requests() -> Traffic {
     (0..TENANTS)
         .map(|t| {
-            let to_b = t % 2 == 1;
-            let (dim, base, stride) = if to_b {
+            let ctx = t % 2;
+            let (dim, base, stride) = if ctx == 1 {
                 (HEAD_DIM_B, 400, 30)
             } else {
                 (HEAD_DIM, 640, 40)
@@ -90,10 +97,8 @@ fn mixed_requests() -> Vec<(bool, DecodeRequest)> {
             let query: Vec<f32> = (0..dim)
                 .map(|d| ((t * 17 + d) as f32 * 0.23).sin())
                 .collect();
-            (
-                to_b,
-                DecodeRequest::new(t as u64, query, base + stride * t, GEN_TOKENS),
-            )
+            let req = DecodeRequest::new(t as u64, query, base + stride * t, GEN_TOKENS);
+            (ctx, req)
         })
         .collect()
 }
@@ -119,13 +124,14 @@ fn quantize_context(session: &Session, seq: usize, dim: usize, seed: u64) -> Sha
     .expect("context")
 }
 
-/// A fresh engine on the session's backend over `contexts`, returning one
-/// handle per context, in order.
-fn engine(
+/// A fresh engine on the session's backend over `contexts`, with `traffic`
+/// submitted; returns one handle per request, in order.
+fn loaded(
     session: &Session,
     contexts: &[&SharedContext],
     config: ServeConfig,
-) -> (Engine, Vec<ContextHandle>) {
+    traffic: Traffic,
+) -> (Engine, Vec<RequestHandle>) {
     let mut engine = Engine::builder()
         .backend(std::sync::Arc::clone(session.backend()))
         .weight_algo(VqAlgorithm::Gptvq2)
@@ -133,44 +139,67 @@ fn engine(
         .serve_config(config)
         .build()
         .expect("engine");
-    let handles = contexts
+    let handles: Vec<ContextHandle> = contexts
         .iter()
         .map(|&ctx| engine.register_context(ctx.clone()).expect("register"))
         .collect();
-    (engine, handles)
+    let requests = traffic
+        .into_iter()
+        .map(|(ctx, r)| engine.try_submit(handles[ctx], r).expect("admitted"))
+        .collect();
+    (engine, requests)
 }
 
-/// A fresh one-context engine over `ctx`.
-fn one_ctx_engine(
+/// Drains `traffic` at full batch width and one request at a time and
+/// asserts every request decodes identical bytes both ways (the
+/// scheduler's bitwise contract); returns the batched drain's steps.
+fn assert_parity(
     session: &Session,
-    ctx: &SharedContext,
-    config: ServeConfig,
-) -> (Engine, ContextHandle) {
-    let (engine, handles) = engine(session, &[ctx], config);
-    (engine, handles[0])
+    contexts: &[&SharedContext],
+    traffic: fn() -> Traffic,
+    what: &str,
+) -> Vec<StepReport> {
+    let (mut batched, hb) = loaded(
+        session,
+        contexts,
+        ServeConfig::new(TENANTS, TENANTS),
+        traffic(),
+    );
+    let (mut looped, hl) = loaded(session, contexts, ServeConfig::new(1, TENANTS), traffic());
+    let steps = batched.run_until_drained().expect("drain");
+    looped.run_until_drained().expect("drain");
+    for (b, l) in hb.iter().zip(&hl) {
+        let ob = batched.output(b).expect("output");
+        let ol = looped.output(l).expect("output");
+        assert_eq!(
+            ob.steps, ol.steps,
+            "{what} scheduling changed decode bytes (tenant {})",
+            ob.tenant
+        );
+    }
+    steps
 }
 
-/// Tokens/second of one full drain, best of `reps` (best-of suppresses
-/// shared-runner scheduling noise).
+/// Tokens/second of one full drain at `max_batch`, best of `reps`
+/// (best-of suppresses shared-runner scheduling noise), and the tokens
+/// decoded.
 fn tokens_per_s(
     session: &Session,
-    ctx: &SharedContext,
+    contexts: &[&SharedContext],
+    traffic: fn() -> Traffic,
     max_batch: usize,
     reps: usize,
 ) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut tokens = 0u64;
     for _ in 0..reps.max(1) {
-        let (mut srv, h) = one_ctx_engine(session, ctx, ServeConfig::new(max_batch, TENANTS));
-        let handles: Vec<_> = requests()
-            .into_iter()
-            .map(|r| srv.try_submit(h, r).expect("admitted"))
-            .collect();
+        let config = ServeConfig::new(max_batch, TENANTS);
+        let (mut engine, handles) = loaded(session, contexts, config, traffic());
         let t0 = Instant::now();
-        srv.run_until_drained().expect("drain");
+        engine.run_until_drained().expect("drain");
         best = best.min(t0.elapsed().as_secs_f64());
-        tokens = srv.stats().decoded_tokens;
-        assert!(handles.iter().all(|h| srv.output(h).is_some()));
+        tokens = engine.stats().decoded_tokens;
+        assert!(handles.iter().all(|h| engine.output(h).is_some()));
     }
     (tokens as f64 / best, tokens)
 }
@@ -181,10 +210,10 @@ fn tokens_per_s(
 /// every step decodes a full batch — the shape the tail-latency gate is
 /// about.
 fn step_profile(session: &Session, ctx: &SharedContext, max_batch: usize) -> (Vec<f64>, Vec<f64>) {
-    let (mut srv, h) = one_ctx_engine(session, ctx, ServeConfig::new(max_batch, 2 * TENANTS));
-    for r in requests_from(0).into_iter().chain(requests_from(TENANTS)) {
-        srv.try_submit(h, r).expect("admitted");
-    }
+    let mut traffic = requests_from(0);
+    traffic.extend(requests_from(TENANTS));
+    let config = ServeConfig::new(max_batch, 2 * TENANTS);
+    let (mut srv, _) = loaded(session, &[ctx], config, traffic);
     let mut latencies_us = Vec::new();
     let mut queue_depths = Vec::new();
     while !srv.is_idle() {
@@ -194,46 +223,6 @@ fn step_profile(session: &Session, ctx: &SharedContext, max_batch: usize) -> (Ve
         queue_depths.push(r.queued as f64);
     }
     (latencies_us, queue_depths)
-}
-
-/// A fresh engine over both mixed-scenario contexts.
-fn mixed_engine(
-    session: &Session,
-    ctx_a: &SharedContext,
-    ctx_b: &SharedContext,
-    max_batch: usize,
-) -> (Engine, ContextHandle, ContextHandle) {
-    let (engine, handles) = engine(
-        session,
-        &[ctx_a, ctx_b],
-        ServeConfig::new(max_batch, TENANTS),
-    );
-    (engine, handles[0], handles[1])
-}
-
-/// Tokens/second of one mixed two-context engine drain, best of `reps`.
-fn mixed_tokens_per_s(
-    session: &Session,
-    ctx_a: &SharedContext,
-    ctx_b: &SharedContext,
-    max_batch: usize,
-    reps: usize,
-) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut tokens = 0u64;
-    for _ in 0..reps.max(1) {
-        let (mut engine, ha, hb) = mixed_engine(session, ctx_a, ctx_b, max_batch);
-        let handles: Vec<_> = mixed_requests()
-            .into_iter()
-            .map(|(to_b, r)| engine.submit(if to_b { hb } else { ha }, r))
-            .collect();
-        let t0 = Instant::now();
-        engine.run_until_drained().expect("drain");
-        best = best.min(t0.elapsed().as_secs_f64());
-        tokens = engine.stats().decoded_tokens;
-        assert!(handles.iter().all(|h| engine.output(h).is_some()));
-    }
-    (tokens as f64 / best, tokens)
 }
 
 /// One full drain with live KV quantization on: compressed bytes per
@@ -249,11 +238,7 @@ struct LiveKvRun {
 
 fn live_kv_run(session: &Session, ctx: &SharedContext, mode: KvQuantMode) -> LiveKvRun {
     let config = ServeConfig::new(TENANTS, TENANTS).with_kv_quant(mode);
-    let (mut engine, h) = one_ctx_engine(session, ctx, config);
-    let handles: Vec<_> = requests()
-        .into_iter()
-        .map(|r| engine.submit(h, r))
-        .collect();
+    let (mut engine, handles) = loaded(session, &[ctx], config, requests());
     let t0 = Instant::now();
     engine.run_until_drained().expect("drain");
     let elapsed = t0.elapsed().as_secs_f64();
@@ -296,67 +281,21 @@ fn main() {
 
     // Parity first: the measurement is meaningless if the schedulers
     // disagree. The batched drain and the per-request drain must produce
-    // identical bytes for every tenant (the scheduler's bitwise contract).
-    {
-        let (mut batched, bh) = one_ctx_engine(&session, &ctx, ServeConfig::new(TENANTS, TENANTS));
-        let (mut looped, lh) = one_ctx_engine(&session, &ctx, ServeConfig::new(1, TENANTS));
-        let hb: Vec<_> = requests()
-            .into_iter()
-            .map(|r| batched.try_submit(bh, r).expect("admitted"))
-            .collect();
-        let hl: Vec<_> = requests()
-            .into_iter()
-            .map(|r| looped.try_submit(lh, r).expect("admitted"))
-            .collect();
-        batched.run_until_drained().expect("drain");
-        looped.run_until_drained().expect("drain");
-        for (b, l) in hb.iter().zip(&hl) {
-            let ob = batched.output(b).expect("output");
-            let ol = looped.output(l).expect("output");
-            assert_eq!(
-                ob.steps, ol.steps,
-                "batched scheduling changed decode bytes (tenant {})",
-                ob.tenant
-            );
-        }
-    }
+    // identical bytes for every tenant, over one context and over both.
+    let (one, both) = ([&ctx], [&ctx, &ctx_b]);
+    assert_parity(&session, &one, requests, "batched");
+    let mixed_steps = assert_parity(&session, &both, mixed_requests, "mixed-context");
+    assert!(
+        mixed_steps.iter().any(|r| r.groups == 2),
+        "mixed drain never formed a two-context batch"
+    );
 
-    // Mixed-context parity: a full-width engine drain vs the same engine
-    // machinery at max_batch = 1.
-    {
-        let (mut batched, ba, bb) = mixed_engine(&session, &ctx, &ctx_b, TENANTS);
-        let (mut looped, la, lb) = mixed_engine(&session, &ctx, &ctx_b, 1);
-        let hb: Vec<_> = mixed_requests()
-            .into_iter()
-            .map(|(to_b, r)| batched.submit(if to_b { bb } else { ba }, r))
-            .collect();
-        let hl: Vec<_> = mixed_requests()
-            .into_iter()
-            .map(|(to_b, r)| looped.submit(if to_b { lb } else { la }, r))
-            .collect();
-        let reports = batched.run_until_drained().expect("drain");
-        assert!(
-            reports.iter().any(|r| r.groups == 2),
-            "mixed drain never formed a two-context batch"
-        );
-        looped.run_until_drained().expect("drain");
-        for (b, l) in hb.iter().zip(&hl) {
-            let ob = batched.output(b).expect("output");
-            let ol = looped.output(l).expect("output");
-            assert_eq!(
-                ob.steps, ol.steps,
-                "mixed-context scheduling changed decode bytes (tenant {})",
-                ob.tenant
-            );
-        }
-    }
-
-    let (looped_tps, tokens) = tokens_per_s(&session, &ctx, 1, reps);
-    let (batched_tps, _) = tokens_per_s(&session, &ctx, TENANTS, reps);
+    let (looped_tps, tokens) = tokens_per_s(&session, &one, requests, 1, reps);
+    let (batched_tps, _) = tokens_per_s(&session, &one, requests, TENANTS, reps);
     let speedup = batched_tps / looped_tps;
 
-    let (mixed_looped_tps, mixed_tokens) = mixed_tokens_per_s(&session, &ctx, &ctx_b, 1, reps);
-    let (mixed_batched_tps, _) = mixed_tokens_per_s(&session, &ctx, &ctx_b, TENANTS, reps);
+    let (mixed_looped_tps, mixed_tokens) = tokens_per_s(&session, &both, mixed_requests, 1, reps);
+    let (mixed_batched_tps, _) = tokens_per_s(&session, &both, mixed_requests, TENANTS, reps);
     let mixed_speedup = mixed_batched_tps / mixed_looped_tps;
 
     // Live-KV memory: the same tenants, but every generated token lands
@@ -445,97 +384,65 @@ fn main() {
     ));
 
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let json = format!(
-        "{{\n  \"seq\": {SEQ},\n  \"head_dim\": {HEAD_DIM},\n  \"tenants\": {TENANTS},\n  \
-         \"gen_tokens\": {GEN_TOKENS},\n  \"tokens\": {tokens},\n  \
-         \"looped_tok_per_s\": {looped_tps:.1},\n  \"batched_tok_per_s\": {batched_tps:.1},\n  \
-         \"batched_speedup\": {speedup:.3},\n  \
-         \"mixed_seq_b\": {SEQ_B},\n  \"mixed_head_dim_b\": {HEAD_DIM_B},\n  \
-         \"mixed_tokens\": {mixed_tokens},\n  \
-         \"mixed_looped_tok_per_s\": {mixed_looped_tps:.1},\n  \
-         \"mixed_batched_tok_per_s\": {mixed_batched_tps:.1},\n  \
-         \"mixed_speedup\": {mixed_speedup:.3},\n  \
-         \"kv_bytes_per_token\": {:.1},\n  \
-         \"kv_fp32_bytes_per_token\": {kv_fp32_bytes_per_token:.0},\n  \
-         \"kv_ratio\": {kv_ratio:.4},\n  \
-         \"kv_nmse\": {:.6e},\n  \
-         \"kv_accuracy\": {kv_accuracy:.4},\n  \
-         \"kv_folded_tokens\": {},\n  \
-         \"kv_outlier_groups\": {},\n  \
-         \"kv_live_tok_per_s\": {:.1},\n  \
-         \"step_latency_p50_us\": {step_p50_us:.1},\n  \
-         \"step_latency_p99_us\": {step_p99_us:.1},\n  \
-         \"step_latency_mean_us\": {step_mean_us:.1},\n  \
-         \"step_latency_max_us\": {step_max_us:.1},\n  \
-         \"queue_depth_mean\": {queue_depth_mean:.2},\n  \
-         \"queue_depth_max\": {queue_depth_max:.0},\n  \
-         \"available_threads\": {threads},\n  \
-         \"simd_tier\": \"{}\"\n}}\n",
-        live.bytes_per_token,
-        live.nmse,
-        live.folded_tokens,
-        live.outlier_groups,
-        live.tok_per_s,
-        vq_llm::kernels::host_exec::simd::tier()
+    let json = merge_bench_json(
+        "BENCH_serving.json",
+        vec![
+            ("seq", num(SEQ as f64)),
+            ("head_dim", num(HEAD_DIM as f64)),
+            ("tenants", num(TENANTS as f64)),
+            ("gen_tokens", num(GEN_TOKENS as f64)),
+            ("tokens", num(tokens as f64)),
+            ("looped_tok_per_s", num(looped_tps)),
+            ("batched_tok_per_s", num(batched_tps)),
+            ("batched_speedup", num(speedup)),
+            ("mixed_seq_b", num(SEQ_B as f64)),
+            ("mixed_head_dim_b", num(HEAD_DIM_B as f64)),
+            ("mixed_tokens", num(mixed_tokens as f64)),
+            ("mixed_looped_tok_per_s", num(mixed_looped_tps)),
+            ("mixed_batched_tok_per_s", num(mixed_batched_tps)),
+            ("mixed_speedup", num(mixed_speedup)),
+            ("kv_bytes_per_token", num(live.bytes_per_token)),
+            ("kv_fp32_bytes_per_token", num(kv_fp32_bytes_per_token)),
+            ("kv_ratio", num(kv_ratio)),
+            ("kv_nmse", num(live.nmse)),
+            ("kv_accuracy", num(kv_accuracy)),
+            ("kv_folded_tokens", num(live.folded_tokens as f64)),
+            ("kv_outlier_groups", num(live.outlier_groups as f64)),
+            ("kv_live_tok_per_s", num(live.tok_per_s)),
+            ("step_latency_p50_us", num(step_p50_us)),
+            ("step_latency_p99_us", num(step_p99_us)),
+            ("step_latency_mean_us", num(step_mean_us)),
+            ("step_latency_max_us", num(step_max_us)),
+            ("queue_depth_mean", num(queue_depth_mean)),
+            ("queue_depth_max", num(queue_depth_max)),
+            ("available_threads", num(threads as f64)),
+            (
+                "simd_tier",
+                Json::Str(vq_llm::kernels::host_exec::simd::tier().to_string()),
+            ),
+        ],
     );
-    let mut json_path = vqllm_bench::results_dir();
-    json_path.pop();
-    json_path.push("BENCH_serving.json");
-    std::fs::write(&json_path, &json).expect("write BENCH_serving.json");
     report.section("BENCH_serving.json");
     report.line(json.trim_end());
     report.finish();
 
     // --- The acceptance gates (asserted in --smoke / CI) ---
-    let gate = 1.5;
-    let mut failed = false;
-    if speedup >= gate {
-        println!("OK: batched serving speedup {speedup:.2} (>= {gate:.2} required)");
-    } else {
-        eprintln!("FAIL: batched serving speedup {speedup:.2} < required {gate:.2}");
-        failed = true;
-    }
-    if mixed_speedup >= gate {
-        println!("OK: mixed two-context speedup {mixed_speedup:.2} (>= {gate:.2} required)");
-    } else {
-        eprintln!("FAIL: mixed two-context speedup {mixed_speedup:.2} < required {gate:.2}");
-        failed = true;
-    }
+    let mut gates = Gates::default();
+    gates.min("batched serving speedup", speedup, 1.5);
+    gates.min("mixed two-context speedup", mixed_speedup, 1.5);
     // Tail-latency gate: with 8 homogeneous tenants at full batch, a p99
     // beyond 10x the median means some steps stall (lock contention,
     // allocator churn, batch re-formation doing O(queue) work) — the
     // serving layer's latency contract, not just its throughput.
-    let tail_gate = 10.0;
-    if step_p99_us <= tail_gate * step_p50_us {
-        println!(
-            "OK: step latency p99 {step_p99_us:.0} us <= {tail_gate:.0}x p50 \
-             {step_p50_us:.0} us at batch {TENANTS}"
-        );
-    } else {
-        eprintln!(
-            "FAIL: step latency p99 {step_p99_us:.0} us > {tail_gate:.0}x p50 \
-             {step_p50_us:.0} us at batch {TENANTS}"
-        );
-        failed = true;
-    }
+    gates.max(
+        &format!("step latency p99 / p50 at batch {TENANTS}"),
+        step_p99_us / step_p50_us,
+        10.0,
+    );
     // Live-KV memory gate: the whole point of quantizing the live cache
     // is bytes, so the compressed cost per appended token (codes +
     // outliers + the unfolded f32 tail, amortized over the drain) must
     // stay at or under half the f32 cost.
-    let kv_gate = 0.5;
-    if kv_ratio <= kv_gate {
-        println!(
-            "OK: live-KV bytes/token {:.1} = {kv_ratio:.3}x f32 (<= {kv_gate:.2} required)",
-            live.bytes_per_token
-        );
-    } else {
-        eprintln!(
-            "FAIL: live-KV bytes/token {:.1} = {kv_ratio:.3}x f32 > required {kv_gate:.2}",
-            live.bytes_per_token
-        );
-        failed = true;
-    }
-    if failed && smoke {
-        std::process::exit(1);
-    }
+    gates.max("live-KV bytes/token vs f32", kv_ratio, 0.5);
+    gates.finish(smoke);
 }

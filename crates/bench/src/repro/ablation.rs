@@ -1,20 +1,8 @@
-//! Sensitivity / ablation studies (paper §VII: "extensive sensitivity to
-//! verify the effectiveness of each technique").
-//!
-//! Four sweeps, each isolating one adaptive heuristic:
-//!
-//! 1. **Split factor** — total dataflow traffic vs split, showing the
-//!    `sqrt(cb/output)` optimum the mean-value-theorem argument predicts.
-//! 2. **Shared boundary (`n_shared`)** — attention latency vs how much of
-//!    each codebook is cached, showing the slack-point sweet spot between
-//!    cold-miss traffic and occupancy loss.
-//! 3. **Register boundary (`n_reg`)** — bank-conflict cycles vs hot-entry
-//!    register caching, isolating O2's mechanism.
-//! 4. **Shuffle threshold** — register vs shared fusion cost as the
-//!    vector-size/layout ratio grows, validating the threshold of 5.
+//! Sensitivity studies (paper §VII: "extensive sensitivity to verify the
+//! effectiveness of each technique").
 
-use vqllm_bench::{fmt_bytes, fmt_us, Report};
 use vqllm_core::dataflow::optimal_split_factor;
+use vqllm_core::engine::{entry_cache_bytes, kernel_codebook_bytes};
 use vqllm_core::fusion::{choose_fusion, num_shuffles, FusionLevel};
 use vqllm_core::{CachePlacement, ComputeOp, KernelPlanner, OptLevel, ProfileSummary};
 use vqllm_gpu::GpuSpec;
@@ -22,11 +10,20 @@ use vqllm_kernels::traffic::model_codebook_access;
 use vqllm_kernels::{vq_kernel, AccessProfile};
 use vqllm_vq::VqAlgorithm;
 
-fn main() {
-    let mut r = Report::new(
-        "ablation",
-        "Sensitivity studies for each adaptive heuristic",
-    );
+use crate::{fmt_bytes, fmt_us, Report};
+
+/// Four sweeps, each isolating one adaptive heuristic:
+///
+/// 1. **Split factor** — total dataflow traffic vs split, showing the
+///    `sqrt(cb/output)` optimum the mean-value-theorem argument predicts.
+/// 2. **Shared boundary (`n_shared`)** — attention latency vs how much of
+///    each codebook is cached, showing the slack-point sweet spot between
+///    cold-miss traffic and occupancy loss.
+/// 3. **Register boundary (`n_reg`)** — bank-conflict cycles vs hot-entry
+///    register caching, isolating O2's mechanism.
+/// 4. **Shuffle threshold** — register vs shared fusion cost as the
+///    vector-size/layout ratio grows, validating the threshold of 5.
+pub fn ablation(r: &mut Report) {
     let gpu = GpuSpec::rtx4090();
 
     // --- 1. Split factor ---
@@ -49,32 +46,25 @@ fn main() {
         ));
     }
     let t = |s: usize| cb_traffic / s as f64 + s as f64 * output;
-    r.line(format!(
-        "[{}] chosen split {best} minimizes total traffic",
-        if t(best) <= t(best.saturating_sub(1).max(1)) && t(best) <= t(best + 1) {
-            "MATCH"
-        } else {
-            "DEVIATION"
-        }
-    ));
+    r.check(
+        format!("chosen split {best} minimizes total traffic"),
+        t(best) <= t(best.saturating_sub(1).max(1)) && t(best) <= t(best + 1),
+    );
 
     // --- 2. Shared boundary sweep (attention CQ-2) ---
     r.section("shared boundary: attention latency vs cached entries per book");
     let vq = VqAlgorithm::Cq2.config();
     let op = ComputeOp::attention_decode(32, 128, 4096, 8);
-    let planner = KernelPlanner::new(gpu.clone());
-    let base = planner
+    let base = KernelPlanner::new(gpu.clone())
         .plan_at(&vq, &op, OptLevel::O2, &ProfileSummary::default_for(&vq))
         .expect("plan");
     let profile = AccessProfile::default_for(&vq);
-    let chosen = base.placement.n_shared;
     let mut best_seen = (0usize, f64::INFINITY);
     for n_shared in [0usize, 32, 64, 96, 128, 192, 256] {
         let mut plan = base.clone();
         plan.placement = CachePlacement { n_reg: 0, n_shared };
-        plan.smem_codebook_bytes =
-            (n_shared * vqllm_core::engine::entry_cache_bytes(&vq) * plan.books_per_block)
-                .min(plan.books_per_block * vqllm_core::engine::kernel_codebook_bytes(&vq));
+        plan.smem_codebook_bytes = (n_shared * entry_cache_bytes(&vq) * plan.books_per_block)
+            .min(plan.books_per_block * kernel_codebook_bytes(&vq));
         let out = vq_kernel::estimate(&gpu, &plan, &profile);
         if out.us() < best_seen.1 {
             best_seen = (n_shared, out.us());
@@ -86,64 +76,34 @@ fn main() {
         ));
     }
     r.line(format!(
-        "slack heuristic chose n_shared = {chosen}; sweep optimum at {} — \
+        "slack heuristic chose n_shared = {}; sweep optimum at {} — \
          within the flat region around the slack point",
-        best_seen.0
+        base.placement.n_shared, best_seen.0
     ));
 
     // --- 3. Register boundary sweep (AQLM GeMV) ---
     r.section("register boundary: bank-conflict cycles vs hot entries in registers");
     let aqlm = VqAlgorithm::Aqlm3.config();
     let aprofile = AccessProfile::default_for(&aqlm);
-    for n_reg in [0usize, 4, 8, 16, 32, 64] {
+    let access = |n_reg, entry_bytes| {
         let placement = CachePlacement {
             n_reg,
             n_shared: 2048,
         };
-        let cost = model_codebook_access(
-            &aprofile,
-            &placement,
-            vqllm_core::engine::entry_cache_bytes(&aqlm),
-            &gpu,
-            256,
-            7,
-        );
+        model_codebook_access(&aprofile, &placement, entry_bytes, &gpu, 256, 7)
+    };
+    for n_reg in [0usize, 4, 8, 16, 32, 64] {
+        let cost = access(n_reg, entry_cache_bytes(&aqlm));
         r.line(format!(
             "n_reg {n_reg:3}: conflicts/warp {:5.2}, served from regs {:4.1}%",
             cost.conflict_cycles_per_warp,
             cost.frac_reg * 100.0
         ));
     }
-    let no_reg = model_codebook_access(
-        &aprofile,
-        &CachePlacement {
-            n_reg: 0,
-            n_shared: 2048,
-        },
-        32,
-        &gpu,
-        256,
-        7,
+    r.check(
+        "register caching of the hot head reduces bank conflicts",
+        access(32, 32).conflict_cycles_per_warp < access(0, 32).conflict_cycles_per_warp,
     );
-    let with_reg = model_codebook_access(
-        &aprofile,
-        &CachePlacement {
-            n_reg: 32,
-            n_shared: 2048,
-        },
-        32,
-        &gpu,
-        256,
-        7,
-    );
-    r.line(format!(
-        "[{}] register caching of the hot head reduces bank conflicts",
-        if with_reg.conflict_cycles_per_warp < no_reg.conflict_cycles_per_warp {
-            "MATCH"
-        } else {
-            "DEVIATION"
-        }
-    ));
 
     // --- 4. Shuffle threshold ---
     r.section("fusion threshold: shuffle cost vs shared round-trip (per warp fragment)");
@@ -159,16 +119,9 @@ fn main() {
             decision
         ));
     }
-    let reg_when_cheap = matches!(choose_fusion(8, 2), FusionLevel::Register { .. });
-    let shared_when_costly = matches!(choose_fusion(8, 1), FusionLevel::Shared);
-    r.line(format!(
-        "[{}] threshold keeps register fusion only while shuffles < 5",
-        if reg_when_cheap && shared_when_costly {
-            "MATCH"
-        } else {
-            "DEVIATION"
-        }
-    ));
-
-    r.finish();
+    r.check(
+        "threshold keeps register fusion only while shuffles < 5",
+        matches!(choose_fusion(8, 2), FusionLevel::Register { .. })
+            && matches!(choose_fusion(8, 1), FusionLevel::Shared),
+    );
 }

@@ -557,8 +557,8 @@ mod tests {
         // bandwidth-constrained A40. Our model lands slightly below the
         // 4090 instead, because the dequantization's SM-cycle costs scale
         // with the A40's weaker compute while the FP16 baseline's
-        // bottleneck scales with bandwidth — a documented deviation
-        // (EXPERIMENTS.md, Fig. 17). We assert the speedups stay within
+        // bottleneck scales with bandwidth — a documented deviation (the
+        // A40 line of `repro fig17`). We assert the speedups stay within
         // 20 % of each other and both remain ≫ 1.
         let speedup = |gpu: GpuSpec| {
             let fp = Pipeline::new(gpu.clone(), LlamaConfig::llama_7b(), QuantScheme::Fp16)

@@ -137,39 +137,43 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     s.get(rank - 1).copied().unwrap_or(0.0)
 }
 
-/// Why a connection was closed, as the per-reason disconnect counters
-/// track it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DisconnectReason {
-    /// Evicted: the writer queue stayed over its watermark past the
-    /// configured grace (or hit its hard cap) — the reader was too slow.
-    SlowReader,
-    /// Reaped: no frames received for longer than the idle timeout.
-    Idle,
-    /// The client closed the connection (clean EOF).
-    Eof,
-    /// A socket error, an over-long line, or another protocol violation.
-    Error,
+/// Generates [`DisconnectReason`] from the one table below: each variant
+/// with its docs and its metrics code. The enum, [`DisconnectReason::ALL`]
+/// and [`DisconnectReason::code`] all come from the table, so `ALL` is in
+/// declaration order and `reason as usize` is the reason's slot in it.
+macro_rules! disconnect_reasons {
+    ($($(#[$doc:meta])* $variant:ident => $code:literal,)*) => {
+        /// Why a connection was closed, as the per-reason disconnect
+        /// counters track it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum DisconnectReason {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl DisconnectReason {
+            /// All reasons, in counter-array (and declaration) order.
+            pub const ALL: &'static [DisconnectReason] = &[$(DisconnectReason::$variant),*];
+
+            /// The metrics JSON key suffix (`disconnects_<code>`).
+            pub fn code(&self) -> &'static str {
+                match self {
+                    $(DisconnectReason::$variant => $code,)*
+                }
+            }
+        }
+    };
 }
 
-impl DisconnectReason {
-    /// All reasons, in counter-array order.
-    pub const ALL: [DisconnectReason; 4] = [
-        DisconnectReason::SlowReader,
-        DisconnectReason::Idle,
-        DisconnectReason::Eof,
-        DisconnectReason::Error,
-    ];
-
-    /// The metrics JSON key suffix (`disconnects_<code>`).
-    pub fn code(&self) -> &'static str {
-        match self {
-            DisconnectReason::SlowReader => "slow_reader",
-            DisconnectReason::Idle => "idle",
-            DisconnectReason::Eof => "eof",
-            DisconnectReason::Error => "error",
-        }
-    }
+disconnect_reasons! {
+    /// Evicted: the writer queue stayed over its watermark past the
+    /// configured grace (or hit its hard cap) — the reader was too slow.
+    SlowReader => "slow_reader",
+    /// Reaped: no frames received for longer than the idle timeout.
+    Idle => "idle",
+    /// The client closed the connection (clean EOF).
+    Eof => "eof",
+    /// A socket error, an over-long line, or another protocol violation.
+    Error => "error",
 }
 
 /// The driver's live metrics surface. Shared (`Arc`) between the driver
@@ -275,9 +279,8 @@ impl Metrics {
     /// Counts a connection leaving service, tagged with why.
     pub fn connection_closed(&self, reason: DisconnectReason) {
         self.active_connections.fetch_sub(1, Relaxed);
-        // `reason as usize` == its slot in ALL (pinned by
-        // `enum_order_matches_all` below), and the array is sized by
-        // ALL, so the lookup cannot miss.
+        // `reason as usize` is its slot in ALL (both come from one
+        // table), and the array is sized by ALL, so the lookup cannot miss.
         if let Some(counter) = self.disconnects.get(reason as usize) {
             counter.fetch_add(1, Relaxed);
         }
@@ -548,20 +551,6 @@ fn round3(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn enum_order_matches_all() {
-        // The disconnect counters are indexed with `reason as usize`;
-        // that is only correct while ALL lists variants in declaration
-        // order. (Rejection counters are indexed by the generated
-        // `RejectReason::slot`, pinned by `proto`'s wire golden.)
-        for (i, r) in DisconnectReason::ALL.iter().enumerate() {
-            assert_eq!(
-                *r as usize, i,
-                "DisconnectReason::ALL out of declaration order"
-            );
-        }
-    }
 
     #[test]
     fn histogram_quantiles_are_bucketed_upper_bounds() {
