@@ -80,8 +80,11 @@
 //!
 //! # The one summation order
 //!
-//! For every configuration, batch width, lane position and thread count,
-//! an output's bytes are these and no others:
+//! For every configuration, batch width, lane position, thread count and
+//! SIMD tier, an output's bytes are these and no others — every
+//! multiply-add below rounds once (`f32::mul_add`, or the FMA instruction
+//! that is the same operation), so one machine's bytes are every
+//! machine's (`tests/output_digests.rs` pins them):
 //!
 //! * a score — a [`gemv_lut`] / [`gemv_lut_batch`] output, attention's
 //!   score of a context row or of a folded extension row — is, per
@@ -96,15 +99,16 @@
 //! * a value-pass output — a [`gemm_fused`] element on a covered
 //!   configuration, an attention output element — is **one** chain of
 //!   multiply-adds from +0.0 over the rows: a context or folded row
-//!   contributes `weight · entry` once per residual round, rounds in order
-//!   (fused on the AVX2 and AVX-512 tiers — the AVX-512 tier is the AVX2
-//!   tier's arithmetic on wider vectors, so AVX-512 ≡ AVX2 bit for bit —
-//!   multiply then add on the scalar one).
+//!   contributes `weight · entry` once per residual round, rounds in order.
 //!   Attention continues it over the outlier residuals (push order) and
 //!   the tail rows with `+= weight · value` and divides by the lane's sum;
 //! * a panel-body [`gemm_fused`] element is the sum, in row order, of one
 //!   such chain per K-chunk of the row's codebook band — chunks of
-//!   `256 KiB ÷ row bytes` rows, fixed by the tensor's shape.
+//!   `256 KiB ÷ row bytes` rows, fixed by the tensor's shape;
+//! * a [`gemv_xw`] element adds, per residual round and codebook band, its
+//!   aggregated code weights expanded through the centroids: one
+//!   [`simd::dot`] chain when the table is saturated, else `+= weight ·
+//!   entry` per touched code (lattice books: per row, sign-aware).
 //!
 //! Zero-weight rows between a lane's prefix and the bound add exact zeros,
 //! so solo ≡ batched ≡ tailed-with-empty-extensions bit for bit, and since
@@ -139,7 +143,7 @@
 //! for softmax and the value pass), 8-wide unrolled scalar lanes
 //! otherwise — per primitive for the dense ones, once per kernel call for
 //! the lane-block stages, whose per-code work is too small to carry a
-//! dispatch.
+//! dispatch. The tier decides speed, never bytes.
 //!
 //! [`Backend`]: crate::backend::Backend
 //! [`CodebookSet::book_run`]: vqllm_vq::CodebookSet::book_run

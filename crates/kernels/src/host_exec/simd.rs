@@ -8,11 +8,21 @@
 //!   probe);
 //! * for [`softmax_lanes`] and [`value_accumulate`], an **AVX-512F** path
 //!   beside it, selected the same way: the same operations on 512-bit
-//!   vectors, so its bits are the AVX2 path's;
+//!   vectors;
 //! * a **scalar** fallback restructured into 8-wide unrolled accumulator
 //!   lanes so LLVM's autovectorizer reliably emits packed math on any
 //!   target (and out-of-order cores get independent dependency chains even
 //!   when it does not).
+//!
+//! **One rounding on every tier.** Every multiply-add is `a.mul_add(b, c)`
+//! — or the intrinsic FMA that is the same operation — rounded once, and
+//! every sum runs in one order whatever the tier, so the tiers agree bit
+//! for bit and a request's bytes do not depend on the machine. On aarch64
+//! and x86-64 with FMA a multiply-add is one instruction. On an x86-64
+//! whose CPUID does not report AVX2 and FMA (an older CPU, or a VM or
+//! emulator that hides them) the scalar tier runs, and there each
+//! multiply-add is a software `fmaf` call, an order of magnitude slower,
+//! to stay correctly rounded.
 //!
 //! The primitives are exactly the inner loops of
 //! [`host_exec`](crate::host_exec): contiguous dot products and AXPYs
@@ -43,11 +53,12 @@
 //! The generic loops are written once, as `#[inline(always)]` bodies over
 //! const lane counts, and compiled per tier: each tier's entry is a
 //! `#[target_feature]` function the body inlines into, so the tier is
-//! picked once per call, not once per packed code. Only the value pass has
-//! hand-written intrinsic kernels beside its lane-array body (the body
-//! alone left the accumulators in memory) — one lane-pair kernel for lane
-//! blocks, generic over the vector width, and one for a single lane; all
-//! run the same chain of fused multiply-adds.
+//! picked once per call, not once per packed code. Two primitives keep
+//! hand-written intrinsic kernels beside their scalar bodies, computing
+//! the same chains: the value pass (the body alone left the accumulators
+//! in memory) — one lane-pair kernel for lane blocks, generic over the
+//! vector width, and one for a single lane — and the GeMM tile, whose
+//! scalar body compiled for AVX2 is slower.
 
 use super::CodeStream;
 use vqllm_vq::{BookRun, Codebook, PackedIndices};
@@ -105,7 +116,11 @@ pub fn tier() -> &'static str {
     }
 }
 
-/// Dense dot product `Σ a[i]·b[i]`.
+/// Dense dot product `Σ a[i]·b[i]`, one chain on every tier: lane `l` of
+/// [`LANES`] multiply-adds elements `l, l + 8, …` of the whole chunks, the
+/// lanes are summed as `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))`
+/// (a 256-bit register's halving tree), and the tail elements follow as
+/// separate multiplies and adds.
 ///
 /// # Panics
 ///
@@ -118,21 +133,24 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: AVX2+FMA presence was just verified.
         return unsafe { dot_avx2(a, b) };
     }
-    dot_scalar(a, b)
+    dot_lanes(a, b)
 }
 
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
+/// [`dot`]'s body.
+#[inline(always)]
+fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; LANES];
-    let chunks = a.len() / LANES;
-    for i in 0..chunks {
-        let (xa, xb) = (&a[i * LANES..][..LANES], &b[i * LANES..][..LANES]);
+    let (ca, ta) = a.as_chunks::<LANES>();
+    let (cb, tb) = b.as_chunks::<LANES>();
+    for (xa, xb) in ca.iter().zip(cb) {
         for l in 0..LANES {
-            lanes[l] += xa[l] * xb[l];
+            lanes[l] = xa[l].mul_add(xb[l], lanes[l]);
         }
     }
-    let mut acc = lanes.iter().sum::<f32>();
-    for i in chunks * LANES..a.len() {
-        acc += a[i] * b[i];
+    let h: [f32; 4] = std::array::from_fn(|l| lanes[l] + lanes[l + 4]);
+    let mut acc = (h[0] + h[2]) + (h[1] + h[3]);
+    for (&x, &y) in ta.iter().zip(tb) {
+        acc += x * y;
     }
     acc
 }
@@ -187,9 +205,9 @@ pub(crate) use with_padded_lanes;
 /// leaves the sum as it is, so a non-finite activation cannot reach a slot
 /// through one (a book with no zero element, the usual case, is built
 /// without the test) — eight slots' sums in registers at a time, each
-/// written once; the AVX2 tier fuses the multiply-add, the scalar tier
-/// does not — per tier, a lane rounds the same way whatever block it sits
-/// in (the serving scheduler's parity contract).
+/// written once. Every step is one fused multiply-add on every tier, so a
+/// lane's bits do not depend on the block it sits in (the serving
+/// scheduler's parity contract) or on the machine.
 ///
 /// # Panics
 ///
@@ -213,7 +231,7 @@ pub fn lut_batch_build(gslab: &mut [f32], inter: &[f32], xt: &[f32], w: usize) {
         unsafe { with_lanes!(w, lut_build_lanes_avx2; gslab, inter, xt) };
         return;
     }
-    with_lanes!(w, lut_build_lanes, false; gslab, inter, xt);
+    with_lanes!(w, lut_build_lanes; gslab, inter, xt);
 }
 
 /// Slots whose sums [`lut_batch_build`] holds in registers at once: enough
@@ -222,7 +240,7 @@ pub fn lut_batch_build(gslab: &mut [f32], inter: &[f32], xt: &[f32], w: usize) {
 const LUT_SLOT_BLOCK: usize = 8;
 
 #[inline(always)]
-fn lut_build_lanes<const W: usize, const FMA: bool>(gslab: &mut [f32], inter: &[f32], xt: &[f32]) {
+fn lut_build_lanes<const W: usize>(gslab: &mut [f32], inter: &[f32], xt: &[f32]) {
     const N: usize = LUT_SLOT_BLOCK;
     let stored = gslab.len() / W;
     // A book rarely holds an exact zero, and without one no step is ever
@@ -231,11 +249,11 @@ fn lut_build_lanes<const W: usize, const FMA: bool>(gslab: &mut [f32], inter: &[
     let mut blocks = gslab.chunks_exact_mut(N * W);
     let mut c = 0;
     for slots in &mut blocks {
-        lut_build_slots::<W, FMA, N>(slots, inter, xt, stored, c, dense);
+        lut_build_slots::<W, N>(slots, inter, xt, stored, c, dense);
         c += N;
     }
     for slot in blocks.into_remainder().chunks_exact_mut(W) {
-        lut_build_slots::<W, FMA, 1>(slot, inter, xt, stored, c, dense);
+        lut_build_slots::<W, 1>(slot, inter, xt, stored, c, dense);
         c += 1;
     }
 }
@@ -243,7 +261,7 @@ fn lut_build_lanes<const W: usize, const FMA: bool>(gslab: &mut [f32], inter: &[
 /// Slots `[c, c + N)` of [`lut_build_lanes`]: `N × W` sums from +0.0,
 /// written once. `dense`: no element of `inter` is zero.
 #[inline(always)]
-fn lut_build_slots<const W: usize, const FMA: bool, const N: usize>(
+fn lut_build_slots<const W: usize, const N: usize>(
     slots: &mut [f32],
     inter: &[f32],
     xt: &[f32],
@@ -256,7 +274,7 @@ fn lut_build_slots<const W: usize, const FMA: bool, const N: usize>(
         for (a, &e) in acc.iter_mut().zip(&ej[c..c + N]) {
             if dense || e != 0.0 {
                 for (s, &x) in a.iter_mut().zip(xj) {
-                    *s = madd::<FMA>(e, x, *s);
+                    *s = e.mul_add(x, *s);
                 }
             }
         }
@@ -473,11 +491,11 @@ fn lut_accumulate_block<const W: usize, const R: usize, const STORED: usize, C: 
 }
 
 /// One GeMM micro-kernel tile: `acc[p][l] += Σ_ii arows[p][ii] ·
-/// panel[ii·stride + j0 + l]` — `GEMM_MR × GEMM_NR` accumulators held
-/// live across the whole panel depth `kb`. Callers pad the panel width
-/// and the A-row set so every tile runs this one full-size kernel; the
-/// per-machine tier (FMA vs mul+add) is then uniform across all tiles,
-/// keeping results bitwise identical at every strip partitioning.
+/// panel[ii·stride + j0 + l]` — `GEMM_MR × GEMM_NR` sums held live across
+/// the whole panel depth `kb`, each a chain of multiply-adds from +0.0 in
+/// `ii` order, added to `acc` once at the end. Callers pad the panel width
+/// and the A-row set so every tile runs this one full-size kernel, which
+/// keeps results bitwise identical at every strip partitioning.
 ///
 /// # Panics
 ///
@@ -516,15 +534,20 @@ fn gemm_acc_tile_scalar(
     kb: usize,
     acc: &mut [[f32; GEMM_NR]; GEMM_MR],
 ) {
+    let mut sums = [[0.0f32; GEMM_NR]; GEMM_MR];
     for ii in 0..kb {
-        let pvec: &[f32; GEMM_NR] = panel[ii * stride + j0..ii * stride + j0 + GEMM_NR]
+        let pvec: &[f32; GEMM_NR] = panel[ii * stride + j0..][..GEMM_NR]
             .try_into()
             .expect("tile panel slice");
-        for (p, accp) in acc.iter_mut().enumerate() {
-            let av = arows[p][ii];
-            for l in 0..GEMM_NR {
-                accp[l] += av * pvec[l];
+        for (sp, a) in sums.iter_mut().zip(arows) {
+            for (s, &v) in sp.iter_mut().zip(pvec) {
+                *s = a[ii].mul_add(v, *s);
             }
+        }
+    }
+    for (accp, sp) in acc.iter_mut().zip(&sums) {
+        for (o, &s) in accp.iter_mut().zip(sp) {
+            *o += s;
         }
     }
 }
@@ -552,24 +575,24 @@ const EXP_CUTOFF: f32 = -87.3;
 /// `e^x` for `W` lanes of `x ≤ 0`, the only range softmax asks for: at
 /// most 2 ulp from the exact value on `[EXP_CUTOFF, 0]`, exactly 1 at 0,
 /// exactly +0.0 below `EXP_CUTOFF`, NaN for NaN. Every step is one IEEE
-/// operation on one element (`FMA` picks fused or separate multiply-adds,
-/// per tier), so a result's bits depend on its input alone — not on `W`,
-/// the lane it sits in, or what its neighbours hold.
+/// operation on one element (a multiply-add rounds once), so a result's
+/// bits depend on its input alone — not on `W`, the lane it sits in, what
+/// its neighbours hold, or the tier.
 #[inline(always)]
-fn exp_lanes<const W: usize, const FMA: bool>(x: [f32; W]) -> [f32; W] {
+fn exp_lanes<const W: usize>(x: [f32; W]) -> [f32; W] {
     // Plain loops over the lanes, no closures: the body must inline whole
     // into the tier's `#[target_feature]` frame to be compiled for it.
     let mut out = [0.0f32; W];
     for b in 0..W {
         let clamped = if x[b] < EXP_CUTOFF { EXP_CUTOFF } else { x[b] };
-        let shifted = madd::<FMA>(clamped, std::f32::consts::LOG2_E, EXP_ROUND);
+        let shifted = clamped.mul_add(std::f32::consts::LOG2_E, EXP_ROUND);
         let n = shifted - EXP_ROUND;
-        let r = madd::<FMA>(n, -EXP_LN2_LO, madd::<FMA>(n, -EXP_LN2_HI, clamped));
+        let r = n.mul_add(-EXP_LN2_LO, n.mul_add(-EXP_LN2_HI, clamped));
         let mut p = EXP_POLY[0];
         for &c in &EXP_POLY[1..] {
-            p = madd::<FMA>(p, r, c);
+            p = p.mul_add(r, c);
         }
-        let y = madd::<FMA>(p, r * r, r) + 1.0;
+        let y = p.mul_add(r * r, r) + 1.0;
         // `n` sits in `shifted`'s low mantissa bits; `n + 127 ≥ 1` is the
         // biased exponent of `2^n`.
         let n = (shifted.to_bits() as i32).wrapping_sub(EXP_ROUND.to_bits() as i32);
@@ -579,27 +602,13 @@ fn exp_lanes<const W: usize, const FMA: bool>(x: [f32; W]) -> [f32; W] {
     out
 }
 
-/// `a · b + c`, fused or in two roundings.
-#[inline(always)]
-fn madd<const FMA: bool>(a: f32, b: f32, c: f32) -> f32 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
 /// The kernels' `e^x` for one `x ≤ 0`: within 2 ulp on `[-87.3, 0]`,
 /// exactly 1 at 0, exactly +0.0 below -87.3 (`-inf` included). Every lane
-/// of [`softmax_lanes`] computes exactly this.
+/// of [`softmax_lanes`] computes exactly this, on every tier. It runs the
+/// scalar body (a reference for tests, not a hot loop).
 #[inline]
 pub fn exp(x: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        return unsafe { exp_lanes_avx2([x]) }[0];
-    }
-    exp_lanes::<1, false>([x])[0]
+    exp_lanes([x])[0]
 }
 
 /// Lane-wise softmax numerators, in place. Lane `b` attends rows
@@ -633,14 +642,14 @@ pub fn softmax_lanes<const W: usize>(
         // SAFETY: AVX2+FMA presence was just verified.
         return unsafe { softmax_lanes_avx2(scores, lens, scale, ext) };
     }
-    softmax_lanes_body::<W, false, W>(scores, lens, scale, ext)
+    softmax_lanes_body::<W, W>(scores, lens, scale, ext)
 }
 
 /// [`softmax_lanes`] with `L` floats a vector: lane `l` of a vector is lane
 /// `l % W` of row `l / W` among the vector's `L / W` rows (`L = W` on the
 /// AVX2 and scalar tiers, one row a vector).
 #[inline(always)]
-fn softmax_lanes_body<const W: usize, const FMA: bool, const L: usize>(
+fn softmax_lanes_body<const W: usize, const L: usize>(
     scores: &mut [[f32; W]],
     lens: &[usize; W],
     scale: f32,
@@ -702,7 +711,7 @@ fn softmax_lanes_body<const W: usize, const FMA: bool, const L: usize>(
             let s = v[l] * scale - max[l % W];
             x[l] = if t0 + slot[l] < prefix[l] { s } else { MASKED };
         }
-        *v = exp_lanes::<L, FMA>(x);
+        *v = exp_lanes(x);
         // Each lane's sum, one row after the other; the padded vector's
         // rows past the buffer are not added.
         for r in 0..per.min(rows - c * per) {
@@ -714,7 +723,7 @@ fn softmax_lanes_body<const W: usize, const FMA: bool, const L: usize>(
     tail.copy_from_slice(&last[..tail.len()]);
     for b in 0..W {
         for s in ext[b].iter_mut() {
-            *s = exp_lanes::<1, FMA>([*s * scale - max[b]])[0];
+            *s = exp_lanes([*s * scale - max[b]])[0];
             sum[b] += *s;
         }
     }
@@ -790,8 +799,8 @@ pub struct ValueRound<'a> {
 /// block and a span of column groups `[gs, gs + span)`:
 /// `acc[(i·vs + j)][b] += Σ_t Σ_round weights[t][b] · entry(t, round, gs + i)[j]`
 /// — every accumulator one chain of multiply-adds in (row, round) order,
-/// continued from the value `acc` holds on entry, fused on the AVX2 and
-/// AVX-512 tiers and separate on the scalar one. `weights` is token-major
+/// continued from the value `acc` holds on entry, each step one fused
+/// multiply-add on every tier. `weights` is token-major
 /// like the score buffer (the numerators [`softmax_lanes`] left there),
 /// `acc` is element-major (`span · vs` rows of lanes), `groups` the codes
 /// per row.
@@ -845,13 +854,13 @@ pub fn value_accumulate<const W: usize>(
         unsafe { x86::value_accumulate_avx2(acc, weights, rounds, groups, gs) };
         return;
     }
-    value_accumulate_lanes::<W, false>(acc, weights, rounds, groups, gs);
+    value_accumulate_lanes(acc, weights, rounds, groups, gs);
 }
 
 /// [`value_accumulate`]'s lane-array body: rows outermost, each row's
 /// codes widened once per round, accumulators in `acc`.
 #[inline(always)]
-fn value_accumulate_lanes<const W: usize, const FMA: bool>(
+fn value_accumulate_lanes<const W: usize>(
     acc: &mut [[f32; W]],
     weights: &[[f32; W]],
     rounds: &[ValueRound<'_>],
@@ -878,7 +887,7 @@ fn value_accumulate_lanes<const W: usize, const FMA: bool>(
                 for (j, (lanes, &e)) in out.iter_mut().zip(entry).enumerate() {
                     let e = if signs & (1 << j) != 0 { -e } else { e };
                     for (o, &wb) in lanes.iter_mut().zip(w) {
-                        *o = if FMA { wb.mul_add(e, *o) } else { *o + wb * e };
+                        *o = wb.mul_add(e, *o);
                     }
                 }
             }
@@ -895,36 +904,10 @@ mod x86 {
     use std::arch::x86_64::*;
     use vqllm_vq::Codebook;
 
-    #[inline]
-    unsafe fn hsum(v: __m256) -> f32 {
-        // SAFETY: caller guarantees AVX2.
-        unsafe {
-            let hi = _mm256_extractf128_ps(v, 1);
-            let lo = _mm256_castps256_ps128(v);
-            let s = _mm_add_ps(lo, hi);
-            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0b01));
-            _mm_cvtss_f32(s)
-        }
-    }
-
+    /// [`super::dot`]'s body compiled for AVX2 + FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: caller guarantees AVX2+FMA and equal lengths.
-        unsafe {
-            let chunks = a.len() / LANES;
-            let mut acc = _mm256_setzero_ps();
-            for i in 0..chunks {
-                let va = _mm256_loadu_ps(a.as_ptr().add(i * LANES));
-                let vb = _mm256_loadu_ps(b.as_ptr().add(i * LANES));
-                acc = _mm256_fmadd_ps(va, vb, acc);
-            }
-            let mut sum = hsum(acc);
-            for i in chunks * LANES..a.len() {
-                sum += a[i] * b[i];
-            }
-            sum
-        }
+        super::dot_lanes(a, b)
     }
 
     /// [`super::lut_batch_build`]'s loop for `W` lanes, compiled for AVX2 +
@@ -935,7 +918,7 @@ mod x86 {
         inter: &[f32],
         xt: &[f32],
     ) {
-        super::lut_build_lanes::<W, true>(gslab, inter, xt);
+        super::lut_build_lanes::<W>(gslab, inter, xt);
     }
 
     /// [`super::lut_batch_accumulate`]'s loops for `W` lanes, compiled for
@@ -951,13 +934,6 @@ mod x86 {
         super::lut_accumulate_lanes(y, lut, stored, codes, gb);
     }
 
-    /// [`super::exp_lanes`] with fused multiply-adds, compiled for AVX2 +
-    /// FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn exp_lanes_avx2<const W: usize>(x: [f32; W]) -> [f32; W] {
-        super::exp_lanes::<W, true>(x)
-    }
-
     /// [`super::softmax_lanes`]'s body for `W` lanes, compiled for AVX2 +
     /// FMA.
     #[target_feature(enable = "avx2,fma")]
@@ -967,7 +943,7 @@ mod x86 {
         scale: f32,
         ext: [&mut [f32]; W],
     ) -> [f32; W] {
-        super::softmax_lanes_body::<W, true, W>(scores, lens, scale, ext)
+        super::softmax_lanes_body::<W, W>(scores, lens, scale, ext)
     }
 
     /// [`super::softmax_lanes`]'s body for `W` lanes, `16 / W` rows a
@@ -979,14 +955,14 @@ mod x86 {
         scale: f32,
         ext: [&mut [f32]; W],
     ) -> [f32; W] {
-        super::softmax_lanes_body::<W, true, ZMM_LANES>(scores, lens, scale, ext)
+        super::softmax_lanes_body::<W, ZMM_LANES>(scores, lens, scale, ext)
     }
 
     /// [`super::value_accumulate`] on the AVX2 and AVX-512 tiers: the
     /// intrinsic kernels for the spans they cover — the 512-bit lane-pair
     /// kernel where the machine has AVX-512F, else (or on a span shorter
     /// than its block) the 256-bit one, the row kernel at one lane — and
-    /// the lane-array body with fused multiply-adds for the rest.
+    /// the lane-array body for the rest.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn value_accumulate_avx2<const W: usize>(
         acc: &mut [[f32; W]],
@@ -996,7 +972,7 @@ mod x86 {
         gs: usize,
     ) {
         let [round] = rounds else {
-            return super::value_accumulate_lanes::<W, true>(acc, weights, rounds, groups, gs);
+            return super::value_accumulate_lanes(acc, weights, rounds, groups, gs);
         };
         let done = if W == 1 {
             let (books, vs) = (round.books, acc.len() / round.books.len());
@@ -1040,7 +1016,7 @@ mod x86 {
                 ..*round
             };
             let acc = &mut acc[done * vs..];
-            super::value_accumulate_lanes::<W, true>(acc, weights, &[rest], groups, gs + done);
+            super::value_accumulate_lanes(acc, weights, &[rest], groups, gs + done);
         }
     }
 
@@ -1542,7 +1518,7 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    dot_avx2, exp_lanes_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2,
+    dot_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2,
     softmax_lanes_avx2, softmax_lanes_avx512,
 };
 
@@ -1560,25 +1536,74 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// One primitive's two tiers by name, `[("scalar", body), ("avx2",
+    /// kernel)]` as `$ty` pointers, the AVX2 one `None` where the machine
+    /// lacks it — reported once as skipped, under `$what`.
+    macro_rules! scalar_and_avx2 {
+        ($ty:ty, $what:expr; $scalar:expr, $avx2:expr) => {{
+            static SKIPPED: std::sync::Once = std::sync::Once::new();
+            #[allow(unused_mut)]
+            let mut tiers: [(&'static str, Option<$ty>); 2] =
+                [("scalar", Some($scalar)), ("avx2", None)];
+            #[cfg(target_arch = "x86_64")]
+            if avx2_available() {
+                tiers[1].1 = Some($avx2);
+            }
+            let present: Vec<_> = tiers.iter().map(|t| (t.0, t.1.is_some())).collect();
+            report_skipped($what, &SKIPPED, &present);
+            tiers
+        }};
+    }
+
+    /// One dot product called by name.
+    type DotBody = unsafe fn(&[f32], &[f32]) -> f32;
+
     #[test]
     fn dot_matches_naive_at_all_remainders() {
-        for n in [0, 1, 7, 8, 9, 31, 64, 100] {
+        // At every length 0..=200: near the exact sum, and bit for bit the
+        // one chain — eight fused lanes, a halving tree, an unfused tail —
+        // dispatched and on each tier by name.
+        let tiers = scalar_and_avx2!(DotBody, "dot"; dot_lanes, dot_avx2);
+        for n in 0..=200usize {
             let a = series(n, 0.37);
             let b = series(n, 0.23);
-            let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot(&a, &b) - naive).abs() < 1e-4, "n = {n}");
-            assert!((dot_scalar(&a, &b) - naive).abs() < 1e-4, "n = {n}");
+            let naive: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x * y)).sum();
+            assert!((f64::from(dot(&a, &b)) - naive).abs() < 1e-4, "n = {n}");
+            let mut lanes = [0.0f32; LANES];
+            let whole = n / LANES * LANES;
+            for i in 0..whole {
+                lanes[i % LANES] = a[i].mul_add(b[i], lanes[i % LANES]);
+            }
+            let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+            let mut want = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7));
+            for i in whole..n {
+                want += a[i] * b[i];
+            }
+            assert_eq!(dot(&a, &b).to_bits(), want.to_bits(), "n {n}");
+            for (name, body) in tiers {
+                let Some(body) = body else { continue };
+                // SAFETY: the body's tier was detected on this machine.
+                let got = unsafe { body(&a, &b) };
+                assert_eq!(got.to_bits(), want.to_bits(), "{name}: n {n}");
+            }
         }
+    }
+
+    /// One LUT-build loop called by name: `(gslab, inter, xt)`.
+    type LutBuild = unsafe fn(&mut [f32], &[f32], &[f32]);
+
+    /// `lut_batch_build`'s loop at `W` lanes on each tier by name.
+    fn lut_build_tiers<const W: usize>() -> [(&'static str, Option<LutBuild>); 2] {
+        scalar_and_avx2!(LutBuild, "LUT build"; lut_build_lanes::<W>, lut_build_lanes_avx2::<W>)
     }
 
     #[test]
     fn lut_batch_build_is_the_per_slot_axpy_chain() {
-        // Bitwise a zeroed slot, then one `+= e · x` per sub-vector element
-        // (fused on the AVX2 tier) — at every lane-block width, on the
-        // dispatched tier; the scalar tier against its unfused chain. Zero
-        // centroid elements (one of each sign, and a whole zero entry) meet
-        // an infinite and a NaN activation lane: the chain skips them, so
-        // those slots stay finite and +0.0 stays +0.0.
+        // Bitwise a zeroed slot, then one fused `e · x + s` per sub-vector
+        // element — at every lane-block width, dispatched and on every
+        // tier by name. Zero centroid elements (one of each sign, and a
+        // whole zero entry) meet an infinite and a NaN activation lane: the
+        // chain skips them, so those slots stay finite and +0.0 stays +0.0.
         let (stored, vs) = (19usize, 3usize);
         let mut inter = series(vs * stored, 0.29);
         inter[stored + 4] = 0.0;
@@ -1591,22 +1616,13 @@ mod tests {
             xt[w] = f32::INFINITY;
             xt[2 * w + (w - 1)] = f32::NAN;
             let mut want = vec![0.0f32; stored * w];
-            let mut want_scalar = want.clone();
             for c in 0..stored {
                 for j in 0..vs {
                     let e = inter[j * stored + c];
                     let xj = &xt[j * w..(j + 1) * w];
                     if e != 0.0 {
-                        let slots = c * w..(c + 1) * w;
-                        for (o, &x) in want[slots.clone()].iter_mut().zip(xj) {
-                            *o = if avx2_available() {
-                                e.mul_add(x, *o)
-                            } else {
-                                *o + e * x
-                            };
-                        }
-                        for (o, &x) in want_scalar[slots].iter_mut().zip(xj) {
-                            *o += e * x;
+                        for (o, &x) in want[c * w..(c + 1) * w].iter_mut().zip(xj) {
+                            *o = e.mul_add(x, *o);
                         }
                     }
                 }
@@ -1616,9 +1632,13 @@ mod tests {
             let mut got = vec![7.0f32; stored * w];
             lut_batch_build(&mut got, &inter, &xt, w);
             assert_eq!(bits(&got), bits(&want), "w {w}");
-            let mut got = vec![7.0f32; stored * w];
-            with_lanes!(w, lut_build_lanes, false; &mut got, &inter, &xt);
-            assert_eq!(bits(&got), bits(&want_scalar), "w {w} scalar tier");
+            for (name, build) in with_lanes!(w, lut_build_tiers;) {
+                let Some(build) = build else { continue };
+                let mut got = vec![7.0f32; stored * w];
+                // SAFETY: the loop's tier was detected on this machine.
+                unsafe { build(&mut got, &inter, &xt) };
+                assert_eq!(bits(&got), bits(&want), "w {w} {name}");
+            }
         }
     }
 
@@ -1690,18 +1710,47 @@ mod tests {
         (f64::from(got) - want).abs() / ulp
     }
 
+    /// `exp_lanes` at `W` lanes compiled for AVX2 + FMA, as the softmax
+    /// tiers compile it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_lanes_avx2<const W: usize>(x: [f32; W]) -> [f32; W] {
+        exp_lanes(x)
+    }
+
+    /// One `exp_lanes` called by name.
+    type ExpLanes<const W: usize> = unsafe fn([f32; W]) -> [f32; W];
+
+    /// `exp_lanes` at `W` lanes on each tier by name.
+    fn exp_tiers<const W: usize>() -> [(&'static str, Option<ExpLanes<W>>); 2] {
+        scalar_and_avx2!(ExpLanes<W>, "exp"; exp_lanes::<W>, exp_lanes_avx2::<W>)
+    }
+
+    /// `exp(x)` on every tier the machine has, by name.
+    fn exp_on_tiers(x: f32) -> impl Iterator<Item = (&'static str, f32)> {
+        exp_tiers::<1>()
+            .into_iter()
+            .filter_map(move |(name, body)| {
+                // SAFETY: the body's tier was detected on this machine.
+                body.map(|body| (name, unsafe { body([x]) }[0]))
+            })
+    }
+
     #[test]
     fn exp_is_within_two_ulp_on_the_softmax_range() {
-        // Every 4099th float of [EXP_CUTOFF, -0.0] (≈ 270 k of them), both
-        // tiers, against `f64::exp`.
+        // Every 4099th float of [EXP_CUTOFF, -0.0] (≈ 270 k of them), on
+        // each tier by name, against `f64::exp`.
         let mut bits = EXP_CUTOFF.to_bits();
         let mut worst = 0.0f64;
         while bits >= (-0.0f32).to_bits() {
             let x = f32::from_bits(bits);
             let want = f64::from(x).exp();
-            for got in [exp(x), exp_lanes::<1, false>([x])[0]] {
+            for (name, got) in exp_on_tiers(x) {
                 let err = ulps(got, want);
-                assert!(err <= 2.0, "exp({x}) = {got}, {err} ulp from {want}");
+                assert!(
+                    err <= 2.0,
+                    "{name}: exp({x}) = {got}, {err} ulp from {want}"
+                );
                 worst = worst.max(err);
             }
             bits = bits.saturating_sub(4099);
@@ -1718,56 +1767,47 @@ mod tests {
         let below = f32::from_bits(EXP_CUTOFF.to_bits() + 1);
         for x in [below, -88.0, -1000.0, f32::MIN, f32::NEG_INFINITY] {
             assert_eq!(exp(x).to_bits(), 0, "exp({x})");
-            assert_eq!(
-                exp_lanes::<1, false>([x])[0].to_bits(),
-                0,
-                "exp({x}) scalar"
-            );
+            for (name, got) in exp_on_tiers(x) {
+                assert_eq!(got.to_bits(), 0, "{name}: exp({x})");
+            }
         }
     }
 
-    /// `exp_lanes` at `W` lanes on the dispatched tier.
-    fn exp_dispatched<const W: usize>(x: [f32; W]) -> [f32; W] {
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: AVX2+FMA presence was just verified.
-            return unsafe { exp_lanes_avx2(x) };
-        }
-        exp_lanes::<W, false>(x)
-    }
-
-    /// `exp` of `x` sitting in lane `b` of `W` with `fill` everywhere else:
-    /// bits on the dispatched tier and on the scalar one.
-    fn exp_in_lane<const W: usize>(x: f32, b: usize, fill: f32) -> (u32, u32) {
+    /// Checks `exp` of `x` sitting in lane `b` of `W` with `fill`
+    /// everywhere else against `want`, on each tier by name.
+    fn exp_in_lane<const W: usize>(x: f32, b: usize, fill: f32, want: u32) {
         let mut lanes = [fill; W];
         lanes[b] = x;
-        (
-            exp_dispatched(lanes)[b].to_bits(),
-            exp_lanes::<W, false>(lanes)[b].to_bits(),
-        )
+        for (name, body) in exp_tiers::<W>() {
+            let Some(body) = body else { continue };
+            // SAFETY: the body's tier was detected on this machine.
+            let got = unsafe { body(lanes) }[b].to_bits();
+            assert_eq!(got, want, "{name}: x {x} lane {b}/{W}");
+        }
     }
 
     #[test]
     fn exp_bits_depend_on_the_element_alone() {
-        // The same input gives the same bits at every width, in every lane
-        // position, beside every kind of neighbour (a masked slot's -inf, a
-        // padded slot's 0, an ordinary score).
+        // The same input gives the same bits on every tier, at every width,
+        // in every lane position, beside every kind of neighbour (a masked
+        // slot's -inf, a padded slot's 0, an ordinary score).
         let xs = series(257, 0.37)
             .into_iter()
             .map(|s| (s - 1.0) * 44.0)
             .chain([0.0, EXP_CUTOFF, -87.4, f32::NEG_INFINITY]);
         for x in xs {
-            let want = (exp(x).to_bits(), exp_lanes::<1, false>([x])[0].to_bits());
+            let want = exp(x).to_bits();
             for fill in [f32::NEG_INFINITY, 0.0, -3.25] {
                 for b in 0..LANES {
-                    assert_eq!(exp_in_lane::<8>(x, b, fill), want, "x {x} lane {b}/8");
+                    exp_in_lane::<8>(x, b, fill, want);
                     if b < 4 {
-                        assert_eq!(exp_in_lane::<4>(x, b, fill), want, "x {x} lane {b}/4");
+                        exp_in_lane::<4>(x, b, fill, want);
                     }
                     if b < 2 {
-                        assert_eq!(exp_in_lane::<2>(x, b, fill), want, "x {x} lane {b}/2");
+                        exp_in_lane::<2>(x, b, fill, want);
                     }
                 }
+                exp_in_lane::<1>(x, 0, fill, want);
             }
         }
     }
@@ -1855,8 +1895,8 @@ mod tests {
     }
 
     /// `value_accumulate` at `W` lanes — the intrinsic kernel where the
-    /// tier and shape select it — against the lane-array body with the
-    /// tier's multiply-add and against the plain per-element chain.
+    /// tier and shape select it — and the lane-array body, both
+    /// against the plain per-element chain of fused multiply-adds.
     fn value_is_one_chain_per_output<const W: usize>() {
         let rows = 23usize;
         for vs in [2usize, 4, 8, 3] {
@@ -1886,7 +1926,6 @@ mod tests {
                     .chunks_exact(W)
                     .map(|c| c.try_into().unwrap())
                     .collect();
-                let fused = avx2_available();
                 let mut want = start.clone();
                 for (t, w) in weights.iter().enumerate() {
                     for i in 0..span {
@@ -1894,11 +1933,7 @@ mod tests {
                         let entry = set.book(0, gs + i).stored_entry(code);
                         for (j, &e) in entry.iter().enumerate() {
                             for (o, &wb) in want[i * vs + j].iter_mut().zip(w) {
-                                *o = if fused {
-                                    wb.mul_add(e, *o)
-                                } else {
-                                    *o + wb * e
-                                };
+                                *o = wb.mul_add(e, *o);
                             }
                         }
                     }
@@ -1907,11 +1942,7 @@ mod tests {
                 value_accumulate(&mut got, &weights, &[round], groups, gs);
                 assert_eq!(got, want, "W {W} vs {vs} span {gs}+{span}");
                 let mut body = start.clone();
-                if fused {
-                    value_accumulate_lanes::<W, true>(&mut body, &weights, &[round], groups, gs);
-                } else {
-                    value_accumulate_lanes::<W, false>(&mut body, &weights, &[round], groups, gs);
-                }
+                value_accumulate_lanes(&mut body, &weights, &[round], groups, gs);
                 assert_eq!(body, want, "W {W} vs {vs} span {gs}+{span} lane body");
             }
         }
@@ -1969,7 +2000,7 @@ mod tests {
     }
 
     /// Runs every lane-pair kernel the machine has on `round` and checks it
-    /// against the lane-array body with fused multiply-adds, bit for bit:
+    /// against the lane-array body, bit for bit:
     /// a kernel covers the whole span when it has a run and the span is at
     /// least `block` groups long (with the block moved back over a
     /// remainder), and otherwise touches nothing.
@@ -1984,7 +2015,7 @@ mod tests {
         static SKIPPED: std::sync::Once = std::sync::Once::new();
         let span = round.books.len();
         let mut want = start.to_vec();
-        value_accumulate_lanes::<W, true>(&mut want, weights, &[round], groups, gs);
+        value_accumulate_lanes(&mut want, weights, &[round], groups, gs);
         let tiers = pair_kernels::<W>();
         let present: Vec<_> = tiers.iter().map(|t| (t.0, t.2.is_some())).collect();
         report_skipped("value pass", &SKIPPED, &present);
@@ -2032,7 +2063,7 @@ mod tests {
         )
     }
 
-    /// The lane-pair kernels at `W` lanes against the fused lane-array
+    /// The lane-pair kernels at `W` lanes against the lane-array
     /// body, bit for bit, per entry width: spans of whole blocks, a
     /// moved-back remainder and one group short of a block (each tier's
     /// block), over consecutive, shared and run-less books; then a
@@ -2105,7 +2136,7 @@ mod tests {
                 run: None,
             };
             let mut want = start.clone();
-            value_accumulate_lanes::<W, true>(&mut want, &weights, &[whole], groups, gs);
+            value_accumulate_lanes(&mut want, &weights, &[whole], groups, gs);
             for (name, _, kernel) in pair_kernels::<W>() {
                 let Some(kernel) = kernel else { continue };
                 let mut got = start.clone();
@@ -2121,7 +2152,7 @@ mod tests {
                     // SAFETY: the kernel's tier was detected on this machine.
                     let done = unsafe { kernel(acc, &weights, &piece, groups, ps) };
                     if done == 0 {
-                        value_accumulate_lanes::<W, true>(acc, &weights, &[piece], groups, ps);
+                        value_accumulate_lanes(acc, &weights, &[piece], groups, ps);
                     }
                 }
                 assert_eq!(got, want, "{name}: W {W} vs {vs} per-tile pieces");
@@ -2166,13 +2197,10 @@ mod tests {
     fn softmax_bodies<const W: usize>() -> [(&'static str, Option<SoftmaxBody<W>>); 4] {
         #[allow(unused_mut)]
         let mut bodies: [(&'static str, Option<SoftmaxBody<W>>); 4] = [
-            (
-                "scalar, a row a vector",
-                Some(softmax_lanes_body::<W, false, W>),
-            ),
+            ("scalar, a row a vector", Some(softmax_lanes_body::<W, W>)),
             (
                 "scalar, 16 lanes a vector",
-                Some(softmax_lanes_body::<W, false, ZMM_LANES>),
+                Some(softmax_lanes_body::<W, ZMM_LANES>),
             ),
             ("avx2", None),
             ("avx512", None),
@@ -2190,7 +2218,7 @@ mod tests {
     }
 
     /// Every softmax body at `W` lanes on the same buffers, bit for bit
-    /// within the unfused (scalar) and the fused (vector) pair: row counts
+    /// against the first (scalar) one's result: row counts
     /// odd, even and past a vector, prefixes ending mid-pair, a padded
     /// lane, a ±0 tie at a lane's maximum and a NaN score.
     fn softmax_tiers_agree<const W: usize>() {
@@ -2233,10 +2261,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            // The scalar bodies multiply and add, the vector tiers fuse:
-            // each pair must agree.
-            let mut want: [Option<(Vec<u32>, Vec<u32>)>; 2] = [None, None];
-            for (i, (name, body)) in bodies.iter().enumerate() {
+            let mut want: Option<(Vec<u32>, Vec<u32>)> = None;
+            for (name, body) in &bodies {
                 let Some(body) = body else { continue };
                 let mut got = scores.clone();
                 let mut got_ext = exts.clone();
@@ -2252,8 +2278,8 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect();
                 let result = (out, sums.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-                match &want[i / 2] {
-                    None => want[i / 2] = Some(result),
+                match &want {
+                    None => want = Some(result),
                     Some(want) => assert_eq!(&result, want, "{name}: W {W} rows {rows}"),
                 }
             }
@@ -2268,27 +2294,57 @@ mod tests {
         softmax_tiers_agree::<8>();
     }
 
+    /// One GeMM tile called by name, [`gemm_acc_tile`]'s signature.
+    type GemmTile =
+        unsafe fn(&[&[f32]; GEMM_MR], &[f32], usize, usize, usize, &mut [[f32; GEMM_NR]; GEMM_MR]);
+
     #[test]
     fn gemm_tile_matches_naive_triple_loop() {
-        let kb = 11;
+        // Depths 0, 1, 11 and 37 onto a nonzero `acc`, both tile columns
+        // of a two-tile panel: near the exact sums, and bit for bit one
+        // chain of fused multiply-adds from +0.0 per element, added to
+        // `acc` once — dispatched and on each tier by name.
+        let tiers =
+            scalar_and_avx2!(GemmTile, "GeMM tile"; gemm_acc_tile_scalar, gemm_acc_tile_avx2);
         let stride = 2 * GEMM_NR;
-        let panel = series(kb * stride, 0.21);
-        let a: Vec<Vec<f32>> = (0..GEMM_MR)
-            .map(|p| series(kb, 0.31 + p as f32 * 0.07))
-            .collect();
-        let arows: [&[f32]; GEMM_MR] = std::array::from_fn(|p| a[p].as_slice());
-        for j0 in [0, GEMM_NR] {
-            let mut acc = [[0.5f32; GEMM_NR]; GEMM_MR];
-            gemm_acc_tile(&arows, &panel, stride, j0, kb, &mut acc);
-            for p in 0..GEMM_MR {
-                for l in 0..GEMM_NR {
-                    let naive: f32 = (0..kb)
-                        .map(|ii| arows[p][ii] * panel[ii * stride + j0 + l])
-                        .sum();
-                    assert!(
-                        (acc[p][l] - (0.5 + naive)).abs() < 1e-4,
-                        "p {p} l {l} j0 {j0}"
-                    );
+        let start: [[f32; GEMM_NR]; GEMM_MR] =
+            std::array::from_fn(|p| std::array::from_fn(|l| ((p * GEMM_NR + l) as f32).cos()));
+        for kb in [0usize, 1, 11, 37] {
+            let panel = series(kb * stride, 0.21);
+            let a: Vec<Vec<f32>> = (0..GEMM_MR)
+                .map(|p| series(kb, 0.31 + p as f32 * 0.07))
+                .collect();
+            let arows: [&[f32]; GEMM_MR] = std::array::from_fn(|p| a[p].as_slice());
+            for j0 in [0, GEMM_NR] {
+                let want: [[f32; GEMM_NR]; GEMM_MR] = std::array::from_fn(|p| {
+                    std::array::from_fn(|l| {
+                        let chain = (0..kb).fold(0.0f32, |s, ii| {
+                            arows[p][ii].mul_add(panel[ii * stride + j0 + l], s)
+                        });
+                        start[p][l] + chain
+                    })
+                });
+                let mut got = start;
+                gemm_acc_tile(&arows, &panel, stride, j0, kb, &mut got);
+                for p in 0..GEMM_MR {
+                    for l in 0..GEMM_NR {
+                        let naive: f64 = (0..kb)
+                            .map(|ii| f64::from(arows[p][ii] * panel[ii * stride + j0 + l]))
+                            .sum();
+                        let err = f64::from(got[p][l]) - (f64::from(start[p][l]) + naive);
+                        assert!(err.abs() < 1e-4, "kb {kb} p {p} l {l} j0 {j0}");
+                    }
+                }
+                let want = bits(want.as_flattened());
+                assert_eq!(bits(got.as_flattened()), want, "kb {kb} j0 {j0}");
+                for (name, tile) in tiers {
+                    let Some(tile) = tile else { continue };
+                    let mut got = start;
+                    // SAFETY: the tile's tier was detected on this machine;
+                    // the panel covers the tile at every depth.
+                    unsafe { tile(&arows, &panel, stride, j0, kb, &mut got) };
+                    let got = bits(got.as_flattened());
+                    assert_eq!(got, want, "{name}: kb {kb} j0 {j0}");
                 }
             }
         }

@@ -8,6 +8,9 @@
 //! evidence that "no materialized weight matrix" loses no precision
 //! beyond f32 summation-order noise (1e-4 relative tolerance).
 
+mod common;
+
+use common::{splitmix, synthetic, ExtData};
 use proptest::prelude::*;
 use std::sync::Arc;
 use vq_llm::kernels::host_exec::{
@@ -15,7 +18,7 @@ use vq_llm::kernels::host_exec::{
 };
 use vq_llm::tensor::{linalg, metrics, synth, Tensor2D};
 use vq_llm::vq::config::CodebookScope;
-use vq_llm::vq::{Codebook, CodebookSet, PackedIndices, QuantizedTensor, VqQuantizer};
+use vq_llm::vq::{Codebook, QuantizedTensor, VqQuantizer};
 use vq_llm::{Backend, BackendKind, ComputeOp, CpuBackend, GpuSpec, KernelPlan, Session, VqConfig};
 
 /// The randomized configuration space: residuals × scopes × lattice.
@@ -312,20 +315,6 @@ fn thread_sweep() -> Vec<HostBlocking> {
     (1..=4).map(|threads| HostBlocking { threads }).collect()
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn f32s(n: usize, rng: &mut u64) -> Vec<f32> {
-    (0..n)
-        .map(|_| (splitmix(rng) % 2001) as f32 / 1000.0 - 1.0)
-        .collect()
-}
-
 /// The configuration grid of the tailed parity test: the old
 /// 4-wide / 16-entry cases first (`bounded_config`'s row-invariant
 /// scopes × rounds), then one case per way a private row can be decoded —
@@ -363,83 +352,15 @@ fn tailed_config(case: usize) -> (VqConfig, bool) {
 }
 const TAILED_CONFIGS: usize = 13;
 
-/// A quantized tensor assembled from random codebooks and random codes —
-/// no training, so any entry count fits any shape.
-fn synthetic(cfg: VqConfig, rows: usize, cols: usize, seed: u64) -> QuantizedTensor {
-    let mut rng = seed ^ 0x5717;
-    let scopes = CodebookSet::num_scopes(&cfg, (rows, cols));
-    let books = (0..cfg.residuals)
-        .map(|_| {
-            (0..scopes)
-                .map(|_| {
-                    let entries = f32s(cfg.stored_entries() * cfg.vector_size, &mut rng);
-                    Codebook::new(entries, cfg.vector_size, cfg.lattice).unwrap()
-                })
-                .collect()
-        })
-        .collect();
-    let set = CodebookSet::new(cfg, (rows, cols), books).unwrap();
-    let streams = (0..cfg.residuals)
-        .map(|_| {
-            let codes: Vec<u32> = (0..rows * cols / cfg.vector_size)
-                .map(|_| (splitmix(&mut rng) % cfg.num_entries as u64) as u32)
-                .collect();
-            PackedIndices::pack(&codes, cfg.index_bits() as u8).unwrap()
-        })
-        .collect();
-    QuantizedTensor::from_parts(set, streams).unwrap()
-}
-
-/// Owned storage behind one query's [`RaggedExt`].
-struct ExtData {
-    rows: usize,
-    k_codes: Vec<CodeStream>,
-    v_codes: Vec<CodeStream>,
-    k_outliers: OutlierBuf,
-    v_outliers: OutlierBuf,
-    k_tail: Vec<f32>,
-    v_tail: Vec<f32>,
-}
-
+/// This suite's two other ways to fill an [`ExtData`].
 impl ExtData {
     /// 0..=9 folded rows of random codes (every remainder of the kernels'
     /// row block, and none), an outlier residual on about a quarter of
     /// their groups, 0..=2 f32 tail rows.
     fn random(cfg: &VqConfig, head_dim: usize, rng: &mut u64) -> ExtData {
-        let groups = head_dim / cfg.vector_size;
         let rows = (splitmix(rng) % 10) as usize;
-        let codes = |rng: &mut u64| -> Vec<CodeStream> {
-            (0..cfg.residuals)
-                .map(|_| {
-                    let mut stream = CodeStream::new(cfg.index_bits());
-                    for _ in 0..rows * groups {
-                        stream.push((splitmix(rng) % cfg.num_entries as u64) as u32);
-                    }
-                    stream
-                })
-                .collect()
-        };
-        let (k_codes, v_codes) = (codes(rng), codes(rng));
-        let outliers = |rng: &mut u64| -> OutlierBuf {
-            let mut out = OutlierBuf::default();
-            for i in 0..rows * groups {
-                if splitmix(rng).is_multiple_of(4) {
-                    out.push(i / groups, i % groups, &f32s(cfg.vector_size, rng));
-                }
-            }
-            out
-        };
-        let (k_outliers, v_outliers) = (outliers(rng), outliers(rng));
         let tail = (splitmix(rng) % 3) as usize;
-        ExtData {
-            rows,
-            k_codes,
-            v_codes,
-            k_outliers,
-            v_outliers,
-            k_tail: f32s(tail * head_dim, rng),
-            v_tail: f32s(tail * head_dim, rng),
-        }
+        ExtData::new(cfg, head_dim, rows, tail, rng)
     }
 
     /// Rows `[start, start + rows)` of the context itself, folded: their
@@ -474,35 +395,23 @@ impl ExtData {
             v_tail: Vec::new(),
         }
     }
-
-    fn ext(&self) -> RaggedExt<'_> {
-        RaggedExt {
-            rows: self.rows,
-            k_codes: &self.k_codes,
-            v_codes: &self.v_codes,
-            k_outliers: self.k_outliers.view(),
-            v_outliers: self.v_outliers.view(),
-            k_tail: &self.k_tail,
-            v_tail: &self.v_tail,
-        }
-    }
 }
 
 /// Ragged (tailed) attention as a plain scalar statement of the one order
-/// the kernels sum in. Per query: scores over `[context prefix | folded
-/// rows | tail rows]` (the context's from `gemv_lut_batch` over **every**
-/// row, so the bound the kernels stop at cannot hide in it; a folded row's
-/// the context rows' sum over its codes — per residual round, per group
-/// left to right, `+=` the LUT slot, itself the multiply-add chain from
-/// +0.0 over the entry's nonzero elements; lattice books: the signed
-/// entry's dot), outlier residuals and tail rows by dot products, scaled;
-/// softmax numerators `exp(s − max)` through the kernels' `exp`, summed in
-/// row order; then every output element is one chain from +0.0 over the
-/// same rows — context and folded rows alike by a multiply-add per
-/// residual round (fused on the AVX2 tier), outlier residuals and tail
-/// rows by `+= w · v` — divided by the sum last. A lattice code's entry is
-/// materialised (signs applied) before the same arithmetic. With
-/// all-default `exts` this is plain ragged attention.
+/// the kernels sum in, on every SIMD tier alike. Per query: scores over
+/// `[context prefix | folded rows | tail rows]` (the context's from
+/// `gemv_lut_batch` over **every** row, so the bound the kernels stop at
+/// cannot hide in it; a folded row's the context rows' sum over its codes
+/// — per residual round, per group left to right, `+=` the LUT slot,
+/// itself the fused multiply-add chain from +0.0 over the entry's nonzero
+/// elements; lattice books: the signed entry's dot), outlier residuals and
+/// tail rows by dot products, scaled; softmax numerators `exp(s − max)`
+/// through the kernels' `exp`, summed in row order; then every output
+/// element is one chain from +0.0 over the same rows — context and folded
+/// rows alike by a fused multiply-add per residual round, outlier
+/// residuals and tail rows by `+= w · v` — divided by the sum last. A
+/// lattice code's entry is materialised (signs applied) before the same
+/// arithmetic. With all-default `exts` this is plain ragged attention.
 fn full_range_attention(
     qs: &Tensor2D,
     lens: &[usize],
@@ -513,12 +422,10 @@ fn full_range_attention(
     let vs = kq.config().vector_size;
     let groups = kq.col_groups();
     let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&e, &x)| e * x).sum::<f32>();
-    let fused = simd::avx2_available();
-    let madd = |a: f32, b: f32, c: f32| if fused { a.mul_add(b, c) } else { c + a * b };
     let slot = |e: &[f32], x: &[f32]| {
         e.iter().zip(x).fold(
             0.0f32,
-            |s, (&e, &x)| if e == 0.0 { s } else { madd(e, x, s) },
+            |s, (&e, &x)| if e == 0.0 { s } else { e.mul_add(x, s) },
         )
     };
     fn book(t: &QuantizedTensor, r: usize, row: usize, g: usize) -> &Codebook {
@@ -582,7 +489,7 @@ fn full_range_attention(
                     let (code, vbook) = code_of(t, r, g);
                     vbook.lookup(code, &mut entry);
                     for (o, &e) in orow[g * vs..].iter_mut().zip(&entry) {
-                        *o = madd(w, e, *o);
+                        *o = w.mul_add(e, *o);
                     }
                 }
             }
