@@ -34,6 +34,9 @@
 //!   per-code decoding trips it — and folding one appended K/V row pair at
 //!   most 20 µs (a scalar codebook search trips that; the ceiling holds
 //!   on runners without AVX-512, whose fold reads ≈ 9 µs)
+//! * folding 8 tenants' rows by one `TenantKv::append_batch` costs at most
+//!   0.75× the one-tenant fold per appended row pair, both measured in the
+//!   same run (a batch that falls back to per-tenant searches trips it)
 //!
 //! Beside the fold it records the search inside it alone —
 //! `nearest_ns_per_search` (256 entries, vs 2) and `nearest_tier`, the
@@ -486,8 +489,32 @@ fn main() {
         kv
     };
     // One sample is a whole cache's worth of appends (the first `ltail`
-    // fold nothing).
-    let fold_us_per_row = time_s(pass_reps, || fill(0)) * 1e6 / lrows as f64;
+    // fold nothing). Beside it, the same appends for all lanes in
+    // lockstep, one `append_batch` a step: what a decode step's context
+    // group folds. Per appended row pair, so a batch that falls back to
+    // per-tenant searches reads as `fold_us_per_row`. The two alternate
+    // in rounds, so a shift in the machine's speed reaches both.
+    let fill_batch = || -> Vec<TenantKv> {
+        let mut kvs: Vec<TenantKv> = (0..llanes)
+            .map(|_| TenantKv::new(&live_ctx, live_mode).expect("live cache"))
+            .collect();
+        for t in 0..lrows + ltail {
+            let mut step: Vec<(&mut TenantKv, &[f32], &[f32])> = kvs
+                .iter_mut()
+                .zip(&live_rows)
+                .map(|(kv, rows)| (kv, &rows[t][..], &rows[t][..]))
+                .collect();
+            TenantKv::append_batch(&mut step).expect("append");
+        }
+        kvs
+    };
+    let (mut fold_s, mut fold_batch8_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        fold_s = fold_s.min(time_s(pass_reps / 5, || fill(0)));
+        fold_batch8_s = fold_batch8_s.min(time_s(pass_reps / 5, fill_batch));
+    }
+    let fold_us_per_row = fold_s * 1e6 / lrows as f64;
+    let fold_batch8_us_per_row = fold_batch8_s * 1e6 / (llanes * lrows) as f64;
     // The codebook search the fold runs once per group and side, alone:
     // lane 0's rows against the context's first K book, the fold's shape.
     let book = live_ctx.kq().codebooks().book(0, 0);
@@ -515,7 +542,8 @@ fn main() {
     ));
     report.line(format!(
         "  tailed {}   ragged {}   extension {ext_attn_ns_per_code:.2} ns/private code (K + V)   \
-         fold {fold_us_per_row:.2} us/appended row pair",
+         fold {fold_us_per_row:.2} us/appended row pair   \
+         batch of {llanes} {fold_batch8_us_per_row:.2}",
         fmt_us(tailed_s * 1e6),
         fmt_us(ragged_s * 1e6),
     ));
@@ -560,6 +588,7 @@ fn main() {
             ("value_pass_ns_per_code", num(value_pass_ns_per_code)),
             ("ext_attn_ns_per_code", num(ext_attn_ns_per_code)),
             ("fold_us_per_row", num(fold_us_per_row)),
+            ("fold_batch8_us_per_row", num(fold_batch8_us_per_row)),
             ("nearest_ns_per_search", num(nearest_ns_per_search)),
             ("nearest_tier", Json::Str(nearest_tier.to_string())),
             ("softmax_tier", Json::Str(lane_tier.to_string())),
@@ -624,6 +653,11 @@ fn main() {
         "live-KV fold us per appended row pair (head_dim 64, CQ-4)",
         fold_us_per_row,
         20.0,
+    );
+    gates.max(
+        "live-KV batched fold of 8 tenants vs one (per appended row pair)",
+        fold_batch8_us_per_row / fold_us_per_row,
+        0.75,
     );
     // The pool must never lose to serial (15 % noise allowance on shared
     // 1-core runners where both paths are the same code).

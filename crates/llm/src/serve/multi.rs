@@ -812,46 +812,65 @@ impl MultiServer {
                 let ys = backend.run_gemm(gpu, &linear_plan, &attn, ctx.wq())?.0;
                 let budget = self.config.kv_budget_bytes;
 
-                // Per-request bookkeeping: grow the tenant's cache
-                // *first*, then record the step and advance the hidden
-                // state. A failed append (capacity fault, byte-budget
-                // overrun) quarantines that one request **before** its
-                // token is recorded — the typed reject fires one token
-                // early instead of after a partial write — and keeps its
-                // batch-mates running.
-                for (j, &i) in idxs.iter().enumerate() {
-                    let r = &mut self.running[i];
-                    if r.remaining > 1 {
+                // Per-request bookkeeping, in three passes. First, in slot
+                // order, the append failpoint and the token-count append;
+                // then one book-major fold of every live tenant's appended
+                // K/V row (the decoded output row); then, in slot order,
+                // the byte-budget check and the step record. A failed
+                // append (capacity fault, byte-budget overrun) quarantines
+                // that one request **before** its token is recorded — the
+                // typed reject fires one token early instead of after a
+                // partial write — and keeps its batch-mates running.
+                let mut appended: Vec<Option<Result<f64>>> = idxs
+                    .iter()
+                    .map(|&i| {
+                        let r = &mut self.running[i];
+                        if r.remaining <= 1 {
+                            return None;
+                        }
                         let forced =
                             failpoint::fire(Site::LlmStepAppend).map(|_| LlmError::KvCapacity {
                                 what: "forced kv exhaustion (failpoint llm.step.append)",
                                 value: r.kv.seq,
                                 limit: r.kv.seq,
                             });
-                        let appended = match forced {
+                        Some(match forced {
                             Some(e) => Err(e),
                             None => r.kv.append_token(),
-                        };
-                        let appended = appended.and_then(|us| {
-                            if let Some(live) = r.live.as_mut() {
-                                // The decoded output row is this step's
-                                // appended K and V row.
-                                live.append(ys.row(j), ys.row(j))?;
-                                if let Some(limit) = budget {
-                                    let bytes = live.compressed_bytes();
-                                    if bytes > limit {
-                                        return Err(LlmError::KvCapacity {
-                                            what: "compressed live-KV bytes exceeded \
-                                                   the per-request budget",
-                                            value: bytes,
-                                            limit,
-                                        });
-                                    }
-                                }
+                        })
+                    })
+                    .collect();
+                let mut fold_row = vec![None; self.running.len()];
+                for (j, &i) in idxs.iter().enumerate() {
+                    if matches!(appended[j], Some(Ok(_))) {
+                        fold_row[i] = Some(j);
+                    }
+                }
+                let mut folds: Vec<(&mut TenantKv, &[f32], &[f32])> = self
+                    .running
+                    .iter_mut()
+                    .zip(&fold_row)
+                    .filter_map(|(r, &j)| Some((r.live.as_mut()?, ys.row(j?), ys.row(j?))))
+                    .collect();
+                // The fold refuses only rows narrower than `head_dim` and
+                // tenants of another context, neither of which a group
+                // holds; were it to, the whole group would be quarantined.
+                TenantKv::append_batch(&mut folds)?;
+                for (j, &i) in idxs.iter().enumerate() {
+                    let r = &mut self.running[i];
+                    if let Some(appended) = appended[j].take() {
+                        let checked = appended.and_then(|us| match (&r.live, budget) {
+                            (Some(live), Some(limit)) if live.compressed_bytes() > limit => {
+                                Err(LlmError::KvCapacity {
+                                    what: "compressed live-KV bytes exceeded \
+                                           the per-request budget",
+                                    value: live.compressed_bytes(),
+                                    limit,
+                                })
                             }
-                            Ok(us)
+                            _ => Ok(us),
                         });
-                        match appended {
+                        match checked {
                             Ok(us) => {
                                 r.kv_quant_us += us;
                                 kv_quant_us += us;

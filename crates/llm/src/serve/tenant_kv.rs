@@ -50,21 +50,41 @@
 //! borrows into the `Arc` it owns would be self-referential.) The fold
 //! works in `2 · vector_size` floats of scratch owned by the cache.
 //!
-//! Which entry a group folds to is [`Codebook::encode`]'s
-//! entry-parallel search (`vqllm_vq::kmeans::nearest`: sixteen entries a
-//! block under AVX-512, eight under AVX2 or portable code); its distances
-//! are unfused multiply-adds and its lanes merge by (distance, index), so
-//! that every code — and with it every byte here — is the one the scalar
-//! search chose, whichever tier the machine runs.
+//! # The fold is book-major
+//!
+//! A decode step appends one row to every tenant of a context group, and
+//! every tenant folds against the same books. [`TenantKv::append_batch`]
+//! takes the whole group's `(cache, k_row, v_row)` list and turns the
+//! work around the codebooks, as the paper's compute engine does: for K,
+//! then V, for each column group and residual round, one
+//! [`Codebook::encode_many`] searches the book for every tenant's pending
+//! sub-vector at once — each block of entries loaded once for up to eight
+//! tenants (four on AVX2), their distance chains interleaved — and then
+//! each tenant pushes its code, subtracts the entry and, after the last
+//! round, runs its outlier test. [`TenantKv::append`] is that fold for one
+//! tenant; there is no second fold body.
+//!
+//! Which entry a group folds to is the entry-parallel search
+//! (`vqllm_vq::kmeans::nearest_many`: sixteen entries a block under
+//! AVX-512, eight under AVX2 or portable code). Each point's distances are
+//! unfused multiply-adds in element order and its lanes merge by
+//! (distance, index), so every code is the one the scalar search chose for
+//! that sub-vector alone, whichever tier the machine runs and however many
+//! tenants share the search. The rest of a tenant's fold is its own
+//! arithmetic in its own order — its error and energy sums run over its
+//! groups in order, K's total added before V's — so a batched cache holds
+//! the codes, outliers, tail and [`fold_error`](TenantKv::fold_error) bits
+//! its own sequential `append`s would leave.
 //!
 //! [`QuantizedTensor`]: vqllm_vq::QuantizedTensor
-//! [`Codebook::encode`]: vqllm_vq::Codebook::encode
+//! [`Codebook::encode_many`]: vqllm_vq::Codebook::encode_many
 //! [`attention_decode`]: vqllm_kernels::host_exec::attention_decode
 //! [`accuracy::project_kv_accuracy`]: crate::accuracy::project_kv_accuracy
 
 use crate::serve::{KvQuantMode, SharedContext};
 use crate::{LlmError, Result};
 use vqllm_kernels::host_exec::{CodeStream, OutlierBuf, RaggedExt};
+use vqllm_vq::kmeans::MAX_POINTS;
 use vqllm_vq::{CodebookScope, CodebookSet};
 
 /// Bytes charged per outlier beyond its `vector_size` f32 payload: the
@@ -118,7 +138,7 @@ pub struct TenantKv {
     k_tail: Vec<f32>,
     v_tail: Vec<f32>,
     tail_start: usize,
-    /// `fold_side`'s scratch: a group's working residual, then the entry
+    /// The fold's scratch: a group's working residual, then the entry
     /// being subtracted from it — `2 · vector_size` floats.
     scratch: Vec<f32>,
     /// Fold-time squared reconstruction error (outlier-kept groups are
@@ -189,59 +209,104 @@ impl TenantKv {
     }
 
     /// Appends one decoded token's K and V rows, folding the oldest tail
-    /// rows into packed codes once the tail exceeds its window.
+    /// rows into packed codes once the tail exceeds its window: the batched
+    /// fold ([`append_batch`](Self::append_batch)) of this one cache.
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::InvalidRequest`] when a row is not `head_dim`
-    /// wide.
+    /// wide; nothing is appended then.
     pub fn append(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<()> {
-        let d = self.ctx.head_dim();
-        if k_row.len() != d || v_row.len() != d {
-            return Err(LlmError::InvalidRequest {
-                what: "appended KV rows must be head_dim wide",
-            });
+        Self::append_batch(&mut [(self, k_row, v_row)])
+    }
+
+    /// Appends one decoded token's `(k_row, v_row)` to each cache of
+    /// `rows` — a context group's tenants in one decode step — and folds,
+    /// book-major, every row that aged out of its cache's tail window.
+    ///
+    /// Each cache ends exactly as its own [`append`](Self::append) of the
+    /// same rows leaves it: the same codes, outliers, tail and
+    /// [`fold_error`](Self::fold_error) bits (see the module docs for
+    /// why).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LlmError::InvalidRequest`] when a row is not `head_dim`
+    /// wide or the caches do not share one context's K and V tensors;
+    /// nothing is appended to any cache then.
+    pub fn append_batch(rows: &mut [(&mut TenantKv, &[f32], &[f32])]) -> Result<()> {
+        let Some((first, ..)) = rows.first() else {
+            return Ok(());
+        };
+        let ctx = first.ctx.clone();
+        let d = ctx.head_dim();
+        for (kv, k_row, v_row) in rows.iter() {
+            if k_row.len() != d || v_row.len() != d {
+                return Err(LlmError::InvalidRequest {
+                    what: "appended KV rows must be head_dim wide",
+                });
+            }
+            if !std::ptr::eq(kv.ctx.kq(), ctx.kq()) || !std::ptr::eq(kv.ctx.vq(), ctx.vq()) {
+                return Err(LlmError::InvalidRequest {
+                    what: "a batched KV append must share one context",
+                });
+            }
         }
-        self.k_tail.extend_from_slice(k_row);
-        self.v_tail.extend_from_slice(v_row);
-        while self.tail_len() > self.tail_window {
-            self.fold_oldest();
+        for (kv, k_row, v_row) in rows.iter_mut() {
+            kv.k_tail.extend_from_slice(k_row);
+            kv.v_tail.extend_from_slice(v_row);
         }
-        // Drop the folded prefix once it is as long as what is kept: a
-        // row is moved at most once after it is written, and the buffers
-        // stay within twice the window.
-        let folded = self.tail_start * d;
-        if folded > 0 && 2 * folded >= self.k_tail.len() {
-            self.k_tail.drain(..folded);
-            self.v_tail.drain(..folded);
-            self.tail_start = 0;
+        // Every cache's tail was within its window before this row, so
+        // each folds at most its one oldest row: `MAX_POINTS` caches a
+        // fold.
+        let mut due: [Option<&mut TenantKv>; MAX_POINTS] = Default::default();
+        let mut n = 0;
+        for (kv, ..) in rows.iter_mut() {
+            if kv.tail_len() > kv.tail_window {
+                due[n] = Some(&mut **kv);
+                n += 1;
+                if n == MAX_POINTS {
+                    fold_due(&ctx, &mut due);
+                    n = 0;
+                }
+            }
+        }
+        if n > 0 {
+            fold_due(&ctx, &mut due[..n]);
+        }
+        for (kv, ..) in rows.iter_mut() {
+            // Drop the folded prefix once it is as long as what is kept: a
+            // row is moved at most once after it is written, and the
+            // buffers stay within twice the window.
+            let folded = kv.tail_start * d;
+            if folded > 0 && 2 * folded >= kv.k_tail.len() {
+                kv.k_tail.drain(..folded);
+                kv.v_tail.drain(..folded);
+                kv.tail_start = 0;
+            }
         }
         Ok(())
     }
 
-    /// Folds the oldest tail row pair into codes + outliers.
-    fn fold_oldest(&mut self) {
+    /// One side of this cache as the fold of its oldest tail row sees it.
+    fn folding(&mut self, side: Side) -> Folding<'_> {
         let d = self.ctx.head_dim();
         let at = self.tail_start * d..(self.tail_start + 1) * d;
-        for (vals, books, side) in [
-            (&self.k_tail[at.clone()], self.ctx.kq(), &mut self.k),
-            (&self.v_tail[at], self.ctx.vq(), &mut self.v),
-        ] {
-            let (err, data, outs) = fold_side(
-                vals,
-                books.codebooks(),
-                &self.group_scopes,
-                side,
-                self.folded_rows,
-                self.outlier_keep,
-                &mut self.scratch,
-            );
-            self.err_sq += err;
-            self.data_sq += data;
-            self.outlier_groups += outs;
+        let (tail, folded) = match side {
+            Side::K => (&self.k_tail, &mut self.k),
+            Side::V => (&self.v_tail, &mut self.v),
+        };
+        let half = self.scratch.len() / 2;
+        let (resid, entry) = self.scratch.split_at_mut(half);
+        Folding {
+            row: &tail[at],
+            scopes: &self.group_scopes,
+            index: self.folded_rows,
+            keep: self.outlier_keep,
+            folded,
+            resid,
+            entry,
         }
-        self.folded_rows += 1;
-        self.tail_start += 1;
     }
 
     /// Borrows the state as the extension the tailed attention kernel
@@ -363,48 +428,130 @@ impl TenantKv {
     }
 }
 
-/// Folds one row of one side (K or V): encodes every column group through
-/// all residual rounds against `books` (`scopes[g]` is group `g`'s
-/// codebook within a round), pushing codes and — when the leftover error
-/// norm exceeds `keep` of the group norm — the exact residual into the
-/// outlier channel. `scratch` is `2 · vector_size` floats. Returns
-/// `(err_sq, data_sq, outlier_groups)` for the fold's accounting.
-fn fold_side(
-    vals: &[f32],
-    books: &CodebookSet,
-    scopes: &[usize],
-    side: &mut FoldedSide,
-    row: usize,
+/// One side of a K/V row pair.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    K,
+    V,
+}
+
+/// One side of a cache while the fold of its oldest tail row runs
+/// ([`TenantKv::folding`]).
+struct Folding<'a> {
+    /// This side of the row being folded, `head_dim` floats.
+    row: &'a [f32],
+    /// The scope of each column group (the cache's `group_scopes`).
+    scopes: &'a [usize],
+    /// The row's index among the folded rows.
+    index: usize,
+    /// The cache's outlier threshold.
     keep: f32,
-    scratch: &mut [f32],
-) -> (f64, f64, usize) {
-    let (resid, entry) = scratch.split_at_mut(books.config().vector_size);
-    let sq_norm = |xs: &[f32]| -> f64 { xs.iter().map(|&x| f64::from(x) * f64::from(x)).sum() };
-    let mut err_sq = 0.0f64;
-    let mut data_sq = 0.0f64;
-    let mut outlier_count = 0usize;
-    for (g, (orig, &scope)) in vals.chunks_exact(resid.len()).zip(scopes).enumerate() {
-        resid.copy_from_slice(orig);
-        for (r, stream) in side.codes.iter_mut().enumerate() {
-            let book = books.book(r, scope);
-            let code = book.encode(resid);
-            stream.push(code);
-            book.lookup(code, entry);
-            for (x, &e) in resid.iter_mut().zip(entry.iter()) {
-                *x -= e;
-            }
-        }
-        let orig_sq = sq_norm(orig);
-        let resid_sq = sq_norm(resid);
-        data_sq += orig_sq;
-        if resid_sq > f64::from(keep) * f64::from(keep) * orig_sq {
-            side.outliers.push(row, g, resid);
-            outlier_count += 1;
-        } else {
-            err_sq += resid_sq;
+    folded: &'a mut FoldedSide,
+    /// A group's working residual, `vector_size` floats.
+    resid: &'a mut [f32],
+    /// The entry being subtracted from it.
+    entry: &'a mut [f32],
+}
+
+/// Folds the oldest tail row of each cache in `due` (1..=[`MAX_POINTS`]
+/// caches, all over `ctx`): [`fold_oldest`] at that count. (One body per
+/// count keeps its per-cache arrays and loops exact: a one-tenant fold
+/// then costs what a loop written for one tenant does.)
+fn fold_due(ctx: &SharedContext, due: &mut [Option<&mut TenantKv>]) {
+    fn fold<const N: usize>(ctx: &SharedContext, due: &mut [Option<&mut TenantKv>]) {
+        if let Ok(due) = due.try_into() {
+            fold_oldest::<N>(ctx, due);
         }
     }
-    (err_sq, data_sq, outlier_count)
+    match due.len() {
+        1 => fold::<1>(ctx, due),
+        2 => fold::<2>(ctx, due),
+        3 => fold::<3>(ctx, due),
+        4 => fold::<4>(ctx, due),
+        5 => fold::<5>(ctx, due),
+        6 => fold::<6>(ctx, due),
+        7 => fold::<7>(ctx, due),
+        _ => fold::<MAX_POINTS>(ctx, due),
+    }
+}
+
+/// Folds the oldest tail row of each of `N` caches, all over `ctx`, into
+/// codes + outliers.
+///
+/// Book-major: for K, then V, for each column group and residual round,
+/// one [`Codebook::encode_many`] searches the group's book for every
+/// cache's working residual; then each cache pushes its code and
+/// subtracts the entry. After a group's last round each cache runs its
+/// outlier test: when the leftover error norm exceeds its `keep` of the
+/// group norm, the exact residual goes to the outlier channel. A cache's
+/// error and energy are summed per side in group order and added K
+/// first, then V.
+///
+/// [`Codebook::encode_many`]: vqllm_vq::Codebook::encode_many
+fn fold_oldest<const N: usize>(ctx: &SharedContext, due: &mut [Option<&mut TenantKv>; N]) {
+    let sq_norm = |xs: &[f32]| -> f64 { xs.iter().map(|&x| f64::from(x) * f64::from(x)).sum() };
+    for (side, books) in [(Side::K, ctx.kq()), (Side::V, ctx.vq())] {
+        let books = books.codebooks();
+        let cfg = books.config();
+        let vs = cfg.vector_size;
+        let mut folds = due
+            .each_mut()
+            .map(|kv| kv.as_deref_mut().map(|kv| kv.folding(side)));
+        // Every cache shares the context, and with it the group scopes.
+        let scopes = folds
+            .iter()
+            .flatten()
+            .map(|f| f.scopes)
+            .next()
+            .unwrap_or(&[]);
+        // Per cache: (err_sq, data_sq, outlier groups) of this side.
+        let mut sums = [(0.0f64, 0.0f64, 0usize); N];
+        for (g, &scope) in scopes.iter().enumerate() {
+            let at = g * vs..(g + 1) * vs;
+            for f in folds.iter_mut().flatten() {
+                f.resid.copy_from_slice(&f.row[at.clone()]);
+            }
+            for r in 0..cfg.residuals {
+                let book = books.book(r, scope);
+                let mut codes = [0u32; N];
+                let resids = folds
+                    .each_ref()
+                    .map(|f| f.as_ref().map_or(&[][..], |f| &*f.resid));
+                book.encode_many(&resids, &mut codes);
+                for (f, &code) in folds.iter_mut().zip(&codes) {
+                    let Some(f) = f else { continue };
+                    f.folded.codes[r].push(code);
+                    book.lookup(code, f.entry);
+                    for (x, &e) in f.resid.iter_mut().zip(f.entry.iter()) {
+                        *x -= e;
+                    }
+                }
+            }
+            for (f, (err_sq, data_sq, outliers)) in folds.iter_mut().zip(&mut sums) {
+                let Some(f) = f else { continue };
+                let orig_sq = sq_norm(&f.row[at.clone()]);
+                let resid_sq = sq_norm(f.resid);
+                *data_sq += orig_sq;
+                if resid_sq > f64::from(f.keep) * f64::from(f.keep) * orig_sq {
+                    f.folded.outliers.push(f.index, g, f.resid);
+                    *outliers += 1;
+                } else {
+                    *err_sq += resid_sq;
+                }
+            }
+        }
+        for (kv, &(err_sq, data_sq, outliers)) in due.iter_mut().zip(&sums) {
+            if let Some(kv) = kv {
+                kv.err_sq += err_sq;
+                kv.data_sq += data_sq;
+                kv.outlier_groups += outliers;
+            }
+        }
+    }
+    for kv in due.iter_mut().flatten() {
+        kv.folded_rows += 1;
+        kv.tail_start += 1;
+    }
 }
 
 #[cfg(test)]
@@ -816,6 +963,130 @@ mod tests {
 
     const KEEP_MILLI: [u32; 4] = [0, 250, 1000, u32::MAX];
 
+    /// A `rows × DIM` tensor under `cfg` from synthetic parts: books on a
+    /// quarter grid (so distances tie) and random codes — no k-means, so
+    /// even AQLM-3's 4096-entry books cost nothing to build.
+    fn synth_tensor(cfg: VqConfig, rows: usize, rng: &mut u64) -> vqllm_vq::QuantizedTensor {
+        let books = (0..cfg.residuals)
+            .map(|_| {
+                (0..CodebookSet::num_scopes(&cfg, (rows, DIM)))
+                    .map(|_| {
+                        let entries = (0..cfg.stored_entries() * cfg.vector_size)
+                            .map(|_| (splitmix(rng) % 9) as f32 * 0.25 - 1.0)
+                            .collect();
+                        vqllm_vq::Codebook::new(entries, cfg.vector_size, cfg.lattice).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let set = CodebookSet::new(cfg, (rows, DIM), books).unwrap();
+        let codes: Vec<u32> = (0..rows * DIM / cfg.vector_size)
+            .map(|_| (splitmix(rng) % cfg.num_entries as u64) as u32)
+            .collect();
+        let streams = (0..cfg.residuals)
+            .map(|_| vqllm_vq::PackedIndices::pack(&codes, cfg.index_bits() as u8).unwrap())
+            .collect();
+        vqllm_vq::QuantizedTensor::from_parts(set, streams).unwrap()
+    }
+
+    /// One context per preset of the paper's Tbl. II, GPTVQ-2's per-tile
+    /// scope swapped for a row-invariant one (live KV refuses tiles).
+    fn preset_contexts() -> &'static [SharedContext] {
+        static CONTEXTS: OnceLock<Vec<SharedContext>> = OnceLock::new();
+        CONTEXTS.get_or_init(|| {
+            vqllm_vq::VqAlgorithm::ALL
+                .iter()
+                .map(|alg| {
+                    let mut cfg = alg.config();
+                    if matches!(cfg.scope, CodebookScope::PerTile { .. }) {
+                        cfg.scope = CodebookScope::PerChannelGroup {
+                            channels: 4 * cfg.vector_size,
+                        };
+                    }
+                    let mut rng = cfg.num_entries as u64;
+                    SharedContext::new(
+                        synth_tensor(cfg, 16, &mut rng),
+                        synth_tensor(cfg, 16, &mut rng),
+                        synth_tensor(cfg, DIM, &mut rng),
+                    )
+                    .unwrap()
+                })
+                .collect()
+        })
+    }
+
+    /// Asserts two caches hold the same bits: folded codes, outliers,
+    /// tails, fold error and counts.
+    fn assert_same_cache(got: &TenantKv, want: &TenantKv, what: &str) {
+        let (g, w) = (got.ext(), want.ext());
+        assert_eq!(g.rows, w.rows, "{what}: folded rows");
+        for (g, w) in [(g.k_codes, w.k_codes), (g.v_codes, w.v_codes)] {
+            let all = |s: &[CodeStream]| -> Vec<Vec<u32>> {
+                s.iter()
+                    .map(|s| (0..s.len()).map(|i| s.get(i)).collect())
+                    .collect()
+            };
+            assert_eq!(all(g), all(w), "{what}: codes");
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (g, w) in [(g.k_outliers, w.k_outliers), (g.v_outliers, w.v_outliers)] {
+            let all = |o: vqllm_kernels::host_exec::Outliers<'_>| -> Vec<(usize, usize, Vec<u32>)> {
+                o.iter().map(|(r, grp, v)| (r, grp, bits(v))).collect()
+            };
+            assert_eq!(all(g), all(w), "{what}: outliers");
+        }
+        assert_eq!(bits(g.k_tail), bits(w.k_tail), "{what}: K tail");
+        assert_eq!(bits(g.v_tail), bits(w.v_tail), "{what}: V tail");
+        let fold_bits = |kv: &TenantKv| {
+            let (e, d) = kv.fold_error();
+            (e.to_bits(), d.to_bits())
+        };
+        assert_eq!(fold_bits(got), fold_bits(want), "{what}: fold_error");
+        assert_eq!(
+            got.outlier_groups(),
+            want.outlier_groups(),
+            "{what}: outlier groups"
+        );
+        assert_eq!(
+            got.compressed_bytes(),
+            want.compressed_bytes(),
+            "{what}: bytes"
+        );
+    }
+
+    #[test]
+    fn batched_append_rejects_before_mutating_any_cache() {
+        let (a, b) = (
+            ctx(),
+            context(VqConfig::new(4, 64, 1, CodebookScope::PerTensor).unwrap()),
+        );
+        let mode = KvQuantMode::Quantized {
+            tail_window: 0,
+            outlier_keep_milli: 250,
+        };
+        let mut x = TenantKv::new(&a, mode).unwrap();
+        let mut y = TenantKv::new(&a, mode).unwrap();
+        let mut z = TenantKv::new(&b, mode).unwrap();
+        let (k, v) = (row(0.3), row(0.4));
+        let err = TenantKv::append_batch(&mut [(&mut x, &k, &v), (&mut z, &k, &v)]);
+        assert!(
+            matches!(err, Err(LlmError::InvalidRequest { .. })),
+            "mixed contexts"
+        );
+        let err = TenantKv::append_batch(&mut [(&mut x, &k, &v), (&mut y, &k[1..], &v)]);
+        assert!(
+            matches!(err, Err(LlmError::InvalidRequest { .. })),
+            "short row"
+        );
+        assert!(
+            x.is_empty() && y.is_empty() && z.is_empty(),
+            "a refused batch must not mutate"
+        );
+        TenantKv::append_batch(&mut []).unwrap();
+        TenantKv::append_batch(&mut [(&mut x, &k, &v), (&mut y, &k, &v)]).unwrap();
+        assert_eq!((x.folded_tokens(), y.folded_tokens()), (1, 1));
+    }
+
     proptest! {
         /// Flat tails, byte-wide code streams, flat outliers and fixed
         /// scratch change no byte: after any append sequence the cache
@@ -870,6 +1141,45 @@ mod tests {
             prop_assert_eq!(kv.tail_len(), want.k_tail.len());
             for appends in [0, n, n + 7] {
                 prop_assert_eq!(kv.projected_bytes(appends), want.projected_bytes(ctx, appends));
+            }
+        }
+
+        /// The book-major fold of a decode step's tenants leaves every
+        /// cache with exactly the bits its own sequential `append`s leave:
+        /// 1..=9 tenants (past one search's eight points), each preset,
+        /// per-tenant windows and outlier bounds, over several steps.
+        #[test]
+        fn batched_fold_is_per_tenant_append_bit_for_bit(
+            preset_i in 0usize..5,
+            tenants in 1usize..=9,
+            window_i in 0usize..3,
+            keep_i in 0usize..4,
+            steps in 1usize..7,
+            seed in 0u64..10_000,
+        ) {
+            let ctx = &preset_contexts()[preset_i];
+            let mut rng = seed;
+            let mode = |t: usize| KvQuantMode::Quantized {
+                tail_window: [0, 1, 3][(window_i + t) % 3],
+                outlier_keep_milli: KEEP_MILLI[(keep_i + t) % 4],
+            };
+            let mut batched: Vec<TenantKv> =
+                (0..tenants).map(|t| TenantKv::new(ctx, mode(t)).unwrap()).collect();
+            let mut solo = batched.clone();
+            for _ in 0..steps {
+                let rows = random_rows(ctx, tenants, &mut rng);
+                let mut batch: Vec<(&mut TenantKv, &[f32], &[f32])> = batched
+                    .iter_mut()
+                    .zip(&rows)
+                    .map(|(kv, (k, v))| (kv, &k[..], &v[..]))
+                    .collect();
+                TenantKv::append_batch(&mut batch).unwrap();
+                for (kv, (k, v)) in solo.iter_mut().zip(&rows) {
+                    kv.append(k, v).unwrap();
+                }
+            }
+            for (t, (got, want)) in batched.iter().zip(&solo).enumerate() {
+                assert_same_cache(got, want, &format!("preset {preset_i} tenant {t}"));
             }
         }
 

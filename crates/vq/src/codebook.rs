@@ -23,10 +23,10 @@ pub struct Codebook {
     lattice: bool,
     /// Element-major mirror of `entries` (`vector_size × stored_entries`):
     /// `interleaved[j · stored + c] == entries[c · vector_size + j]`.
-    /// Derived at construction; [`Codebook::encode`] searches it eight
-    /// entries at a time, and the SIMD-wide host kernels stream it so LUT
-    /// builds and aggregated expansions become contiguous FMA loops over
-    /// all stored entries instead of `vector_size`-long strided dots.
+    /// Derived at construction; [`Codebook::encode_many`] searches it a
+    /// block of entries at a time, and the SIMD-wide host kernels stream it
+    /// so LUT builds and aggregated expansions become contiguous FMA loops
+    /// over all stored entries instead of `vector_size`-long strided dots.
     interleaved: Vec<f32>,
 }
 
@@ -242,31 +242,68 @@ impl Codebook {
         }
     }
 
-    /// Encodes `v` to the nearest logical entry id.
-    ///
-    /// Plain books scan all stored entries; lattice books pick the sign
-    /// mask from `v`'s signs and scan stored entries against `|v|`.
+    /// Encodes `v` to the nearest logical entry id: [`encode_many`] of one
+    /// vector.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != vector_size`.
+    ///
+    /// [`encode_many`]: Self::encode_many
     pub fn encode(&self, v: &[f32]) -> u32 {
-        assert_eq!(v.len(), self.vector_size, "input vector size");
-        if self.lattice {
-            let mut signs = 0u32;
-            // `new` caps lattice vectors at 16 elements (the sign bits).
-            let mut abs = [0.0f32; 16];
-            let abs = &mut abs[..self.vector_size];
-            for (j, &x) in v.iter().enumerate() {
-                if x < 0.0 {
-                    signs |= 1 << j;
+        let mut code = [0];
+        self.encode_many(&[v], &mut code);
+        code[0]
+    }
+
+    /// Encodes each of `vs` to its nearest logical entry id, into `codes`
+    /// in order: one [`kmeans::nearest_many`] pass over the book serves up
+    /// to [`kmeans::MAX_POINTS`] vectors, and each gets the id
+    /// [`encode`](Self::encode) gives it alone.
+    ///
+    /// Plain books search all stored entries; lattice books pick the sign
+    /// mask from a vector's signs and search stored entries against its
+    /// `|v|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vs` and `codes` differ in length or a vector is not
+    /// `vector_size` long.
+    // Always inlined: a caller with a fixed count (one vector, or the
+    // live-KV fold's tenants) then calls that count's search directly.
+    #[inline(always)]
+    pub fn encode_many(&self, vs: &[&[f32]], codes: &mut [u32]) {
+        assert_eq!(vs.len(), codes.len(), "one code per vector");
+        const N: usize = kmeans::MAX_POINTS;
+        let dim = self.vector_size;
+        let mut found = [(0u32, 0.0f32); N];
+        for (vs, codes) in vs.chunks(N).zip(codes.chunks_mut(N)) {
+            assert!(vs.iter().all(|v| v.len() == dim), "input vector size");
+            let found = &mut found[..vs.len()];
+            if self.lattice {
+                // `new` caps lattice vectors at 16 elements (the sign bits).
+                let mut signs = [0u32; N];
+                let mut abs = [[0.0f32; 16]; N];
+                for ((v, signs), abs) in vs.iter().zip(&mut signs).zip(&mut abs) {
+                    for (j, (&x, a)) in v.iter().zip(abs.iter_mut()).enumerate() {
+                        if x < 0.0 {
+                            *signs |= 1 << j;
+                        }
+                        *a = x.abs();
+                    }
                 }
-                abs[j] = x.abs();
+                let points: [&[f32]; N] = std::array::from_fn(|p| &abs[p][..dim]);
+                kmeans::nearest_many(&points[..vs.len()], &self.interleaved, dim, found);
+                let shift = self.sign_shift();
+                for ((code, &(base, _)), &signs) in codes.iter_mut().zip(found.iter()).zip(&signs) {
+                    *code = (signs << shift) | base;
+                }
+            } else {
+                kmeans::nearest_many(vs, &self.interleaved, dim, found);
+                for (code, &(id, _)) in codes.iter_mut().zip(found.iter()) {
+                    *code = id;
+                }
             }
-            let (base, _) = kmeans::nearest(abs, &self.interleaved, self.vector_size);
-            (signs << self.stored_entries().trailing_zeros()) | base
-        } else {
-            kmeans::nearest(v, &self.interleaved, self.vector_size).0
         }
     }
 

@@ -46,15 +46,20 @@ impl Default for KmeansOptions {
     }
 }
 
-/// Stored entries searched per iteration of [`nearest`]'s portable and
-/// AVX2 tiers (one AVX2 register of `f32`, two SSE ones), and of the
+/// Stored entries searched per iteration of [`nearest_many`]'s portable
+/// and AVX2 tiers (one AVX2 register of `f32`, two SSE ones), and of the
 /// k-means++ distance updates. The AVX-512 tier searches [`WIDE_LANES`].
 const LANES: usize = 8;
 
-/// Stored entries searched per iteration of [`nearest`]'s AVX-512 tier:
-/// one zmm register of `f32`.
+/// Stored entries searched per iteration of [`nearest_many`]'s AVX-512
+/// tier: one zmm register of `f32`.
 #[cfg(target_arch = "x86_64")]
 const WIDE_LANES: usize = 16;
+
+/// The most points [`nearest_many`] searches in one pass over the table
+/// (each block of entries loaded once and measured against all of them);
+/// its AVX-512 tier takes this many, AVX2 four, the portable body one.
+pub const MAX_POINTS: usize = 8;
 
 /// Squared Euclidean distance between two `dim`-length slices.
 #[inline]
@@ -68,8 +73,8 @@ fn dist2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Writes the element-major mirror of a row-major `n × dim` buffer:
-/// `out[j · n + c] = rows[c · dim + j]` — the layout [`nearest`] searches
-/// and [`Codebook::entries_interleaved`](crate::Codebook::entries_interleaved)
+/// `out[j · n + c] = rows[c · dim + j]` — the layout [`nearest_many`]
+/// searches and [`Codebook::entries_interleaved`](crate::Codebook::entries_interleaved)
 /// holds.
 pub(crate) fn element_major_into(rows: &[f32], dim: usize, out: &mut [f32]) {
     let n = rows.len() / dim;
@@ -80,28 +85,40 @@ pub(crate) fn element_major_into(rows: &[f32], dim: usize, out: &mut [f32]) {
     }
 }
 
-/// Squared distances from `point` to the [`LANES`] consecutive entries
-/// starting at `c0` of an element-major table with `k` entries per row.
+/// Squared distances from each of `points` (each `dim` long, `dim` the
+/// table's row count) to the [`LANES`] consecutive entries starting at
+/// `c0` of an element-major table with `k` entries per row.
 ///
 /// Each lane runs [`dist2`]'s chain — `s = 0; s += (x_j − c_j)²` in `j`
 /// order, multiply and add **unfused** — so a lane's distance has exactly
 /// the bits the entry-at-a-time loop produced. A fused multiply-add rounds
 /// once instead of twice and would move near-tie codes: the codebooks,
-/// packed streams and folded live-KV rows of every earlier commit.
+/// packed streams and folded live-KV rows of every earlier commit. The
+/// points' chains are independent and interleaved: each row of the block
+/// is read once for all of them.
 #[inline(always)]
-fn dist2_lanes(point: &[f32], em: &[f32], k: usize, c0: usize) -> [f32; LANES] {
-    let mut s = [0.0f32; LANES];
-    for (&x, row) in point.iter().zip(em.chunks_exact(k)) {
+fn dist2_lanes<const N: usize>(
+    points: &[&[f32]; N],
+    em: &[f32],
+    k: usize,
+    c0: usize,
+) -> [[f32; LANES]; N] {
+    let mut s = [[0.0f32; LANES]; N];
+    for (j, row) in em.chunks_exact(k).enumerate() {
         let row = &row[c0..c0 + LANES];
-        for l in 0..LANES {
-            let d = x - row[l];
-            s[l] += d * d;
+        for (s, point) in s.iter_mut().zip(points) {
+            let x = point[j];
+            for l in 0..LANES {
+                let d = x - row[l];
+                s[l] += d * d;
+            }
         }
     }
     s
 }
 
-/// [`dist2_lanes`] for the single entry `c` (the `k % LANES` remainder).
+/// [`dist2_lanes`] for one point and the single entry `c` (the `k % LANES`
+/// remainder).
 #[inline(always)]
 fn dist2_strided(point: &[f32], em: &[f32], k: usize, c: usize) -> f32 {
     let mut s = 0.0;
@@ -112,40 +129,61 @@ fn dist2_strided(point: &[f32], em: &[f32], k: usize, c: usize) -> f32 {
     s
 }
 
-/// The body of [`nearest`], inlined into one function per SIMD tier.
+/// The first `dim` elements of each point.
 #[inline(always)]
-fn nearest_lanes(point: &[f32], em: &[f32], dim: usize) -> (u32, f32) {
+fn prefixes<'a, const N: usize>(points: &[&'a [f32]; N], dim: usize) -> [&'a [f32]; N] {
+    let mut out = [&[][..]; N];
+    for (out, point) in out.iter_mut().zip(points) {
+        *out = &point[..dim];
+    }
+    out
+}
+
+/// The portable body of [`nearest_many`] for `N` points, inlined into one
+/// function per SIMD tier below AVX-512.
+#[inline(always)]
+fn nearest_lanes<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) -> [(u32, f32); N] {
     let k = em.len() / dim;
-    let point = &point[..dim];
+    let points = prefixes(points, dim);
     let blocks = k / LANES;
-    // Lane `l` keeps the first minimum among entries `≡ l (mod LANES)` as
-    // its distance and the block it sits in — the block as an `f32`, so
-    // both updates are selects on one vector compare (block numbers are
-    // exact up to 2²⁴).
+    // Lane `l` of a point keeps the first minimum among entries
+    // `≡ l (mod LANES)` as its distance and the block it sits in — the
+    // block as an `f32`, so both updates are selects on one vector compare
+    // (block numbers are exact up to 2²⁴).
     assert!(blocks <= 1 << 24, "codebook too large for the lane search");
-    let mut best_d = [f32::INFINITY; LANES];
-    let mut best_b = [0.0f32; LANES];
+    let mut best_d = [[f32::INFINITY; LANES]; N];
+    let mut best_b = [[0.0f32; LANES]; N];
     for b in 0..blocks {
-        let s = dist2_lanes(point, em, k, b * LANES);
+        let s = dist2_lanes(&points, em, k, b * LANES);
         let bf = b as f32;
-        for l in 0..LANES {
-            let closer = s[l] < best_d[l];
-            best_d[l] = if closer { s[l] } else { best_d[l] };
-            best_b[l] = if closer { bf } else { best_b[l] };
+        for ((s, best_d), best_b) in s.iter().zip(&mut best_d).zip(&mut best_b) {
+            for l in 0..LANES {
+                let closer = s[l] < best_d[l];
+                best_d[l] = if closer { s[l] } else { best_d[l] };
+                best_b[l] = if closer { bf } else { best_b[l] };
+            }
         }
     }
-    // The first global minimum is the smallest distance, lowest index on
-    // ties: entry `b · LANES + l` precedes another exactly when its
+    // A point's first global minimum is its smallest distance, lowest index
+    // on ties: entry `b · LANES + l` precedes another exactly when its
     // (block, lane) does, and lanes are visited in order. The remainder
     // entries sit past every lane's, so plain `<` keeps the tie-break.
-    let (mut lane, mut b_min, mut d_min) = (0, 0.0f32, f32::INFINITY);
-    for l in 0..LANES {
-        if best_d[l] < d_min || (best_d[l] == d_min && best_b[l] < b_min) {
-            (lane, b_min, d_min) = (l, best_b[l], best_d[l]);
+    // (Merged by constant index, then continued in a loop of its own, so
+    // the minima stay in registers through the block loop.)
+    let mut out = [(0u32, 0.0f32); N];
+    for p in 0..N {
+        let (mut lane, mut b_min, mut d_min) = (0, 0.0f32, f32::INFINITY);
+        for l in 0..LANES {
+            if best_d[p][l] < d_min || (best_d[p][l] == d_min && best_b[p][l] < b_min) {
+                (lane, b_min, d_min) = (l, best_b[p][l], best_d[p][l]);
+            }
         }
+        out[p] = ((b_min as usize * LANES + lane) as u32, d_min);
     }
-    let best = (b_min as usize * LANES + lane) as u32;
-    scan_rest(point, em, k, blocks * LANES, (best, d_min))
+    for (o, point) in out.iter_mut().zip(points) {
+        *o = scan_rest(point, em, k, blocks * LANES, *o);
+    }
+    out
 }
 
 /// Continues a search whose first minimum over entries `..from` is `best`
@@ -164,80 +202,238 @@ fn scan_rest(point: &[f32], em: &[f32], k: usize, from: usize, best: (u32, f32))
     (best, d_min)
 }
 
+/// [`nearest_many`] on AVX2 for `N` points: [`LANES`] entries per block in
+/// one ymm register, each block row loaded once and measured against
+/// every point, each lane [`dist2_lanes`]'s unfused chain, each point's
+/// running minimum kept by strict-`<` blends (a NaN distance, every
+/// compare false, is never taken).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn nearest_avx2(point: &[f32], em: &[f32], dim: usize) -> (u32, f32) {
-    nearest_lanes(point, em, dim)
-}
-
-/// [`nearest`] on AVX-512: [`WIDE_LANES`] entries per block, each lane
-/// [`dist2_lanes`]'s unfused chain, the running minimum kept by mask
-/// selects and the lanes merged without a branch.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn nearest_avx512(point: &[f32], em: &[f32], dim: usize) -> (u32, f32) {
+fn nearest_avx2<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) -> [(u32, f32); N] {
     use std::arch::x86_64::*;
     let k = em.len() / dim;
-    let point = &point[..dim];
+    let points = prefixes(points, dim);
+    let blocks = k / LANES;
+    let mut best_d = [_mm256_set1_ps(f32::INFINITY); N];
+    let mut best_i = [_mm256_setzero_si256(); N];
+    let mut idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let step = _mm256_set1_epi32(LANES as i32);
+    for b in 0..blocks {
+        let row0 = em[b * LANES..].as_ptr();
+        // `0 + d·d` is `d·d` bit for bit (a square is never −0), so each
+        // chain starts at its first square.
+        let mut s = [_mm256_setzero_ps(); N];
+        for j in 0..dim {
+            // SAFETY: `j < dim` and `(b + 1) · 8 ≤ k`, so this reads
+            // `em[j·k + b·8 ..][..8]`, inside `dim · k ≤ em.len()`.
+            let c = unsafe { _mm256_loadu_ps(row0.add(j * k)) };
+            for (s, point) in s.iter_mut().zip(&points) {
+                let d = _mm256_sub_ps(_mm256_set1_ps(point[j]), c);
+                let dd = _mm256_mul_ps(d, d);
+                *s = if j == 0 { dd } else { _mm256_add_ps(*s, dd) };
+            }
+        }
+        for ((&s, best_d), best_i) in s.iter().zip(&mut best_d).zip(&mut best_i) {
+            let closer = _mm256_cmp_ps::<_CMP_LT_OQ>(s, *best_d);
+            *best_d = _mm256_blendv_ps(*best_d, s, closer);
+            *best_i = _mm256_blendv_epi8(*best_i, idx, _mm256_castps_si256(closer));
+        }
+        idx = _mm256_add_epi32(idx, step);
+    }
+    // A point's first global minimum is its smallest distance, lowest index
+    // on ties; no lane holds a NaN. (Merged by constant index, then
+    // continued in a loop of its own, so the minima stay in registers
+    // through the block loop.)
+    let mut out = [(0u32, 0.0f32); N];
+    for p in 0..N {
+        let (mut d, mut i) = ([0.0f32; LANES], [0u32; LANES]);
+        // SAFETY: both arrays hold exactly one 256-bit vector.
+        unsafe {
+            _mm256_storeu_ps(d.as_mut_ptr(), best_d[p]);
+            _mm256_storeu_si256(i.as_mut_ptr().cast(), best_i[p]);
+        }
+        let (mut i_min, mut d_min) = (0u32, f32::INFINITY);
+        for l in 0..LANES {
+            if d[l] < d_min || (d[l] == d_min && i[l] < i_min) {
+                (i_min, d_min) = (i[l], d[l]);
+            }
+        }
+        out[p] = (i_min, d_min);
+    }
+    for (o, point) in out.iter_mut().zip(points) {
+        *o = scan_rest(point, em, k, blocks * LANES, *o);
+    }
+    out
+}
+
+/// [`nearest_many`] on AVX-512 for `N` points: [`WIDE_LANES`] entries per
+/// block, each block row loaded once and measured against every point,
+/// each lane [`dist2_lanes`]'s unfused chain, each point's running minimum
+/// kept by mask selects and its lanes merged without a branch.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn nearest_avx512<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) -> [(u32, f32); N] {
+    use std::arch::x86_64::*;
+    let k = em.len() / dim;
+    let points = prefixes(points, dim);
     let blocks = k / WIDE_LANES;
-    // Lane `l` keeps the first minimum among entries `≡ l (mod 16)`: its
-    // distance and its entry index, both replaced under one strict-`<`
-    // mask, so a NaN distance (every compare false) is never taken.
-    let mut best_d = _mm512_set1_ps(f32::INFINITY);
-    let mut best_i = _mm512_setzero_si512();
+    // Lane `l` of a point keeps the first minimum among entries
+    // `≡ l (mod 16)`: its distance and its entry index, both replaced under
+    // one strict-`<` mask, so a NaN distance (every compare false) is never
+    // taken.
+    let mut best_d = [_mm512_set1_ps(f32::INFINITY); N];
+    let mut best_i = [_mm512_setzero_si512(); N];
     let mut idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     let step = _mm512_set1_epi32(WIDE_LANES as i32);
     for b in 0..blocks {
         let row0 = em[b * WIDE_LANES..].as_ptr();
         // `0 + d·d` is `d·d` bit for bit (a square is never −0), so each
         // chain starts at its first square.
-        let mut s = _mm512_setzero_ps();
-        for (j, &x) in point.iter().enumerate() {
+        let mut s = [_mm512_setzero_ps(); N];
+        for j in 0..dim {
             // SAFETY: `j < dim` and `(b + 1) · 16 ≤ k`, so this reads
             // `em[j·k + b·16 ..][..16]`, inside `dim · k ≤ em.len()`.
             let c = unsafe { _mm512_loadu_ps(row0.add(j * k)) };
-            let d = _mm512_sub_ps(_mm512_set1_ps(x), c);
-            let dd = _mm512_mul_ps(d, d);
-            s = if j == 0 { dd } else { _mm512_add_ps(s, dd) };
+            for (s, point) in s.iter_mut().zip(&points) {
+                let d = _mm512_sub_ps(_mm512_set1_ps(point[j]), c);
+                let dd = _mm512_mul_ps(d, d);
+                *s = if j == 0 { dd } else { _mm512_add_ps(*s, dd) };
+            }
         }
-        let closer = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(s, best_d);
-        best_d = _mm512_mask_blend_ps(closer, best_d, s);
-        best_i = _mm512_mask_blend_epi32(closer, best_i, idx);
+        for ((&s, best_d), best_i) in s.iter().zip(&mut best_d).zip(&mut best_i) {
+            let closer = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(s, *best_d);
+            *best_d = _mm512_mask_blend_ps(closer, *best_d, s);
+            *best_i = _mm512_mask_blend_epi32(closer, *best_i, idx);
+        }
         idx = _mm512_add_epi32(idx, step);
     }
-    // The first global minimum is the smallest distance, lowest index on
-    // ties. No lane holds a NaN, so the minimum is exact; with none finite
-    // every lane ties at ∞ on index 0.
-    let d_min = _mm512_reduce_min_ps(best_d);
-    let ties = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(best_d, _mm512_set1_ps(d_min));
-    let best = _mm512_mask_reduce_min_epu32(ties, best_i);
-    scan_rest(point, em, k, blocks * WIDE_LANES, (best, d_min))
+    // A point's first global minimum is its smallest distance, lowest index
+    // on ties. No lane holds a NaN, so the minimum is exact; with none
+    // finite every lane ties at ∞ on index 0.
+    // (Merged by constant index, then continued in a loop of its own, so
+    // the minima stay in registers through the block loop.)
+    let mut out = [(0u32, 0.0f32); N];
+    for p in 0..N {
+        let d_min = _mm512_reduce_min_ps(best_d[p]);
+        let ties = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(best_d[p], _mm512_set1_ps(d_min));
+        out[p] = (_mm512_mask_reduce_min_epu32(ties, best_i[p]), d_min);
+    }
+    for (o, point) in out.iter_mut().zip(points) {
+        *o = scan_rest(point, em, k, blocks * WIDE_LANES, *o);
+    }
+    out
 }
 
-/// The tier [`nearest`] dispatches to on this machine: `"avx512f"`,
-/// `"avx2"` or `"portable"`.
-pub fn nearest_tier() -> &'static str {
+/// The instruction tiers [`nearest_many`] has a body for. A value other
+/// than `Portable` is a witness that the machine runs that tier: only
+/// [`Tier::detect`] (and tests, after the same check) make one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Portable,
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return "avx512f";
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this machine runs.
+    fn detect() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Tier::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Tier::Avx2;
+            }
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return "avx2";
+        Tier::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => "avx512f",
         }
     }
-    "portable"
+
+    /// Searches `N` points on this tier.
+    #[inline(always)]
+    fn search<const N: usize>(
+        self,
+        points: &[&[f32]],
+        em: &[f32],
+        dim: usize,
+        out: &mut [(u32, f32)],
+    ) {
+        let points: &[&[f32]; N] = points.try_into().expect("N points");
+        let found = match self {
+            Tier::Portable => nearest_lanes(points, em, dim),
+            // SAFETY: a `Tier::Avx2` exists only where AVX2 was detected.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { nearest_avx2(points, em, dim) },
+            // SAFETY: a `Tier::Avx512` exists only where AVX-512F was
+            // detected.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { nearest_avx512(points, em, dim) },
+        };
+        out.copy_from_slice(&found);
+    }
+
+    /// Points this tier searches in one pass: what its registers hold
+    /// without spilling — eight on AVX-512's 32 registers, four on AVX2's
+    /// 16, and one for the portable body, which the compiler only keeps
+    /// in registers for a single point.
+    fn points_per_pass(self) -> usize {
+        match self {
+            Tier::Portable => 1,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => 4,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => MAX_POINTS,
+        }
+    }
+
+    /// Searches 1..=[`MAX_POINTS`] points in one pass over the table.
+    #[inline(always)]
+    fn search_some(self, points: &[&[f32]], em: &[f32], dim: usize, out: &mut [(u32, f32)]) {
+        match points.len() {
+            1 => self.search::<1>(points, em, dim, out),
+            2 => self.search::<2>(points, em, dim, out),
+            3 => self.search::<3>(points, em, dim, out),
+            4 => self.search::<4>(points, em, dim, out),
+            5 => self.search::<5>(points, em, dim, out),
+            6 => self.search::<6>(points, em, dim, out),
+            7 => self.search::<7>(points, em, dim, out),
+            _ => self.search::<MAX_POINTS>(points, em, dim, out),
+        }
+    }
 }
 
-/// Index of the nearest centroid and its squared distance, over an
-/// **element-major** centroid table (`dim × k`: row `j` holds element `j`
-/// of every centroid — [`element_major_into`]'s layout).
+/// The tier [`nearest_many`] dispatches to on this machine: `"avx512f"`,
+/// `"avx2"` or `"portable"`.
+pub fn nearest_tier() -> &'static str {
+    Tier::detect().name()
+}
+
+/// Index of the nearest centroid and its squared distance for each of
+/// `points`, written to `out` in point order, over an **element-major**
+/// centroid table (`dim × k`: row `j` holds element `j` of every centroid
+/// — [`element_major_into`]'s layout).
 ///
-/// Entry-parallel, in one of three tiers picked once per call
-/// ([`nearest_tier`]): AVX-512 ([`WIDE_LANES`] centroids a block), AVX2
-/// or portable ([`LANES`] a block); the `k mod` width remainder is
-/// scanned one entry at a time. Every tier returns bit for bit the
-/// one-centroid-at-a-time scan's result, for three reasons:
+/// Codebook-centric: the points are searched up to [`MAX_POINTS`] at a
+/// time (eight on AVX-512, four on AVX2, one on the portable body), and
+/// each block of entries is loaded once and measured against all of them,
+/// their distance chains interleaved. Entry-parallel, in one of three
+/// tiers picked once per call ([`nearest_tier`]): AVX-512 ([`WIDE_LANES`]
+/// centroids a block), AVX2 or portable ([`LANES`] a block); the `k mod`
+/// width remainder is scanned one entry at a time. Every tier returns,
+/// for every point, bit for bit the one-centroid-at-a-time scan's result
+/// for that point alone, for three reasons:
 ///
 /// * each lane runs the scan's **unfused** chain `s += (x_j − c_j)²` in
 ///   `j` order (see [`dist2_lanes`]), so a distance has the scan's bits;
@@ -250,26 +446,37 @@ pub fn nearest_tier() -> &'static str {
 ///
 /// # Panics
 ///
+/// Panics if `points` and `out` differ in length, a point is shorter than
+/// `dim`, or `centroids` is not `dim`-aligned.
+#[inline(always)]
+pub fn nearest_many(points: &[&[f32]], centroids: &[f32], dim: usize, out: &mut [(u32, f32)]) {
+    assert_eq!(points.len(), out.len(), "one result per point");
+    let tier = Tier::detect();
+    let pass = tier.points_per_pass();
+    for (points, out) in points.chunks(pass).zip(out.chunks_mut(pass)) {
+        #[cfg(test)]
+        if oracle::forced() {
+            for (point, out) in points.iter().zip(out) {
+                *out = oracle::nearest_element_major(point, centroids, dim);
+            }
+            continue;
+        }
+        tier.search_some(points, centroids, dim, out);
+    }
+}
+
+/// [`nearest_many`] for one point: the index of its nearest centroid and
+/// the squared distance, over an element-major table.
+///
+/// # Panics
+///
 /// Panics if `point` is shorter than `dim` or `centroids` is not
 /// `dim`-aligned.
 #[inline]
 pub fn nearest(point: &[f32], centroids: &[f32], dim: usize) -> (u32, f32) {
-    #[cfg(test)]
-    if oracle::forced() {
-        return oracle::nearest_element_major(point, centroids, dim);
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F presence was just verified.
-            return unsafe { nearest_avx512(point, centroids, dim) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence was just verified.
-            return unsafe { nearest_avx2(point, centroids, dim) };
-        }
-    }
-    nearest_lanes(point, centroids, dim)
+    let mut out = [(0, 0.0)];
+    nearest_many(&[point], centroids, dim, &mut out);
+    out[0]
 }
 
 /// k-means++ bookkeeping: lowers `min_d2[j]` to the distance between
@@ -285,7 +492,7 @@ fn lower_min_dists(centre: &[f32], train: &[f32], min_d2: &mut [f32]) {
     }
     let mut blocks = min_d2.chunks_exact_mut(LANES);
     for (b, mins) in blocks.by_ref().enumerate() {
-        let d = dist2_lanes(centre, train, t, b * LANES);
+        let [d] = dist2_lanes(&[centre], train, t, b * LANES);
         for (m, &d) in mins.iter_mut().zip(&d) {
             if d < *m {
                 *m = d;
@@ -298,6 +505,37 @@ fn lower_min_dists(centre: &[f32], train: &[f32], min_d2: &mut [f32]) {
             *m = d;
         }
     }
+}
+
+/// Assigns point `j` (`point(j)`, for every slot `j` of `assignments`) to
+/// its nearest centroid — `em` is the centroids' element-major mirror —
+/// [`MAX_POINTS`] points a search, and returns the squared distances'
+/// sum, accumulated in point order.
+fn assign<'a>(
+    point: impl Fn(usize) -> &'a [f32],
+    em: &[f32],
+    dim: usize,
+    assignments: &mut [u32],
+) -> f64 {
+    let mut inertia = 0.0f64;
+    let mut found = [(0u32, 0.0f32); MAX_POINTS];
+    for (c, slots) in assignments.chunks_mut(MAX_POINTS).enumerate() {
+        let n = slots.len();
+        let points: [&[f32]; MAX_POINTS] = std::array::from_fn(|p| {
+            if p < n {
+                point(c * MAX_POINTS + p)
+            } else {
+                &[]
+            }
+        });
+        let found = &mut found[..n];
+        nearest_many(&points[..n], em, dim, found);
+        for (slot, &(a, d)) in slots.iter_mut().zip(found.iter()) {
+            *slot = a;
+            inertia += f64::from(d);
+        }
+    }
+    inertia
 }
 
 /// Runs k-means on `points` (flat `n × dim`) for `k` clusters.
@@ -387,13 +625,13 @@ pub fn kmeans(
     let mut centroids_em = vec![0.0f32; k * dim];
     for iter in 0..opts.max_iters {
         iters_done = iter + 1;
-        let mut inertia = 0.0f64;
         element_major_into(&centroids, dim, &mut centroids_em);
-        for (j, &i) in train_idx.iter().enumerate() {
-            let (a, d) = nearest(point(i), &centroids_em, dim);
-            train_assign[j] = a;
-            inertia += f64::from(d);
-        }
+        let inertia = assign(
+            |j| point(train_idx[j]),
+            &centroids_em,
+            dim,
+            &mut train_assign,
+        );
 
         // Recompute centroids.
         let mut sums = vec![0.0f64; k * dim];
@@ -449,13 +687,8 @@ pub fn kmeans(
 
     // --- Final assignment of all points ---
     let mut assignments = vec![0u32; n];
-    let mut inertia = 0.0f64;
     element_major_into(&centroids, dim, &mut centroids_em);
-    for (i, slot) in assignments.iter_mut().enumerate() {
-        let (a, d) = nearest(point(i), &centroids_em, dim);
-        *slot = a;
-        inertia += f64::from(d);
-    }
+    let inertia = assign(point, &centroids_em, dim, &mut assignments);
 
     KmeansResult {
         centroids,
@@ -639,60 +872,113 @@ mod tests {
         }
     }
 
-    type Search = fn(&[f32], &[f32], usize) -> (u32, f32);
-
-    /// Every tier of [`nearest`] by name, `None` where this machine lacks
-    /// it — plus the dispatched entry itself.
-    fn tiers() -> Vec<(&'static str, Option<Search>)> {
+    /// Every tier of [`nearest_many`] this machine has; the missing ones
+    /// are reported once as skipped.
+    fn tiers() -> Vec<Tier> {
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        #[allow(unused_mut)]
+        let mut tiers = vec![Tier::Portable];
         #[cfg(target_arch = "x86_64")]
-        let (avx2, avx512) = (
-            std::arch::is_x86_feature_detected!("avx2")
-                // SAFETY: AVX2 presence was just verified.
-                .then_some::<Search>(|p, c, d| unsafe { nearest_avx2(p, c, d) }),
-            std::arch::is_x86_feature_detected!("avx512f")
-                // SAFETY: AVX-512F presence was just verified.
-                .then_some::<Search>(|p, c, d| unsafe { nearest_avx512(p, c, d) }),
-        );
+        {
+            let mut missing = Vec::new();
+            for (tier, have) in [
+                (Tier::Avx2, std::arch::is_x86_feature_detected!("avx2")),
+                (Tier::Avx512, std::arch::is_x86_feature_detected!("avx512f")),
+            ] {
+                if have {
+                    tiers.push(tier);
+                } else {
+                    missing.push(tier.name());
+                }
+            }
+            if !missing.is_empty() {
+                SKIPPED
+                    .call_once(|| eprintln!("nearest: tiers SKIPPED, CPU lacks them: {missing:?}"));
+            }
+        }
         #[cfg(not(target_arch = "x86_64"))]
-        let (avx2, avx512) = (None, None);
-        vec![
-            ("portable", Some(nearest_lanes as Search)),
-            ("avx2", avx2),
-            ("avx512f", avx512),
-            ("dispatched", Some(nearest as Search)),
-        ]
+        SKIPPED.call_once(|| eprintln!("nearest: tiers SKIPPED, not x86-64: avx2, avx512f"));
+        tiers
     }
 
-    /// Checks every tier this machine has against the oracle on one
-    /// element-major table; missing tiers are reported once as skipped.
-    fn assert_tiers_match(point: &[f32], rows: &[f32], em: &[f32], dim: usize) {
-        static SKIPPED: std::sync::Once = std::sync::Once::new();
-        let (want_i, want_d) = oracle::nearest(point, rows, dim);
+    /// Checks 1..=[`MAX_POINTS`] `points` searched together on every tier
+    /// this machine has, each point searched alone on each tier, and the
+    /// dispatched [`nearest_many`] and [`nearest`], against the oracle's
+    /// one-point scan over the row-major `rows` (`em` is their mirror).
+    fn assert_tiers_match(points: &[&[f32]], rows: &[f32], em: &[f32], dim: usize) {
         let k = rows.len() / dim;
-        let tiers = tiers();
-        let missing: Vec<_> = tiers
+        let bits = |found: &[(u32, f32)]| -> Vec<(u32, u32)> {
+            found.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+        };
+        let want: Vec<(u32, u32)> = points
             .iter()
-            .filter(|t| t.1.is_none())
-            .map(|t| t.0)
+            .map(|p| {
+                let (i, d) = oracle::nearest(p, rows, dim);
+                (i, d.to_bits())
+            })
             .collect();
-        if !missing.is_empty() {
-            SKIPPED.call_once(|| eprintln!("nearest: tiers SKIPPED, CPU lacks them: {missing:?}"));
-        }
-        for (name, search) in tiers {
-            let Some(search) = search else { continue };
-            let (i, d) = search(point, em, dim);
+        let n = points.len();
+        let mut found = vec![(0, 0.0); n];
+        for tier in tiers() {
+            let name = tier.name();
+            tier.search_some(points, em, dim, &mut found);
             assert_eq!(
-                (i, d.to_bits()),
-                (want_i, want_d.to_bits()),
-                "{name} tier, k {k} dim {dim}, point {point:?}"
+                bits(&found),
+                want,
+                "{name} tier, {n} points, k {k} dim {dim}, {points:?}"
             );
+            for (point, want) in points.iter().zip(&want) {
+                let mut one = [(0, 0.0)];
+                tier.search_some(&[point], em, dim, &mut one);
+                assert_eq!(
+                    bits(&one)[0],
+                    *want,
+                    "{name} tier alone, k {k} dim {dim}, {point:?}"
+                );
+            }
         }
+        nearest_many(points, em, dim, &mut found);
+        assert_eq!(
+            bits(&found),
+            want,
+            "nearest_many, {n} points, k {k} dim {dim}"
+        );
+        let alone: Vec<(u32, f32)> = points.iter().map(|p| nearest(p, em, dim)).collect();
+        assert_eq!(bits(&alone), want, "nearest, k {k} dim {dim}");
     }
 
     fn element_major(rows: &[f32], dim: usize) -> Vec<f32> {
         let mut em = vec![0.0f32; rows.len()];
         element_major_into(rows, dim, &mut em);
         em
+    }
+
+    /// A tie-heavy table: grid coordinates, with a quarter of the
+    /// centroids duplicated onto earlier ones.
+    fn tie_heavy_rows(k: usize, dim: usize, wild: bool, rng: &mut u64) -> Vec<f32> {
+        let mut rows: Vec<f32> = (0..k * dim).map(|_| coord(rng, wild)).collect();
+        for c in 1..k {
+            if splitmix(rng).is_multiple_of(4) {
+                let src = (splitmix(rng) % c as u64) as usize;
+                rows.copy_within(src * dim..(src + 1) * dim, c * dim);
+            }
+        }
+        rows
+    }
+
+    /// `n` probes, half of them sitting exactly on a centroid.
+    fn probes(rows: &[f32], dim: usize, n: usize, wild: bool, rng: &mut u64) -> Vec<Vec<f32>> {
+        let k = rows.len() / dim;
+        (0..n)
+            .map(|_| {
+                if splitmix(rng).is_multiple_of(2) {
+                    let c = (splitmix(rng) % k as u64) as usize;
+                    rows[c * dim..(c + 1) * dim].to_vec()
+                } else {
+                    (0..dim).map(|_| coord(rng, wild)).collect()
+                }
+            })
+            .collect()
     }
 
     proptest::proptest! {
@@ -711,25 +997,50 @@ mod tests {
             let dim = [1, 2, 3, 4, 8, 16][dim_i];
             let k = [1, 7, 8, 9, 15, 16, 17, 33, 256, 4096][k_i];
             let mut rng = seed;
-            let mut rows: Vec<f32> = (0..k * dim).map(|_| coord(&mut rng, wild)).collect();
-            // Duplicate a quarter of the centroids onto earlier ones.
-            for c in 1..k {
-                if splitmix(&mut rng).is_multiple_of(4) {
-                    let src = (splitmix(&mut rng) % c as u64) as usize;
-                    rows.copy_within(src * dim..(src + 1) * dim, c * dim);
-                }
-            }
+            let rows = tie_heavy_rows(k, dim, wild, &mut rng);
             let em = element_major(&rows, dim);
-            for _ in 0..8 {
-                // Half the probes sit exactly on a centroid.
-                let point: Vec<f32> = if splitmix(&mut rng).is_multiple_of(2) {
-                    let c = (splitmix(&mut rng) % k as u64) as usize;
-                    rows[c * dim..(c + 1) * dim].to_vec()
-                } else {
-                    (0..dim).map(|_| coord(&mut rng, wild)).collect()
-                };
-                assert_tiers_match(&point, &rows, &em, dim);
+            for point in probes(&rows, dim, 8, wild, &mut rng) {
+                assert_tiers_match(&[&point], &rows, &em, dim);
             }
+        }
+
+        /// Searched together, every point gets what it gets alone and what
+        /// the oracle's scan gives it: 1..=8 points at every dimension up
+        /// to 8, across `k` on both sides of each block width, with exact
+        /// ties, duplicate entries, NaN and ±∞ coordinates.
+        #[test]
+        fn nearest_many_is_nearest_is_the_oracle(
+            dim in 1usize..=8,
+            k_i in 0usize..6,
+            n in 1usize..=MAX_POINTS,
+            wild in proptest::any::<bool>(),
+            seed in 0u64..10_000,
+        ) {
+            let k = [1, 15, 16, 17, 256, 4096][k_i];
+            let mut rng = seed;
+            let rows = tie_heavy_rows(k, dim, wild, &mut rng);
+            let em = element_major(&rows, dim);
+            let points = probes(&rows, dim, n, wild, &mut rng);
+            let points: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
+            assert_tiers_match(&points, &rows, &em, dim);
+        }
+    }
+
+    /// More points than one pass takes: the search runs them eight at a
+    /// time, and each still gets its own scan's answer.
+    #[test]
+    fn nearest_many_splits_long_point_lists() {
+        let (dim, k) = (3, 40);
+        let mut rng = 5;
+        let rows = tie_heavy_rows(k, dim, true, &mut rng);
+        let em = element_major(&rows, dim);
+        let points = probes(&rows, dim, 19, true, &mut rng);
+        let points: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
+        let mut found = vec![(0, 0.0); points.len()];
+        nearest_many(&points, &em, dim, &mut found);
+        for (point, &(i, d)) in points.iter().zip(&found) {
+            let (want_i, want_d) = oracle::nearest(point, &rows, dim);
+            assert_eq!((i, d.to_bits()), (want_i, want_d.to_bits()), "{point:?}");
         }
     }
 
@@ -741,16 +1052,25 @@ mod tests {
                 let nan = vec![f32::NAN; k * dim];
                 let point = vec![0.5f32; dim];
                 assert_eq!(oracle::nearest(&point, &nan, dim).0, 0);
-                assert_tiers_match(&point, &nan, &element_major(&nan, dim), dim);
+                assert_tiers_match(&[&point], &nan, &element_major(&nan, dim), dim);
 
                 // An infinite coordinate in the point: ∞ or NaN distances.
                 let rows: Vec<f32> = (0..k * dim).map(|i| (i % 7) as f32 - 3.0).collect();
                 let em = element_major(&rows, dim);
-                for inf in [f32::INFINITY, f32::NEG_INFINITY] {
-                    let mut point = rows[(k - 1) * dim..].to_vec();
-                    point[dim - 1] = inf;
-                    assert_tiers_match(&point, &rows, &em, dim);
+                let points: Vec<Vec<f32>> = [f32::INFINITY, f32::NEG_INFINITY]
+                    .iter()
+                    .map(|&inf| {
+                        let mut point = rows[(k - 1) * dim..].to_vec();
+                        point[dim - 1] = inf;
+                        point
+                    })
+                    .collect();
+                // Alone, and beside a finite point in one search.
+                for point in &points {
+                    assert_tiers_match(&[point], &rows, &em, dim);
                 }
+                let finite = &rows[..dim];
+                assert_tiers_match(&[&points[0], finite, &points[1]], &rows, &em, dim);
             }
             // The same entry at `c`, `c + 8` and `c + 16`: a tie across
             // 8-wide lanes and across 16-wide blocks, first index wins.
@@ -763,7 +1083,10 @@ mod tests {
                 }
                 let point = vec![-1.25f32; dim];
                 assert_eq!(oracle::nearest(&point, &rows, dim).0, c as u32);
-                assert_tiers_match(&point, &rows, &element_major(&rows, dim), dim);
+                let em = element_major(&rows, dim);
+                assert_tiers_match(&[&point], &rows, &em, dim);
+                let far = vec![1e3f32; dim];
+                assert_tiers_match(&[&far, &point, &target, &point], &rows, &em, dim);
             }
         }
     }

@@ -18,8 +18,9 @@ use vq_llm::core::failpoint::{self, Action, Site};
 use vq_llm::net::{spawn_driver, spawn_supervised, SupervisorConfig, WaitError};
 use vq_llm::tensor::synth;
 use vq_llm::{
-    AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, NetRequest, RejectReason,
-    RequestStatus, ServeConfig, Session, SharedContext, TicketEnd, VqAlgorithm,
+    AdmissionConfig, ContextHandle, DecodeRequest, Engine, EngineFactory, KvQuantMode, NetRequest,
+    RejectReason, RequestOutput, RequestStatus, ServeConfig, Session, SharedContext, TicketEnd,
+    VqAlgorithm,
 };
 
 const SEQ: usize = 256;
@@ -262,6 +263,98 @@ fn kv_exhaustion_quarantines_exactly_one_request() {
     let stats = client.stats().expect("driver alive");
     assert_eq!(stats.inflight_tokens, 0, "token accounting leaked");
     driver.shutdown();
+}
+
+/// A live-KV engine over the harness context: every appended row folds
+/// at once (tail window 0) and every inexact group keeps its exact
+/// residual, so a request's measured bytes grow with each token.
+fn live_engine(max_batch: usize, budget: Option<usize>) -> (Engine, ContextHandle) {
+    let (session, ctx) = harness();
+    let mut config = ServeConfig::new(max_batch, 16).with_kv_quant(KvQuantMode::Quantized {
+        tail_window: 0,
+        outlier_keep_milli: 0,
+    });
+    if let Some(limit) = budget {
+        config = config.with_kv_budget(limit);
+    }
+    let mut engine = Engine::builder()
+        .backend(std::sync::Arc::clone(session.backend()))
+        .weight_algo(VqAlgorithm::Gptvq2)
+        .kv_algo(VqAlgorithm::Cq4)
+        .serve_config(config)
+        .build()
+        .expect("valid engine");
+    let handle = engine.register_context(ctx.clone()).expect("register");
+    (engine, handle)
+}
+
+/// Drains one request alone through a live engine at batch 1.
+fn live_solo(req: DecodeRequest) -> RequestOutput {
+    let (mut solo, h) = live_engine(1, None);
+    let ticket = solo.try_submit(h, req).expect("admitted");
+    solo.run_until_drained().expect("drained");
+    solo.take_output(&ticket).expect("finished")
+}
+
+/// Inside one live batch, whose appended rows one book-major pass folds,
+/// a forced append fault and a mid-flight byte-budget overrun quarantine
+/// exactly their own requests with typed `KvCapacity`, and the
+/// batch-mates' decodes, fold error and bytes stay equal to solo drains.
+#[test]
+fn live_batch_fault_and_budget_overrun_quarantine_only_their_requests() {
+    let _scope = fault_scope();
+    let mates = [
+        DecodeRequest::new(1, query(1), 40, 4),
+        DecodeRequest::new(4, query(4), 60, 4),
+    ];
+    let solo: Vec<RequestOutput> = mates.iter().cloned().map(live_solo).collect();
+    let limit = solo.iter().map(|o| o.kv_bytes).max().expect("two mates");
+    // The hog is admitted under the limit (no outliers projected) and
+    // outgrows it mid-decode; its mates' bytes never pass it.
+    let hog = DecodeRequest::new(3, query(3), 50, 8);
+    assert!(
+        live_solo(hog.clone()).kv_bytes > limit,
+        "the hog must overrun"
+    );
+    let victim = DecodeRequest::new(2, query(2), 45, 4);
+
+    // The second append of the first step — slot 1, the victim — fails.
+    failpoint::configure(
+        Site::LlmStepAppend,
+        Action::Error("chaos".into()),
+        1,
+        Some(1),
+    );
+    let (mut engine, h) = live_engine(4, Some(limit));
+    let tickets: Vec<_> = [mates[0].clone(), victim, hog, mates[1].clone()]
+        .into_iter()
+        .map(|req| engine.try_submit(h, req).expect("admitted"))
+        .collect();
+    engine
+        .run_until_drained()
+        .expect("drain survives quarantine");
+
+    for t in [&tickets[1], &tickets[2]] {
+        match engine.poll(t) {
+            RequestStatus::Rejected {
+                reason: RejectReason::KvCapacity { .. },
+            } => {}
+            other => panic!("expected a typed kv_capacity quarantine, got {other:?}"),
+        }
+    }
+    for (t, want) in [&tickets[0], &tickets[3]].into_iter().zip(&solo) {
+        let out = engine.take_output(t).expect("batch-mate finished");
+        assert_eq!(
+            out.steps, want.steps,
+            "batch-mate decode diverged from solo"
+        );
+        assert_eq!(
+            out.kv_bytes, want.kv_bytes,
+            "batch-mate cache diverged from solo"
+        );
+        assert_eq!(out.kv_nmse.to_bits(), want.kv_nmse.to_bits());
+    }
+    assert_eq!(engine.stats().quarantined, 2, "exactly the two quarantines");
 }
 
 /// An unsupervised driver that dies mid-decode unblocks waiters with
