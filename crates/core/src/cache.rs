@@ -238,11 +238,6 @@ impl CodebookCache {
             .level_of(self.remap[old_stored as usize] as usize)
     }
 
-    /// The reordered codebook (what a generated kernel embeds).
-    pub fn reordered_book(&self) -> &Codebook {
-        &self.book
-    }
-
     /// The old→new stored-id remap (what the quantized indices are
     /// rewritten with).
     pub fn remap(&self) -> &[u32] {

@@ -44,6 +44,16 @@
 //! Failpoints are process-global: tests that arm them must serialize (the
 //! repo's chaos tests share one mutex) and [`clear`] on exit.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -81,9 +91,9 @@ macro_rules! sites {
     };
 }
 
-// The one registry of failpoint sites, in namespace order. `vqllm-lint`
-// renders it into the README (`--fix-docs`) and flags a site that no
-// non-test code fires.
+// The one registry of failpoint sites, in namespace order. The README's
+// site table must list it verbatim (`tests::readme_site_table_matches_sites`),
+// and `vqllm-lint` flags a site that no non-test code fires.
 sites! {
     LlmStep => "llm.step",
         "start of every `Engine::step`, before any group is formed";
@@ -314,6 +324,10 @@ pub fn fire(site: Site) -> Option<String> {
         s.action.clone()
     };
     match action {
+        #[expect(
+            clippy::panic,
+            reason = "Action::Panic IS the fault-injection contract: a configured site must panic so chaos tests exercise recovery; the sites lock is released before this fires."
+        )]
         Action::Panic(msg) => panic!("failpoint {}: {msg}", site.name()),
         Action::DelayMs(ms) => {
             std::thread::sleep(Duration::from_millis(ms));
@@ -352,6 +366,26 @@ mod tests {
             assert!(!site.at().trim().is_empty(), "{site:?} has no description");
             assert_eq!(Site::from_name(site.name()), Some(*site), "duplicate name");
         }
+    }
+
+    /// The README's failpoint table is hand-kept: it must be exactly the
+    /// `sites!` table, in table order, between its markers.
+    #[test]
+    fn readme_site_table_matches_sites() {
+        let mut table = String::from(
+            "<!-- failpoint-sites:begin (must match the `sites!` table: `cargo test -p vqllm-core` checks it) -->\n\
+             | site | fault is injected at |\n\
+             | --- | --- |\n",
+        );
+        for site in Site::ALL {
+            table.push_str(&format!("| `{}` | {} |\n", site.name(), site.at()));
+        }
+        table.push_str("<!-- failpoint-sites:end -->\n");
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(&table),
+            "README.md's failpoint table differs from the `sites!` table; it should read:\n{table}"
+        );
     }
 
     #[test]

@@ -220,21 +220,6 @@ impl ComputeOp {
             ComputeOp::Gemv { .. } | ComputeOp::AttentionDecode { .. } => 1,
         }
     }
-
-    /// Activation / query bytes streamed from DRAM at FP16 (non-quantized
-    /// inputs).
-    pub fn input_bytes(&self) -> usize {
-        match *self {
-            ComputeOp::Gemm { m, k, .. } => m * k * 2,
-            ComputeOp::Gemv { k, batch, .. } => k * batch * 2,
-            ComputeOp::AttentionDecode {
-                batch,
-                heads,
-                head_dim,
-                ..
-            } => batch * heads * head_dim * 2,
-        }
-    }
 }
 
 impl std::fmt::Display for ComputeOp {

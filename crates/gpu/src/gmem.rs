@@ -94,45 +94,6 @@ impl GlobalMemoryModel {
     pub fn line(&self) -> usize {
         self.line
     }
-
-    /// Expected DRAM traffic for `accesses` random entry fetches (each
-    /// `entry_bytes`) out of a working set of `working_set_bytes`, given an
-    /// L1 of `l1_bytes`.
-    ///
-    /// Models the paper's VQ-attn-GC pathology: random sub-line accesses
-    /// whose working set exceeds L1 capture almost no temporal locality
-    /// (they measured a 12.45 % hit rate). The hit-rate estimate is simply
-    /// the resident fraction of the working set, capped below 1 so cold
-    /// misses always cost something.
-    pub fn random_cached_access(
-        &self,
-        accesses: usize,
-        entry_bytes: usize,
-        working_set_bytes: usize,
-        l1_bytes: usize,
-    ) -> GmemAccess {
-        if accesses == 0 {
-            return GmemAccess {
-                transactions: 0,
-                dram_bytes: 0,
-                useful_bytes: 0,
-            };
-        }
-        let hit_rate = if working_set_bytes == 0 {
-            0.95
-        } else {
-            (l1_bytes as f64 / working_set_bytes as f64).min(0.95)
-        };
-        // Every access asks for entry_bytes but a miss drags a full line.
-        let lines_per_access = entry_bytes.div_ceil(self.line).max(1);
-        let misses = accesses as f64 * (1.0 - hit_rate);
-        let transactions = (misses * lines_per_access as f64).ceil() as usize;
-        GmemAccess {
-            transactions,
-            dram_bytes: transactions * self.line,
-            useful_bytes: accesses * entry_bytes,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -149,6 +149,16 @@
 //! [`CodebookSet::book_run`]: vqllm_vq::CodebookSet::book_run
 //! [`PackedIndices::unpack_block`]: vqllm_vq::PackedIndices::unpack_block
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod pool;
 pub mod simd;
 
@@ -289,6 +299,10 @@ where
 /// # Errors
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `x.len() != cols`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 pub fn gemv_lut(wq: &QuantizedTensor, x: &[f32], blocking: &HostBlocking) -> Result<Vec<f32>> {
     if x.len() != wq.shape().1 {
         return Err(KernelError::ShapeMismatch {
@@ -370,6 +384,10 @@ thread_local! {
 /// aligned (no LUT slot straddles a cache line), contents unspecified,
 /// kept across calls at the largest size the thread has asked for. A call
 /// nested inside `f` (a pool job run while waiting) gets its own.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     const ALIGN: usize = 64 / std::mem::size_of::<f32>();
     let mut buf = SCRATCH.take();
@@ -403,6 +421,10 @@ fn lut_slots(wq: &QuantizedTensor) -> usize {
 /// Lanes `[0, N)` of every row of `scores` into columns `[l0, l0 + N)` of
 /// `y` (`batch` columns). `N` is a constant so a row is a few moves, where
 /// a runtime length would make it a `memcpy` call.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn copy_lanes<const N: usize, const W: usize>(
     y: &mut [f32],
     batch: usize,
@@ -429,6 +451,10 @@ fn copy_lanes<const N: usize, const W: usize>(
 /// so a private row's sum is a context row's sum over the same codes (all
 /// lanes of a slot are added; only lane `b` is read). `scores` arrives
 /// zeroed.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn lut_scores<const W: usize>(
     wq: &QuantizedTensor,
     xs: &Tensor2D,
@@ -544,6 +570,10 @@ fn lut_scores<const W: usize>(
 
 /// One row of a lattice score pass: `out[b] += signed_dot(..)` of each
 /// group's entry against row `lane0 + b` of `xs`, groups left to right.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn lattice_scores(
     out: &mut [f32],
     codes: &[u32],
@@ -582,6 +612,10 @@ fn lattice_scores(
 /// # Errors
 ///
 /// Returns [`KernelError::ShapeMismatch`] if `x.len() != rows`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Vec<f32>> {
     failpoint(Site::HostGemvXw)?;
     let (rows, cols) = wq.shape();
@@ -739,6 +773,10 @@ pub fn gemm_fused(a: &Tensor2D, wq: &QuantizedTensor, blocking: &HostBlocking) -
 
 /// Rows `[l0, l0 + w)` of [`gemm_fused`]'s output through the value pass,
 /// in `W = padded_lanes(w)` lanes (the padding lanes weigh every row zero).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn gemm_lanes<const W: usize>(
     a: &Tensor2D,
     wq: &QuantizedTensor,
@@ -778,6 +816,10 @@ pub const PANEL_BYTES: usize = 256 << 10;
 /// strip. The chunk is [`PANEL_BYTES`]` ÷ row bytes` rows (at least 8),
 /// restarted at every codebook band: a function of the tensor's shape, so
 /// the order these sums run in is too.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn gemm_panels(a: &Tensor2D, wq: &QuantizedTensor, threads: usize, c: &mut Tensor2D) -> Result<()> {
     let m = a.rows();
     let vs = wq.config().vector_size;
@@ -816,6 +858,10 @@ fn gemm_panels(a: &Tensor2D, wq: &QuantizedTensor, threads: usize, c: &mut Tenso
 
 /// One worker's share of [`gemm_panels`]: groups `[gs, ge)` of the weight,
 /// accumulated into `cs` (`m × (ge-gs)·vs`, row-major).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn gemm_strip(a: &Tensor2D, wq: &QuantizedTensor, gs: usize, ge: usize, cs: &mut [f32]) {
     let (k, _) = wq.shape();
     let m = a.rows();
@@ -917,6 +963,10 @@ fn gemm_strip(a: &Tensor2D, wq: &QuantizedTensor, gs: usize, ge: usize, cs: &mut
 /// first residual round) or added into sub-vector `gi` of `prow`. `VS` is
 /// the sub-vector width as a constant, or 0 to take it from `vs`.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn decode_entries<const VS: usize>(
     prow: &mut [f32],
     codes: &[u32],
@@ -1006,6 +1056,10 @@ impl CodeStream {
 
     /// Code `i` of `bytes`, `width` little-endian bytes a code.
     #[inline(always)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+    )]
     fn code_at(bytes: &[u8], width: usize, i: usize) -> u32 {
         let mut le = [0u8; 4];
         le[..width].copy_from_slice(&bytes[i * width..(i + 1) * width]);
@@ -1087,6 +1141,10 @@ macro_rules! with_vs {
 /// Adds a lane's K outlier residuals to its folded scores, in push order:
 /// `folded[row] += Σ_j residual[j] · q[group·vs + j]`, a run of one row's
 /// summed in a register (the same chain, no store and reload per link).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn outlier_scores<const VS: usize>(
     folded: &mut [f32],
     outliers: Outliers<'_>,
@@ -1113,6 +1171,10 @@ fn outlier_scores<const VS: usize>(
 
 /// Adds a lane's V outlier residuals to its output row, in push order:
 /// `orow[group·vs + j] += folded[row] · residual[j]`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn outlier_values<const VS: usize>(
     orow: &mut [f32],
     outliers: Outliers<'_>,
@@ -1338,6 +1400,10 @@ struct AttentionCall<'a> {
 /// maximum and sum, and continue its accumulators — through the same value
 /// kernel, one lane wide — once those are transposed into the output row;
 /// the sum divides last. Every buffer is the thread's scratch.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn attention_lanes<const W: usize>(
     call: &AttentionCall<'_>,
     l0: usize,
@@ -1457,6 +1523,10 @@ fn attention_lanes<const W: usize>(
 /// arena run, [`CodebookSet::book_run`](vqllm_vq::CodebookSet::book_run))
 /// only swap the books under a chain, so neither the thread count nor
 /// anything else a caller passes can move a sum.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
+)]
 fn value_lanes<const W: usize>(
     vq: &QuantizedTensor,
     weights: &[[f32; W]],

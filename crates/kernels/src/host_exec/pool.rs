@@ -129,6 +129,10 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let queue = Arc::new(JobQueue::new());
+        #[expect(
+            clippy::expect_used,
+            reason = "pool construction (first parallel kernel call or backend warm-up), not the per-call path; per-connection/per-job spawns handle failure instead."
+        )]
         let workers = (0..threads)
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -239,6 +243,10 @@ impl WorkerPool {
     pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
         match self.try_scope(Site::PoolScope, f) {
             Ok(result) => result,
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper: `scope` re-raises the captured job panic for callers without an error channel; kernels use the non-panicking `try_scope`."
+            )]
             Err(e) => panic!("{e}"),
         }
     }

@@ -60,6 +60,12 @@
 //! vector width, and one for a single lane — and the GeMM tile, whose
 //! scalar body compiled for AVX2 is slower.
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "lane-block inner loops (score LUT build/accumulate, lane softmax, value pass) and the panel body's MR x NR tile: indices are const-generic lane counts, fixed tile shapes, and code-stream offsets asserted at each primitive's entry; pinned bitwise by the per-primitive chain tests and the proptest parity suite, and per-element `get` would take the accumulators out of registers."
+)]
+
 use super::CodeStream;
 use vqllm_vq::{BookRun, Codebook, PackedIndices};
 
@@ -1375,7 +1381,7 @@ mod x86 {
                 for (i, group) in staged.iter().enumerate().skip(redone) {
                     let mut pair = [0.0f32; PAIR_FLOATS];
                     for (k, sum) in group.iter().enumerate() {
-                        sum.store(pair.as_mut_ptr().add(k * V::LANES));
+                        V::store(*sum, pair.as_mut_ptr().add(k * V::LANES));
                     }
                     let out = &mut acc[(g0 + i) * VS * W..][..VS * W];
                     for (p, &x) in pair[..NV * V::LANES].iter().enumerate() {

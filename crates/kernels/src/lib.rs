@@ -97,21 +97,6 @@ impl std::fmt::Display for KernelError {
     }
 }
 
-impl KernelError {
-    /// Downcasts a caught panic payload into its conventional `&str` /
-    /// `String` message and wraps it as [`KernelError::Panicked`].
-    pub fn from_panic(site: &'static str, payload: Box<dyn std::any::Any + Send>) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        KernelError::Panicked { site, message }
-    }
-}
-
 impl std::error::Error for KernelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

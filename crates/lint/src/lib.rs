@@ -1,29 +1,29 @@
 //! `vqllm-lint`: workspace invariant checker.
 //!
-//! Four repo-specific rule families, each enforcing a convention the
-//! serving stack's correctness rests on but that `rustc` cannot see:
+//! Three repo-specific rule families, each enforcing a convention the
+//! serving stack's correctness rests on but that neither `rustc` nor
+//! clippy can see:
 //!
-//! 1. **panic-freedom** (`panic`, `index`) — `unwrap()`/`expect()`/
-//!    `panic!`/`unreachable!`/`todo!`/`unimplemented!` and bare slice
-//!    indexing are banned in hot-path modules; survivors need a waiver
-//!    with a written rationale in `lint-allow.txt`.
-//! 2. **atomic orderings** (`atomic-explicit`, `atomic-seqcst`) — every
+//! 1. **atomic orderings** (`atomic-explicit`, `atomic-seqcst`) — every
 //!    atomic op must name a literal `Ordering`, and any `SeqCst` must
 //!    carry an `// ordering:` justification on the same or preceding
 //!    line.
-//! 3. **lock discipline** (`lock-order`) — a declared lock hierarchy per
+//! 2. **lock discipline** (`lock-order`) — a declared lock hierarchy per
 //!    file; lexically nested `.lock()`s within one function must acquire
-//!    outer-rank locks before inner-rank ones.
-//! 4. **failpoint registry** (`registry`, `docs`) — every site declared
-//!    in the `sites!` table (`vqllm_core::failpoint::Site`) must be fired
-//!    by non-test code, and the README site table must list exactly the
-//!    declared sites. The rest of registry consistency is the compiler's:
+//!    outer-rank locks before inner-rank ones, and every declared class
+//!    must still be locked in its file.
+//! 3. **failpoint coverage** (`registry`) — every site declared in the
+//!    `sites!` table (`vqllm_core::failpoint::Site`) must be fired by
+//!    non-test code. The rest of registry consistency is the compiler's:
 //!    sites and `RejectReason` wire codes are generated from one table
 //!    each, so an undeclared site or a code-less reason does not compile.
 //!
+//! Hot-path panic-freedom is clippy's (`#![deny(clippy::unwrap_used, …)]`
+//! in the serving modules, each exception an `#[expect(…, reason)]`), and
+//! the README's failpoint table is checked by a `vqllm-core` unit test.
+//!
 //! Output is machine-readable: one finding per line, `file:line rule
-//! message`. `--fix-docs` regenerates the README failpoint table from
-//! the `sites!` table.
+//! message`.
 
 use std::fmt;
 use std::io;
@@ -32,7 +32,6 @@ use std::path::Path;
 pub mod registry;
 pub mod rules;
 pub mod source;
-pub mod waiver;
 
 /// One lint finding, printable as `file:line rule message`.
 #[derive(Debug, Clone)]
@@ -41,10 +40,6 @@ pub struct Finding {
     pub line: usize,
     pub rule: &'static str,
     pub message: String,
-    /// Trimmed raw source line, used for waiver pattern matching
-    /// (empty for "something is missing" findings, which only a
-    /// file-level `*` waiver can suppress).
-    pub snippet: String,
 }
 
 impl Finding {
@@ -54,13 +49,7 @@ impl Finding {
             line,
             rule,
             message,
-            snippet: String::new(),
         }
-    }
-
-    pub fn with_snippet(mut self, snippet: &str) -> Finding {
-        self.snippet = snippet.trim().to_string();
-        self
     }
 }
 
@@ -74,15 +63,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Modules where a panic is an outage, not a bug report: the request
-/// path from socket to kernel. Paths are workspace-relative prefixes.
-pub const HOT_PATHS: &[&str] = &[
-    "src/net/",
-    "crates/llm/src/serve",
-    "crates/kernels/src/host_exec",
-    "crates/core/src/failpoint.rs",
-];
-
 /// The lint crate's own sources (fixtures embed rule-triggering text).
 pub const SELF_PATH: &str = "crates/lint/";
 
@@ -90,6 +70,7 @@ pub const SELF_PATH: &str = "crates/lint/";
 /// the outer lock and must be acquired first when nesting. Receivers are
 /// matched by the final field name before `.lock()` / inside
 /// `lock_recover(...)`.
+#[derive(Debug, Clone, Copy)]
 pub struct LockClass {
     /// Workspace-relative path suffix of the file the class lives in.
     pub file: &'static str,
@@ -98,6 +79,7 @@ pub struct LockClass {
     pub recv: &'static str,
     /// Lower = outer. Nesting must be strictly increasing.
     pub rank: u32,
+    /// Unique: the stale-class check keys on it.
     pub name: &'static str,
 }
 
@@ -175,22 +157,16 @@ pub const LOCK_HIERARCHY: &[LockClass] = &[
         rank: 30,
         name: "scope.panic_msg",
     },
-    // Plan cache: the entry map is outer, per-entry build gates inner.
+    // The plan cache's entry map (plans are built outside it), the
+    // failpoint registry, tenant metrics and the CPU backend's modelled-
+    // output memo are single-lock files; listed so any future second lock
+    // in them must declare a rank.
     LockClass {
         file: "crates/core/src/plan_cache.rs",
         recv: "map",
         rank: 10,
         name: "PlanCache.map",
     },
-    LockClass {
-        file: "crates/core/src/plan_cache.rs",
-        recv: "gate",
-        rank: 20,
-        name: "PlanCache.gate",
-    },
-    // Failpoint registry, tenant metrics and the CPU backend's modelled-
-    // output memo are single-lock files; listed so any future second lock
-    // in them must declare a rank.
     LockClass {
         file: "crates/kernels/src/backend.rs",
         recv: "modelled",
@@ -211,32 +187,14 @@ pub const LOCK_HIERARCHY: &[LockClass] = &[
     },
 ];
 
-pub fn is_hot(path: &str) -> bool {
-    !path.starts_with(SELF_PATH) && HOT_PATHS.iter().any(|p| path.starts_with(p))
-}
-
-/// Run every rule over the workspace rooted at `root`, apply the waiver
-/// file, and return surviving findings sorted by location.
+/// Run every rule over the workspace rooted at `root` and return the
+/// findings sorted by location.
 pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
     let files = source::load_workspace(root)?;
-    let readme = std::fs::read_to_string(root.join("README.md")).ok();
-
     let mut findings = Vec::new();
-    findings.extend(rules::panic_free(&files));
     findings.extend(rules::atomics(&files));
-    findings.extend(rules::lock_discipline(&files));
-    findings.extend(registry::check(&files, readme.as_deref()));
-
-    let waiver_text = std::fs::read_to_string(root.join("lint-allow.txt")).unwrap_or_default();
-    let (waivers, mut waiver_findings) = waiver::parse(&waiver_text);
-    let mut kept = waiver::apply(findings, &waivers);
-    kept.append(&mut waiver_findings);
-    kept.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(kept)
-}
-
-/// Regenerate the README failpoint-site table from the source registry.
-/// Returns true when the README changed.
-pub fn fix_docs(root: &Path) -> io::Result<bool> {
-    registry::fix_docs(root)
+    findings.extend(rules::lock_discipline(&files, LOCK_HIERARCHY));
+    findings.extend(registry::check(&files));
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Ok(findings)
 }

@@ -1,107 +1,13 @@
-//! The three line-level rule families: panic-freedom, atomic orderings,
-//! and lock discipline. Registry consistency lives in `registry.rs`.
+//! The two line-level rule families: atomic orderings and lock
+//! discipline. Failpoint coverage lives in `registry.rs`.
+
+use std::collections::HashSet;
 
 use crate::source::SourceFile;
-use crate::{is_hot, Finding, LockClass, LOCK_HIERARCHY, SELF_PATH};
+use crate::{Finding, LockClass, SELF_PATH};
 
 // ---------------------------------------------------------------------------
-// Rule 1: panic-freedom in hot-path modules.
-// ---------------------------------------------------------------------------
-
-const PANIC_PATTERNS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-pub fn panic_free(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for file in files.iter().filter(|f| is_hot(&f.path)) {
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let lno = idx + 1;
-            for pat in PANIC_PATTERNS {
-                if line.code.contains(pat) {
-                    let what = pat.trim_start_matches('.').trim_end_matches('(');
-                    out.push(
-                        Finding::new(
-                            &file.path,
-                            lno,
-                            "panic",
-                            format!("`{what}` in hot-path module (panic = outage); return a typed error or waive with a rationale"),
-                        )
-                        .with_snippet(&line.raw),
-                    );
-                }
-            }
-            if has_index_expr(&line.code) {
-                out.push(
-                    Finding::new(
-                        &file.path,
-                        lno,
-                        "index",
-                        "bare slice/array index in hot-path module can panic; use `get`/`get_mut` or waive with a bounds rationale".to_string(),
-                    )
-                    .with_snippet(&line.raw),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// True when the stripped code contains an index *expression* (`x[i]`,
-/// `f()[i]`, `x[a..b]`), as opposed to array types/literals, attributes,
-/// or macro brackets.
-fn has_index_expr(code: &str) -> bool {
-    let t = code.trim_start();
-    if t.starts_with("#[") || t.starts_with("#![") {
-        return false;
-    }
-    let b: Vec<char> = code.chars().collect();
-    for i in 1..b.len() {
-        if b[i] != '[' {
-            continue;
-        }
-        let mut j = i;
-        let prev = loop {
-            if j == 0 {
-                break ' ';
-            }
-            j -= 1;
-            if b[j] != ' ' {
-                break b[j];
-            }
-        };
-        if prev == '!' {
-            continue; // vec![...], matches!(...) etc.
-        }
-        if prev.is_alphanumeric() || prev == '_' {
-            // Walk back over the identifier: `&'a [u8]` is a lifetime
-            // followed by a slice *type*, not an index expression.
-            let mut k = j;
-            while k > 0 && (b[k - 1].is_alphanumeric() || b[k - 1] == '_') {
-                k -= 1;
-            }
-            if k > 0 && b[k - 1] == '\'' {
-                continue;
-            }
-            return true;
-        }
-        if prev == ')' || prev == ']' || prev == '"' {
-            return true;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: atomic-ordering audit.
+// Atomic-ordering audit.
 // ---------------------------------------------------------------------------
 
 const ATOMIC_OPS: &[&str] = &[
@@ -138,18 +44,15 @@ pub fn atomics(files: &[SourceFile]) -> Vec<Finding> {
                     from = col + op.len();
                     let span = call_span(file, idx, col + op.len() - 1);
                     if !ORDERINGS.iter().any(|o| span.contains(o)) {
-                        out.push(
-                            Finding::new(
-                                &file.path,
-                                lno,
-                                "atomic-explicit",
-                                format!(
-                                    "`{}` without a literal `Ordering::` argument; orderings must be explicit at the call site",
-                                    op.trim_start_matches('.').trim_end_matches('(')
-                                ),
-                            )
-                            .with_snippet(&line.raw),
-                        );
+                        out.push(Finding::new(
+                            &file.path,
+                            lno,
+                            "atomic-explicit",
+                            format!(
+                                "`{}` without a literal `Ordering::` argument; orderings must be explicit at the call site",
+                                op.trim_start_matches('.').trim_end_matches('(')
+                            ),
+                        ));
                     }
                 }
             }
@@ -160,15 +63,12 @@ pub fn atomics(files: &[SourceFile]) -> Vec<Finding> {
                 let justified = line.comment.contains("ordering:")
                     || (idx > 0 && file.lines[idx - 1].comment.contains("ordering:"));
                 if !justified {
-                    out.push(
-                        Finding::new(
-                            &file.path,
-                            lno,
-                            "atomic-seqcst",
-                            "`SeqCst` without an `// ordering:` justification on this or the preceding line; downgrade or explain".to_string(),
-                        )
-                        .with_snippet(&line.raw),
-                    );
+                    out.push(Finding::new(
+                        &file.path,
+                        lno,
+                        "atomic-seqcst",
+                        "`SeqCst` without an `// ordering:` justification on this or the preceding line; downgrade or explain".to_string(),
+                    ));
                 }
             }
         }
@@ -202,7 +102,7 @@ fn call_span(file: &SourceFile, line_idx: usize, col: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: lock discipline.
+// Lock discipline.
 // ---------------------------------------------------------------------------
 
 struct Held {
@@ -213,24 +113,47 @@ struct Held {
     line: usize,
 }
 
-pub fn lock_discipline(files: &[SourceFile]) -> Vec<Finding> {
+/// Checks `hierarchy` against the workspace: nested acquisitions in rank
+/// order, and every declared class still locked in non-test code of its
+/// file (a class whose lock was removed or renamed is stale, and a stale
+/// class would silently admit a new lock of that name at the wrong rank).
+pub fn lock_discipline(files: &[SourceFile], hierarchy: &[LockClass]) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut locked: HashSet<&str> = HashSet::new();
     for file in files {
-        let classes: Vec<&LockClass> = LOCK_HIERARCHY
+        let classes: Vec<&LockClass> = hierarchy
             .iter()
             .filter(|c| file.path.ends_with(c.file))
             .collect();
         if classes.is_empty() {
             continue;
         }
-        check_file_locks(file, &classes, &mut out);
+        locked.extend(check_file_locks(file, &classes, &mut out));
+    }
+    for class in hierarchy.iter().filter(|c| !locked.contains(c.name)) {
+        out.push(Finding::new(
+            class.file,
+            1,
+            "lock-order",
+            format!(
+                "lock class {} is declared but no non-test code in this file locks `{}`; delete the stale class",
+                class.name, class.recv
+            ),
+        ));
     }
     out
 }
 
-fn check_file_locks(file: &SourceFile, classes: &[&LockClass], out: &mut Vec<Finding>) {
+/// Checks one file's nesting order; returns the names of the classes it
+/// locks.
+fn check_file_locks(
+    file: &SourceFile,
+    classes: &[&LockClass],
+    out: &mut Vec<Finding>,
+) -> Vec<&'static str> {
     let mut depth = 0i32;
     let mut held: Vec<Held> = Vec::new();
+    let mut locked = Vec::new();
 
     for (idx, line) in file.lines.iter().enumerate() {
         let lno = idx + 1;
@@ -239,20 +162,18 @@ fn check_file_locks(file: &SourceFile, classes: &[&LockClass], out: &mut Vec<Fin
                 let Some(class) = classes.iter().find(|c| c.recv == recv) else {
                     continue;
                 };
+                locked.push(class.name);
                 for h in &held {
                     if h.rank >= class.rank {
-                        out.push(
-                            Finding::new(
-                                &file.path,
-                                lno,
-                                "lock-order",
-                                format!(
-                                    "{} (rank {}) acquired while holding {} (rank {}, line {}); the hierarchy requires outer (lower rank) locks first",
-                                    class.name, class.rank, h.name, h.rank, h.line
-                                ),
-                            )
-                            .with_snippet(&line.raw),
-                        );
+                        out.push(Finding::new(
+                            &file.path,
+                            lno,
+                            "lock-order",
+                            format!(
+                                "{} (rank {}) acquired while holding {} (rank {}, line {}); the hierarchy requires outer (lower rank) locks first",
+                                class.name, class.rank, h.name, h.rank, h.line
+                            ),
+                        ));
                     }
                 }
                 held.push(Held {
@@ -275,6 +196,7 @@ fn check_file_locks(file: &SourceFile, classes: &[&LockClass], out: &mut Vec<Fin
         // `let`) die at end of statement, approximated as end of line.
         held.retain(|h| h.binding.is_some() && h.depth <= depth);
     }
+    locked
 }
 
 /// Receivers locked on this line: final path component before `.lock(`
@@ -366,48 +288,33 @@ mod tests {
     use super::*;
     use crate::source::SourceFile;
 
-    fn hot(src: &str) -> Vec<SourceFile> {
+    fn driver_rs(src: &str) -> Vec<SourceFile> {
         vec![SourceFile::parse("src/net/driver.rs", src)]
     }
 
-    // --- panic rule ---
-
-    #[test]
-    fn panic_flags_unwrap_expect_macros_index() {
-        let f = hot(
-            "fn f(v: &[u32]) {\n    let a = x.unwrap();\n    let b = y.expect(\"msg\");\n    panic!(\"boom\");\n    unreachable!();\n    let c = v[3];\n}\n",
-        );
-        let got = panic_free(&f);
-        let rules: Vec<&str> = got.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, ["panic", "panic", "panic", "panic", "index"]);
-    }
-
-    #[test]
-    fn panic_ignores_comments_strings_tests_and_cold_files() {
-        let src = "fn f() {\n    // x.unwrap() in prose\n    let s = \"panic!(nope)\";\n}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        assert!(panic_free(&hot(src)).is_empty());
-        let cold = vec![SourceFile::parse(
-            "crates/vq/src/lib.rs",
-            "fn f() { x.unwrap(); }",
-        )];
-        assert!(panic_free(&cold).is_empty());
-    }
-
-    #[test]
-    fn index_skips_types_literals_macros_attrs() {
-        let ok = "fn f() {\n    let a: [f32; 4] = [0.0; 4];\n    let v = vec![1, 2];\n    #[derive(Clone)]\n    let s = &x[..];\n}\n";
-        let got = panic_free(&hot(ok));
-        // Only the slice expression survives.
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].rule, "index");
-        assert!(got[0].snippet.contains("&x[..]"));
-    }
+    /// Two of the driver's classes, as `LOCK_HIERARCHY` declares them.
+    const DRIVER: &[LockClass] = &[
+        LockClass {
+            file: "src/net/driver.rs",
+            recv: "phases",
+            rank: 10,
+            name: "driver.phases",
+        },
+        LockClass {
+            file: "src/net/driver.rs",
+            recv: "state",
+            rank: 30,
+            name: "WaitCell.state",
+        },
+    ];
 
     // --- atomics rule ---
 
     #[test]
     fn atomics_requires_literal_ordering() {
-        let f = hot("fn f() {\n    flag.store(true, ord);\n    flag.load(Ordering::Acquire);\n}\n");
+        let f = driver_rs(
+            "fn f() {\n    flag.store(true, ord);\n    flag.load(Ordering::Acquire);\n}\n",
+        );
         let got = atomics(&f);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].rule, "atomic-explicit");
@@ -416,22 +323,22 @@ mod tests {
 
     #[test]
     fn atomics_multiline_call_spans() {
-        let f = hot("fn f() {\n    flag.compare_exchange(\n        false,\n        true,\n        Ordering::AcqRel,\n        Ordering::Acquire,\n    );\n}\n");
+        let f = driver_rs("fn f() {\n    flag.compare_exchange(\n        false,\n        true,\n        Ordering::AcqRel,\n        Ordering::Acquire,\n    );\n}\n");
         assert!(atomics(&f).is_empty());
     }
 
     #[test]
     fn seqcst_needs_ordering_comment() {
-        let bare = hot("fn f() { flag.store(true, Ordering::SeqCst); }\n");
+        let bare = driver_rs("fn f() { flag.store(true, Ordering::SeqCst); }\n");
         let got = atomics(&bare);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].rule, "atomic-seqcst");
 
-        let same = hot(
+        let same = driver_rs(
             "fn f() { flag.store(true, Ordering::SeqCst); } // ordering: total order vs drain\n",
         );
         assert!(atomics(&same).is_empty());
-        let prev = hot("fn f() {\n    // ordering: total order vs drain\n    flag.store(true, Ordering::SeqCst);\n}\n");
+        let prev = driver_rs("fn f() {\n    // ordering: total order vs drain\n    flag.store(true, Ordering::SeqCst);\n}\n");
         assert!(atomics(&prev).is_empty());
     }
 
@@ -440,7 +347,7 @@ mod tests {
     #[test]
     fn lock_order_flags_inversion() {
         let src = "impl T {\n    fn bad(&self) {\n        let cell = self.state.lock();\n        let map = self.phases.lock();\n    }\n}\n";
-        let got = lock_discipline(&hot(src));
+        let got = lock_discipline(&driver_rs(src), DRIVER);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].rule, "lock-order");
         assert!(got[0].message.contains("driver.phases"));
@@ -449,19 +356,53 @@ mod tests {
     #[test]
     fn lock_order_accepts_declared_order_and_drop() {
         let ok = "impl T {\n    fn good(&self) {\n        let map = self.phases.lock();\n        let cell = self.state.lock();\n    }\n    fn resequenced(&self) {\n        let cell = self.state.lock();\n        drop(cell);\n        let map = self.phases.lock();\n    }\n}\n";
-        assert!(lock_discipline(&hot(ok)).is_empty());
+        assert!(lock_discipline(&driver_rs(ok), DRIVER).is_empty());
     }
 
     #[test]
     fn lock_order_scopes_guards_to_blocks() {
         let ok = "impl T {\n    fn scoped(&self) {\n        {\n            let cell = self.state.lock();\n        }\n        let map = self.phases.lock();\n    }\n}\n";
-        assert!(lock_discipline(&hot(ok)).is_empty());
+        assert!(lock_discipline(&driver_rs(ok), DRIVER).is_empty());
     }
 
     #[test]
     fn lock_order_sees_lock_recover_helper() {
         let src = "impl T {\n    fn bad(&self) {\n        let cell = lock_recover(&self.state);\n        let map = lock_recover(&self.phases);\n    }\n}\n";
-        let got = lock_discipline(&hot(src));
+        let got = lock_discipline(&driver_rs(src), DRIVER);
         assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn lock_class_never_locked_is_stale() {
+        // `gate` is declared but never locked in its file; `map` is
+        // declared in a file the workspace no longer has.
+        let mut classes = DRIVER.to_vec();
+        classes.push(LockClass {
+            file: "src/net/driver.rs",
+            recv: "gate",
+            rank: 40,
+            name: "driver.gate",
+        });
+        classes.push(LockClass {
+            file: "crates/core/src/gone.rs",
+            recv: "map",
+            rank: 10,
+            name: "Gone.map",
+        });
+        // Only test code locks `gate`, which does not count.
+        let src = "impl T {\n    fn good(&self) {\n        let map = self.phases.lock();\n        let cell = self.state.lock();\n    }\n}\n#[cfg(test)]\nmod tests {\n    fn t(x: &T) { let g = x.gate.lock(); }\n}\n";
+        let got = lock_discipline(&driver_rs(src), &classes);
+        let stale: Vec<&str> = got
+            .iter()
+            .filter(|f| f.message.contains("stale"))
+            .map(|f| f.file.as_str())
+            .collect();
+        assert_eq!(
+            stale,
+            ["src/net/driver.rs", "crates/core/src/gone.rs"],
+            "{got:?}"
+        );
+        assert!(got[0].message.contains("driver.gate"));
+        assert!(lock_discipline(&driver_rs(src), DRIVER).is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! `#[cfg(test)]` items — the token-level substrate every rule runs on.
 //!
 //! This is deliberately a lexer, not a parser: the rules only need
-//! line-level facts (is this `.unwrap()` in code, in a comment or in a
+//! line-level facts (is this `.lock()` in code, in a comment or in a
 //! string? is this line test code?), and a character-state machine
 //! answers those exactly without a syntax tree.
 
@@ -14,8 +14,6 @@ use std::path::{Path, PathBuf};
 /// One physical line of a source file, pre-lexed.
 #[derive(Debug, Clone)]
 pub struct Line {
-    /// The raw text, exactly as on disk (no trailing newline).
-    pub raw: String,
     /// Code with comments removed and string-literal contents dropped;
     /// the delimiting quotes remain, so `fire("x")` becomes `fire("")`.
     pub code: String,
@@ -42,11 +40,6 @@ impl SourceFile {
             path: path.to_string(),
             lines,
         }
-    }
-
-    /// 1-indexed accessor used by rule code when reporting.
-    pub fn raw(&self, line: usize) -> &str {
-        &self.lines[line - 1].raw
     }
 }
 
@@ -187,7 +180,6 @@ fn lex(text: &str) -> Vec<Line> {
         }
 
         out.push(Line {
-            raw: raw.to_string(),
             code,
             comment,
             strings,

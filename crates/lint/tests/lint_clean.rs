@@ -1,10 +1,9 @@
 //! Tripwire: the workspace must pass its own static analysis.
 //!
 //! This is the same check the `static-analysis` CI job runs via
-//! `vqllm-lint --check`, wired into `cargo test` so a hot-path
-//! `unwrap`, an unjustified `SeqCst`, a lock-order inversion, or a
-//! registry drift (wire codes / metrics counters / failpoint sites /
-//! README table) fails the ordinary test suite too — with the full
+//! `vqllm-lint --check`, wired into `cargo test` so an unjustified
+//! `SeqCst`, a lock-order inversion, a stale lock class or a failpoint
+//! site nothing fires fails the ordinary test suite too — with the full
 //! findings list in the assertion message.
 
 use std::path::PathBuf;

@@ -41,6 +41,16 @@
 //! [`KvCache`]: crate::KvCache
 //! [`Pipeline`]: crate::Pipeline
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod fair;
 pub mod multi;
 pub mod request;

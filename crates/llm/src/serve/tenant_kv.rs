@@ -234,6 +234,10 @@ impl TenantKv {
     /// Returns [`LlmError::InvalidRequest`] when a row is not `head_dim`
     /// wide or the caches do not share one context's K and V tensors;
     /// nothing is appended to any cache then.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flat tail-buffer row ranges: `tail_start` only advances past rows this module appended (`append` checks each row is `head_dim` wide before extending both sides together), so every range lies inside the buffers; pinned by the flat-vs-nested storage proptest."
+    )]
     pub fn append_batch(rows: &mut [(&mut TenantKv, &[f32], &[f32])]) -> Result<()> {
         let Some((first, ..)) = rows.first() else {
             return Ok(());
@@ -289,6 +293,10 @@ impl TenantKv {
     }
 
     /// One side of this cache as the fold of its oldest tail row sees it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flat tail-buffer row ranges: `tail_start` only advances past rows this module appended (`append` checks each row is `head_dim` wide before extending both sides together), so every range lies inside the buffers; pinned by the flat-vs-nested storage proptest."
+    )]
     fn folding(&mut self, side: Side) -> Folding<'_> {
         let d = self.ctx.head_dim();
         let at = self.tail_start * d..(self.tail_start + 1) * d;
@@ -311,6 +319,10 @@ impl TenantKv {
 
     /// Borrows the state as the extension the tailed attention kernel
     /// consumes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flat tail-buffer row ranges: `tail_start` only advances past rows this module appended (`append` checks each row is `head_dim` wide before extending both sides together), so every range lies inside the buffers; pinned by the flat-vs-nested storage proptest."
+    )]
     pub fn ext(&self) -> RaggedExt<'_> {
         let live = self.tail_start * self.ctx.head_dim()..;
         RaggedExt {
@@ -488,6 +500,10 @@ fn fold_due(ctx: &SharedContext, due: &mut [Option<&mut TenantKv>]) {
 /// first, then V.
 ///
 /// [`Codebook::encode_many`]: vqllm_vq::Codebook::encode_many
+#[expect(
+    clippy::indexing_slicing,
+    reason = "flat tail-buffer row ranges: `tail_start` only advances past rows this module appended (`append` checks each row is `head_dim` wide before extending both sides together), so every range lies inside the buffers; pinned by the flat-vs-nested storage proptest."
+)]
 fn fold_oldest<const N: usize>(ctx: &SharedContext, due: &mut [Option<&mut TenantKv>; N]) {
     let sq_norm = |xs: &[f32]| -> f64 { xs.iter().map(|&x| f64::from(x) * f64::from(x)).sum() };
     for (side, books) in [(Side::K, ctx.kq()), (Side::V, ctx.vq())] {

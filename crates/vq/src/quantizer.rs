@@ -273,24 +273,6 @@ impl QuantizedTensor {
         self.indices[r].get(row * self.col_groups() + group)
     }
 
-    /// Reconstructs the sub-vector at (`row`, `group`) into `out`,
-    /// accumulating all residual rounds — exactly what a fused kernel's
-    /// dequantization stage computes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != vector_size` or the position is out of range.
-    pub fn dequantize_subvector(&self, row: usize, group: usize, out: &mut [f32]) {
-        let vs = self.config.vector_size;
-        assert_eq!(out.len(), vs, "output buffer size");
-        out.fill(0.0);
-        for r in 0..self.config.residuals {
-            let s = self.codebooks.scope_index(row, group * vs);
-            let book = self.codebooks.book(r, s);
-            book.accumulate(self.index_at(r, row, group), out);
-        }
-    }
-
     /// Full dequantization.
     ///
     /// Row-at-a-time: each residual stream is block-decoded per row

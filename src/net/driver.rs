@@ -724,36 +724,41 @@ fn spawn_inner(
         steps_done: 0,
         breaker_until: 0,
     };
-    let join = thread::Builder::new()
-        .name("vq-llm-driver".into())
-        .spawn(move || {
-            let mut state = state;
-            let mut supervisor = supervisor;
-            let mut restarts_left = supervisor.as_ref().map_or(0, |(_, s, _)| s.max_restarts);
-            loop {
-                match panic::catch_unwind(AssertUnwindSafe(|| state.run_inner())) {
-                    Ok(()) => break, // clean shutdown/drain exit
-                    Err(payload) => {
-                        let cause = panic_message(payload.as_ref());
-                        let restarted = match supervisor.as_mut() {
-                            Some((factory, _, handles)) if restarts_left > 0 => {
-                                restarts_left -= 1;
-                                state.restart(factory, handles, &cause)
-                            }
-                            _ => false,
-                        };
-                        if !restarted {
-                            break;
+    let driver_loop = move || {
+        let mut state = state;
+        let mut supervisor = supervisor;
+        let mut restarts_left = supervisor.as_ref().map_or(0, |(_, s, _)| s.max_restarts);
+        loop {
+            match panic::catch_unwind(AssertUnwindSafe(|| state.run_inner())) {
+                Ok(()) => break, // clean shutdown/drain exit
+                Err(payload) => {
+                    let cause = panic_message(payload.as_ref());
+                    let restarted = match supervisor.as_mut() {
+                        Some((factory, _, handles)) if restarts_left > 0 => {
+                            restarts_left -= 1;
+                            state.restart(factory, handles, &cause)
                         }
+                        _ => false,
+                    };
+                    if !restarted {
+                        break;
                     }
                 }
             }
-            // Clean or not, nothing resolves tickets after this point:
-            // whatever is still tracked (a submit that raced the exit, a
-            // ticket orphaned by an unsupervised death) unblocks as
-            // DriverDown instead of hanging its waiter.
-            state.cells.sweep_down();
-        })
+        }
+        // Clean or not, nothing resolves tickets after this point:
+        // whatever is still tracked (a submit that raced the exit, a
+        // ticket orphaned by an unsupervised death) unblocks as
+        // DriverDown instead of hanging its waiter.
+        state.cells.sweep_down();
+    };
+    #[expect(
+        clippy::expect_used,
+        reason = "runs once at driver construction, before any request is accepted; spawn failure here is unrecoverable resource exhaustion at boot."
+    )]
+    let join = thread::Builder::new()
+        .name("vq-llm-driver".into())
+        .spawn(driver_loop)
         .expect("spawn driver thread");
     let client = Client {
         tx: tx.clone(),
@@ -948,6 +953,10 @@ impl DriverState {
                 // Fault-injection site for the supervisor path: a panic
                 // (or error) here kills this incarnation of the driver
                 // exactly as a wedged/corrupt engine would.
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate fault-injection panic; the supervisor frame in spawn_inner catches it and restarts the engine (chaos tests pin this)."
+                )]
                 if let Some(msg) = failpoint::fire(Site::NetDriverStep) {
                     panic!("failpoint net.driver.step: {msg}");
                 }
@@ -975,6 +984,10 @@ impl DriverState {
                             self.shed_running(us, timeout);
                         }
                     }
+                    #[expect(
+                        clippy::panic,
+                        reason = "deliberate escalation: a step error means the engine state is suspect; the supervisor catches the panic and rebuilds, or sweeps every waiter to DriverDown."
+                    )]
                     Err(e) => {
                         // The admission invariants make step errors
                         // unreachable in normal use, so the engine state

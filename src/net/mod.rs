@@ -40,6 +40,16 @@
 //! to a solo in-process `Session` drain of the same request —
 //! `tests/net_serving.rs` pins that end to end through a real socket.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod admission;
 pub mod driver;
 pub mod json;

@@ -402,55 +402,59 @@ impl NetServer {
             cfg: net,
             started: Instant::now(),
         });
-        let accept = {
+        let accept_loop = {
             let stop = Arc::clone(&stop);
             let conns = Arc::new(AtomicUsize::new(0));
-            thread::Builder::new()
-                .name("vq-llm-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(mut stream) = conn else { continue };
-                        if ctx.draining.load(Ordering::Acquire) {
-                            // Draining: answer with a typed rejection
-                            // rather than silently refusing the dial.
-                            let line = proto::conn_rejected_frame(
-                                "draining",
-                                "server draining, not accepting connections",
-                                1_000,
-                            );
-                            let _ = writeln!(stream, "{line}");
-                            continue;
-                        }
-                        // Plain capacity gate: the counter publishes no
-                        // other data, so relaxed is enough (the check/add
-                        // pair is racy regardless of ordering; the limit
-                        // is a soft cap, not an exact one).
-                        if conns.load(Ordering::Relaxed) >= ctx.cfg.max_connections.max(1) {
-                            let line = proto::conn_rejected_frame(
-                                "connection_limit",
-                                "connection limit reached",
-                                100,
-                            );
-                            let _ = writeln!(stream, "{line}");
-                            continue;
-                        }
-                        conns.fetch_add(1, Ordering::Relaxed);
-                        let ctx = Arc::clone(&ctx);
-                        let conns = Arc::clone(&conns);
-                        let _ =
-                            thread::Builder::new()
-                                .name("vq-llm-conn".into())
-                                .spawn(move || {
-                                    serve_connection(stream, ctx);
-                                    conns.fetch_sub(1, Ordering::Relaxed);
-                                });
+            move || {
+                for conn in listener.incoming() {
+                    if stop.load(Ordering::Acquire) {
+                        break;
                     }
-                })
-                .expect("spawn accept thread")
+                    let Ok(mut stream) = conn else { continue };
+                    if ctx.draining.load(Ordering::Acquire) {
+                        // Draining: answer with a typed rejection
+                        // rather than silently refusing the dial.
+                        let line = proto::conn_rejected_frame(
+                            "draining",
+                            "server draining, not accepting connections",
+                            1_000,
+                        );
+                        let _ = writeln!(stream, "{line}");
+                        continue;
+                    }
+                    // Plain capacity gate: the counter publishes no
+                    // other data, so relaxed is enough (the check/add
+                    // pair is racy regardless of ordering; the limit
+                    // is a soft cap, not an exact one).
+                    if conns.load(Ordering::Relaxed) >= ctx.cfg.max_connections.max(1) {
+                        let line = proto::conn_rejected_frame(
+                            "connection_limit",
+                            "connection limit reached",
+                            100,
+                        );
+                        let _ = writeln!(stream, "{line}");
+                        continue;
+                    }
+                    conns.fetch_add(1, Ordering::Relaxed);
+                    let ctx = Arc::clone(&ctx);
+                    let conns = Arc::clone(&conns);
+                    let _ = thread::Builder::new()
+                        .name("vq-llm-conn".into())
+                        .spawn(move || {
+                            serve_connection(stream, ctx);
+                            conns.fetch_sub(1, Ordering::Relaxed);
+                        });
+                }
+            }
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "runs once inside NetServer::bind, before serving starts; a server that cannot spawn its accept loop cannot start at all."
+        )]
+        let accept = thread::Builder::new()
+            .name("vq-llm-accept".into())
+            .spawn(accept_loop)
+            .expect("spawn accept thread");
         Ok(NetServer {
             addr,
             client,
