@@ -20,6 +20,9 @@ use std::ops::Range;
 pub struct Codebook {
     vector_size: usize,
     entries: Vec<f32>,
+    /// `entries.len() / vector_size`, counted once at construction so the
+    /// lookups and searches on the fold's path divide nothing.
+    stored: usize,
     lattice: bool,
     /// Element-major mirror of `entries` (`vector_size × stored_entries`):
     /// `interleaved[j · stored + c] == entries[c · vector_size + j]`.
@@ -62,6 +65,7 @@ impl Codebook {
         Ok(Codebook {
             vector_size,
             entries,
+            stored,
             lattice,
             interleaved,
         })
@@ -83,7 +87,7 @@ impl Codebook {
     /// Entries physically stored (and looked up by kernels).
     #[inline]
     pub fn stored_entries(&self) -> usize {
-        self.entries.len() / self.vector_size
+        self.stored
     }
 
     /// Flat borrow of the whole centroid storage
@@ -116,7 +120,7 @@ impl Codebook {
     #[inline]
     pub fn sign_shift(&self) -> u32 {
         if self.lattice {
-            self.stored_entries().trailing_zeros()
+            self.stored.trailing_zeros()
         } else {
             0
         }
@@ -126,9 +130,9 @@ impl Codebook {
     /// for lattice books).
     pub fn logical_entries(&self) -> usize {
         if self.lattice {
-            self.stored_entries() << self.vector_size
+            self.stored << self.vector_size
         } else {
-            self.stored_entries()
+            self.stored
         }
     }
 
@@ -154,7 +158,7 @@ impl Codebook {
     #[inline]
     pub fn stored_id_of(&self, id: u32) -> u32 {
         if self.lattice {
-            id & (self.stored_entries() as u32 - 1)
+            id & (self.stored as u32 - 1)
         } else {
             id
         }
@@ -179,7 +183,7 @@ impl Codebook {
         let base = self.stored_id_of(id) as usize;
         let entry = self.stored_entry(base);
         if self.lattice {
-            let signs = id >> self.stored_entries().trailing_zeros();
+            let signs = id >> self.sign_shift();
             for (j, (o, &e)) in out.iter_mut().zip(entry).enumerate() {
                 *o = if signs & (1 << j) != 0 { -e } else { e };
             }
@@ -242,6 +246,17 @@ impl Codebook {
         }
     }
 
+    /// The sign mask a lattice code carries for `v`: bit `j` set where
+    /// `v[j] < 0` (a `-0.0` counts as positive). The code of `v` is this
+    /// mask shifted by [`sign_shift`](Self::sign_shift), OR the stored
+    /// entry nearest `|v|`.
+    #[inline]
+    pub(crate) fn sign_mask(v: &[f32]) -> u32 {
+        v.iter()
+            .enumerate()
+            .fold(0, |signs, (j, &x)| signs | (u32::from(x < 0.0) << j))
+    }
+
     /// Encodes `v` to the nearest logical entry id: [`encode_many`] of one
     /// vector.
     ///
@@ -282,24 +297,21 @@ impl Codebook {
             let found = &mut found[..vs.len()];
             if self.lattice {
                 // `new` caps lattice vectors at 16 elements (the sign bits).
-                let mut signs = [0u32; N];
                 let mut abs = [[0.0f32; 16]; N];
-                for ((v, signs), abs) in vs.iter().zip(&mut signs).zip(&mut abs) {
-                    for (j, (&x, a)) in v.iter().zip(abs.iter_mut()).enumerate() {
-                        if x < 0.0 {
-                            *signs |= 1 << j;
-                        }
+                for (v, abs) in vs.iter().zip(&mut abs) {
+                    for (&x, a) in v.iter().zip(abs.iter_mut()) {
                         *a = x.abs();
                     }
                 }
                 let points: [&[f32]; N] = std::array::from_fn(|p| &abs[p][..dim]);
-                kmeans::nearest_many(&points[..vs.len()], &self.interleaved, dim, found);
+                let points = &points[..vs.len()];
+                kmeans::nearest_many_k(points, &self.interleaved, dim, self.stored, found);
                 let shift = self.sign_shift();
-                for ((code, &(base, _)), &signs) in codes.iter_mut().zip(found.iter()).zip(&signs) {
-                    *code = (signs << shift) | base;
+                for ((code, &(base, _)), v) in codes.iter_mut().zip(found.iter()).zip(vs) {
+                    *code = (Self::sign_mask(v) << shift) | base;
                 }
             } else {
-                kmeans::nearest_many(vs, &self.interleaved, dim, found);
+                kmeans::nearest_many_k(vs, &self.interleaved, dim, self.stored, found);
                 for (code, &(id, _)) in codes.iter_mut().zip(found.iter()) {
                     *code = id;
                 }
@@ -332,6 +344,7 @@ impl Codebook {
         Codebook {
             vector_size: vs,
             entries,
+            stored: self.stored,
             lattice: self.lattice,
             interleaved,
         }

@@ -4,6 +4,17 @@
 //! clustering to group these sub-vectors into #Entry clusters"). Points are
 //! flat `f32` slices (`n × dim`, row-major) to keep the inner distance loop
 //! allocation-free.
+//!
+//! Training is codebook-centric, as the search is ([`nearest_many`]):
+//! [`kmeans_many`] trains many books at once and seeds up to
+//! [`MAX_BOOKS`] of them in lockstep, one book per lane. Their training
+//! points are laid out element-major `[e][j][book]`, and their
+//! nearest-centre distances `[j][book]`, so one pass measures every book's
+//! newest centre and each step of seeding's two serial `f64` chains — the
+//! distance total and the target scan — advances all the books. Each lane
+//! runs exactly its book's chains, in its book's point order, and each book
+//! draws from its own generator in its own order, so every book is bit for
+//! bit what it is trained alone. [`kmeans`] is [`kmeans_many`] of one book.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,8 +58,10 @@ impl Default for KmeansOptions {
 }
 
 /// Stored entries searched per iteration of [`nearest_many`]'s portable
-/// and AVX2 tiers (one AVX2 register of `f32`, two SSE ones), and of the
-/// k-means++ distance updates. The AVX-512 tier searches [`WIDE_LANES`].
+/// and AVX2 tiers (one AVX2 register of `f32`, two SSE ones), and training
+/// slots per block of the portable k-means++ distance update. The AVX-512
+/// tier searches [`WIDE_LANES`]; the lockstep seeding's lanes hold one
+/// book each, up to this many ([`MAX_BOOKS`]).
 const LANES: usize = 8;
 
 /// Stored entries searched per iteration of [`nearest_many`]'s AVX-512
@@ -142,8 +155,12 @@ fn prefixes<'a, const N: usize>(points: &[&'a [f32]; N], dim: usize) -> [&'a [f3
 /// The portable body of [`nearest_many`] for `N` points, inlined into one
 /// function per SIMD tier below AVX-512.
 #[inline(always)]
-fn nearest_lanes<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) -> [(u32, f32); N] {
-    let k = em.len() / dim;
+fn nearest_lanes<const N: usize>(
+    points: &[&[f32]; N],
+    em: &[f32],
+    dim: usize,
+    k: usize,
+) -> [(u32, f32); N] {
     let points = prefixes(points, dim);
     let blocks = k / LANES;
     // Lane `l` of a point keeps the first minimum among entries
@@ -209,9 +226,13 @@ fn scan_rest(point: &[f32], em: &[f32], k: usize, from: usize, best: (u32, f32))
 /// compare false, is never taken).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn nearest_avx2<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) -> [(u32, f32); N] {
+fn nearest_avx2<const N: usize>(
+    points: &[&[f32]; N],
+    em: &[f32],
+    dim: usize,
+    k: usize,
+) -> [(u32, f32); N] {
     use std::arch::x86_64::*;
-    let k = em.len() / dim;
     let points = prefixes(points, dim);
     let blocks = k / LANES;
     let mut best_d = [_mm256_set1_ps(f32::INFINITY); N];
@@ -272,9 +293,13 @@ fn nearest_avx2<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) ->
 /// kept by mask selects and its lanes merged without a branch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn nearest_avx512<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) -> [(u32, f32); N] {
+fn nearest_avx512<const N: usize>(
+    points: &[&[f32]; N],
+    em: &[f32],
+    dim: usize,
+    k: usize,
+) -> [(u32, f32); N] {
     use std::arch::x86_64::*;
-    let k = em.len() / dim;
     let points = prefixes(points, dim);
     let blocks = k / WIDE_LANES;
     // Lane `l` of a point keeps the first minimum among entries
@@ -324,8 +349,9 @@ fn nearest_avx512<const N: usize>(points: &[&[f32]; N], em: &[f32], dim: usize) 
     out
 }
 
-/// The instruction tiers [`nearest_many`] has a body for. A value other
-/// than `Portable` is a witness that the machine runs that tier: only
+/// The instruction tiers [`nearest_many`] and k-means++ seeding have a
+/// body for. A value other than `Portable` is a witness that the machine
+/// runs that tier — and `Avx512` that it runs AVX2 as well: only
 /// [`Tier::detect`] (and tests, after the same check) make one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
@@ -341,10 +367,10 @@ impl Tier {
     fn detect() -> Tier {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Tier::Avx512;
-            }
             if std::arch::is_x86_feature_detected!("avx2") {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return Tier::Avx512;
+                }
                 return Tier::Avx2;
             }
         }
@@ -361,25 +387,26 @@ impl Tier {
         }
     }
 
-    /// Searches `N` points on this tier.
+    /// Searches `N` points on this tier over a table of `k` entries.
     #[inline(always)]
     fn search<const N: usize>(
         self,
         points: &[&[f32]],
         em: &[f32],
         dim: usize,
+        k: usize,
         out: &mut [(u32, f32)],
     ) {
         let points: &[&[f32]; N] = points.try_into().expect("N points");
         let found = match self {
-            Tier::Portable => nearest_lanes(points, em, dim),
+            Tier::Portable => nearest_lanes(points, em, dim, k),
             // SAFETY: a `Tier::Avx2` exists only where AVX2 was detected.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { nearest_avx2(points, em, dim) },
+            Tier::Avx2 => unsafe { nearest_avx2(points, em, dim, k) },
             // SAFETY: a `Tier::Avx512` exists only where AVX-512F was
             // detected.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { nearest_avx512(points, em, dim) },
+            Tier::Avx512 => unsafe { nearest_avx512(points, em, dim, k) },
         };
         out.copy_from_slice(&found);
     }
@@ -398,18 +425,26 @@ impl Tier {
         }
     }
 
-    /// Searches 1..=[`MAX_POINTS`] points in one pass over the table.
+    /// Searches 1..=[`MAX_POINTS`] points in one pass over a table of `k`
+    /// entries.
     #[inline(always)]
-    fn search_some(self, points: &[&[f32]], em: &[f32], dim: usize, out: &mut [(u32, f32)]) {
+    fn search_some(
+        self,
+        points: &[&[f32]],
+        em: &[f32],
+        dim: usize,
+        k: usize,
+        out: &mut [(u32, f32)],
+    ) {
         match points.len() {
-            1 => self.search::<1>(points, em, dim, out),
-            2 => self.search::<2>(points, em, dim, out),
-            3 => self.search::<3>(points, em, dim, out),
-            4 => self.search::<4>(points, em, dim, out),
-            5 => self.search::<5>(points, em, dim, out),
-            6 => self.search::<6>(points, em, dim, out),
-            7 => self.search::<7>(points, em, dim, out),
-            _ => self.search::<MAX_POINTS>(points, em, dim, out),
+            1 => self.search::<1>(points, em, dim, k, out),
+            2 => self.search::<2>(points, em, dim, k, out),
+            3 => self.search::<3>(points, em, dim, k, out),
+            4 => self.search::<4>(points, em, dim, k, out),
+            5 => self.search::<5>(points, em, dim, k, out),
+            6 => self.search::<6>(points, em, dim, k, out),
+            7 => self.search::<7>(points, em, dim, k, out),
+            _ => self.search::<MAX_POINTS>(points, em, dim, k, out),
         }
     }
 }
@@ -450,7 +485,27 @@ pub fn nearest_tier() -> &'static str {
 /// `dim`, or `centroids` is not `dim`-aligned.
 #[inline(always)]
 pub fn nearest_many(points: &[&[f32]], centroids: &[f32], dim: usize, out: &mut [(u32, f32)]) {
+    nearest_many_k(points, centroids, dim, centroids.len() / dim, out);
+}
+
+/// [`nearest_many`] over a table whose entry count `k` the caller already
+/// holds ([`Codebook`](crate::Codebook) keeps its own), so the search
+/// divides nothing.
+///
+/// # Panics
+///
+/// Panics if `points` and `out` differ in length, a point is shorter than
+/// `dim`, or `centroids` is not `k × dim` long.
+#[inline(always)]
+pub(crate) fn nearest_many_k(
+    points: &[&[f32]],
+    centroids: &[f32],
+    dim: usize,
+    k: usize,
+    out: &mut [(u32, f32)],
+) {
     assert_eq!(points.len(), out.len(), "one result per point");
+    assert_eq!(centroids.len(), k * dim, "a k × dim table");
     let tier = Tier::detect();
     let pass = tier.points_per_pass();
     for (points, out) in points.chunks(pass).zip(out.chunks_mut(pass)) {
@@ -461,7 +516,7 @@ pub fn nearest_many(points: &[&[f32]], centroids: &[f32], dim: usize, out: &mut 
             }
             continue;
         }
-        tier.search_some(points, centroids, dim, out);
+        tier.search_some(points, centroids, dim, k, out);
     }
 }
 
@@ -479,42 +534,205 @@ pub fn nearest(point: &[f32], centroids: &[f32], dim: usize) -> (u32, f32) {
     out[0]
 }
 
-/// k-means++ bookkeeping: lowers `min_d2[j]` to the distance between
-/// training point `j` (element-major `train`, `min_d2.len()` points per
-/// row) and the newly chosen centre. `(a − b)²` and `(b − a)²` are the
-/// same bits, so the centre plays [`dist2_lanes`]'s point and the
-/// training set its table.
-fn lower_min_dists(centre: &[f32], train: &[f32], min_d2: &mut [f32]) {
-    let t = min_d2.len();
-    #[cfg(test)]
-    if oracle::forced() {
-        return oracle::lower_min_dists(centre, train, min_d2);
-    }
-    let mut blocks = min_d2.chunks_exact_mut(LANES);
-    for (b, mins) in blocks.by_ref().enumerate() {
-        let [d] = dist2_lanes(&[centre], train, t, b * LANES);
-        for (m, &d) in mins.iter_mut().zip(&d) {
-            if d < *m {
-                *m = d;
-            }
+/// The most books [`kmeans_many`] seeds in lockstep: one per `f64` lane of
+/// two AVX2 registers.
+pub const MAX_BOOKS: usize = LANES;
+
+/// Training slots a lockstep centre pattern spans: two AVX2 registers of
+/// `f32`, the widest block [`Tier::lower`] measures at once. Lane `l` of a
+/// pattern belongs to book `l % L`.
+const PATTERN: usize = 16;
+
+/// Floats from one element's row of a lockstep training set to the next:
+/// its `slots`, then one cache line. Rows `slots` apart would sit a
+/// multiple of 4 KiB apart whenever the slot count is a multiple of 1024
+/// (8 books of 2048 points: 64 KiB), and so, by the allocator's choice,
+/// might the distances stored beside them; the core's 4 KiB store-to-load
+/// alias check then stalls the loads of a block behind the last block's
+/// stores in some runs and not in others.
+fn row_stride(slots: usize) -> usize {
+    slots + PATTERN
+}
+
+impl Tier {
+    /// k-means++ bookkeeping for `L` books seeded in lockstep: lowers every
+    /// training slot's `min_d2` to its distance from its book's newest centre,
+    /// and returns each book's `min_d2` total.
+    ///
+    /// Slot `i` is training point `i / L` of book `i % L`. `train` is
+    /// element-major over the slots (`train[e · row_stride(slots) + i]`),
+    /// and `centre[e]` holds element `e` of book `l % L`'s centre in lane
+    /// `l`, so a block of slots meets its books' centres one vector op per
+    /// element — sixteen slots a block on AVX2 (and AVX-512), eight on the
+    /// portable body. Each slot runs [`dist2_lanes`]'s unfused chain
+    /// (`(a − b)²` and `(b − a)²` are the same bits, so the centre plays its
+    /// point) and is lowered by a select, `if d < m { d } else { m }`:
+    /// `minps`, no branch on the data, and the value the branch gave for NaN
+    /// (never taken), ±0 (the older kept) and ∞. Each book's total is its
+    /// own `f64` chain over its slots in point order, from `−0` as
+    /// `Iterator::sum` starts: the one-book sum's bits.
+    fn lower<const L: usize>(
+        self,
+        centre: &[[f32; PATTERN]],
+        train: &[f32],
+        min_d2: &mut [f32],
+    ) -> [f64; L] {
+        let rows = centre.len() * row_stride(min_d2.len());
+        assert_eq!(train.len(), rows, "dim rows of row_stride(slots)");
+        match self {
+            Tier::Portable => lower_lanes(centre, train, min_d2),
+            // The 256-bit body on AVX-512 machines too. On a 2-core AVX-512
+            // Xeon VM a zmm body seeded 8 books of 2048 points about 0.05 ms
+            // a book faster (3 ms of a 2048×128 CQ-4 quantize's 120) and a
+            // lone book about 30 % slower.
+            // SAFETY: a `Tier::Avx2` or `Tier::Avx512` exists only where AVX2
+            // was detected.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => unsafe { lower_avx2(centre, train, min_d2) },
         }
     }
-    for (j, m) in (t / LANES * LANES..).zip(blocks.into_remainder()) {
-        let d = dist2_strided(centre, train, t, j);
-        if d < *m {
-            *m = d;
+
+    /// [`scan`] compiled for this tier, picked as [`Tier::lower`] picks:
+    /// a group of eight scans its eight `f64` targets in two ymm registers.
+    fn scan<const L: usize>(
+        self,
+        target: &mut [f64; L],
+        min_d2: &[f32],
+        chosen: &mut [usize; L],
+        open: usize,
+    ) {
+        match self {
+            Tier::Portable => scan(target, min_d2, chosen, open),
+            // SAFETY: as in `lower`.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => unsafe { scan_avx2(target, min_d2, chosen, open) },
         }
     }
 }
 
+/// Adds a block of lowered slots, which starts on a multiple of `L`, to
+/// their books' totals in slot order.
+#[inline(always)]
+fn add_totals<const L: usize>(total: &mut [f64; L], mins: &[f32]) {
+    for (i, &m) in mins.iter().enumerate() {
+        total[i % L] += f64::from(m);
+    }
+}
+
+/// [`Tier::lower`] for slots `from..`, one at a time.
+#[inline(always)]
+fn lower_rest<const L: usize>(
+    centre: &[[f32; PATTERN]],
+    train: &[f32],
+    min_d2: &mut [f32],
+    from: usize,
+    total: &mut [f64; L],
+) {
+    let stride = row_stride(min_d2.len());
+    for (i, m) in min_d2.iter_mut().enumerate().skip(from) {
+        let mut s = 0.0f32;
+        for (row, c) in train.chunks_exact(stride).zip(centre) {
+            let d = c[i % PATTERN] - row[i];
+            s += d * d;
+        }
+        *m = if s < *m { s } else { *m };
+        total[i % L] += f64::from(*m);
+    }
+}
+
+/// The portable body of [`Tier::lower`]: [`LANES`] slots a block.
+fn lower_lanes<const L: usize>(
+    centre: &[[f32; PATTERN]],
+    train: &[f32],
+    min_d2: &mut [f32],
+) -> [f64; L] {
+    let (slots, stride) = (min_d2.len(), row_stride(min_d2.len()));
+    let mut total = [-0.0f64; L];
+    let mut blocks = min_d2.chunks_exact_mut(LANES);
+    for (b, mins) in blocks.by_ref().enumerate() {
+        let mut s = [0.0f32; LANES];
+        for (row, c) in train.chunks_exact(stride).zip(centre) {
+            let row = &row[b * LANES..][..LANES];
+            for l in 0..LANES {
+                let d = c[l] - row[l];
+                s[l] += d * d;
+            }
+        }
+        for (m, &d) in mins.iter_mut().zip(&s) {
+            *m = if d < *m { d } else { *m };
+        }
+        add_totals(&mut total, mins);
+    }
+    lower_rest(centre, train, min_d2, slots / LANES * LANES, &mut total);
+    total
+}
+
+/// [`Tier::lower`] on AVX2: [`PATTERN`] slots a block in two ymm
+/// registers, lowered by `vminps` (the select: the slot's distance when it
+/// is the smaller, else the old minimum). Written in intrinsics because the
+/// compiler, given the portable body widened to sixteen slots under
+/// `avx2`, splits an 8-book block into four xmm quarters (it vectorises
+/// the `f32` work at the width of the `f64` totals it feeds), which seeded
+/// 8 books about 25 % slower.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lower_avx2<const L: usize>(
+    centre: &[[f32; PATTERN]],
+    train: &[f32],
+    min_d2: &mut [f32],
+) -> [f64; L] {
+    use std::arch::x86_64::*;
+    let (slots, stride) = (min_d2.len(), row_stride(min_d2.len()));
+    let mut total = [-0.0f64; L];
+    let mut blocks = min_d2.chunks_exact_mut(PATTERN);
+    for (b, mins) in blocks.by_ref().enumerate() {
+        let (mut lo, mut hi) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+        for (e, c) in centre.iter().enumerate() {
+            // SAFETY: `e < dim` and `(b + 1) · 16 ≤ slots < stride`, so this
+            // reads `train[e·stride + b·16 ..][..16]`, inside `dim · stride
+            // == train.len()` (asserted by the caller); `c` holds 16 floats.
+            let (x_lo, x_hi, c_lo, c_hi) = unsafe {
+                let x = train.as_ptr().add(e * stride + b * PATTERN);
+                (
+                    _mm256_loadu_ps(x),
+                    _mm256_loadu_ps(x.add(LANES)),
+                    _mm256_loadu_ps(c.as_ptr()),
+                    _mm256_loadu_ps(c.as_ptr().add(LANES)),
+                )
+            };
+            let (d_lo, d_hi) = (_mm256_sub_ps(c_lo, x_lo), _mm256_sub_ps(c_hi, x_hi));
+            let (dd_lo, dd_hi) = (_mm256_mul_ps(d_lo, d_lo), _mm256_mul_ps(d_hi, d_hi));
+            // `0 + d·d` is `d·d` bit for bit (a square is never −0).
+            (lo, hi) = if e == 0 {
+                (dd_lo, dd_hi)
+            } else {
+                (_mm256_add_ps(lo, dd_lo), _mm256_add_ps(hi, dd_hi))
+            };
+        }
+        // SAFETY: `mins` holds exactly two 256-bit vectors, and two of them
+        // are sixteen `f32` (totalled from registers, not re-read).
+        let mins: [f32; PATTERN] = unsafe {
+            let lo = _mm256_min_ps(lo, _mm256_loadu_ps(mins.as_ptr()));
+            let hi = _mm256_min_ps(hi, _mm256_loadu_ps(mins.as_ptr().add(LANES)));
+            _mm256_storeu_ps(mins.as_mut_ptr(), lo);
+            _mm256_storeu_ps(mins.as_mut_ptr().add(LANES), hi);
+            std::mem::transmute([lo, hi])
+        };
+        add_totals(&mut total, &mins);
+    }
+    lower_rest(centre, train, min_d2, slots / PATTERN * PATTERN, &mut total);
+    total
+}
+
 /// Assigns point `j` (`point(j)`, for every slot `j` of `assignments`) to
-/// its nearest centroid — `em` is the centroids' element-major mirror —
-/// [`MAX_POINTS`] points a search, and returns the squared distances'
-/// sum, accumulated in point order.
+/// its nearest centroid — `em` is the centroids' element-major mirror, `k`
+/// of them — [`MAX_POINTS`] points a search, and returns the squared
+/// distances' sum, accumulated in point order.
 fn assign<'a>(
     point: impl Fn(usize) -> &'a [f32],
     em: &[f32],
     dim: usize,
+    k: usize,
     assignments: &mut [u32],
 ) -> f64 {
     let mut inertia = 0.0f64;
@@ -529,7 +747,7 @@ fn assign<'a>(
             }
         });
         let found = &mut found[..n];
-        nearest_many(&points[..n], em, dim, found);
+        nearest_many_k(&points[..n], em, dim, k, found);
         for (slot, &(a, d)) in slots.iter_mut().zip(found.iter()) {
             *slot = a;
             inertia += f64::from(d);
@@ -538,16 +756,348 @@ fn assign<'a>(
     inertia
 }
 
-/// Runs k-means on `points` (flat `n × dim`) for `k` clusters.
+/// One book's k-means run: its points, its generator, its training
+/// subsample and its centroids.
+struct Run<'a> {
+    points: &'a [f32],
+    dim: usize,
+    rng: StdRng,
+    train_idx: Vec<usize>,
+    centroids: Vec<f32>,
+}
+
+impl<'a> Run<'a> {
+    /// Seeds the book's generator and draws its training subsample
+    /// (uniform without replacement when sampling).
+    fn new(points: &'a [f32], dim: usize, k: usize, seed: u64, opts: &KmeansOptions) -> Self {
+        assert_eq!(points.len() % dim, 0, "points must be n × dim");
+        let n = points.len() / dim;
+        assert!(n > 0, "need at least one point");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let train_idx: Vec<usize> = if n <= opts.train_sample {
+            (0..n).collect()
+        } else {
+            // Floyd-ish sampling: step through with random stride; uniform
+            // enough for codebook training and deterministic.
+            let stride = n as f64 / opts.train_sample as f64;
+            (0..opts.train_sample)
+                .map(|i| {
+                    ((i as f64 * stride) as usize + rng.gen_range(0..stride.max(1.0) as usize + 1))
+                        .min(n - 1)
+                })
+                .collect()
+        };
+        Run {
+            points,
+            dim,
+            rng,
+            train_idx,
+            centroids: vec![0.0; k * dim],
+        }
+    }
+
+    fn point(&self, i: usize) -> &'a [f32] {
+        &self.points[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// Lloyd iterations on the training set, with empty-cluster repair,
+    /// then the assignment of every point.
+    fn finish(self, k: usize, opts: &KmeansOptions) -> KmeansResult {
+        let Run {
+            points,
+            dim,
+            train_idx,
+            mut centroids,
+            ..
+        } = self;
+        let point = |i: usize| -> &[f32] { &points[i * dim..(i + 1) * dim] };
+        let t = train_idx.len();
+        let mut train_assign = vec![0u32; t];
+        let mut prev_inertia = f64::INFINITY;
+        let mut iters_done = 0;
+        // Element-major scratch of `centroids` for `nearest`, refreshed
+        // whenever an assignment pass is about to read them.
+        let mut centroids_em = vec![0.0f32; k * dim];
+        for iter in 0..opts.max_iters {
+            iters_done = iter + 1;
+            element_major_into(&centroids, dim, &mut centroids_em);
+            let inertia = assign(
+                |j| point(train_idx[j]),
+                &centroids_em,
+                dim,
+                k,
+                &mut train_assign,
+            );
+
+            // Recompute centroids.
+            let mut sums = vec![0.0f64; k * dim];
+            let mut counts = vec![0usize; k];
+            for (j, &i) in train_idx.iter().enumerate() {
+                let a = train_assign[j] as usize;
+                counts[a] += 1;
+                for (s, &v) in sums[a * dim..(a + 1) * dim].iter_mut().zip(point(i)) {
+                    *s += f64::from(v);
+                }
+            }
+            // Empty-cluster repair: seed on the point currently farthest
+            // from its centroid.
+            for c in 0..k {
+                if counts[c] == 0 {
+                    let (far_j, _) = train_idx
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &i)| {
+                            (
+                                j,
+                                dist2(
+                                    point(i),
+                                    &centroids[train_assign[j] as usize * dim..][..dim],
+                                ),
+                            )
+                        })
+                        .fold((0, -1.0f32), |acc, x| if x.1 > acc.1 { x } else { acc });
+                    let src = point(train_idx[far_j]);
+                    centroids[c * dim..(c + 1) * dim].copy_from_slice(src);
+                    counts[c] = 1;
+                    for (s, &v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(src) {
+                        *s = f64::from(v);
+                    }
+                    train_assign[far_j] = c as u32;
+                } else {
+                    for (ci, s) in centroids[c * dim..(c + 1) * dim]
+                        .iter_mut()
+                        .zip(&sums[c * dim..(c + 1) * dim])
+                    {
+                        *ci = (s / counts[c] as f64) as f32;
+                    }
+                }
+            }
+
+            if prev_inertia.is_finite()
+                && (prev_inertia - inertia).abs() <= opts.tol * prev_inertia.abs()
+            {
+                break;
+            }
+            prev_inertia = inertia;
+        }
+
+        // --- Final assignment of all points ---
+        let mut assignments = vec![0u32; points.len() / dim];
+        element_major_into(&centroids, dim, &mut centroids_em);
+        let inertia = assign(point, &centroids_em, dim, k, &mut assignments);
+
+        KmeansResult {
+            centroids,
+            dim,
+            assignments,
+            inertia,
+            iterations: iters_done,
+        }
+    }
+}
+
+/// Each of `L` lockstep books' next k-means++ centre, as a training-point
+/// index: a uniform draw when the book's `total` is ~0 (all points
+/// identical or covered), else the first point at which a uniform target
+/// in `[0, total)` minus the running `min_d2` sum reaches 0 ([`scan`]).
+fn draw<const L: usize>(
+    runs: &mut [Run<'_>],
+    total: &[f64; L],
+    min_d2: &[f32],
+    t: usize,
+) -> [usize; L] {
+    let mut chosen = [t - 1; L];
+    let mut target = [f64::INFINITY; L];
+    let mut open = 0;
+    for ((run, &total), (chosen, target)) in runs
+        .iter_mut()
+        .zip(total)
+        .zip(chosen.iter_mut().zip(&mut target))
+    {
+        if total <= f64::EPSILON {
+            *chosen = run.rng.gen_range(0..t);
+        } else {
+            *target = run.rng.gen_range(0.0..total);
+            open += 1;
+        }
+    }
+    if open > 0 {
+        Tier::detect().scan(&mut target, min_d2, &mut chosen, open);
+    }
+    chosen
+}
+
+/// The k-means++ target scan of `open` lockstep books: each book subtracts
+/// its own slots from its own target in point order — the one-book scan's
+/// chain — and takes the first point that brings it to 0 or below. The
+/// scan stops once every book has hit; a book that hit (or never scans)
+/// holds `∞`, which no slot brings to 0.
+#[inline(always)]
+fn scan<const L: usize>(
+    target: &mut [f64; L],
+    min_d2: &[f32],
+    chosen: &mut [usize; L],
+    mut open: usize,
+) {
+    for (j, mins) in min_d2.as_chunks::<L>().0.iter().enumerate() {
+        let mut hit = false;
+        for (target, &m) in target.iter_mut().zip(mins) {
+            *target -= f64::from(m);
+            hit |= *target <= 0.0;
+        }
+        if hit {
+            for (target, chosen) in target.iter_mut().zip(chosen.iter_mut()) {
+                if *target <= 0.0 {
+                    (*chosen, *target) = (j, f64::INFINITY);
+                    open -= 1;
+                }
+            }
+            if open == 0 {
+                break;
+            }
+        }
+    }
+}
+
+/// [`scan`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_avx2<const L: usize>(
+    target: &mut [f64; L],
+    min_d2: &[f32],
+    chosen: &mut [usize; L],
+    open: usize,
+) {
+    scan(target, min_d2, chosen, open);
+}
+
+/// k-means++ seeding of up to `L` books with one training count in
+/// lockstep (see [`kmeans_many`]); lanes past `runs.len()` hold zeros and
+/// draw nothing.
+fn seed_lockstep<const L: usize>(runs: &mut [Run<'_>], k: usize) {
+    let (dim, t) = (runs[0].dim, runs[0].train_idx.len());
+    let (slots, stride) = (t * L, row_stride(t * L));
+    // The training rows and, after them, the distances: one buffer, so
+    // their distances apart are fixed, whatever the allocator does.
+    let mut buf = vec![0.0f32; dim * stride + slots];
+    let (train, min_d2) = buf.split_at_mut(dim * stride);
+    for (b, run) in runs.iter().enumerate() {
+        for (j, &i) in run.train_idx.iter().enumerate() {
+            for (e, &v) in run.point(i).iter().enumerate() {
+                train[e * stride + j * L + b] = v;
+            }
+        }
+    }
+    min_d2.fill(f32::INFINITY);
+    let mut centre = vec![[0.0f32; PATTERN]; dim];
+    let mut chosen = [0; L];
+    for (chosen, run) in chosen.iter_mut().zip(runs.iter_mut()) {
+        *chosen = run.rng.gen_range(0..t);
+    }
+    let mut total = [0.0f64; L];
+    for c in 0..k {
+        if c > 0 {
+            chosen = draw(runs, &total, min_d2, t);
+        }
+        for (b, run) in runs.iter_mut().enumerate() {
+            let src = run.point(run.train_idx[chosen[b]]);
+            run.centroids[c * dim..(c + 1) * dim].copy_from_slice(src);
+            for (lanes, &v) in centre.iter_mut().zip(src) {
+                for lane in lanes.iter_mut().skip(b).step_by(L) {
+                    *lane = v;
+                }
+            }
+        }
+        total = Tier::detect().lower(&centre, train, min_d2);
+    }
+}
+
+/// Seeds one lockstep group in the narrowest lane count that holds it.
+fn seed_group(runs: &mut [Run<'_>], k: usize) {
+    #[cfg(test)]
+    if oracle::forced() {
+        for run in runs {
+            oracle::seed(run, k);
+        }
+        return;
+    }
+    match runs.len() {
+        1 => seed_lockstep::<1>(runs, k),
+        2 => seed_lockstep::<2>(runs, k),
+        3 | 4 => seed_lockstep::<4>(runs, k),
+        _ => seed_lockstep::<MAX_BOOKS>(runs, k),
+    }
+}
+
+/// Runs k-means on each of `books` (each a flat `n × dim` point set and
+/// its seed) for `k` clusters: k-means++ seeding on a training subsample,
+/// Lloyd iterations with empty-cluster repair (an empty cluster is
+/// re-seeded on the point farthest from its centroid), then the assignment
+/// of *all* points — every book exactly its [`kmeans`] run.
 ///
-/// Uses k-means++ seeding on a training subsample, Lloyd iterations with
-/// empty-cluster repair (an empty cluster is re-seeded on the point
-/// farthest from its centroid), then assigns *all* points.
+/// Codebook-centric seeding: books with the same training count are
+/// seeded up to [`MAX_BOOKS`] at a time (in book order; a book whose count
+/// differs joins a group of its own count), one book per lane. Their
+/// training points are laid out element-major `[e][j][book]` and their
+/// nearest-centre distances `[j][book]`, so one pass over the training set
+/// measures every book's newest centre ([`Tier::lower`]), and the two
+/// serial `f64` chains seeding runs per centre — the `min_d2` total and
+/// the target scan ([`draw`]) — advance all the books' lanes a step at a
+/// time: their latency is paid once per group, not per book. Each lane
+/// runs its own book's chains in point order, and each book keeps its own
+/// generator and makes its own draws in its own order, so every book's
+/// centroids are bit for bit its lone run's. Lloyd and the final
+/// assignment stay per book; a group is trained to the end before the
+/// next is laid out, so at most [`MAX_BOOKS`] runs' buffers are alive.
 ///
 /// # Panics
 ///
-/// Panics if `dim == 0`, `k == 0`, or `points.len()` is not a multiple of
-/// `dim`.
+/// Panics if `dim == 0`, `k == 0`, or a book is empty or not a multiple
+/// of `dim` long.
+pub fn kmeans_many(
+    books: &[(&[f32], u64)],
+    dim: usize,
+    k: usize,
+    opts: &KmeansOptions,
+) -> Vec<KmeansResult> {
+    assert!(dim > 0 && k > 0, "dim and k must be positive");
+    // A book's training count: all its points, or `train_sample` of them.
+    let count = |b: usize| (books[b].0.len() / dim).min(opts.train_sample);
+    let mut out: Vec<Option<KmeansResult>> = books.iter().map(|_| None).collect();
+    let mut left: Vec<usize> = (0..books.len()).collect();
+    while let Some(&first) = left.first() {
+        let t = count(first);
+        let (mut group, mut rest) = (Vec::with_capacity(MAX_BOOKS), Vec::new());
+        for b in left {
+            if group.len() < MAX_BOOKS && count(b) == t {
+                group.push(b);
+            } else {
+                rest.push(b);
+            }
+        }
+        // One group's runs at a time, trained to the end before the next.
+        let mut runs: Vec<Run<'_>> = group
+            .iter()
+            .map(|&b| Run::new(books[b].0, dim, k, books[b].1, opts))
+            .collect();
+        seed_group(&mut runs, k);
+        for (&b, run) in group.iter().zip(runs) {
+            out[b] = Some(run.finish(k, opts));
+        }
+        left = rest;
+    }
+    out.into_iter()
+        .map(|r| r.expect("every book is in one group"))
+        .collect()
+}
+
+/// Runs k-means on `points` (flat `n × dim`) for `k` clusters:
+/// [`kmeans_many`] of one book.
+///
+/// # Panics
+///
+/// Panics if `dim == 0`, `k == 0`, or `points` is empty or not a multiple
+/// of `dim` long.
 pub fn kmeans(
     points: &[f32],
     dim: usize,
@@ -555,148 +1105,8 @@ pub fn kmeans(
     seed: u64,
     opts: &KmeansOptions,
 ) -> KmeansResult {
-    assert!(dim > 0 && k > 0, "dim and k must be positive");
-    assert_eq!(points.len() % dim, 0, "points must be n × dim");
-    let n = points.len() / dim;
-    assert!(n > 0, "need at least one point");
-
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // Training subsample (uniform without replacement when sampling).
-    let train_idx: Vec<usize> = if n <= opts.train_sample {
-        (0..n).collect()
-    } else {
-        // Floyd-ish sampling: step through with random stride; uniform
-        // enough for codebook training and deterministic.
-        let stride = n as f64 / opts.train_sample as f64;
-        (0..opts.train_sample)
-            .map(|i| {
-                ((i as f64 * stride) as usize + rng.gen_range(0..stride.max(1.0) as usize + 1))
-                    .min(n - 1)
-            })
-            .collect()
-    };
-    let t = train_idx.len();
-    let point = |i: usize| -> &[f32] { &points[i * dim..(i + 1) * dim] };
-
-    // Element-major copy of the training set: the seeding pass measures
-    // one new centre against every training point, LANES points at a time.
-    let mut train_em = vec![0.0f32; t * dim];
-    for (j, &i) in train_idx.iter().enumerate() {
-        for (e, &v) in point(i).iter().enumerate() {
-            train_em[e * t + j] = v;
-        }
-    }
-
-    // --- k-means++ seeding on the training set ---
-    let mut centroids = vec![0.0f32; k * dim];
-    let first = train_idx[rng.gen_range(0..t)];
-    centroids[..dim].copy_from_slice(point(first));
-    let mut min_d2 = vec![f32::INFINITY; t];
-    lower_min_dists(&centroids[..dim], &train_em, &mut min_d2);
-    for c in 1..k {
-        let total: f64 = min_d2.iter().map(|&d| f64::from(d)).sum();
-        let chosen = if total <= f64::EPSILON {
-            // All points identical / already covered: random pick.
-            rng.gen_range(0..t)
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut idx = t - 1;
-            for (j, &d) in min_d2.iter().enumerate() {
-                target -= f64::from(d);
-                if target <= 0.0 {
-                    idx = j;
-                    break;
-                }
-            }
-            idx
-        };
-        let src = point(train_idx[chosen]);
-        centroids[c * dim..(c + 1) * dim].copy_from_slice(src);
-        lower_min_dists(src, &train_em, &mut min_d2);
-    }
-
-    // --- Lloyd iterations on the training set ---
-    let mut train_assign = vec![0u32; t];
-    let mut prev_inertia = f64::INFINITY;
-    let mut iters_done = 0;
-    // Element-major scratch of `centroids` for `nearest`, refreshed
-    // whenever an assignment pass is about to read them.
-    let mut centroids_em = vec![0.0f32; k * dim];
-    for iter in 0..opts.max_iters {
-        iters_done = iter + 1;
-        element_major_into(&centroids, dim, &mut centroids_em);
-        let inertia = assign(
-            |j| point(train_idx[j]),
-            &centroids_em,
-            dim,
-            &mut train_assign,
-        );
-
-        // Recompute centroids.
-        let mut sums = vec![0.0f64; k * dim];
-        let mut counts = vec![0usize; k];
-        for (j, &i) in train_idx.iter().enumerate() {
-            let a = train_assign[j] as usize;
-            counts[a] += 1;
-            for (s, &v) in sums[a * dim..(a + 1) * dim].iter_mut().zip(point(i)) {
-                *s += f64::from(v);
-            }
-        }
-        // Empty-cluster repair: seed on the point currently farthest from
-        // its centroid.
-        for c in 0..k {
-            if counts[c] == 0 {
-                let (far_j, _) = train_idx
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &i)| {
-                        (
-                            j,
-                            dist2(
-                                point(i),
-                                &centroids[train_assign[j] as usize * dim..][..dim],
-                            ),
-                        )
-                    })
-                    .fold((0, -1.0f32), |acc, x| if x.1 > acc.1 { x } else { acc });
-                let src = point(train_idx[far_j]).to_vec();
-                centroids[c * dim..(c + 1) * dim].copy_from_slice(&src);
-                counts[c] = 1;
-                for (s, &v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(&src) {
-                    *s = f64::from(v);
-                }
-                train_assign[far_j] = c as u32;
-            } else {
-                for (ci, s) in centroids[c * dim..(c + 1) * dim]
-                    .iter_mut()
-                    .zip(&sums[c * dim..(c + 1) * dim])
-                {
-                    *ci = (s / counts[c] as f64) as f32;
-                }
-            }
-        }
-
-        if prev_inertia.is_finite()
-            && (prev_inertia - inertia).abs() <= opts.tol * prev_inertia.abs()
-        {
-            break;
-        }
-        prev_inertia = inertia;
-    }
-
-    // --- Final assignment of all points ---
-    let mut assignments = vec![0u32; n];
-    element_major_into(&centroids, dim, &mut centroids_em);
-    let inertia = assign(point, &centroids_em, dim, &mut assignments);
-
-    KmeansResult {
-        centroids,
-        dim,
-        assignments,
-        inertia,
-        iterations: iters_done,
-    }
+    let mut out = kmeans_many(&[(points, seed)], dim, k, opts);
+    out.pop().expect("one book in, one result out")
 }
 
 /// The one-centroid-at-a-time search exactly as it stood before
@@ -705,7 +1115,8 @@ pub fn kmeans(
 /// whole `kmeans` / `quantize` runs.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::dist2;
+    use super::{dist2, Run};
+    use rand::Rng;
     use std::cell::Cell;
 
     thread_local!(static FORCED: Cell<bool> = const { Cell::new(false) });
@@ -752,6 +1163,46 @@ pub(crate) mod oracle {
         nearest(point, &rows, dim)
     }
 
+    /// k-means++ seeding of one book exactly as it stood before books were
+    /// seeded in lockstep: the branchy distance update below, one serial
+    /// total and one serial target scan per centre.
+    pub(super) fn seed(run: &mut Run<'_>, k: usize) {
+        let (dim, t) = (run.dim, run.train_idx.len());
+        let mut train_em = vec![0.0f32; t * dim];
+        for (j, &i) in run.train_idx.iter().enumerate() {
+            for (e, &v) in run.point(i).iter().enumerate() {
+                train_em[e * t + j] = v;
+            }
+        }
+        let first = run.train_idx[run.rng.gen_range(0..t)];
+        let first = run.point(first);
+        run.centroids[..dim].copy_from_slice(first);
+        let mut min_d2 = vec![f32::INFINITY; t];
+        lower_min_dists(&run.centroids[..dim], &train_em, &mut min_d2);
+        for c in 1..k {
+            let total: f64 = min_d2.iter().map(|&d| f64::from(d)).sum();
+            let chosen = if total <= f64::EPSILON {
+                run.rng.gen_range(0..t)
+            } else {
+                let mut target = run.rng.gen_range(0.0..total);
+                let mut idx = t - 1;
+                for (j, &d) in min_d2.iter().enumerate() {
+                    target -= f64::from(d);
+                    if target <= 0.0 {
+                        idx = j;
+                        break;
+                    }
+                }
+                idx
+            };
+            let src = run.point(run.train_idx[chosen]);
+            run.centroids[c * dim..(c + 1) * dim].copy_from_slice(src);
+            lower_min_dists(src, &train_em, &mut min_d2);
+        }
+    }
+
+    /// Lowers `min_d2[j]` to training point `j`'s distance from `centre`
+    /// (element-major `train`), one branch per point.
     pub fn lower_min_dists(centre: &[f32], train: &[f32], min_d2: &mut [f32]) {
         for (j, m) in min_d2.iter_mut().enumerate() {
             let d = dist2(&row_of(train, centre.len(), j), centre);
@@ -883,7 +1334,11 @@ mod tests {
             let mut missing = Vec::new();
             for (tier, have) in [
                 (Tier::Avx2, std::arch::is_x86_feature_detected!("avx2")),
-                (Tier::Avx512, std::arch::is_x86_feature_detected!("avx512f")),
+                (
+                    Tier::Avx512,
+                    std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("avx512f"),
+                ),
             ] {
                 if have {
                     tiers.push(tier);
@@ -921,7 +1376,7 @@ mod tests {
         let mut found = vec![(0, 0.0); n];
         for tier in tiers() {
             let name = tier.name();
-            tier.search_some(points, em, dim, &mut found);
+            tier.search_some(points, em, dim, k, &mut found);
             assert_eq!(
                 bits(&found),
                 want,
@@ -929,7 +1384,7 @@ mod tests {
             );
             for (point, want) in points.iter().zip(&want) {
                 let mut one = [(0, 0.0)];
-                tier.search_some(&[point], em, dim, &mut one);
+                tier.search_some(&[point], em, dim, k, &mut one);
                 assert_eq!(
                     bits(&one)[0],
                     *want,
@@ -1106,6 +1561,179 @@ mod tests {
             assert_eq!(got.assignments, want.assignments);
             assert_eq!(got.inertia.to_bits(), want.inertia.to_bits());
             assert_eq!(got.iterations, want.iterations);
+        }
+    }
+
+    /// The `L`-book lowering on `tier` against one branch per slot, over
+    /// `t` points a book: every slot's minimum bits and every book's total
+    /// bits.
+    fn assert_lowering_is_the_branch<const L: usize>(tier: Tier, t: usize, rng: &mut u64) {
+        let dim = 1 + (splitmix(rng) % 4) as usize;
+        let (slots, stride) = (t * L, row_stride(t * L));
+        let train: Vec<f32> = (0..dim * stride).map(|_| coord(rng, true)).collect();
+        let centres: Vec<Vec<f32>> = (0..L)
+            .map(|_| (0..dim).map(|_| coord(rng, true)).collect())
+            .collect();
+        let mut centre = vec![[0.0f32; PATTERN]; dim];
+        for (e, lanes) in centre.iter_mut().enumerate() {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                *lane = centres[l % L][e];
+            }
+        }
+        let special = [f32::NAN, -0.0, 0.0, f32::INFINITY, 0.5, 2.0];
+        let start: Vec<f32> = (0..slots)
+            .map(|_| special[(splitmix(rng) % special.len() as u64) as usize])
+            .collect();
+        let mut want = start.clone();
+        for (i, m) in want.iter_mut().enumerate() {
+            let point: Vec<f32> = (0..dim).map(|e| train[e * stride + i]).collect();
+            let d = dist2(&point, &centres[i % L]);
+            if d < *m {
+                *m = d;
+            }
+        }
+        let want_total: Vec<u64> = (0..L)
+            .map(|b| {
+                let sum: f64 = want.iter().skip(b).step_by(L).map(|&m| f64::from(m)).sum();
+                sum.to_bits()
+            })
+            .collect();
+        let mut got = start;
+        let total = tier.lower::<L>(&centre, &train, &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let name = tier.name();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{name}, {L} books, {t} points, dim {dim}"
+        );
+        let total: Vec<u64> = total.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(total, want_total, "{name} totals, {L} books, {t} points");
+    }
+
+    /// The branch-free `d < m` select lowers each slot exactly as the branch
+    /// did — NaN distances never taken, a NaN minimum kept, `+0` against
+    /// `−0` keeping the older, ∞ on either side — on every tier, for 1, 2,
+    /// 4 and 8 books, at slot counts on and off every block width.
+    #[test]
+    fn lowering_select_is_the_branch() {
+        let mut rng = 7;
+        for tier in tiers() {
+            for t in [1, 2, 3, 5, 8, 16, 17, 33] {
+                assert_lowering_is_the_branch::<1>(tier, t, &mut rng);
+                assert_lowering_is_the_branch::<2>(tier, t, &mut rng);
+                assert_lowering_is_the_branch::<4>(tier, t, &mut rng);
+                assert_lowering_is_the_branch::<8>(tier, t, &mut rng);
+            }
+        }
+    }
+
+    /// The lockstep target scan takes, for each book, the first point its
+    /// own chain brings to 0 — the one-book scan's answer — on every tier,
+    /// for 1, 2, 4 and 8 books, with a book
+    /// that never scans (target ∞) beside them, and books whose target is
+    /// exactly a prefix of their distances (quarter-grid values, so the
+    /// chain reaches exactly 0 at that point, which `<= 0` takes).
+    #[test]
+    fn lockstep_scan_is_each_books_scan() {
+        let mut rng = 3;
+        for tier in tiers() {
+            for t in [1, 2, 9, 40] {
+                assert_scan_is_each_books::<1>(tier, t, &mut rng);
+                assert_scan_is_each_books::<2>(tier, t, &mut rng);
+                assert_scan_is_each_books::<4>(tier, t, &mut rng);
+                assert_scan_is_each_books::<8>(tier, t, &mut rng);
+            }
+        }
+    }
+
+    /// [`Tier::scan`] of `L` books over `t` points each on `tier`, against
+    /// each book's serial scan: odd books draw a fraction of their total,
+    /// even ones an exact prefix of it, and book 1 (when there is one)
+    /// never scans.
+    fn assert_scan_is_each_books<const L: usize>(tier: Tier, t: usize, rng: &mut u64) {
+        let min_d2: Vec<f32> = (0..t * L)
+            .map(|_| (splitmix(rng) % 9) as f32 * 0.25)
+            .collect();
+        let mut target = [0.0f64; L];
+        let mut want = [t - 1; L];
+        let mut open = 0;
+        for (b, (target, want)) in target.iter_mut().zip(&mut want).enumerate() {
+            let mins = || min_d2.iter().skip(b).step_by(L).map(|&m| f64::from(m));
+            if b == 1 {
+                *target = f64::INFINITY;
+                continue;
+            }
+            open += 1;
+            *target = if b % 2 == 0 {
+                let prefix = 1 + (splitmix(rng) % t as u64) as usize;
+                mins().take(prefix).sum()
+            } else {
+                mins().sum::<f64>() * (splitmix(rng) % 1000) as f64 / 1000.0
+            };
+            let mut left = *target;
+            for (j, m) in mins().enumerate() {
+                left -= m;
+                if left <= 0.0 {
+                    *want = j;
+                    break;
+                }
+            }
+        }
+        let mut chosen = [t - 1; L];
+        tier.scan(&mut target, &min_d2, &mut chosen, open);
+        assert_eq!(chosen, want, "{} tier, {L} books, {t} points", tier.name());
+    }
+
+    proptest::proptest! {
+        /// Seeded in lockstep, every book is bit for bit its lone run on the
+        /// oracle (the one-book seeding and one-centroid-at-a-time search
+        /// of before): centroids, assignments, inertia and iterations. 1..=9
+        /// books of mixed sizes (unequal training counts seed in smaller
+        /// groups), a book whose points are all one point (its totals reach
+        /// 0 and it draws uniformly), and subsampled training sets.
+        #[test]
+        fn kmeans_many_is_each_books_lone_oracle_run(
+            books in 1usize..=9,
+            dim_i in 0usize..3,
+            k_i in 0usize..4,
+            iters in 0usize..=2,
+            sampled in proptest::any::<bool>(),
+            seed in 0u64..10_000,
+        ) {
+            let dim = [2, 4, 8][dim_i];
+            let k = [1, 7, 16, 256][k_i];
+            let mut rng = seed;
+            let opts = KmeansOptions {
+                max_iters: iters,
+                train_sample: if sampled { 24 } else { usize::MAX },
+                ..KmeansOptions::default()
+            };
+            let flat = (splitmix(&mut rng) % books as u64) as usize;
+            let sets: Vec<Vec<f32>> = (0..books)
+                .map(|b| {
+                    let n = [20, 20, 20, 31][(splitmix(&mut rng) % 4) as usize];
+                    if b == flat {
+                        let point: Vec<f32> = (0..dim).map(|_| coord(&mut rng, false)).collect();
+                        point.repeat(n)
+                    } else {
+                        (0..n * dim).map(|_| coord(&mut rng, false)).collect()
+                    }
+                })
+                .collect();
+            let pairs: Vec<(&[f32], u64)> = sets
+                .iter()
+                .enumerate()
+                .map(|(b, set)| (&set[..], seed ^ b as u64))
+                .collect();
+            let got = kmeans_many(&pairs, dim, k, &opts);
+            for (b, (got, &(points, seed))) in got.iter().zip(&pairs).enumerate() {
+                let want = oracle::with(|| kmeans(points, dim, k, seed, &opts));
+                assert_eq!(got.centroids, want.centroids, "book {b} of {books}");
+                assert_eq!(got.assignments, want.assignments, "book {b}");
+                assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "book {b}");
+                assert_eq!(got.iterations, want.iterations, "book {b}");
+            }
         }
     }
 }

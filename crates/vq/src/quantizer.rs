@@ -2,13 +2,22 @@
 //!
 //! [`VqQuantizer::quantize`] splits a tensor into `vector_size`-wide
 //! sub-vectors, trains one codebook per (scope, residual) slice with
-//! k-means, encodes every sub-vector, subtracts the reconstruction, and
-//! repeats for each residual round. [`QuantizedTensor::dequantize`] is the
-//! exact inverse path a fused kernel performs on the fly.
+//! k-means — every scope of a round in one [`kmeans_many`] call, so their
+//! k-means++ seeding runs in lockstep — subtracts each sub-vector's
+//! reconstruction, and repeats for each residual round.
+//! [`QuantizedTensor::dequantize`] is the exact inverse path a fused
+//! kernel performs on the fly.
+//!
+//! There is no encode search: a sub-vector's code is the cluster k-means'
+//! final assignment put it in (for lattice books, the stored entry nearest
+//! its `|v|`, with the signs of `v` ORed in above it). That assignment is
+//! the search [`Codebook::encode`] runs — the same `nearest_many` over the
+//! same element-major table, on the same points — so the code is the one
+//! `encode` would give.
 
 use crate::codebook::{Codebook, CodebookSet};
 use crate::config::VqConfig;
-use crate::kmeans::{kmeans, KmeansOptions};
+use crate::kmeans::{kmeans_many, KmeansOptions};
 use crate::packing::PackedIndices;
 use crate::{Result, VqError};
 use serde::{Deserialize, Serialize};
@@ -89,34 +98,48 @@ impl VqQuantizer {
                 }
             }
 
-            // Train one codebook per scope.
+            // Train one codebook per scope, all scopes in one call.
+            if let Some(pts) = per_scope.iter().find(|pts| pts.len() / vs < k) {
+                return Err(VqError::InsufficientData {
+                    points: pts.len() / vs,
+                    entries: k,
+                });
+            }
+            let scopes: Vec<(&[f32], u64)> = per_scope
+                .iter()
+                .enumerate()
+                .map(|(s, pts)| (&pts[..], seed ^ ((r as u64) << 32) ^ s as u64))
+                .collect();
+            let trained = kmeans_many(&scopes, vs, k, &self.opts);
+            drop(scopes);
+            drop(per_scope);
             let mut round_books = Vec::with_capacity(num_scopes);
-            for (s, pts) in per_scope.iter().enumerate() {
-                let n = pts.len() / vs;
-                if n < k {
-                    return Err(VqError::InsufficientData {
-                        points: n,
-                        entries: k,
-                    });
-                }
-                let km = kmeans(pts, vs, k, seed ^ ((r as u64) << 32) ^ s as u64, &self.opts);
+            let mut assignments = Vec::with_capacity(num_scopes);
+            for km in trained {
                 round_books.push(Codebook::new(km.centroids, vs, cfg.lattice)?);
+                assignments.push(km.assignments.into_iter());
             }
 
-            // Encode every sub-vector against its scope's codebook and
-            // subtract the reconstruction for the next residual round.
+            // Take every sub-vector's code from its scope's assignment (in
+            // the order the scope's points were gathered) and subtract the
+            // reconstruction for the next residual round.
             let mut indices = Vec::with_capacity(rows * col_groups);
             let mut recon = vec![0.0f32; vs];
             for row in 0..rows {
                 for g in 0..col_groups {
                     let s = scope_of(row, g);
                     let book = &round_books[s];
-                    let id = book.encode(&residual.row(row)[g * vs..(g + 1) * vs]);
+                    let base = assignments[s].next().expect("one assignment per point");
+                    let sv = &mut residual.row_mut(row)[g * vs..(g + 1) * vs];
+                    let id = if cfg.lattice {
+                        (Codebook::sign_mask(sv) << book.sign_shift()) | base
+                    } else {
+                        base
+                    };
                     indices.push(id);
                     book.lookup(id, &mut recon);
-                    let dst = residual.row_mut(row);
-                    for (j, &rv) in recon.iter().enumerate() {
-                        dst[g * vs + j] -= rv;
+                    for (x, &rv) in sv.iter_mut().zip(&recon) {
+                        *x -= rv;
                     }
                 }
             }
@@ -486,6 +509,48 @@ mod tests {
             let got = quantizer.quantize(&w, 5).unwrap();
             let want = oracle::with(|| quantizer.quantize(&w, 5)).unwrap();
             assert!(got == want, "{algo}: codebooks or codes moved");
+        }
+    }
+
+    /// Every code `quantize` takes from k-means' assignment is the one
+    /// `Codebook::encode` gives the sub-vector it stands for — the encode
+    /// pass replayed round by round on the residuals — under every preset.
+    #[test]
+    fn codes_are_what_encode_gives_under_every_preset() {
+        use crate::VqAlgorithm;
+        for algo in VqAlgorithm::ALL {
+            let (rows, cols) = match algo {
+                VqAlgorithm::QuipSharp4 | VqAlgorithm::Gptvq2 => (64, 64),
+                VqAlgorithm::Aqlm3 if cfg!(debug_assertions) => continue,
+                VqAlgorithm::Aqlm3 => (256, 128),
+                VqAlgorithm::Cq4 | VqAlgorithm::Cq2 => (256, 8),
+            };
+            let cfg = algo.config();
+            let w = synth::correlated_channels(rows, cols, cfg.vector_size, 0.9, 41);
+            let quantizer = VqQuantizer::new(cfg).with_options(KmeansOptions {
+                max_iters: 2,
+                ..KmeansOptions::default()
+            });
+            let q = quantizer.quantize(&w, 9).unwrap();
+            let vs = cfg.vector_size;
+            let mut residual = w.clone();
+            let mut recon = vec![0.0f32; vs];
+            for r in 0..cfg.residuals {
+                for row in 0..rows {
+                    for g in 0..cols / vs {
+                        let book = q
+                            .codebooks()
+                            .book(r, q.codebooks().scope_index(row, g * vs));
+                        let sv = &mut residual.row_mut(row)[g * vs..(g + 1) * vs];
+                        let id = book.encode(sv);
+                        assert_eq!(q.index_at(r, row, g), id, "{algo} round {r} ({row}, {g})");
+                        book.lookup(id, &mut recon);
+                        for (x, &rv) in sv.iter_mut().zip(&recon) {
+                            *x -= rv;
+                        }
+                    }
+                }
+            }
         }
     }
 
