@@ -77,8 +77,8 @@ fn bench_e2e(c: &mut Criterion) {
 /// projection is backend-independent by design (both plan/estimate with
 /// the device model — asserted below); what *differs* is functional
 /// execution, so that is what gets benched: `Session::run_gemv` walks the
-/// modelled codebook cache on the perf-model backend vs the fused
-/// LUT/aggregation kernels on `CpuBackend`.
+/// modelled codebook cache on the perf-model backend vs the fused value
+/// pass (`gemm_fused` on one row) on `CpuBackend`.
 fn bench_e2e_backends(c: &mut Criterion) {
     use vq_llm::tensor::synth;
     use vq_llm::ComputeOp;

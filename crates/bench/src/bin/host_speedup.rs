@@ -279,28 +279,6 @@ fn main() {
         gemv_batch.speedup()
     ));
 
-    // --- Trait orientation: y = xᵀ·dequant(Wq) (scatter-aggregate) ---
-    let xr = wave(rows, 0.23);
-    let fused_t = host_exec::gemv_xw(&xr, &wq, &single).expect("gemv_xw");
-    let naive_t = linalg::gemv(&wq.dequantize().unwrap().transposed(), &xr).expect("gemv");
-    assert!(metrics::allclose(&fused_t, &naive_t, 1e-4, 1e-4));
-    let gemv_xw = Measured {
-        naive_s: time_s(reps, || {
-            let w = wq.dequantize().expect("dequantize").transposed();
-            linalg::gemv(&w, &xr).expect("gemv")
-        }),
-        fused_s: time_s(reps, || {
-            host_exec::gemv_xw(&xr, &wq, &single).expect("gemv_xw")
-        }),
-    };
-    report.section("Backend GeMV  y = xᵀ·dequant(Wq)   (code aggregation)");
-    report.line(format!(
-        "  naive {}   fused {}   speedup {:.2}x",
-        fmt_us(gemv_xw.naive_s * 1e6),
-        fmt_us(gemv_xw.fused_s * 1e6),
-        gemv_xw.speedup()
-    ));
-
     // --- Fused GeMM: both sides of the selection `gemm_fused` makes ---
     // Against dequantize-then-matmul, parity first.
     let measure_gemm = |wq: &QuantizedTensor, m: usize, reps: usize| {
@@ -634,7 +612,6 @@ fn main() {
             ("gemv_parallel4_speedup", num(par4_speedup)),
             ("gemv_batch", num(batch as f64)),
             ("gemv_batch_speedup", num(gemv_batch.speedup())),
-            ("gemv_xw_speedup", num(gemv_xw.speedup())),
             ("gemm_m", num(gm as f64)),
             ("gemm_speedup", num(gemm.speedup())),
             ("gemm_panel_speedup", num(gemm_panel.speedup())),

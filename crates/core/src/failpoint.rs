@@ -107,10 +107,8 @@ sites! {
         "entry of every `WorkerPool` scope, before jobs are queued; surfaces as `KernelError::Panicked`";
     HostGemvLutBatch => "host.gemv_lut_batch",
         "score pass entry: `gemv_lut_batch`, and `gemv_lut`, its one-lane case";
-    HostGemvXw => "host.gemv_xw",
-        "`gemv_xw` entry: the aggregation GeMV (`Backend::run_gemv`)";
     HostGemmFused => "host.gemm_fused",
-        "`gemm_fused` entry: the linear layer (`Backend::run_gemm`), value pass and panel body alike";
+        "`gemm_fused` entry: the linear layer and every GeMV (`Backend::run_gemm`), value pass and panel body alike";
     HostAttentionRagged => "host.attention_ragged",
         "`attention_decode` entry: every attention shape (head, batch, ragged, tailed)";
 }
@@ -430,14 +428,14 @@ mod tests {
         let _g = lock();
         clear();
         let n = configure_from_spec(
-            "llm.step=panic(x)*1+2; pool.scope=delay(5); host.gemv_xw=error(full)*3; llm.step=off",
+            "llm.step=panic(x)*1+2; pool.scope=delay(5); host.gemm_fused=error(full)*3; llm.step=off",
         )
         .unwrap();
         assert_eq!(n, 4);
         assert_eq!(slot(Site::LlmStep), None, "off removes the site");
         assert_eq!(slot(Site::PoolScope), Some((Action::DelayMs(5), None)));
         assert_eq!(
-            slot(Site::HostGemvXw),
+            slot(Site::HostGemmFused),
             Some((Action::Error("full".into()), Some(3)))
         );
         assert!(configure_from_spec("bogus").is_err());

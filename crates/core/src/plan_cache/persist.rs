@@ -8,7 +8,8 @@
 //! line-oriented text codec: one `(PlanKey, KernelPlan)` entry per line,
 //! every field written as an explicit token, floats as IEEE-754 bit
 //! patterns so a round trip is bitwise exact. Swapping in the real `serde`
-//! later can replace the codec without touching the [`PlanCache`] API.
+//! later can replace the codec without touching the
+//! [`PlanCache`](super::PlanCache) API.
 //!
 //! The format is strict on read: any malformed token fails the whole load
 //! with [`io::ErrorKind::InvalidData`] rather than silently dropping

@@ -95,7 +95,8 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// Latency/counter estimate for an existing plan.
     fn estimate(&self, gpu: &GpuSpec, plan: &KernelPlan, profile: &AccessProfile) -> KernelOutput;
 
-    /// Functionally executes a fused GeMM: `A × dequant(Wq)`.
+    /// Functionally executes a fused GeMM: `A × dequant(Wq)`. A GeMV
+    /// `xᵀ × dequant(Wq)` is this on the one row `x`.
     ///
     /// # Errors
     ///
@@ -107,19 +108,6 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         a: &Tensor2D,
         wq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)>;
-
-    /// Functionally executes a fused GeMV: `xᵀ × dequant(Wq)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatches.
-    fn run_gemv(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        x: &[f32],
-        wq: &QuantizedTensor,
-    ) -> Result<(Vec<f32>, KernelOutput)>;
 
     /// Functionally executes one attention decode call ([`AttentionBatch`]:
     /// per-query prefixes of shared quantized K/V caches, optional private
@@ -355,16 +343,6 @@ impl Backend for PerfModelBackend {
     ) -> Result<(Tensor2D, KernelOutput)> {
         vq_kernel::run_gemm(gpu, plan, a, wq)
     }
-
-    fn run_gemv(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        x: &[f32],
-        wq: &QuantizedTensor,
-    ) -> Result<(Vec<f32>, KernelOutput)> {
-        vq_kernel::run_gemv(gpu, plan, x, wq)
-    }
 }
 
 /// Real host execution: plans exactly like [`PerfModelBackend`], but
@@ -510,17 +488,6 @@ impl Backend for CpuBackend {
         Ok((c, self.output_for(gpu, plan, wq)))
     }
 
-    fn run_gemv(
-        &self,
-        gpu: &GpuSpec,
-        plan: &KernelPlan,
-        x: &[f32],
-        wq: &QuantizedTensor,
-    ) -> Result<(Vec<f32>, KernelOutput)> {
-        let y = host_exec::gemv_xw(x, wq, &self.blocking())?;
-        Ok((y, self.output_for(gpu, plan, wq)))
-    }
-
     fn run_attention(
         &self,
         gpu: &GpuSpec,
@@ -557,7 +524,7 @@ mod tests {
         let vq = VqAlgorithm::Gptvq2.config();
         let w = synth::correlated_channels(256, 64, 4, 0.9, 3);
         let wq = VqQuantizer::new(vq).quantize(&w, 1).unwrap();
-        let x: Vec<f32> = (0..256).map(|i| (i as f32 * 0.17).cos()).collect();
+        let x = Tensor2D::from_fn(1, 256, |_, i| (i as f32 * 0.17).cos());
         let op = ComputeOp::Gemv {
             n: 64,
             k: 256,
@@ -565,11 +532,16 @@ mod tests {
         };
         let plan = plan_for(&vq, &op);
         let gpu = GpuSpec::rtx4090();
-        let (cpu, _) = CpuBackend::auto().run_gemv(&gpu, &plan, &x, &wq).unwrap();
-        let (model, _) = PerfModelBackend.run_gemv(&gpu, &plan, &x, &wq).unwrap();
-        assert!(metrics::allclose(&cpu, &model, 1e-4, 1e-4));
-        let oracle = linalg::gemv(&wq.dequantize().unwrap().transposed(), &x).unwrap();
-        assert!(metrics::allclose(&cpu, &oracle, 1e-4, 1e-4));
+        let (cpu, _) = CpuBackend::auto().run_gemm(&gpu, &plan, &x, &wq).unwrap();
+        let (model, _) = PerfModelBackend.run_gemm(&gpu, &plan, &x, &wq).unwrap();
+        assert!(metrics::allclose(
+            cpu.as_slice(),
+            model.as_slice(),
+            1e-4,
+            1e-4
+        ));
+        let oracle = linalg::gemv(&wq.dequantize().unwrap().transposed(), x.row(0)).unwrap();
+        assert!(metrics::allclose(cpu.as_slice(), &oracle, 1e-4, 1e-4));
     }
 
     #[test]
@@ -578,7 +550,7 @@ mod tests {
         let w = synth::correlated_channels(64, 64, 4, 0.9, 3);
         let wq = VqQuantizer::new(vq).quantize(&w, 1).unwrap();
         let a = synth::gaussian(8, 64, 1.0, 5);
-        let x: Vec<f32> = (0..64).map(|i| (i as f32 * 0.17).cos()).collect();
+        let x = Tensor2D::from_fn(1, 64, |_, i| (i as f32 * 0.17).cos());
         let gemm = ComputeOp::Gemm { m: 8, n: 64, k: 64 };
         let gemv = ComputeOp::Gemv {
             n: 64,
@@ -601,7 +573,7 @@ mod tests {
                 assert_eq!(out, fresh_gemm, "call {call}");
             }
             // A second plan interleaved on the same backend keeps its own.
-            let (_, out) = backend.run_gemv(&gpu, &gemv_plan, &x, &wq).unwrap();
+            let (_, out) = backend.run_gemm(&gpu, &gemv_plan, &x, &wq).unwrap();
             assert_eq!(out, fresh_gemv, "call {call}");
         }
         assert_eq!(

@@ -27,11 +27,8 @@
 //!   packed into the vectors instead). It is
 //!   attention's V side (weights: the softmax numerators) and
 //!   [`gemm_fused`], the linear layer (weights: the batch rows of `A`,
-//!   transposed).
-//! * [`gemv_xw`] — `y = xᵀ · dequant(Wq)` (the [`Backend`] GeMV contract) is
-//!   a different algorithm, not a third copy of the sums above:
-//!   scatter-aggregate `wsum[code] += x[row]` into a cache-resident slab,
-//!   then expand through the centroids once.
+//!   transposed). A GeMV `y = xᵀ · dequant(Wq)` is [`gemm_fused`] on one
+//!   row: the value pass one lane wide.
 //! * [`attention_decode`] — the one attention entry: score pass, lane-wise
 //!   softmax, value pass in one buffer (see below). One query, a full
 //!   batch, per-query prefixes and private live-KV extensions are all
@@ -104,18 +101,13 @@
 //!   the tail rows with `+= weight · value` and divides by the lane's sum;
 //! * a panel-body [`gemm_fused`] element is the sum, in row order, of one
 //!   such chain per K-chunk of the row's codebook band — chunks of
-//!   `256 KiB ÷ row bytes` rows, fixed by the tensor's shape;
-//! * a [`gemv_xw`] element adds, per residual round and codebook band, its
-//!   aggregated code weights expanded through the centroids: one
-//!   [`simd::dot`] chain when the table is saturated, else `+= weight ·
-//!   entry` per touched code (lattice books: per row, sign-aware).
+//!   `256 KiB ÷ row bytes` rows, fixed by the tensor's shape.
 //!
 //! Zero-weight rows between a lane's prefix and the bound add exact zeros,
 //! so solo ≡ batched ≡ tailed-with-empty-extensions bit for bit, and since
 //! no sum is ever split by a block or worker boundary, the thread count
-//! cannot move a byte either. [`SLAB_BYTES`] sizes the score LUT's and
-//! [`gemv_xw`]'s aggregation table's *group blocks*, which reorder work and
-//! never a sum.
+//! cannot move a byte either. [`SLAB_BYTES`] sizes the score LUT's and the
+//! value pass's *group blocks*, which reorder work and never a sum.
 //! Shapes the register kernels do not cover run the same chains through the
 //! generic lane-array bodies.
 //!
@@ -145,7 +137,6 @@
 //! the lane-block stages, whose per-code work is too small to carry a
 //! dispatch. The tier decides speed, never bytes.
 //!
-//! [`Backend`]: crate::backend::Backend
 //! [`CodebookSet::book_run`]: vqllm_vq::CodebookSet::book_run
 //! [`PackedIndices::unpack_block`]: vqllm_vq::PackedIndices::unpack_block
 
@@ -205,8 +196,8 @@ impl HostBlocking {
 }
 
 /// Byte budget of a cache-resident group block: a typical L1 data cache.
-/// [`gemv_xw`]'s aggregation table is blocked to it, the score LUT — whose
-/// every block is one more sweep over all the packed rows — to 8× it, the
+/// The value pass's books are blocked to it, the score LUT — whose every
+/// block is one more sweep over all the packed rows — to 8× it, the
 /// typical L2:L1 ratio. A block orders work, never a sum.
 pub const SLAB_BYTES: usize = 32 << 10;
 
@@ -589,132 +580,6 @@ fn lattice_scores(
             *o += signed_dot(entry, &xs.row(lane0 + b)[g * vs..(g + 1) * vs], signs);
         }
     }
-}
-
-/// Fused transposed GeMV: `y = xᵀ · dequant(Wq)` with `x.len() == rows`,
-/// `y.len() == cols` — the [`Backend`](crate::backend::Backend) GeMV
-/// contract, where quantized sub-vectors run along the *output* axis.
-///
-/// Dual of [`gemv_lut`]: since each packed code scales a whole centroid by
-/// the scalar `x[row]`, the kernel scatter-aggregates `wsum[code] +=
-/// x[row]` into a slab-resident table per column-group block, then expands
-/// each code's aggregated weight through its centroid exactly once —
-/// `rows` adds plus `stored × vs` FMAs per group instead of `rows × vs`
-/// FMAs. When the aggregation is saturated (at least as many rows as
-/// stored entries, so most slots are hot), the expansion runs as `vs`
-/// dense SIMD dots over the interleaved codebook layout; otherwise it
-/// skips untouched codes. Lattice books fall back to fused sign-aware
-/// AXPY.
-///
-/// The row-parallel path partitions the *output* (column groups) across
-/// workers, so no two threads ever touch the same accumulator.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `x.len() != rows`.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "decode-kernel inner loops: indices derive from the tensor's shape, validated at kernel entry; bounds are pinned by the proptest parity suite, and `get` per element defeats autovectorization."
-)]
-pub fn gemv_xw(x: &[f32], wq: &QuantizedTensor, blocking: &HostBlocking) -> Result<Vec<f32>> {
-    failpoint(Site::HostGemvXw)?;
-    let (rows, cols) = wq.shape();
-    if x.len() != rows {
-        return Err(KernelError::ShapeMismatch {
-            what: "x length must equal quantized weight rows",
-        });
-    }
-    let vq = *wq.config();
-    let vs = vq.vector_size;
-    let groups = wq.col_groups();
-    let stored = vq.stored_entries();
-    let books = wq.codebooks();
-    let band = books.band_rows();
-    let mut y = vec![0.0f32; cols];
-
-    // Workers own disjoint, contiguous column-group spans of y.
-    parallel_row_chunks(
-        &mut y,
-        vs,
-        blocking.threads,
-        Site::HostGemvXw,
-        |first_group, ychunk| {
-            let span = ychunk.len() / vs;
-            let gb = group_block(SLAB_BYTES, stored, span);
-            let mut codes = vec![0u32; gb];
-            let mut wsum = vec![0.0f32; gb * stored];
-            for r in 0..vq.residuals {
-                let stream = wq.index_stream(r);
-                let mut band_start = 0;
-                while band_start < rows {
-                    let band_len = band.min(rows - band_start);
-                    for b0 in (0..span).step_by(gb) {
-                        let gl = gb.min(span - b0);
-                        let g0 = first_group + b0;
-                        if vq.lattice {
-                            for (off, &xv) in
-                                x[band_start..band_start + band_len].iter().enumerate()
-                            {
-                                let row = band_start + off;
-                                stream.unpack_block(row * groups + g0, &mut codes[..gl]);
-                                for (gi, &code) in codes[..gl].iter().enumerate() {
-                                    books.book(r, books.scope_index(row, (g0 + gi) * vs)).axpy(
-                                        code,
-                                        xv,
-                                        &mut ychunk[(b0 + gi) * vs..(b0 + gi + 1) * vs],
-                                    );
-                                }
-                            }
-                        } else {
-                            wsum[..gl * stored].fill(0.0);
-                            // Scatter: aggregate x over equal codes.
-                            for (off, &xv) in
-                                x[band_start..band_start + band_len].iter().enumerate()
-                            {
-                                stream.unpack_block(
-                                    (band_start + off) * groups + g0,
-                                    &mut codes[..gl],
-                                );
-                                for (gi, &code) in codes[..gl].iter().enumerate() {
-                                    wsum[gi * stored + code as usize] += xv;
-                                }
-                            }
-                            // Expand: aggregated code weights through the
-                            // centroids — dense SIMD dots once the table is
-                            // saturated, zero-skipping otherwise.
-                            let dense = band_len >= stored;
-                            for gi in 0..gl {
-                                let book =
-                                    books.book(r, books.scope_index(band_start, (g0 + gi) * vs));
-                                let wsum_g = &wsum[gi * stored..(gi + 1) * stored];
-                                let out = &mut ychunk[(b0 + gi) * vs..(b0 + gi + 1) * vs];
-                                if dense {
-                                    let inter = book.entries_interleaved();
-                                    for (j, o) in out.iter_mut().enumerate() {
-                                        *o +=
-                                            simd::dot(wsum_g, &inter[j * stored..(j + 1) * stored]);
-                                    }
-                                } else {
-                                    let flat = book.entries_flat();
-                                    for (c, &w) in wsum_g.iter().enumerate() {
-                                        if w != 0.0 {
-                                            for (o, &e) in
-                                                out.iter_mut().zip(&flat[c * vs..(c + 1) * vs])
-                                            {
-                                                *o += w * e;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    band_start += band_len;
-                }
-            }
-        },
-    )?;
-    Ok(y)
 }
 
 use simd::{GEMM_MR, GEMM_NR};
@@ -1730,27 +1595,10 @@ mod tests {
     }
 
     /// 2-wide sub-vectors over a 256-entry book: at 160 columns, 80 column
-    /// groups, which [`gemv_xw`]'s aggregation table takes in blocks of
-    /// 32 + 32 + 16 on one thread and 32 + 8 per worker on two.
+    /// groups, which the score LUT takes in blocks of 32 + 32 + 16 at
+    /// eight lanes.
     fn wide_groups() -> VqConfig {
         VqConfig::new(2, 256, 1, CodebookScope::PerTensor).unwrap()
-    }
-
-    #[test]
-    fn gemv_xw_matches_transposed_gemv() {
-        assert_eq!(group_block(SLAB_BYTES, 256, 80), 32);
-        for (cfg, rows, cols) in preset_cases().into_iter().chain([(wide_groups(), 64, 160)]) {
-            let wq = quantized(cfg, rows, cols, 11);
-            let x = xs(rows, 0.23);
-            let reference = linalg::gemv(&wq.dequantize().unwrap().transposed(), &x).unwrap();
-            for threads in 1..=4 {
-                let fused = gemv_xw(&x, &wq, &HostBlocking { threads }).unwrap();
-                assert!(
-                    metrics::allclose(&fused, &reference, 1e-4, 1e-4),
-                    "{cfg} {rows}x{cols} threads {threads}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -2083,10 +1931,11 @@ mod tests {
                 gemv_lut(&wq, &xc, &par).unwrap(),
                 "{cfg} lut"
             );
+            let x = Tensor2D::from_vec(1, rows, xr).unwrap();
             assert_eq!(
-                gemv_xw(&xr, &wq, &seq).unwrap(),
-                gemv_xw(&xr, &wq, &par).unwrap(),
-                "{cfg} xw"
+                gemm_fused(&x, &wq, &seq).unwrap(),
+                gemm_fused(&x, &wq, &par).unwrap(),
+                "{cfg} gemv"
             );
             let acts = Tensor2D::from_fn(3, cols, |b, c| ((b + 2 * c) as f32 * 0.13).sin());
             assert_eq!(
@@ -2109,7 +1958,6 @@ mod tests {
         let wq = quantized(cfg, 64, 32, 1);
         let b = HostBlocking::default();
         assert!(gemv_lut(&wq, &[0.0; 3], &b).is_err());
-        assert!(gemv_xw(&[0.0; 3], &wq, &b).is_err());
         assert!(gemm_fused(&Tensor2D::zeros(2, 3), &wq, &b).is_err());
         assert!(gemv_lut_batch(&wq, &Tensor2D::zeros(2, 3), &b).is_err());
         let other = quantized(cfg, 32, 32, 2);

@@ -469,7 +469,7 @@ mod tests {
         // Poison every worker (more panics than threads, so workers and
         // the caller-drain path both see one).
         for _ in 0..4 {
-            let _ = pool.try_scope(Site::HostGemvXw, |scope| {
+            let _ = pool.try_scope(Site::HostGemmFused, |scope| {
                 for _ in 0..3 {
                     scope.spawn(|| panic!("transient"));
                 }
@@ -477,7 +477,7 @@ mod tests {
         }
         // Full healthy scope still completes with correct data.
         let counter = AtomicUsize::new(0);
-        pool.try_scope(Site::HostGemvXw, |scope| {
+        pool.try_scope(Site::HostGemmFused, |scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     counter.fetch_add(1, Ordering::Relaxed);

@@ -25,8 +25,7 @@
 //! to stay correctly rounded.
 //!
 //! The primitives are exactly the inner loops of
-//! [`host_exec`](crate::host_exec): contiguous dot products and AXPYs
-//! (interleaved-codebook expansions), the panel body's GeMM micro-kernel
+//! [`host_exec`](crate::host_exec): the panel body's GeMM micro-kernel
 //! tile, and the score, softmax and value stages, which all work on **lane
 //! blocks**: up to [`LANES`] activations side by side in the lanes of one
 //! vector, a block of `w` real lanes padded to `W =`
@@ -120,45 +119,6 @@ pub fn tier() -> &'static str {
     } else {
         "scalar-8w"
     }
-}
-
-/// Dense dot product `Σ a[i]·b[i]`, one chain on every tier: lane `l` of
-/// [`LANES`] multiply-adds elements `l, l + 8, …` of the whole chunks, the
-/// lanes are summed as `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))`
-/// (a 256-bit register's halving tree), and the tail elements follow as
-/// separate multiplies and adds.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot operand lengths");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        return unsafe { dot_avx2(a, b) };
-    }
-    dot_lanes(a, b)
-}
-
-/// [`dot`]'s body.
-#[inline(always)]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; LANES];
-    let (ca, ta) = a.as_chunks::<LANES>();
-    let (cb, tb) = b.as_chunks::<LANES>();
-    for (xa, xb) in ca.iter().zip(cb) {
-        for l in 0..LANES {
-            lanes[l] = xa[l].mul_add(xb[l], lanes[l]);
-        }
-    }
-    let h: [f32; 4] = std::array::from_fn(|l| lanes[l] + lanes[l + 4]);
-    let mut acc = (h[0] + h[2]) + (h[1] + h[3]);
-    for (&x, &y) in ta.iter().zip(tb) {
-        acc += x * y;
-    }
-    acc
 }
 
 /// Runs `$f::<W, ..>` for the lane count `$w` (`1..=LANES`): the batched
@@ -910,12 +870,6 @@ mod x86 {
     use std::arch::x86_64::*;
     use vqllm_vq::Codebook;
 
-    /// [`super::dot`]'s body compiled for AVX2 + FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        super::dot_lanes(a, b)
-    }
-
     /// [`super::lut_batch_build`]'s loop for `W` lanes, compiled for AVX2 +
     /// FMA: the generic body inlines into this frame.
     #[target_feature(enable = "avx2,fma")]
@@ -1524,8 +1478,8 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    dot_avx2, gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2,
-    softmax_lanes_avx2, softmax_lanes_avx512,
+    gemm_acc_tile_avx2, lut_accumulate_lanes_avx2, lut_build_lanes_avx2, softmax_lanes_avx2,
+    softmax_lanes_avx512,
 };
 
 #[cfg(test)]
@@ -1559,40 +1513,6 @@ mod tests {
             report_skipped($what, &SKIPPED, &present);
             tiers
         }};
-    }
-
-    /// One dot product called by name.
-    type DotBody = unsafe fn(&[f32], &[f32]) -> f32;
-
-    #[test]
-    fn dot_matches_naive_at_all_remainders() {
-        // At every length 0..=200: near the exact sum, and bit for bit the
-        // one chain — eight fused lanes, a halving tree, an unfused tail —
-        // dispatched and on each tier by name.
-        let tiers = scalar_and_avx2!(DotBody, "dot"; dot_lanes, dot_avx2);
-        for n in 0..=200usize {
-            let a = series(n, 0.37);
-            let b = series(n, 0.23);
-            let naive: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x * y)).sum();
-            assert!((f64::from(dot(&a, &b)) - naive).abs() < 1e-4, "n = {n}");
-            let mut lanes = [0.0f32; LANES];
-            let whole = n / LANES * LANES;
-            for i in 0..whole {
-                lanes[i % LANES] = a[i].mul_add(b[i], lanes[i % LANES]);
-            }
-            let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
-            let mut want = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7));
-            for i in whole..n {
-                want += a[i] * b[i];
-            }
-            assert_eq!(dot(&a, &b).to_bits(), want.to_bits(), "n {n}");
-            for (name, body) in tiers {
-                let Some(body) = body else { continue };
-                // SAFETY: the body's tier was detected on this machine.
-                let got = unsafe { body(&a, &b) };
-                assert_eq!(got.to_bits(), want.to_bits(), "{name}: n {n}");
-            }
-        }
     }
 
     /// One LUT-build loop called by name: `(gslab, inter, xt)`.

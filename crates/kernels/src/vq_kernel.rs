@@ -3,10 +3,10 @@
 //! [`estimate`] executes a [`KernelPlan`] against the performance-model
 //! substrate: it assembles whole-grid [`PerfCounters`] from the plan's
 //! placement / dataflow / fusion decisions and the profiled codebook access
-//! distribution, then asks the timing model for a latency. [`run_gemm`],
-//! [`run_gemv`] and [`run_attention_head`] additionally execute the fused
-//! computation *functionally* (dequantizing through the codebook cache) so
-//! the output can be checked against dequantize-then-reference-compute.
+//! distribution, then asks the timing model for a latency. [`run_gemm`]
+//! and [`run_attention_head`] additionally execute the fused computation
+//! *functionally* (dequantizing through the codebook cache) so the output
+//! can be checked against dequantize-then-reference-compute.
 //!
 //! The counter assembly is where every effect from the paper's analysis
 //! lives; each term is annotated with the corresponding observation.
@@ -350,30 +350,6 @@ pub fn run_gemm(
     })?;
     let profile = AccessProfile::from_histogram(&AccessHistogram::profile(wq, 0));
     Ok((out, estimate(gpu, plan, &profile)))
-}
-
-/// Functionally executes a fused VQ GeMV: `y = xᵀ × dequant(Wq)`.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `x.len() != wq.rows`.
-pub fn run_gemv(
-    gpu: &GpuSpec,
-    plan: &KernelPlan,
-    x: &[f32],
-    wq: &QuantizedTensor,
-) -> Result<(Vec<f32>, KernelOutput)> {
-    if x.len() != wq.shape().0 {
-        return Err(KernelError::ShapeMismatch {
-            what: "x length must equal quantized weight rows",
-        });
-    }
-    let (w, _) = dequantize_via_cache(plan, wq);
-    let y = linalg::gemv(&w.transposed(), x).map_err(|_| KernelError::ShapeMismatch {
-        what: "gemv shapes",
-    })?;
-    let profile = AccessProfile::from_histogram(&AccessHistogram::profile(wq, 0));
-    Ok((y, estimate(gpu, plan, &profile)))
 }
 
 /// Functionally executes one head of fused VQ attention decode with

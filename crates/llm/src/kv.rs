@@ -77,8 +77,8 @@ impl KvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`LlmError::KvCapacity`] when `seq > model.max_seq` or
-    /// `batch == 0`.
+    /// Returns [`LlmError::KvCapacity`](crate::LlmError::KvCapacity) when
+    /// `seq > model.max_seq` or `batch == 0`.
     pub fn try_new(
         model: LlamaConfig,
         seq: usize,
@@ -138,8 +138,8 @@ impl KvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`LlmError::KvCapacity`] when the cache is already at
-    /// `model.max_seq`.
+    /// Returns [`LlmError::KvCapacity`](crate::LlmError::KvCapacity) when
+    /// the cache is already at `model.max_seq`.
     pub fn append_token(&mut self) -> crate::Result<f64> {
         if self.seq >= self.model.max_seq {
             return Err(crate::LlmError::KvCapacity {
@@ -160,7 +160,8 @@ impl KvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`LlmError::KvCapacity`] when `batch == 0`.
+    /// Returns [`LlmError::KvCapacity`](crate::LlmError::KvCapacity) when
+    /// `batch == 0`.
     pub fn set_batch(&mut self, batch: usize) -> crate::Result<()> {
         if batch == 0 {
             return Err(crate::LlmError::KvCapacity {

@@ -296,12 +296,13 @@ impl Pipeline {
     /// weight `wq` (`k × n`), through the pipeline's backend and plan
     /// cache.
     ///
-    /// This is the serving-layer execution hook: a single-token batch is
-    /// planned and run as a GeMV, while a multi-token batch is planned as
-    /// the **GeMM-shaped decode op** (`m = batch`) and routed through
-    /// [`Backend::run_gemm`] — on a `CpuBackend` that is the fused batched
-    /// path, which streams the weight's packed codes once per lane block
-    /// of the batch instead of once per sequence.
+    /// This is the serving-layer execution hook. A single-token batch is
+    /// planned as a GeMV and a multi-token batch as the **GeMM-shaped
+    /// decode op** (`m = batch`), so each gets its own modelled counters;
+    /// both run through [`Backend::run_gemm`]. On a `CpuBackend` that is
+    /// the value pass with the batch as lanes, which streams the weight's
+    /// packed codes once per lane block of the batch instead of once per
+    /// sequence (a single token is one lane).
     ///
     /// # Errors
     ///
@@ -331,14 +332,7 @@ impl Pipeline {
                 what: "no launchable plan for decode linear",
             },
         )?;
-        if x.rows() == 1 {
-            let (y, out) = self.backend.run_gemv(&self.gpu, &plan, x.row(0), wq)?;
-            let y =
-                vqllm_tensor::Tensor2D::from_vec(1, y.len(), y).expect("gemv output is one row");
-            Ok((y, out))
-        } else {
-            self.backend.run_gemm(&self.gpu, &plan, x, wq)
-        }
+        self.backend.run_gemm(&self.gpu, &plan, x, wq)
     }
 
     /// Executes one attention head for a batch of decode queries (`qs` is

@@ -28,8 +28,8 @@ pub struct Codebook {
     /// `interleaved[j · stored + c] == entries[c · vector_size + j]`.
     /// Derived at construction; [`Codebook::encode_many`] searches it a
     /// block of entries at a time, and the SIMD-wide host kernels stream it
-    /// so LUT builds and aggregated expansions become contiguous FMA loops
-    /// over all stored entries instead of `vector_size`-long strided dots.
+    /// so LUT builds become contiguous FMA loops over all stored entries
+    /// instead of `vector_size`-long strided dots.
     interleaved: Vec<f32>,
 }
 
@@ -102,8 +102,7 @@ impl Codebook {
     /// Element-major mirror of the centroid storage
     /// (`vector_size × stored_entries`): row `j` holds element `j` of
     /// every stored entry contiguously, so a kernel loop over all entries
-    /// at a fixed element — a LUT build (`lut[c] += x[j] · entry_c[j]`) or
-    /// an aggregated expansion (`out[j] = Σ_c wsum[c] · entry_c[j]`) —
+    /// at a fixed element — a LUT build (`lut[c] += x[j] · entry_c[j]`) —
     /// reads/FMAs a dense `stored_entries`-long run that vectorizes
     /// 8-wide. Derived from [`Codebook::entries_flat`] at construction.
     ///
@@ -215,33 +214,6 @@ impl Codebook {
         } else {
             for (o, &e) in out.iter_mut().zip(entry) {
                 *o += e;
-            }
-        }
-    }
-
-    /// Scaled accumulate: `out[j] += w · entry[j]` for logical entry `id`
-    /// (sign-applied for lattice books) — the expansion step of aggregated
-    /// kernels, where `w` is the sum of activations that mapped to `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != vector_size` or `id` is out of range.
-    #[inline]
-    pub fn axpy(&self, id: u32, w: f32, out: &mut [f32]) {
-        assert_eq!(out.len(), self.vector_size, "output buffer size");
-        assert!(
-            (id as usize) < self.logical_entries(),
-            "entry id out of range"
-        );
-        let entry = self.stored_entry(self.stored_id_of(id) as usize);
-        if self.lattice {
-            let signs = id >> self.sign_shift();
-            for (j, (o, &e)) in out.iter_mut().zip(entry).enumerate() {
-                *o += w * if signs & (1 << j) != 0 { -e } else { e };
-            }
-        } else {
-            for (o, &e) in out.iter_mut().zip(entry) {
-                *o += w * e;
             }
         }
     }
@@ -635,23 +607,6 @@ mod tests {
         // Lattice books mirror their stored entries for `encode`.
         let lattice = Codebook::new(vec![1.0, 2.0, 3.0, 4.0], 2, true).unwrap();
         assert_eq!(lattice.entries_interleaved(), [1.0, 3.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn axpy_is_scaled_accumulate() {
-        let plain = plain_book();
-        let lattice = Codebook::new(vec![1.0, 2.0, 3.0, 4.0], 2, true).unwrap();
-        for book in [plain, lattice] {
-            for id in 0..book.logical_entries() as u32 {
-                let mut entry = vec![0.0f32; book.vector_size()];
-                book.lookup(id, &mut entry);
-                let mut out = vec![0.25f32; book.vector_size()];
-                book.axpy(id, -1.5, &mut out);
-                for (o, &e) in out.iter().zip(&entry) {
-                    assert!((o - (0.25 - 1.5 * e)).abs() < 1e-6, "id {id}");
-                }
-            }
-        }
     }
 
     #[test]

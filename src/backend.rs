@@ -9,8 +9,8 @@
 //! * [`PerfModelBackend`] — the GPU performance model (the workspace's
 //!   documented hardware substitution).
 //! * [`CpuBackend`] — real host execution of the fused kernels
-//!   ([`vqllm_kernels::host_exec`]): LUT GeMV, aggregation GeMV, streamed
-//!   fused GeMM and attention decode, all directly on packed codes.
+//!   ([`vqllm_kernels::host_exec`]): LUT GeMV, fused GeMM (a GeMV is its
+//!   one-row case) and attention decode, all directly on packed codes.
 
 use std::sync::Arc;
 

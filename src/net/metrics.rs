@@ -170,9 +170,11 @@ disconnect_reasons! {
     SlowReader => "slow_reader",
     /// Reaped: no frames received for longer than the idle timeout.
     Idle => "idle",
-    /// The client closed the connection (clean EOF).
+    /// The client hung up: a clean EOF, or a reset, abort or broken pipe
+    /// on either half (a close with frames still unread is a reset).
     Eof => "eof",
-    /// A socket error, an over-long line, or another protocol violation.
+    /// An over-long line, another protocol violation, or a socket error
+    /// other than a hang-up.
     Error => "error",
 }
 

@@ -13,9 +13,9 @@
 //! * each connection's **writer** thread drains a **bounded**
 //!   [`FrameQueue`] of pre-rendered frames. The driver thread pushes
 //!   streaming events into that queue through the request's
-//!   [`StreamSink`], and the reader pushes verb replies; the queue
-//!   serializes them, so a client sees `hello`, then `accepted`, then
-//!   `token`s in decode order, then `done`.
+//!   [`StreamSink`](super::StreamSink), and the reader pushes verb
+//!   replies; the queue serializes them, so a client sees `hello`, then
+//!   `accepted`, then `token`s in decode order, then `done`.
 //!
 //! # Load behavior
 //!
@@ -545,7 +545,19 @@ enum LineRead {
     TooLong,
     /// Socket error (including a local `shutdown` by the eviction
     /// path).
-    Err,
+    Err(std::io::ErrorKind),
+}
+
+/// Why a connection ended on a failed socket read or write of kind
+/// `kind`: a reset, an abort or a broken pipe is the peer hanging up (a
+/// client that closes with frames still unread sends a reset, not a FIN),
+/// counted as `Eof`; any other I/O error is an `Error`.
+fn io_close_reason(kind: std::io::ErrorKind) -> DisconnectReason {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    match kind {
+        ConnectionReset | ConnectionAborted | BrokenPipe => DisconnectReason::Eof,
+        _ => DisconnectReason::Error,
+    }
 }
 
 /// Reads one newline-terminated line without ever buffering more than
@@ -561,7 +573,7 @@ fn read_capped_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>, cap: u
             {
                 return LineRead::TimedOut;
             }
-            Err(_) => return LineRead::Err,
+            Err(e) => return LineRead::Err(e.kind()),
         };
         if available.is_empty() {
             return if buf.is_empty() {
@@ -628,8 +640,11 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
             .spawn(move || {
                 let mut w = write_half;
                 while let Some(line) = conn.queue.pop_blocking() {
-                    if w.write_all(line.as_bytes()).is_err() || w.write_all(b"\n").is_err() {
-                        conn.evict(DisconnectReason::Error);
+                    let written = w
+                        .write_all(line.as_bytes())
+                        .and_then(|()| w.write_all(b"\n"));
+                    if let Err(e) = written {
+                        conn.evict(io_close_reason(e.kind()));
                         break;
                     }
                     let _ = w.flush();
@@ -666,11 +681,8 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
                 }
             }
             LineRead::Eof => break (DisconnectReason::Eof, true),
-            LineRead::Err => {
-                break (
-                    conn.close_reason().unwrap_or(DisconnectReason::Error),
-                    false,
-                )
+            LineRead::Err(kind) => {
+                break (conn.close_reason().unwrap_or(io_close_reason(kind)), false)
             }
             LineRead::TooLong => {
                 push_frame(

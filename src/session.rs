@@ -430,7 +430,8 @@ impl Session {
             .run_gemm(&self.shared.gpu, plan, a, wq)?)
     }
 
-    /// Functionally executes a fused GeMV through the backend.
+    /// Functionally executes a fused GeMV `y = xᵀ × dequant(Wq)` through
+    /// the backend: [`Session::run_gemm`] on the one row `x`.
     ///
     /// # Errors
     ///
@@ -441,10 +442,9 @@ impl Session {
         x: &[f32],
         wq: &QuantizedTensor,
     ) -> Result<(Vec<f32>, KernelOutput)> {
-        Ok(self
-            .shared
-            .backend
-            .run_gemv(&self.shared.gpu, plan, x, wq)?)
+        let x = Tensor2D::from_fn(1, x.len(), |_, i| x[i]);
+        let (y, out) = self.run_gemm(plan, &x, wq)?;
+        Ok((y.into_vec(), out))
     }
 
     /// Functionally executes one fused attention-decode head through the

@@ -140,8 +140,11 @@ fn every_registered_host_site_fires() {
             Site::HostGemvLutBatch => {
                 host_exec::gemv_lut(ctx.kq(), &q, &HostBlocking::default())?;
             }
-            Site::HostGemvXw => drop(session.run_gemv(&gemv_plan, &q, ctx.wq())?),
-            Site::HostGemmFused => drop(session.run_gemm(&gemm_plan, &qs, ctx.wq())?),
+            // A GeMV is the GeMM on one row: the same site fires for both.
+            Site::HostGemmFused => {
+                drop(session.run_gemv(&gemv_plan, &q, ctx.wq())?);
+                drop(session.run_gemm(&gemm_plan, &qs, ctx.wq())?);
+            }
             Site::HostAttentionRagged => {
                 session.run_attention_batch(&attn_plan, &qs, ctx.kq(), ctx.vq())?;
             }
@@ -170,7 +173,7 @@ fn every_registered_host_site_fires() {
         failpoint::clear();
         drilled += 1;
     }
-    assert!(drilled >= 4, "the host namespace lost its sites");
+    assert!(drilled >= 3, "the host namespace lost its sites");
 }
 
 /// A kernel panic inside a batch group quarantines the group with a

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{splitmix, synthetic, ExtData};
+use common::{f32s, splitmix, synthetic, ExtData};
 use proptest::prelude::*;
 use std::sync::Arc;
 use vq_llm::kernels::host_exec::{
@@ -69,8 +69,8 @@ fn plan_for(cfg: &VqConfig, op: &ComputeOp) -> Option<KernelPlan> {
 }
 
 proptest! {
-    /// `CpuBackend::run_gemv` (`y = xᵀ · dequant(Wq)`) vs the dequantize
-    /// oracle.
+    /// A GeMV (`y = xᵀ · dequant(Wq)`) — `CpuBackend::run_gemm` on one row
+    /// under a GeMV plan — vs the dequantize oracle.
     #[test]
     fn cpu_gemv_matches_oracle(
         case in 0usize..8,
@@ -81,17 +81,17 @@ proptest! {
         let cfg = config(case);
         let (rows, cols) = dims(rows_i, cols_i);
         let wq = quantize(cfg, rows, cols, seed);
-        let x: Vec<f32> = (0..rows).map(|i| ((i as f32) * 0.37 + seed as f32).sin()).collect();
+        let x = Tensor2D::from_fn(1, rows, |_, i| ((i as f32) * 0.37 + seed as f32).sin());
         let op = ComputeOp::Gemv { n: cols, k: rows, batch: 1 };
         let Some(plan) = plan_for(&cfg, &op) else { return Ok(()); };
         // Exercise the sequential path and the persistent-pool path at the
         // partition counts the serving layer will use.
         let threads = [1, 2, 4][(seed as usize) % 3];
         let (y, out) = CpuBackend::with_threads(threads)
-            .run_gemv(&GpuSpec::rtx4090(), &plan, &x, &wq)
-            .expect("run_gemv");
-        let oracle = linalg::gemv(&wq.dequantize().unwrap().transposed(), &x).unwrap();
-        prop_assert!(metrics::allclose(&y, &oracle, 1e-4, 1e-4), "{cfg} {rows}x{cols}");
+            .run_gemm(&GpuSpec::rtx4090(), &plan, &x, &wq)
+            .expect("run_gemm");
+        let oracle = linalg::gemv(&wq.dequantize().unwrap().transposed(), x.row(0)).unwrap();
+        prop_assert!(metrics::allclose(y.as_slice(), &oracle, 1e-4, 1e-4), "{cfg} {rows}x{cols}");
         prop_assert!(out.us() > 0.0);
     }
 
@@ -637,8 +637,8 @@ fn rungs(block: usize) -> [usize; 3] {
     [(block - 1).max(1), block, 2 * block + 1]
 }
 
-/// Every public weight kernel on `wq` under `blocking`, labelled: the two
-/// GeMVs, then `gemm_fused` at each batch of `ms` and — `score_batches` —
+/// Every public weight kernel on `wq` under `blocking`, labelled: the LUT
+/// GeMV, then `gemm_fused` at each batch of `ms` and — `score_batches` —
 /// the batched score pass beside it (`gemv_lut` is its one-lane case; a
 /// 4096-entry LUT eight lanes wide is too slow to build unoptimized).
 fn weight_kernels(
@@ -651,8 +651,7 @@ fn weight_kernels(
     let wave =
         |n: usize, phase: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * phase).sin()).collect() };
     let gemv_lut = host_exec::gemv_lut(wq, &wave(cols, 0.23), blocking).expect("gemv_lut");
-    let gemv_xw = host_exec::gemv_xw(&wave(rows, 0.37), wq, blocking).expect("gemv_xw");
-    let mut out = vec![("gemv_lut".into(), gemv_lut), ("gemv_xw".into(), gemv_xw)];
+    let mut out = vec![("gemv_lut".into(), gemv_lut)];
     for &m in ms {
         let a = Tensor2D::from_fn(m, rows, |b, d| ((b * 11 + d) as f32 * 0.17).cos());
         let gemm = host_exec::gemm_fused(&a, wq, blocking).expect("gemm_fused");
@@ -689,9 +688,8 @@ fn assert_blocking_independent(
 /// sizes where that could show. Shapes are a ladder over the kernels' own
 /// blocking constants, so every blocked loop takes no full trip, one, and
 /// two plus a remainder: lane blocks (`simd::LANES`: batch 1, 4, 9), the
-/// score pass's row block, the group blocks of the score LUT and of
-/// `gemv_xw`'s aggregation table, the value pass's register block of
-/// column groups, codebook bands, and the panel body's K-chunk and
+/// score pass's row block, the group blocks of the score LUT, the value
+/// pass's register block of column groups, codebook bands, and the panel body's K-chunk and
 /// micro-kernel tile. Then the serving-size rungs: a 512² GPTVQ-2 weight,
 /// a 2048×128 CQ-4 cache (two LUT group blocks at batch 9), and a 512²
 /// AQLM-3 and QuIP#-4 weight on the panel side. Threads partition score
@@ -702,7 +700,7 @@ fn assert_blocking_independent(
 /// `gemm_fused` moved 15 216 of 16 384 floats at 16×1024×1024 when a
 /// plan-derived slab sized it), score sums regrouped by the LUT block, or
 /// a second body behind a named shape (`run_attention_head` as `gemv_lut`
-/// + `gemv_xw` moved 99 of 128 floats at 2048×128 CQ-4).
+/// plus a scatter-aggregate GeMV moved 99 of 128 floats at 2048×128 CQ-4).
 #[test]
 fn kernel_bytes_are_blocking_independent_across_panels() {
     let threads = thread_sweep();
@@ -725,15 +723,12 @@ fn kernel_bytes_are_blocking_independent_across_panels() {
             }
         }
     }
-    // The group blocks of a 256-entry book: `gemv_xw`'s aggregation table
-    // and, at eight lanes, the score LUT both take 32 groups a block. A
-    // lane of the multi-block score pass is also its one-block solo chain.
+    // The group blocks of a 256-entry book: at eight lanes the score LUT
+    // takes 32 groups a block. A lane of the multi-block score pass is also
+    // its one-block solo chain.
     let cfg = plain(2, 256, 1);
-    let group_block = host_exec::SLAB_BYTES / (256 * 4);
-    assert_eq!(
-        8 * host_exec::SLAB_BYTES / (256 * simd::LANES * 4),
-        group_block
-    );
+    let group_block = 8 * host_exec::SLAB_BYTES / (256 * simd::LANES * 4);
+    assert_eq!(group_block, 32);
     for groups in rungs(group_block) {
         let (rows, cols) = (simd::LUT_ROW_BLOCK + 1, groups * 2);
         let wq = synthetic(cfg, rows, cols, 11);
@@ -917,4 +912,44 @@ fn cpu_session_runs_fused_kernels() {
         .build()
         .expect("valid session");
     assert_eq!(session3.backend().name(), "cpu");
+}
+
+/// A GeMV is the GeMM on one row: `Session::run_gemv` on a CPU backend
+/// returns, bit for bit, row 0 of `Session::run_gemm` over a batch whose
+/// first row is `x`, for every preset at one and two threads. The batch of
+/// nine takes a full eight-lane block and a padded one, so `x` rides lane
+/// 0 of the lane-pair kernel there and the one-lane kernel alone. At
+/// 512×512 every blocked loop takes more than one trip: the value pass's
+/// group blocks (256 or 128 column groups), the panel body's K-chunks
+/// (AQLM-3, QuIP#-4: 128 rows each) and two workers' column-group chunks.
+#[test]
+fn session_gemv_is_row_zero_of_gemm_bitwise() {
+    let (k, n) = (512usize, 512usize);
+    for (i, alg) in vq_llm::VqAlgorithm::ALL.into_iter().enumerate() {
+        let cfg = alg.config();
+        let vs = cfg.vector_size;
+        assert!(
+            n / vs > simd::value_group_block(vs),
+            "{alg}: one group block"
+        );
+        assert!(k > host_exec::PANEL_BYTES / (n * 4), "{alg}: one K-chunk");
+        let wq = synthetic(cfg, k, n, 0x6e3c_0000 + i as u64);
+        let a = Tensor2D::from_vec(9, k, f32s(9 * k, &mut (0x77 + i as u64))).unwrap();
+        for threads in [1, 2] {
+            let session = Session::builder()
+                .backend_kind(BackendKind::Cpu { threads })
+                .build()
+                .expect("valid session");
+            let gemv_plan = session
+                .plan(&cfg, &ComputeOp::Gemv { n, k, batch: 1 })
+                .expect("gemv plan");
+            let gemm_plan = session
+                .plan(&cfg, &ComputeOp::Gemm { m: 9, n, k })
+                .expect("gemm plan");
+            let (y, _) = session.run_gemv(&gemv_plan, a.row(0), &wq).unwrap();
+            let (c, _) = session.run_gemm(&gemm_plan, &a, &wq).unwrap();
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(c.row(0)), "{alg} threads {threads}");
+        }
+    }
 }

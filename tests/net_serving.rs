@@ -591,6 +591,23 @@ fn oversized_line_gets_typed_error_and_disconnect() {
 /// counter returns exactly to zero (the underflow-regression pin).
 #[test]
 fn mid_stream_disconnect_cancels_and_frees_the_slot() {
+    hang_up_mid_stream(Duration::ZERO);
+}
+
+/// The same hang-up with streamed frames left unread: after a 200 ms
+/// pause the token frames sit in the client's receive buffer, so closing
+/// the socket sends a reset instead of a FIN. That is still the peer
+/// hanging up, counted `eof`, not `error`.
+#[test]
+fn hang_up_with_unread_frames_is_counted_eof() {
+    hang_up_mid_stream(Duration::from_millis(200));
+}
+
+/// Submits a request too long to finish, reads up to its `accepted`
+/// frame, waits `pause` and drops the socket; then checks that the slot
+/// frees, the close is counted `eof` alone, and the freed slot serves the
+/// next tenant at once.
+fn hang_up_mid_stream(pause: Duration) {
     let (engine, h) = engine(1, 8);
     let server =
         vq_llm::net::loopback(engine, vec![h], AdmissionConfig::default()).expect("bind loopback");
@@ -608,26 +625,36 @@ fn mid_stream_disconnect_cancels_and_frees_the_slot() {
         let line = proto::submit_line(0, 1, &query(1), 8, 240, 0, None, true);
         writeln!(writer, "{line}").expect("send submit");
         read_until_event(&mut reader, "accepted", 4);
+        std::thread::sleep(pause);
         // Drop both halves: mid-stream disconnect.
     }
 
-    // The reader observes EOF, cancels the ticket, the slot frees, and
-    // the exact accounting lands at zero (wait_idle asserts it).
+    // The reader observes the hang-up, cancels the ticket, the slot
+    // frees, and the exact accounting lands at zero (wait_idle asserts
+    // it).
     wait_idle(&client);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
+    let m = loop {
         let m = client.metrics();
-        let eof = m
-            .disconnects
-            .iter()
-            .find(|(c, _)| *c == "eof")
-            .map_or(0, |&(_, n)| n);
-        if eof >= 1 && m.active_connections == 0 {
-            break;
+        let closed: u64 = m.disconnects.iter().map(|&(_, n)| n).sum();
+        if closed >= 1 && m.active_connections == 0 {
+            break m;
         }
-        assert!(std::time::Instant::now() < deadline, "EOF never recorded");
+        assert!(std::time::Instant::now() < deadline, "close never recorded");
         std::thread::sleep(Duration::from_millis(5));
-    }
+    };
+    let count = |reason: &str| {
+        m.disconnects
+            .iter()
+            .find(|(c, _)| *c == reason)
+            .map_or(0, |&(_, n)| n)
+    };
+    assert_eq!(
+        (count("eof"), count("error")),
+        (1, 0),
+        "a hang-up is counted eof: {:?}",
+        m.disconnects
+    );
 
     // The freed slot serves the next tenant immediately.
     let ticket = client.submit(NetRequest::new(h, DecodeRequest::new(2, query(2), 10, 2)));

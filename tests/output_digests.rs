@@ -1,7 +1,7 @@
 //! Checked-in digests of the host kernels' output bytes.
 //!
 //! Each case runs one kernel — `attention_decode`, `gemm_fused`,
-//! `gemv_xw`, `gemv_lut_batch` or `VqQuantizer::quantize` — on inputs
+//! `Session::run_gemv`, `gemv_lut_batch` or `VqQuantizer::quantize` — on inputs
 //! built by integer hashing (no `sin` / `exp` / `ln`, whose last bits
 //! differ between C libraries) and hashes its output with FNV-1a over the
 //! little-endian bytes. The digests in `output_digests.txt` were taken on
@@ -24,7 +24,7 @@ use vq_llm::kernels::host_exec::{self, AttentionBatch, HostBlocking, RaggedExt};
 use vq_llm::tensor::Tensor2D;
 use vq_llm::vq::config::CodebookScope;
 use vq_llm::vq::VqQuantizer;
-use vq_llm::VqAlgorithm;
+use vq_llm::{BackendKind, ComputeOp, Session, VqAlgorithm};
 
 /// The checked-in digests, one `case hex` line each.
 const DIGESTS: &str = include_str!("output_digests.txt");
@@ -112,10 +112,19 @@ fn gemm_fused_cases() -> Cases {
         .collect()
 }
 
-/// `y = xᵀ · dequant(Wq)` over every preset's `512 × 256` weight: the
-/// aggregation saturates (the dense dot expansion) wherever a band holds
-/// at least as many rows as a book stored entries.
-fn gemv_xw_cases() -> Cases {
+/// `y = xᵀ · dequant(Wq)` over every preset's `512 × 256` weight through
+/// `Session::run_gemv` on a one-thread CPU backend: `gemm_fused` on one
+/// row, the value pass one lane wide or the panel body.
+fn run_gemv_cases() -> Cases {
+    let session = Session::builder()
+        .backend_kind(BackendKind::Cpu { threads: 1 })
+        .build()
+        .unwrap();
+    let op = ComputeOp::Gemv {
+        n: 256,
+        k: 512,
+        batch: 1,
+    };
     VqAlgorithm::ALL
         .into_iter()
         .enumerate()
@@ -123,8 +132,9 @@ fn gemv_xw_cases() -> Cases {
             let seed = 0x9e77_0000 + i as u64;
             let wq = synthetic(alg.config(), 512, 256, seed);
             let x = f32s(512, &mut (seed ^ 0xb));
-            let y = host_exec::gemv_xw(&x, &wq, &HostBlocking::default()).unwrap();
-            (format!("gemv_xw/{alg}"), digest(&y))
+            let plan = session.plan(wq.config(), &op).unwrap();
+            let (y, _) = session.run_gemv(&plan, &x, &wq).unwrap();
+            (format!("run_gemv/{alg}"), digest(&y))
         })
         .collect()
 }
@@ -231,8 +241,8 @@ fn gemm_fused_bytes() {
 }
 
 #[test]
-fn gemv_xw_bytes() {
-    check("gemv_xw", gemv_xw_cases());
+fn run_gemv_bytes() {
+    check("run_gemv", run_gemv_cases());
 }
 
 #[test]
@@ -251,7 +261,7 @@ fn rewrite_output_digests() {
     let cases = [
         attention_cases(),
         gemm_fused_cases(),
-        gemv_xw_cases(),
+        run_gemv_cases(),
         gemv_lut_batch_cases(),
         quantize_cases(),
     ]
