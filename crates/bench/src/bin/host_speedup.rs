@@ -47,13 +47,12 @@
 //!   gains nothing: what a return to one-book-at-a-time seeding reads
 //!
 //! Beside the fold it records the search inside it alone —
-//! `nearest_ns_per_search` (256 entries, vs 2) and `nearest_tier`, the
-//! arm `kmeans::nearest` dispatched to — ungated, and beside the softmax
-//! and value-pass costs the arms those ran: `softmax_tier` and
-//! `value_tier` (`avx512f`, `avx2+fma` or `scalar-8w`). Beside the
-//! lockstep gate it records `quantize_cq4_ms`, a whole 2048×128 CQ-4
-//! `VqQuantizer::quantize` (what a context's K or V costs to register),
-//! best of 3, ungated.
+//! `nearest_ns_per_search` (256 entries, vs 2) — ungated, and
+//! `simd_tier` names the tier every SIMD dispatch ran on (`avx512f`,
+//! `avx2+fma` or `scalar-8w`): k-means' search and the kernels' arms pick
+//! their bodies by one `Isa` witness. Beside the lockstep gate it records
+//! `quantize_cq4_ms`, a whole 2048×128 CQ-4 `VqQuantizer::quantize` (what
+//! a context's K or V costs to register), best of 3, ungated.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -186,7 +185,7 @@ fn main() {
     let fused_gbps = fp16_bytes / gemv.fused_s / 1e9;
     let naive_gbps = fp16_bytes / gemv.naive_s / 1e9;
     report.section(&format!(
-        "LUT GeMV  y = dequant(Wq)·x   ({rows}×{cols}, {cfg}, lane kernels' simd tier {})",
+        "LUT GeMV  y = dequant(Wq)·x   ({rows}×{cols}, {cfg}, simd tier {})",
         simd::tier()
     ));
     report.line(format!(
@@ -442,7 +441,7 @@ fn main() {
     // Both lane kernels dispatch to the widest arm the machine has; at this
     // shape (8 lanes, 64 groups a consecutive arena run) the value pass
     // takes its lane-pair kernel there.
-    let lane_tier = simd::tier();
+    let tier = simd::tier();
     report.section(&format!(
         "Attention per packed code   (batch {pbatch}, {pseq}×{pdim}, {cq4})"
     ));
@@ -453,8 +452,8 @@ fn main() {
     report.line(format!(
         "  score pass (gemv_lut_batch) {score_pass_ns_per_code:.2} ns/code   \
          at batch 16 {score_pass_b16_ns_per_code:.2}   \
-         softmax ({lane_tier}) {softmax_ns_per_score:.2} ns/score   \
-         value pass (value_accumulate, {lane_tier}) {value_pass_ns_per_code:.2} ns/code"
+         softmax ({tier}) {softmax_ns_per_score:.2} ns/score   \
+         value pass (value_accumulate, {tier}) {value_pass_ns_per_code:.2} ns/code"
     ));
 
     // --- Live KV: the private extension's passes and the fold ---
@@ -527,7 +526,6 @@ fn main() {
             .fold(0u32, u32::wrapping_add)
     }) * 1e9
         / (search_points.len() / vs) as f64;
-    let nearest_tier = kmeans::nearest_tier();
     let kvs: Vec<TenantKv> = (0..llanes).map(fill).collect();
     let exts: Vec<_> = kvs.iter().map(TenantKv::ext).collect();
     let lq = Tensor2D::from_fn(llanes, ldim, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
@@ -548,7 +546,7 @@ fn main() {
         fmt_us(ragged_s * 1e6),
     ));
     report.line(format!(
-        "  codebook search (kmeans::nearest, {} entries, vs {vs}, {nearest_tier} tier) \
+        "  codebook search (kmeans::nearest, {} entries, vs {vs}, {tier} tier) \
          {nearest_ns_per_search:.1} ns/search",
         book.stored_entries(),
     ));
@@ -631,13 +629,10 @@ fn main() {
             ("fold_us_per_row", num(fold_us_per_row)),
             ("fold_batch8_us_per_row", num(fold_batch8_us_per_row)),
             ("nearest_ns_per_search", num(nearest_ns_per_search)),
-            ("nearest_tier", Json::Str(nearest_tier.to_string())),
             ("quantize_cq4_ms", num(quantize_cq4_ms)),
             ("kmeans_book_ms", num(kmeans_book_ms)),
             ("kmeans_lockstep8_book_ms", num(kmeans_lockstep8_book_ms)),
-            ("softmax_tier", Json::Str(lane_tier.to_string())),
-            ("value_tier", Json::Str(lane_tier.to_string())),
-            ("simd_tier", Json::Str(simd::tier().to_string())),
+            ("simd_tier", Json::Str(tier.to_string())),
             ("smoke", Json::Bool(smoke)),
         ],
     );

@@ -11,7 +11,7 @@
 //!   through the modelled codebook cache.
 //! * [`CpuBackend`] — real host execution: the same planner decisions for
 //!   the modelled counters, but `run_*` dispatches to the fused
-//!   [`host_exec`](crate::host_exec) kernels, which compute directly on
+//!   [`host_exec`] kernels, which compute directly on
 //!   packed codes with cache-resident codebook LUTs, runtime-dispatched
 //!   SIMD inner loops, and parallel paths on the persistent
 //!   [`host_exec::pool::WorkerPool`].
@@ -41,7 +41,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Unplannable`](crate::KernelError::Unplannable)
+    /// Returns [`KernelError::Unplannable`]
     /// when no launchable configuration exists.
     fn plan_at(
         &self,
@@ -75,7 +75,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Unplannable`](crate::KernelError::Unplannable)
+    /// Returns [`KernelError::Unplannable`]
     /// when no launchable configuration exists for the request.
     fn plan_request(
         &self,

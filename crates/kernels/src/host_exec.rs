@@ -11,14 +11,14 @@
 //! [`simd::LANES`] activations ride the lanes of one vector, a block of `w`
 //! of them padded to `W = `[`simd::padded_lanes`]`(w)` ∈ {1, 2, 4, 8}.
 //!
-//! * **The score pass** ([`lut_scores`]) — `Y = dequant(Wq) · Xᵀ`,
+//! * **The score pass** (`lut_scores`) — `Y = dequant(Wq) · Xᵀ`,
 //!   sub-vectors along the *reduction* axis (the decode-centric LUT GeMV of
 //!   EVA/VPTQ): per (residual round, column group) a lane-interleaved table
 //!   of activation · centroid partial dots, then one load and one add per
 //!   packed code into sums a small row block keeps in registers
 //!   ([`simd::lut_batch_accumulate`]). [`gemv_lut_batch`] is this pass,
 //!   [`gemv_lut`] its one-lane case, attention's K side its prefix.
-//! * **The value pass** ([`value_lanes`] → [`simd::value_accumulate`]) —
+//! * **The value pass** (`value_lanes` → [`simd::value_accumulate`]) —
 //!   `C = A × dequant(Wq)`, sub-vectors along the *output* axis: per packed
 //!   code, one broadcast of its entry from the codebook arena
 //!   ([`CodebookSet::book_run`]) and the multiply-adds by the row's `W`
@@ -37,11 +37,11 @@
 //! **Where the value pass hands over.** [`simd::value_accumulate`]'s
 //! register kernels cover what serving uses: one residual round of one-byte
 //! codes over plain 256-entry books with 2-, 4- or 8-wide entries
-//! ([`lanes_cover`]); a span whose books are neither consecutive scopes nor
+//! (`lanes_cover`); a span whose books are neither consecutive scopes nor
 //! one shared book runs its lane-array body. For every other configuration — codes wider than a
 //! byte, more residual rounds, lattice signs, other sub-vector widths —
 //! re-decoding a row once per lane block costs more than decoding it once
-//! to memory, so [`gemm_fused`] runs the **panel body** ([`gemm_panels`]:
+//! to memory, so [`gemm_fused`] runs the **panel body** (`gemm_panels`:
 //! decode a K-chunk of rows, reuse it across a register-blocked
 //! micro-kernel). That is the paper's register- versus shared-memory-level
 //! fusion threshold, and like it the choice is a function of the tensor's
@@ -53,12 +53,12 @@
 //! The paper's dataflow is codebook-centric with **register-level** fusion:
 //! a dequantized value goes from the codebook cache into the consuming
 //! instruction, never through memory. The attention body
-//! ([`attention_lanes`]) is that on the host. A lane block of queries works
+//! (`attention_lanes`) is that on the host. A lane block of queries works
 //! in one token-major buffer of `bound × W` floats (`bound`: the longest
 //! prefix a lane attends — packed K/V rows no query attends are never
 //! streamed):
 //!
-//! 1. **Score** ([`lut_scores`]): the LUT pass writes
+//! 1. **Score** (`lut_scores`): the LUT pass writes
 //!    `q_b · dequant(K)[t]` into `buf[t][b]`, and scores lane `b`'s folded
 //!    extension rows out of lane `b`'s column of the same table.
 //! 2. **Softmax** ([`simd::softmax_lanes`]): lane-wise and in place. Each
@@ -66,7 +66,7 @@
 //!    every score becomes the numerator `exp(s·scale − max)` through one
 //!    polynomial [`simd::exp`]; rows past a lane's prefix become exactly
 //!    +0.0. The normalising sum is kept per lane and divides last.
-//! 3. **Value** ([`value_lanes`]): column groups outermost — a block's
+//! 3. **Value** (`value_lanes`): column groups outermost — a block's
 //!    codebooks, one run of the arena, are its L1-resident codebook cache,
 //!    its `vector_size × groups` output elements × `W` lanes its
 //!    register-resident accumulators — and the rows are streamed once per
@@ -599,13 +599,13 @@ fn lanes_cover(cfg: &VqConfig) -> bool {
 /// Fused GeMM: `C = A (m×k) × dequant(Wq) (k×n)` — the linear layer's
 /// kernel.
 ///
-/// On a configuration the register kernel covers ([`lanes_cover`]) this is
+/// On a configuration the register kernel covers (`lanes_cover`) this is
 /// the **value pass** with the batch as lanes: up to [`simd::LANES`] rows
-/// of `A` are transposed into a `k × W` weight buffer, [`value_lanes`]
+/// of `A` are transposed into a `k × W` weight buffer, `value_lanes`
 /// streams `Wq`'s packed rows against it, and the accumulators are
 /// transposed out — every output one multiply-add chain over `k`, no
 /// panel, no K-split; the worker count only partitions column groups.
-/// Every other configuration runs the panel body ([`gemm_panels`]).
+/// Every other configuration runs the panel body (`gemm_panels`).
 ///
 /// # Errors
 ///

@@ -1,14 +1,13 @@
 //! SIMD-wide inner loops for the host kernels.
 //!
 //! Every primitive here ships two tiers behind one safe entry point, and
-//! the lane kernels — softmax and the value pass — a third:
+//! the lane kernels — softmax and the value pass — a third, each entry a
+//! `match` on the [`Isa`] witness of the tier this machine runs
+//! ([`Isa::detect`]):
 //!
-//! * an **AVX2 + FMA** path (`#[cfg(target_arch = "x86_64")]`, selected at
-//!   runtime via `is_x86_feature_detected!`, which caches the CPUID
-//!   probe);
+//! * an **AVX2 + FMA** path (`#[cfg(target_arch = "x86_64")]`);
 //! * for [`softmax_lanes`] and [`value_accumulate`], an **AVX-512F** path
-//!   beside it, selected the same way: the same operations on 512-bit
-//!   vectors;
+//!   beside it: the same operations on 512-bit vectors;
 //! * a **scalar** fallback restructured into 8-wide unrolled accumulator
 //!   lanes so LLVM's autovectorizer reliably emits packed math on any
 //!   target (and out-of-order cores get independent dependency chains even
@@ -66,6 +65,7 @@
 )]
 
 use super::CodeStream;
+use vqllm_tensor::isa::{Isa, Tier};
 use vqllm_vq::{BookRun, Codebook, PackedIndices};
 
 /// Width of the accumulator-lane unroll (one AVX2 register of f32).
@@ -78,47 +78,11 @@ pub const GEMM_MR: usize = 6;
 /// Output columns per GeMM micro-kernel tile (two 8-wide vectors).
 pub const GEMM_NR: usize = 16;
 
-/// Whether the AVX2 + FMA tier is selected on this machine.
-#[inline]
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // std caches the CPUID probe; this is a load + test after the
-        // first call.
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the AVX-512 arms of the lane kernels ([`softmax_lanes`],
-/// [`value_accumulate`]) are selected on this machine: AVX-512F beside the
-/// AVX2 + FMA tier.
-#[inline]
-pub fn avx512_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Human-readable name of the widest arm the lane kernels use on this
-/// machine (for reports/benches): `avx512f`, `avx2+fma` or `scalar-8w`.
-/// The other primitives' widest arm is AVX2 + FMA.
+/// Name of the tier this machine runs (for reports/benches): `avx512f`,
+/// `avx2+fma` or `scalar-8w`. Only the lane kernels have an AVX-512 arm;
+/// the other primitives run their AVX2 + FMA one on an AVX-512 machine.
 pub fn tier() -> &'static str {
-    if avx512_available() {
-        "avx512f"
-    } else if avx2_available() {
-        "avx2+fma"
-    } else {
-        "scalar-8w"
-    }
+    Isa::detect().name()
 }
 
 /// Runs `$f::<W, ..>` for the lane count `$w` (`1..=LANES`): the batched
@@ -191,13 +155,15 @@ pub fn lut_batch_build(gslab: &mut [f32], inter: &[f32], xt: &[f32], w: usize) {
         (gslab.len() / w) * (xt.len() / w),
         "interleaved codebook is vs × stored"
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        unsafe { with_lanes!(w, lut_build_lanes_avx2; gslab, inter, xt) };
-        return;
+    match Isa::detect().tier() {
+        Tier::Portable => with_lanes!(w, lut_build_lanes; gslab, inter, xt),
+        // SAFETY: an `Avx2` or `Avx512` witness means this machine runs
+        // AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => unsafe {
+            with_lanes!(w, lut_build_lanes_avx2; gslab, inter, xt)
+        },
     }
-    with_lanes!(w, lut_build_lanes; gslab, inter, xt);
 }
 
 /// Slots whose sums [`lut_batch_build`] holds in registers at once: enough
@@ -341,13 +307,15 @@ pub fn lut_batch_accumulate<const W: usize>(
     if lut.is_empty() {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        unsafe { lut_accumulate_lanes_avx2(y, lut, stored, codes, gb) };
-        return;
+    match Isa::detect().tier() {
+        Tier::Portable => lut_accumulate_lanes(y, lut, stored, codes, gb),
+        // SAFETY: an `Avx2` or `Avx512` witness means this machine runs
+        // AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => unsafe {
+            lut_accumulate_lanes_avx2(y, lut, stored, codes, gb)
+        },
     }
-    lut_accumulate_lanes(y, lut, stored, codes, gb);
 }
 
 /// Group blocks outermost, then row blocks of [`LUT_ROW_BLOCK`] (single
@@ -481,15 +449,16 @@ pub fn gemm_acc_tile(
         kb == 0 || (kb - 1) * stride + j0 + GEMM_NR <= panel.len(),
         "panel covers tile"
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified; bounds are
-        // debug-asserted above and enforced by the slice indexing in the
-        // scalar path's shared contract.
-        unsafe { gemm_acc_tile_avx2(arows, panel, stride, j0, kb, acc) };
-        return;
+    match Isa::detect().tier() {
+        Tier::Portable => gemm_acc_tile_scalar(arows, panel, stride, j0, kb, acc),
+        // SAFETY: an `Avx2` or `Avx512` witness means this machine runs
+        // AVX2 and FMA; bounds are debug-asserted above and enforced by the
+        // slice indexing in the scalar path's shared contract.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => unsafe {
+            gemm_acc_tile_avx2(arows, panel, stride, j0, kb, acc)
+        },
     }
-    gemm_acc_tile_scalar(arows, panel, stride, j0, kb, acc);
 }
 
 fn gemm_acc_tile_scalar(
@@ -598,17 +567,16 @@ pub fn softmax_lanes<const W: usize>(
     scale: f32,
     ext: [&mut [f32]; W],
 ) -> [f32; W] {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: AVX-512F, AVX2 and FMA presence was just verified.
-        return unsafe { softmax_lanes_avx512(scores, lens, scale, ext) };
+    match Isa::detect().tier() {
+        Tier::Portable => softmax_lanes_body::<W, W>(scores, lens, scale, ext),
+        // SAFETY: an `Avx2` witness means this machine runs AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { softmax_lanes_avx2(scores, lens, scale, ext) },
+        // SAFETY: an `Avx512` witness means this machine runs AVX-512F,
+        // AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { softmax_lanes_avx512(scores, lens, scale, ext) },
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        return unsafe { softmax_lanes_avx2(scores, lens, scale, ext) };
-    }
-    softmax_lanes_body::<W, W>(scores, lens, scale, ext)
 }
 
 /// [`softmax_lanes`] with `L` floats a vector: lane `l` of a vector is lane
@@ -736,10 +704,10 @@ pub fn value_group_block(vs: usize) -> usize {
     if !matches!(vs, 2 | 4 | 8) {
         return 0;
     }
-    if avx512_available() {
-        pair_shape(LANES, vs, ZMM_LANES, ZMM_REGISTERS).2
-    } else {
-        pair_shape(LANES, vs, LANES, YMM_REGISTERS).2
+    match Isa::detect().tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => pair_shape(LANES, vs, ZMM_LANES, ZMM_REGISTERS).2,
+        _ => pair_shape(LANES, vs, LANES, YMM_REGISTERS).2,
     }
 }
 
@@ -814,13 +782,16 @@ pub fn value_accumulate<const W: usize>(
         span > 0 && acc.len().is_multiple_of(span) && gs + span <= groups,
         "acc is span × vs rows of lanes"
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA presence was just verified.
-        unsafe { x86::value_accumulate_avx2(acc, weights, rounds, groups, gs) };
-        return;
+    let isa = Isa::detect();
+    match isa.tier() {
+        Tier::Portable => value_accumulate_lanes(acc, weights, rounds, groups, gs),
+        // SAFETY: an `Avx2` or `Avx512` witness means this machine runs
+        // AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => unsafe {
+            x86::value_accumulate_avx2(isa, acc, weights, rounds, groups, gs)
+        },
     }
-    value_accumulate_lanes(acc, weights, rounds, groups, gs);
 }
 
 /// [`value_accumulate`]'s lane-array body: rows outermost, each row's
@@ -868,6 +839,7 @@ mod x86 {
         ZMM_REGISTERS,
     };
     use std::arch::x86_64::*;
+    use vqllm_tensor::isa::{Isa, Tier};
     use vqllm_vq::Codebook;
 
     /// [`super::lut_batch_build`]'s loop for `W` lanes, compiled for AVX2 +
@@ -920,11 +892,12 @@ mod x86 {
 
     /// [`super::value_accumulate`] on the AVX2 and AVX-512 tiers: the
     /// intrinsic kernels for the spans they cover — the 512-bit lane-pair
-    /// kernel where the machine has AVX-512F, else (or on a span shorter
+    /// kernel where `isa` witnesses AVX-512F, else (or on a span shorter
     /// than its block) the 256-bit one, the row kernel at one lane — and
     /// the lane-array body for the rest.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn value_accumulate_avx2<const W: usize>(
+        isa: Isa,
         acc: &mut [[f32; W]],
         weights: &[[f32; W]],
         rounds: &[ValueRound<'_>],
@@ -957,9 +930,9 @@ mod x86 {
             }
         } else {
             let mut done = 0;
-            if super::avx512_available() {
-                // SAFETY: AVX-512F presence was just verified, AVX2 and
-                // FMA are enabled for this function.
+            if isa.tier() == Tier::Avx512 {
+                // SAFETY: an `Avx512` witness means this machine runs
+                // AVX-512F; AVX2 and FMA are enabled for this function.
                 done = unsafe { value_pairs_avx512(acc, weights, round, groups, gs) };
             }
             if done == 0 {
@@ -1496,31 +1469,16 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One primitive's two tiers by name, `[("scalar", body), ("avx2",
-    /// kernel)]` as `$ty` pointers, the AVX2 one `None` where the machine
-    /// lacks it — reported once as skipped, under `$what`.
-    macro_rules! scalar_and_avx2 {
-        ($ty:ty, $what:expr; $scalar:expr, $avx2:expr) => {{
-            static SKIPPED: std::sync::Once = std::sync::Once::new();
-            #[allow(unused_mut)]
-            let mut tiers: [(&'static str, Option<$ty>); 2] =
-                [("scalar", Some($scalar)), ("avx2", None)];
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                tiers[1].1 = Some($avx2);
-            }
-            let present: Vec<_> = tiers.iter().map(|t| (t.0, t.1.is_some())).collect();
-            report_skipped($what, &SKIPPED, &present);
-            tiers
-        }};
-    }
-
     /// One LUT-build loop called by name: `(gslab, inter, xt)`.
     type LutBuild = unsafe fn(&mut [f32], &[f32], &[f32]);
 
-    /// `lut_batch_build`'s loop at `W` lanes on each tier by name.
-    fn lut_build_tiers<const W: usize>() -> [(&'static str, Option<LutBuild>); 2] {
-        scalar_and_avx2!(LutBuild, "LUT build"; lut_build_lanes::<W>, lut_build_lanes_avx2::<W>)
+    /// `lut_batch_build`'s loop at `W` lanes on `isa`'s tier.
+    fn lut_build_on<const W: usize>(isa: Isa) -> LutBuild {
+        match isa.tier() {
+            Tier::Portable => lut_build_lanes::<W>,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => lut_build_lanes_avx2::<W>,
+        }
     }
 
     #[test]
@@ -1558,12 +1516,12 @@ mod tests {
             let mut got = vec![7.0f32; stored * w];
             lut_batch_build(&mut got, &inter, &xt, w);
             assert_eq!(bits(&got), bits(&want), "w {w}");
-            for (name, build) in with_lanes!(w, lut_build_tiers;) {
-                let Some(build) = build else { continue };
+            for isa in Isa::every() {
+                let build = with_lanes!(w, lut_build_on; isa);
                 let mut got = vec![7.0f32; stored * w];
-                // SAFETY: the loop's tier was detected on this machine.
+                // SAFETY: the loop's tier is `isa`'s, which this machine runs.
                 unsafe { build(&mut got, &inter, &xt) };
-                assert_eq!(bits(&got), bits(&want), "w {w} {name}");
+                assert_eq!(bits(&got), bits(&want), "w {w} {}", isa.name());
             }
         }
     }
@@ -1647,19 +1605,21 @@ mod tests {
     /// One `exp_lanes` called by name.
     type ExpLanes<const W: usize> = unsafe fn([f32; W]) -> [f32; W];
 
-    /// `exp_lanes` at `W` lanes on each tier by name.
-    fn exp_tiers<const W: usize>() -> [(&'static str, Option<ExpLanes<W>>); 2] {
-        scalar_and_avx2!(ExpLanes<W>, "exp"; exp_lanes::<W>, exp_lanes_avx2::<W>)
+    /// `exp_lanes` at `W` lanes on `isa`'s tier.
+    fn exp_on<const W: usize>(isa: Isa) -> ExpLanes<W> {
+        match isa.tier() {
+            Tier::Portable => exp_lanes::<W>,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => exp_lanes_avx2::<W>,
+        }
     }
 
     /// `exp(x)` on every tier the machine has, by name.
     fn exp_on_tiers(x: f32) -> impl Iterator<Item = (&'static str, f32)> {
-        exp_tiers::<1>()
-            .into_iter()
-            .filter_map(move |(name, body)| {
-                // SAFETY: the body's tier was detected on this machine.
-                body.map(|body| (name, unsafe { body([x]) }[0]))
-            })
+        Isa::every().map(move |isa| {
+            // SAFETY: the body's tier is `isa`'s, which this machine runs.
+            (isa.name(), unsafe { exp_on::<1>(isa)([x]) }[0])
+        })
     }
 
     #[test]
@@ -1704,11 +1664,10 @@ mod tests {
     fn exp_in_lane<const W: usize>(x: f32, b: usize, fill: f32, want: u32) {
         let mut lanes = [fill; W];
         lanes[b] = x;
-        for (name, body) in exp_tiers::<W>() {
-            let Some(body) = body else { continue };
-            // SAFETY: the body's tier was detected on this machine.
-            let got = unsafe { body(lanes) }[b].to_bits();
-            assert_eq!(got, want, "{name}: x {x} lane {b}/{W}");
+        for isa in Isa::every() {
+            // SAFETY: the body's tier is `isa`'s, which this machine runs.
+            let got = unsafe { exp_on::<W>(isa)(lanes) }[b].to_bits();
+            assert_eq!(got, want, "{}: x {x} lane {b}/{W}", isa.name());
         }
     }
 
@@ -1882,36 +1841,22 @@ mod tests {
         value_is_one_chain_per_output::<8>();
     }
 
-    /// Tiers a test names that this machine lacks, reported once a test.
-    fn report_skipped(what: &str, once: &std::sync::Once, tiers: &[(&str, bool)]) {
-        let missing: Vec<&str> = tiers.iter().filter(|t| !t.1).map(|t| t.0).collect();
-        if !missing.is_empty() {
-            once.call_once(|| eprintln!("{what}: tiers SKIPPED, CPU lacks them: {missing:?}"));
-        }
-    }
-
     /// One value-pass kernel called by name: `(acc, weights, round,
     /// groups, gs) → groups covered`.
     type ValueKernel<const W: usize> =
         unsafe fn(&mut [[f32; W]], &[[f32; W]], &ValueRound<'_>, usize, usize) -> usize;
 
-    /// The lane-pair kernels this test build knows, by name, with whether
-    /// the machine has them.
-    fn pair_kernels<const W: usize>() -> Vec<(&'static str, usize, Option<ValueKernel<W>>)> {
-        let mut tiers: Vec<(&'static str, usize, Option<ValueKernel<W>>)> = vec![
-            ("lane-pair 256", LANES, None),
-            ("lane-pair 512", ZMM_LANES, None),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if avx2_available() {
-                tiers[0].2 = Some(x86::value_pairs_avx2::<W>);
-            }
-            if avx512_available() {
-                tiers[1].2 = Some(x86::value_pairs_avx512::<W>);
-            }
+    /// The lane-pair kernel of `isa`'s tier by name, with its vector width
+    /// in `f32`; none on the portable tier, whose lane-array body is what
+    /// the kernels are checked against.
+    fn pair_kernel<const W: usize>(isa: Isa) -> Option<(&'static str, usize, ValueKernel<W>)> {
+        match isa.tier() {
+            Tier::Portable => None,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => Some(("lane-pair 256", LANES, x86::value_pairs_avx2::<W>)),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => Some(("lane-pair 512", ZMM_LANES, x86::value_pairs_avx512::<W>)),
         }
-        tiers
     }
 
     /// Groups a lane-pair block of `vs`-wide entries takes at `W` lanes on
@@ -1938,18 +1883,13 @@ mod tests {
         gs: usize,
         what: &str,
     ) {
-        static SKIPPED: std::sync::Once = std::sync::Once::new();
         let span = round.books.len();
         let mut want = start.to_vec();
         value_accumulate_lanes(&mut want, weights, &[round], groups, gs);
-        let tiers = pair_kernels::<W>();
-        let present: Vec<_> = tiers.iter().map(|t| (t.0, t.2.is_some())).collect();
-        report_skipped("value pass", &SKIPPED, &present);
         let vs = start.len() / span;
-        for (name, lanes, kernel) in tiers {
-            let Some(kernel) = kernel else { continue };
+        for (name, lanes, kernel) in Isa::every().filter_map(pair_kernel::<W>) {
             let mut got = start.to_vec();
-            // SAFETY: the kernel's tier was detected on this machine.
+            // SAFETY: the kernel's tier is one this machine runs.
             let done = unsafe { kernel(&mut got, weights, &round, groups, gs) };
             let covers = round.run.is_some() && span >= pair_block_of::<W>(vs, lanes);
             assert_eq!(done, if covers { span } else { 0 }, "{name}: {what}");
@@ -2063,8 +2003,7 @@ mod tests {
             };
             let mut want = start.clone();
             value_accumulate_lanes(&mut want, &weights, &[whole], groups, gs);
-            for (name, _, kernel) in pair_kernels::<W>() {
-                let Some(kernel) = kernel else { continue };
+            for (name, _, kernel) in Isa::every().filter_map(pair_kernel::<W>) {
                 let mut got = start.clone();
                 for (ps, pe) in [(gs, tile), (tile, 2 * tile), (2 * tile, ge)] {
                     let books = set.row_books(0, 1, ps..pe);
@@ -2075,7 +2014,7 @@ mod tests {
                     };
                     assert_eq!(piece.run.map(|r| r.stride), Some(0), "one book a tile");
                     let acc = &mut got[(ps - gs) * vs..(pe - gs) * vs];
-                    // SAFETY: the kernel's tier was detected on this machine.
+                    // SAFETY: the kernel's tier is one this machine runs.
                     let done = unsafe { kernel(acc, &weights, &piece, groups, ps) };
                     if done == 0 {
                         value_accumulate_lanes(acc, &weights, &[piece], groups, ps);
@@ -2116,42 +2055,31 @@ mod tests {
     type SoftmaxBody<const W: usize> =
         unsafe fn(&mut [[f32; W]], &[usize; W], f32, [&mut [f32]; W]) -> [f32; W];
 
-    /// Softmax bodies by name: the scalar body one row a vector and
-    /// sixteen lanes a vector (the row-slot logic, on any machine), then
-    /// the AVX2 and AVX-512 tiers where the machine has them (`None`
-    /// otherwise).
-    fn softmax_bodies<const W: usize>() -> [(&'static str, Option<SoftmaxBody<W>>); 4] {
-        #[allow(unused_mut)]
-        let mut bodies: [(&'static str, Option<SoftmaxBody<W>>); 4] = [
-            ("scalar, a row a vector", Some(softmax_lanes_body::<W, W>)),
-            (
-                "scalar, 16 lanes a vector",
-                Some(softmax_lanes_body::<W, ZMM_LANES>),
-            ),
-            ("avx2", None),
-            ("avx512", None),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if avx2_available() {
-                bodies[2].1 = Some(softmax_lanes_avx2::<W>);
-            }
-            if avx512_available() {
-                bodies[3].1 = Some(softmax_lanes_avx512::<W>);
-            }
+    /// Softmax bodies of `isa`'s tier by name: on the portable tier the
+    /// scalar body one row a vector and sixteen lanes a vector (the
+    /// row-slot logic, on any machine).
+    fn softmax_bodies<const W: usize>(isa: Isa) -> Vec<(&'static str, SoftmaxBody<W>)> {
+        match isa.tier() {
+            Tier::Portable => vec![
+                ("scalar, a row a vector", softmax_lanes_body::<W, W>),
+                (
+                    "scalar, 16 lanes a vector",
+                    softmax_lanes_body::<W, ZMM_LANES>,
+                ),
+            ],
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => vec![("avx2", softmax_lanes_avx2::<W>)],
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => vec![("avx512", softmax_lanes_avx512::<W>)],
         }
-        bodies
     }
 
     /// Every softmax body at `W` lanes on the same buffers, bit for bit
-    /// against the first (scalar) one's result: row counts
-    /// odd, even and past a vector, prefixes ending mid-pair, a padded
-    /// lane, a ±0 tie at a lane's maximum and a NaN score.
+    /// against the first one's result: row counts odd, even and past a
+    /// vector, prefixes ending mid-pair, a padded lane, a ±0 tie at a
+    /// lane's maximum and a NaN score.
     fn softmax_tiers_agree<const W: usize>() {
-        static SKIPPED: std::sync::Once = std::sync::Once::new();
-        let bodies = softmax_bodies::<W>();
-        let present: Vec<_> = bodies.iter().map(|b| (b.0, b.1.is_some())).collect();
-        report_skipped("softmax", &SKIPPED, &present);
+        let bodies: Vec<_> = Isa::every().flat_map(softmax_bodies::<W>).collect();
         let scale = 0.125f32;
         for rows in [0usize, 1, 2, 3, 15, 16, 17, 37] {
             let mut scores: Vec<[f32; W]> = lane_rows::<W>(rows, 0.41)
@@ -2189,13 +2117,12 @@ mod tests {
                 .collect();
             let mut want: Option<(Vec<u32>, Vec<u32>)> = None;
             for (name, body) in &bodies {
-                let Some(body) = body else { continue };
                 let mut got = scores.clone();
                 let mut got_ext = exts.clone();
                 let mut refs = got_ext.iter_mut();
                 let lane_exts: [&mut [f32]; W] =
                     std::array::from_fn(|_| refs.next().expect("W lanes").as_mut_slice());
-                // SAFETY: the body's tier was detected on this machine.
+                // SAFETY: the body's tier is one this machine runs.
                 let sums = unsafe { body(&mut got, &lens, scale, lane_exts) };
                 let out: Vec<u32> = got
                     .as_flattened()
@@ -2224,14 +2151,21 @@ mod tests {
     type GemmTile =
         unsafe fn(&[&[f32]; GEMM_MR], &[f32], usize, usize, usize, &mut [[f32; GEMM_NR]; GEMM_MR]);
 
+    /// The GeMM tile on `isa`'s tier.
+    fn gemm_tile_on(isa: Isa) -> GemmTile {
+        match isa.tier() {
+            Tier::Portable => gemm_acc_tile_scalar,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => gemm_acc_tile_avx2,
+        }
+    }
+
     #[test]
     fn gemm_tile_matches_naive_triple_loop() {
         // Depths 0, 1, 11 and 37 onto a nonzero `acc`, both tile columns
         // of a two-tile panel: near the exact sums, and bit for bit one
         // chain of fused multiply-adds from +0.0 per element, added to
         // `acc` once — dispatched and on each tier by name.
-        let tiers =
-            scalar_and_avx2!(GemmTile, "GeMM tile"; gemm_acc_tile_scalar, gemm_acc_tile_avx2);
         let stride = 2 * GEMM_NR;
         let start: [[f32; GEMM_NR]; GEMM_MR] =
             std::array::from_fn(|p| std::array::from_fn(|l| ((p * GEMM_NR + l) as f32).cos()));
@@ -2263,14 +2197,13 @@ mod tests {
                 }
                 let want = bits(want.as_flattened());
                 assert_eq!(bits(got.as_flattened()), want, "kb {kb} j0 {j0}");
-                for (name, tile) in tiers {
-                    let Some(tile) = tile else { continue };
+                for isa in Isa::every() {
                     let mut got = start;
-                    // SAFETY: the tile's tier was detected on this machine;
-                    // the panel covers the tile at every depth.
-                    unsafe { tile(&arows, &panel, stride, j0, kb, &mut got) };
+                    // SAFETY: the tile's tier is `isa`'s, which this machine
+                    // runs; the panel covers the tile at every depth.
+                    unsafe { gemm_tile_on(isa)(&arows, &panel, stride, j0, kb, &mut got) };
                     let got = bits(got.as_flattened());
-                    assert_eq!(got, want, "{name}: kb {kb} j0 {j0}");
+                    assert_eq!(got, want, "{}: kb {kb} j0 {j0}", isa.name());
                 }
             }
         }

@@ -60,7 +60,7 @@ pub enum LlmError {
         /// Description of the problem.
         what: &'static str,
     },
-    /// A request named a [`ContextHandle`](serve::ContextHandle) that this
+    /// A request named a [`ContextHandle`] that this
     /// engine never issued.
     UnknownContext {
         /// The unrecognized handle id.
@@ -70,7 +70,7 @@ pub enum LlmError {
     /// ([`MultiServer::cancel`](serve::MultiServer::cancel)).
     Cancelled,
     /// SLO-aware admission projected the request cannot meet its deadline
-    /// ([`SloEstimator`](serve::SloEstimator)); retry after the computed
+    /// ([`SloEstimator`]); retry after the computed
     /// backoff, or ask for a longer deadline.
     DeadlineUnmeetable {
         /// Milliseconds after which the same deadline could be met if the

@@ -215,17 +215,6 @@ impl<T> FairQueue<T> {
         }
         None
     }
-
-    /// Visits every queued item (scheduling order is *not* implied).
-    pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        for class in &self.classes {
-            for lane in &class.lanes {
-                for item in &lane.q {
-                    f(item);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //! * [`linalg`] — reference math (matmul/GeMV/softmax/attention) used as
 //!   ground truth by every fused-kernel correctness test.
 //! * [`metrics`] — reconstruction-error metrics (MSE, relative Frobenius).
+//! * [`isa`] — the [`Isa`] witness every SIMD dispatch in the workspace
+//!   picks its body by.
 //!
 //! # Example
 //!
@@ -26,12 +28,14 @@
 //! ```
 
 pub mod dtype;
+pub mod isa;
 pub mod linalg;
 pub mod metrics;
 pub mod synth;
 pub mod tensor;
 
 pub use dtype::DType;
+pub use isa::Isa;
 pub use tensor::Tensor2D;
 
 /// Error type for tensor operations.

@@ -18,6 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vqllm_tensor::isa::{Isa, Tier};
 
 /// Result of a k-means run.
 #[derive(Debug, Clone)]
@@ -349,129 +350,82 @@ fn nearest_avx512<const N: usize>(
     out
 }
 
-/// The instruction tiers [`nearest_many`] and k-means++ seeding have a
-/// body for. A value other than `Portable` is a witness that the machine
-/// runs that tier — and `Avx512` that it runs AVX2 as well: only
-/// [`Tier::detect`] (and tests, after the same check) make one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Tier {
-    /// The widest tier this machine runs.
-    fn detect() -> Tier {
+/// Searches `N` points on `isa`'s body over a table of `k` entries.
+#[inline(always)]
+fn search<const N: usize>(
+    isa: Isa,
+    points: &[&[f32]],
+    em: &[f32],
+    dim: usize,
+    k: usize,
+    out: &mut [(u32, f32)],
+) {
+    let points: &[&[f32]; N] = points.try_into().expect("N points");
+    let found = match isa.tier() {
+        Tier::Portable => nearest_lanes(points, em, dim, k),
+        // SAFETY: an `Avx2` witness means this machine runs AVX2.
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    return Tier::Avx512;
-                }
-                return Tier::Avx2;
-            }
-        }
-        Tier::Portable
-    }
+        Tier::Avx2 => unsafe { nearest_avx2(points, em, dim, k) },
+        // SAFETY: an `Avx512` witness means this machine runs AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { nearest_avx512(points, em, dim, k) },
+    };
+    out.copy_from_slice(&found);
+}
 
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => "avx2",
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => "avx512f",
-        }
-    }
-
-    /// Searches `N` points on this tier over a table of `k` entries.
-    #[inline(always)]
-    fn search<const N: usize>(
-        self,
-        points: &[&[f32]],
-        em: &[f32],
-        dim: usize,
-        k: usize,
-        out: &mut [(u32, f32)],
-    ) {
-        let points: &[&[f32]; N] = points.try_into().expect("N points");
-        let found = match self {
-            Tier::Portable => nearest_lanes(points, em, dim, k),
-            // SAFETY: a `Tier::Avx2` exists only where AVX2 was detected.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { nearest_avx2(points, em, dim, k) },
-            // SAFETY: a `Tier::Avx512` exists only where AVX-512F was
-            // detected.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { nearest_avx512(points, em, dim, k) },
-        };
-        out.copy_from_slice(&found);
-    }
-
-    /// Points this tier searches in one pass: what its registers hold
-    /// without spilling — eight on AVX-512's 32 registers, four on AVX2's
-    /// 16, and one for the portable body, which the compiler only keeps
-    /// in registers for a single point.
-    fn points_per_pass(self) -> usize {
-        match self {
-            Tier::Portable => 1,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => 4,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => MAX_POINTS,
-        }
-    }
-
-    /// Searches 1..=[`MAX_POINTS`] points in one pass over a table of `k`
-    /// entries.
-    #[inline(always)]
-    fn search_some(
-        self,
-        points: &[&[f32]],
-        em: &[f32],
-        dim: usize,
-        k: usize,
-        out: &mut [(u32, f32)],
-    ) {
-        match points.len() {
-            1 => self.search::<1>(points, em, dim, k, out),
-            2 => self.search::<2>(points, em, dim, k, out),
-            3 => self.search::<3>(points, em, dim, k, out),
-            4 => self.search::<4>(points, em, dim, k, out),
-            5 => self.search::<5>(points, em, dim, k, out),
-            6 => self.search::<6>(points, em, dim, k, out),
-            7 => self.search::<7>(points, em, dim, k, out),
-            _ => self.search::<MAX_POINTS>(points, em, dim, k, out),
-        }
+/// Points `isa`'s body searches in one pass: what its registers hold
+/// without spilling — eight on AVX-512's 32 registers, four on AVX2's 16,
+/// and one for the portable body, which the compiler only keeps in
+/// registers for a single point.
+fn points_per_pass(isa: Isa) -> usize {
+    match isa.tier() {
+        Tier::Portable => 1,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => 4,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => MAX_POINTS,
     }
 }
 
-/// The tier [`nearest_many`] dispatches to on this machine: `"avx512f"`,
-/// `"avx2"` or `"portable"`.
-pub fn nearest_tier() -> &'static str {
-    Tier::detect().name()
+/// Searches 1..=[`MAX_POINTS`] points on `isa`'s body in one pass over a
+/// table of `k` entries.
+#[inline(always)]
+fn search_some(
+    isa: Isa,
+    points: &[&[f32]],
+    em: &[f32],
+    dim: usize,
+    k: usize,
+    out: &mut [(u32, f32)],
+) {
+    match points.len() {
+        1 => search::<1>(isa, points, em, dim, k, out),
+        2 => search::<2>(isa, points, em, dim, k, out),
+        3 => search::<3>(isa, points, em, dim, k, out),
+        4 => search::<4>(isa, points, em, dim, k, out),
+        5 => search::<5>(isa, points, em, dim, k, out),
+        6 => search::<6>(isa, points, em, dim, k, out),
+        7 => search::<7>(isa, points, em, dim, k, out),
+        _ => search::<MAX_POINTS>(isa, points, em, dim, k, out),
+    }
 }
 
 /// Index of the nearest centroid and its squared distance for each of
 /// `points`, written to `out` in point order, over an **element-major**
-/// centroid table (`dim × k`: row `j` holds element `j` of every centroid
-/// — [`element_major_into`]'s layout).
+/// centroid table (`dim × k`: row `j` holds element `j` of every centroid).
 ///
 /// Codebook-centric: the points are searched up to [`MAX_POINTS`] at a
 /// time (eight on AVX-512, four on AVX2, one on the portable body), and
 /// each block of entries is loaded once and measured against all of them,
-/// their distance chains interleaved. Entry-parallel, in one of three
-/// tiers picked once per call ([`nearest_tier`]): AVX-512 ([`WIDE_LANES`]
-/// centroids a block), AVX2 or portable ([`LANES`] a block); the `k mod`
-/// width remainder is scanned one entry at a time. Every tier returns,
-/// for every point, bit for bit the one-centroid-at-a-time scan's result
-/// for that point alone, for three reasons:
+/// their distance chains interleaved. Entry-parallel, on the tier picked
+/// once per call by [`Isa::detect`]: AVX-512 (sixteen centroids a block),
+/// AVX2 or portable (eight a block); the `k mod` width remainder is
+/// scanned one entry at a time. Every tier returns, for every point, bit
+/// for bit the one-centroid-at-a-time scan's result for that point alone,
+/// for three reasons:
 ///
 /// * each lane runs the scan's **unfused** chain `s += (x_j − c_j)²` in
-///   `j` order (see [`dist2_lanes`]), so a distance has the scan's bits;
+///   `j` order, so a distance has the scan's bits;
 /// * a lane replaces its minimum only on a **strict `<`** (a select on
 ///   the compare mask), so it keeps its first minimum and never a NaN;
 /// * the lanes merge by **(distance, index)** — the smallest distance,
@@ -506,8 +460,8 @@ pub(crate) fn nearest_many_k(
 ) {
     assert_eq!(points.len(), out.len(), "one result per point");
     assert_eq!(centroids.len(), k * dim, "a k × dim table");
-    let tier = Tier::detect();
-    let pass = tier.points_per_pass();
+    let isa = Isa::detect();
+    let pass = points_per_pass(isa);
     for (points, out) in points.chunks(pass).zip(out.chunks_mut(pass)) {
         #[cfg(test)]
         if oracle::forced() {
@@ -516,7 +470,7 @@ pub(crate) fn nearest_many_k(
             }
             continue;
         }
-        tier.search_some(points, centroids, dim, k, out);
+        search_some(isa, points, centroids, dim, k, out);
     }
 }
 
@@ -539,7 +493,7 @@ pub fn nearest(point: &[f32], centroids: &[f32], dim: usize) -> (u32, f32) {
 pub const MAX_BOOKS: usize = LANES;
 
 /// Training slots a lockstep centre pattern spans: two AVX2 registers of
-/// `f32`, the widest block [`Tier::lower`] measures at once. Lane `l` of a
+/// `f32`, the widest block [`lower`] measures at once. Lane `l` of a
 /// pattern belongs to book `l % L`.
 const PATTERN: usize = 16;
 
@@ -554,59 +508,57 @@ fn row_stride(slots: usize) -> usize {
     slots + PATTERN
 }
 
-impl Tier {
-    /// k-means++ bookkeeping for `L` books seeded in lockstep: lowers every
-    /// training slot's `min_d2` to its distance from its book's newest centre,
-    /// and returns each book's `min_d2` total.
-    ///
-    /// Slot `i` is training point `i / L` of book `i % L`. `train` is
-    /// element-major over the slots (`train[e · row_stride(slots) + i]`),
-    /// and `centre[e]` holds element `e` of book `l % L`'s centre in lane
-    /// `l`, so a block of slots meets its books' centres one vector op per
-    /// element — sixteen slots a block on AVX2 (and AVX-512), eight on the
-    /// portable body. Each slot runs [`dist2_lanes`]'s unfused chain
-    /// (`(a − b)²` and `(b − a)²` are the same bits, so the centre plays its
-    /// point) and is lowered by a select, `if d < m { d } else { m }`:
-    /// `minps`, no branch on the data, and the value the branch gave for NaN
-    /// (never taken), ±0 (the older kept) and ∞. Each book's total is its
-    /// own `f64` chain over its slots in point order, from `−0` as
-    /// `Iterator::sum` starts: the one-book sum's bits.
-    fn lower<const L: usize>(
-        self,
-        centre: &[[f32; PATTERN]],
-        train: &[f32],
-        min_d2: &mut [f32],
-    ) -> [f64; L] {
-        let rows = centre.len() * row_stride(min_d2.len());
-        assert_eq!(train.len(), rows, "dim rows of row_stride(slots)");
-        match self {
-            Tier::Portable => lower_lanes(centre, train, min_d2),
-            // The 256-bit body on AVX-512 machines too. On a 2-core AVX-512
-            // Xeon VM a zmm body seeded 8 books of 2048 points about 0.05 ms
-            // a book faster (3 ms of a 2048×128 CQ-4 quantize's 120) and a
-            // lone book about 30 % slower.
-            // SAFETY: a `Tier::Avx2` or `Tier::Avx512` exists only where AVX2
-            // was detected.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => unsafe { lower_avx2(centre, train, min_d2) },
-        }
+/// k-means++ bookkeeping for `L` books seeded in lockstep, on `isa`'s
+/// body: lowers every training slot's `min_d2` to its distance from its
+/// book's newest centre, and returns each book's `min_d2` total.
+///
+/// Slot `i` is training point `i / L` of book `i % L`. `train` is
+/// element-major over the slots (`train[e · row_stride(slots) + i]`), and
+/// `centre[e]` holds element `e` of book `l % L`'s centre in lane `l`, so a
+/// block of slots meets its books' centres one vector op per element —
+/// sixteen slots a block on AVX2 (and AVX-512), eight on the portable body.
+/// Each slot runs [`dist2_lanes`]'s unfused chain (`(a − b)²` and
+/// `(b − a)²` are the same bits, so the centre plays its point) and is
+/// lowered by a select, `if d < m { d } else { m }`: `minps`, no branch on
+/// the data, and the value the branch gave for NaN (never taken), ±0 (the
+/// older kept) and ∞. Each book's total is its own `f64` chain over its
+/// slots in point order, from `−0` as `Iterator::sum` starts: the one-book
+/// sum's bits.
+fn lower<const L: usize>(
+    isa: Isa,
+    centre: &[[f32; PATTERN]],
+    train: &[f32],
+    min_d2: &mut [f32],
+) -> [f64; L] {
+    let rows = centre.len() * row_stride(min_d2.len());
+    assert_eq!(train.len(), rows, "dim rows of row_stride(slots)");
+    match isa.tier() {
+        Tier::Portable => lower_lanes(centre, train, min_d2),
+        // The 256-bit body on AVX-512 machines too. On a 2-core AVX-512
+        // Xeon VM a zmm body seeded 8 books of 2048 points about 0.05 ms a
+        // book faster (3 ms of a 2048×128 CQ-4 quantize's 120) and a lone
+        // book about 30 % slower.
+        // SAFETY: an `Avx2` or `Avx512` witness means this machine runs
+        // AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => unsafe { lower_avx2(centre, train, min_d2) },
     }
+}
 
-    /// [`scan`] compiled for this tier, picked as [`Tier::lower`] picks:
-    /// a group of eight scans its eight `f64` targets in two ymm registers.
-    fn scan<const L: usize>(
-        self,
-        target: &mut [f64; L],
-        min_d2: &[f32],
-        chosen: &mut [usize; L],
-        open: usize,
-    ) {
-        match self {
-            Tier::Portable => scan(target, min_d2, chosen, open),
-            // SAFETY: as in `lower`.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => unsafe { scan_avx2(target, min_d2, chosen, open) },
-        }
+/// [`scan`] on `isa`'s body, picked as [`lower`] picks: a group of eight
+/// scans its eight `f64` targets in two ymm registers.
+fn scan_on<const L: usize>(
+    isa: Isa,
+    target: &mut [f64; L],
+    min_d2: &[f32],
+    chosen: &mut [usize; L],
+    open: usize,
+) {
+    match isa.tier() {
+        Tier::Portable => scan(target, min_d2, chosen, open),
+        // SAFETY: as in `lower`.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => unsafe { scan_avx2(target, min_d2, chosen, open) },
     }
 }
 
@@ -619,7 +571,7 @@ fn add_totals<const L: usize>(total: &mut [f64; L], mins: &[f32]) {
     }
 }
 
-/// [`Tier::lower`] for slots `from..`, one at a time.
+/// [`lower`] for slots `from..`, one at a time.
 #[inline(always)]
 fn lower_rest<const L: usize>(
     centre: &[[f32; PATTERN]],
@@ -640,7 +592,7 @@ fn lower_rest<const L: usize>(
     }
 }
 
-/// The portable body of [`Tier::lower`]: [`LANES`] slots a block.
+/// The portable body of [`lower`]: [`LANES`] slots a block.
 fn lower_lanes<const L: usize>(
     centre: &[[f32; PATTERN]],
     train: &[f32],
@@ -667,7 +619,7 @@ fn lower_lanes<const L: usize>(
     total
 }
 
-/// [`Tier::lower`] on AVX2: [`PATTERN`] slots a block in two ymm
+/// [`lower`] on AVX2: [`PATTERN`] slots a block in two ymm
 /// registers, lowered by `vminps` (the select: the slot's distance when it
 /// is the smaller, else the old minimum). Written in intrinsics because the
 /// compiler, given the portable body widened to sixteen slots under
@@ -922,7 +874,7 @@ fn draw<const L: usize>(
         }
     }
     if open > 0 {
-        Tier::detect().scan(&mut target, min_d2, &mut chosen, open);
+        scan_on(Isa::detect(), &mut target, min_d2, &mut chosen, open);
     }
     chosen
 }
@@ -1008,7 +960,7 @@ fn seed_lockstep<const L: usize>(runs: &mut [Run<'_>], k: usize) {
                 }
             }
         }
-        total = Tier::detect().lower(&centre, train, min_d2);
+        total = lower(Isa::detect(), &centre, train, min_d2);
     }
 }
 
@@ -1040,13 +992,13 @@ fn seed_group(runs: &mut [Run<'_>], k: usize) {
 /// differs joins a group of its own count), one book per lane. Their
 /// training points are laid out element-major `[e][j][book]` and their
 /// nearest-centre distances `[j][book]`, so one pass over the training set
-/// measures every book's newest centre ([`Tier::lower`]), and the two
-/// serial `f64` chains seeding runs per centre — the `min_d2` total and
-/// the target scan ([`draw`]) — advance all the books' lanes a step at a
-/// time: their latency is paid once per group, not per book. Each lane
-/// runs its own book's chains in point order, and each book keeps its own
-/// generator and makes its own draws in its own order, so every book's
-/// centroids are bit for bit its lone run's. Lloyd and the final
+/// measures every book's newest centre, and the two serial `f64` chains
+/// seeding runs per centre — the `min_d2` total and the target scan —
+/// advance all the books' lanes a step at a time: their latency is paid
+/// once per group, not per book. Each lane runs its own book's chains in
+/// point order, and each book keeps its own generator and makes its own
+/// draws in its own order, so every book's centroids are bit for bit its
+/// lone run's. Lloyd and the final
 /// assignment stay per book; a group is trained to the end before the
 /// next is laid out, so at most [`MAX_BOOKS`] runs' buffers are alive.
 ///
@@ -1323,39 +1275,6 @@ mod tests {
         }
     }
 
-    /// Every tier of [`nearest_many`] this machine has; the missing ones
-    /// are reported once as skipped.
-    fn tiers() -> Vec<Tier> {
-        static SKIPPED: std::sync::Once = std::sync::Once::new();
-        #[allow(unused_mut)]
-        let mut tiers = vec![Tier::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            let mut missing = Vec::new();
-            for (tier, have) in [
-                (Tier::Avx2, std::arch::is_x86_feature_detected!("avx2")),
-                (
-                    Tier::Avx512,
-                    std::arch::is_x86_feature_detected!("avx2")
-                        && std::arch::is_x86_feature_detected!("avx512f"),
-                ),
-            ] {
-                if have {
-                    tiers.push(tier);
-                } else {
-                    missing.push(tier.name());
-                }
-            }
-            if !missing.is_empty() {
-                SKIPPED
-                    .call_once(|| eprintln!("nearest: tiers SKIPPED, CPU lacks them: {missing:?}"));
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SKIPPED.call_once(|| eprintln!("nearest: tiers SKIPPED, not x86-64: avx2, avx512f"));
-        tiers
-    }
-
     /// Checks 1..=[`MAX_POINTS`] `points` searched together on every tier
     /// this machine has, each point searched alone on each tier, and the
     /// dispatched [`nearest_many`] and [`nearest`], against the oracle's
@@ -1374,9 +1293,9 @@ mod tests {
             .collect();
         let n = points.len();
         let mut found = vec![(0, 0.0); n];
-        for tier in tiers() {
-            let name = tier.name();
-            tier.search_some(points, em, dim, k, &mut found);
+        for isa in Isa::every() {
+            let name = isa.name();
+            search_some(isa, points, em, dim, k, &mut found);
             assert_eq!(
                 bits(&found),
                 want,
@@ -1384,7 +1303,7 @@ mod tests {
             );
             for (point, want) in points.iter().zip(&want) {
                 let mut one = [(0, 0.0)];
-                tier.search_some(&[point], em, dim, k, &mut one);
+                search_some(isa, &[point], em, dim, k, &mut one);
                 assert_eq!(
                     bits(&one)[0],
                     *want,
@@ -1564,10 +1483,10 @@ mod tests {
         }
     }
 
-    /// The `L`-book lowering on `tier` against one branch per slot, over
+    /// The `L`-book lowering on `isa` against one branch per slot, over
     /// `t` points a book: every slot's minimum bits and every book's total
     /// bits.
-    fn assert_lowering_is_the_branch<const L: usize>(tier: Tier, t: usize, rng: &mut u64) {
+    fn assert_lowering_is_the_branch<const L: usize>(isa: Isa, t: usize, rng: &mut u64) {
         let dim = 1 + (splitmix(rng) % 4) as usize;
         let (slots, stride) = (t * L, row_stride(t * L));
         let train: Vec<f32> = (0..dim * stride).map(|_| coord(rng, true)).collect();
@@ -1599,9 +1518,9 @@ mod tests {
             })
             .collect();
         let mut got = start;
-        let total = tier.lower::<L>(&centre, &train, &mut got);
+        let total = lower::<L>(isa, &centre, &train, &mut got);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let name = tier.name();
+        let name = isa.name();
         assert_eq!(
             bits(&got),
             bits(&want),
@@ -1618,12 +1537,12 @@ mod tests {
     #[test]
     fn lowering_select_is_the_branch() {
         let mut rng = 7;
-        for tier in tiers() {
+        for isa in Isa::every() {
             for t in [1, 2, 3, 5, 8, 16, 17, 33] {
-                assert_lowering_is_the_branch::<1>(tier, t, &mut rng);
-                assert_lowering_is_the_branch::<2>(tier, t, &mut rng);
-                assert_lowering_is_the_branch::<4>(tier, t, &mut rng);
-                assert_lowering_is_the_branch::<8>(tier, t, &mut rng);
+                assert_lowering_is_the_branch::<1>(isa, t, &mut rng);
+                assert_lowering_is_the_branch::<2>(isa, t, &mut rng);
+                assert_lowering_is_the_branch::<4>(isa, t, &mut rng);
+                assert_lowering_is_the_branch::<8>(isa, t, &mut rng);
             }
         }
     }
@@ -1637,21 +1556,21 @@ mod tests {
     #[test]
     fn lockstep_scan_is_each_books_scan() {
         let mut rng = 3;
-        for tier in tiers() {
+        for isa in Isa::every() {
             for t in [1, 2, 9, 40] {
-                assert_scan_is_each_books::<1>(tier, t, &mut rng);
-                assert_scan_is_each_books::<2>(tier, t, &mut rng);
-                assert_scan_is_each_books::<4>(tier, t, &mut rng);
-                assert_scan_is_each_books::<8>(tier, t, &mut rng);
+                assert_scan_is_each_books::<1>(isa, t, &mut rng);
+                assert_scan_is_each_books::<2>(isa, t, &mut rng);
+                assert_scan_is_each_books::<4>(isa, t, &mut rng);
+                assert_scan_is_each_books::<8>(isa, t, &mut rng);
             }
         }
     }
 
-    /// [`Tier::scan`] of `L` books over `t` points each on `tier`, against
+    /// [`scan_on`] of `L` books over `t` points each on `isa`, against
     /// each book's serial scan: odd books draw a fraction of their total,
     /// even ones an exact prefix of it, and book 1 (when there is one)
     /// never scans.
-    fn assert_scan_is_each_books<const L: usize>(tier: Tier, t: usize, rng: &mut u64) {
+    fn assert_scan_is_each_books<const L: usize>(isa: Isa, t: usize, rng: &mut u64) {
         let min_d2: Vec<f32> = (0..t * L)
             .map(|_| (splitmix(rng) % 9) as f32 * 0.25)
             .collect();
@@ -1681,8 +1600,8 @@ mod tests {
             }
         }
         let mut chosen = [t - 1; L];
-        tier.scan(&mut target, &min_d2, &mut chosen, open);
-        assert_eq!(chosen, want, "{} tier, {L} books, {t} points", tier.name());
+        scan_on(isa, &mut target, &min_d2, &mut chosen, open);
+        assert_eq!(chosen, want, "{} tier, {L} books, {t} points", isa.name());
     }
 
     proptest::proptest! {

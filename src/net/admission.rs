@@ -131,7 +131,7 @@ const MAX_LEDGERS: usize = 4096;
 /// Memory is bounded two ways: every charge globally **sweeps** ledgers
 /// whose newest entry has slid fully out of the window (so a burst of
 /// one-shot tenants cannot grow the table without bound), and a hard
-/// [`MAX_LEDGERS`] cap evicts the stalest ledger if distinct *active*
+/// `MAX_LEDGERS` cap evicts the stalest ledger if distinct *active*
 /// tenants somehow exceed it.
 #[derive(Debug, Default)]
 pub struct RateLimiter {
@@ -145,7 +145,7 @@ impl RateLimiter {
         RateLimiter::default()
     }
 
-    /// Tenants with a tracked ledger (bounded by [`MAX_LEDGERS`]).
+    /// Tenants with a tracked ledger (bounded by `MAX_LEDGERS`).
     pub fn tracked_tenants(&self) -> usize {
         self.ledgers.len()
     }

@@ -73,16 +73,6 @@ pub enum TicketEnd {
     },
 }
 
-impl TicketEnd {
-    /// The finished output, if this end is a completion.
-    pub fn into_output(self) -> Option<RequestOutput> {
-        match self {
-            TicketEnd::Finished(out) => Some(out),
-            TicketEnd::Rejected { .. } => None,
-        }
-    }
-}
-
 /// What the driver pushes through a [`StreamSink`], in guaranteed order:
 /// `Accepted`, then `Token` per decoded row (ascending `index`), then
 /// exactly one terminal `Done` or `Rejected`.

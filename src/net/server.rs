@@ -11,7 +11,7 @@
 //!   bytes) and acts on the shared [`Client`] — submit into the fair
 //!   queue, poll, cancel, stats, ping;
 //! * each connection's **writer** thread drains a **bounded**
-//!   [`FrameQueue`] of pre-rendered frames. The driver thread pushes
+//!   `FrameQueue` of pre-rendered frames. The driver thread pushes
 //!   streaming events into that queue through the request's
 //!   [`StreamSink`](super::StreamSink), and the reader pushes verb
 //!   replies; the queue serializes them, so a client sees `hello`, then

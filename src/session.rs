@@ -8,7 +8,7 @@
 //!
 //! * a **builder** validates the device / algorithm / optimization-level
 //!   combination once, up front;
-//! * a pluggable [`Backend`](crate::Backend) supplies planning,
+//! * a pluggable [`Backend`] supplies planning,
 //!   estimation, and functional execution (the performance model today; a
 //!   real-GPU backend later);
 //! * a shared, memoizing [`PlanCache`] makes a repeated planning request
@@ -377,13 +377,6 @@ impl Session {
         self.shared
             .backend
             .estimate(&self.shared.gpu, plan, &profile)
-    }
-
-    /// Latency/counter estimate under an explicit access profile.
-    pub fn estimate_with(&self, plan: &KernelPlan, profile: &AccessProfile) -> KernelOutput {
-        self.shared
-            .backend
-            .estimate(&self.shared.gpu, plan, profile)
     }
 
     /// Emits the CUDA-like source a GPU backend would compile for `plan`.
